@@ -15,15 +15,25 @@ element conn_z^-1 g conn_y.  phi/phi_inv implement the two directions;
 verify_isomorphism checks multiplicativity on every pair of basis
 arrows, unit preservation, and that the two directions invert each
 other on every basis vector of both sides.
+
+The pair check works on basis indices.  phi runs once per arrow, and
+each image is read back from its block matrix as one matrix unit
+(block, row, col, isotropy key).  A pair then passes when the unit of
+the composite, or zero, equals the product of the two units, which is
+(b, r, c', table[k][k']) when both sit in block b and c = r', else zero.
+One pair per run, and any pair whose images are not single
+coefficient-one units, still goes through convolve, phi and the block
+matrix product with the ring's own elements.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RingMismatchError
+from .errors import InternalCheckError, ParseError, RingMismatchError
 from .group_algebra import (
     BlockMatrix,
     BlockShape,
+    FiniteGroupTable,
     GroupAlgebraElement,
 )
 from .groupoid import (
@@ -37,7 +47,6 @@ from .groupoid import (
     validate,
 )
 from .rings import RingDescriptor, RingElement
-from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -191,7 +200,7 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
     """Validate, pick frames, and lay out the block algebra.
 
     Raises ValueError listing the violations if the input is not a
-    groupoid.
+    groupoid, and InternalCheckError if the frames miss an arrow.
     """
     problems = validate(g)
     if problems:
@@ -218,7 +227,7 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
                 loop = g.compose(g.inv[conn_z], g.compose(a, conn_y))
                 position[a] = (bi, member_pos[z], member_pos[y], loop_pos[loop])
     if any(p is None for p in position):
-        raise ValueError("orbit computation missed an arrow")
+        raise InternalCheckError("orbit computation missed an arrow")
     return Decomposition(
         g, ring, tuple(frames), tuple(isotropies), structured, shape, tuple(position)
     )
@@ -272,21 +281,69 @@ class VerificationReport:
         return f"{self.passed}/{self.total} {self.description}"
 
 
+_ZERO = ()  # index form of the zero matrix in the pair check
+
+
+def _matrix_unit_index(d: Decomposition, m: BlockMatrix, one: RingElement):
+    """(block, row, col, key) when m is a single coefficient-one unit
+    over the block's finite isotropy table, else None."""
+    found = None
+    for bi, block in enumerate(m.entries):
+        for (row, col), val in block:
+            if found is not None or len(val.coeffs) != 1:
+                return None
+            group = d.shape.blocks[bi][1]
+            if not isinstance(group, FiniteGroupTable) or val.group != group:
+                return None
+            key, coeff = val.coeffs[0]
+            if coeff != one:
+                return None
+            found = (bi, row, col, key)
+    return found
+
+
 def verify_isomorphism(d: Decomposition) -> VerificationReport:
     """Exhaustive check that phi is a unital isomorphism onto the block
     algebra: multiplicative on all arrow pairs, unit to identity,
     inverted both ways by phi_inv on every basis vector."""
     g = d.groupoid
+    n = g.arrow_count
     failures = []
     total = 0
     passed = 0
 
-    for a in range(g.arrow_count):
-        da = AlgebraElement.delta(g, d.ring, a)
-        for b in range(g.arrow_count):
-            db = AlgebraElement.delta(g, d.ring, b)
+    deltas = [AlgebraElement.delta(g, d.ring, a) for a in range(n)]
+    images = [phi(d, da) for da in deltas]
+    one = RingElement.one(d.ring)
+    units = [_matrix_unit_index(d, m, one) for m in images]
+
+    for a in range(n):
+        ua = units[a]
+        dom_a = g.dom[a]
+        for b in range(n):
             total += 1
-            if phi(d, convolve(da, db)) == phi(d, da) * phi(d, db):
+            if dom_a == g.cod[b]:
+                ab = g.compose(a, b)
+                if ab is None:
+                    raise InternalCheckError(
+                        f"no composition for composable pair ({g.arrows[a]}, {g.arrows[b]})"
+                    )
+                left = units[ab]
+            else:
+                left = _ZERO
+            ub = units[b]
+            if (a == 0 and b == 0) or ua is None or ub is None or left is None:
+                da, db = deltas[a], deltas[b]
+                ok = phi(d, convolve(da, db)) == phi(d, da) * phi(d, db)
+            else:
+                bi, row, mid, key = ua
+                bj, mid2, col, key2 = ub
+                if bi == bj and mid == mid2:
+                    table = d.shape.blocks[bi][1].table
+                    ok = left == (bi, row, col, table[key][key2])
+                else:
+                    ok = left == _ZERO
+            if ok:
                 passed += 1
             else:
                 failures.append(
@@ -299,10 +356,9 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     else:
         failures.append("phi does not send the unit to the identity matrix")
 
-    for a in range(g.arrow_count):
-        da = AlgebraElement.delta(g, d.ring, a)
+    for a in range(n):
         total += 1
-        if phi_inv(d, phi(d, da)) == da:
+        if phi_inv(d, images[a]) == deltas[a]:
             passed += 1
         else:
             failures.append(f"phi_inv(phi([{g.arrows[a]}])) != [{g.arrows[a]}]")

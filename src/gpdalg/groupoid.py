@@ -36,6 +36,7 @@ class FiniteGroupoid:
 
     def __post_init__(self):
         object.__setattr__(self, "_comp_map", dict(self.comp))
+        object.__setattr__(self, "_violations", None)  # validate() memo
         object.__setattr__(
             self, "_obj_index", {name: i for i, name in enumerate(self.objects)}
         )
@@ -212,9 +213,20 @@ def validate(g: FiniteGroupoid) -> list:
     composable pairs and only on them, dom/cod coherence, associativity
     on every composable triple, inverses total and two-sided.  Returns
     all violations, deterministically ordered; empty list means valid.
+    The result is memoised on the (immutable) groupoid; each call gets
+    a fresh list.
     """
+    if g._violations is None:
+        object.__setattr__(g, "_violations", tuple(_axiom_violations(g)))
+    return list(g._violations)
+
+
+def _axiom_violations(g: FiniteGroupoid) -> list:
     out: list = []
     arrows = range(g.arrow_count)
+    into: list = [[] for _ in g.objects]  # object -> arrows with that cod, ascending
+    for a in arrows:
+        into[g.cod[a]].append(a)
 
     def name(a):
         return g.arrows[a]
@@ -244,8 +256,8 @@ def validate(g: FiniteGroupoid) -> list:
             ))
 
     for f in arrows:
-        for h in arrows:
-            if g.composable(f, h) and g.compose(f, h) is None:
+        for h in into[g.dom[f]]:
+            if g.compose(f, h) is None:
                 out.append(Violation(
                     "composition-missing", (name(f), name(h)),
                     f"no composition declared for composable pair ({name(f)}, {name(h)})",
@@ -272,15 +284,11 @@ def validate(g: FiniteGroupoid) -> list:
                     ))
 
     for f in arrows:
-        for h in arrows:
-            if not g.composable(f, h):
-                continue
+        for h in into[g.dom[f]]:
             fh = g.compose(f, h)
             if fh is None:
                 continue
-            for k in arrows:
-                if not g.composable(h, k):
-                    continue
+            for k in into[g.dom[h]]:
                 hk = g.compose(h, k)
                 if hk is None:
                     continue

@@ -172,16 +172,30 @@ def enumerate_cycles(g: Graph) -> list:
     order = sorted(range(vcount), key=lambda v: g.vertices[v])
     rank = {v: i for i, v in enumerate(order)}
 
-    def walk(start, current, path_edges, on_path):
-        for e in sorted(g.out_edges(current), key=lambda e: g.edge_names[e]):
+    out_sorted = [
+        sorted(g.out_edges(v), key=lambda e: g.edge_names[e]) for v in range(vcount)
+    ]
+
+    # depth-first walk with an explicit stack, so long paths cannot
+    # exhaust the interpreter's recursion limit
+    for start in order:
+        path_edges: list = []
+        on_path = {start}
+        stack = [iter(out_sorted[start])]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if path_edges:
+                    on_path.discard(g.dst[path_edges.pop()])
+                continue
             nxt = g.dst[e]
             if nxt == start:
                 found.append(_canonical_cycle(g, path_edges + [e]))
             elif nxt not in on_path and rank[nxt] > rank[start]:
-                walk(start, nxt, path_edges + [e], on_path | {nxt})
-
-    for start in order:
-        walk(start, start, [], {start})
+                path_edges.append(e)
+                on_path.add(nxt)
+                stack.append(iter(out_sorted[nxt]))
     return sorted(found, key=lambda c: _cycle_sort_key(g, c))
 
 
@@ -317,13 +331,26 @@ def boundary_paths(g: Graph):
             seen_vertices[v] = c
 
     in_edges: list = [[] for _ in g.vertices]
-    for e in range(g.edge_count):
+    for e in sorted(range(g.edge_count), key=lambda e: g.edge_names[e]):
         in_edges[g.dst[e]].append(e)
 
     paths = []
 
-    def extend_backward(prefix_store, tail_edges, at, visited, forbidden):
-        for e in sorted(in_edges[at], key=lambda e: g.edge_names[e]):
+    def extend_backward(start, forbidden):
+        """Every vertex-simple path ending at start, in depth-first
+        preorder, the empty path first.  The stack is explicit, so long
+        chains cannot exhaust the recursion limit."""
+        store: list = [()]
+        visited = {start}
+        stack = [((), iter(in_edges[start]))]
+        while stack:
+            tail_edges, pending = stack[-1]
+            e = next(pending, None)
+            if e is None:
+                stack.pop()
+                if tail_edges:
+                    visited.discard(g.src[tail_edges[0]])
+                continue
             if e in forbidden:
                 continue
             u = g.src[e]
@@ -336,22 +363,20 @@ def boundary_paths(g: Graph):
                     "spoke or sink path touched a cycle although (NE) holds"
                 )
             new_edges = (e,) + tail_edges
-            prefix_store.append(new_edges)
-            extend_backward(prefix_store, new_edges, u, visited | {u}, forbidden)
+            store.append(new_edges)
+            visited.add(u)
+            stack.append((new_edges, iter(in_edges[u])))
+        return store
 
     for v in range(len(g.vertices)):
         if g.is_sink(v):
-            store: list = [()]
-            extend_backward(store, (), v, {v}, frozenset())
-            for edges in store:
+            for edges in extend_backward(v, frozenset()):
                 paths.append(SinkPath(edges, v))
     for c in cycles:
         forbidden = frozenset(c.edges)
         for pos in range(c.length()):
             w = g.src[c.edges[pos]]
-            store = [()]
-            extend_backward(store, (), w, {w}, forbidden)
-            for edges in store:
+            for edges in extend_backward(w, forbidden):
                 paths.append(Lasso(edges, c, pos))
     return sorted(paths, key=lambda bp: _path_sort_key(g, bp))
 

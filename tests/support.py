@@ -5,7 +5,15 @@ route than the package takes, so agreement is evidence and not an
 echo."""
 from __future__ import annotations
 
-from gpdalg import AlgebraElement, FiniteGroupoid
+from gpdalg import (
+    AlgebraElement,
+    BlockMatrix,
+    FiniteGroupoid,
+    VerificationReport,
+    convolve,
+    phi,
+    phi_inv,
+)
 from gpdalg.leavitt import Graph, Lasso, SinkPath
 
 
@@ -87,6 +95,64 @@ def naive_convolution(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
         if acc is not None and not acc.is_zero:
             items.append((a, acc))
     return AlgebraElement.make(g, f1.ring, items)
+
+
+def reference_verify_isomorphism(d) -> VerificationReport:
+    """verify_isomorphism on objects only: every arrow pair is multiplied
+    as algebra elements through convolve, phi and the block matrix
+    product, with phi recomputed for every operand.  Same checks, same
+    counts and same failure strings as the package's index-based check."""
+    g = d.groupoid
+    failures = []
+    total = 0
+    passed = 0
+
+    for a in range(g.arrow_count):
+        da = AlgebraElement.delta(g, d.ring, a)
+        for b in range(g.arrow_count):
+            db = AlgebraElement.delta(g, d.ring, b)
+            total += 1
+            if phi(d, convolve(da, db)) == phi(d, da) * phi(d, db):
+                passed += 1
+            else:
+                failures.append(
+                    f"phi not multiplicative on ({g.arrows[a]}, {g.arrows[b]})"
+                )
+
+    total += 1
+    if phi(d, AlgebraElement.unit(g, d.ring)) == BlockMatrix.identity(d.shape):
+        passed += 1
+    else:
+        failures.append("phi does not send the unit to the identity matrix")
+
+    for a in range(g.arrow_count):
+        da = AlgebraElement.delta(g, d.ring, a)
+        total += 1
+        if phi_inv(d, phi(d, da)) == da:
+            passed += 1
+        else:
+            failures.append(f"phi_inv(phi([{g.arrows[a]}])) != [{g.arrows[a]}]")
+
+    for bi, (size, group) in enumerate(d.shape.blocks):
+        keys = range(group.size)
+        for row in range(size):
+            for col in range(size):
+                for key in keys:
+                    unit = BlockMatrix.matrix_unit(d.shape, bi, row, col, key)
+                    total += 1
+                    if phi(d, phi_inv(d, unit)) == unit:
+                        passed += 1
+                    else:
+                        failures.append(
+                            f"phi(phi_inv(E)) != E at block {bi} ({row},{col}) g{key}"
+                        )
+
+    return VerificationReport(
+        "isomorphism checks (arrow pairs, unit, basis round trips)",
+        total,
+        passed,
+        tuple(failures),
+    )
 
 
 def paths_to_sinks(g: Graph) -> dict:

@@ -7,11 +7,14 @@ import random
 import pytest
 
 from corpus import groupoid_corpus
-from support import naive_convolution
+import support
+from support import naive_convolution, reference_verify_isomorphism
 
+import gpdalg.algebra
 from gpdalg import (
     AlgebraElement,
     BlockMatrix,
+    FiniteGroupTable,
     ParseError,
     Q,
     RingElement,
@@ -26,11 +29,17 @@ from gpdalg import (
     phi_inv,
     verify_isomorphism,
 )
+from gpdalg.constructions import (
+    cyclic_table,
+    pair_groupoid,
+    product_with_group,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 GF2 = parse_ring_descriptor("GF(2)")
 GF3 = parse_ring_descriptor("GF(3)")
+Z6 = parse_ring_descriptor("Z/6")
 
 
 def _pair2():
@@ -184,14 +193,118 @@ def test_verify_isomorphism_spot_checks():
         assert report.passed == report.total
 
 
-def test_tampered_frame_is_detected():
-    g = _pair2()
-    d = decompose(g, Q)
-    f = g.arrow_index("f")
-    gg = g.arrow_index("g")
+def _swap_arrows(d):
+    g = d.groupoid
+    f, h = g.arrow_index("f"), g.arrow_index("g")
     swapped = list(d.arrow_position)
-    swapped[f], swapped[gg] = swapped[gg], swapped[f]
-    bad = dataclasses.replace(d, arrow_position=tuple(swapped))
+    swapped[f], swapped[h] = swapped[h], swapped[f]
+    return dataclasses.replace(d, arrow_position=tuple(swapped))
+
+
+def test_tampered_frame_is_detected():
+    bad = _swap_arrows(decompose(_pair2(), Q))
     report = verify_isomorphism(bad)
     assert not report.ok
     assert report.failures
+
+
+def _outcome(report):
+    return report.total, report.passed, report.failures
+
+
+def test_index_check_matches_the_object_reference_on_the_corpus():
+    for name, g in groupoid_corpus():
+        for ring in (Q, GF2, Z6):
+            d = decompose(g, ring)
+            fast = verify_isomorphism(d)
+            assert fast.ok, (name, fast.failures[:3])
+            assert _outcome(fast) == _outcome(reference_verify_isomorphism(d)), name
+
+
+def _nontrivial_block(d):
+    return next(bi for bi, (_, group) in enumerate(d.shape.blocks) if group.size > 1)
+
+
+def _swap_isotropy_keys(d):
+    # relabel two isotropy elements of one block for every arrow in it;
+    # one of them is the identity, so this is never an automorphism
+    target = _nontrivial_block(d)
+    group = d.shape.blocks[target][1]
+    k1 = group.identity
+    k2 = (k1 + 1) % group.size
+    relabel = {k1: k2, k2: k1}
+    position = tuple(
+        (bi, row, col, relabel.get(key, key) if bi == target else key)
+        for bi, row, col, key in d.arrow_position
+    )
+    return dataclasses.replace(d, arrow_position=position)
+
+
+def _permute_group_table(d):
+    # the same abstract group with its elements renumbered by a shift,
+    # so the keys in arrow_position no longer index the right products
+    target = _nontrivial_block(d)
+    size, group = d.shape.blocks[target]
+    perm = [(k + 1) % group.size for k in range(group.size)]
+    rows = [[0] * group.size for _ in range(group.size)]
+    for i in range(group.size):
+        for j in range(group.size):
+            rows[perm[i]][perm[j]] = perm[group.table[i][j]]
+    blocks = list(d.shape.blocks)
+    blocks[target] = (size, FiniteGroupTable.from_table(rows, group.name))
+    shape = dataclasses.replace(d.shape, blocks=tuple(blocks))
+    return dataclasses.replace(d, shape=shape)
+
+
+@pytest.mark.parametrize("tamper, groupoid", [
+    (_swap_arrows, "pair2"),
+    (_swap_isotropy_keys, "pair2_S3"),
+    (_swap_isotropy_keys, "pair2_u_Z2"),
+    (_permute_group_table, "pair2_S3"),
+    (_permute_group_table, "pair2Z2_u_Z4"),
+])
+def test_tampered_decompositions_fail_exactly_as_the_reference(tamper, groupoid):
+    g = _pair2() if groupoid == "pair2" else dict(groupoid_corpus())[groupoid]
+    for ring in (Q, GF2, Z6):
+        bad = tamper(decompose(g, ring))
+        report = verify_isomorphism(bad)
+        assert not report.ok and report.failures
+        assert _outcome(report) == _outcome(reference_verify_isomorphism(bad))
+
+
+def test_phi_runs_a_linear_number_of_times(monkeypatch):
+    g = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), cyclic_table(4))
+    assert g.arrow_count == 64
+    d = decompose(g, Q)
+    calls = []
+    real_phi = gpdalg.algebra.phi
+
+    def counting_phi(*args):
+        calls.append(None)
+        return real_phi(*args)
+
+    monkeypatch.setattr(gpdalg.algebra, "phi", counting_phi)
+    report = verify_isomorphism(d)
+    assert report.ok and report.total == 65 * 65
+    # one image per arrow, one per matrix-unit round trip, a few more for
+    # the unit and the object-path pair; d^2 = 4096 would mean per pair
+    assert len(calls) <= 2 * g.arrow_count + 8
+
+
+
+def test_images_that_are_not_single_units_take_the_object_path(monkeypatch):
+    # a phi that doubles every image: no image is a coefficient-one unit,
+    # so every pair is compared as block matrices, and composable pairs
+    # fail (4 vs 2) exactly as on the object-only reference
+    real_phi = gpdalg.algebra.phi
+
+    def doubled_phi(d, f):
+        m = real_phi(d, f)
+        return m + m
+
+    monkeypatch.setattr(gpdalg.algebra, "phi", doubled_phi)
+    monkeypatch.setattr(support, "phi", doubled_phi)
+    d = decompose(_pair2(), Q)
+    report = verify_isomorphism(d)
+    assert not report.ok
+    assert _outcome(report) == _outcome(reference_verify_isomorphism(d))

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import gpdalg.algebra
+import gpdalg.cli
 from gpdalg import render_groupoid
 from gpdalg.constructions import pair_groupoid, product_with_group, symmetric_table
 
@@ -187,3 +189,35 @@ def test_reruns_are_byte_identical():
         assert first.returncode == second.returncode == 0, (args, first.stderr)
         assert first.stdout == second.stdout, args
         assert first.stderr == second.stderr == "", args
+
+
+def _main_in_process(capsys, *args):
+    code = gpdalg.cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_orbit_that_misses_an_arrow_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(gpdalg.algebra, "orbits", lambda g: [])
+    code, out, err = _main_in_process(
+        capsys, "groupoid", str(FIXTURES / "pair2_z2.gpd"), "--verify")
+    assert code == 2
+    assert not out
+    assert err == "internal error: orbit computation missed an arrow\n"
+
+
+def test_composition_lost_after_validation_is_an_internal_error(monkeypatch, capsys):
+    real_decompose = gpdalg.cli.decompose
+
+    def decompose_then_drop_a_composition(g, ring):
+        d = real_decompose(g, ring)
+        monkeypatch.delitem(g._comp_map, g.comp[-1][0])
+        return d
+
+    monkeypatch.setattr(gpdalg.cli, "decompose", decompose_then_drop_a_composition)
+    code, out, err = _main_in_process(
+        capsys, "groupoid", str(FIXTURES / "pair2_z2.gpd"), "--verify")
+    assert code == 2
+    assert not out
+    assert err.startswith("internal error: no composition for composable pair (")
+    assert "Traceback" not in err

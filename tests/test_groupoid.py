@@ -154,3 +154,16 @@ def test_identity_arrows_listed():
     g = _load("pair2.gpd")
     names = sorted(g.arrows[a] for a in g.identity_arrows())
     assert names == ["ix", "iy"]
+
+
+def test_validate_memo_hands_out_fresh_lists():
+    g = _load("broken_assoc.gpd")
+    first = validate(g)
+    second = validate(g)
+    assert first and first == second
+    first.clear()
+    assert validate(g) == second and second
+    good = _load("pair2.gpd")
+    found = validate(good)
+    found.append("stray")
+    assert validate(good) == []

@@ -10,6 +10,7 @@ from support import paths_to_sinks, truncation_is_arrow
 from gpdalg import (
     Cycle,
     ExitWitness,
+    Graph,
     IntegerGroup,
     Lasso,
     ParseError,
@@ -260,3 +261,19 @@ def test_exit_kills_every_chain_condition_over_every_ring_kind():
     for name, g in EXIT_GRAPHS:
         v = leavitt_verdicts(g, Q)
         assert not v.noetherian and v.shape_string == "infinite", name
+
+
+def test_long_chains_and_cycles_do_not_recurse():
+    n = 1200
+    vs = [f"v{i:04d}" for i in range(n)]
+    chain = Graph.make(vs, [(f"e{i:04d}", vs[i], vs[i + 1]) for i in range(n - 1)])
+    assert enumerate_cycles(chain) == []
+    paths = boundary_paths(chain)
+    assert len(paths) == n
+    assert [len(bp.edges) for bp in paths] == list(range(n))
+    assert paths[-1].edges == tuple(range(n - 1)) and paths[-1].sink == n - 1
+
+    ring = Graph.make(vs, [(f"e{i:04d}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+    lassos = boundary_paths(ring)
+    assert [(bp.spoke, bp.entry_pos) for bp in lassos] == [((), pos) for pos in range(n)]
+    assert {bp.cycle.edges for bp in lassos} == {tuple(range(n))}
