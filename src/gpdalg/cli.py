@@ -48,18 +48,8 @@ from .report import (
     render_report_machine,
     render_report_text,
 )
-from .rings import (
-    GaloisField,
-    Rationals,
-    parse_ring_descriptor,
-    render_ring_descriptor,
-)
-from .verdicts import (
-    ORACLE_DIMENSION_LIMIT_CHAR0,
-    ORACLE_DIMENSION_LIMIT_CHARP,
-    radical_oracle,
-    verdicts,
-)
+from .rings import parse_ring_descriptor, render_ring_descriptor
+from .verdicts import oracle_budget, radical_oracle, verdicts
 
 SKIPPED = "skipped"
 UNSUPPORTED = "unsupported"
@@ -77,11 +67,8 @@ def _run_oracle(g, ring, expected_semisimple: bool):
     (status, detail, witness string or None).  Raises InternalCheckError
     if the oracle contradicts the verdict engine."""
     d = g.arrow_count
-    if isinstance(ring, Rationals):
-        budget = ORACLE_DIMENSION_LIMIT_CHAR0
-    elif isinstance(ring, GaloisField):
-        budget = ORACLE_DIMENSION_LIMIT_CHARP
-    else:
+    budget = oracle_budget(ring)
+    if budget is None:
         return (
             ORACLE_UNSUPPORTED,
             f"oracle handles Q and GF(p), not {render_ring_descriptor(ring)}",

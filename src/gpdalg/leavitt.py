@@ -34,6 +34,7 @@ from fractions import Fraction
 from .errors import InternalCheckError, ParseError
 from .group_algebra import BlockMatrix, BlockShape, FiniteGroupTable, IntegerGroup
 from .groupoid import OrbitSummary, StructuredGroupoid
+from .linalg import reduce
 from .rings import Rationals, RingDescriptor, ring_predicates
 from .algebra import VerificationReport
 from .verdicts import (
@@ -665,21 +666,15 @@ def _generated_dimension(images: GeneratorImages) -> int:
                 layout["dim"] += 1
     gens = list(images.vertex.values()) + list(images.edge.values()) + list(images.ghost.values())
     basis_vecs: list = []
-    basis_mats: list = []
     pivots: list = []
 
     def try_add(mat):
-        vec = _flatten(mat, layout)
-        for row, p in zip(basis_vecs, pivots):
-            if vec[p]:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, row)]
+        vec = reduce(_flatten(mat, layout), basis_vecs, pivots)
         lead = next((i for i, v in enumerate(vec) if v), None)
         if lead is None:
             return False
         inv = 1 / vec[lead]
         basis_vecs.append([v * inv for v in vec])
-        basis_mats.append(mat)
         pivots.append(lead)
         return True
 

@@ -1,61 +1,25 @@
-"""Small exact linear algebra helpers: Fraction Gauss, mod-p kernels,
+"""Small exact linear algebra: one Gauss-Jordan over Q or GF(p), plus an
 integer determinant.  Everything works on lists of lists; sizes here
 are desk scale (at most 64), so clarity beats asymptotics.
+
+The field is named by its characteristic p: p = 0 means Q, with
+`Fraction` entries (integer or `Fraction` input is accepted), and a
+prime p means GF(p), with `int` entries in range(p) (any integer input
+is reduced mod p).  Results carry entries of the field's type.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def frac_rref(rows):
-    """Reduced row echelon form over Q.  Returns (rref rows, pivot cols).
+def _mod(vec, p):
+    return [v % p for v in vec] if p else vec
+
+
+def rref(rows, p=0):
+    """Reduced row echelon form.  Returns (rref rows, pivot cols).
     Input rows are not mutated."""
-    m = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    row = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m[:row], pivots
-
-
-def frac_rank(rows) -> int:
-    return len(frac_rref(rows)[0])
-
-
-def frac_kernel(rows):
-    """Basis of {v : M v = 0} over Q, for M given as rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = frac_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in zip(rref, pivots):
-            v[p] = -r[f]
-        basis.append(v)
-    return basis
-
-
-def modp_rref(rows, p):
-    """Reduced row echelon form over GF(p).  Returns (rref rows, pivots)."""
-    m = [[v % p for v in r] for r in rows]
+    m = [[v % p for v in r] if p else list(map(Fraction, r)) for r in rows]
     pivots = []
     row = 0
     ncols = len(m[0]) if m else 0
@@ -64,12 +28,12 @@ def modp_rref(rows, p):
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [v * inv % p for v in m[row]]
+        inv = pow(m[row][col], -1, p) if p else 1 / m[row][col]
+        m[row] = _mod([v * inv for v in m[row]], p)
         for i in range(len(m)):
             if i != row and m[i][col]:
                 f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[row])]
+                m[i] = _mod([a - f * b for a, b in zip(m[i], m[row])], p)
         pivots.append(col)
         row += 1
         if row == len(m):
@@ -77,35 +41,35 @@ def modp_rref(rows, p):
     return m[:row], pivots
 
 
-def modp_rank(rows, p) -> int:
-    return len(modp_rref(rows, p)[0])
-
-
-def modp_kernel(rows, p):
-    """Basis of {v : M v = 0 mod p}."""
+def kernel(rows, p=0):
+    """Basis of {v : M v = 0}, for M given as rows (one vector per free
+    column of the rref)."""
     if not rows:
         return []
     ncols = len(rows[0])
-    rref, pivots = modp_rref(rows, p)
+    reduced, pivots = rref(rows, p)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, p_col in zip(rref, pivots):
-            v[p_col] = (-r[f]) % p
+        v = [zero] * ncols
+        v[f] = one
+        for r, c in zip(reduced, pivots):
+            v[c] = -r[f] % p if p else -r[f]
         basis.append(v)
     return basis
 
 
-def modp_in_span(rref_rows, pivots, vec, p) -> bool:
-    """Membership test against an rref basis."""
-    v = [x % p for x in vec]
-    for r, c in zip(rref_rows, pivots):
+def reduce(vec, rows, pivots, p=0):
+    """Residue of vec against echelon rows: each row has entry 1 at its
+    pivot and 0 at the pivots of the rows before it (any rref qualifies).
+    The residue is zero exactly when vec lies in the span of the rows."""
+    v = _mod(list(vec), p)
+    for r, c in zip(rows, pivots):
         if v[c]:
             f = v[c]
-            v = [(a - f * b) % p for a, b in zip(v, r)]
-    return not any(v)
+            v = _mod([a - f * b for a, b in zip(v, r)], p)
+    return v
 
 
 def int_det(rows) -> int:

@@ -31,14 +31,13 @@ zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
-from .group_algebra import IntegerGroup, entry_ring_rendering
+from .group_algebra import BlockShape, IntegerGroup, entry_ring_rendering
 from .groupoid import FiniteGroupoid, StructuredGroupoid
-from .linalg import frac_kernel, frac_rref, modp_in_span, modp_kernel, modp_rref
+from .linalg import kernel, reduce, rref
 from .rings import (
     GaloisField,
     Rationals,
@@ -68,19 +67,14 @@ class Verdict:
     justification: tuple
 
 
-def _shape_of(sg: StructuredGroupoid, ring: RingDescriptor):
-    shape = tuple(
-        (o.size, o.isotropy, entry_ring_rendering(o.isotropy, ring))
-        for o in sg.orbits
-    )
-    shape_string = " x ".join(f"M_{size}({entry})" for size, _, entry in shape)
-    return shape, shape_string
-
-
 def verdicts(sg: StructuredGroupoid, ring: RingDescriptor) -> Verdict:
     preds = ring_predicates(ring)
     rname = render_ring_descriptor(ring)
-    shape, shape_string = _shape_of(sg, ring)
+    blocks = BlockShape(ring, tuple((o.size, o.isotropy) for o in sg.orbits))
+    shape = tuple(
+        (size, group, entry_ring_rendering(group, ring)) for size, group in blocks.blocks
+    )
+    shape_string = blocks.render()
     finite_orders = [
         o.isotropy.size for o in sg.orbits if not isinstance(o.isotropy, IntegerGroup)
     ]
@@ -171,7 +165,10 @@ def _basis_products(g: FiniteGroupoid):
     return bp
 
 
-def _vec_mul(bp, u, v, d):
+def _vec_mul(bp, u, v, d, p=0):
+    """u * v on the arrow basis, reduced mod p when p is a prime.  With
+    p = 0 the entries are multiplied exactly: rationals over Q, or the
+    integer lifts the trace-lift filtration needs."""
     out = [0] * d
     for i, ui in enumerate(u):
         if ui:
@@ -181,61 +178,7 @@ def _vec_mul(bp, u, v, d):
                     k = row[j]
                     if k >= 0:
                         out[k] += ui * vj
-    return out
-
-
-def _vec_mul_frac(bp, u, v, d):
-    out = [Fraction(0)] * d
-    for i, ui in enumerate(u):
-        if ui:
-            row = bp[i]
-            for j, vj in enumerate(v):
-                if vj:
-                    k = row[j]
-                    if k >= 0:
-                        out[k] += ui * vj
-    return out
-
-
-def _right_ideal_nilpotent_modp(bp, w, d, p):
-    """Is the right ideal generated by w nilpotent mod p?  Exact: build
-    a basis of wA, then take ideal powers until zero or stabilization."""
-    gens = [[x % p for x in _vec_mul(bp, w, e, d)] for e in _unit_vectors(d)]
-    gens.append([x % p for x in w])
-    base, piv = modp_rref(gens, p)
-    if not base:
-        return True
-    current, cpiv = base, piv
-    while True:
-        if not current:
-            return True
-        nxt = []
-        for u in current:
-            for v in base:
-                nxt.append([x % p for x in _vec_mul(bp, u, v, d)])
-        reduced, rpiv = modp_rref(nxt, p)
-        if len(reduced) >= len(current):
-            # no strict descent and still nonzero: never reaches zero
-            return not reduced
-        current, cpiv = reduced, rpiv
-
-
-def _right_ideal_nilpotent_frac(bp, w, d):
-    gens = [_vec_mul_frac(bp, w, e, d) for e in _unit_vectors(d)]
-    gens.append([Fraction(x) for x in w])
-    base, _ = frac_rref(gens)
-    current = base
-    while True:
-        if not current:
-            return True
-        nxt = []
-        for u in current:
-            for v in base:
-                nxt.append(_vec_mul_frac(bp, u, v, d))
-        reduced, _ = frac_rref(nxt)
-        if len(reduced) >= len(current):
-            return not reduced
-        current = reduced
+    return [x % p for x in out] if p else out
 
 
 def _unit_vectors(d):
@@ -245,54 +188,38 @@ def _unit_vectors(d):
         yield e
 
 
-def _ideal_certified_nilpotent_modp(bp, basis, d, p):
+def _powers_vanish(bp, base, d, p):
+    """base spans a subspace I with I*I inside I (echelon rows); is I
+    nilpotent?  Take ideal powers until zero or stabilization."""
+    current = base
+    while current:
+        nxt = [_vec_mul(bp, u, v, d, p) for u in current for v in base]
+        reduced, _ = rref(nxt, p)
+        if len(reduced) >= len(current):
+            # no strict descent and still nonzero: never reaches zero
+            return not reduced
+        current = reduced
+    return True
+
+
+def _right_ideal_nilpotent(bp, w, d, p=0):
+    """Is the right ideal generated by w nilpotent over Q (p = 0) or
+    GF(p)?  Exact: build a basis of wA, then take its powers."""
+    gens = [_vec_mul(bp, w, e, d, p) for e in _unit_vectors(d)]
+    gens.append(w)
+    return _powers_vanish(bp, rref(gens, p)[0], d, p)
+
+
+def _ideal_certified_nilpotent(bp, basis, d, p=0):
     """basis spans a subspace V; certify V is a two-sided ideal and
-    nilpotent.  Used to vouch for the filtration's nonzero answers."""
-    rref, piv = modp_rref(basis, p)
-    for u in rref:
+    nilpotent.  Used to vouch for every nonzero radical answer."""
+    rows, piv = rref(basis, p)
+    for u in rows:
         for e in _unit_vectors(d):
-            left = [x % p for x in _vec_mul(bp, e, u, d)]
-            right = [x % p for x in _vec_mul(bp, u, e, d)]
-            if not modp_in_span(rref, piv, left, p):
-                return False
-            if not modp_in_span(rref, piv, right, p):
-                return False
-    current = rref
-    while current:
-        nxt = []
-        for u in current:
-            for v in rref:
-                nxt.append([x % p for x in _vec_mul(bp, u, v, d)])
-        reduced, _ = modp_rref(nxt, p)
-        if len(reduced) >= len(current):
-            return not reduced
-        current = reduced
-    return True
-
-
-def _ideal_certified_nilpotent_frac(bp, basis, d):
-    rref, piv = frac_rref(basis)
-    for u in rref:
-        for e in _unit_vectors(d):
-            for vec in (_vec_mul_frac(bp, e, u, d), _vec_mul_frac(bp, u, e, d)):
-                v = list(vec)
-                for col, row in zip(piv, rref):
-                    if v[col]:
-                        f = v[col]
-                        v = [a - f * b for a, b in zip(v, row)]
-                if any(v):
+            for vec in (_vec_mul(bp, e, u, d, p), _vec_mul(bp, u, e, d, p)):
+                if any(reduce(vec, rows, piv, p)):
                     return False
-    current = rref
-    while current:
-        nxt = []
-        for u in current:
-            for v in rref:
-                nxt.append(_vec_mul_frac(bp, u, v, d))
-        reduced, _ = frac_rref(nxt)
-        if len(reduced) >= len(current):
-            return not reduced
-        current = reduced
-    return True
+    return _powers_vanish(bp, rows, d, p)
 
 
 def _left_mult_trace(bp, d):
@@ -304,29 +231,23 @@ def _left_mult_trace(bp, d):
     return tr
 
 
-def _radical_char0(g: FiniteGroupoid, ring):
+def _radical_char0(g: FiniteGroupoid):
     """Nullspace of the trace form, exact over Q.  In characteristic
     zero this nullspace is the radical; both inclusions are rechecked
     at runtime (witness ideals must be nilpotent)."""
     d = g.arrow_count
     bp = _basis_products(g)
     tr = _left_mult_trace(bp, d)
-    gram = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            k = bp[i][j]
-            row.append(Fraction(tr[k]) if k >= 0 else Fraction(0))
-        gram.append(row)
-    kernel = frac_kernel(gram)
-    if not kernel:
+    gram = [[tr[k] if k >= 0 else 0 for k in row] for row in bp]
+    radical = kernel(gram)
+    if not radical:
         return True, None, 0
-    if not _ideal_certified_nilpotent_frac(bp, kernel, d):
+    if not _ideal_certified_nilpotent(bp, radical, d):
         raise InternalCheckError("trace-form kernel is not a nilpotent ideal")
-    witness = kernel[0]
-    if not _right_ideal_nilpotent_frac(bp, witness, d):
+    witness = radical[0]
+    if not _right_ideal_nilpotent(bp, witness, d):
         raise InternalCheckError("radical witness fails the right-ideal check")
-    return False, witness, len(kernel)
+    return False, witness, len(radical)
 
 
 def _matrix_power_trace_mod(m, q, mod, d):
@@ -391,7 +312,7 @@ def _filtration_radical_modp(bp, d, p):
                     raise InternalCheckError("trace filtration divisibility failed")
                 row.append((t // q) % p)
             rows.append(row)
-        coeff_kernel = modp_kernel(rows, p)
+        coeff_kernel = kernel(rows, p)
         new_basis = []
         for coeffs in coeff_kernel:
             vec = [0] * d
@@ -400,7 +321,7 @@ def _filtration_radical_modp(bp, d, p):
                     for idx in range(d):
                         vec[idx] = (vec[idx] + c * b[idx]) % p
             new_basis.append(vec)
-        basis, _ = modp_rref(new_basis, p)
+        basis, _ = rref(new_basis, p)
     return basis
 
 
@@ -417,17 +338,17 @@ def _radical_charp(g: FiniteGroupoid, p: int, method: str):
                 continue
             if not _nilpotent_element_modp(bp, list(w), d, p):
                 continue
-            if _right_ideal_nilpotent_modp(bp, list(w), d, p):
+            if _right_ideal_nilpotent(bp, list(w), d, p):
                 return False, list(w), None
         return True, None, 0
     # filtration
     basis = _filtration_radical_modp(bp, d, p)
     if not basis:
         return True, None, 0
-    if not _ideal_certified_nilpotent_modp(bp, basis, d, p):
+    if not _ideal_certified_nilpotent(bp, basis, d, p):
         raise InternalCheckError("filtration result is not a nilpotent ideal")
     witness = basis[0]
-    if not _right_ideal_nilpotent_modp(bp, witness, d, p):
+    if not _right_ideal_nilpotent(bp, witness, d, p):
         raise InternalCheckError("radical witness fails the right-ideal check")
     return False, witness, len(basis)
 
@@ -441,10 +362,20 @@ def _nilpotent_element_modp(bp, w, d, p):
         limit <<= 1
         steps += 1
     for _ in range(max(steps, 1)):
-        current = [x % p for x in _vec_mul(bp, current, current, d)]
+        current = _vec_mul(bp, current, current, d, p)
         if not any(current):
             return True
     return not any(current)
+
+
+def oracle_budget(ring: RingDescriptor):
+    """Largest arrow count the oracle takes over ring: the char-0 limit
+    for Q, the char-p limit for GF(p), None for any other ring."""
+    if isinstance(ring, Rationals):
+        return ORACLE_DIMENSION_LIMIT_CHAR0
+    if isinstance(ring, GaloisField):
+        return ORACLE_DIMENSION_LIMIT_CHARP
+    return None
 
 
 def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor, method: str = "auto") -> RadicalReport:
@@ -456,33 +387,28 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor, method: str = "auto"
     GF(p)).
     """
     d = g.arrow_count
-    if isinstance(ring, Rationals):
-        if d > ORACLE_DIMENSION_LIMIT_CHAR0:
-            raise OracleBudgetError(f"dimension {d} beyond the char-0 oracle budget")
-        semisimple, witness_vec, rad_dim = _radical_char0(g, ring)
-        witness = None
-        if witness_vec is not None:
-            witness = AlgebraElement.make(
-                g, ring,
-                [(a, RingElement(ring, c)) for a, c in enumerate(witness_vec) if c],
-            )
-        return RadicalReport(semisimple, witness, "trace form", d, rad_dim)
-    if isinstance(ring, GaloisField):
-        if d > ORACLE_DIMENSION_LIMIT_CHARP:
-            raise OracleBudgetError(f"dimension {d} beyond the char-p oracle budget")
-        p = ring.p
+    budget = oracle_budget(ring)
+    if budget is None:
+        raise ValueError(
+            f"oracle supports Q and GF(p) only, not {render_ring_descriptor(ring)}"
+        )
+    p = ring.p if isinstance(ring, GaloisField) else 0
+    if d > budget:
+        raise OracleBudgetError(
+            f"dimension {d} beyond the char-{'p' if p else 0} oracle budget"
+        )
+    if p:
         if method == "auto":
             method = "exhaustive" if p ** d <= _EXHAUSTIVE_LIMIT else "filtration"
         if method not in ("exhaustive", "filtration"):
             raise ValueError(f"unknown oracle method '{method}'")
         semisimple, witness_vec, rad_dim = _radical_charp(g, p, method)
-        witness = None
-        if witness_vec is not None:
-            witness = AlgebraElement.make(
-                g, ring,
-                [(a, RingElement(ring, c % p)) for a, c in enumerate(witness_vec) if c % p],
-            )
-        return RadicalReport(semisimple, witness, method, d, rad_dim)
-    raise ValueError(
-        f"oracle supports Q and GF(p) only, not {render_ring_descriptor(ring)}"
-    )
+    else:
+        method = "trace form"
+        semisimple, witness_vec, rad_dim = _radical_char0(g)
+    witness = None
+    if witness_vec is not None:
+        witness = AlgebraElement.make(
+            g, ring, [(a, RingElement(ring, c)) for a, c in enumerate(witness_vec) if c]
+        )
+    return RadicalReport(semisimple, witness, method, d, rad_dim)

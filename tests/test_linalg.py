@@ -1,0 +1,109 @@
+"""Exact linear algebra over Q (p = 0) and GF(p), checked against the
+properties that pin down the reduced row echelon form, with ranks
+recomputed independently from integer minors."""
+import copy
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
+
+import pytest
+
+from gpdalg.linalg import int_det, kernel, reduce, rref
+
+FIELDS = [0, 2, 3, 5, 7]
+SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (2, 6), (6, 2), (4, 5), (6, 6)]
+
+
+def _entry(rng, p):
+    if p:
+        return rng.randrange(p)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _combination(rng, gens, n, p):
+    v = [0] * n
+    for g in gens:
+        c = _entry(rng, p)
+        v = [a + c * b for a, b in zip(v, g)]
+    return [x % p for x in v] if p else v
+
+
+def _matrices(p, seed):
+    """Per shape: a random matrix, a rank-deficient one (rows drawn from
+    the span of fewer rows) and one with zero rows."""
+    rng = random.Random(seed)
+    out = []
+    for m, n in SHAPES:
+        full = [[_entry(rng, p) for _ in range(n)] for _ in range(m)]
+        gens = [[_entry(rng, p) for _ in range(n)] for _ in range(rng.randrange(m))]
+        deficient = [_combination(rng, gens, n, p) for _ in range(m)]
+        zeros = [row if rng.random() < 0.5 else [0] * n for row in full]
+        out += [full, deficient, zeros]
+    return out
+
+
+def _minor_rank(rows, p):
+    """Rank as the size of the largest nonzero minor (mod p for GF(p))."""
+    ints = [[int(v * lcm(*(Fraction(x).denominator for x in r))) for v in r] for r in rows]
+    m, n = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(m, n), 0, -1):
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                det = int_det([[ints[r][c] for c in cs] for r in rs])
+                if det % p if p else det:
+                    return k
+    return 0
+
+
+def _is_field_entry(v, p):
+    return isinstance(v, int) and 0 <= v < p if p else isinstance(v, Fraction)
+
+
+def _assert_rref(reduced, pivots, p):
+    assert len(reduced) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, (row, c) in enumerate(zip(reduced, pivots)):
+        assert all(_is_field_entry(v, p) for v in row)
+        assert row[c] == 1
+        assert not any(row[:c])
+        assert all(other[c] == 0 for j, other in enumerate(reduced) if j != i)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_empty_and_zero_matrices(p):
+    assert rref([], p) == ([], [])
+    assert kernel([], p) == []
+    assert rref([[0, 0, 0], [0, 0, 0]], p) == ([], [])
+    assert kernel([[0, 0, 0]], p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert reduce([1, 2, 3], [], [], p) == ([x % p for x in (1, 2, 3)] if p else [1, 2, 3])
+
+
+@pytest.mark.parametrize("p", FIELDS)
+@pytest.mark.parametrize("seed", range(2))
+def test_rref_kernel_and_reduce_properties(p, seed):
+    rng = random.Random(1000 + seed)
+    for rows in _matrices(p, seed):
+        before = copy.deepcopy(rows)
+        reduced, pivots = rref(rows, p)
+        assert rows == before
+        n = len(rows[0])
+        _assert_rref(reduced, pivots, p)
+        assert len(reduced) == _minor_rank(rows, p)
+        for row in rows:
+            assert not any(reduce(row, reduced, pivots, p))
+
+        basis = kernel(rows, p)
+        assert len(basis) == n - len(reduced)
+        assert _minor_rank(basis, p) == len(basis)
+        for v in basis:
+            assert all(_is_field_entry(x, p) for x in v)
+            for row in rows:
+                dot = sum(a * b for a, b in zip(row, v))
+                assert (dot % p if p else dot) == 0
+
+        rank = len(reduced)
+        for vec in ([_entry(rng, p) for _ in range(n)], _combination(rng, rows, n, p)):
+            residue = reduce(vec, reduced, pivots, p)
+            assert all(_is_field_entry(x, p) for x in residue)
+            assert (not any(residue)) == (_minor_rank(rows + [vec], p) == rank)

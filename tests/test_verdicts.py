@@ -24,6 +24,7 @@ from gpdalg.constructions import (
     product_with_group,
     symmetric_table,
 )
+from gpdalg.verdicts import _ideal_certified_nilpotent, _right_ideal_nilpotent
 
 GF2 = parse_ring_descriptor("GF(2)")
 GF3 = parse_ring_descriptor("GF(3)")
@@ -174,3 +175,47 @@ def test_oracle_rejects_unsupported_rings_and_methods():
         radical_oracle(z2, Z)
     with pytest.raises(ValueError):
         radical_oracle(z2, GF2, method="bogus")
+
+
+# Path algebra of the quiver 1 -> 2 on the basis e1, e2, a with
+# a = e2.a.e1: not semisimple and not a groupoid algebra.  Over Q every
+# finite groupoid algebra is semisimple (Maschke), so this is what
+# reaches the nonzero-radical branches of the certificates in
+# characteristic 0.  PATH_BP[i][j] is the basis index of i.j, or -1.
+E1, E2, A = 0, 1, 2
+PATH_BP = [
+    [E1, -1, -1],  # e1.e1 = e1
+    [-1, E2, A],   # e2.e2 = e2, e2.a = a
+    [A, -1, -1],   # a.e1 = a
+]
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_certificates_on_the_path_algebra_of_one_arrow(p):
+    a, e1 = [0, 0, 2], [1, 0, 0]
+    assert _ideal_certified_nilpotent(PATH_BP, [a], 3, p)
+    assert not _ideal_certified_nilpotent(PATH_BP, [e1], 3, p)      # a.e1 = a is outside
+    assert not _ideal_certified_nilpotent(PATH_BP, [e1, a], 3, p)   # an ideal, not nilpotent
+    assert _right_ideal_nilpotent(PATH_BP, a, 3, p)
+    assert not _right_ideal_nilpotent(PATH_BP, e1, 3, p)
+
+
+# Path algebra of 1 -> 2 -> 3 on the basis e1, e2, e3, a, b, ba with
+# a: 1 -> 2 and b: 2 -> 3.  Its radical span(a, b, ba) needs two power
+# steps to vanish; span(a) squares to zero but is not an ideal (b.a = ba).
+CHAIN_PRODUCTS = {
+    (0, 0): 0, (1, 1): 1, (2, 2): 2,
+    (1, 3): 3, (3, 0): 3,              # e2.a = a.e1 = a
+    (2, 4): 4, (4, 1): 4,              # e3.b = b.e2 = b
+    (4, 3): 5, (2, 5): 5, (5, 0): 5,   # b.a = e3.ba = ba.e1 = ba
+}
+CHAIN_BP = [[CHAIN_PRODUCTS.get((i, j), -1) for j in range(6)] for i in range(6)]
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_certificates_on_the_path_algebra_of_two_arrows(p):
+    a, b, ba = ([int(i == k) for i in range(6)] for k in (3, 4, 5))
+    assert _ideal_certified_nilpotent(CHAIN_BP, [a, b, ba], 6, p)
+    assert not _ideal_certified_nilpotent(CHAIN_BP, [a], 6, p)
+    assert _right_ideal_nilpotent(CHAIN_BP, a, 6, p)
+    assert _right_ideal_nilpotent(CHAIN_BP, [0, 0, 0, 1, 1, 0], 6, p)
