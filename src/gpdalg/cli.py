@@ -149,19 +149,23 @@ def _report_graph(path: str, ring, do_verify: bool):
             detail = "boundary-path space is infinite"
             witness = f"Z(({cyc})^n.{exit_name}), n >= 0"
         else:
-            rep = verify_leavitt_relations(g, ring)
-            if not rep.ok:
-                raise InternalCheckError(
-                    f"relation verification failed: {rep.failures[0]}"
-                )
-            verification = rep
-            if enumerate_cycles(g):
-                status = ORACLE_UNSUPPORTED
-                detail = "algebra is infinite dimensional over the lasso orbits"
+            try:
+                rep = verify_leavitt_relations(g, ring)
+            except OracleBudgetError as e:
+                detail = str(e)
             else:
-                status, detail, witness = _run_oracle(
-                    as_finite_groupoid(g), ring, verdict.semisimple
-                )
+                if not rep.ok:
+                    raise InternalCheckError(
+                        f"relation verification failed: {rep.failures[0]}"
+                    )
+                verification = rep
+                if enumerate_cycles(g):
+                    status = ORACLE_UNSUPPORTED
+                    detail = "algebra is infinite dimensional over the lasso orbits"
+                else:
+                    status, detail, witness = _run_oracle(
+                        as_finite_groupoid(g), ring, verdict.semisimple
+                    )
     return AnalysisReport(
         "graph", tuple(header), render_ring_descriptor(ring), verdict,
         verification, status, detail, witness,

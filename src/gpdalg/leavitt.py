@@ -29,12 +29,10 @@ connecting arrows take the least admissible nonnegative degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InternalCheckError, ParseError
+from .errors import InternalCheckError, OracleBudgetError, ParseError
 from .group_algebra import BlockMatrix, BlockShape, FiniteGroupTable, IntegerGroup
 from .groupoid import OrbitSummary, StructuredGroupoid
-from .linalg import reduce
 from .rings import Rationals, RingDescriptor, ring_predicates
 from .algebra import VerificationReport
 from .verdicts import (
@@ -47,6 +45,11 @@ from .verdicts import (
 )
 
 _TRIVIAL = FiniteGroupTable.from_table([[0]], name="1")
+
+# largest boundary-path count verify_leavitt_relations takes; every
+# vertex and every edge starts some boundary path, so this also bounds
+# the vertex and edge counts
+LEAVITT_VERIFY_LIMIT = 80
 
 
 @dataclass(frozen=True)
@@ -565,12 +568,21 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     images: vertex idempotents orthogonal and summing to the identity,
     unit path relations, CK1 on all edge pairs, CK2 at every non-sink.
     For acyclic graphs over Q additionally confirm the generators span
-    the whole block algebra; for graphs with cycles confirm each lasso
-    block attains the Laurent variable x from its cycle word."""
+    the whole block algebra: for every pair of paths eta, gamma into
+    one sink, the monomial eta . gamma* maps to the matrix unit
+    E_{eta,gamma}.  For graphs with cycles confirm each lasso block
+    attains the Laurent variable x from its cycle word.  Raises
+    OracleBudgetError above LEAVITT_VERIFY_LIMIT boundary paths."""
+    gd = images.decomposition if images is not None else graph_groupoid(g)
+    if isinstance(gd, ExitWitness):
+        raise ValueError("boundary-path space is infinite; no finite block algebra")
+    if gd.boundary_count() > LEAVITT_VERIFY_LIMIT:
+        raise OracleBudgetError(
+            f"graph has {gd.boundary_count()} boundary paths; "
+            f"the relation verification budget stops at {LEAVITT_VERIFY_LIMIT}"
+        )
     if images is None:
-        images = generator_images(g, ring)
-        if isinstance(images, ExitWitness):
-            raise ValueError("boundary-path space is infinite; no finite block algebra")
+        images = generator_images(g, ring, gd)
     total = 0
     passed = 0
     failures = []
@@ -626,10 +638,10 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
 
     cycles = [o for o in images.decomposition.orbits if o.kind == "cycle"]
     if not cycles and isinstance(ring, Rationals):
-        dim = _generated_dimension(images)
+        n = _attained_matrix_units(images)
         expect_dim = sum(len(o.members) ** 2 for o in images.decomposition.orbits)
-        check(dim == expect_dim,
-              f"generated subalgebra fills the block algebra ({dim} vs {expect_dim})")
+        check(n == expect_dim,
+              f"generated subalgebra fills the block algebra ({n} vs {expect_dim})")
     for bi, orbit in enumerate(images.decomposition.orbits):
         if orbit.kind != "cycle":
             continue
@@ -644,53 +656,36 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     return VerificationReport("Leavitt relation checks", total, passed, tuple(failures))
 
 
-def _flatten(m: BlockMatrix, layout):
-    vec = [Fraction(0)] * layout["dim"]
-    for bi, block in enumerate(m.entries):
-        for (r, c), val in block:
-            for key, coeff in val.coeffs:
-                vec[layout["index"][(bi, r, c)]] += coeff.value
-                if key != 0:
-                    raise InternalCheckError("acyclic flatten hit a Laurent term")
-    return vec
-
-
-def _generated_dimension(images: GeneratorImages) -> int:
-    """Rank over Q of the span of all products of generators.  Only
-    meaningful for acyclic graphs (trivial isotropy everywhere)."""
-    layout = {"index": {}, "dim": 0}
-    for bi, (size, group) in enumerate(images.shape.blocks):
-        for r in range(size):
-            for c in range(size):
-                layout["index"][(bi, r, c)] = layout["dim"]
-                layout["dim"] += 1
-    gens = list(images.vertex.values()) + list(images.edge.values()) + list(images.ghost.values())
-    basis_vecs: list = []
-    pivots: list = []
-
-    def try_add(mat):
-        vec = reduce(_flatten(mat, layout), basis_vecs, pivots)
-        lead = next((i for i, v in enumerate(vec) if v), None)
-        if lead is None:
-            return False
-        inv = 1 / vec[lead]
-        basis_vecs.append([v * inv for v in vec])
-        pivots.append(lead)
-        return True
-
-    frontier = []
-    for m in gens:
-        if try_add(m):
-            frontier.append(m)
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for gmat in gens:
-                for candidate in (m * gmat, gmat * m):
-                    if try_add(candidate):
-                        new_frontier.append(candidate)
-        frontier = new_frontier
-    return len(basis_vecs)
+def _attained_matrix_units(images: GeneratorImages) -> int:
+    """Number of pairs (eta, gamma) of paths into one sink whose
+    monomial eta . gamma* maps to the matrix unit E_{eta,gamma}.  Every
+    such monomial is a product of generators, so when all pairs are
+    attained the generators span the whole block algebra.  Each path's
+    image is built once from its suffix, which is a shorter member of
+    the same orbit.  Only meaningful for acyclic graphs."""
+    g = images.graph
+    img: dict = {}    # (edges, sink) -> image of the path
+    ghost: dict = {}  # (edges, sink) -> image of its ghost
+    attained = 0
+    for bi, orbit in enumerate(images.decomposition.orbits):
+        members = orbit.members
+        # members sort by length first, so every suffix is already built
+        for bp in members:
+            key = (bp.edges, bp.sink)
+            if not bp.edges:
+                img[key] = ghost[key] = images.vertex[g.vertices[bp.sink]]
+                continue
+            first = g.edge_names[bp.edges[0]]
+            rest = (bp.edges[1:], bp.sink)
+            img[key] = images.edge[first] * img[rest]
+            ghost[key] = ghost[rest] * images.ghost[first]
+        for r, eta in enumerate(members):
+            left = img[(eta.edges, eta.sink)]
+            for c, gamma in enumerate(members):
+                unit = BlockMatrix.matrix_unit(images.shape, bi, r, c)
+                if left * ghost[(gamma.edges, gamma.sink)] == unit:
+                    attained += 1
+    return attained
 
 
 def as_finite_groupoid(g: Graph):

@@ -383,8 +383,8 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor, method: str = "auto"
 
     Supports Q (dimension up to 64) and GF(p) (dimension up to 12).
     The groupoid must already have passed validate().  method is
-    "auto", "exhaustive", or "filtration" (the last two only over
-    GF(p)).
+    "auto", "exhaustive", or "filtration"; the last two are GF(p)-only
+    and raise ValueError over Q.
     """
     d = g.arrow_count
     budget = oracle_budget(ring)
@@ -392,7 +392,11 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor, method: str = "auto"
         raise ValueError(
             f"oracle supports Q and GF(p) only, not {render_ring_descriptor(ring)}"
         )
+    if method not in ("auto", "exhaustive", "filtration"):
+        raise ValueError(f"unknown oracle method '{method}'")
     p = ring.p if isinstance(ring, GaloisField) else 0
+    if not p and method != "auto":
+        raise ValueError(f"oracle method '{method}' is GF(p)-only; over Q use 'auto'")
     if d > budget:
         raise OracleBudgetError(
             f"dimension {d} beyond the char-{'p' if p else 0} oracle budget"
@@ -400,8 +404,6 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor, method: str = "auto"
     if p:
         if method == "auto":
             method = "exhaustive" if p ** d <= _EXHAUSTIVE_LIMIT else "filtration"
-        if method not in ("exhaustive", "filtration"):
-            raise ValueError(f"unknown oracle method '{method}'")
         semisimple, witness_vec, rad_dim = _radical_charp(g, p, method)
     else:
         method = "trace form"

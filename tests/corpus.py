@@ -67,6 +67,12 @@ def _graph(vertices, edges):
     return Graph.make(vertices, edges)
 
 
+def chain_graph(n):
+    """v0 -> v1 -> ... -> v(n-1): one sink with n paths into it."""
+    vs = [f"v{i}" for i in range(n)]
+    return Graph.make(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+
+
 def graph_corpus():
     """List of (name, Graph, expect_finite_boundary)."""
     out = []

@@ -5,6 +5,8 @@ route than the package takes, so agreement is evidence and not an
 echo."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 from gpdalg import (
     AlgebraElement,
     BlockMatrix,
@@ -14,7 +16,9 @@ from gpdalg import (
     phi,
     phi_inv,
 )
-from gpdalg.leavitt import Graph, Lasso, SinkPath
+from gpdalg.errors import InternalCheckError
+from gpdalg.leavitt import GeneratorImages, Graph, Lasso, SinkPath
+from gpdalg.linalg import reduce
 
 
 def groupoid_axiom_problems(g: FiniteGroupoid) -> list:
@@ -153,6 +157,57 @@ def reference_verify_isomorphism(d) -> VerificationReport:
         passed,
         tuple(failures),
     )
+
+
+def _flatten(m: BlockMatrix, layout) -> list:
+    vec = [Fraction(0)] * layout["dim"]
+    for bi, block in enumerate(m.entries):
+        for (r, c), val in block:
+            for key, coeff in val.coeffs:
+                vec[layout["index"][(bi, r, c)]] += coeff.value
+                if key != 0:
+                    raise InternalCheckError("acyclic flatten hit a Laurent term")
+    return vec
+
+
+def reference_generated_dimension(images: GeneratorImages) -> int:
+    """Rank over Q of the span of all products of generators, by closing
+    the generator images under multiplication one dense Fraction vector
+    at a time.  Only meaningful for acyclic graphs (trivial isotropy
+    everywhere)."""
+    layout = {"index": {}, "dim": 0}
+    for bi, (size, group) in enumerate(images.shape.blocks):
+        for r in range(size):
+            for c in range(size):
+                layout["index"][(bi, r, c)] = layout["dim"]
+                layout["dim"] += 1
+    gens = list(images.vertex.values()) + list(images.edge.values()) + list(images.ghost.values())
+    basis_vecs: list = []
+    pivots: list = []
+
+    def try_add(mat):
+        vec = reduce(_flatten(mat, layout), basis_vecs, pivots)
+        lead = next((i for i, v in enumerate(vec) if v), None)
+        if lead is None:
+            return False
+        inv = 1 / vec[lead]
+        basis_vecs.append([v * inv for v in vec])
+        pivots.append(lead)
+        return True
+
+    frontier = []
+    for m in gens:
+        if try_add(m):
+            frontier.append(m)
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for gmat in gens:
+                for candidate in (m * gmat, gmat * m):
+                    if try_add(candidate):
+                        new_frontier.append(candidate)
+        frontier = new_frontier
+    return len(basis_vecs)
 
 
 def paths_to_sinks(g: Graph) -> dict:

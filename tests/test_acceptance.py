@@ -15,7 +15,7 @@ import subprocess
 import sys
 
 from corpus import graph_corpus, groupoid_corpus
-from support import paths_to_sinks
+from support import paths_to_sinks, reference_generated_dimension
 
 from gpdalg import (
     IntegerGroup,
@@ -44,7 +44,7 @@ from gpdalg import (
 )
 from gpdalg.cli import main as cli_main
 from gpdalg.constructions import cyclic_table, group_groupoid
-from gpdalg.leavitt import ExitWitness, _generated_dimension
+from gpdalg.leavitt import ExitWitness
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -138,9 +138,9 @@ def test_acceptance_4_leavitt_battery():
         if not finite or enumerate_cycles(g):
             continue
         expected = sum(c * c for c in paths_to_sinks(g).values())
-        assert _generated_dimension(generator_images(g, Q)) == expected, name
+        assert reference_generated_dimension(generator_images(g, Q)) == expected, name
     a3 = dict((n, g) for n, g, _ in corpus)["a3"]
-    assert _generated_dimension(generator_images(a3, Q)) == 9
+    assert reference_generated_dimension(generator_images(a3, Q)) == 9
 
     for name, g, finite in corpus:
         if not finite:

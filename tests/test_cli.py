@@ -5,9 +5,12 @@ import sys
 
 import pytest
 
+from corpus import chain_graph
+
 import gpdalg.algebra
 import gpdalg.cli
-from gpdalg import render_groupoid
+import gpdalg.leavitt
+from gpdalg import render_graph, render_groupoid
 from gpdalg.constructions import pair_groupoid, product_with_group, symmetric_table
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -221,3 +224,33 @@ def test_composition_lost_after_validation_is_an_internal_error(monkeypatch, cap
     assert not out
     assert err.startswith("internal error: no composition for composable pair (")
     assert "Traceback" not in err
+
+
+def _chain_file(tmp_path, n):
+    path = tmp_path / f"chain{n}.quiv"
+    path.write_text(render_graph(chain_graph(n)))
+    return str(path)
+
+
+def test_verified_chain40_in_process(tmp_path, capsys):
+    code, out, err = _main_in_process(
+        capsys, "graph", _chain_file(tmp_path, 40), "--ring", "Q", "--verify",
+        "--format", "machine")
+    assert code == 0, err
+    assert "verified_pairs=3318/3318\n" in out
+    assert not err
+
+
+def test_graph_verification_over_budget_is_skipped(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gpdalg.leavitt, "LEAVITT_VERIFY_LIMIT", 3)
+    path = _chain_file(tmp_path, 4)
+    code, out, err = _main_in_process(
+        capsys, "graph", path, "--verify", "--format", "machine")
+    assert code == 0, err
+    values = dict(line.split("=", 1) for line in out.splitlines())
+    assert values["verified_pairs"] == "skipped"
+    assert values["oracle_agreement"] == "skipped"
+    assert values["shape"] == "M_4(Q)"
+    code, out, err = _main_in_process(capsys, "graph", path, "--verify")
+    assert code == 0 and not err
+    assert "graph has 4 boundary paths; the relation verification budget stops at 3" in out

@@ -1,18 +1,23 @@
 """Leavitt path algebras through the boundary-path groupoid."""
+import dataclasses
 import itertools
 import pathlib
+import random
 
 import pytest
 
-from corpus import graph_corpus
-from support import paths_to_sinks, truncation_is_arrow
+from corpus import chain_graph, graph_corpus
+from support import paths_to_sinks, reference_generated_dimension, truncation_is_arrow
 
+import gpdalg.leavitt
 from gpdalg import (
+    BlockMatrix,
     Cycle,
     ExitWitness,
     Graph,
     IntegerGroup,
     Lasso,
+    OracleBudgetError,
     ParseError,
     Q,
     SinkPath,
@@ -22,6 +27,7 @@ from gpdalg import (
     condition_ne,
     decompose,
     enumerate_cycles,
+    generator_images,
     graph_groupoid,
     is_arrow,
     leavitt_verdicts,
@@ -35,6 +41,7 @@ from gpdalg import (
     verdicts,
     verify_leavitt_relations,
 )
+from gpdalg.leavitt import _attained_matrix_units
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -277,3 +284,112 @@ def test_long_chains_and_cycles_do_not_recurse():
     lassos = boundary_paths(ring)
     assert [(bp.spoke, bp.entry_pos) for bp in lassos] == [((), pos) for pos in range(n)]
     assert {bp.cycle.edges for bp in lassos} == {tuple(range(n))}
+
+
+def _in_tree(n):
+    """Binary tree on n vertices, every edge pointing to the root."""
+    vs = [f"v{i}" for i in range(n)]
+    return Graph.make(vs, [(f"e{i}", vs[i], vs[(i - 1) // 2]) for i in range(1, n)])
+
+
+def _out_tree(depth):
+    """Complete binary tree, every edge pointing to the leaves."""
+    n = 2 ** (depth + 1) - 1
+    vs = [f"v{i}" for i in range(n)]
+    return Graph.make(vs, [(f"e{i}", vs[(i - 1) // 2], vs[i]) for i in range(1, n)])
+
+
+def _random_dags(seed, count, vertices, edges):
+    """Seeded DAGs: each edge joins a lower-numbered vertex to a higher
+    one, parallel edges allowed."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(vertices)]
+    out = []
+    for k in range(count):
+        es = []
+        for i in range(edges):
+            s, t = sorted(rng.sample(range(vertices), 2))
+            es.append((f"e{i}", vs[s], vs[t]))
+        out.append((f"dag{k}", Graph.make(vs, es)))
+    return out
+
+
+SPAN_GRAPHS = (
+    [(name, g) for name, g in NE_GRAPHS if not enumerate_cycles(g)]
+    + [(f"chain{n}", chain_graph(n)) for n in range(1, 7)]
+    + [(f"intree{n}", _in_tree(n)) for n in range(2, 8)]
+    + [(f"outtree{d}", _out_tree(d)) for d in (1, 2)]
+    + _random_dags(20261018, 6, 5, 6)
+)
+
+
+def _replaced(images, kind, items):
+    """Copy of the generator images with some images of one kind
+    (vertex, edge or ghost) replaced."""
+    return dataclasses.replace(images, **{kind: {**getattr(images, kind), **items}})
+
+
+def test_matrix_unit_count_equals_the_closure_rank():
+    for name, g in SPAN_GRAPHS:
+        images = generator_images(g, Q)
+        expected = sum(c * c for c in paths_to_sinks(g).values())
+        assert _attained_matrix_units(images) == expected, name
+        assert reference_generated_dimension(images) == expected, name
+
+
+def test_tampered_images_never_pass_where_the_closure_fails():
+    reference_passes_swapped_edges = 0
+    for name, g in SPAN_GRAPHS:
+        if g.edge_count < 2:
+            continue
+        images = generator_images(g, Q)
+        full = sum(c * c for c in paths_to_sinks(g).values())
+        e, f = g.edge_names[:2]
+        sink = next(v for v in g.vertices if g.is_sink(g.vertex_index(v)))
+        other = next(v for v in g.vertices if v != sink)
+        tampered = {
+            "swapped edges": _replaced(
+                images, "edge", {e: images.edge[f], f: images.edge[e]}),
+            "zero ghost": _replaced(images, "ghost", {e: BlockMatrix.zero(images.shape)}),
+            "swapped vertices": _replaced(
+                images, "vertex", {sink: images.vertex[other], other: images.vertex[sink]}),
+        }
+        for kind, t in tampered.items():
+            attained = _attained_matrix_units(t)
+            rank = reference_generated_dimension(t)
+            assert attained < full, (name, kind)
+            assert rank == full or attained < full, (name, kind)
+            assert not verify_leavitt_relations(g, Q, t).ok, (name, kind)
+            if kind == "swapped edges" and rank == full:
+                reference_passes_swapped_edges += 1
+    # the closure only sees the span, so swapping two edges goes unnoticed
+    assert reference_passes_swapped_edges > 0
+
+
+def test_span_check_makes_at_most_p_squared_plus_2p_products(monkeypatch):
+    real_mul = BlockMatrix.__mul__
+    calls = 0
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return real_mul(self, other)
+
+    for name, g in SPAN_GRAPHS + [("chain40", chain_graph(40))]:
+        images = generator_images(g, Q)
+        p = images.decomposition.boundary_count()
+        calls = 0
+        monkeypatch.setattr(BlockMatrix, "__mul__", counting_mul)
+        _attained_matrix_units(images)
+        monkeypatch.undo()
+        assert 0 < calls <= p * p + 2 * p, (name, calls, p)
+
+
+def test_relation_verification_has_a_boundary_path_budget(monkeypatch):
+    chain4 = chain_graph(4)
+    assert verify_leavitt_relations(chain4, Q).ok
+    monkeypatch.setattr(gpdalg.leavitt, "LEAVITT_VERIFY_LIMIT", 4)
+    assert verify_leavitt_relations(chain4, Q).ok
+    monkeypatch.setattr(gpdalg.leavitt, "LEAVITT_VERIFY_LIMIT", 3)
+    with pytest.raises(OracleBudgetError, match="4 boundary paths"):
+        verify_leavitt_relations(chain4, Q)

@@ -177,6 +177,22 @@ def test_oracle_rejects_unsupported_rings_and_methods():
         radical_oracle(z2, GF2, method="bogus")
 
 
+@pytest.mark.parametrize("ring", [Q, GF3])
+def test_unknown_oracle_method_is_rejected_over_every_field(ring):
+    z2 = group_groupoid(cyclic_table(2))
+    with pytest.raises(ValueError, match="unknown oracle method 'bogus'"):
+        radical_oracle(z2, ring, method="bogus")
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "filtration"])
+def test_char_p_oracle_methods_are_rejected_over_q(method):
+    z2 = group_groupoid(cyclic_table(2))
+    with pytest.raises(ValueError, match=r"GF\(p\)-only"):
+        radical_oracle(z2, Q, method=method)
+    assert radical_oracle(z2, Q).method == "trace form"
+    assert radical_oracle(z2, GF3, method=method).method == method
+
+
 # Path algebra of the quiver 1 -> 2 on the basis e1, e2, a with
 # a = e2.a.e1: not semisimple and not a groupoid algebra.  Over Q every
 # finite groupoid algebra is semisimple (Maschke), so this is what
