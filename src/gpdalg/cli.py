@@ -29,9 +29,11 @@ from .errors import (
     OracleBudgetError,
     ParseError,
 )
+# condition_ne, enumerate_cycles, structured_from_finite: not called here; bench/spans.LAYERS rebinds them
 from .groupoid import parse_groupoid, structured_from_finite, validate
-from .isg import parse_isg, semigroup_algebra_iso, isg_verdicts, underlying_groupoid
+from .isg import parse_isg, semigroup_algebra_iso, isg_verdicts
 from .leavitt import (
+    ExitWitness,
     as_finite_groupoid,
     condition_ne,
     enumerate_cycles,
@@ -51,9 +53,6 @@ from .report import (
 from .rings import parse_ring_descriptor, render_ring_descriptor
 from .verdicts import oracle_budget, radical_oracle, verdicts
 
-SKIPPED = "skipped"
-UNSUPPORTED = "unsupported"
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are ordinary bad input: exit 1, not argparse's 2
@@ -62,11 +61,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _run_oracle(g, ring, expected_semisimple: bool):
-    """Independent semisimplicity check on a finite groupoid; returns
-    (status, detail, witness string or None).  Raises InternalCheckError
-    if the oracle contradicts the verdict engine."""
-    d = g.arrow_count
+def _run_oracle(d: int, groupoid, ring, expected_semisimple: bool):
+    """Independent semisimplicity check on the d-dimensional algebra of
+    the finite groupoid groupoid() builds, called only if the ring and
+    budget let the oracle run; returns (status, detail, witness string
+    or None).  Raises InternalCheckError if the oracle contradicts the
+    verdict engine."""
     budget = oracle_budget(ring)
     if budget is None:
         return (
@@ -80,7 +80,7 @@ def _run_oracle(g, ring, expected_semisimple: bool):
             f"dimension {d} beyond the oracle budget {budget}",
             None,
         )
-    rad = radical_oracle(g, ring)
+    rad = radical_oracle(groupoid(), ring)
     if rad.semisimple != expected_semisimple:
         raise InternalCheckError(
             f"radical oracle says semisimple={rad.semisimple} but the verdict "
@@ -93,9 +93,8 @@ def _run_oracle(g, ring, expected_semisimple: bool):
     return ORACLE_AGREE, detail, witness
 
 
-def _report_groupoid(path: str, ring, do_verify: bool):
-    with open(path, encoding="utf-8") as fh:
-        g = parse_groupoid(fh.read())
+def _report_groupoid(text: str, ring, do_verify: bool):
+    g = parse_groupoid(text)
     violations = validate(g)
     if violations:
         for v in violations[:3]:
@@ -103,49 +102,47 @@ def _report_groupoid(path: str, ring, do_verify: bool):
         if len(violations) > 3:
             print(f"error: {len(violations) - 3} further violations", file=sys.stderr)
         return None
-    verdict = verdicts(structured_from_finite(g), ring)
+    d = decompose(g, ring)
+    verdict = verdicts(d.structured, ring)
     header = (
         ("objects", str(len(g.objects))),
         ("arrows", str(g.arrow_count)),
     )
-    verification = SKIPPED
+    verification = ORACLE_SKIPPED
     status, detail, witness = ORACLE_SKIPPED, "", None
     if do_verify:
-        rep = verify_isomorphism(decompose(g, ring))
+        rep = verify_isomorphism(d)
         if not rep.ok:
             raise InternalCheckError(
                 f"isomorphism verification failed: {rep.failures[0]}"
             )
         verification = rep
-        status, detail, witness = _run_oracle(g, ring, verdict.semisimple)
+        status, detail, witness = _run_oracle(
+            g.arrow_count, lambda: g, ring, verdict.semisimple
+        )
     return AnalysisReport(
         "groupoid", header, render_ring_descriptor(ring), verdict,
         verification, status, detail, witness,
     )
 
 
-def _report_graph(path: str, ring, do_verify: bool):
-    with open(path, encoding="utf-8") as fh:
-        g = parse_graph(fh.read())
+def _report_graph(text: str, ring, do_verify: bool):
+    g = parse_graph(text)
+    gd = graph_groupoid(g)
+    finite = not isinstance(gd, ExitWitness)
     verdict = leavitt_verdicts(g, ring)
-    ne_holds, ne_witness = condition_ne(g)
-    header = [
+    header = (
         ("vertices", str(len(g.vertices))),
         ("edges", str(g.edge_count)),
-    ]
-    if ne_holds:
-        gd = graph_groupoid(g)
-        header.append(("boundary paths", str(gd.boundary_count())))
-    else:
-        header.append(("boundary paths", "infinite"))
-    verification = SKIPPED
+        ("boundary paths", str(gd.boundary_count()) if finite else "infinite"),
+    )
+    verification = ORACLE_SKIPPED
     status, detail, witness = ORACLE_SKIPPED, "", None
     if do_verify:
-        if not ne_holds:
-            verification = UNSUPPORTED
-            cyc = ".".join(g.edge_names[e] for e in ne_witness.cycle.edges)
-            exit_name = g.edge_names[ne_witness.exit_edge]
-            status = ORACLE_UNSUPPORTED
+        if not finite:
+            verification = status = ORACLE_UNSUPPORTED
+            cyc = ".".join(g.edge_names[e] for e in gd.cycle.edges)
+            exit_name = g.edge_names[gd.exit_edge]
             detail = "boundary-path space is infinite"
             witness = f"Z(({cyc})^n.{exit_name}), n >= 0"
         else:
@@ -159,34 +156,33 @@ def _report_graph(path: str, ring, do_verify: bool):
                         f"relation verification failed: {rep.failures[0]}"
                     )
                 verification = rep
-                if enumerate_cycles(g):
+                if gd.has_cycle():
                     status = ORACLE_UNSUPPORTED
                     detail = "algebra is infinite dimensional over the lasso orbits"
                 else:
                     status, detail, witness = _run_oracle(
-                        as_finite_groupoid(g), ring, verdict.semisimple
+                        gd.structured.arrow_count(), lambda: as_finite_groupoid(g),
+                        ring, verdict.semisimple,
                     )
     return AnalysisReport(
-        "graph", tuple(header), render_ring_descriptor(ring), verdict,
+        "graph", header, render_ring_descriptor(ring), verdict,
         verification, status, detail, witness,
     )
 
 
-def _report_isg(path: str, ring, do_verify: bool):
-    with open(path, encoding="utf-8") as fh:
-        s = parse_isg(fh.read())
+def _report_isg(text: str, ring, do_verify: bool):
+    s = parse_isg(text)
     verdict = isg_verdicts(s, ring)
     header = (
         ("elements", str(s.size)),
         ("idempotents", str(len(s.idempotents()))),
     )
-    verification = SKIPPED
+    verification = ORACLE_SKIPPED
     status, detail, witness = ORACLE_SKIPPED, "", None
     if do_verify:
         try:
             iso = semigroup_algebra_iso(s, ring)
         except OracleBudgetError as e:
-            verification = SKIPPED
             detail = str(e)
         else:
             if not iso.report.ok:
@@ -195,7 +191,7 @@ def _report_isg(path: str, ring, do_verify: bool):
                 )
             verification = iso.report
             status, detail, witness = _run_oracle(
-                iso.groupoid, ring, verdict.semisimple
+                iso.groupoid.arrow_count, lambda: iso.groupoid, ring, verdict.semisimple
             )
     return AnalysisReport(
         "isg", header, render_ring_descriptor(ring), verdict,
@@ -235,7 +231,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         ring = parse_ring_descriptor(args.ring)
-        report = _COMMANDS[args.command](args.file, ring, args.verify)
+        with open(args.file, encoding="utf-8") as fh:
+            report = _COMMANDS[args.command](fh.read(), ring, args.verify)
         if report is None:
             return 1
     except (ParseError, ValueError, LaurentOverflowError, OSError) as e:

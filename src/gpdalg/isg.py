@@ -19,7 +19,7 @@ pairs and the unimodularity of the transition matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import AlgebraElement, VerificationReport, convolve
 from .errors import InternalCheckError, OracleBudgetError, ParseError
@@ -42,6 +42,7 @@ class InverseSemigroup:
         object.__setattr__(
             self, "_index", {name: i for i, name in enumerate(self.elements)}
         )
+        object.__setattr__(self, "_groupoid", None)  # underlying_groupoid() memo
 
     @staticmethod
     def from_table(elements, rows) -> "InverseSemigroup":
@@ -206,7 +207,15 @@ def underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
     """The groupoid with one arrow per element: s runs from s*s to ss*,
     composition is the product on matching pairs.  The result passes
     the exhaustive groupoid validator; a failure would be a bug here,
-    not a property of the input."""
+    not a property of the input.  Built and validated once per (frozen)
+    InverseSemigroup and memoised on it, so the verdicts and the base
+    change share one groupoid."""
+    if s._groupoid is None:
+        object.__setattr__(s, "_groupoid", _build_underlying_groupoid(s))
+    return s._groupoid
+
+
+def _build_underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
     idem = s.idempotents()
     obj_of = {e: k for k, e in enumerate(idem)}
     dom = [obj_of[s.mul(s.star[i], i)] for i in range(s.size)]
@@ -335,11 +344,4 @@ def isg_verdicts(s: InverseSemigroup, ring: RingDescriptor) -> Verdict:
         f"groupoid: {s.size} elements, {len(g.objects)} idempotents, "
         f"unitriangular base change [{CITE_BLOCK}]",
     ) + base.justification
-    return Verdict(
-        base.noetherian,
-        base.artinian,
-        base.semisimple,
-        base.shape,
-        base.shape_string,
-        lines,
-    )
+    return replace(base, justification=lines)

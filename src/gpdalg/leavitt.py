@@ -28,7 +28,7 @@ connecting arrows take the least admissible nonnegative degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InternalCheckError, OracleBudgetError, ParseError
 from .group_algebra import BlockMatrix, BlockShape, FiniteGroupTable, IntegerGroup
@@ -62,6 +62,7 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.vertices)})
         object.__setattr__(self, "_eindex", {e: i for i, e in enumerate(self.edge_names)})
+        object.__setattr__(self, "_groupoid", None)  # graph_groupoid() memo
 
     @staticmethod
     def make(vertices, edges) -> "Graph":
@@ -219,14 +220,10 @@ def condition_ne(g: Graph, cycles=None):
     if cycles is None:
         cycles = enumerate_cycles(g)
     for c in cycles:
-        cycle_set = set(c.edges)
         for e in c.edges:
-            v = g.src[e]
-            for other in g.out_edges(v):
-                if other not in cycle_set:
-                    return False, ExitWitness(c, other)
-                if other != e and other in cycle_set:
-                    # two edges of cycles at one vertex: still an exit
+            # an edge off the cycle, or a second cycle edge at src(e)
+            for other in g.out_edges(g.src[e]):
+                if other != e:
                     return False, ExitWitness(c, other)
     return True, None
 
@@ -444,10 +441,24 @@ class GraphDecomposition:
     def boundary_count(self) -> int:
         return sum(len(o.members) for o in self.orbits)
 
+    def has_cycle(self) -> bool:
+        # under (NE) every cycle of the graph owns a lasso orbit
+        return any(o.kind == "cycle" for o in self.orbits)
+
 
 def graph_groupoid(g: Graph):
-    """Orbit/frame layout of the boundary-path groupoid, or an
-    ExitWitness when the space is infinite."""
+    """Orbit/frame layout of the boundary-path groupoid, or the
+    ExitWitness of condition_ne when the space is infinite.
+
+    Computed once per Graph, which is frozen, and memoised on it: this
+    is the one place a report enumerates cycles, decides (NE) and walks
+    the boundary paths, and every other stage reads this result."""
+    if g._groupoid is None:
+        object.__setattr__(g, "_groupoid", _boundary_path_groupoid(g))
+    return g._groupoid
+
+
+def _boundary_path_groupoid(g: Graph):
     paths = boundary_paths(g)
     if isinstance(paths, ExitWitness):
         return paths
@@ -526,7 +537,7 @@ class GeneratorImages:
     ghost: dict    # edge name -> BlockMatrix (the starred generator)
 
 
-def generator_images(g: Graph, ring: RingDescriptor, gd: GraphDecomposition | None = None):
+def generator_images(g: Graph, ring: RingDescriptor):
     """Images of the Leavitt generators in the block algebra, or an
     ExitWitness when the boundary-path space is infinite.
 
@@ -534,10 +545,9 @@ def generator_images(g: Graph, ring: RingDescriptor, gd: GraphDecomposition | No
     edge e maps to the sum of (e.gamma, 1, gamma) over paths gamma
     starting at r(e); the ghost e* to the transposes (gamma, -1,
     e.gamma)."""
-    if gd is None:
-        gd = graph_groupoid(g)
-        if isinstance(gd, ExitWitness):
-            return gd
+    gd = graph_groupoid(g)
+    if isinstance(gd, ExitWitness):
+        return gd
     shape = block_shape(gd, ring)
     all_paths = [bp for o in gd.orbits for bp in o.members]
 
@@ -582,7 +592,7 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
             f"the relation verification budget stops at {LEAVITT_VERIFY_LIMIT}"
         )
     if images is None:
-        images = generator_images(g, ring, gd)
+        images = generator_images(g, ring)
     total = 0
     passed = 0
     failures = []
@@ -636,8 +646,7 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
             acc = acc + images.edge[en] * images.ghost[en]
         check(acc == images.vertex[g.vertices[v]], f"CK2 at {g.vertices[v]}")
 
-    cycles = [o for o in images.decomposition.orbits if o.kind == "cycle"]
-    if not cycles and isinstance(ring, Rationals):
+    if not images.decomposition.has_cycle() and isinstance(ring, Rationals):
         n = _attained_matrix_units(images)
         expect_dim = sum(len(o.members) ** 2 for o in images.decomposition.orbits)
         check(n == expect_dim,
@@ -695,9 +704,9 @@ def as_finite_groupoid(g: Graph):
     like matrix units."""
     from .groupoid import FiniteGroupoid
 
-    if enumerate_cycles(g):
-        raise ValueError("graph has a cycle; its boundary-path groupoid is not finite")
     gd = graph_groupoid(g)
+    if isinstance(gd, ExitWitness) or gd.has_cycle():
+        raise ValueError("graph has a cycle; its boundary-path groupoid is not finite")
     names = []
     orbit_of = []
     for oi, orbit in enumerate(gd.orbits):
@@ -736,13 +745,10 @@ def leavitt_verdicts(g: Graph, ring: RingDescriptor) -> Verdict:
     the verdict engine on the boundary-path groupoid's block layout,
     and the two routes must agree."""
     preds = ring_predicates(ring)
-    cycles = enumerate_cycles(g)
-    holds, witness = condition_ne(g, cycles)
-    acyclic = not cycles
-
-    if not holds:
-        exit_name = g.edge_names[witness.exit_edge]
-        cyc = ".".join(g.edge_names[e] for e in witness.cycle.edges)
+    gd = graph_groupoid(g)
+    if isinstance(gd, ExitWitness):
+        exit_name = g.edge_names[gd.exit_edge]
+        cyc = ".".join(g.edge_names[e] for e in gd.cycle.edges)
         lines = (
             f"condition (NE) fails: cycle ({cyc}) has exit edge '{exit_name}'; "
             f"the sets Z(({cyc})^n.{exit_name}) are infinitely many disjoint "
@@ -751,9 +757,9 @@ def leavitt_verdicts(g: Graph, ring: RingDescriptor) -> Verdict:
             f"not Artinian: the graph has a cycle [{CITE_CONNELL}]",
             f"not semisimple: the graph has a cycle [{CITE_MASCHKE}]",
         )
-        return Verdict(False, False, False, (), "infinite", lines)
+        return Verdict(False, False, False, "infinite", lines)
 
-    gd = graph_groupoid(g)
+    acyclic = not gd.has_cycle()
     graph_route = (
         preds.noetherian,
         preds.artinian and acyclic,
@@ -777,11 +783,4 @@ def leavitt_verdicts(g: Graph, ring: RingDescriptor) -> Verdict:
             f"entries [{CITE_HILBERT}]"
         )
     lines.extend(chain.justification)
-    return Verdict(
-        chain.noetherian,
-        chain.artinian,
-        chain.semisimple,
-        chain.shape,
-        chain.shape_string,
-        tuple(lines),
-    )
+    return replace(chain, justification=tuple(lines))

@@ -35,7 +35,7 @@ from itertools import product as iter_product
 
 from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
-from .group_algebra import BlockShape, IntegerGroup, entry_ring_rendering
+from .group_algebra import BlockShape, IntegerGroup
 from .groupoid import FiniteGroupoid, StructuredGroupoid
 from .linalg import kernel, reduce, rref
 from .rings import (
@@ -62,7 +62,6 @@ class Verdict:
     noetherian: bool
     artinian: bool
     semisimple: bool
-    shape: tuple          # (size, isotropy descriptor, entry ring rendering)
     shape_string: str
     justification: tuple
 
@@ -70,11 +69,7 @@ class Verdict:
 def verdicts(sg: StructuredGroupoid, ring: RingDescriptor) -> Verdict:
     preds = ring_predicates(ring)
     rname = render_ring_descriptor(ring)
-    blocks = BlockShape(ring, tuple((o.size, o.isotropy) for o in sg.orbits))
-    shape = tuple(
-        (size, group, entry_ring_rendering(group, ring)) for size, group in blocks.blocks
-    )
-    shape_string = blocks.render()
+    shape_string = BlockShape(ring, tuple((o.size, o.isotropy) for o in sg.orbits)).render()
     finite_orders = [
         o.isotropy.size for o in sg.orbits if not isinstance(o.isotropy, IntegerGroup)
     ]
@@ -140,7 +135,7 @@ def verdicts(sg: StructuredGroupoid, ring: RingDescriptor) -> Verdict:
             f"of orbit {i} [{CITE_MASCHKE}]"
         )
 
-    return Verdict(noetherian, artinian, semisimple, shape, shape_string, tuple(lines))
+    return Verdict(noetherian, artinian, semisimple, shape_string, tuple(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from corpus import chain_graph
 
 import gpdalg.algebra
 import gpdalg.cli
+import gpdalg.groupoid
 import gpdalg.leavitt
 from gpdalg import render_graph, render_groupoid
 from gpdalg.constructions import pair_groupoid, product_with_group, symmetric_table
@@ -254,3 +255,63 @@ def test_graph_verification_over_budget_is_skipped(tmp_path, capsys, monkeypatch
     code, out, err = _main_in_process(capsys, "graph", path, "--verify")
     assert code == 0 and not err
     assert "graph has 4 boundary paths; the relation verification budget stops at 3" in out
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Replace `name` in each module by one wrapper that counts calls."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_graph_report_derives_the_boundary_path_groupoid_once(monkeypatch, capsys):
+    counters = {
+        name: _count_calls(monkeypatch, name, gpdalg.leavitt)
+        for name in ("boundary_paths", "enumerate_cycles", "condition_ne")
+    }
+    code, out, err = _main_in_process(
+        capsys, "graph", str(FIXTURES / "a3.quiv"), "--ring", "Q", "--verify")
+    assert code == 0, err
+    assert "oracle: agree" in out
+    assert {name: len(calls) for name, calls in counters.items()} == {
+        "boundary_paths": 1, "enumerate_cycles": 1, "condition_ne": 1}
+
+
+def test_isg_report_validates_the_underlying_groupoid_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "_axiom_violations", gpdalg.groupoid)
+    code, out, err = _main_in_process(
+        capsys, "isg", str(FIXTURES / "i2.isg"), "--verify", "--format", "machine")
+    assert code == 0, err
+    assert "verified_pairs=50/50\n" in out
+    assert len(calls) == 1
+
+
+def test_groupoid_report_computes_orbits_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "orbits", gpdalg.groupoid, gpdalg.algebra)
+    code, out, err = _main_in_process(
+        capsys, "groupoid", str(FIXTURES / "pair2_z2.gpd"), "--verify")
+    assert code == 0, err
+    assert "oracle: agree" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ring, graph, builds, oracle_line", [
+    ("Z", "a3", 0, "oracle: unsupported (oracle handles Q and GF(p), not Z)\n"),
+    ("Q", "chain9", 0, "oracle: skipped (dimension 81 beyond the oracle budget 64)\n"),
+    ("Q", "a3", 1, "oracle: agree (method trace form, radical dimension 0)\n"),
+])
+def test_graph_oracle_builds_the_finite_groupoid_only_when_it_runs(
+        tmp_path, capsys, monkeypatch, ring, graph, builds, oracle_line):
+    path = str(FIXTURES / "a3.quiv") if graph == "a3" else _chain_file(tmp_path, 9)
+    calls = _count_calls(monkeypatch, "as_finite_groupoid", gpdalg.cli)
+    code, out, err = _main_in_process(capsys, "graph", path, "--ring", ring, "--verify")
+    assert code == 0, err
+    assert oracle_line in out
+    assert len(calls) == builds

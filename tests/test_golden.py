@@ -1,0 +1,79 @@
+"""Stored reports: every good fixture, in both formats, with and without
+--verify, must print exactly the stdout recorded in golden.json, exit 0
+and write nothing to stderr.
+
+The stored copy was written from the package before the report pipeline
+was restructured, so any change to a report's bytes shows up here.  To
+record a deliberate change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of tests/golden.json.
+"""
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+import gpdalg.cli
+
+HERE = pathlib.Path(__file__).parent
+FIXTURES = HERE / "fixtures"
+GOLDEN = HERE / "golden.json"
+
+GOOD_FIXTURES = [
+    ("groupoid", "pair2.gpd"),
+    ("groupoid", "z3.gpd"),
+    ("groupoid", "pair2_z2.gpd"),
+    ("graph", "a3.quiv"),
+    ("graph", "loop_spoke.quiv"),
+    ("graph", "rose2.quiv"),
+    ("isg", "i2.isg"),
+    ("isg", "semilattice2.isg"),
+]
+
+INVOCATIONS = [
+    (command, name, fmt, verify)
+    for command, name in GOOD_FIXTURES
+    for fmt in ("text", "machine")
+    for verify in (False, True)
+]
+
+
+def _key(command, name, fmt, verify):
+    return f"{command} {name} --format {fmt}" + (" --verify" if verify else "")
+
+
+def _run(command, name, fmt, verify):
+    argv = [command, str(FIXTURES / name), "--format", fmt]
+    if verify:
+        argv.append("--verify")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = gpdalg.cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_golden_file_covers_every_invocation():
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(stored) == sorted(_key(*inv) for inv in INVOCATIONS)
+
+
+@pytest.mark.parametrize("command, name, fmt, verify", INVOCATIONS)
+def test_report_matches_the_stored_copy(command, name, fmt, verify):
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))[_key(command, name, fmt, verify)]
+    code, out, err = _run(command, name, fmt, verify)
+    assert code == stored["exit"] == 0
+    assert out == stored["stdout"]
+    assert err == ""
+
+
+if __name__ == "__main__":
+    record = {}
+    for inv in INVOCATIONS:
+        code, out, err = _run(*inv)
+        assert not err, (inv, err)
+        record[_key(*inv)] = {"exit": code, "stdout": out}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
