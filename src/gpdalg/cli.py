@@ -41,6 +41,7 @@ from .leavitt import (
     leavitt_verdicts,
     parse_graph,
     verify_leavitt_relations,
+    witness_names,
 )
 from .report import (
     ORACLE_AGREE,
@@ -141,10 +142,8 @@ def _report_graph(text: str, ring, do_verify: bool):
     if do_verify:
         if not finite:
             verification = status = ORACLE_UNSUPPORTED
-            cyc = ".".join(g.edge_names[e] for e in gd.cycle.edges)
-            exit_name = g.edge_names[gd.exit_edge]
             detail = "boundary-path space is infinite"
-            witness = f"Z(({cyc})^n.{exit_name}), n >= 0"
+            witness = f"{witness_names(g, gd)[2]}, n >= 0"
         else:
             try:
                 rep = verify_leavitt_relations(g, ring)

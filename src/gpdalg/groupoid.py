@@ -415,10 +415,6 @@ class StructuredGroupoid:
 
     orbits: tuple
 
-    @property
-    def object_count(self) -> int:
-        return sum(o.size for o in self.orbits)
-
     def arrow_count(self):
         """Total arrows when all isotropy is finite, else None."""
         total = 0

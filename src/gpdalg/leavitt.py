@@ -31,7 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InternalCheckError, OracleBudgetError, ParseError
-from .group_algebra import BlockMatrix, BlockShape, FiniteGroupTable, IntegerGroup
+from .group_algebra import (
+    BlockMatrix,
+    BlockShape,
+    FiniteGroupTable,
+    GroupAlgebraElement,
+    IntegerGroup,
+)
 from .groupoid import OrbitSummary, StructuredGroupoid
 from .rings import Rationals, RingDescriptor, ring_predicates
 from .algebra import VerificationReport
@@ -212,6 +218,14 @@ class ExitWitness:
 
     cycle: Cycle
     exit_edge: int
+
+
+def witness_names(g: Graph, w: ExitWitness) -> tuple:
+    """How reports spell an ExitWitness: (the cycle's edge names joined
+    by '.', the exit edge's name, the family Z((cycle)^n.exit))."""
+    cyc = ".".join(g.edge_names[e] for e in w.cycle.edges)
+    exit_name = g.edge_names[w.exit_edge]
+    return cyc, exit_name, f"Z(({cyc})^n.{exit_name})"
 
 
 def condition_ne(g: Graph, cycles=None):
@@ -490,42 +504,6 @@ def block_shape(gd: GraphDecomposition, ring: RingDescriptor) -> BlockShape:
     return BlockShape(ring, tuple((len(o.members), o.isotropy) for o in gd.orbits))
 
 
-def _member_index(orbit: GraphOrbit, bp) -> int:
-    for i, m in enumerate(orbit.members):
-        if m == bp:
-            return i
-    raise ValueError("boundary path not in orbit")
-
-
-def arrow_matrix(gd: GraphDecomposition, ring, eta, k: int, gamma) -> BlockMatrix:
-    """Block matrix of one groupoid arrow (eta, k, gamma) under the
-    frame: entry at (row of eta, column of gamma), carrying x^(net
-    degree / cycle length) on lasso orbits."""
-    g = gd.graph
-    if not is_arrow(g, eta, k, gamma):
-        raise ValueError("not an arrow of the boundary-path groupoid")
-    shape = block_shape(gd, ring)
-    for bi, orbit in enumerate(gd.orbits):
-        anchor_match = (
-            (orbit.kind == "sink" and isinstance(eta, SinkPath) and eta.sink == orbit.anchor)
-            or (orbit.kind == "cycle" and isinstance(eta, Lasso) and eta.cycle == orbit.anchor)
-        )
-        if not anchor_match:
-            continue
-        row = _member_index(orbit, eta)
-        col = _member_index(orbit, gamma)
-        net = k - orbit.degrees[row] + orbit.degrees[col]
-        if orbit.kind == "sink":
-            if net != 0:
-                raise InternalCheckError("sink orbit arrow with nonzero net degree")
-            return BlockMatrix.matrix_unit(shape, bi, row, col)
-        n = orbit.anchor.length()
-        if net % n:
-            raise InternalCheckError("lasso arrow degree not a multiple of the cycle length")
-        return BlockMatrix.matrix_unit(shape, bi, row, col, key=net // n)
-    raise ValueError("boundary path not in any orbit")
-
-
 @dataclass
 class GeneratorImages:
     graph: Graph
@@ -541,35 +519,42 @@ def generator_images(g: Graph, ring: RingDescriptor):
     """Images of the Leavitt generators in the block algebra, or an
     ExitWitness when the boundary-path space is infinite.
 
-    v maps to the sum of identity arrows at paths starting at v; an
-    edge e maps to the sum of (e.gamma, 1, gamma) over paths gamma
-    starting at r(e); the ghost e* to the transposes (gamma, -1,
-    e.gamma)."""
+    Read straight off the frame: v maps to the sum of E_{r,r} over the
+    rows r of paths starting at v; an edge e maps to the sum of
+    E_{row(e.gamma),row(gamma)} over paths gamma starting at r(e),
+    keyed on a lasso block by the net degree (1 - deg(e.gamma) +
+    deg(gamma)) / |cycle|; the ghost e* to the transposes with the
+    inverse keys."""
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         return gd
     shape = block_shape(gd, ring)
-    all_paths = [bp for o in gd.orbits for bp in o.members]
-
-    vertex = {}
-    for v in range(len(g.vertices)):
-        acc = BlockMatrix.zero(shape)
-        for bp in all_paths:
-            if path_start(g, bp) == v:
-                acc = acc + arrow_matrix(gd, ring, bp, 0, bp)
-        vertex[g.vertices[v]] = acc
-    edge = {}
-    ghost = {}
-    for e in range(g.edge_count):
-        acc_e = BlockMatrix.zero(shape)
-        acc_g = BlockMatrix.zero(shape)
-        for bp in all_paths:
-            if path_start(g, bp) == g.dst[e]:
-                extended = prepend_edge(g, e, bp)
-                acc_e = acc_e + arrow_matrix(gd, ring, extended, 1, bp)
-                acc_g = acc_g + arrow_matrix(gd, ring, bp, -1, extended)
-        edge[g.edge_names[e]] = acc_e
-        ghost[g.edge_names[e]] = acc_g
+    where = {bp: (bi, r) for bi, o in enumerate(gd.orbits) for r, bp in enumerate(o.members)}
+    delta = GroupAlgebraElement.delta
+    vertex = {v: [[] for _ in shape.blocks] for v in g.vertices}
+    edge = {e: [[] for _ in shape.blocks] for e in g.edge_names}
+    ghost = {e: [[] for _ in shape.blocks] for e in g.edge_names}
+    for bp, (bi, col) in where.items():
+        orbit = gd.orbits[bi]
+        v = path_start(g, bp)
+        vertex[g.vertices[v]][bi].append(((col, col), delta(orbit.isotropy, ring, 0)))
+        for e in range(g.edge_count):
+            if g.dst[e] != v:
+                continue
+            bj, row = where.get(prepend_edge(g, e, bp), (None, None))
+            if bj != bi:
+                raise InternalCheckError("prepended path leaves its orbit")
+            net = 1 - orbit.degrees[row] + orbit.degrees[col]
+            n = orbit.anchor.length() if orbit.kind == "cycle" else 1
+            if net % n:
+                raise InternalCheckError("lasso arrow degree not a multiple of the cycle length")
+            key = net // n  # 0, the identity, on a sink block
+            edge[g.edge_names[e]][bi].append(((row, col), delta(orbit.isotropy, ring, key)))
+            ghost[g.edge_names[e]][bi].append(((col, row), delta(orbit.isotropy, ring, -key)))
+    vertex, edge, ghost = (
+        {name: BlockMatrix.build(shape, items) for name, items in terms.items()}
+        for terms in (vertex, edge, ghost)
+    )
     return GeneratorImages(g, ring, gd, shape, vertex, edge, ghost)
 
 
@@ -578,11 +563,12 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     images: vertex idempotents orthogonal and summing to the identity,
     unit path relations, CK1 on all edge pairs, CK2 at every non-sink.
     For acyclic graphs over Q additionally confirm the generators span
-    the whole block algebra: for every pair of paths eta, gamma into
-    one sink, the monomial eta . gamma* maps to the matrix unit
-    E_{eta,gamma}.  For graphs with cycles confirm each lasso block
-    attains the Laurent variable x from its cycle word.  Raises
-    OracleBudgetError above LEAVITT_VERIFY_LIMIT boundary paths."""
+    the whole block algebra: every path eta into a sink w maps to the
+    matrix unit E_{eta,w} and its ghost to E_{w,eta}, so every monomial
+    eta . gamma* maps to E_{eta,gamma}.  For graphs with cycles confirm
+    each lasso block attains the Laurent variable x from its cycle
+    word.  Raises OracleBudgetError above LEAVITT_VERIFY_LIMIT boundary
+    paths."""
     gd = images.decomposition if images is not None else graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         raise ValueError("boundary-path space is infinite; no finite block algebra")
@@ -666,34 +652,35 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
 
 
 def _attained_matrix_units(images: GeneratorImages) -> int:
-    """Number of pairs (eta, gamma) of paths into one sink whose
-    monomial eta . gamma* maps to the matrix unit E_{eta,gamma}.  Every
-    such monomial is a product of generators, so when all pairs are
-    attained the generators span the whole block algebra.  Each path's
-    image is built once from its suffix, which is a shorter member of
-    the same orbit.  Only meaningful for acyclic graphs."""
+    """Number of pairs (eta, gamma) of paths into one sink w whose
+    monomial eta . gamma* the count shows to map to E_{eta,gamma}: per
+    sink orbit, rows eta with img(eta) = E_{eta,w} times columns gamma
+    with ghost(gamma) = E_{w,gamma}, since then img(eta) ghost(gamma) =
+    E_{eta,w} E_{w,gamma} = E_{eta,gamma}.  When all pairs are attained
+    the generators span the whole block algebra.  Each path's image is
+    built once from its suffix, a shorter member of the same orbit, so
+    this takes at most 2P block products for P paths.  Only meaningful
+    for acyclic graphs."""
     g = images.graph
     img: dict = {}    # (edges, sink) -> image of the path
     ghost: dict = {}  # (edges, sink) -> image of its ghost
     attained = 0
     for bi, orbit in enumerate(images.decomposition.orbits):
-        members = orbit.members
+        rows = cols = 0
         # members sort by length first, so every suffix is already built
-        for bp in members:
+        # and members[0] is the empty path w at row 0
+        for r, bp in enumerate(orbit.members):
             key = (bp.edges, bp.sink)
             if not bp.edges:
                 img[key] = ghost[key] = images.vertex[g.vertices[bp.sink]]
-                continue
-            first = g.edge_names[bp.edges[0]]
-            rest = (bp.edges[1:], bp.sink)
-            img[key] = images.edge[first] * img[rest]
-            ghost[key] = ghost[rest] * images.ghost[first]
-        for r, eta in enumerate(members):
-            left = img[(eta.edges, eta.sink)]
-            for c, gamma in enumerate(members):
-                unit = BlockMatrix.matrix_unit(images.shape, bi, r, c)
-                if left * ghost[(gamma.edges, gamma.sink)] == unit:
-                    attained += 1
+            else:
+                first = g.edge_names[bp.edges[0]]
+                rest = (bp.edges[1:], bp.sink)
+                img[key] = images.edge[first] * img[rest]
+                ghost[key] = ghost[rest] * images.ghost[first]
+            rows += img[key] == BlockMatrix.matrix_unit(images.shape, bi, r, 0)
+            cols += ghost[key] == BlockMatrix.matrix_unit(images.shape, bi, 0, r)
+        attained += rows * cols
     return attained
 
 
@@ -747,11 +734,10 @@ def leavitt_verdicts(g: Graph, ring: RingDescriptor) -> Verdict:
     preds = ring_predicates(ring)
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness):
-        exit_name = g.edge_names[gd.exit_edge]
-        cyc = ".".join(g.edge_names[e] for e in gd.cycle.edges)
+        cyc, exit_name, family = witness_names(g, gd)
         lines = (
             f"condition (NE) fails: cycle ({cyc}) has exit edge '{exit_name}'; "
-            f"the sets Z(({cyc})^n.{exit_name}) are infinitely many disjoint "
+            f"the sets {family} are infinitely many disjoint "
             f"nonempty pieces of the boundary-path space [{CITE_BLOCK}]",
             f"not Noetherian for any coefficient ring [{CITE_BLOCK}]",
             f"not Artinian: the graph has a cycle [{CITE_CONNELL}]",

@@ -27,6 +27,11 @@ from .errors import LaurentOverflowError, ParseError, RingMismatchError
 # arithmetic can never silently wrap a huge value into a wrong answer.
 MAX_LAURENT_EXPONENT = 2 ** 20
 
+# largest modulus GF(p) and Z/n accept: primality and the ring
+# predicates divide by trial up to the square root, which stays quick
+# below this bound and would hang on a huge one
+_MODULUS_LIMIT = 2 ** 31 - 1
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -56,6 +61,8 @@ class GaloisField:
     p: int
 
     def __post_init__(self):
+        if self.p > _MODULUS_LIMIT:
+            raise ValueError(f"GF({self.p}): modulus above the limit {_MODULUS_LIMIT}")
         if not _is_prime(self.p):
             raise ValueError(f"GF({self.p}): {self.p} is not prime")
 
@@ -68,6 +75,8 @@ class ModularIntegers:
     n: int
 
     def __post_init__(self):
+        if self.n > _MODULUS_LIMIT:
+            raise ValueError(f"Z/{self.n}: modulus above the limit {_MODULUS_LIMIT}")
         if self.n < 2:
             raise ValueError(f"Z/{self.n}: modulus must be at least 2")
 
@@ -158,6 +167,14 @@ class _Scanner:
         return int(self.text[start:self.pos])
 
 
+def _modulus_ring(ring_type, n: int, at: int) -> RingDescriptor:
+    """GF(n) or Z/n, the constructor's rejection reported at column at."""
+    try:
+        return ring_type(n)
+    except ValueError as e:
+        raise ParseError(str(e), column=at + 1) from None
+
+
 def _parse_ring(sc: _Scanner) -> RingDescriptor:
     start = sc.pos
     if sc.match_word("Laurent"):
@@ -181,9 +198,7 @@ def _parse_ring(sc: _Scanner) -> RingDescriptor:
         at = sc.pos
         p = sc.integer()
         sc.expect(")")
-        if not _is_prime(p):
-            raise ParseError(f"GF({p}): {p} is not prime", column=at + 1)
-        return GaloisField(p)
+        return _modulus_ring(GaloisField, p, at)
     if sc.match_word("Q"):
         return Q
     sc.skip_ws()
@@ -192,10 +207,7 @@ def _parse_ring(sc: _Scanner) -> RingDescriptor:
         if sc.peek() == "/":
             sc.expect("/")
             at = sc.pos
-            n = sc.integer()
-            if n < 2:
-                raise ParseError(f"Z/{n}: modulus must be at least 2", column=at + 1)
-            return ModularIntegers(n)
+            return _modulus_ring(ModularIntegers, sc.integer(), at)
         return Z
     raise ParseError("expected a ring descriptor", column=start + 1)
 

@@ -17,7 +17,17 @@ from gpdalg import (
     phi_inv,
 )
 from gpdalg.errors import InternalCheckError
-from gpdalg.leavitt import GeneratorImages, Graph, Lasso, SinkPath
+from gpdalg.leavitt import (
+    GeneratorImages,
+    Graph,
+    Lasso,
+    SinkPath,
+    block_shape,
+    graph_groupoid,
+    is_arrow,
+    path_start,
+    prepend_edge,
+)
 from gpdalg.linalg import reduce
 
 
@@ -274,3 +284,84 @@ def truncation_is_arrow(g: Graph, eta, k: int, gamma) -> bool:
         if word_eta[a:a + window] == word_gamma[b:b + window]:
             return True
     return False
+
+
+def _reference_arrow_matrix(gd, ring, eta, k: int, gamma) -> BlockMatrix:
+    """Block matrix of one groupoid arrow (eta, k, gamma): is_arrow
+    decides it is one, a scan of the orbit members finds its row and
+    column, and the entry carries x^(net degree / cycle length) on a
+    lasso block."""
+    if not is_arrow(gd.graph, eta, k, gamma):
+        raise ValueError("not an arrow of the boundary-path groupoid")
+    shape = block_shape(gd, ring)
+    for bi, orbit in enumerate(gd.orbits):
+        if eta not in orbit.members:
+            continue
+        row = next(i for i, m in enumerate(orbit.members) if m == eta)
+        col = next(i for i, m in enumerate(orbit.members) if m == gamma)
+        net = k - orbit.degrees[row] + orbit.degrees[col]
+        if orbit.kind == "sink":
+            if net != 0:
+                raise InternalCheckError("sink orbit arrow with nonzero net degree")
+            return BlockMatrix.matrix_unit(shape, bi, row, col)
+        n = orbit.anchor.length()
+        if net % n:
+            raise InternalCheckError("lasso arrow degree not a multiple of the cycle length")
+        return BlockMatrix.matrix_unit(shape, bi, row, col, key=net // n)
+    raise ValueError("boundary path not in any orbit")
+
+
+def reference_generator_images(g: Graph, ring) -> GeneratorImages:
+    """generator_images arrow by arrow: v is the sum of the identity
+    arrows (x, 0, x) at paths x starting at v, e the sum of the arrows
+    (e.x, 1, x) over paths x starting at r(e), e* the sum of their
+    inverses (x, -1, e.x), each term one matrix unit."""
+    gd = graph_groupoid(g)
+    shape = block_shape(gd, ring)
+    paths = [bp for o in gd.orbits for bp in o.members]
+    vertex, edge, ghost = {}, {}, {}
+    for v in range(len(g.vertices)):
+        acc = BlockMatrix.zero(shape)
+        for bp in paths:
+            if path_start(g, bp) == v:
+                acc = acc + _reference_arrow_matrix(gd, ring, bp, 0, bp)
+        vertex[g.vertices[v]] = acc
+    for e in range(g.edge_count):
+        acc_e = acc_g = BlockMatrix.zero(shape)
+        for bp in paths:
+            if path_start(g, bp) == g.dst[e]:
+                extended = prepend_edge(g, e, bp)
+                acc_e = acc_e + _reference_arrow_matrix(gd, ring, extended, 1, bp)
+                acc_g = acc_g + _reference_arrow_matrix(gd, ring, bp, -1, extended)
+        edge[g.edge_names[e]] = acc_e
+        ghost[g.edge_names[e]] = acc_g
+    return GeneratorImages(g, ring, gd, shape, vertex, edge, ghost)
+
+
+def reference_attained_matrix_units(images: GeneratorImages) -> int:
+    """Number of pairs (eta, gamma) of paths into one sink with
+    img(eta) . ghost(gamma) equal to a freshly built E_{eta,gamma}: all
+    P^2 products, each path's image built from its suffix.  Only
+    meaningful for acyclic graphs."""
+    g = images.graph
+    img: dict = {}
+    ghost: dict = {}
+    attained = 0
+    for bi, orbit in enumerate(images.decomposition.orbits):
+        members = orbit.members
+        for bp in members:
+            key = (bp.edges, bp.sink)
+            if not bp.edges:
+                img[key] = ghost[key] = images.vertex[g.vertices[bp.sink]]
+                continue
+            first = g.edge_names[bp.edges[0]]
+            rest = (bp.edges[1:], bp.sink)
+            img[key] = images.edge[first] * img[rest]
+            ghost[key] = ghost[rest] * images.ghost[first]
+        for r, eta in enumerate(members):
+            left = img[(eta.edges, eta.sink)]
+            for c, gamma in enumerate(members):
+                unit = BlockMatrix.matrix_unit(images.shape, bi, r, c)
+                if left * ghost[(gamma.edges, gamma.sink)] == unit:
+                    attained += 1
+    return attained

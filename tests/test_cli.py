@@ -2,6 +2,7 @@
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -201,6 +202,24 @@ def _main_in_process(capsys, *args):
     return code, out, err
 
 
+@pytest.mark.parametrize("ring", ["GF(1000000000000037)", "GF(1000000000000000003)"])
+def test_huge_modulus_is_rejected_quickly(ring, capsys):
+    start = time.perf_counter()
+    code, out, err = _main_in_process(
+        capsys, "groupoid", str(FIXTURES / "z3.gpd"), "--ring", ring, "--verify")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err == f"error: position 4: {ring}: modulus above the limit 2147483647\n"
+
+
+def test_largest_modulus_is_accepted(capsys):
+    code, out, err = _main_in_process(
+        capsys, "groupoid", str(FIXTURES / "z3.gpd"), "--ring", "GF(2147483647)",
+        "--format", "machine")
+    assert code == 0 and not err
+    assert "shape=M_1(GF(2147483647)[Z/3])\n" in out
+
+
 def test_orbit_that_misses_an_arrow_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(gpdalg.algebra, "orbits", lambda g: [])
     code, out, err = _main_in_process(
@@ -240,6 +259,18 @@ def test_verified_chain40_in_process(tmp_path, capsys):
     assert code == 0, err
     assert "verified_pairs=3318/3318\n" in out
     assert not err
+
+
+def test_graph_verification_budget_edge_in_process(tmp_path, capsys):
+    # 80 boundary paths is the largest count the relation check takes
+    code, out, err = _main_in_process(
+        capsys, "graph", _chain_file(tmp_path, 80), "--verify", "--format", "machine")
+    assert code == 0 and not err
+    assert "verified_pairs=13038/13038\n" in out
+    code, out, err = _main_in_process(
+        capsys, "graph", _chain_file(tmp_path, 81), "--verify", "--format", "machine")
+    assert code == 0 and not err
+    assert "verified_pairs=skipped\n" in out
 
 
 def test_graph_verification_over_budget_is_skipped(tmp_path, capsys, monkeypatch):

@@ -177,6 +177,16 @@ def test_galois_field_requires_prime():
     GaloisField(13)
 
 
+def test_modulus_limit_is_checked_by_the_constructors():
+    GaloisField(2 ** 31 - 1)
+    ModularIntegers(2 ** 31 - 1)
+    for make, n in ((GaloisField, 10 ** 18 + 3), (ModularIntegers, 2 ** 31)):
+        with pytest.raises(ValueError, match="modulus above the limit 2147483647"):
+            make(n)
+    with pytest.raises(ParseError, match="position 3: Z/2147483648: modulus above"):
+        parse_ring_descriptor("Z/2147483648")
+
+
 def test_laurent_no_nesting():
     with pytest.raises(ValueError):
         Laurent(Laurent(Z))
