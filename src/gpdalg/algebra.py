@@ -117,11 +117,6 @@ class AlgebraElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, r: RingElement) -> "AlgebraElement":
-        return AlgebraElement.make(
-            self.groupoid, self.ring, [(a, c * r) for a, c in self.coeffs]
-        )
-
     def __mul__(self, other):
         return convolve(self, other)
 

@@ -174,11 +174,6 @@ class GroupAlgebraElement:
     def __mul__(self, other):
         return group_algebra_mul(self, other)
 
-    def scaled(self, r: RingElement) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.make(
-            self.group, self.ring, [(k, c * r) for k, c in self.coeffs]
-        )
-
     def __str__(self):
         if not self.coeffs:
             return "0"

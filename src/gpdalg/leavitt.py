@@ -591,13 +591,14 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
         else:
             failures.append(label)
 
+    zero = BlockMatrix.zero(images.shape)  # frozen, so one serves every check
     names = list(g.vertices)
     for u in names:
         for v in names:
-            expect = images.vertex[u] if u == v else BlockMatrix.zero(images.shape)
+            expect = images.vertex[u] if u == v else zero
             check(images.vertex[u] * images.vertex[v] == expect,
                   f"vertex idempotents: {u} * {v}")
-    unit = BlockMatrix.zero(images.shape)
+    unit = zero
     for v in names:
         unit = unit + images.vertex[v]
     check(unit == BlockMatrix.identity(images.shape), "vertex sum = identity")
@@ -615,18 +616,14 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     for e in range(g.edge_count):
         for f in range(g.edge_count):
             en, fn = g.edge_names[e], g.edge_names[f]
-            expect = (
-                images.vertex[g.vertices[g.dst[e]]]
-                if e == f
-                else BlockMatrix.zero(images.shape)
-            )
+            expect = images.vertex[g.vertices[g.dst[e]]] if e == f else zero
             check(images.ghost[en] * images.edge[fn] == expect, f"CK1: {en}* . {fn}")
 
     for v in range(len(g.vertices)):
         outs = g.out_edges(v)
         if not outs:
             continue
-        acc = BlockMatrix.zero(images.shape)
+        acc = zero
         for e in outs:
             en = g.edge_names[e]
             acc = acc + images.edge[en] * images.ghost[en]

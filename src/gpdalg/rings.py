@@ -157,14 +157,22 @@ class _Scanner:
         self.pos = end
         return True
 
-    def integer(self) -> int:
+    def integer(self, render) -> int:
+        """The modulus at the scan position.  A digit run longer than any
+        accepted modulus is refused before int() reads it, with the ring
+        named as render(digits) spells it."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", column=start + 1)
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos]
+        if len(digits.lstrip("0")) > len(str(_MODULUS_LIMIT)):
+            raise ParseError(
+                f"{render(digits)}: modulus above the limit {_MODULUS_LIMIT}", column=start + 1
+            )
+        return int(digits)
 
 
 def _modulus_ring(ring_type, n: int, at: int) -> RingDescriptor:
@@ -196,7 +204,7 @@ def _parse_ring(sc: _Scanner) -> RingDescriptor:
     if sc.match_word("GF"):
         sc.expect("(")
         at = sc.pos
-        p = sc.integer()
+        p = sc.integer("GF({})".format)
         sc.expect(")")
         return _modulus_ring(GaloisField, p, at)
     if sc.match_word("Q"):
@@ -207,7 +215,7 @@ def _parse_ring(sc: _Scanner) -> RingDescriptor:
         if sc.peek() == "/":
             sc.expect("/")
             at = sc.pos
-            return _modulus_ring(ModularIntegers, sc.integer(), at)
+            return _modulus_ring(ModularIntegers, sc.integer("Z/{}".format), at)
         return Z
     raise ParseError("expected a ring descriptor", column=start + 1)
 

@@ -20,7 +20,11 @@ nullspace of the trace form of the left regular representation.  Over
 GF(p) the oracle searches for a nonzero element a whose right ideal aA
 is nilpotent; the search is exhaustive when p^dim is small, otherwise
 candidates come from an iterated trace-lift filtration (the classical
-radical algorithm over prime fields).  Either way every nonzero answer
+radical algorithm over prime fields).  The filtration needs traces of
+powers of left multiplications, and since left multiplication L is a
+representation of the integer form of the algebra it reads them off
+algebra powers: Tr(L_z^q) = <tr, z^q>, with tr[c] the trace of left
+multiplication by arrow c.  Either way every nonzero answer
 is certified on the spot: the reported radical must be a nilpotent
 ideal and the witness must satisfy (aA)^k = 0, so a wrong "not
 semisimple" cannot escape.  A wrong "semisimple" cannot either: the
@@ -161,9 +165,10 @@ def _basis_products(g: FiniteGroupoid):
 
 
 def _vec_mul(bp, u, v, d, p=0):
-    """u * v on the arrow basis, reduced mod p when p is a prime.  With
-    p = 0 the entries are multiplied exactly: rationals over Q, or the
-    integer lifts the trace-lift filtration needs."""
+    """u * v on the arrow basis, reduced mod p when p > 0: a prime for
+    GF(p), or the prime power p^(j+1) the trace-lift filtration works
+    modulo.  With p = 0 the entries are multiplied exactly: rationals
+    over Q, or the integer lifts the filtration starts from."""
     out = [0] * d
     for i, ui in enumerate(u):
         if ui:
@@ -226,6 +231,22 @@ def _left_mult_trace(bp, d):
     return tr
 
 
+def _certified_radical(bp, radical, d, p=0):
+    """Turn a candidate radical basis into the oracle's answer, over Q
+    (p = 0, the trace-form kernel) or GF(p) (the filtration result).
+    A nonzero answer must be a nilpotent ideal, and its first vector,
+    the witness, must generate a nilpotent right ideal."""
+    if not radical:
+        return True, None, 0
+    if not _ideal_certified_nilpotent(bp, radical, d, p):
+        what = "filtration result" if p else "trace-form kernel"
+        raise InternalCheckError(f"{what} is not a nilpotent ideal")
+    witness = radical[0]
+    if not _right_ideal_nilpotent(bp, witness, d, p):
+        raise InternalCheckError("radical witness fails the right-ideal check")
+    return False, witness, len(radical)
+
+
 def _radical_char0(g: FiniteGroupoid):
     """Nullspace of the trace form, exact over Q.  In characteristic
     zero this nullspace is the radical; both inclusions are rechecked
@@ -234,60 +255,30 @@ def _radical_char0(g: FiniteGroupoid):
     bp = _basis_products(g)
     tr = _left_mult_trace(bp, d)
     gram = [[tr[k] if k >= 0 else 0 for k in row] for row in bp]
-    radical = kernel(gram)
-    if not radical:
-        return True, None, 0
-    if not _ideal_certified_nilpotent(bp, radical, d):
-        raise InternalCheckError("trace-form kernel is not a nilpotent ideal")
-    witness = radical[0]
-    if not _right_ideal_nilpotent(bp, witness, d):
-        raise InternalCheckError("radical witness fails the right-ideal check")
-    return False, witness, len(radical)
+    return _certified_radical(bp, kernel(gram), d)
 
 
-def _matrix_power_trace_mod(m, q, mod, d):
-    def matmul(a, b):
-        out = [[0] * d for _ in range(d)]
-        for r in range(d):
-            ar = a[r]
-            outr = out[r]
-            for k in range(d):
-                ark = ar[k]
-                if ark:
-                    bk = b[k]
-                    for c in range(d):
-                        outr[c] = (outr[c] + ark * bk[c]) % mod
-        return out
+def _trace_of_power(bp, tr, z, q, d, mod):
+    """Tr(L_z^q) mod `mod` as <tr, z^q>, with z^q by repeated squaring."""
     result = None
-    base = [[v % mod for v in row] for row in m]
-    e = q
-    while e:
-        if e & 1:
-            result = base if result is None else matmul(result, base)
-        e >>= 1
-        if e:
-            base = matmul(base, base)
-    return sum(result[i][i] for i in range(d)) % mod
-
-
-def _left_mult_matrix_int(bp, z, d):
-    m = [[0] * d for _ in range(d)]
-    for i, zi in enumerate(z):
-        if zi:
-            row = bp[i]
-            for c in range(d):
-                k = row[c]
-                if k >= 0:
-                    m[k][c] += zi
-    return m
+    base = z
+    while q:
+        if q & 1:
+            result = base if result is None else _vec_mul(bp, result, base, d, mod)
+        q >>= 1
+        if q:
+            base = _vec_mul(bp, base, base, d, mod)
+    return sum(t * x for t, x in zip(tr, result)) % mod
 
 
 def _filtration_radical_modp(bp, d, p):
     """Iterated trace-lift filtration.  Stage 0 is the plain trace form
-    mod p; stage j divides the trace of the p^j-th power of the lifted
-    left multiplication by p^j and reads it mod p.  The radical is
-    contained in every stage, and the chain reaches it once p^stage
-    covers the dimension."""
+    mod p; stage j reads Tr(L_z^q) = <tr, z^q> for q = p^j modulo
+    p^(j+1), with z the integer product of two basis vectors, divides
+    it by q and reads it mod p.  The radical is contained in every
+    stage, and the chain reaches it once p^stage covers the
+    dimension."""
+    tr = _left_mult_trace(bp, d)
     stages = 1
     while p ** stages < d:
         stages += 1
@@ -301,8 +292,7 @@ def _filtration_radical_modp(bp, d, p):
         for y in basis:
             row = []
             for b in basis:
-                z = _vec_mul(bp, b, y, d)
-                t = _matrix_power_trace_mod(_left_mult_matrix_int(bp, z, d), q, mod, d)
+                t = _trace_of_power(bp, tr, _vec_mul(bp, b, y, d), q, d, mod)
                 if t % q:
                     raise InternalCheckError("trace filtration divisibility failed")
                 row.append((t // q) % p)
@@ -336,16 +326,7 @@ def _radical_charp(g: FiniteGroupoid, p: int, method: str):
             if _right_ideal_nilpotent(bp, list(w), d, p):
                 return False, list(w), None
         return True, None, 0
-    # filtration
-    basis = _filtration_radical_modp(bp, d, p)
-    if not basis:
-        return True, None, 0
-    if not _ideal_certified_nilpotent(bp, basis, d, p):
-        raise InternalCheckError("filtration result is not a nilpotent ideal")
-    witness = basis[0]
-    if not _right_ideal_nilpotent(bp, witness, d, p):
-        raise InternalCheckError("radical witness fails the right-ideal check")
-    return False, witness, len(basis)
+    return _certified_radical(bp, _filtration_radical_modp(bp, d, p), d, p)
 
 
 def _nilpotent_element_modp(bp, w, d, p):

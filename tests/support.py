@@ -28,7 +28,8 @@ from gpdalg.leavitt import (
     path_start,
     prepend_edge,
 )
-from gpdalg.linalg import reduce
+from gpdalg.linalg import kernel, reduce, rref
+from gpdalg.verdicts import _unit_vectors, _vec_mul
 
 
 def groupoid_axiom_problems(g: FiniteGroupoid) -> list:
@@ -365,3 +366,78 @@ def reference_attained_matrix_units(images: GeneratorImages) -> int:
                 if left * ghost[(gamma.edges, gamma.sink)] == unit:
                     attained += 1
     return attained
+
+
+def _matrix_power_trace_mod(m, q, mod, d):
+    def matmul(a, b):
+        out = [[0] * d for _ in range(d)]
+        for r in range(d):
+            ar = a[r]
+            outr = out[r]
+            for k in range(d):
+                ark = ar[k]
+                if ark:
+                    bk = b[k]
+                    for c in range(d):
+                        outr[c] = (outr[c] + ark * bk[c]) % mod
+        return out
+    result = None
+    base = [[v % mod for v in row] for row in m]
+    e = q
+    while e:
+        if e & 1:
+            result = base if result is None else matmul(result, base)
+        e >>= 1
+        if e:
+            base = matmul(base, base)
+    return sum(result[i][i] for i in range(d)) % mod
+
+
+def _left_mult_matrix_int(bp, z, d):
+    m = [[0] * d for _ in range(d)]
+    for i, zi in enumerate(z):
+        if zi:
+            row = bp[i]
+            for c in range(d):
+                k = row[c]
+                if k >= 0:
+                    m[k][c] += zi
+    return m
+
+
+def reference_filtration_radical(bp, d, p):
+    """The trace-lift filtration with every trace read off a matrix:
+    build the d x d integer left-multiplication matrix L_z of each basis
+    product z, raise it to the power q = p^j mod p^(j+1), and sum its
+    diagonal.  Same stages, kernels and echelon steps as the package's
+    `_filtration_radical_modp`, which reads the trace as <tr, z^q>."""
+    stages = 1
+    while p ** stages < d:
+        stages += 1
+    basis = [list(e) for e in _unit_vectors(d)]
+    for j in range(stages + 1):
+        if not basis:
+            break
+        q = p ** j
+        mod = p ** (j + 1)
+        rows = []
+        for y in basis:
+            row = []
+            for b in basis:
+                z = _vec_mul(bp, b, y, d)
+                t = _matrix_power_trace_mod(_left_mult_matrix_int(bp, z, d), q, mod, d)
+                if t % q:
+                    raise InternalCheckError("trace filtration divisibility failed")
+                row.append((t // q) % p)
+            rows.append(row)
+        coeff_kernel = kernel(rows, p)
+        new_basis = []
+        for coeffs in coeff_kernel:
+            vec = [0] * d
+            for c, b in zip(coeffs, basis):
+                if c:
+                    for idx in range(d):
+                        vec[idx] = (vec[idx] + c * b[idx]) % p
+            new_basis.append(vec)
+        basis, _ = rref(new_basis, p)
+    return basis

@@ -212,6 +212,17 @@ def test_huge_modulus_is_rejected_quickly(ring, capsys):
     assert err == f"error: position 4: {ring}: modulus above the limit 2147483647\n"
 
 
+@pytest.mark.parametrize(
+    "ring", ["GF(" + "9" * 5000 + ")", "Z/" + "9" * 5000], ids=["GF", "Z"])
+def test_modulus_past_the_integer_string_limit_is_a_parse_error(ring, capsys):
+    code, out, err = _main_in_process(
+        capsys, "groupoid", str(FIXTURES / "z3.gpd"), "--ring", ring)
+    assert code == 1 and not out
+    assert err.startswith("error: position ")
+    assert err.endswith(": modulus above the limit 2147483647\n")
+    assert "set_int_max_str_digits" not in err
+
+
 def test_largest_modulus_is_accepted(capsys):
     code, out, err = _main_in_process(
         capsys, "groupoid", str(FIXTURES / "z3.gpd"), "--ring", "GF(2147483647)",

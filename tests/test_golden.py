@@ -1,6 +1,7 @@
 """Stored reports: every good fixture, in both formats, with and without
 --verify, must print exactly the stdout recorded in golden.json, exit 0
-and write nothing to stderr.
+and write nothing to stderr.  A few --ring GF(p) --verify reports pin
+each route of the char-p radical oracle as well.
 
 The stored copy was written from the package before the report pipeline
 was restructured, so any change to a report's bytes shows up here.  To
@@ -42,12 +43,30 @@ INVOCATIONS = [
 ]
 
 
-def _key(command, name, fmt, verify):
-    return f"{command} {name} --format {fmt}" + (" --verify" if verify else "")
+# (command, fixture, ring): every report runs with --verify, so each
+# reaches the radical oracle over GF(p)
+ORACLE_ROUTES = [
+    ("groupoid", "pair2_z2.gpd", "GF(2)"),  # element sweep, with a witness
+    ("groupoid", "pair2_z2.gpd", "GF(3)"),  # filtration, radical dimension 0
+    ("groupoid", "pair2_z3.gpd", "GF(3)"),  # filtration, radical dimension 8
+]
+
+ORACLE_INVOCATIONS = [
+    (command, name, ring, fmt)
+    for command, name, ring in ORACLE_ROUTES
+    for fmt in ("text", "machine")
+]
 
 
-def _run(command, name, fmt, verify):
+def _key(command, name, fmt, verify, ring=None):
+    ring_flag = f" --ring {ring}" if ring else ""
+    return f"{command} {name}{ring_flag} --format {fmt}" + (" --verify" if verify else "")
+
+
+def _run(command, name, fmt, verify, ring=None):
     argv = [command, str(FIXTURES / name), "--format", fmt]
+    if ring:
+        argv += ["--ring", ring]
     if verify:
         argv.append("--verify")
     out, err = io.StringIO(), io.StringIO()
@@ -58,7 +77,9 @@ def _run(command, name, fmt, verify):
 
 def test_golden_file_covers_every_invocation():
     stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert sorted(stored) == sorted(_key(*inv) for inv in INVOCATIONS)
+    keys = [_key(*inv) for inv in INVOCATIONS]
+    keys += [_key(command, name, fmt, True, ring) for command, name, ring, fmt in ORACLE_INVOCATIONS]
+    assert sorted(stored) == sorted(keys)
 
 
 @pytest.mark.parametrize("command, name, fmt, verify", INVOCATIONS)
@@ -70,10 +91,23 @@ def test_report_matches_the_stored_copy(command, name, fmt, verify):
     assert err == ""
 
 
+@pytest.mark.parametrize("command, name, ring, fmt", ORACLE_INVOCATIONS)
+def test_oracle_route_matches_the_stored_copy(command, name, ring, fmt):
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))[_key(command, name, fmt, True, ring)]
+    code, out, err = _run(command, name, fmt, True, ring)
+    assert code == stored["exit"] == 0
+    assert out == stored["stdout"]
+    assert err == ""
+
+
 if __name__ == "__main__":
     record = {}
     for inv in INVOCATIONS:
         code, out, err = _run(*inv)
         assert not err, (inv, err)
         record[_key(*inv)] = {"exit": code, "stdout": out}
+    for command, name, ring, fmt in ORACLE_INVOCATIONS:
+        code, out, err = _run(command, name, fmt, True, ring)
+        assert not err, (command, name, ring, fmt, err)
+        record[_key(command, name, fmt, True, ring)] = {"exit": code, "stdout": out}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 import pytest
 
 from corpus import groupoid_corpus
+from support import reference_filtration_radical
 
 from gpdalg import (
     IntegerGroup,
@@ -24,7 +25,13 @@ from gpdalg.constructions import (
     product_with_group,
     symmetric_table,
 )
-from gpdalg.verdicts import _ideal_certified_nilpotent, _right_ideal_nilpotent
+from gpdalg.linalg import reduce, rref
+from gpdalg.verdicts import (
+    _basis_products,
+    _filtration_radical_modp,
+    _ideal_certified_nilpotent,
+    _right_ideal_nilpotent,
+)
 
 GF2 = parse_ring_descriptor("GF(2)")
 GF3 = parse_ring_descriptor("GF(3)")
@@ -146,8 +153,36 @@ def test_exhaustive_and_filtration_methods_agree():
                 assert ex.radical_dimension == 0 == fi.radical_dimension
             else:
                 assert fi.radical_dimension >= 1
+                # the sweep's witness lies in the radical, and so inside
+                # the filtration result
+                p = ring.p
+                w = [0] * g.arrow_count
+                for a, c in ex.witness.coeffs:
+                    w[a] = c.value
+                basis, pivots = rref(_filtration_radical_modp(_basis_products(g), g.arrow_count, p), p)
+                assert not any(reduce(w, basis, pivots, p)), (name, ring)
             checked += 1
     assert checked >= 15
+
+
+def test_filtration_matches_the_matrix_power_reference():
+    """Traces read as <tr, z^q> give the very basis, in the same order,
+    that powering each d x d left-multiplication matrix gives."""
+    pair2_s3 = product_with_group(pair_groupoid(["x", "y"]), symmetric_table(3))
+    cases = [
+        (name, g, p)
+        for name, g in groupoid_corpus()
+        if g.arrow_count <= 18
+        for p in (2, 3, 5, 7)
+    ]
+    cases += [("pair2_S3", pair2_s3, 2), ("pair2_S3", pair2_s3, 3)]
+    nonzero = 0
+    for name, g, p in cases:
+        bp, d = _basis_products(g), g.arrow_count
+        basis = _filtration_radical_modp(bp, d, p)
+        assert basis == reference_filtration_radical(bp, d, p), (name, p)
+        nonzero += bool(basis)
+    assert nonzero >= 10
 
 
 def test_filtration_radical_dimension_example():
