@@ -2,24 +2,50 @@
 integer determinant.  Everything works on lists of lists; sizes here
 are desk scale (at most 64), so clarity beats asymptotics.
 
-The field is named by its characteristic p: p = 0 means Q, with
-`Fraction` entries (integer or `Fraction` input is accepted), and a
-prime p means GF(p), with `int` entries in range(p) (any integer input
-is reduced mod p).  Results carry entries of the field's type.
+The field is named by its characteristic p: p = 0 means Q (integer or
+`Fraction` input is accepted), and a prime p means GF(p), with `int`
+entries in range(p) (any integer input is reduced mod p).  Results
+carry entries of the field's type: `Fraction` over Q, `int` over GF(p).
+
+Over Q the elimination runs fraction free on integer rows: each input
+row is scaled once by the lcm of its denominators, and each row update
+a*row_i - f*row_piv is divided by its content.  Every integer row is a
+nonzero multiple of the row a `Fraction` elimination would hold, so the
+pivots are the same; `Fraction` appears only when a result is read off.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _mod(vec, p):
     return [v % p for v in vec] if p else vec
 
 
-def rref(rows, p=0):
-    """Reduced row echelon form.  Returns (rref rows, pivot cols).
-    Input rows are not mutated."""
-    m = [[v % p for v in r] if p else list(map(Fraction, r)) for r in rows]
+def _integer_row(r):
+    """r as it is when its entries are all int, otherwise r times the
+    lcm of its denominators."""
+    if all(isinstance(v, int) for v in r):
+        return list(r)
+    den = lcm(*(v.denominator for v in r))
+    return [v.numerator * (den // v.denominator) for v in r]
+
+
+def _primitive(r):
+    """r divided by its content, the gcd of its entries."""
+    g = gcd(*r)
+    return [v // g for v in r] if g > 1 else r
+
+
+def _echelon(rows, p):
+    """Gauss-Jordan elimination shared by rref and kernel.  Returns
+    (rows, pivot cols) with the zero rows dropped.  Over GF(p) the rows
+    are the rref; over Q they are integer rows, each a nonzero multiple
+    of the matching rref row (divide by its pivot entry to get it)."""
+    m = [[v % p for v in r] if p else _integer_row(r) for r in rows]
     pivots = []
     row = 0
     ncols = len(m[0]) if m else 0
@@ -28,17 +54,30 @@ def rref(rows, p=0):
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, p) if p else 1 / m[row][col]
-        m[row] = _mod([v * inv for v in m[row]], p)
+        if p:
+            inv = pow(m[row][col], -1, p)
+            m[row] = _mod([v * inv for v in m[row]], p)
+        prow = m[row]
+        a = prow[col]
         for i in range(len(m)):
             if i != row and m[i][col]:
                 f = m[i][col]
-                m[i] = _mod([a - f * b for a, b in zip(m[i], m[row])], p)
+                new = [a * x - f * y for x, y in zip(m[i], prow)]
+                m[i] = _mod(new, p) if p else _primitive(new)
         pivots.append(col)
         row += 1
         if row == len(m):
             break
     return m[:row], pivots
+
+
+def rref(rows, p=0):
+    """Reduced row echelon form.  Returns (rref rows, pivot cols).
+    Input rows are not mutated."""
+    m, pivots = _echelon(rows, p)
+    if not p:
+        m = [[Fraction(v, r[c]) for v in r] for r, c in zip(m, pivots)]
+    return m, pivots
 
 
 def kernel(rows, p=0):
@@ -47,15 +86,15 @@ def kernel(rows, p=0):
     if not rows:
         return []
     ncols = len(rows[0])
-    reduced, pivots = rref(rows, p)
-    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    reduced, pivots = _echelon(rows, p)
+    zero, one = (0, 1) if p else (_ZERO, _ONE)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [zero] * ncols
         v[f] = one
         for r, c in zip(reduced, pivots):
-            v[c] = -r[f] % p if p else -r[f]
+            v[c] = -r[f] % p if p else Fraction(-r[f], r[c])
         basis.append(v)
     return basis
 

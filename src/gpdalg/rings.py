@@ -157,10 +157,10 @@ class _Scanner:
         self.pos = end
         return True
 
-    def integer(self, render) -> int:
-        """The modulus at the scan position.  A digit run longer than any
-        accepted modulus is refused before int() reads it, with the ring
-        named as render(digits) spells it."""
+    def integer(self, render) -> tuple:
+        """(start column, value) of the modulus at the scan position.  A
+        digit run longer than any accepted modulus is refused before
+        int() reads it, with the ring named as render(digits) spells it."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -172,7 +172,7 @@ class _Scanner:
             raise ParseError(
                 f"{render(digits)}: modulus above the limit {_MODULUS_LIMIT}", column=start + 1
             )
-        return int(digits)
+        return start, int(digits)
 
 
 def _modulus_ring(ring_type, n: int, at: int) -> RingDescriptor:
@@ -203,8 +203,7 @@ def _parse_ring(sc: _Scanner) -> RingDescriptor:
         return Product(tuple(factors))
     if sc.match_word("GF"):
         sc.expect("(")
-        at = sc.pos
-        p = sc.integer("GF({})".format)
+        at, p = sc.integer("GF({})".format)
         sc.expect(")")
         return _modulus_ring(GaloisField, p, at)
     if sc.match_word("Q"):
@@ -214,8 +213,8 @@ def _parse_ring(sc: _Scanner) -> RingDescriptor:
         sc.pos += 1
         if sc.peek() == "/":
             sc.expect("/")
-            at = sc.pos
-            return _modulus_ring(ModularIntegers, sc.integer("Z/{}".format), at)
+            at, n = sc.integer("Z/{}".format)
+            return _modulus_ring(ModularIntegers, n, at)
         return Z
     raise ParseError("expected a ring descriptor", column=start + 1)
 

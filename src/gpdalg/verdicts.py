@@ -247,15 +247,22 @@ def _certified_radical(bp, radical, d, p=0):
     return False, witness, len(radical)
 
 
+def _trace_form(bp, d):
+    """Integer Gram matrix of the trace form: entry (i, j) is the trace
+    of left multiplication by the product of arrows i and j."""
+    tr = _left_mult_trace(bp, d)
+    return [[tr[k] if k >= 0 else 0 for k in row] for row in bp]
+
+
 def _radical_char0(g: FiniteGroupoid):
-    """Nullspace of the trace form, exact over Q.  In characteristic
-    zero this nullspace is the radical; both inclusions are rechecked
-    at runtime (witness ideals must be nilpotent)."""
+    """Nullspace of the trace form, exact over Q.  The Gram matrix holds
+    integers and `kernel` eliminates it fraction free, so `Fraction`
+    entries appear only in the kernel vectors.  In characteristic zero
+    this nullspace is the radical; both inclusions are rechecked at
+    runtime (witness ideals must be nilpotent)."""
     d = g.arrow_count
     bp = _basis_products(g)
-    tr = _left_mult_trace(bp, d)
-    gram = [[tr[k] if k >= 0 else 0 for k in row] for row in bp]
-    return _certified_radical(bp, kernel(gram), d)
+    return _certified_radical(bp, kernel(_trace_form(bp, d)), d)
 
 
 def _trace_of_power(bp, tr, z, q, d, mod):

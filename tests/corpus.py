@@ -73,6 +73,12 @@ def chain_graph(n):
     return Graph.make(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
 
 
+def in_tree_graph(n):
+    """Binary tree on n vertices, every edge pointing to the root."""
+    vs = [f"v{i}" for i in range(n)]
+    return Graph.make(vs, [(f"e{i}", vs[i], vs[(i - 1) // 2]) for i in range(1, n)])
+
+
 def graph_corpus():
     """List of (name, Graph, expect_finite_boundary)."""
     out = []

@@ -441,3 +441,47 @@ def reference_filtration_radical(bp, d, p):
             new_basis.append(vec)
         basis, _ = rref(new_basis, p)
     return basis
+
+
+def reference_rref_q(rows):
+    """Gauss-Jordan over Q on `Fraction` rows: each pivot row is scaled
+    to pivot 1 and subtracted from every other row with a nonzero entry
+    in its column.  `linalg.rref` eliminates on integer rows instead and
+    must return exactly this, entry types included."""
+    m = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    row = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [v * inv for v in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m[:row], pivots
+
+
+def reference_kernel_q(rows):
+    """Kernel basis read off `reference_rref_q`, one vector per free
+    column, as `linalg.kernel` must return it over Q."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, pivots = reference_rref_q(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in zip(reduced, pivots):
+            v[c] = -r[f]
+        basis.append(v)
+    return basis

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from corpus import chain_graph, graph_corpus
+from corpus import chain_graph, graph_corpus, in_tree_graph
 from support import (
     paths_to_sinks,
     reference_attained_matrix_units,
@@ -292,12 +292,6 @@ def test_long_chains_and_cycles_do_not_recurse():
     assert {bp.cycle.edges for bp in lassos} == {tuple(range(n))}
 
 
-def _in_tree(n):
-    """Binary tree on n vertices, every edge pointing to the root."""
-    vs = [f"v{i}" for i in range(n)]
-    return Graph.make(vs, [(f"e{i}", vs[i], vs[(i - 1) // 2]) for i in range(1, n)])
-
-
 def _out_tree(depth):
     """Complete binary tree, every edge pointing to the leaves."""
     n = 2 ** (depth + 1) - 1
@@ -323,7 +317,7 @@ def _random_dags(seed, count, vertices, edges):
 SPAN_GRAPHS = (
     [(name, g) for name, g in NE_GRAPHS if not enumerate_cycles(g)]
     + [(f"chain{n}", chain_graph(n)) for n in range(1, 7)]
-    + [(f"intree{n}", _in_tree(n)) for n in range(2, 8)]
+    + [(f"intree{n}", in_tree_graph(n)) for n in range(2, 8)]
     + [(f"outtree{d}", _out_tree(d)) for d in (1, 2)]
     + _random_dags(20261018, 6, 5, 6)
 )
@@ -342,7 +336,7 @@ def test_generator_images_match_the_arrow_by_arrow_reference():
     graphs = (
         NE_GRAPHS
         + [(f"chain{n}", chain_graph(n)) for n in (1, 2, 5, 9)]
-        + [(f"intree{n}", _in_tree(n)) for n in (2, 5, 9)]
+        + [(f"intree{n}", in_tree_graph(n)) for n in (2, 5, 9)]
     )
     for name, g in graphs:
         for ring in IMAGE_RINGS:

@@ -9,7 +9,12 @@ from math import lcm
 
 import pytest
 
+from corpus import chain_graph, groupoid_corpus, in_tree_graph
+from support import reference_kernel_q, reference_rref_q
+
+from gpdalg.leavitt import as_finite_groupoid
 from gpdalg.linalg import int_det, kernel, reduce, rref
+from gpdalg.verdicts import _basis_products, _trace_form
 
 FIELDS = [0, 2, 3, 5, 7]
 SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (2, 6), (6, 2), (4, 5), (6, 6)]
@@ -107,3 +112,28 @@ def test_rref_kernel_and_reduce_properties(p, seed):
             residue = reduce(vec, reduced, pivots, p)
             assert all(_is_field_entry(x, p) for x in residue)
             assert (not any(residue)) == (_minor_rank(rows + [vec], p) == rank)
+
+
+def _gram(g):
+    return _trace_form(_basis_products(g), g.arrow_count)
+
+
+def _q_reference_inputs():
+    """The random matrices above, with `Fraction` entries and again as
+    integer rows, and the trace-form Gram matrices the Q oracle reduces."""
+    out = []
+    for seed in range(2):
+        for rows in _matrices(0, seed):
+            out += [rows, [[Fraction(v).numerator for v in r] for r in rows]]
+    out += [_gram(g) for _, g in groupoid_corpus() if g.arrow_count <= 64]
+    out += [_gram(as_finite_groupoid(graph)) for graph in (chain_graph(8), in_tree_graph(7))]
+    return out
+
+
+def test_q_elimination_matches_the_fraction_reference():
+    for rows in _q_reference_inputs():
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == reference_rref_q(rows)
+        basis = kernel(rows)
+        assert basis == reference_kernel_q(rows)
+        assert all(type(v) is Fraction for vec in reduced + basis for v in vec)

@@ -187,6 +187,14 @@ def test_modulus_limit_is_checked_by_the_constructors():
         parse_ring_descriptor("Z/2147483648")
 
 
+@pytest.mark.parametrize("text, column", [
+    ("GF(4)", 4), ("GF( 4)", 5), ("Z/1", 3), ("Z/ 1", 4),
+])
+def test_bad_modulus_is_reported_at_the_integer(text, column):
+    with pytest.raises(ParseError, match=f"^position {column}: "):
+        parse_ring_descriptor(text)
+
+
 def test_laurent_no_nesting():
     with pytest.raises(ValueError):
         Laurent(Laurent(Z))

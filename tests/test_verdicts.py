@@ -1,8 +1,12 @@
 """Chain-condition verdicts against the brute-force radical oracle."""
+from fractions import Fraction
+
 import pytest
 
 from corpus import groupoid_corpus
-from support import reference_filtration_radical
+from support import reference_filtration_radical, reference_kernel_q
+
+import gpdalg.linalg
 
 from gpdalg import (
     IntegerGroup,
@@ -25,12 +29,14 @@ from gpdalg.constructions import (
     product_with_group,
     symmetric_table,
 )
-from gpdalg.linalg import reduce, rref
+from gpdalg.linalg import kernel, reduce, rref
 from gpdalg.verdicts import (
     _basis_products,
+    _certified_radical,
     _filtration_radical_modp,
     _ideal_certified_nilpotent,
     _right_ideal_nilpotent,
+    _trace_form,
 )
 
 GF2 = parse_ring_descriptor("GF(2)")
@@ -127,6 +133,21 @@ def test_oracle_fixed_points():
     report = radical_oracle(z2, GF2)
     assert not report.semisimple and report.method == "exhaustive"
     assert report.witness == parse_element_literal("1*g0 + 1*g1", z2, GF2)
+
+
+def test_q_oracle_builds_no_fraction_on_a_semisimple_algebra(monkeypatch):
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(gpdalg.linalg, "Fraction", counting_fraction)
+    g = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), cyclic_table(4))
+    assert g.arrow_count == 64
+    report = radical_oracle(g, Q)
+    assert report.semisimple and report.radical_dimension == 0
+    assert built == []
 
 
 def test_oracle_agrees_with_verdicts_over_corpus():
@@ -270,3 +291,13 @@ def test_certificates_on_the_path_algebra_of_two_arrows(p):
     assert not _ideal_certified_nilpotent(CHAIN_BP, [a], 6, p)
     assert _right_ideal_nilpotent(CHAIN_BP, a, 6, p)
     assert _right_ideal_nilpotent(CHAIN_BP, [0, 0, 0, 1, 1, 0], 6, p)
+
+
+@pytest.mark.parametrize("bp, dim", [(PATH_BP, 1), (CHAIN_BP, 3)], ids=["path", "chain"])
+def test_trace_form_kernel_over_q_is_the_path_algebra_radical(bp, dim):
+    d = len(bp)
+    gram = _trace_form(bp, d)
+    basis = kernel(gram)
+    assert len(basis) == dim
+    witness = reference_kernel_q(gram)[0]
+    assert _certified_radical(bp, basis, d) == (False, witness, dim)
