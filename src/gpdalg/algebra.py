@@ -33,8 +33,8 @@ from .errors import InternalCheckError, ParseError, RingMismatchError
 from .group_algebra import (
     BlockMatrix,
     BlockShape,
-    FiniteGroupTable,
     GroupAlgebraElement,
+    IndexMap,
 )
 from .groupoid import (
     FiniteGroupoid,
@@ -279,22 +279,14 @@ class VerificationReport:
 _ZERO = ()  # index form of the zero matrix in the pair check
 
 
-def _matrix_unit_index(d: Decomposition, m: BlockMatrix, one: RingElement):
-    """(block, row, col, key) when m is a single coefficient-one unit
-    over the block's finite isotropy table, else None."""
-    found = None
-    for bi, block in enumerate(m.entries):
-        for (row, col), val in block:
-            if found is not None or len(val.coeffs) != 1:
-                return None
-            group = d.shape.blocks[bi][1]
-            if not isinstance(group, FiniteGroupTable) or val.group != group:
-                return None
-            key, coeff = val.coeffs[0]
-            if coeff != one:
-                return None
-            found = (bi, row, col, key)
-    return found
+def _matrix_unit_index(m: BlockMatrix):
+    """(block, row, col, key) when m is a single coefficient-one unit,
+    else None."""
+    im = IndexMap.read(m)
+    if im is None or len(im.rows) != 1:
+        return None
+    ((bi, row), (col, key)), = im.rows.items()
+    return bi, row, col, key
 
 
 def verify_isomorphism(d: Decomposition) -> VerificationReport:
@@ -309,8 +301,7 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
 
     deltas = [AlgebraElement.delta(g, d.ring, a) for a in range(n)]
     images = [phi(d, da) for da in deltas]
-    one = RingElement.one(d.ring)
-    units = [_matrix_unit_index(d, m, one) for m in images]
+    units = [_matrix_unit_index(m) for m in images]
 
     for a in range(n):
         ua = units[a]

@@ -8,7 +8,8 @@ Reads one input file, prints one report to stdout, touches nothing
 else: no network, no environment variables, byte-identical output on
 repeated runs.  Exit status 0 on success, 1 for any rejected input
 (parse errors, axiom violations, unknown rings, bad usage), 2 when an
-internal consistency check fails, which is a bug in this package.
+internal consistency check fails or any other exception escapes,
+which is a bug in this package; no traceback is printed.
 
 --verify re-derives every structural claim: the full isomorphism check
 for groupoids, the defining relations for graph algebras, the pairwise
@@ -234,14 +235,18 @@ def main(argv=None) -> int:
             report = _COMMANDS[args.command](fh.read(), ring, args.verify)
         if report is None:
             return 1
+        render = render_report_machine if args.format == "machine" else render_report_text
+        text = render(report)
     except (ParseError, ValueError, LaurentOverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InternalCheckError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2
-    render = render_report_machine if args.format == "machine" else render_report_text
-    sys.stdout.write(render(report))
+    except Exception as e:  # any other escape is a bug in this package too
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
     return 0
 
 

@@ -248,8 +248,12 @@ class BlockMatrix:
     def build(shape: BlockShape, items_per_block) -> "BlockMatrix":
         blocks = []
         for bi, (size, group) in enumerate(shape.blocks):
+            items = items_per_block[bi] if bi < len(items_per_block) else ()
+            if not items:
+                blocks.append(())
+                continue
             acc: dict = {}
-            for (r, c), val in items_per_block[bi] if bi < len(items_per_block) else []:
+            for (r, c), val in items:
                 if not 0 <= r < size or not 0 <= c < size:
                     raise ValueError(f"entry ({r},{c}) outside block of size {size}")
                 if (r, c) in acc:
@@ -334,3 +338,78 @@ class BlockMatrix:
             cells = ", ".join(f"({r},{c}): {v}" for (r, c), v in block)
             parts.append(f"block {bi} [{size}x{size}]: {{{cells}}}")
         return "; ".join(parts)
+
+
+class NotAnIndexMap(Exception):
+    """A sum of index maps whose rows overlap: the block matrix sum has
+    two entries, or a coefficient other than one, in some row."""
+
+
+@dataclass(frozen=True)
+class IndexMap:
+    """A block matrix each of whose nonzero entries is the ring's one
+    times a single group element, at most one per row, read as the
+    partial map (block, row) -> (col, key).
+
+    Over one shape, two maps are equal exactly when their block
+    matrices are, a product composes by row lookup with the keys
+    multiplied in the block's group, and a sum of maps on disjoint rows
+    is their union; each is the block matrix operation, since one times
+    one is one and nothing cancels."""
+
+    shape: BlockShape
+    rows: dict  # (block, row) -> (col, key); never mutated after construction
+
+    @staticmethod
+    def read(m: BlockMatrix) -> "IndexMap | None":
+        """m as an index map, or None when m is not of that form."""
+        ring = m.shape.ring
+        one = RingElement.one(ring)
+        rows = {}
+        for bi, block in enumerate(m.entries):
+            group = m.shape.blocks[bi][1] if block else None
+            for (row, col), val in block:
+                if len(val.coeffs) != 1 or (bi, row) in rows:
+                    return None
+                if not (val.group is group or val.group == group):
+                    return None
+                if not (val.ring is ring or val.ring == ring):
+                    return None
+                (key, coeff), = val.coeffs
+                if coeff != one:
+                    return None
+                rows[bi, row] = (col, key)
+        return IndexMap(m.shape, rows)
+
+    @staticmethod
+    def unit(shape: BlockShape, block_index, row, col) -> "IndexMap":
+        """The matrix unit E_{row,col} of one block, at the identity."""
+        key = _identity_key(shape.blocks[block_index][1])
+        return IndexMap(shape, {(block_index, row): (col, key)})
+
+    def _check(self, other: "IndexMap"):
+        if self.shape is not other.shape and self.shape != other.shape:
+            raise RingMismatchError("block shape mismatch")
+
+    def __mul__(self, other: "IndexMap") -> "IndexMap":
+        self._check(other)
+        blocks = self.shape.blocks
+        out = {}
+        for (bi, row), (mid, a) in self.rows.items():
+            hit = other.rows.get((bi, mid))
+            if hit is not None:
+                group = blocks[bi][1]
+                key = a + hit[1] if isinstance(group, IntegerGroup) else group.table[a][hit[1]]
+                out[bi, row] = (hit[0], key)
+        return IndexMap(self.shape, out)
+
+    def __add__(self, other: "IndexMap") -> "IndexMap":
+        self._check(other)
+        if not self.rows.keys().isdisjoint(other.rows):
+            raise NotAnIndexMap("the summands share a row")
+        return IndexMap(self.shape, {**self.rows, **other.rows})
+
+    def entry(self, block_index, row, col):
+        """The key at (row, col) of one block, or None where it is zero."""
+        found = self.rows.get((block_index, row))
+        return found[1] if found is not None and found[0] == col else None

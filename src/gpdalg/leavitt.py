@@ -28,7 +28,9 @@ connecting arrows take the least admissible nonnegative degree.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from .errors import InternalCheckError, OracleBudgetError, ParseError
 from .group_algebra import (
@@ -36,7 +38,9 @@ from .group_algebra import (
     BlockShape,
     FiniteGroupTable,
     GroupAlgebraElement,
+    IndexMap,
     IntegerGroup,
+    NotAnIndexMap,
 )
 from .groupoid import OrbitSummary, StructuredGroupoid
 from .rings import Rationals, RingDescriptor, ring_predicates
@@ -54,8 +58,10 @@ _TRIVIAL = FiniteGroupTable.from_table([[0]], name="1")
 
 # largest boundary-path count verify_leavitt_relations takes; every
 # vertex and every edge starts some boundary path, so this also bounds
-# the vertex and edge counts
-LEAVITT_VERIFY_LIMIT = 80
+# the vertex and edge counts.  At the limit `graph --verify` takes about
+# 0.7 s on the slowest shape measured (480 disjoint loops, one block
+# each), 0.1 s on a 480-vertex chain.
+LEAVITT_VERIFY_LIMIT = 480
 
 
 @dataclass(frozen=True)
@@ -558,6 +564,16 @@ def generator_images(g: Graph, ring: RingDescriptor):
     return GeneratorImages(g, ring, gd, shape, vertex, edge, ghost)
 
 
+def _generator_matrices(images: GeneratorImages) -> dict:
+    """Every generator image by (kind, name): "v" a vertex, "e" an
+    edge, "g" the ghost of an edge."""
+    out = {}
+    for kind, table in (("v", images.vertex), ("e", images.edge), ("g", images.ghost)):
+        for name, m in table.items():
+            out[kind, name] = m
+    return out
+
+
 def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorImages | None = None) -> VerificationReport:
     """Exhaustively check the defining relations on the generator
     images: vertex idempotents orthogonal and summing to the identity,
@@ -568,7 +584,19 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     eta . gamma* maps to E_{eta,gamma}.  For graphs with cycles confirm
     each lasso block attains the Laurent variable x from its cycle
     word.  Raises OracleBudgetError above LEAVITT_VERIFY_LIMIT boundary
-    paths."""
+    paths.
+
+    The checks run on index maps.  Each image is read once, off the
+    block matrix being verified, as the partial map (block, row) ->
+    (col, key) of its coefficient-one entries; products, sums and
+    comparisons are compositions, unions and dict comparisons of these
+    maps, and of the V^2 vertex and E^2 CK1 pairs only those whose maps
+    meet are composed, every other composite being the empty map that
+    the expected 0 equals.  The first check of every run, and every
+    check that meets an image or a sum that is not an index map,
+    multiplies in full as BlockMatrix products over the ring, so when
+    every image is a map the relation checks make one such product
+    outside the span check."""
     gd = images.decomposition if images is not None else graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         raise ValueError("boundary-path space is infinite; no finite block algebra")
@@ -579,11 +607,28 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
         )
     if images is None:
         images = generator_images(g, ring)
+    full = _generator_matrices(images)
+    full["0", None] = BlockMatrix.zero(images.shape)
+    full["1", None] = BlockMatrix.identity(images.shape)
+    for bi, orbit in enumerate(images.decomposition.orbits):
+        if orbit.kind == "cycle":
+            full["x", bi] = BlockMatrix.matrix_unit(images.shape, bi, 0, 0, key=1)
+    maps = {key: IndexMap.read(m) for key, m in full.items()}
+
+    def block_matrix(kind, name=None):
+        return full[kind, name]
+
+    def index_map(kind, name=None):
+        found = maps[kind, name]
+        if found is None:
+            raise NotAnIndexMap(f"{kind} {name}")
+        return found
+
     total = 0
     passed = 0
     failures = []
 
-    def check(ok: bool, label: str):
+    def record(ok: bool, label: str):
         nonlocal total, passed
         total += 1
         if ok:
@@ -591,59 +636,91 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
         else:
             failures.append(label)
 
-    zero = BlockMatrix.zero(images.shape)  # frozen, so one serves every check
+    def check(label: str, relation):
+        """relation(value) decides the check, value(kind, name) giving
+        each operand; on index maps unless this is the run's first
+        check or some operand or sum is not one."""
+        ok = None
+        if total:
+            try:
+                ok = relation(index_map)
+            except NotAnIndexMap:
+                pass
+        if ok is None:
+            ok = relation(block_matrix)
+        record(ok, label)
+
+    def pairs(label, lefts, rights, diagonal):
+        """The checks lefts[i] * rights[j] == (diagonal[i] if i == j
+        else 0), for every i and then every j.  Composing left i looks
+        up the rows its columns lead to, so only the j whose map has
+        such a row, j = i, and the j that are not maps need a check of
+        their own: for every other j both are maps whose composite is
+        the empty map, which is the expected 0, and the check passes."""
+        nonlocal total, passed
+        owners: dict = {}  # (block, row) -> the j whose map has that row
+        unread = []        # the j that are not index maps
+        for j, key in enumerate(rights):
+            if maps[key] is None:
+                unread.append(j)
+            else:
+                for row in maps[key].rows:
+                    owners.setdefault(row, []).append(j)
+        for i, key in enumerate(lefts):
+            if maps[key] is None:
+                js = range(len(rights))
+            else:
+                js = {i, *unread}
+                for (bi, _), (col, _) in maps[key].rows.items():
+                    js.update(owners.get((bi, col), ()))
+                js = sorted(js)
+            for j in js:
+                check(label(i, j), lambda m: m(*lefts[i]) * m(*rights[j])
+                      == (m(*diagonal[i]) if i == j else m("0")))
+            total += len(rights) - len(js)
+            passed += len(rights) - len(js)
+
     names = list(g.vertices)
-    for u in names:
-        for v in names:
-            expect = images.vertex[u] if u == v else zero
-            check(images.vertex[u] * images.vertex[v] == expect,
-                  f"vertex idempotents: {u} * {v}")
-    unit = zero
-    for v in names:
-        unit = unit + images.vertex[v]
-    check(unit == BlockMatrix.identity(images.shape), "vertex sum = identity")
+    vertices = [("v", u) for u in names]
+    pairs(lambda i, j: f"vertex idempotents: {names[i]} * {names[j]}",
+          vertices, vertices, vertices)
+    check("vertex sum = identity",
+          lambda m: reduce(operator.add, (m("v", v) for v in names)) == m("1"))
 
     for e in range(g.edge_count):
         en = g.edge_names[e]
         sv = g.vertices[g.src[e]]
         rv = g.vertices[g.dst[e]]
-        x, y = images.edge[en], images.ghost[en]
-        check(images.vertex[sv] * x == x, f"unit path: {sv} . {en}")
-        check(x * images.vertex[rv] == x, f"unit path: {en} . {rv}")
-        check(images.vertex[rv] * y == y, f"unit path: {rv} . {en}*")
-        check(y * images.vertex[sv] == y, f"unit path: {en}* . {sv}")
+        check(f"unit path: {sv} . {en}", lambda m: m("v", sv) * m("e", en) == m("e", en))
+        check(f"unit path: {en} . {rv}", lambda m: m("e", en) * m("v", rv) == m("e", en))
+        check(f"unit path: {rv} . {en}*", lambda m: m("v", rv) * m("g", en) == m("g", en))
+        check(f"unit path: {en}* . {sv}", lambda m: m("g", en) * m("v", sv) == m("g", en))
 
-    for e in range(g.edge_count):
-        for f in range(g.edge_count):
-            en, fn = g.edge_names[e], g.edge_names[f]
-            expect = images.vertex[g.vertices[g.dst[e]]] if e == f else zero
-            check(images.ghost[en] * images.edge[fn] == expect, f"CK1: {en}* . {fn}")
+    edges = g.edge_names
+    pairs(lambda i, j: f"CK1: {edges[i]}* . {edges[j]}",
+          [("g", en) for en in edges], [("e", en) for en in edges],
+          [("v", g.vertices[g.dst[e]]) for e in range(g.edge_count)])
 
     for v in range(len(g.vertices)):
-        outs = g.out_edges(v)
-        if not outs:
-            continue
-        acc = zero
-        for e in outs:
-            en = g.edge_names[e]
-            acc = acc + images.edge[en] * images.ghost[en]
-        check(acc == images.vertex[g.vertices[v]], f"CK2 at {g.vertices[v]}")
+        outs = [g.edge_names[e] for e in g.out_edges(v)]
+        if outs:
+            vn = g.vertices[v]
+            check(f"CK2 at {vn}",
+                  lambda m: reduce(operator.add, (m("e", en) * m("g", en) for en in outs))
+                  == m("v", vn))
 
     if not images.decomposition.has_cycle() and isinstance(ring, Rationals):
         n = _attained_matrix_units(images)
         expect_dim = sum(len(o.members) ** 2 for o in images.decomposition.orbits)
-        check(n == expect_dim,
-              f"generated subalgebra fills the block algebra ({n} vs {expect_dim})")
+        record(n == expect_dim,
+               f"generated subalgebra fills the block algebra ({n} vs {expect_dim})")
     for bi, orbit in enumerate(images.decomposition.orbits):
         if orbit.kind != "cycle":
             continue
-        word = None
-        for e in orbit.anchor.edges:
-            m = images.edge[g.edge_names[e]]
-            word = m if word is None else word * m
-        expect = BlockMatrix.matrix_unit(images.shape, bi, 0, 0, key=1)
-        check(word.entry(bi, 0, 0) == expect.entry(bi, 0, 0),
-              f"cycle word attains x in block {bi}")
+        word = [g.edge_names[e] for e in orbit.anchor.edges]
+        check(f"cycle word attains x in block {bi}",
+              lambda m: reduce(operator.mul, (m("e", en) for en in word)).entry(bi, 0, 0)
+              == m("x", bi).entry(bi, 0, 0))
 
     return VerificationReport("Leavitt relation checks", total, passed, tuple(failures))
 
@@ -656,9 +733,17 @@ def _attained_matrix_units(images: GeneratorImages) -> int:
     E_{eta,w} E_{w,gamma} = E_{eta,gamma}.  When all pairs are attained
     the generators span the whole block algebra.  Each path's image is
     built once from its suffix, a shorter member of the same orbit, so
-    this takes at most 2P block products for P paths.  Only meaningful
-    for acyclic graphs."""
+    this takes at most 2P products for P paths.  They compose index
+    maps, except the first, which multiplies the block matrices over
+    the ring and reads the result back; when some generator image is
+    not an index map every product is a block matrix product.  Only
+    meaningful for acyclic graphs."""
     g = images.graph
+    full = _generator_matrices(images)
+    maps = {key: IndexMap.read(m) for key, m in full.items()}
+    on_maps = all(m is not None for m in maps.values())
+    table, unit = (maps, IndexMap.unit) if on_maps else (full, BlockMatrix.matrix_unit)
+    pending = on_maps  # the first product still to multiply in full
     img: dict = {}    # (edges, sink) -> image of the path
     ghost: dict = {}  # (edges, sink) -> image of its ghost
     attained = 0
@@ -668,15 +753,20 @@ def _attained_matrix_units(images: GeneratorImages) -> int:
         # and members[0] is the empty path w at row 0
         for r, bp in enumerate(orbit.members):
             key = (bp.edges, bp.sink)
+            sink = g.vertices[bp.sink]
             if not bp.edges:
-                img[key] = ghost[key] = images.vertex[g.vertices[bp.sink]]
+                img[key] = ghost[key] = table["v", sink]
             else:
                 first = g.edge_names[bp.edges[0]]
                 rest = (bp.edges[1:], bp.sink)
-                img[key] = images.edge[first] * img[rest]
-                ghost[key] = ghost[rest] * images.ghost[first]
-            rows += img[key] == BlockMatrix.matrix_unit(images.shape, bi, r, 0)
-            cols += ghost[key] == BlockMatrix.matrix_unit(images.shape, bi, 0, r)
+                if pending and len(bp.edges) == 1:
+                    pending = False
+                    img[key] = IndexMap.read(full["e", first] * full["v", sink])
+                else:
+                    img[key] = table["e", first] * img[rest]
+                ghost[key] = ghost[rest] * table["g", first]
+            rows += img[key] == unit(images.shape, bi, r, 0)
+            cols += ghost[key] == unit(images.shape, bi, 0, r)
         attained += rows * cols
     return attained
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from .errors import LaurentOverflowError, ParseError, RingMismatchError
@@ -373,6 +374,7 @@ class RingElement:
         return RingElement(ring, zero_payload(ring))
 
     @staticmethod
+    @cache  # elements are immutable, so one per ring serves every caller
     def one(ring: RingDescriptor) -> "RingElement":
         return RingElement(ring, one_payload(ring))
 

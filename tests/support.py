@@ -23,12 +23,14 @@ from gpdalg.leavitt import (
     Lasso,
     SinkPath,
     block_shape,
+    generator_images,
     graph_groupoid,
     is_arrow,
     path_start,
     prepend_edge,
 )
 from gpdalg.linalg import kernel, reduce, rref
+from gpdalg.rings import Rationals
 from gpdalg.verdicts import _unit_vectors, _vec_mul
 
 
@@ -365,6 +367,108 @@ def reference_attained_matrix_units(images: GeneratorImages) -> int:
                 unit = BlockMatrix.matrix_unit(images.shape, bi, r, c)
                 if left * ghost[(gamma.edges, gamma.sink)] == unit:
                     attained += 1
+    return attained
+
+
+def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages | None = None) -> VerificationReport:
+    """verify_leavitt_relations on block matrices only: every relation
+    is multiplied out as BlockMatrix products over the ring, and the
+    span check counts attained units with reference_path_unit_count.
+    Same checks, same labels, same order; no budget."""
+    if images is None:
+        images = generator_images(g, ring)
+    total = 0
+    passed = 0
+    failures = []
+
+    def check(ok: bool, label: str):
+        nonlocal total, passed
+        total += 1
+        if ok:
+            passed += 1
+        else:
+            failures.append(label)
+
+    zero = BlockMatrix.zero(images.shape)
+    names = list(g.vertices)
+    for u in names:
+        for v in names:
+            expect = images.vertex[u] if u == v else zero
+            check(images.vertex[u] * images.vertex[v] == expect,
+                  f"vertex idempotents: {u} * {v}")
+    unit = zero
+    for v in names:
+        unit = unit + images.vertex[v]
+    check(unit == BlockMatrix.identity(images.shape), "vertex sum = identity")
+
+    for e in range(g.edge_count):
+        en = g.edge_names[e]
+        sv = g.vertices[g.src[e]]
+        rv = g.vertices[g.dst[e]]
+        x, y = images.edge[en], images.ghost[en]
+        check(images.vertex[sv] * x == x, f"unit path: {sv} . {en}")
+        check(x * images.vertex[rv] == x, f"unit path: {en} . {rv}")
+        check(images.vertex[rv] * y == y, f"unit path: {rv} . {en}*")
+        check(y * images.vertex[sv] == y, f"unit path: {en}* . {sv}")
+
+    for e in range(g.edge_count):
+        for f in range(g.edge_count):
+            en, fn = g.edge_names[e], g.edge_names[f]
+            expect = images.vertex[g.vertices[g.dst[e]]] if e == f else zero
+            check(images.ghost[en] * images.edge[fn] == expect, f"CK1: {en}* . {fn}")
+
+    for v in range(len(g.vertices)):
+        outs = g.out_edges(v)
+        if not outs:
+            continue
+        acc = zero
+        for e in outs:
+            en = g.edge_names[e]
+            acc = acc + images.edge[en] * images.ghost[en]
+        check(acc == images.vertex[g.vertices[v]], f"CK2 at {g.vertices[v]}")
+
+    if not images.decomposition.has_cycle() and isinstance(ring, Rationals):
+        n = reference_path_unit_count(images)
+        expect_dim = sum(len(o.members) ** 2 for o in images.decomposition.orbits)
+        check(n == expect_dim,
+              f"generated subalgebra fills the block algebra ({n} vs {expect_dim})")
+    for bi, orbit in enumerate(images.decomposition.orbits):
+        if orbit.kind != "cycle":
+            continue
+        word = None
+        for e in orbit.anchor.edges:
+            m = images.edge[g.edge_names[e]]
+            word = m if word is None else word * m
+        expect = BlockMatrix.matrix_unit(images.shape, bi, 0, 0, key=1)
+        check(word.entry(bi, 0, 0) == expect.entry(bi, 0, 0),
+              f"cycle word attains x in block {bi}")
+
+    return VerificationReport("Leavitt relation checks", total, passed, tuple(failures))
+
+
+def reference_path_unit_count(images: GeneratorImages) -> int:
+    """_attained_matrix_units on block matrices: each path's image and
+    ghost is the BlockMatrix product of its first edge's image with its
+    suffix's, compared with a freshly built matrix unit, 2P products for
+    P paths.  Only meaningful for acyclic graphs."""
+    g = images.graph
+    img: dict = {}
+    ghost: dict = {}
+    attained = 0
+    for bi, orbit in enumerate(images.decomposition.orbits):
+        rows = cols = 0
+        for r, bp in enumerate(orbit.members):
+            key = (bp.edges, bp.sink)
+            if not bp.edges:
+                img[key] = ghost[key] = images.vertex[g.vertices[bp.sink]]
+            else:
+                first = g.edge_names[bp.edges[0]]
+                rest = (bp.edges[1:], bp.sink)
+                img[key] = images.edge[first] * img[rest]
+                ghost[key] = ghost[rest] * images.ghost[first]
+            rows += img[key] == BlockMatrix.matrix_unit(images.shape, bi, r, 0)
+            cols += ghost[key] == BlockMatrix.matrix_unit(images.shape, bi, 0, r)
+        attained += rows * cols
     return attained
 
 

@@ -273,13 +273,13 @@ def test_verified_chain40_in_process(tmp_path, capsys):
 
 
 def test_graph_verification_budget_edge_in_process(tmp_path, capsys):
-    # 80 boundary paths is the largest count the relation check takes
+    # 480 boundary paths is the largest count the relation check takes
     code, out, err = _main_in_process(
-        capsys, "graph", _chain_file(tmp_path, 80), "--verify", "--format", "machine")
+        capsys, "graph", _chain_file(tmp_path, 480), "--verify", "--format", "machine")
     assert code == 0 and not err
-    assert "verified_pairs=13038/13038\n" in out
+    assert "verified_pairs=462238/462238\n" in out
     code, out, err = _main_in_process(
-        capsys, "graph", _chain_file(tmp_path, 81), "--verify", "--format", "machine")
+        capsys, "graph", _chain_file(tmp_path, 481), "--verify", "--format", "machine")
     assert code == 0 and not err
     assert "verified_pairs=skipped\n" in out
 
@@ -357,3 +357,20 @@ def test_graph_oracle_builds_the_finite_groupoid_only_when_it_runs(
     assert code == 0, err
     assert oracle_line in out
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("stage, exc", [
+    ("leavitt_verdicts", KeyError("boom")),
+    ("verify_leavitt_relations", RuntimeError("boom")),
+    ("render_report_machine", IndexError("boom")),
+])
+def test_an_exception_escaping_a_stage_is_an_internal_error(monkeypatch, capsys, stage, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(gpdalg.cli, stage, broken)
+    code, out, err = _main_in_process(
+        capsys, "graph", str(FIXTURES / "a3.quiv"), "--verify", "--format", "machine")
+    assert code == 2
+    assert not out
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"

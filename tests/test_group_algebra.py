@@ -15,7 +15,12 @@ from gpdalg import (
     Z,
 )
 from gpdalg.constructions import cyclic_table, klein_table, symmetric_table
-from gpdalg.group_algebra import as_laurent_element, entry_ring_rendering
+from gpdalg.group_algebra import (
+    IndexMap,
+    NotAnIndexMap,
+    as_laurent_element,
+    entry_ring_rendering,
+)
 from gpdalg.rings import Laurent, ModularIntegers, laurent_variable
 
 
@@ -143,3 +148,68 @@ def test_group_algebra_over_z_has_no_surprise_division():
     two = GroupAlgebraElement.make(z2, Z, [(0, RingElement.from_int(Z, 2))])
     g = GroupAlgebraElement.delta(z2, Z, 1)
     assert (two * g).coeffs[0][1] == RingElement.from_int(Z, 2)
+
+
+def _map_shape(ring):
+    return BlockShape(ring, (
+        (3, symmetric_table(3)), (2, IntegerGroup()), (2, FiniteGroupTable.from_table([[0]])),
+    ))
+
+
+def _random_map_matrix(shape, rng):
+    """A block matrix of coefficient-one units, at most one per row, and
+    the (block, row) -> (col, key) map it should read as."""
+    rows, items = {}, [[] for _ in shape.blocks]
+    for bi, (size, group) in enumerate(shape.blocks):
+        for row in range(size):
+            if rng.random() < 0.6:
+                col = rng.randrange(size)
+                key = rng.randint(-3, 3) if isinstance(group, IntegerGroup) else rng.randrange(group.size)
+                rows[bi, row] = (col, key)
+                items[bi].append(((row, col), GroupAlgebraElement.delta(group, shape.ring, key)))
+    return BlockMatrix.build(shape, items), rows
+
+
+@pytest.mark.parametrize("ring", [Q, GaloisField(3), Laurent(Q)])
+def test_index_maps_compose_add_and_compare_like_their_block_matrices(ring):
+    shape = _map_shape(ring)
+    rng = random.Random(11)
+    for _ in range(60):
+        (a, rows_a), (b, rows_b) = _random_map_matrix(shape, rng), _random_map_matrix(shape, rng)
+        ma, mb = IndexMap.read(a), IndexMap.read(b)
+        assert ma.rows == rows_a and mb.rows == rows_b
+        assert (ma == mb) == (a == b)
+        assert IndexMap.read(a * b) == ma * mb
+        for bi, (size, _) in enumerate(shape.blocks):
+            for row in range(size):
+                for col in range(size):
+                    key = ma.entry(bi, row, col)
+                    want = a.entry(bi, row, col)
+                    assert want == (GroupAlgebraElement.zero(shape.blocks[bi][1], ring) if key is None
+                                    else GroupAlgebraElement.delta(shape.blocks[bi][1], ring, key))
+        if rows_a.keys().isdisjoint(rows_b):
+            assert IndexMap.read(a + b) == ma + mb
+        else:
+            with pytest.raises(NotAnIndexMap):
+                ma + mb
+    unit = IndexMap.unit(shape, 0, 1, 2)
+    assert unit == IndexMap.read(BlockMatrix.matrix_unit(shape, 0, 1, 2))
+
+
+def test_only_coefficient_one_single_units_read_as_index_maps():
+    shape = _map_shape(Q)
+    e01 = BlockMatrix.matrix_unit(shape, 0, 0, 1)
+    two = RingElement.from_int(Q, 2)
+    s3 = shape.blocks[0][1]
+    not_maps = {
+        "coefficient 2": e01 + e01,
+        "two entries in a row": e01 + BlockMatrix.matrix_unit(shape, 0, 0, 2),
+        "two keys in an entry": e01 + BlockMatrix.matrix_unit(shape, 0, 0, 1, key=1),
+        "coefficient 2 at x": BlockMatrix.matrix_unit(shape, 1, 0, 0, key=1, coeff=two),
+        "an entry over another group": BlockMatrix(shape, (
+            (((0, 1), GroupAlgebraElement.delta(cyclic_table(6), Q, 0)),), (), ())),
+    }
+    for name, m in not_maps.items():
+        assert IndexMap.read(m) is None, name
+    assert IndexMap.read(e01 + BlockMatrix.matrix_unit(shape, 0, 1, 1, key=s3.size - 1)) is not None
+    assert IndexMap.read(BlockMatrix.zero(shape)).rows == {}

@@ -12,6 +12,8 @@ from support import (
     reference_attained_matrix_units,
     reference_generated_dimension,
     reference_generator_images,
+    reference_path_unit_count,
+    reference_verify_leavitt_relations,
     truncation_is_arrow,
 )
 
@@ -21,6 +23,7 @@ from gpdalg import (
     Cycle,
     ExitWitness,
     Graph,
+    GroupAlgebraElement,
     IntegerGroup,
     Lasso,
     OracleBudgetError,
@@ -330,15 +333,15 @@ def _replaced(images, kind, items):
 
 
 IMAGE_RINGS = (Q, parse_ring_descriptor("GF(3)"), Z6, LQ)
+RELATION_GRAPHS = (
+    NE_GRAPHS
+    + [(f"chain{n}", chain_graph(n)) for n in (1, 2, 5, 9)]
+    + [(f"intree{n}", in_tree_graph(n)) for n in (2, 5, 9)]
+)
 
 
 def test_generator_images_match_the_arrow_by_arrow_reference():
-    graphs = (
-        NE_GRAPHS
-        + [(f"chain{n}", chain_graph(n)) for n in (1, 2, 5, 9)]
-        + [(f"intree{n}", in_tree_graph(n)) for n in (2, 5, 9)]
-    )
-    for name, g in graphs:
+    for name, g in RELATION_GRAPHS:
         for ring in IMAGE_RINGS:
             got = generator_images(g, ring)
             want = reference_generator_images(g, ring)
@@ -420,3 +423,134 @@ def test_relation_verification_has_a_boundary_path_budget(monkeypatch):
     monkeypatch.setattr(gpdalg.leavitt, "LEAVITT_VERIFY_LIMIT", 3)
     with pytest.raises(OracleBudgetError, match="4 boundary paths"):
         verify_leavitt_relations(chain4, Q)
+
+
+def _outcome(report):
+    return report.total, report.passed, report.failures
+
+
+def test_relation_checks_match_the_block_matrix_reference():
+    for name, g in RELATION_GRAPHS:
+        for ring in IMAGE_RINGS:
+            report = verify_leavitt_relations(g, ring)
+            assert report.ok, (name, ring, report.failures[:3])
+            assert _outcome(report) == _outcome(reference_verify_leavitt_relations(g, ring)), (
+                name, ring)
+
+
+def _rebuilt(m, entry):
+    """m with each entry ((row, col), value) of block bi replaced by the
+    items entry(bi, row, col, value) returns."""
+    items = [[] for _ in m.shape.blocks]
+    for bi, block in enumerate(m.entries):
+        for (row, col), val in block:
+            items[bi].extend(entry(bi, row, col, val))
+    return BlockMatrix.build(m.shape, items)
+
+
+def _shifted_key(bi, row, col, val):
+    # x^k -> x^(k+1) on a lasso block, sink blocks unchanged
+    if not isinstance(val.group, IntegerGroup):
+        return [((row, col), val)]
+    return [((row, col), GroupAlgebraElement.make(
+        val.group, val.ring, [(k + 1, c) for k, c in val.coeffs]))]
+
+
+def _tampered_images(g, images):
+    """Swapped edges, a zeroed ghost and swapped vertices where the
+    graph has them, a cycle edge with its key shifted by one, and two
+    images that are not index maps: an edge with coefficient 2 and an
+    edge with a second entry in one of its rows."""
+    out = {}
+    e = g.edge_names[0] if g.edge_count else None
+    if g.edge_count >= 2:
+        f = g.edge_names[1]
+        out["swapped edges"] = _replaced(images, "edge", {e: images.edge[f], f: images.edge[e]})
+    if e is not None:
+        out["zero ghost"] = _replaced(images, "ghost", {e: BlockMatrix.zero(images.shape)})
+        out["coefficient 2"] = _replaced(images, "edge", {e: images.edge[e] + images.edge[e]})
+        bi, block = next((bi, b) for bi, b in enumerate(images.edge[e].entries) if b)
+        (row, col), val = block[0]
+        size = images.shape.blocks[bi][0]
+        if size > 1:
+            extra = BlockMatrix.matrix_unit(images.shape, bi, row, (col + 1) % size)
+            out["two entries in a row"] = _replaced(images, "edge", {e: images.edge[e] + extra})
+    sinks = [v for v in g.vertices if g.is_sink(g.vertex_index(v))]
+    others = [v for v in g.vertices if v not in sinks[:1]]
+    if sinks and others:
+        s, o = sinks[0], others[0]
+        out["swapped vertices"] = _replaced(
+            images, "vertex", {s: images.vertex[o], o: images.vertex[s]})
+    for orbit in images.decomposition.orbits:
+        if orbit.kind == "cycle":
+            c = g.edge_names[orbit.anchor.edges[0]]
+            out["shifted cycle key"] = _replaced(
+                images, "edge", {c: _rebuilt(images.edge[c], _shifted_key)})
+            break
+    return out
+
+
+def test_tampered_images_fail_exactly_as_the_block_matrix_reference():
+    seen = set()
+    for name, g in RELATION_GRAPHS:
+        for ring in IMAGE_RINGS:
+            images = generator_images(g, ring)
+            for kind, t in _tampered_images(g, images).items():
+                seen.add(kind)
+                report = verify_leavitt_relations(g, ring, t)
+                assert not report.ok, (name, ring, kind)
+                assert _outcome(report) == _outcome(reference_verify_leavitt_relations(g, ring, t)), (
+                    name, ring, kind)
+                if kind == "shifted cycle key":
+                    assert any(f.startswith("cycle word attains x") for f in report.failures), (
+                        name, ring)
+                if ring == Q and not images.decomposition.has_cycle():
+                    assert _attained_matrix_units(t) == reference_path_unit_count(t), (name, kind)
+    assert seen == {"swapped edges", "zero ghost", "coefficient 2", "two entries in a row",
+                    "swapped vertices", "shifted cycle key"}
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real_mul = BlockMatrix.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(BlockMatrix, "__mul__", counting_mul)
+    return calls
+
+
+def test_relation_checks_on_index_maps_make_one_product_per_run(monkeypatch):
+    for name, g in RELATION_GRAPHS:
+        for ring in IMAGE_RINGS:
+            images = generator_images(g, ring)
+            spans = ring == Q and not images.decomposition.has_cycle()
+            calls = _count_products(monkeypatch)
+            report = verify_leavitt_relations(g, ring, images)
+            monkeypatch.undo()
+            assert report.ok, (name, ring)
+            # the run's first check, and the span check's first product
+            assert len(calls) == 1 + (spans and g.edge_count > 0), (name, ring, len(calls))
+
+
+@pytest.mark.parametrize("graph, ring, products", [
+    # first check 1, unit paths v0.e0 and e0.v1 2, CK1 f*.e0 for f in
+    # e0, e1 2, CK2 at v0 1
+    ("chain3", parse_ring_descriptor("GF(3)"), 6),
+    # first check 1, unit paths 2, CK1 f*.x for f in x, y, z 3, CK2 at
+    # a 1, the cycle word x.y.z 2
+    ("c3", Q, 9),
+])
+def test_checks_that_meet_an_image_that_is_not_a_map_multiply_in_full(
+        monkeypatch, graph, ring, products):
+    g = chain_graph(3) if graph == "chain3" else GRAPHS[graph]
+    images = generator_images(g, ring)
+    e = g.edge_names[0]
+    doubled = _replaced(images, "edge", {e: images.edge[e] + images.edge[e]})
+    calls = _count_products(monkeypatch)
+    report = verify_leavitt_relations(g, ring, doubled)
+    monkeypatch.undo()
+    assert len(calls) == products
+    assert _outcome(report) == _outcome(reference_verify_leavitt_relations(g, ring, doubled))
