@@ -21,6 +21,7 @@ reported verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import decompose, verify_isomorphism
@@ -206,6 +207,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gpdalg",

@@ -710,7 +710,7 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
                   == m("v", vn))
 
     if not images.decomposition.has_cycle() and isinstance(ring, Rationals):
-        n = _attained_matrix_units(images)
+        n = _attained_matrix_units(images, maps)
         expect_dim = sum(len(o.members) ** 2 for o in images.decomposition.orbits)
         record(n == expect_dim,
                f"generated subalgebra fills the block algebra ({n} vs {expect_dim})")
@@ -725,7 +725,7 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     return VerificationReport("Leavitt relation checks", total, passed, tuple(failures))
 
 
-def _attained_matrix_units(images: GeneratorImages) -> int:
+def _attained_matrix_units(images: GeneratorImages, maps: dict) -> int:
     """Number of pairs (eta, gamma) of paths into one sink w whose
     monomial eta . gamma* the count shows to map to E_{eta,gamma}: per
     sink orbit, rows eta with img(eta) = E_{eta,w} times columns gamma
@@ -736,12 +736,14 @@ def _attained_matrix_units(images: GeneratorImages) -> int:
     this takes at most 2P products for P paths.  They compose index
     maps, except the first, which multiplies the block matrices over
     the ring and reads the result back; when some generator image is
-    not an index map every product is a block matrix product.  Only
-    meaningful for acyclic graphs."""
+    not an index map every product is a block matrix product.  maps
+    holds each generator image read as an index map (None where it is
+    not one), keyed as _generator_matrices keys the images, as
+    verify_leavitt_relations reads them.  Only meaningful for acyclic
+    graphs."""
     g = images.graph
     full = _generator_matrices(images)
-    maps = {key: IndexMap.read(m) for key, m in full.items()}
-    on_maps = all(m is not None for m in maps.values())
+    on_maps = all(maps[key] is not None for key in full)
     table, unit = (maps, IndexMap.unit) if on_maps else (full, BlockMatrix.matrix_unit)
     pending = on_maps  # the first product still to multiply in full
     img: dict = {}    # (edges, sink) -> image of the path

@@ -81,6 +81,21 @@ def test_usage_and_input_errors_exit_one():
         assert "error" in r.stderr.lower(), args
 
 
+def test_one_parser_serves_every_call_with_the_same_usage_errors(capsys):
+    assert gpdalg.cli.build_parser() is gpdalg.cli.build_parser()
+    path = str(FIXTURES / "pair2.gpd")
+    for bad in (("groupoid", path, "--format", "yaml"), ("frobnicate", path), ()):
+        fresh = run_cli(*bad)
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                gpdalg.cli.main(list(bad))
+            assert exc.value.code == 1
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", fresh.stderr), bad
+            code, out, err = _main_in_process(capsys, "groupoid", path, "--format", "machine")
+            assert code == 0 and out.startswith("noetherian=true\n") and not err
+
+
 def test_machine_format_has_the_fixed_keys_in_order():
     r = run_cli("groupoid", str(FIXTURES / "pair2.gpd"), "--format", "machine")
     assert r.returncode == 0

@@ -1,10 +1,11 @@
 """Groupoid parsing, validation, frames, and orbit structure."""
 import pathlib
+import random
 
 import pytest
 
 from corpus import groupoid_corpus
-from support import groupoid_axiom_problems
+from support import groupoid_axiom_problems, reference_axiom_violations
 
 from gpdalg import (
     FiniteGroupoid,
@@ -22,7 +23,13 @@ from gpdalg.constructions import (
     product_with_group,
     symmetric_table,
 )
-from gpdalg.groupoid import isotropy, orbits
+import gpdalg.groupoid
+from gpdalg.groupoid import (
+    associativity_generators,
+    certify_associativity,
+    isotropy,
+    orbits,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -167,3 +174,164 @@ def test_validate_memo_hands_out_fresh_lists():
     found = validate(good)
     found.append("stray")
     assert validate(good) == []
+
+
+def _swapped_composites(g: FiniteGroupoid, rng, limit):
+    """Copies of g with one composite f h of two non-identity arrows
+    replaced by another arrow of the same span: composition stays total
+    and coherent and the identity laws hold, so only associativity (and
+    perhaps an inverse law) can fail.  Every such copy when g has at
+    most limit of them, else a seeded sample of limit."""
+    identities = set(g.identity_arrows())
+    spans: dict = {}
+    for a in range(g.arrow_count):
+        spans.setdefault((g.dom[a], g.cod[a]), []).append(a)
+    cases = [
+        ((f, h), other)
+        for (f, h), k in g.comp
+        if f not in identities and h not in identities
+        for other in spans[g.dom[k], g.cod[k]]
+        if other != k
+    ]
+    if len(cases) > limit:
+        cases = rng.sample(cases, limit)
+    for pair, other in cases:
+        comp = dict(g.comp)
+        comp[pair] = other
+        yield _corrupt(g, comp=comp)
+
+
+def _corruptions(g: FiniteGroupoid, rng):
+    """Swapped composites, a dropped composition entry and a broken
+    identity (the identity of object 0 moved to another arrow, and an
+    identity law broken in one entry)."""
+    yield from _swapped_composites(g, rng, 40)
+    comp = dict(g.comp)
+    del comp[rng.choice(sorted(comp))]
+    yield _corrupt(g, comp=comp)
+    e = g.identity_of[0]
+    other = next((a for a in range(g.arrow_count) if a != e), None)
+    if other is not None:
+        identity_of = list(g.identity_of)
+        identity_of[0] = other
+        yield _corrupt(g, identity_of=identity_of)
+        f = max(f for f in range(g.arrow_count) if g.dom[f] == 0)
+        twins = [a for a in range(g.arrow_count)
+                 if (g.dom[a], g.cod[a]) == (g.dom[f], g.cod[f]) and a != f]
+        comp = dict(g.comp)
+        comp[f, e] = twins[0] if twins else (e if f != e else other)
+        yield _corrupt(g, comp=comp)
+
+
+def test_validate_lists_the_violations_of_the_full_scan(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    rng = random.Random(20261018)
+    certified_failures = 0
+    for name, g in groupoid_corpus():
+        scans.clear()
+        assert validate(g) == reference_axiom_violations(g) == [], name
+        assert not scans, name
+        for broken in _corruptions(g, rng):
+            expected = reference_axiom_violations(broken)
+            assert expected, name
+            scans.clear()
+            assert validate(broken) == expected, name
+            kinds = {v.kind for v in expected}
+            if kinds <= {"associativity", "inverse-law"}:
+                # the certificate decided: the scan runs exactly when it fails
+                assert len(scans) == ("associativity" in kinds), name
+                certified_failures += "associativity" in kinds
+            else:
+                assert len(scans) == 1, name
+    assert certified_failures > 100
+    for fixture in ("broken_assoc.gpd", "missing_inverse.gpd"):
+        g = _load(fixture)
+        assert validate(g) == reference_axiom_violations(g), fixture
+
+
+def _count_scans(monkeypatch) -> list:
+    calls = []
+    real = gpdalg.groupoid._associativity_scan
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gpdalg.groupoid, "_associativity_scan", counted)
+    return calls
+
+
+class _Row(dict):
+    """One row f -> {h: f after h} of a composition table, counting the
+    lookups of every row that shares its counter."""
+
+    def __init__(self, counter):
+        super().__init__()
+        self.counter = counter
+
+    def __getitem__(self, key):
+        self.counter[0] += 1
+        return super().__getitem__(key)
+
+
+def _counting_rows(arrow_count, comp):
+    counter = [0]
+    rows = [_Row(counter) for _ in range(arrow_count)]
+    for (f, h), k in dict(comp).items():
+        rows[f][h] = k
+    return rows, counter
+
+
+def test_certificate_skips_the_triple_scan_on_pair4_s3(monkeypatch):
+    g = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), symmetric_table(3))
+    scans = _count_scans(monkeypatch)
+    assert validate(g) == []
+    assert not scans
+    into = [[a for a in range(g.arrow_count) if g.cod[a] == x] for x in range(4)]
+    pairs = sum(len(into[g.dom[f]]) for f in range(g.arrow_count))
+    triples = sum(len(into[g.dom[h]]) for f in range(g.arrow_count) for h in into[g.dom[f]])
+    assert (pairs, triples) == (2304, 55296)
+    rows, lookups = _counting_rows(g.arrow_count, g.comp)
+    gens = associativity_generators(g.dom, g.cod, rows, 4)
+    closure = lookups[0]
+    assert len(gens) == 9 and closure <= pairs
+    rows, lookups = _counting_rows(g.arrow_count, g.comp)
+    assert certify_associativity(g.dom, g.cod, rows, 4)
+    # the closure, then a y per (a, y), x a per (x, a) and two per triple
+    assert lookups[0] == closure + len(gens) * (24 + 24 + 2 * 24 * 24)
+    assert lookups[0] < triples / 4
+
+
+def test_generators_reach_every_arrow_by_left_nested_composites():
+    for name, g in groupoid_corpus():
+        objects = len(g.objects)
+        pairs = sum(1 for f in range(g.arrow_count) for h in range(g.arrow_count)
+                    if g.composable(f, h))
+        rows, lookups = _counting_rows(g.arrow_count, g.comp)
+        gens = associativity_generators(g.dom, g.cod, rows, objects)
+        assert lookups[0] <= pairs, name
+        assert gens == sorted(gens), name
+        reached, fresh = set(gens), list(gens)
+        while fresh:  # left-nested composites r s, s a generator
+            r = fresh.pop()
+            for s in gens:
+                c = g.compose(r, s) if g.composable(r, s) else None
+                if c is not None and c not in reached:
+                    reached.add(c)
+                    fresh.append(c)
+        assert reached == set(range(g.arrow_count)), name
+        assert certify_associativity(g.dom, g.cod, rows, objects), name
+
+
+def test_generator_closure_composes_each_pair_at_most_once():
+    # 2,000 objects, each with its identity alone: 2,000 composable
+    # pairs and 2,000 generators, so no generator may meet every arrow
+    n = 2000
+    identities = {(i, i): i for i in range(n)}
+    rows, lookups = _counting_rows(n, identities)
+    assert associativity_generators(range(n), range(n), rows, n) == list(range(n))
+    assert lookups[0] == n
+    rows, lookups = _counting_rows(n, identities)
+    assert certify_associativity(range(n), range(n), rows, n)
+    # the closure, then a y, x a and the two sides of one triple per generator
+    assert lookups[0] == n + 4 * n

@@ -1,7 +1,10 @@
 """Inverse semigroup algebras via the underlying groupoid."""
 import pathlib
+import random
 
 import pytest
+
+from support import reference_inverse_semigroup
 
 from gpdalg import (
     AlgebraElement,
@@ -21,7 +24,8 @@ from gpdalg import (
     semigroup_algebra_iso,
     underlying_groupoid,
 )
-from gpdalg.groupoid import orbits
+from gpdalg.constructions import cyclic_table, symmetric_table
+from gpdalg.groupoid import associativity_generators, orbits
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -222,3 +226,49 @@ def test_oversized_semigroup_hits_the_budget():
         semigroup_algebra_iso(s, Q)
     # verdicts do not need the pairwise budget
     assert isg_verdicts(s, Q).semisimple
+
+
+def _outcome(build, elements, rows):
+    try:
+        s = build(elements, rows)
+    except ValueError as e:
+        return ("rejected", str(e))
+    return ("accepted", s.elements, s.table, s.star)
+
+
+def _tables():
+    i2 = partial_bijection_monoid()
+    semilattice = parse_isg((FIXTURES / "semilattice2.isg").read_text())
+    yield "i2", i2.elements, i2.table
+    yield "semilattice2", semilattice.elements, semilattice.table
+    yield "left_zero", ("a", "b"), ((0, 0), (1, 1))
+    yield "chain5", tuple(f"c{i}" for i in range(5)), tuple(
+        tuple(min(i, j) for j in range(5)) for i in range(5))
+    for name, t in (("Z4", cyclic_table(4)), ("S3", symmetric_table(3))):
+        yield name, tuple(f"g{i}" for i in range(t.size)), t.table
+
+
+def test_table_check_fails_exactly_as_the_ordered_scan():
+    rng = random.Random(20261018)
+    rejected_for_associativity = 0
+    for name, elements, table in _tables():
+        assert _outcome(InverseSemigroup.from_table, elements, table) == _outcome(
+            reference_inverse_semigroup, elements, table), name
+        n = len(elements)
+        changes = [(i, j, v) for i in range(n) for j in range(n) for v in range(n)
+                   if v != table[i][j]]
+        for i, j, v in rng.sample(changes, min(len(changes), 120)):
+            rows = [list(row) for row in table]
+            rows[i][j] = v
+            got = _outcome(InverseSemigroup.from_table, elements, rows)
+            assert got == _outcome(reference_inverse_semigroup, elements, rows), (name, i, j, v)
+            rejected_for_associativity += got[0] == "rejected" and got[1].startswith("associativity")
+    assert rejected_for_associativity > 100
+
+
+def test_table_check_certifies_a_large_group_on_two_generators():
+    n = 200
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert associativity_generators((0,) * n, (0,) * n, table, 1) == [0, 1]
+    s = InverseSemigroup.from_table([f"z{i}" for i in range(n)], table)
+    assert s.star == tuple((n - i) % n for i in range(n))

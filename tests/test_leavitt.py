@@ -50,7 +50,8 @@ from gpdalg import (
     verdicts,
     verify_leavitt_relations,
 )
-from gpdalg.leavitt import _attained_matrix_units
+from gpdalg.group_algebra import IndexMap
+from gpdalg.leavitt import _attained_matrix_units, _generator_matrices
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -351,12 +352,19 @@ def test_generator_images_match_the_arrow_by_arrow_reference():
             assert got.ghost == want.ghost, (name, ring)
 
 
+def _index_maps(images):
+    """Each generator image read as an index map, as
+    verify_leavitt_relations hands them to _attained_matrix_units."""
+    return {key: IndexMap.read(m) for key, m in _generator_matrices(images).items()}
+
+
 def test_matrix_unit_count_equals_the_closure_rank():
     for name, g in SPAN_GRAPHS:
         images = generator_images(g, Q)
         expected = sum(c * c for c in paths_to_sinks(g).values())
-        assert _attained_matrix_units(images) == expected, name
-        assert reference_attained_matrix_units(images) == expected, name
+        maps = _index_maps(images)
+        assert _attained_matrix_units(images, maps) == expected, name
+        assert reference_attained_matrix_units(images, maps) == expected, name
         assert reference_generated_dimension(images) == expected, name
 
 
@@ -378,7 +386,7 @@ def test_tampered_images_never_pass_where_the_closure_fails(monkeypatch):
                 images, "vertex", {sink: images.vertex[other], other: images.vertex[sink]}),
         }
         for kind, t in tampered.items():
-            attained = _attained_matrix_units(t)
+            attained = _attained_matrix_units(t, _index_maps(t))
             rank = reference_generated_dimension(t)
             assert attained < full, (name, kind)
             assert rank == full or attained < full, (name, kind)
@@ -406,13 +414,32 @@ def test_span_check_makes_at_most_2p_products(monkeypatch):
     for name, g in SPAN_GRAPHS + [("chain40", chain_graph(40))]:
         images = generator_images(g, Q)
         p = images.decomposition.boundary_count()
+        maps = _index_maps(images)
         calls = 0
         monkeypatch.setattr(BlockMatrix, "__mul__", counting_mul)
-        _attained_matrix_units(images)
+        _attained_matrix_units(images, maps)
         monkeypatch.undo()
         assert calls <= 2 * p, (name, calls, p)
         # a graph without edges needs no product: its paths are its sinks
         assert (calls > 0) == (g.edge_count > 0), (name, calls, p)
+
+
+def test_relation_verification_reads_each_image_once(monkeypatch):
+    real_read = IndexMap.read
+    reads = []
+
+    def counting_read(m):
+        reads.append(m)
+        return real_read(m)
+
+    monkeypatch.setattr(IndexMap, "read", staticmethod(counting_read))
+    for name, g in SPAN_GRAPHS:
+        reads.clear()
+        assert verify_leavitt_relations(g, Q).ok, name
+        # every generator image, 0 and 1 once, and the span check's one
+        # product multiplied in full when the graph has an edge
+        images = len(g.vertices) + 2 * g.edge_count
+        assert len(reads) == images + 2 + (g.edge_count > 0), name
 
 
 def test_relation_verification_has_a_boundary_path_budget(monkeypatch):
@@ -505,7 +532,8 @@ def test_tampered_images_fail_exactly_as_the_block_matrix_reference():
                     assert any(f.startswith("cycle word attains x") for f in report.failures), (
                         name, ring)
                 if ring == Q and not images.decomposition.has_cycle():
-                    assert _attained_matrix_units(t) == reference_path_unit_count(t), (name, kind)
+                    assert _attained_matrix_units(t, _index_maps(t)) == reference_path_unit_count(t), (
+                        name, kind)
     assert seen == {"swapped edges", "zero ghost", "coefficient 2", "two entries in a row",
                     "swapped vertices", "shifted cycle key"}
 
