@@ -1,6 +1,6 @@
 """Small exact linear algebra: one Gauss-Jordan over Q or GF(p), plus an
 integer determinant.  Everything works on lists of lists; sizes here
-are desk scale (at most 64), so clarity beats asymptotics.
+are desk scale (at most 96), so clarity beats asymptotics.
 
 The field is named by its characteristic p: p = 0 means Q (integer or
 `Fraction` input is accepted), and a prime p means GF(p), with `int`

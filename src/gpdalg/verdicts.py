@@ -17,25 +17,27 @@ radical_oracle() answers the semisimplicity question for the same
 algebra without using any of that structure: it works directly on the
 arrow basis of a validated finite groupoid.  Over Q the radical is the
 nullspace of the trace form of the left regular representation.  Over
-GF(p) the oracle searches for a nonzero element a whose right ideal aA
-is nilpotent; the search is exhaustive when p^dim is small, otherwise
-candidates come from an iterated trace-lift filtration (the classical
-radical algorithm over prime fields).  The filtration needs traces of
-powers of left multiplications, and since left multiplication L is a
-representation of the integer form of the algebra it reads them off
-algebra powers: Tr(L_z^q) = <tr, z^q>, with tr[c] the trace of left
-multiplication by arrow c.  Either way every nonzero answer
-is certified on the spot: the reported radical must be a nilpotent
-ideal and the witness must satisfy (aA)^k = 0, so a wrong "not
-semisimple" cannot escape.  A wrong "semisimple" cannot either: the
-radical is always contained in the trace-form kernel respectively the
-filtration result, and those coming out zero forces the radical to be
-zero.
+GF(p) it is the end of an iterated trace-lift filtration, the classical
+radical algorithm over prime fields (Ronyai 1990; Cohen, Ivanyos and
+Wales 1997), whose stage 0 is the same trace form read mod p.  The
+later stages need traces of powers of left multiplications, and since
+left multiplication L is a representation of the integer form of the
+algebra it reads them off algebra powers: Tr(L_z^q) = <tr, z^q>, with
+tr[c] the trace of left multiplication by arrow c.  Products walk only
+the nonzero entries of their factors.  When p^dim is small the answer
+is labelled "exhaustive" and reports the element an exhaustive sweep
+of GF(p)^dim would find first: the last row of the radical's reduced
+echelon basis (the sweep itself lives on in the test suite as a
+cross-check).  Either way every nonzero answer is certified on the
+spot: the reported radical must be a nilpotent ideal and the witness
+must satisfy (aA)^k = 0, so a wrong "not semisimple" cannot escape.
+A wrong "semisimple" cannot either: the radical is always contained in
+the trace-form kernel respectively the filtration result, and those
+coming out zero forces the radical to be zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
@@ -52,8 +54,8 @@ from .rings import (
 )
 
 ORACLE_DIMENSION_LIMIT_CHAR0 = 64
-ORACLE_DIMENSION_LIMIT_CHARP = 12
-_EXHAUSTIVE_LIMIT = 4096  # largest p**dim the element sweep will walk
+ORACLE_DIMENSION_LIMIT_CHARP = 96
+_EXHAUSTIVE_LIMIT = 4096  # largest p**dim "auto" reports as the element sweep
 
 CITE_BLOCK = "block reduction"
 CITE_CONNELL = "Connell"
@@ -152,7 +154,7 @@ class RadicalReport:
     witness: object          # AlgebraElement or None
     method: str
     dimension: int
-    radical_dimension: object  # int when the full radical was computed
+    radical_dimension: object  # int; None beside an "exhaustive" witness
 
 
 def _basis_products(g: FiniteGroupoid):
@@ -164,37 +166,46 @@ def _basis_products(g: FiniteGroupoid):
     return bp
 
 
-def _vec_mul(bp, u, v, d, p=0):
-    """u * v on the arrow basis, reduced mod p when p > 0: a prime for
-    GF(p), or the prime power p^(j+1) the trace-lift filtration works
-    modulo.  With p = 0 the entries are multiplied exactly: rationals
-    over Q, or the integer lifts the filtration starts from."""
-    out = [0] * d
-    for i, ui in enumerate(u):
-        if ui:
-            row = bp[i]
-            for j, vj in enumerate(v):
-                if vj:
-                    k = row[j]
-                    if k >= 0:
-                        out[k] += ui * vj
-    return [x % p for x in out] if p else out
+def _sparse(v):
+    """The nonzero entries of a dense vector, as (arrow, coefficient) pairs."""
+    return [(i, c) for i, c in enumerate(v) if c]
 
 
-def _unit_vectors(d):
-    for j in range(d):
-        e = [0] * d
-        e[j] = 1
-        yield e
+def _dense(pairs, d):
+    """The dense vector of length d with the given nonzero entries."""
+    v = [0] * d
+    for i, c in pairs:
+        v[i] = c
+    return v
+
+
+def _mul(bp, u, v, p=0):
+    """u * v on the arrow basis, with vectors given by their nonzero
+    entries as (arrow, coefficient) pairs, reduced mod p when p > 0: a
+    prime for GF(p), or the prime power p^(j+1) the trace-lift
+    filtration works modulo.  With p = 0 the entries are multiplied
+    exactly (rationals over Q).  Every product of two arrows is one
+    arrow or 0, so only pairs of nonzero entries cost anything."""
+    out = {}
+    for i, ui in u:
+        row = bp[i]
+        for j, vj in v:
+            k = row[j]
+            if k >= 0:
+                out[k] = out.get(k, 0) + ui * vj
+    if p:
+        return [(k, r) for k, x in out.items() if (r := x % p)]
+    return [(k, x) for k, x in out.items() if x]
 
 
 def _powers_vanish(bp, base, d, p):
     """base spans a subspace I with I*I inside I (echelon rows); is I
     nilpotent?  Take ideal powers until zero or stabilization."""
+    sparse_base = [_sparse(v) for v in base]
     current = base
     while current:
-        nxt = [_vec_mul(bp, u, v, d, p) for u in current for v in base]
-        reduced, _ = rref(nxt, p)
+        products = (_mul(bp, u, v, p) for u in map(_sparse, current) for v in sparse_base)
+        reduced, _ = rref([_dense(w, d) for w in products if w], p)
         if len(reduced) >= len(current):
             # no strict descent and still nonzero: never reaches zero
             return not reduced
@@ -205,7 +216,8 @@ def _powers_vanish(bp, base, d, p):
 def _right_ideal_nilpotent(bp, w, d, p=0):
     """Is the right ideal generated by w nilpotent over Q (p = 0) or
     GF(p)?  Exact: build a basis of wA, then take its powers."""
-    gens = [_vec_mul(bp, w, e, d, p) for e in _unit_vectors(d)]
+    sw = _sparse(w)
+    gens = [_dense(we, d) for we in (_mul(bp, sw, [(e, 1)], p) for e in range(d)) if we]
     gens.append(w)
     return _powers_vanish(bp, rref(gens, p)[0], d, p)
 
@@ -214,10 +226,11 @@ def _ideal_certified_nilpotent(bp, basis, d, p=0):
     """basis spans a subspace V; certify V is a two-sided ideal and
     nilpotent.  Used to vouch for every nonzero radical answer."""
     rows, piv = rref(basis, p)
-    for u in rows:
-        for e in _unit_vectors(d):
-            for vec in (_vec_mul(bp, e, u, d, p), _vec_mul(bp, u, e, d, p)):
-                if any(reduce(vec, rows, piv, p)):
+    for u in map(_sparse, rows):
+        for e in range(d):
+            # a product with one arrow gathers from bp: e*u reads row e
+            for vec in (_mul(bp, [(e, 1)], u, p), _mul(bp, u, [(e, 1)], p)):
+                if vec and any(reduce(_dense(vec, d), rows, piv, p)):
                     return False
     return _powers_vanish(bp, rows, d, p)
 
@@ -231,17 +244,17 @@ def _left_mult_trace(bp, d):
     return tr
 
 
-def _certified_radical(bp, radical, d, p=0):
+def _certified_radical(bp, radical, d, p=0, pick=0):
     """Turn a candidate radical basis into the oracle's answer, over Q
     (p = 0, the trace-form kernel) or GF(p) (the filtration result).
-    A nonzero answer must be a nilpotent ideal, and its first vector,
-    the witness, must generate a nilpotent right ideal."""
+    A nonzero answer must be a nilpotent ideal, and its vector at index
+    pick, the witness, must generate a nilpotent right ideal."""
     if not radical:
         return True, None, 0
     if not _ideal_certified_nilpotent(bp, radical, d, p):
         what = "filtration result" if p else "trace-form kernel"
         raise InternalCheckError(f"{what} is not a nilpotent ideal")
-    witness = radical[0]
+    witness = radical[pick]
     if not _right_ideal_nilpotent(bp, witness, d, p):
         raise InternalCheckError("radical witness fails the right-ideal check")
     return False, witness, len(radical)
@@ -265,90 +278,80 @@ def _radical_char0(g: FiniteGroupoid):
     return _certified_radical(bp, kernel(_trace_form(bp, d)), d)
 
 
-def _trace_of_power(bp, tr, z, q, d, mod):
-    """Tr(L_z^q) mod `mod` as <tr, z^q>, with z^q by repeated squaring."""
+def _trace_of_power(bp, tr, z, q, mod):
+    """Tr(L_z^q) mod `mod` as <tr, z^q>, with z (sparse) raised to the
+    power q by repeated squaring; a power that vanishes ends it early."""
     result = None
     base = z
     while q:
+        if not base:
+            return 0
         if q & 1:
-            result = base if result is None else _vec_mul(bp, result, base, d, mod)
+            result = base if result is None else _mul(bp, result, base, mod)
         q >>= 1
         if q:
-            base = _vec_mul(bp, base, base, d, mod)
-    return sum(t * x for t, x in zip(tr, result)) % mod
+            base = _mul(bp, base, base, mod)
+    return sum(tr[k] * x for k, x in result) % mod
 
 
 def _filtration_radical_modp(bp, d, p):
     """Iterated trace-lift filtration.  Stage 0 is the plain trace form
-    mod p; stage j reads Tr(L_z^q) = <tr, z^q> for q = p^j modulo
-    p^(j+1), with z the integer product of two basis vectors, divides
-    it by q and reads it mod p.  The radical is contained in every
-    stage, and the chain reaches it once p^stage covers the
-    dimension."""
+    mod p on the arrow basis, so it needs no products; stage j reads
+    Tr(L_z^q) = <tr, z^q> for q = p^j modulo p^(j+1), with z the
+    product of two basis vectors, divides it by q and reads it mod p.
+    Since Tr(L_(by)^q) = Tr(L_(yb)^q) over Z, every stage's matrix is
+    symmetric and only its upper triangle is computed.  The radical is
+    contained in every stage, and the chain reaches it once p^stage
+    covers the dimension."""
     tr = _left_mult_trace(bp, d)
     stages = 1
     while p ** stages < d:
         stages += 1
-    basis = [list(e) for e in _unit_vectors(d)]
-    for j in range(stages + 1):
+    basis, _ = rref(kernel(_trace_form(bp, d), p), p)
+    for j in range(1, stages + 1):
         if not basis:
             break
         q = p ** j
-        mod = p ** (j + 1)
-        rows = []
-        for y in basis:
-            row = []
-            for b in basis:
-                t = _trace_of_power(bp, tr, _vec_mul(bp, b, y, d), q, d, mod)
+        mod = q * p
+        sparse_basis = [_sparse(b) for b in basis]
+        n = len(basis)
+        rows = [[0] * n for _ in range(n)]
+        for r, y in enumerate(sparse_basis):
+            for c in range(r, n):
+                z = _mul(bp, sparse_basis[c], y, mod)
+                t = _trace_of_power(bp, tr, z, q, mod)
                 if t % q:
                     raise InternalCheckError("trace filtration divisibility failed")
-                row.append((t // q) % p)
-            rows.append(row)
-        coeff_kernel = kernel(rows, p)
+                rows[r][c] = rows[c][r] = (t // q) % p
         new_basis = []
-        for coeffs in coeff_kernel:
+        for coeffs in kernel(rows, p):
             vec = [0] * d
-            for c, b in zip(coeffs, basis):
-                if c:
-                    for idx in range(d):
-                        vec[idx] = (vec[idx] + c * b[idx]) % p
+            for cf, b in zip(coeffs, sparse_basis):
+                if cf:
+                    for idx, x in b:
+                        vec[idx] += cf * x
             new_basis.append(vec)
         basis, _ = rref(new_basis, p)
     return basis
 
 
 def _radical_charp(g: FiniteGroupoid, p: int, method: str):
+    """The certified filtration radical J over GF(p).  "exhaustive"
+    reports what a sweep of GF(p)^d in `itertools.product` order would
+    find first: in a unital algebra wA is nilpotent exactly when w lies
+    in J, and the first nonzero element of J in that order is the last
+    row of J's reduced echelon basis (its pivot is rightmost and 1)."""
     d = g.arrow_count
     bp = _basis_products(g)
+    if method == "exhaustive" and p ** d > _EXHAUSTIVE_LIMIT:
+        raise OracleBudgetError(
+            f"element sweep over GF({p})^{d} exceeds the oracle budget"
+        )
+    radical = _filtration_radical_modp(bp, d, p)
     if method == "exhaustive":
-        if p ** d > _EXHAUSTIVE_LIMIT:
-            raise OracleBudgetError(
-                f"element sweep over GF({p})^{d} exceeds the oracle budget"
-            )
-        for w in iter_product(range(p), repeat=d):
-            if not any(w):
-                continue
-            if not _nilpotent_element_modp(bp, list(w), d, p):
-                continue
-            if _right_ideal_nilpotent(bp, list(w), d, p):
-                return False, list(w), None
-        return True, None, 0
-    return _certified_radical(bp, _filtration_radical_modp(bp, d, p), d, p)
-
-
-def _nilpotent_element_modp(bp, w, d, p):
-    """Quick soundness filter: anything in the radical is nilpotent."""
-    current = w
-    steps = 0
-    limit = 1
-    while limit < d:
-        limit <<= 1
-        steps += 1
-    for _ in range(max(steps, 1)):
-        current = _vec_mul(bp, current, current, d, p)
-        if not any(current):
-            return True
-    return not any(current)
+        semisimple, witness, _ = _certified_radical(bp, radical, d, p, pick=-1)
+        return semisimple, witness, 0 if semisimple else None
+    return _certified_radical(bp, radical, d, p)
 
 
 def oracle_budget(ring: RingDescriptor):
@@ -364,10 +367,12 @@ def oracle_budget(ring: RingDescriptor):
 def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor, method: str = "auto") -> RadicalReport:
     """Decide semisimplicity of the groupoid algebra by brute force.
 
-    Supports Q (dimension up to 64) and GF(p) (dimension up to 12).
+    Supports Q (dimension up to 64) and GF(p) (dimension up to 96).
     The groupoid must already have passed validate().  method is
     "auto", "exhaustive", or "filtration"; the last two are GF(p)-only
-    and raise ValueError over Q.
+    and raise ValueError over Q.  Both compute the certified filtration
+    radical; "exhaustive" (what "auto" picks while p^dim <= 4096)
+    reports the element sweep's witness and no radical dimension.
     """
     d = g.arrow_count
     budget = oracle_budget(ring)

@@ -6,6 +6,7 @@ echo."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iter_product
 
 from gpdalg import (
     AlgebraElement,
@@ -33,7 +34,6 @@ from gpdalg.leavitt import (
 )
 from gpdalg.linalg import kernel, reduce, rref
 from gpdalg.rings import Rationals
-from gpdalg.verdicts import _unit_vectors, _vec_mul
 
 
 def groupoid_axiom_problems(g: FiniteGroupoid) -> list:
@@ -628,6 +628,83 @@ def reference_path_unit_count(images: GeneratorImages) -> int:
             cols += ghost[key] == BlockMatrix.matrix_unit(images.shape, bi, 0, r)
         attained += rows * cols
     return attained
+
+
+def _vec_mul(bp, u, v, d, p=0):
+    """u * v on the arrow basis for dense vectors, reduced mod p when
+    p > 0 (exact when p = 0): every pair of entries is visited."""
+    out = [0] * d
+    for i, ui in enumerate(u):
+        if ui:
+            row = bp[i]
+            for j, vj in enumerate(v):
+                if vj:
+                    k = row[j]
+                    if k >= 0:
+                        out[k] += ui * vj
+    return [x % p for x in out] if p else out
+
+
+def _unit_vectors(d):
+    for j in range(d):
+        e = [0] * d
+        e[j] = 1
+        yield e
+
+
+def _powers_vanish(bp, base, d, p):
+    """base spans a subspace I with I*I inside I (echelon rows); is I
+    nilpotent?  Take ideal powers until zero or stabilization."""
+    current = base
+    while current:
+        nxt = [_vec_mul(bp, u, v, d, p) for u in current for v in base]
+        reduced, _ = rref(nxt, p)
+        if len(reduced) >= len(current):
+            # no strict descent and still nonzero: never reaches zero
+            return not reduced
+        current = reduced
+    return True
+
+
+def _right_ideal_nilpotent(bp, w, d, p=0):
+    """Is the right ideal generated by w nilpotent over Q (p = 0) or
+    GF(p)?  Exact: build a basis of wA from d dense products, then take
+    its powers."""
+    gens = [_vec_mul(bp, w, e, d, p) for e in _unit_vectors(d)]
+    gens.append(w)
+    return _powers_vanish(bp, rref(gens, p)[0], d, p)
+
+
+def _nilpotent_element_modp(bp, w, d, p):
+    """Quick soundness filter: anything in the radical is nilpotent."""
+    current = w
+    steps = 0
+    limit = 1
+    while limit < d:
+        limit <<= 1
+        steps += 1
+    for _ in range(max(steps, 1)):
+        current = _vec_mul(bp, current, current, d, p)
+        if not any(current):
+            return True
+    return not any(current)
+
+
+def reference_exhaustive_radical(bp, d, p):
+    """The element sweep over GF(p)^d: walk every vector w in
+    `itertools.product` order (coordinate 0 most significant) and return
+    (False, w, None) for the first nonzero w whose right ideal wA is
+    nilpotent, or (True, None, 0) when there is none.  Costs p^d
+    candidates on a semisimple algebra; the package's "exhaustive"
+    method must give the same answer without the walk."""
+    for w in iter_product(range(p), repeat=d):
+        if not any(w):
+            continue
+        if not _nilpotent_element_modp(bp, list(w), d, p):
+            continue
+        if _right_ideal_nilpotent(bp, list(w), d, p):
+            return False, list(w), None
+    return True, None, 0
 
 
 def _matrix_power_trace_mod(m, q, mod, d):

@@ -13,7 +13,7 @@ import gpdalg.cli
 import gpdalg.groupoid
 import gpdalg.leavitt
 from gpdalg import render_graph, render_groupoid
-from gpdalg.constructions import pair_groupoid, product_with_group, symmetric_table
+from gpdalg.constructions import cyclic_table, pair_groupoid, product_with_group
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -183,8 +183,9 @@ def test_unsupported_oracle_ring_is_reported_not_failed():
 
 
 def test_oracle_budget_skip_is_visible(tmp_path):
-    big = product_with_group(pair_groupoid(["x", "y"]), symmetric_table(3))
-    path = tmp_path / "pair2_s3.gpd"
+    big = product_with_group(pair_groupoid(list("abcde")), cyclic_table(4))
+    assert big.arrow_count == 100
+    path = tmp_path / "pair5_z4.gpd"
     path.write_text(render_groupoid(big))
     r = run_cli("groupoid", str(path), "--ring", "GF(2)", "--verify", "--format", "machine")
     assert r.returncode == 0, r.stderr

@@ -1,14 +1,21 @@
 """Chain-condition verdicts against the brute-force radical oracle."""
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from corpus import groupoid_corpus
-from support import reference_filtration_radical, reference_kernel_q
+from support import (
+    reference_exhaustive_radical,
+    reference_filtration_radical,
+    reference_kernel_q,
+)
 
 import gpdalg.linalg
 
 from gpdalg import (
+    FiniteGroupoid,
     IntegerGroup,
     OracleBudgetError,
     OrbitSummary,
@@ -31,6 +38,8 @@ from gpdalg.constructions import (
 )
 from gpdalg.linalg import kernel, reduce, rref
 from gpdalg.verdicts import (
+    ORACLE_DIMENSION_LIMIT_CHARP,
+    _EXHAUSTIVE_LIMIT,
     _basis_products,
     _certified_radical,
     _filtration_radical_modp,
@@ -49,6 +58,9 @@ LQ = parse_ring_descriptor("Laurent(Q)")
 QxGF2 = parse_ring_descriptor("Product(Q, GF(2))")
 
 RING_BATTERY = (Q, Z, GF2, GF3, Z4, Z6, LQ, QxGF2)
+
+# the module, not the `verdicts` function the package exports under its name
+VERDICTS = importlib.import_module("gpdalg.verdicts")
 
 
 def _sg(g):
@@ -155,10 +167,17 @@ def test_oracle_agrees_with_verdicts_over_corpus():
         expected_q = verdicts(_sg(g), Q).semisimple
         if g.arrow_count <= 64:
             assert radical_oracle(g, Q).semisimple == expected_q, name
-        if g.arrow_count <= 12:
+        if g.arrow_count <= ORACLE_DIMENSION_LIMIT_CHARP:
             for ring in (GF2, GF3):
                 expected = verdicts(_sg(g), ring).semisimple
                 assert radical_oracle(g, ring).semisimple == expected, (name, ring)
+
+
+def _vector(element, d):
+    w = [0] * d
+    for a, c in element.coeffs:
+        w[a] = c.value
+    return w
 
 
 def test_exhaustive_and_filtration_methods_agree():
@@ -174,12 +193,10 @@ def test_exhaustive_and_filtration_methods_agree():
                 assert ex.radical_dimension == 0 == fi.radical_dimension
             else:
                 assert fi.radical_dimension >= 1
-                # the sweep's witness lies in the radical, and so inside
-                # the filtration result
+                # the exhaustive witness lies in the radical, and so
+                # inside the filtration result
                 p = ring.p
-                w = [0] * g.arrow_count
-                for a, c in ex.witness.coeffs:
-                    w[a] = c.value
+                w = _vector(ex.witness, g.arrow_count)
                 basis, pivots = rref(_filtration_radical_modp(_basis_products(g), g.arrow_count, p), p)
                 assert not any(reduce(w, basis, pivots, p)), (name, ring)
             checked += 1
@@ -206,6 +223,99 @@ def test_filtration_matches_the_matrix_power_reference():
     assert nonzero >= 10
 
 
+def _assert_matches_the_sweep(name, g, p):
+    """radical_oracle's "exhaustive" report is the element sweep's."""
+    ring = parse_ring_descriptor(f"GF({p})")
+    d = g.arrow_count
+    report = radical_oracle(g, ring)
+    semisimple, witness, radical_dimension = reference_exhaustive_radical(
+        _basis_products(g), d, p
+    )
+    assert report.method == "exhaustive", (name, p)
+    assert report.semisimple == semisimple, (name, p)
+    assert report.radical_dimension == radical_dimension, (name, p)
+    if witness is None:
+        assert report.witness is None, (name, p)
+    else:
+        assert _vector(report.witness, d) == witness, (name, p)
+    return semisimple
+
+
+def _sweepable(p, d):
+    return p ** d <= _EXHAUSTIVE_LIMIT
+
+
+def test_exhaustive_answer_is_the_element_sweeps_over_the_corpus():
+    checked = nonsemisimple = 0
+    for name, g in groupoid_corpus():
+        for p in (2, 3, 5, 7):
+            if _sweepable(p, g.arrow_count):
+                nonsemisimple += not _assert_matches_the_sweep(name, g, p)
+                checked += 1
+    assert checked >= 40 and nonsemisimple >= 13
+
+
+def _relabel_arrows(g, sigma):
+    """g with arrow i renamed and renumbered sigma[i]."""
+    n = g.arrow_count
+    at = [0] * n
+    for i, s in enumerate(sigma):
+        at[s] = i
+    return FiniteGroupoid.make(
+        g.objects,
+        [g.arrows[at[s]] for s in range(n)],
+        [g.dom[at[s]] for s in range(n)],
+        [g.cod[at[s]] for s in range(n)],
+        [None if e is None else sigma[e] for e in g.identity_of],
+        {(sigma[f], sigma[h]): sigma[k] for (f, h), k in g.comp},
+        [None if g.inv[at[s]] is None else sigma[g.inv[at[s]]] for s in range(n)],
+    )
+
+
+def test_exhaustive_witness_follows_a_relabeling_of_the_arrows():
+    """The sweep's witness depends on the arrow order; the last echelon
+    row of the radical must move with it."""
+    rng = random.Random(20261018)
+    moved = 0
+    for name, g in groupoid_corpus():
+        if not _sweepable(2, g.arrow_count) or g.arrow_count < 4:
+            continue
+        base = radical_oracle(g, GF2).witness
+        for _ in range(2):
+            sigma = list(range(g.arrow_count))
+            rng.shuffle(sigma)
+            h = _relabel_arrows(g, sigma)
+            for p in (2, 3):
+                if _sweepable(p, h.arrow_count):
+                    _assert_matches_the_sweep(f"{name} relabeled", h, p)
+            if base is not None:
+                w = radical_oracle(h, GF2).witness
+                moved += sorted(str(w).split(" + ")) != sorted(str(base).split(" + "))
+    assert moved >= 3
+
+
+def test_sweep_sized_input_is_answered_with_few_products(monkeypatch):
+    """pair(2) x Z3 over GF(2) is semisimple: the sweep walked all
+    4,095 nonzero elements; the filtration needs fewer than d^2 products."""
+    calls = []
+    product = VERDICTS._mul
+
+    def counting_mul(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(VERDICTS, "_mul", counting_mul)
+    g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(3))
+    d = g.arrow_count
+    assert d == 12
+    report = radical_oracle(g, GF2)
+    assert report.semisimple and report.method == "exhaustive"
+    assert 0 < len(calls) < d * d
+    calls.clear()
+    report = radical_oracle(product_with_group(pair_groupoid(["x", "y"]), symmetric_table(3)), Q)
+    assert report.semisimple and calls == []
+
+
 def test_filtration_radical_dimension_example():
     z3 = group_groupoid(cyclic_table(3))
     fi = radical_oracle(z3, GF3, method="filtration")
@@ -216,9 +326,10 @@ def test_oracle_budget_errors():
     pair9 = pair_groupoid([f"v{i}" for i in range(9)])
     with pytest.raises(OracleBudgetError):
         radical_oracle(pair9, Q)
-    pair4_z2 = product_with_group(pair_groupoid(list("abcd")), cyclic_table(2))
+    pair5_z4 = product_with_group(pair_groupoid(list("abcde")), cyclic_table(4))
+    assert pair5_z4.arrow_count == 100 > ORACLE_DIMENSION_LIMIT_CHARP
     with pytest.raises(OracleBudgetError):
-        radical_oracle(pair4_z2, GF2)
+        radical_oracle(pair5_z4, GF2)
     z6 = group_groupoid(cyclic_table(6))
     with pytest.raises(OracleBudgetError):
         radical_oracle(z6, GF5, method="exhaustive")
