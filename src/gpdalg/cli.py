@@ -13,7 +13,7 @@ which is a bug in this package; no traceback is printed.
 
 --verify re-derives every structural claim: the full isomorphism check
 for groupoids, the defining relations for graph algebras, the pairwise
-base-change check for inverse semigroups, and where the brute-force
+base-change check for inverse semigroups, and where the certified
 radical oracle supports the ring and the dimension fits its budget,
 an independent semisimplicity computation that must agree with the
 reported verdict.

@@ -1,4 +1,4 @@
-"""Chain-condition verdicts and the brute-force semisimplicity oracle.
+"""Chain-condition verdicts and the certified semisimplicity oracle.
 
 verdicts() reads facts off the block decomposition: the algebra of a
 finite groupoid is a finite product of matrix algebras over isotropy
@@ -365,7 +365,9 @@ def oracle_budget(ring: RingDescriptor):
 
 
 def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor, method: str = "auto") -> RadicalReport:
-    """Decide semisimplicity of the groupoid algebra by brute force.
+    """Decide semisimplicity of the groupoid algebra from its arrow
+    basis alone: the trace form over Q, the trace-lift filtration over
+    GF(p), each answer certified as described in the module docstring.
 
     Supports Q (dimension up to 64) and GF(p) (dimension up to 96).
     The groupoid must already have passed validate().  method is

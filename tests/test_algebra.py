@@ -15,6 +15,7 @@ from gpdalg import (
     AlgebraElement,
     BlockMatrix,
     FiniteGroupTable,
+    FiniteGroupoid,
     ParseError,
     Q,
     RingElement,
@@ -256,12 +257,42 @@ def _permute_group_table(d):
     return dataclasses.replace(d, shape=shape)
 
 
+def _swap_connecting(d):
+    # exchange the last two connecting arrows of the first orbit frame:
+    # arrow_position still follows the old frame, so the pairs pass and
+    # the round trips, which pull back along the frame, fail
+    target = next(i for i, orb in enumerate(d.orbit_frames) if len(orb.members) > 1)
+    frames = list(d.orbit_frames)
+    conn = list(frames[target].connecting)
+    conn[-1], conn[-2] = conn[-2], conn[-1]
+    frames[target] = dataclasses.replace(frames[target], connecting=tuple(conn))
+    return dataclasses.replace(d, orbit_frames=tuple(frames))
+
+
+def _merge_rows(d):
+    # send row and column 1 of the first block of size > 1 to 0: the
+    # object -> (block, row) map stays well defined but is no longer
+    # injective, so the certificate fails and every pair is scanned
+    target = next(bi for bi, (size, _) in enumerate(d.shape.blocks) if size > 1)
+    merge = {1: 0}
+    position = tuple(
+        (bi, merge.get(row, row), merge.get(col, col), key) if bi == target
+        else (bi, row, col, key)
+        for bi, row, col, key in d.arrow_position
+    )
+    return dataclasses.replace(d, arrow_position=position)
+
+
 @pytest.mark.parametrize("tamper, groupoid", [
     (_swap_arrows, "pair2"),
     (_swap_isotropy_keys, "pair2_S3"),
     (_swap_isotropy_keys, "pair2_u_Z2"),
     (_permute_group_table, "pair2_S3"),
     (_permute_group_table, "pair2Z2_u_Z4"),
+    (_swap_connecting, "pair2"),
+    (_swap_connecting, "pair3_Z2"),
+    (_merge_rows, "pair2"),
+    (_merge_rows, "pair2_u_pair3"),
 ])
 def test_tampered_decompositions_fail_exactly_as_the_reference(tamper, groupoid):
     g = _pair2() if groupoid == "pair2" else dict(groupoid_corpus())[groupoid]
@@ -286,9 +317,93 @@ def test_phi_runs_a_linear_number_of_times(monkeypatch):
     monkeypatch.setattr(gpdalg.algebra, "phi", counting_phi)
     report = verify_isomorphism(d)
     assert report.ok and report.total == 65 * 65
-    # one image per arrow, one per matrix-unit round trip, a few more for
-    # the unit and the object-path pair; d^2 = 4096 would mean per pair
-    assert len(calls) <= 2 * g.arrow_count + 8
+    # one image per arrow, a few more for the unit, the object-path pair
+    # and the first matrix-unit round trip; d^2 = 4096 would mean per pair
+    assert len(calls) <= g.arrow_count + 8
+
+
+def test_round_trips_run_a_constant_number_of_times_on_ring_elements(monkeypatch):
+    g = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), cyclic_table(4))
+    d = decompose(g, Q)
+    calls = []
+    real_phi_inv = gpdalg.algebra.phi_inv
+    real_matrix_unit = BlockMatrix.matrix_unit
+
+    def counting_phi_inv(*args):
+        calls.append("phi_inv")
+        return real_phi_inv(*args)
+
+    def counting_matrix_unit(*args):
+        calls.append("matrix_unit")
+        return real_matrix_unit(*args)
+
+    monkeypatch.setattr(gpdalg.algebra, "phi_inv", counting_phi_inv)
+    monkeypatch.setattr(BlockMatrix, "matrix_unit", staticmethod(counting_matrix_unit))
+    assert verify_isomorphism(d).ok
+    # the first round trip of each kind; 64 + 64 would mean one per basis vector
+    assert len(calls) <= 4
+
+
+def _counting_pairs(monkeypatch):
+    visits = []
+    real = gpdalg.algebra._pair_multiplicative
+
+    def counting(d, deltas, units, a, b):
+        visits.append((a, b))
+        return real(d, deltas, units, a, b)
+
+    monkeypatch.setattr(gpdalg.algebra, "_pair_multiplicative", counting)
+    return visits
+
+
+def _non_loop_first(g):
+    # the same groupoid with its first non-loop arrow renumbered to 0
+    first = next(a for a in range(g.arrow_count) if g.dom[a] != g.cod[a])
+    order = [first] + [a for a in range(g.arrow_count) if a != first]
+    new = {old: i for i, old in enumerate(order)}
+    return FiniteGroupoid.make(
+        g.objects,
+        [g.arrows[a] for a in order],
+        [g.dom[a] for a in order],
+        [g.cod[a] for a in order],
+        [None if a is None else new[a] for a in g.identity_of],
+        {(new[f], new[h]): new[k] for (f, h), k in g.comp},
+        [new[g.inv[a]] for a in order],
+    )
+
+
+@pytest.mark.parametrize("reorder", [False, True], ids=["loop_first", "non_loop_first"])
+def test_pair_phase_visits_only_composable_pairs(monkeypatch, reorder):
+    g = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), cyclic_table(4))
+    if reorder:
+        g = _non_loop_first(g)
+    n = g.arrow_count
+    visits = _counting_pairs(monkeypatch)
+    report = verify_isomorphism(decompose(g, Q))
+    assert report.ok and report.total == (n + 1) ** 2
+    composable = [(a, b) for a in range(n) for b in range(n) if g.dom[a] == g.cod[b]]
+    assert len(composable) == 1024
+    # the ring-level pair (0, 0) always runs, first, composable or not
+    assert visits == (composable if g.dom[0] == g.cod[0] else [(0, 0)] + composable)
+    assert len(visits) <= 1024 + 1
+
+
+def test_a_slot_map_that_is_not_injective_scans_every_pair(monkeypatch):
+    d = _merge_rows(decompose(dict(groupoid_corpus())["pair2_u_pair3"], Q))
+    n = d.groupoid.arrow_count
+    visits = _counting_pairs(monkeypatch)
+    assert not verify_isomorphism(d).ok
+    # the outcome itself is pinned by the tamper test against the reference
+    assert visits == list(itertools.product(range(n), repeat=2))
+
+
+def test_swapped_frame_fails_the_round_trips_only():
+    for name in ("pair2", "pair3_Z2"):
+        g = _pair2() if name == "pair2" else dict(groupoid_corpus())[name]
+        report = verify_isomorphism(_swap_connecting(decompose(g, Q)))
+        assert report.failures, name
+        assert all(f.startswith("phi_inv(phi(") or f.startswith("phi(phi_inv(")
+                   for f in report.failures), name
 
 
 
@@ -308,3 +423,25 @@ def test_images_that_are_not_single_units_take_the_object_path(monkeypatch):
     report = verify_isomorphism(d)
     assert not report.ok
     assert _outcome(report) == _outcome(reference_verify_isomorphism(d))
+
+
+@pytest.mark.parametrize("groupoid", ["pair2", "pair3_Z2"])
+def test_doubled_images_with_a_non_composable_sentinel_fail_as_the_reference(
+        monkeypatch, groupoid):
+    # arrow 0 is not a loop, so the ring-level pair (0, 0) is not
+    # composable; with no unit among the images every pair is scanned
+    g = _pair2() if groupoid == "pair2" else _non_loop_first(dict(groupoid_corpus())[groupoid])
+    assert g.dom[0] != g.cod[0]
+    real_phi = gpdalg.algebra.phi
+
+    def doubled_phi(d, f):
+        m = real_phi(d, f)
+        return m + m
+
+    monkeypatch.setattr(gpdalg.algebra, "phi", doubled_phi)
+    monkeypatch.setattr(support, "phi", doubled_phi)
+    for ring in (Q, GF2, Z6):
+        d = decompose(g, ring)
+        report = verify_isomorphism(d)
+        assert not report.ok
+        assert _outcome(report) == _outcome(reference_verify_isomorphism(d))

@@ -360,6 +360,21 @@ def test_groupoid_report_computes_orbits_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_linear_size_groupoid_verifies_every_pair(tmp_path, capsys):
+    # 500 objects, each with its identity alone: 500 arrows but only 500
+    # composable pairs, so the check need not walk all 250,000
+    n = 500
+    g = gpdalg.groupoid.FiniteGroupoid.make(
+        [f"o{i}" for i in range(n)], [f"id{i}" for i in range(n)],
+        range(n), range(n), range(n), {(i, i): i for i in range(n)}, range(n))
+    path = tmp_path / "discrete500.gpd"
+    path.write_text(render_groupoid(g))
+    code, out, err = _main_in_process(
+        capsys, "groupoid", str(path), "--ring", "Z", "--verify", "--format", "machine")
+    assert code == 0, err
+    assert "verified_pairs=251001/251001\n" in out
+
+
 @pytest.mark.parametrize("ring, graph, builds, oracle_line", [
     ("Z", "a3", 0, "oracle: unsupported (oracle handles Q and GF(p), not Z)\n"),
     ("Q", "chain9", 0, "oracle: skipped (dimension 81 beyond the oracle budget 64)\n"),
