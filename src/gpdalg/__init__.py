@@ -5,8 +5,9 @@ blocks over isotropy group algebras, decides Noetherian, Artinian, and
 semisimple for the result, and applies the same machinery to Leavitt
 path algebras of small graphs and to finite inverse semigroup
 algebras.  Every structural claim can be re-derived by exhaustive
-checks and, for semisimplicity, by an independent brute-force radical
-computation.
+checks and, for semisimplicity, by an independent radical oracle that
+reads only the arrow multiplication table: the trace form over Q, the
+trace-lift filtration over GF(p), each nonzero answer certified.
 """
 
 from .errors import (

@@ -52,7 +52,7 @@ from .groupoid import (
     Orbit,
     StructuredGroupoid,
     OrbitSummary,
-    isotropy,
+    orbit_isotropies,
     orbits,
     validate,
 )
@@ -212,7 +212,8 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
         head = "; ".join(str(v) for v in problems[:3])
         raise ValueError(f"not a groupoid ({len(problems)} violations): {head}")
     frames = orbits(g)
-    isotropies = tuple(isotropy(g, orb.members[0]) for orb in frames)
+    per_orbit = orbit_isotropies(g, frames)
+    isotropies = tuple(iso for _, iso in per_orbit)
     summaries = tuple(
         OrbitSummary(len(orb.members), iso.table)
         for orb, iso in zip(frames, isotropies)
@@ -221,12 +222,12 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
     shape = BlockShape(ring, tuple((s.size, s.isotropy) for s in summaries))
 
     position = [None] * g.arrow_count
-    for bi, (orb, iso) in enumerate(zip(frames, isotropies)):
+    for bi, (orb, (arrows, iso)) in enumerate(zip(frames, per_orbit)):
         member_pos = {m: i for i, m in enumerate(orb.members)}
         loop_pos = {a: i for i, a in enumerate(iso.arrows)}
-        for a in range(g.arrow_count):
+        for a in arrows:  # dom(a) is in orb
             y, z = g.dom[a], g.cod[a]
-            if y in member_pos and z in member_pos:
+            if z in member_pos:
                 conn_y = orb.connecting[member_pos[y]]
                 conn_z = orb.connecting[member_pos[z]]
                 loop = g.compose(g.inv[conn_z], g.compose(a, conn_y))

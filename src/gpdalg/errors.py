@@ -30,7 +30,8 @@ class LaurentOverflowError(ArithmeticError):
 
 
 class OracleBudgetError(RuntimeError):
-    """Input exceeds what the brute-force oracle is sized for."""
+    """Input exceeds the budget of a bounded check: the arrow count the
+    radical oracle takes, or the size limit of a pairwise verification."""
 
 
 class InternalCheckError(AssertionError):

@@ -236,6 +236,9 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
     for a in arrows:
         into[g.cod[a]].append(a)
         outof[g.dom[a]].append(a)
+    rows: list = [{} for _ in arrows]  # f -> {h: f after h}, every recorded entry
+    for (f, h), k in g.comp:
+        rows[f][h] = k
 
     def name(a):
         return g.arrows[a]
@@ -252,7 +255,7 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
             ))
 
     for (f, h), k in g.comp:
-        if not g.composable(f, h):
+        if g.dom[f] != g.cod[h]:
             out.append(Violation(
                 "composition-domain", (name(f), name(h)),
                 f"composition recorded for non-composable pair ({name(f)}, {name(h)})",
@@ -265,8 +268,9 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
             ))
 
     for f in arrows:
+        row = rows[f]
         for h in into[g.dom[f]]:
-            if g.compose(f, h) is None:
+            if h not in row:
                 out.append(Violation(
                     "composition-missing", (name(f), name(h)),
                     f"no composition declared for composable pair ({name(f)}, {name(h)})",
@@ -278,14 +282,14 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
             continue
         for f in sorted({*outof[x], *into[x]}):  # the arrows at x, in arrow order
             if g.dom[f] == x:
-                got = g.compose(f, e)
+                got = rows[f].get(e)
                 if got is not None and got != f:
                     out.append(Violation(
                         "identity-law", (name(f), name(e)),
                         f"{name(f)} after {name(e)} is {name(got)}, expected {name(f)}",
                     ))
             if g.cod[f] == x:
-                got = g.compose(e, f)
+                got = rows[e].get(f)
                 if got is not None and got != f:
                     out.append(Violation(
                         "identity-law", (name(e), name(f)),
@@ -294,14 +298,9 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
 
     # the checks above passing make composition total on composable
     # pairs with coherent spans, which is all the certificate needs
-    certified = False
-    if not out:
-        rows: list = [{} for _ in arrows]  # f -> {h: f after h}
-        for (f, h), k in g.comp:
-            rows[f][h] = k
-        certified = certify_associativity(g.dom, g.cod, rows, len(g.objects))
+    certified = not out and certify_associativity(g.dom, g.cod, rows, len(g.objects))
     if not certified:
-        out.extend(_associativity_scan(g, into))
+        out.extend(_associativity_scan(g, rows, into))
 
     for f in arrows:
         fi = g.inv[f]
@@ -316,12 +315,12 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
             continue
         e_dom = g.identity_of[g.dom[f]]
         e_cod = g.identity_of[g.cod[f]]
-        if e_dom is not None and g.compose(fi, f) not in (None, e_dom):
+        if e_dom is not None and rows[fi].get(f) not in (None, e_dom):
             out.append(Violation(
                 "inverse-law", (name(f),),
                 f"'{name(fi)}' after '{name(f)}' is not the identity at dom",
             ))
-        if e_cod is not None and g.compose(f, fi) not in (None, e_cod):
+        if e_cod is not None and rows[f].get(fi) not in (None, e_cod):
             out.append(Violation(
                 "inverse-law", (name(f),),
                 f"'{name(f)}' after '{name(fi)}' is not the identity at cod",
@@ -329,22 +328,23 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
     return out
 
 
-def _associativity_scan(g: FiniteGroupoid, into: list) -> list:
+def _associativity_scan(g: FiniteGroupoid, rows: list, into: list) -> list:
     """Associativity violations over every composable triple (f, h, k)
-    whose four composites are recorded, in arrow order."""
+    whose four composites are recorded in rows, in arrow order."""
     out: list = []
     name = g.arrows.__getitem__
     for f in range(g.arrow_count):
+        row_f = rows[f]
         for h in into[g.dom[f]]:
-            fh = g.compose(f, h)
+            fh = row_f.get(h)
             if fh is None:
                 continue
             for k in into[g.dom[h]]:
-                hk = g.compose(h, k)
+                hk = rows[h].get(k)
                 if hk is None:
                     continue
-                left = g.compose(fh, k)
-                right = g.compose(f, hk)
+                left = rows[fh].get(k)
+                right = row_f.get(hk)
                 if left is not None and right is not None and left != right:
                     out.append(Violation(
                         "associativity", (name(f), name(h), name(k)),
@@ -484,8 +484,13 @@ class IsotropyGroup:
 
 
 def isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:
+    return _isotropy(g, x, range(g.arrow_count))
+
+
+def _isotropy(g: FiniteGroupoid, x: int, arrows) -> IsotropyGroup:
+    """isotropy(g, x), with the loops at x looked for among arrows."""
     loops = sorted(
-        (a for a in range(g.arrow_count) if g.dom[a] == x and g.cod[a] == x),
+        (a for a in arrows if g.dom[a] == x and g.cod[a] == x),
         key=lambda a: g.arrows[a],
     )
     pos = {a: i for i, a in enumerate(loops)}
@@ -502,6 +507,24 @@ def isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:
         rows.append(row)
     table = FiniteGroupTable.from_table(rows)
     return IsotropyGroup(x, tuple(loops), table)
+
+
+def orbit_isotropies(g: FiniteGroupoid, frames: list) -> list:
+    """Per orbit of frames (the output of orbits): its arrows, in arrow
+    order, and the isotropy group at its basepoint.  The arrows are
+    grouped by the orbit of their domain in one pass, and each
+    basepoint's loops are looked for among its orbit's arrows only, so
+    the cost is linear in the arrows, not orbits x arrows."""
+    orbit_of: list = [None] * len(g.objects)
+    for bi, orb in enumerate(frames):
+        for m in orb.members:
+            orbit_of[m] = bi
+    groups: list = [[] for _ in frames]
+    for a in range(g.arrow_count):
+        bi = orbit_of[g.dom[a]]
+        if bi is not None:  # frames that miss an object leave its arrows out
+            groups[bi].append(a)
+    return [(arrows, _isotropy(g, orb.members[0], arrows)) for orb, arrows in zip(frames, groups)]
 
 
 @dataclass(frozen=True)
@@ -527,8 +550,8 @@ class StructuredGroupoid:
 
 
 def structured_from_finite(g: FiniteGroupoid) -> StructuredGroupoid:
+    frames = orbits(g)
     summaries = []
-    for orb in orbits(g):
-        iso = isotropy(g, orb.members[0])
+    for orb, (_, iso) in zip(frames, orbit_isotropies(g, frames)):
         summaries.append(OrbitSummary(len(orb.members), iso.table))
     return StructuredGroupoid(tuple(summaries))

@@ -783,29 +783,26 @@ def as_finite_groupoid(g: Graph):
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness) or gd.has_cycle():
         raise ValueError("graph has a cycle; its boundary-path groupoid is not finite")
-    names = []
-    orbit_of = []
-    for oi, orbit in enumerate(gd.orbits):
-        for bp in orbit.members:
-            names.append(render_path(g, bp))
-            orbit_of.append(oi)
-    pairs = [
-        (i, j)
-        for i in range(len(names))
-        for j in range(len(names))
-        if orbit_of[i] == orbit_of[j]
-    ]
-    aindex = {p: a for a, p in enumerate(pairs)}
-    arrows = [f"w{i}_{j}" for i, j in pairs]
-    dom = [j for _, j in pairs]
-    cod = [i for i, _ in pairs]
-    identity_of = [aindex[(i, i)] for i in range(len(names))]
-    inv = [aindex[(j, i)] for i, j in pairs]
+    names = [render_path(g, bp) for orbit in gd.orbits for bp in orbit.members]
+    arrows, dom, cod, inv = [], [], [], []
+    identity_of = [None] * len(names)
     comp = {}
-    for (i, j), a in aindex.items():
-        for k in range(len(names)):
-            if orbit_of[k] == orbit_of[j]:
-                comp[(a, aindex[(j, k)])] = aindex[(i, k)]
+    start = 0
+    for orbit in gd.orbits:
+        # the orbit's paths are contiguous, and so are its arrows, row by row
+        n = len(orbit.members)
+        paths = range(start, start + n)
+        offset = len(arrows) - start * (n + 1)  # w{i}_{j} is arrow offset + i*n + j
+        for i in paths:
+            identity_of[i] = offset + i * n + i
+            for j in paths:
+                arrows.append(f"w{i}_{j}")
+                dom.append(j)
+                cod.append(i)
+                inv.append(offset + j * n + i)
+                for k in paths:
+                    comp[(offset + i * n + j, offset + j * n + k)] = offset + i * n + k
+        start += n
     return FiniteGroupoid.make(names, arrows, dom, cod, identity_of, comp, inv)
 
 

@@ -1,6 +1,21 @@
-"""Small exact linear algebra: one Gauss-Jordan over Q or GF(p), plus an
-integer determinant.  Everything works on lists of lists; sizes here
-are desk scale (at most 96), so clarity beats asymptotics.
+"""Small exact linear algebra: one sparse elimination over Q or GF(p),
+plus an integer determinant.
+
+A sparse row (or vector) is a dict from column to its nonzero entry.
+The matrices here are mostly zero: the trace-form Gram matrix of a
+groupoid algebra has one nonzero entry per row, and products of arrow
+combinations stay short.  `echelon` reduces sparse rows in two steps:
+each input row is reduced forward against a map from pivot column to
+pivot row until its leading column carries no pivot (or it vanishes)
+and then joins the map; afterwards one back-substitution pass, from
+the rightmost pivot to the leftmost, clears every pivot column in the
+rows to its left.  Work is done only on nonzero entries.  The reduced
+row echelon form of a matrix is determined by its row space, so this
+order of elimination gives exactly the rows and pivots of a textbook
+Gauss-Jordan.  `sparse_kernel` reads the kernel off that echelon and
+`sparse_reduce` reduces a vector against echelon rows; `rref`, `kernel`
+and `reduce` are the same operations on lists of lists (dense rows),
+converted at the boundary.
 
 The field is named by its characteristic p: p = 0 means Q (integer or
 `Fraction` input is accepted), and a prime p means GF(p), with `int`
@@ -10,8 +25,10 @@ carry entries of the field's type: `Fraction` over Q, `int` over GF(p).
 Over Q the elimination runs fraction free on integer rows: each input
 row is scaled once by the lcm of its denominators, and each row update
 a*row_i - f*row_piv is divided by its content.  Every integer row is a
-nonzero multiple of the row a `Fraction` elimination would hold, so the
-pivots are the same; `Fraction` appears only when a result is read off.
+nonzero multiple of the row a `Fraction` elimination in the same order
+would hold, so the pivots are the same, and dividing each final row by
+its pivot entry gives the rref; `Fraction` appears only when a result
+is read off.
 """
 from __future__ import annotations
 
@@ -21,94 +38,151 @@ from math import gcd, lcm
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _mod(vec, p):
-    return [v % p for v in vec] if p else vec
+def _start_row(r, p):
+    """A copy of the sparse row r to eliminate on: entries mod p over
+    GF(p), zeros dropped; over Q r as it is when its entries are all
+    int, otherwise r times the lcm of its denominators."""
+    if p:
+        return {c: x for c, v in r.items() if (x := v % p)}
+    r = {c: v for c, v in r.items() if v}
+    if all(isinstance(v, int) for v in r.values()):
+        return r
+    den = lcm(*(v.denominator for v in r.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in r.items()}
 
 
-def _integer_row(r):
-    """r as it is when its entries are all int, otherwise r times the
-    lcm of its denominators."""
-    if all(isinstance(v, int) for v in r):
-        return list(r)
-    den = lcm(*(v.denominator for v in r))
-    return [v.numerator * (den // v.denominator) for v in r]
-
-
-def _primitive(r):
-    """r divided by its content, the gcd of its entries."""
-    g = gcd(*r)
-    return [v // g for v in r] if g > 1 else r
+def _eliminate(row, col, prow, p):
+    """row with its entry at col cleared by the pivot row prow: over
+    GF(p) prow has pivot entry 1 and row - f*prow is taken mod p; over
+    Q a*row - f*prow (a the pivot entry) is divided by its content."""
+    f = row.pop(col)
+    if p:
+        for c, x in prow.items():
+            if c != col:
+                v = (row.get(c, 0) - f * x) % p
+                if v:
+                    row[c] = v
+                else:
+                    row.pop(c, None)
+        return row
+    a = prow[col]
+    new = {c: a * v for c, v in row.items()} if a != 1 else row
+    for c, x in prow.items():
+        if c != col:
+            v = new.get(c, 0) - f * x
+            if v:
+                new[c] = v
+            else:
+                new.pop(c, None)
+    g = gcd(*new.values()) if new else 1
+    return {c: v // g for c, v in new.items()} if g > 1 else new
 
 
 def _echelon(rows, p):
-    """Gauss-Jordan elimination shared by rref and kernel.  Returns
-    (rows, pivot cols) with the zero rows dropped.  Over GF(p) the rows
-    are the rref; over Q they are integer rows, each a nonzero multiple
-    of the matching rref row (divide by its pivot entry to get it)."""
-    m = [[v % p for v in r] if p else _integer_row(r) for r in rows]
-    pivots = []
-    row = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        if p:
-            inv = pow(m[row][col], -1, p)
-            m[row] = _mod([v * inv for v in m[row]], p)
-        prow = m[row]
-        a = prow[col]
-        for i in range(len(m)):
-            if i != row and m[i][col]:
-                f = m[i][col]
-                new = [a * x - f * y for x, y in zip(m[i], prow)]
-                m[i] = _mod(new, p) if p else _primitive(new)
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m[:row], pivots
+    """The elimination behind every function here.  Returns (rows,
+    pivot cols), the pivots ascending and the zero rows dropped.  Over
+    GF(p) the rows are the rref; over Q they are integer rows, each a
+    nonzero multiple of the matching rref row (divide by its pivot
+    entry to get it)."""
+    pivot_row: dict = {}  # pivot column -> its row, leading at that column
+    for r in rows:
+        row = _start_row(r, p)
+        while row:
+            col = min(row)
+            prow = pivot_row.get(col)
+            if prow is None:
+                if p and row[col] != 1:
+                    inv = pow(row[col], -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                pivot_row[col] = row
+                break
+            row = _eliminate(row, col, prow, p)
+    pivots = sorted(pivot_row)
+    for col in reversed(pivots):
+        row = pivot_row[col]
+        # the rows right of col are reduced already, so clearing one of
+        # their pivots here brings in no other pivot column
+        for c in [c for c in row if c != col and c in pivot_row]:
+            row = _eliminate(row, c, pivot_row[c], p)
+        pivot_row[col] = row
+    return [pivot_row[c] for c in pivots], pivots
+
+
+def echelon(rows, p=0):
+    """Reduced row echelon form of sparse rows.  Returns (rref rows as
+    sparse rows, pivot cols).  Input rows are not mutated."""
+    reduced, pivots = _echelon(rows, p)
+    if not p:
+        reduced = [
+            {c: Fraction(v, r[piv]) for c, v in r.items()}
+            for r, piv in zip(reduced, pivots)
+        ]
+    return reduced, pivots
+
+
+def sparse_kernel(rows, ncols, p=0):
+    """Basis of {v : M v = 0} for the ncols-column matrix M given as
+    sparse rows, as sparse vectors: one per free column f of the rref,
+    with entry 1 at f and -rref[i][f] at the pivot of each row i."""
+    reduced, pivots = _echelon(rows, p)
+    pivot_set = set(pivots)
+    basis = {f: {f: 1 if p else _ONE} for f in range(ncols) if f not in pivot_set}
+    for r, c in zip(reduced, pivots):
+        for f, v in r.items():
+            if f != c:
+                basis[f][c] = -v % p if p else Fraction(-v, r[c])
+    return list(basis.values())
+
+
+def sparse_reduce(vec, rows, pivots, p=0):
+    """Residue of the sparse vector vec against echelon rows: each row
+    has entry 1 at its pivot and 0 at the pivots of the rows before it
+    (any rref qualifies).  The residue is empty exactly when vec lies in
+    the span of the rows.  vec is not mutated."""
+    v = {c: x for c, y in vec.items() if (x := y % p if p else y)}
+    for r, c in zip(rows, pivots):
+        f = v.get(c)
+        if f:
+            for k, x in r.items():
+                y = v.get(k, 0) - f * x
+                if p:
+                    y %= p
+                if y:
+                    v[k] = y
+                else:
+                    v.pop(k, None)
+    return v
+
+
+def _sparse_rows(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _dense_rows(rows, ncols, zero):
+    return [[r.get(c, zero) for c in range(ncols)] for r in rows]
 
 
 def rref(rows, p=0):
-    """Reduced row echelon form.  Returns (rref rows, pivot cols).
-    Input rows are not mutated."""
-    m, pivots = _echelon(rows, p)
-    if not p:
-        m = [[Fraction(v, r[c]) for v in r] for r, c in zip(m, pivots)]
-    return m, pivots
+    """Reduced row echelon form of dense rows.  Returns (rref rows,
+    pivot cols).  Input rows are not mutated."""
+    reduced, pivots = echelon(_sparse_rows(rows), p)
+    return _dense_rows(reduced, len(rows[0]) if rows else 0, 0 if p else _ZERO), pivots
 
 
 def kernel(rows, p=0):
-    """Basis of {v : M v = 0}, for M given as rows (one vector per free
-    column of the rref)."""
+    """Basis of {v : M v = 0}, for M given as dense rows (one vector per
+    free column of the rref)."""
     if not rows:
         return []
     ncols = len(rows[0])
-    reduced, pivots = _echelon(rows, p)
-    zero, one = (0, 1) if p else (_ZERO, _ONE)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, c in zip(reduced, pivots):
-            v[c] = -r[f] % p if p else Fraction(-r[f], r[c])
-        basis.append(v)
-    return basis
+    return _dense_rows(sparse_kernel(_sparse_rows(rows), ncols, p), ncols, 0 if p else _ZERO)
 
 
 def reduce(vec, rows, pivots, p=0):
-    """Residue of vec against echelon rows: each row has entry 1 at its
-    pivot and 0 at the pivots of the rows before it (any rref qualifies).
-    The residue is zero exactly when vec lies in the span of the rows."""
-    v = _mod(list(vec), p)
-    for r, c in zip(rows, pivots):
-        if v[c]:
-            f = v[c]
-            v = _mod([a - f * b for a, b in zip(v, r)], p)
-    return v
+    """sparse_reduce on a dense vector and dense echelon rows: the
+    residue is all zeros exactly when vec lies in the span of the rows."""
+    v = sparse_reduce(dict(enumerate(vec)), _sparse_rows(rows), pivots, p)
+    return [v.get(c, 0 if p else _ZERO) for c in range(len(vec))]
 
 
 def int_det(rows) -> int:

@@ -23,8 +23,12 @@ Wales 1997), whose stage 0 is the same trace form read mod p.  The
 later stages need traces of powers of left multiplications, and since
 left multiplication L is a representation of the integer form of the
 algebra it reads them off algebra powers: Tr(L_z^q) = <tr, z^q>, with
-tr[c] the trace of left multiplication by arrow c.  Products walk only
-the nonzero entries of their factors.  When p^dim is small the answer
+tr[c] the trace of left multiplication by arrow c.  The trace form is
+read off the composition entries alone (one nonzero per Gram row for a
+groupoid), vectors are sparse (dicts from arrow to nonzero
+coefficient), products walk only the nonzero entries of their factors
+and the elimination (`linalg.echelon`) only the nonzero entries of its
+rows.  When p^dim is small the answer
 is labelled "exhaustive" and reports the element an exhaustive sweep
 of GF(p)^dim would find first: the last row of the radical's reduced
 echelon basis (the sweep itself lives on in the test suite as a
@@ -43,7 +47,7 @@ from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
 from .group_algebra import BlockShape, IntegerGroup
 from .groupoid import FiniteGroupoid, StructuredGroupoid
-from .linalg import kernel, reduce, rref
+from .linalg import echelon, sparse_kernel, sparse_reduce
 from .rings import (
     GaloisField,
     Rationals,
@@ -167,45 +171,44 @@ def _basis_products(g: FiniteGroupoid):
 
 
 def _sparse(v):
-    """The nonzero entries of a dense vector, as (arrow, coefficient) pairs."""
-    return [(i, c) for i, c in enumerate(v) if c]
+    """The nonzero entries of a dense vector, as a sparse vector."""
+    return {i: c for i, c in enumerate(v) if c}
 
 
-def _dense(pairs, d):
-    """The dense vector of length d with the given nonzero entries."""
+def _dense(vec, d):
+    """The dense vector of length d with the entries of a sparse one."""
     v = [0] * d
-    for i, c in pairs:
+    for i, c in vec.items():
         v[i] = c
     return v
 
 
 def _mul(bp, u, v, p=0):
-    """u * v on the arrow basis, with vectors given by their nonzero
-    entries as (arrow, coefficient) pairs, reduced mod p when p > 0: a
-    prime for GF(p), or the prime power p^(j+1) the trace-lift
-    filtration works modulo.  With p = 0 the entries are multiplied
-    exactly (rationals over Q).  Every product of two arrows is one
-    arrow or 0, so only pairs of nonzero entries cost anything."""
+    """u * v on the arrow basis, for sparse vectors (dicts from arrow to
+    nonzero coefficient), reduced mod p when p > 0: a prime for GF(p),
+    or the prime power p^(j+1) the trace-lift filtration works modulo.
+    With p = 0 the entries are multiplied exactly (rationals over Q).
+    Every product of two arrows is one arrow or 0, so only pairs of
+    nonzero entries cost anything."""
     out = {}
-    for i, ui in u:
+    for i, ui in u.items():
         row = bp[i]
-        for j, vj in v:
+        for j, vj in v.items():
             k = row[j]
             if k >= 0:
                 out[k] = out.get(k, 0) + ui * vj
     if p:
-        return [(k, r) for k, x in out.items() if (r := x % p)]
-    return [(k, x) for k, x in out.items() if x]
+        return {k: r for k, x in out.items() if (r := x % p)}
+    return {k: x for k, x in out.items() if x}
 
 
-def _powers_vanish(bp, base, d, p):
-    """base spans a subspace I with I*I inside I (echelon rows); is I
-    nilpotent?  Take ideal powers until zero or stabilization."""
-    sparse_base = [_sparse(v) for v in base]
+def _powers_vanish(bp, base, p):
+    """base spans a subspace I with I*I inside I (sparse echelon rows);
+    is I nilpotent?  Take ideal powers until zero or stabilization."""
     current = base
     while current:
-        products = (_mul(bp, u, v, p) for u in map(_sparse, current) for v in sparse_base)
-        reduced, _ = rref([_dense(w, d) for w in products if w], p)
+        products = (_mul(bp, u, v, p) for u in current for v in base)
+        reduced, _ = echelon([w for w in products if w], p)
         if len(reduced) >= len(current):
             # no strict descent and still nonzero: never reaches zero
             return not reduced
@@ -214,34 +217,27 @@ def _powers_vanish(bp, base, d, p):
 
 
 def _right_ideal_nilpotent(bp, w, d, p=0):
-    """Is the right ideal generated by w nilpotent over Q (p = 0) or
-    GF(p)?  Exact: build a basis of wA, then take its powers."""
+    """Is the right ideal generated by the dense vector w nilpotent over
+    Q (p = 0) or GF(p)?  Exact: build a basis of wA, then take its
+    powers."""
     sw = _sparse(w)
-    gens = [_dense(we, d) for we in (_mul(bp, sw, [(e, 1)], p) for e in range(d)) if we]
-    gens.append(w)
-    return _powers_vanish(bp, rref(gens, p)[0], d, p)
+    gens = [we for we in (_mul(bp, sw, {e: 1}, p) for e in range(d)) if we]
+    gens.append(sw)
+    return _powers_vanish(bp, echelon(gens, p)[0], p)
 
 
 def _ideal_certified_nilpotent(bp, basis, d, p=0):
-    """basis spans a subspace V; certify V is a two-sided ideal and
-    nilpotent.  Used to vouch for every nonzero radical answer."""
-    rows, piv = rref(basis, p)
-    for u in map(_sparse, rows):
+    """basis (dense vectors) spans a subspace V; certify V is a
+    two-sided ideal and nilpotent.  Used to vouch for every nonzero
+    radical answer."""
+    rows, piv = echelon([_sparse(v) for v in basis], p)
+    for u in rows:
         for e in range(d):
             # a product with one arrow gathers from bp: e*u reads row e
-            for vec in (_mul(bp, [(e, 1)], u, p), _mul(bp, u, [(e, 1)], p)):
-                if vec and any(reduce(_dense(vec, d), rows, piv, p)):
+            for vec in (_mul(bp, {e: 1}, u, p), _mul(bp, u, {e: 1}, p)):
+                if vec and sparse_reduce(vec, rows, piv, p):
                     return False
-    return _powers_vanish(bp, rows, d, p)
-
-
-def _left_mult_trace(bp, d):
-    """tr[c] = trace of left multiplication by arrow c."""
-    tr = [0] * d
-    for c in range(d):
-        row = bp[c]
-        tr[c] = sum(1 for k in range(d) if row[k] == k)
-    return tr
+    return _powers_vanish(bp, rows, p)
 
 
 def _certified_radical(bp, radical, d, p=0, pick=0):
@@ -260,22 +256,39 @@ def _certified_radical(bp, radical, d, p=0, pick=0):
     return False, witness, len(radical)
 
 
-def _trace_form(bp, d):
-    """Integer Gram matrix of the trace form: entry (i, j) is the trace
-    of left multiplication by the product of arrows i and j."""
-    tr = _left_mult_trace(bp, d)
-    return [[tr[k] if k >= 0 else 0 for k in row] for row in bp]
+def _trace_form(comp, d):
+    """The trace form on the arrow basis, read off the composition
+    entries ((i, j), k) alone (k = arrow i after arrow j).  Returns
+    (tr, gram): tr[i] is the trace of left multiplication by arrow i,
+    the number of entries with k = j, and gram, the integer Gram matrix
+    as sparse rows, holds the trace of left multiplication by the
+    product of arrows i and j, tr[k], at row i and column j.  Only the
+    entries of the table are read; no d x d table is built."""
+    tr = [0] * d
+    for (i, j), k in comp:
+        if k == j:
+            tr[i] += 1
+    gram = [{} for _ in range(d)]
+    for (i, j), k in comp:
+        if tr[k]:
+            gram[i][j] = tr[k]
+    return tr, gram
 
 
 def _radical_char0(g: FiniteGroupoid):
     """Nullspace of the trace form, exact over Q.  The Gram matrix holds
-    integers and `kernel` eliminates it fraction free, so `Fraction`
-    entries appear only in the kernel vectors.  In characteristic zero
-    this nullspace is the radical; both inclusions are rechecked at
-    runtime (witness ideals must be nilpotent)."""
+    integers and `sparse_kernel` eliminates it fraction free on its
+    nonzero entries (one per row for a groupoid), so `Fraction` entries
+    appear only in the kernel vectors.  In characteristic zero this
+    nullspace is the radical; both inclusions are rechecked at runtime
+    (witness ideals must be nilpotent), and the products table the
+    certificate multiplies with is built only when the kernel is
+    nonzero."""
     d = g.arrow_count
-    bp = _basis_products(g)
-    return _certified_radical(bp, kernel(_trace_form(bp, d)), d)
+    radical = sparse_kernel(_trace_form(g.comp, d)[1], d)
+    if not radical:
+        return True, None, 0
+    return _certified_radical(_basis_products(g), [_dense(v, d) for v in radical], d)
 
 
 def _trace_of_power(bp, tr, z, q, mod):
@@ -291,48 +304,49 @@ def _trace_of_power(bp, tr, z, q, mod):
         q >>= 1
         if q:
             base = _mul(bp, base, base, mod)
-    return sum(tr[k] * x for k, x in result) % mod
+    return sum(tr[k] * x for k, x in result.items()) % mod
 
 
-def _filtration_radical_modp(bp, d, p):
-    """Iterated trace-lift filtration.  Stage 0 is the plain trace form
-    mod p on the arrow basis, so it needs no products; stage j reads
-    Tr(L_z^q) = <tr, z^q> for q = p^j modulo p^(j+1), with z the
-    product of two basis vectors, divides it by q and reads it mod p.
-    Since Tr(L_(by)^q) = Tr(L_(yb)^q) over Z, every stage's matrix is
-    symmetric and only its upper triangle is computed.  The radical is
-    contained in every stage, and the chain reaches it once p^stage
-    covers the dimension."""
-    tr = _left_mult_trace(bp, d)
+def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
+    """Iterated trace-lift filtration, on sparse vectors.  Stage 0 is
+    the plain trace form mod p on the arrow basis (`_trace_form`), so
+    it needs no products; stage j reads Tr(L_z^q) = <tr, z^q> for
+    q = p^j modulo p^(j+1), with z the product of two basis vectors,
+    divides it by q and reads it mod p.  Since Tr(L_(by)^q) =
+    Tr(L_(yb)^q) over Z, every stage's matrix is symmetric and only its
+    upper triangle is computed.  The radical is contained in every
+    stage, and the chain reaches it once p^stage covers the dimension.
+    Returns the radical's reduced echelon basis as dense vectors."""
+    d = g.arrow_count
+    tr, gram = _trace_form(g.comp, d)
     stages = 1
     while p ** stages < d:
         stages += 1
-    basis, _ = rref(kernel(_trace_form(bp, d), p), p)
+    basis, _ = echelon(sparse_kernel(gram, d, p), p)
     for j in range(1, stages + 1):
         if not basis:
             break
         q = p ** j
         mod = q * p
-        sparse_basis = [_sparse(b) for b in basis]
         n = len(basis)
-        rows = [[0] * n for _ in range(n)]
-        for r, y in enumerate(sparse_basis):
+        rows = [{} for _ in range(n)]
+        for r, y in enumerate(basis):
             for c in range(r, n):
-                z = _mul(bp, sparse_basis[c], y, mod)
+                z = _mul(bp, basis[c], y, mod)
                 t = _trace_of_power(bp, tr, z, q, mod)
                 if t % q:
                     raise InternalCheckError("trace filtration divisibility failed")
-                rows[r][c] = rows[c][r] = (t // q) % p
+                if x := (t // q) % p:
+                    rows[r][c] = rows[c][r] = x
         new_basis = []
-        for coeffs in kernel(rows, p):
-            vec = [0] * d
-            for cf, b in zip(coeffs, sparse_basis):
-                if cf:
-                    for idx, x in b:
-                        vec[idx] += cf * x
+        for coeffs in sparse_kernel(rows, n, p):
+            vec = {}
+            for b, cf in coeffs.items():
+                for idx, x in basis[b].items():
+                    vec[idx] = vec.get(idx, 0) + cf * x
             new_basis.append(vec)
-        basis, _ = rref(new_basis, p)
-    return basis
+        basis, _ = echelon(new_basis, p)
+    return [_dense(b, d) for b in basis]
 
 
 def _radical_charp(g: FiniteGroupoid, p: int, method: str):
@@ -347,7 +361,7 @@ def _radical_charp(g: FiniteGroupoid, p: int, method: str):
         raise OracleBudgetError(
             f"element sweep over GF({p})^{d} exceeds the oracle budget"
         )
-    radical = _filtration_radical_modp(bp, d, p)
+    radical = _filtration_radical_modp(g, bp, p)
     if method == "exhaustive":
         semisimple, witness, _ = _certified_radical(bp, radical, d, p, pick=-1)
         return semisimple, witness, 0 if semisimple else None

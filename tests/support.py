@@ -19,8 +19,9 @@ from gpdalg import (
     phi_inv,
 )
 from gpdalg.errors import InternalCheckError
-from gpdalg.groupoid import Violation
+from gpdalg.groupoid import Violation, isotropy, orbits
 from gpdalg.leavitt import (
+    ExitWitness,
     GeneratorImages,
     Graph,
     Lasso,
@@ -31,6 +32,7 @@ from gpdalg.leavitt import (
     is_arrow,
     path_start,
     prepend_edge,
+    render_path,
 )
 from gpdalg.linalg import kernel, reduce, rref
 from gpdalg.rings import Rationals
@@ -628,6 +630,70 @@ def reference_path_unit_count(images: GeneratorImages) -> int:
             cols += ghost[key] == BlockMatrix.matrix_unit(images.shape, bi, 0, r)
         attained += rows * cols
     return attained
+
+
+def reference_orbit_layout(g: FiniteGroupoid):
+    """(isotropies, arrow positions) of decompose, with every orbit
+    scanning every arrow: the isotropy group at each basepoint from
+    groupoid.isotropy, which scans all arrows for its loops, and each
+    arrow's (block, row, col, isotropy key) from the orbit that holds
+    both of its ends."""
+    frames = orbits(g)
+    isotropies = tuple(isotropy(g, orb.members[0]) for orb in frames)
+    position = [None] * g.arrow_count
+    for bi, (orb, iso) in enumerate(zip(frames, isotropies)):
+        member_pos = {m: i for i, m in enumerate(orb.members)}
+        loop_pos = {a: i for i, a in enumerate(iso.arrows)}
+        for a in range(g.arrow_count):
+            y, z = g.dom[a], g.cod[a]
+            if y in member_pos and z in member_pos:
+                conn_y = orb.connecting[member_pos[y]]
+                conn_z = orb.connecting[member_pos[z]]
+                loop = g.compose(g.inv[conn_z], g.compose(a, conn_y))
+                position[a] = (bi, member_pos[z], member_pos[y], loop_pos[loop])
+    return isotropies, tuple(position)
+
+
+def reference_as_finite_groupoid(g: Graph) -> FiniteGroupoid:
+    """leavitt.as_finite_groupoid as a filter over all pairs: every pair
+    (i, j) of boundary paths is tested for a shared orbit, and so is
+    every third path k of each composite."""
+    gd = graph_groupoid(g)
+    if isinstance(gd, ExitWitness) or gd.has_cycle():
+        raise ValueError("graph has a cycle; its boundary-path groupoid is not finite")
+    names = []
+    orbit_of = []
+    for oi, orbit in enumerate(gd.orbits):
+        for bp in orbit.members:
+            names.append(render_path(g, bp))
+            orbit_of.append(oi)
+    pairs = [
+        (i, j)
+        for i in range(len(names))
+        for j in range(len(names))
+        if orbit_of[i] == orbit_of[j]
+    ]
+    aindex = {p: a for a, p in enumerate(pairs)}
+    arrows = [f"w{i}_{j}" for i, j in pairs]
+    dom = [j for _, j in pairs]
+    cod = [i for i, _ in pairs]
+    identity_of = [aindex[(i, i)] for i in range(len(names))]
+    inv = [aindex[(j, i)] for i, j in pairs]
+    comp = {}
+    for (i, j), a in aindex.items():
+        for k in range(len(names)):
+            if orbit_of[k] == orbit_of[j]:
+                comp[(a, aindex[(j, k)])] = aindex[(i, k)]
+    return FiniteGroupoid.make(names, arrows, dom, cod, identity_of, comp, inv)
+
+
+def reference_trace_form(bp, d):
+    """The integer Gram matrix of the trace form as d dense rows, from a
+    d x d products table (bp[i][j] = index of arrow i after arrow j, or
+    -1): tr[c] counts the k with c k = k along row c of the table, and
+    entry (i, j) is tr of the product of i and j, or 0."""
+    tr = [sum(1 for k in range(d) if bp[c][k] == k) for c in range(d)]
+    return [[tr[k] if k >= 0 else 0 for k in row] for row in bp]
 
 
 def _vec_mul(bp, u, v, d, p=0):

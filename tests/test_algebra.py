@@ -445,3 +445,19 @@ def test_doubled_images_with_a_non_composable_sentinel_fail_as_the_reference(
         report = verify_isomorphism(d)
         assert not report.ok
         assert _outcome(report) == _outcome(reference_verify_isomorphism(d))
+
+
+def _discrete(n):
+    """n objects, each with its identity alone."""
+    return FiniteGroupoid.make(
+        [f"o{i}" for i in range(n)], [f"id{i}" for i in range(n)],
+        range(n), range(n), range(n), {(i, i): i for i in range(n)}, range(n))
+
+
+def test_decompose_lays_out_every_orbit_as_the_all_arrow_scan():
+    """Grouping the arrows by orbit once gives the isotropy tables and
+    arrow positions of scanning every arrow for every orbit."""
+    cases = groupoid_corpus() + [("discrete40", _discrete(40))]
+    for name, g in cases:
+        d = decompose(g, Q)
+        assert (d.isotropies, d.arrow_position) == support.reference_orbit_layout(g), name

@@ -9,6 +9,7 @@ import pytest
 from corpus import chain_graph, graph_corpus, in_tree_graph
 from support import (
     paths_to_sinks,
+    reference_as_finite_groupoid,
     reference_attained_matrix_units,
     reference_generated_dimension,
     reference_generator_images,
@@ -582,3 +583,19 @@ def test_checks_that_meet_an_image_that_is_not_a_map_multiply_in_full(
     monkeypatch.undo()
     assert len(calls) == products
     assert _outcome(report) == _outcome(reference_verify_leavitt_relations(g, ring, doubled))
+
+
+def test_materialized_groupoid_is_the_all_pairs_reference():
+    graphs = [(name, g) for name, g, _ in graph_corpus()]
+    graphs += [("chain8", chain_graph(8)), ("in_tree7", in_tree_graph(7))]
+    built = 0
+    for name, g in graphs:
+        try:
+            expected = reference_as_finite_groupoid(g)
+        except ValueError:
+            with pytest.raises(ValueError):
+                as_finite_groupoid(g)
+            continue
+        assert as_finite_groupoid(g) == expected, name
+        built += 1
+    assert built >= 10

@@ -13,8 +13,8 @@ from corpus import chain_graph, groupoid_corpus, in_tree_graph
 from support import reference_kernel_q, reference_rref_q
 
 from gpdalg.leavitt import as_finite_groupoid
-from gpdalg.linalg import int_det, kernel, reduce, rref
-from gpdalg.verdicts import _basis_products, _trace_form
+from gpdalg.linalg import echelon, int_det, kernel, reduce, rref, sparse_kernel, sparse_reduce
+from gpdalg.verdicts import _trace_form
 
 FIELDS = [0, 2, 3, 5, 7]
 SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (2, 6), (6, 2), (4, 5), (6, 6)]
@@ -115,7 +115,8 @@ def test_rref_kernel_and_reduce_properties(p, seed):
 
 
 def _gram(g):
-    return _trace_form(_basis_products(g), g.arrow_count)
+    d = g.arrow_count
+    return [[row.get(j, 0) for j in range(d)] for row in _trace_form(g.comp, d)[1]]
 
 
 def _q_reference_inputs():
@@ -137,3 +138,63 @@ def test_q_elimination_matches_the_fraction_reference():
         basis = kernel(rows)
         assert basis == reference_kernel_q(rows)
         assert all(type(v) is Fraction for vec in reduced + basis for v in vec)
+
+
+def _sparse_rows(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _densify(vectors, n, p):
+    zero = 0 if p else Fraction(0)
+    return [[v.get(c, zero) for c in range(n)] for v in vectors]
+
+
+def _edge_cases(p):
+    """Zero rows, duplicate rows and all-zero columns, inside a matrix
+    and at its ends."""
+    rng = random.Random(500 + p)
+    base = [[_entry(rng, p) or 1 for _ in range(4)] for _ in range(3)]
+    return [
+        [[0] * 4],
+        [[0] * 4 for _ in range(3)],
+        base + base,
+        [r[:1] + [0] + r[1:] + [0] for r in base],
+        [[0, 0] + r for r in base[:2] + [[0] * 4] + base[:1]],
+    ]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_sparse_elimination_matches_the_dense_functions(p):
+    rng = random.Random(2000 + p)
+    inputs = _matrices(p, 0) + _matrices(p, 1) + _edge_cases(p)
+    if not p:
+        inputs += [[[Fraction(v).numerator for v in r] for r in rows] for rows in inputs]
+    for rows in inputs:
+        n = len(rows[0])
+        sparse = _sparse_rows(rows)
+        before = copy.deepcopy(sparse)
+        reduced, pivots = echelon(sparse, p)
+        basis = sparse_kernel(sparse, n, p)
+        assert sparse == before
+        assert all(v for vec in reduced + basis for v in vec.values())
+        assert (_densify(reduced, n, p), pivots) == rref(rows, p)
+        assert _densify(basis, n, p) == kernel(rows, p)
+        if not p:
+            assert (_densify(reduced, n, p), pivots) == reference_rref_q(rows)
+            assert _densify(basis, n, p) == reference_kernel_q(rows)
+        for vec in sparse:
+            assert sparse_reduce(vec, reduced, pivots, p) == {}
+        dense_reduced = rref(rows, p)[0]
+        for vec in ([_entry(rng, p) for _ in range(n)], [1] * n):
+            residue = sparse_reduce(dict(enumerate(vec)), reduced, pivots, p)
+            assert all(residue.values())
+            assert _densify([residue], n, p)[0] == reduce(vec, dense_reduced, pivots, p)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_sparse_elimination_of_no_rows(p):
+    assert echelon([], p) == ([], [])
+    assert sparse_kernel([], 3, p) == [{0: 1}, {1: 1}, {2: 1}]
+    assert sparse_kernel([{}, {}], 2, p) == [{0: 1}, {1: 1}]
+    assert sparse_kernel([], 0, p) == []
+    assert sparse_reduce({1: p + 1, 2: p}, [], [], p) == {1: 1}

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import groupoid_corpus
+from corpus import chain_graph, groupoid_corpus, in_tree_graph
 from support import (
     reference_exhaustive_radical,
     reference_filtration_radical,
     reference_kernel_q,
+    reference_trace_form,
 )
 
 import gpdalg.linalg
@@ -29,6 +30,8 @@ from gpdalg import (
     structured_from_finite,
     verdicts,
 )
+from gpdalg.errors import InternalCheckError
+from gpdalg.leavitt import as_finite_groupoid
 from gpdalg.constructions import (
     cyclic_table,
     group_groupoid,
@@ -197,7 +200,7 @@ def test_exhaustive_and_filtration_methods_agree():
                 # inside the filtration result
                 p = ring.p
                 w = _vector(ex.witness, g.arrow_count)
-                basis, pivots = rref(_filtration_radical_modp(_basis_products(g), g.arrow_count, p), p)
+                basis, pivots = rref(_filtration_radical_modp(g, _basis_products(g), p), p)
                 assert not any(reduce(w, basis, pivots, p)), (name, ring)
             checked += 1
     assert checked >= 15
@@ -217,7 +220,7 @@ def test_filtration_matches_the_matrix_power_reference():
     nonzero = 0
     for name, g, p in cases:
         bp, d = _basis_products(g), g.arrow_count
-        basis = _filtration_radical_modp(bp, d, p)
+        basis = _filtration_radical_modp(g, bp, p)
         assert basis == reference_filtration_radical(bp, d, p), (name, p)
         nonzero += bool(basis)
     assert nonzero >= 10
@@ -404,11 +407,65 @@ def test_certificates_on_the_path_algebra_of_two_arrows(p):
     assert _right_ideal_nilpotent(CHAIN_BP, [0, 0, 0, 1, 1, 0], 6, p)
 
 
+def _entries(bp):
+    """The composition entries ((i, j), k) of a products table."""
+    return [((i, j), k) for i, row in enumerate(bp) for j, k in enumerate(row) if k >= 0]
+
+
+def _dense_rows(rows, d):
+    return [[row.get(j, 0) for j in range(d)] for row in rows]
+
+
 @pytest.mark.parametrize("bp, dim", [(PATH_BP, 1), (CHAIN_BP, 3)], ids=["path", "chain"])
 def test_trace_form_kernel_over_q_is_the_path_algebra_radical(bp, dim):
     d = len(bp)
-    gram = _trace_form(bp, d)
+    gram = _dense_rows(_trace_form(_entries(bp), d)[1], d)
     basis = kernel(gram)
     assert len(basis) == dim
     witness = reference_kernel_q(gram)[0]
     assert _certified_radical(bp, basis, d) == (False, witness, dim)
+
+
+def test_sparse_trace_form_is_the_dense_reference():
+    groupoids = [g for _, g in groupoid_corpus()]
+    groupoids += [as_finite_groupoid(graph) for graph in (chain_graph(8), in_tree_graph(7))]
+    for g in groupoids:
+        d = g.arrow_count
+        gram = _trace_form(g.comp, d)[1]
+        assert all(v for row in gram for v in row.values())
+        assert _dense_rows(gram, d) == reference_trace_form(_basis_products(g), d)
+
+
+def test_q_oracle_builds_no_products_table_on_the_corpus(monkeypatch):
+    def refuse(g):
+        raise AssertionError("the Q oracle built the products table")
+
+    monkeypatch.setattr(VERDICTS, "_basis_products", refuse)
+    checked = 0
+    for name, g in groupoid_corpus():
+        if g.arrow_count <= 64:
+            report = radical_oracle(g, Q)
+            assert report.semisimple and report.radical_dimension == 0, name
+            checked += 1
+    assert checked == len(groupoid_corpus())
+
+
+@pytest.mark.parametrize("ring", [Q, GF2, GF3])
+@pytest.mark.parametrize("tamper", ["identity", "non-ideal"])
+def test_a_tampered_radical_is_an_internal_error(monkeypatch, ring, tamper):
+    """A candidate radical that is not a nilpotent ideal never becomes
+    a "not semisimple" answer, whichever route produced it."""
+    g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(2))
+    d = g.arrow_count
+    e = g.identity_of[0]
+    # an identity is idempotent; an arrow x -> y alone spans no ideal
+    a = next(a for a in range(d) if g.dom[a] != g.cod[a])
+    fake = [{e: 1}] if tamper == "identity" else [{a: 1}]
+    if ring == Q:
+        monkeypatch.setattr(VERDICTS, "sparse_kernel", lambda rows, n, p=0: fake)
+    else:
+        monkeypatch.setattr(
+            VERDICTS, "_filtration_radical_modp",
+            lambda g, bp, p: [[v.get(i, 0) for i in range(d)] for v in fake])
+    with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
+        radical_oracle(g, ring)
