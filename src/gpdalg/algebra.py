@@ -214,10 +214,7 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
     frames = orbits(g)
     per_orbit = orbit_isotropies(g, frames)
     isotropies = tuple(iso for _, iso in per_orbit)
-    summaries = tuple(
-        OrbitSummary(len(orb.members), iso.table)
-        for orb, iso in zip(frames, isotropies)
-    )
+    summaries = tuple(OrbitSummary(len(o.members), iso.table) for o, iso in zip(frames, isotropies))
     structured = StructuredGroupoid(summaries)
     shape = BlockShape(ring, tuple((s.size, s.isotropy) for s in summaries))
 
@@ -330,7 +327,7 @@ def _pair_multiplicative(d: Decomposition, deltas, units, a, b) -> bool:
     multiplied in full on ring elements."""
     g = d.groupoid
     if g.dom[a] == g.cod[b]:
-        ab = g.compose(a, b)
+        ab = g._rows[a].get(b)
         if ab is None:
             raise InternalCheckError(
                 f"no composition for composable pair ({g.arrows[a]}, {g.arrows[b]})"

@@ -9,8 +9,9 @@ the element is stored exactly as a Laurent polynomial over the ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .errors import RingMismatchError
+from .errors import InternalCheckError, RingMismatchError
 from .rings import (
     Laurent,
     RingDescriptor,
@@ -32,20 +33,12 @@ class FiniteGroupTable:
     @staticmethod
     def from_table(rows, name: str | None = None) -> "FiniteGroupTable":
         """Build from a full multiplication table, verifying the group
-        axioms rather than assuming them."""
+        axioms rather than assuming them (associativity by
+        associativity_failure)."""
         n = len(rows)
-        table = tuple(tuple(r) for r in rows)
-        if any(len(r) != n for r in table):
-            raise ValueError("multiplication table is not square")
-        for r in table:
-            for v in r:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} out of range")
-        identity = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                identity = e
-                break
+        table = square_table(rows, n)
+        identity = next(
+            (e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))), None)
         if identity is None:
             raise ValueError("no identity element")
         inverse = []
@@ -54,11 +47,9 @@ class FiniteGroupTable:
             if len(invs) != 1:
                 raise ValueError(f"element {x} lacks a unique inverse")
             inverse.append(invs[0])
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise ValueError(f"associativity fails at ({a},{b},{c})")
+        bad = associativity_failure(table)
+        if bad is not None:
+            raise ValueError("associativity fails at (%d,%d,%d)" % bad)
         if name is None:
             name = _classify_group(table, identity)
         return FiniteGroupTable(n, table, identity, tuple(inverse), name)
@@ -66,6 +57,108 @@ class FiniteGroupTable:
     @property
     def is_trivial(self) -> bool:
         return self.size == 1
+
+
+def certify_associativity(dom, cod, rows, object_count: int) -> bool:
+    """Light's associativity test on a generating set (Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1.2).
+
+    Arrow a runs dom[a] -> cod[a]; rows[f][g] must be f after g for
+    every composable pair (dom[f] == cod[g]), with the composite
+    running dom[g] -> cod[f].  Then the arrows m with (x m) y = x (m y)
+    for all composable x, y are closed under composition, since for
+    such a and b
+
+        (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y)
+
+    using the law for a, b, a and b in turn.  So associativity holds on
+    every composable triple once it holds on the triples whose middle
+    arrow is a generator.  Generators are picked greedily in arrow
+    order: an arrow becomes one when the left-nested composites of the
+    generators before it do not reach it.  With generators indexed by
+    codomain, the closure composes each composable (arrow, generator)
+    pair at most once, and the check reads a subset of the composable
+    triples, comparing for each generator a and each x the row of x a
+    at every y with the row of x at every a y.  True proves
+    associativity; False means some triple through a generator fails."""
+    gens = associativity_generators(dom, cod, rows, object_count)
+    outof: list = [[] for _ in range(object_count)]  # object -> arrows with that dom
+    into: list = [[] for _ in range(object_count)]   # object -> arrows with that cod
+    for a in range(len(dom)):
+        outof[dom[a]].append(a)
+        into[cod[a]].append(a)
+    for a in gens:
+        ys = into[dom[a]]
+        if not ys:
+            continue
+        row_a = rows[a]
+        left = itemgetter(*ys)                       # (x a) y for every y
+        right = itemgetter(*[row_a[y] for y in ys])  # x (a y) for every y
+        for x in outof[cod[a]]:
+            row_x = rows[x]
+            if left(rows[row_x[a]]) != right(row_x):
+                return False
+    return True
+
+
+def associativity_generators(dom, cod, rows, object_count: int) -> list:
+    """The generators certify_associativity checks, in arrow order:
+    every arrow is a left-nested composite g1 g2 ... gk of them."""
+    gens: list = []
+    gens_into: list = [[] for _ in range(object_count)]  # object -> generators with that cod
+    done: list = [[] for _ in range(object_count)]       # object -> closed arrows with that dom
+    reached = [False] * len(dom)
+    for a in range(len(dom)):
+        if reached[a]:
+            continue
+        gens.append(a)
+        gens_into[cod[a]].append(a)
+        reached[a] = True
+        fresh = [a]
+        # every closed arrow meets the new generator once here; fresh
+        # arrows meet all generators once, when they close
+        for r in done[cod[a]]:
+            c = rows[r][a]
+            if not reached[c]:
+                reached[c] = True
+                fresh.append(c)
+        while fresh:
+            r = fresh.pop()
+            done[dom[r]].append(r)
+            for s in gens_into[dom[r]]:
+                c = rows[r][s]
+                if not reached[c]:
+                    reached[c] = True
+                    fresh.append(c)
+    return gens
+
+
+def square_table(rows, n: int) -> tuple:
+    """rows as a tuple of n tuples of entries in range(n), or ValueError."""
+    table = tuple(tuple(r) for r in rows)
+    if len(table) != n or any(len(r) != n for r in table):
+        raise ValueError("multiplication table is not square")
+    for r in table:
+        for v in r:
+            if not 0 <= v < n:
+                raise ValueError(f"table entry {v} out of range")
+    return table
+
+
+def associativity_failure(table):
+    """The first triple (a, b, c) in lexicographic order with (a b) c !=
+    a (b c) in the total table, or None.  The ordered scan runs only when
+    the certificate, on the table as one object, fails."""
+    n = len(table)
+    one_object = (0,) * n
+    if certify_associativity(one_object, one_object, table, 1):
+        return None
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    raise InternalCheckError("the associativity certificate failed on an associative table")
 
 
 def _element_order(table, identity, x) -> int:

@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
   * compose(f, g) means "f after g" and is defined exactly when
     dom(f) = cod(g); the composite runs dom(g) -> cod(f).
+  * a groupoid holds one composition table, the row {g: f after g} of
+    each arrow f, built once (by parse_groupoid as it reads, else from
+    comp); compose, validate and verify_isomorphism all read it.
   * parse accepts structurally well-formed input (every referenced name
     declared, composition lines only for composable pairs) and defers
     all axioms to validate(), which checks them exhaustively and
@@ -18,11 +21,11 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .group_algebra import FiniteGroupTable, IntegerGroup
+from .group_algebra import FiniteGroupTable, IntegerGroup, certify_associativity
+from .group_algebra import associativity_generators  # noqa: F401 (re-exported)
 
 # file format directives
 _OBJECTS = "objects:"
@@ -37,28 +40,23 @@ class FiniteGroupoid:
     identity_of: tuple      # object index -> arrow index or None
     comp: tuple             # sorted tuple of ((f, g), f_after_g)
     inv: tuple              # arrow index -> arrow index or None
+    # the one composition table, comp by arrow: _rows[f] = {g: f after g};
+    # handed over by parse_groupoid, else built from comp.  Never mutated.
+    _rows: list = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_comp_map", dict(self.comp))
+        if self._rows is None:
+            object.__setattr__(self, "_rows", [{} for _ in self.arrows])
+            for (f, h), k in self.comp:
+                self._rows[f][h] = k
         object.__setattr__(self, "_violations", None)  # validate() memo
-        object.__setattr__(
-            self, "_obj_index", {name: i for i, name in enumerate(self.objects)}
-        )
-        object.__setattr__(
-            self, "_arrow_index", {name: i for i, name in enumerate(self.arrows)}
-        )
+        object.__setattr__(self, "_obj_index", {x: i for i, x in enumerate(self.objects)})
+        object.__setattr__(self, "_arrow_index", {a: i for i, a in enumerate(self.arrows)})
 
     @staticmethod
     def make(objects, arrows, dom, cod, identity_of, comp, inv) -> "FiniteGroupoid":
-        return FiniteGroupoid(
-            tuple(objects),
-            tuple(arrows),
-            tuple(dom),
-            tuple(cod),
-            tuple(identity_of),
-            tuple(sorted(dict(comp).items())),
-            tuple(inv),
-        )
+        return FiniteGroupoid(tuple(objects), tuple(arrows), tuple(dom), tuple(cod),
+                              tuple(identity_of), tuple(sorted(dict(comp).items())), tuple(inv))
 
     def object_index(self, name: str) -> int:
         return self._obj_index[name]
@@ -68,7 +66,7 @@ class FiniteGroupoid:
 
     def compose(self, f: int, g: int):
         """Index of f after g, or None when no entry is recorded."""
-        return self._comp_map.get((f, g))
+        return self._rows[f].get(g)
 
     def composable(self, f: int, g: int) -> bool:
         return self.dom[f] == self.cod[g]
@@ -90,7 +88,8 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
         compose f g = h
         inverse f = g
 
-    '#' starts a comment; blank lines are skipped.
+    '#' starts a comment; blank lines are skipped.  Each compose line
+    goes straight into its arrow's row of the groupoid's table.
     """
     objects: list = []
     obj_set: dict = {}
@@ -98,8 +97,8 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
     arr_set: dict = {}
     dom: list = []
     cod: list = []
+    rows: list = []  # arrow f -> {g: f after g}
     identity_decl: dict = {}
-    comp: dict = {}
     inv: dict = {}
 
     def need_object(name, ln):
@@ -112,19 +111,41 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
             raise ParseError(f"arrow '{name}' not declared", line=ln)
         return arr_set[name]
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for ln, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
             continue
+        if parts[0] == "compose":
+            # compose F G = H
+            if len(parts) != 5 or parts[3] != "=":
+                raise ParseError("expected: compose F G = H", line=ln)
+            try:
+                f, g, h = arr_set[parts[1]], arr_set[parts[2]], arr_set[parts[4]]
+            except KeyError:
+                f, g, h = (need_arrow(parts[i], ln) for i in (1, 2, 4))
+            if dom[f] != cod[g]:
+                raise ParseError(
+                    f"'{parts[1]}' and '{parts[2]}' are not composable: "
+                    f"dom({parts[1]}) = {objects[dom[f]]} but "
+                    f"cod({parts[2]}) = {objects[cod[g]]}",
+                    line=ln,
+                )
+            row = rows[f]
+            if g in row:
+                raise ParseError(f"compose {parts[1]} {parts[2]} declared twice", line=ln)
+            row[g] = h
+            continue
+        line = raw.strip()
         if line.startswith(_OBJECTS):
             for name in line[len(_OBJECTS):].split():
                 if name in obj_set:
                     raise ParseError(f"object '{name}' declared twice", line=ln)
                 obj_set[name] = len(objects)
                 objects.append(name)
-            continue
-        parts = line.split()
-        if parts[0] == "arrow":
+        elif parts[0] == "arrow":
             # arrow NAME : SRC -> DST
             rest = line[len("arrow"):].strip()
             if ":" not in rest:
@@ -141,6 +162,7 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
             arrows.append(name)
             dom.append(need_object(src, ln))
             cod.append(need_object(dst, ln))
+            rows.append({})
         elif parts[0] == "identity":
             # identity OBJ = ARROW
             if len(parts) != 4 or parts[2] != "=":
@@ -149,23 +171,6 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
             if x in identity_decl:
                 raise ParseError(f"identity for '{parts[1]}' declared twice", line=ln)
             identity_decl[x] = need_arrow(parts[3], ln)
-        elif parts[0] == "compose":
-            # compose F G = H
-            if len(parts) != 5 or parts[3] != "=":
-                raise ParseError("expected: compose F G = H", line=ln)
-            f = need_arrow(parts[1], ln)
-            g = need_arrow(parts[2], ln)
-            h = need_arrow(parts[4], ln)
-            if dom[f] != cod[g]:
-                raise ParseError(
-                    f"'{parts[1]}' and '{parts[2]}' are not composable: "
-                    f"dom({parts[1]}) = {objects[dom[f]]} but "
-                    f"cod({parts[2]}) = {objects[cod[g]]}",
-                    line=ln,
-                )
-            if (f, g) in comp:
-                raise ParseError(f"compose {parts[1]} {parts[2]} declared twice", line=ln)
-            comp[(f, g)] = h
         elif parts[0] == "inverse":
             # inverse F = G
             if len(parts) != 4 or parts[2] != "=":
@@ -179,9 +184,11 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
 
     if not objects:
         raise ParseError("no objects declared", line=1)
+    comp = tuple(((f, h), row[h]) for f, row in enumerate(rows) for h in sorted(row))
     identity_of = tuple(identity_decl.get(x) for x in range(len(objects)))
     inv_total = tuple(inv.get(a) for a in range(len(arrows)))
-    return FiniteGroupoid.make(objects, arrows, dom, cod, identity_of, comp, inv_total)
+    return FiniteGroupoid(tuple(objects), tuple(arrows), tuple(dom), tuple(cod),
+                          identity_of, comp, inv_total, rows)
 
 
 def render_groupoid(g: FiniteGroupoid) -> str:
@@ -236,9 +243,7 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
     for a in arrows:
         into[g.cod[a]].append(a)
         outof[g.dom[a]].append(a)
-    rows: list = [{} for _ in arrows]  # f -> {h: f after h}, every recorded entry
-    for (f, h), k in g.comp:
-        rows[f][h] = k
+    rows = g._rows  # f -> {h: f after h}, every recorded entry
 
     def name(a):
         return g.arrows[a]
@@ -276,8 +281,7 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
                     f"no composition declared for composable pair ({name(f)}, {name(h)})",
                 ))
 
-    for x in range(len(g.objects)):
-        e = g.identity_of[x]
+    for x, e in enumerate(g.identity_of):
         if e is None:
             continue
         for f in sorted({*outof[x], *into[x]}):  # the arrows at x, in arrow order
@@ -355,80 +359,6 @@ def _associativity_scan(g: FiniteGroupoid, rows: list, into: list) -> list:
     return out
 
 
-def certify_associativity(dom, cod, rows, object_count: int) -> bool:
-    """Light's associativity test on a generating set (Clifford and
-    Preston, The Algebraic Theory of Semigroups I, 1.2).
-
-    Arrow a runs dom[a] -> cod[a]; rows[f][g] must be f after g for
-    every composable pair (dom[f] == cod[g]), with the composite
-    running dom[g] -> cod[f].  Then the arrows m with (x m) y = x (m y)
-    for all composable x, y are closed under composition, since for
-    such a and b
-
-        (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y)
-
-    using the law for a, b, a and b in turn.  So associativity holds on
-    every composable triple once it holds on the triples whose middle
-    arrow is a generator.  Generators are picked greedily in arrow
-    order: an arrow becomes one when the left-nested composites of the
-    generators before it do not reach it.  With generators indexed by
-    codomain, the closure composes each composable (arrow, generator)
-    pair at most once, and the check reads a subset of the composable
-    triples, comparing for each generator a and each x the row of x a
-    at every y with the row of x at every a y.  True proves
-    associativity; False means some triple through a generator fails."""
-    gens = associativity_generators(dom, cod, rows, object_count)
-    outof: list = [[] for _ in range(object_count)]  # object -> arrows with that dom
-    into: list = [[] for _ in range(object_count)]   # object -> arrows with that cod
-    for a in range(len(dom)):
-        outof[dom[a]].append(a)
-        into[cod[a]].append(a)
-    for a in gens:
-        ys = into[dom[a]]
-        if not ys:
-            continue
-        row_a = rows[a]
-        left = itemgetter(*ys)                       # (x a) y for every y
-        right = itemgetter(*[row_a[y] for y in ys])  # x (a y) for every y
-        for x in outof[cod[a]]:
-            row_x = rows[x]
-            if left(rows[row_x[a]]) != right(row_x):
-                return False
-    return True
-
-
-def associativity_generators(dom, cod, rows, object_count: int) -> list:
-    """The generators certify_associativity checks, in arrow order:
-    every arrow is a left-nested composite g1 g2 ... gk of them."""
-    gens: list = []
-    gens_into: list = [[] for _ in range(object_count)]  # object -> generators with that cod
-    done: list = [[] for _ in range(object_count)]       # object -> closed arrows with that dom
-    reached = [False] * len(dom)
-    for a in range(len(dom)):
-        if reached[a]:
-            continue
-        gens.append(a)
-        gens_into[cod[a]].append(a)
-        reached[a] = True
-        fresh = [a]
-        # every closed arrow meets the new generator once here; fresh
-        # arrows meet all generators once, when they close
-        for r in done[cod[a]]:
-            c = rows[r][a]
-            if not reached[c]:
-                reached[c] = True
-                fresh.append(c)
-        while fresh:
-            r = fresh.pop()
-            done[dom[r]].append(r)
-            for s in gens_into[dom[r]]:
-                c = rows[r][s]
-                if not reached[c]:
-                    reached[c] = True
-                    fresh.append(c)
-    return gens
-
-
 @dataclass(frozen=True)
 class Orbit:
     """One connected component with its frame.
@@ -447,17 +377,15 @@ def orbits(g: FiniteGroupoid) -> list:
     groupoid that passed validate()."""
     n_obj = len(g.objects)
     # arrows scanned in lexicographic name order makes the BFS canonical
-    order = sorted(range(g.arrow_count), key=lambda a: g.arrows[a])
     out_arrows: list = [[] for _ in range(n_obj)]
-    for a in order:
+    for a in sorted(range(g.arrow_count), key=g.arrows.__getitem__):
         out_arrows[g.dom[a]].append(a)
 
     seen = [False] * n_obj
     result = []
-    for start in sorted(range(n_obj), key=lambda x: g.objects[x]):
-        if seen[start]:
+    for base in sorted(range(n_obj), key=g.objects.__getitem__):
+        if seen[base]:
             continue
-        base = start
         connecting = {base: g.identity_of[base]}
         seen[base] = True
         queue = [base]
@@ -489,24 +417,13 @@ def isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:
 
 def _isotropy(g: FiniteGroupoid, x: int, arrows) -> IsotropyGroup:
     """isotropy(g, x), with the loops at x looked for among arrows."""
-    loops = sorted(
-        (a for a in arrows if g.dom[a] == x and g.cod[a] == x),
-        key=lambda a: g.arrows[a],
-    )
+    loops = sorted((a for a in arrows if g.dom[a] == x == g.cod[a]), key=g.arrows.__getitem__)
     pos = {a: i for i, a in enumerate(loops)}
-    rows = []
-    for a in loops:
-        row = []
-        for b in loops:
-            c = g.compose(a, b)
-            if c is None or c not in pos:
-                raise ValueError(
-                    f"loops at '{g.objects[x]}' are not closed under composition"
-                )
-            row.append(pos[c])
-        rows.append(row)
-    table = FiniteGroupTable.from_table(rows)
-    return IsotropyGroup(x, tuple(loops), table)
+    try:  # a missing composite, or one that is not a loop at x
+        rows = [[pos[g._rows[a][b]] for b in loops] for a in loops]
+    except KeyError:
+        raise ValueError(f"loops at '{g.objects[x]}' are not closed under composition") from None
+    return IsotropyGroup(x, tuple(loops), FiniteGroupTable.from_table(rows))
 
 
 def orbit_isotropies(g: FiniteGroupoid, frames: list) -> list:
@@ -551,7 +468,6 @@ class StructuredGroupoid:
 
 def structured_from_finite(g: FiniteGroupoid) -> StructuredGroupoid:
     frames = orbits(g)
-    summaries = []
-    for orb, (_, iso) in zip(frames, orbit_isotropies(g, frames)):
-        summaries.append(OrbitSummary(len(orb.members), iso.table))
-    return StructuredGroupoid(tuple(summaries))
+    return StructuredGroupoid(tuple(
+        OrbitSummary(len(orb.members), iso.table)
+        for orb, (_, iso) in zip(frames, orbit_isotropies(g, frames))))

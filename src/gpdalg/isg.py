@@ -23,13 +23,8 @@ from dataclasses import dataclass, replace
 
 from .algebra import AlgebraElement, VerificationReport, convolve
 from .errors import InternalCheckError, OracleBudgetError, ParseError
-from .group_algebra import FiniteGroupTable
-from .groupoid import (
-    FiniteGroupoid,
-    certify_associativity,
-    structured_from_finite,
-    validate,
-)
+from .group_algebra import FiniteGroupTable, associativity_failure, square_table
+from .groupoid import FiniteGroupoid, structured_from_finite, validate
 from .linalg import int_det
 from .rings import RingDescriptor, RingElement, render_ring_descriptor
 from .verdicts import CITE_BLOCK, Verdict, verdicts
@@ -52,7 +47,7 @@ class InverseSemigroup:
     @staticmethod
     def from_table(elements, rows) -> "InverseSemigroup":
         """Verify the semigroup and inverse axioms exhaustively
-        (associativity by groupoid.certify_associativity, exact).
+        (associativity by group_algebra.associativity_failure, exact).
 
         rows[i][j] is the index of the product elements[i] . elements[j].
         Raises ValueError naming a witness when associativity fails or
@@ -61,26 +56,11 @@ class InverseSemigroup:
         n = len(elements)
         if n == 0:
             raise ValueError("empty inverse semigroup")
-        table = tuple(tuple(row) for row in rows)
-        if len(table) != n or any(len(row) != n for row in table):
-            raise ValueError("multiplication table is not square")
-        for row in table:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} out of range")
-        # a total table is the one-object case of the groupoid certificate;
-        # only when it fails does the ordered scan look for the first witness
-        one_object = (0,) * n
-        if not certify_associativity(one_object, one_object, table, 1):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if table[table[i][j]][k] != table[i][table[j][k]]:
-                            raise ValueError(
-                                f"associativity fails at "
-                                f"({elements[i]}.{elements[j]}).{elements[k]} != "
-                                f"{elements[i]}.({elements[j]}.{elements[k]})"
-                            )
+        table = square_table(rows, n)
+        bad = associativity_failure(table)
+        if bad is not None:
+            i, j, k = (elements[t] for t in bad)
+            raise ValueError(f"associativity fails at ({i}.{j}).{k} != {i}.({j}.{k})")
         star = []
         for i in range(n):
             pseudo = [

@@ -13,7 +13,8 @@ rows to its left.  Work is done only on nonzero entries.  The reduced
 row echelon form of a matrix is determined by its row space, so this
 order of elimination gives exactly the rows and pivots of a textbook
 Gauss-Jordan.  `sparse_kernel` reads the kernel off that echelon and
-`sparse_reduce` reduces a vector against echelon rows; `rref`, `kernel`
+`sparse_reduce` reduces a vector against echelon rows (`rref_residue`
+reads only the rows a vector needs from a full rref); `rref`, `kernel`
 and `reduce` are the same operations on lists of lists (dense rows),
 converted at the boundary.
 
@@ -152,6 +153,14 @@ def sparse_reduce(vec, rows, pivots, p=0):
                 else:
                     v.pop(k, None)
     return v
+
+
+def rref_residue(vec, pivot_rows, p=0):
+    """sparse_reduce against a full rref, given as pivot column -> row: a
+    row changes no other pivot entry of vec, so only the rows at the
+    pivots vec has are read.  vec is not mutated."""
+    present = sorted(c for c in vec if c in pivot_rows)
+    return sparse_reduce(vec, [pivot_rows[c] for c in present], present, p)
 
 
 def _sparse_rows(rows):

@@ -233,11 +233,14 @@ def parse_ring_descriptor(text: str) -> RingDescriptor:
 # payload arithmetic
 
 
+_Q_ZERO = Fraction(0)  # shared: Fraction is immutable
+
+
 def zero_payload(ring: RingDescriptor):
     if isinstance(ring, (Integers, GaloisField, ModularIntegers)):
         return 0
     if isinstance(ring, Rationals):
-        return Fraction(0)
+        return _Q_ZERO
     if isinstance(ring, Laurent):
         return ()
     if isinstance(ring, Product):

@@ -47,7 +47,7 @@ from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
 from .group_algebra import BlockShape, IntegerGroup
 from .groupoid import FiniteGroupoid, StructuredGroupoid
-from .linalg import echelon, sparse_kernel, sparse_reduce
+from .linalg import echelon, rref_residue, sparse_kernel
 from .rings import (
     GaloisField,
     Rationals,
@@ -231,11 +231,12 @@ def _ideal_certified_nilpotent(bp, basis, d, p=0):
     two-sided ideal and nilpotent.  Used to vouch for every nonzero
     radical answer."""
     rows, piv = echelon([_sparse(v) for v in basis], p)
+    pivot_rows = dict(zip(piv, rows))  # a full rref: see rref_residue
     for u in rows:
         for e in range(d):
             # a product with one arrow gathers from bp: e*u reads row e
             for vec in (_mul(bp, {e: 1}, u, p), _mul(bp, u, {e: 1}, p)):
-                if vec and sparse_reduce(vec, rows, piv, p):
+                if vec and rref_residue(vec, pivot_rows, p):
                     return False
     return _powers_vanish(bp, rows, p)
 

@@ -18,7 +18,8 @@ from gpdalg import (
     phi,
     phi_inv,
 )
-from gpdalg.errors import InternalCheckError
+from gpdalg.errors import InternalCheckError, ParseError
+from gpdalg.group_algebra import FiniteGroupTable, _classify_group
 from gpdalg.groupoid import Violation, isotropy, orbits
 from gpdalg.leavitt import (
     ExitWitness,
@@ -890,3 +891,136 @@ def reference_kernel_q(rows):
             v[c] = -r[f]
         basis.append(v)
     return basis
+
+
+def reference_parse_groupoid(text: str) -> FiniteGroupoid:
+    """groupoid.parse_groupoid as it was before the one-pass parser:
+    every line comment-stripped and split, compose entries collected in
+    a dict keyed by (f, g) pairs, and FiniteGroupoid.make sorting them.
+    The parser must return an equal groupoid, or raise a ParseError with
+    the same message and line, on every input."""
+    objects: list = []
+    obj_set: dict = {}
+    arrows: list = []
+    arr_set: dict = {}
+    dom: list = []
+    cod: list = []
+    identity_decl: dict = {}
+    comp: dict = {}
+    inv: dict = {}
+
+    def need_object(name, ln):
+        if name not in obj_set:
+            raise ParseError(f"object '{name}' not declared", line=ln)
+        return obj_set[name]
+
+    def need_arrow(name, ln):
+        if name not in arr_set:
+            raise ParseError(f"arrow '{name}' not declared", line=ln)
+        return arr_set[name]
+
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("objects:"):
+            for name in line[len("objects:"):].split():
+                if name in obj_set:
+                    raise ParseError(f"object '{name}' declared twice", line=ln)
+                obj_set[name] = len(objects)
+                objects.append(name)
+            continue
+        parts = line.split()
+        if parts[0] == "arrow":
+            # arrow NAME : SRC -> DST
+            rest = line[len("arrow"):].strip()
+            if ":" not in rest:
+                raise ParseError("arrow declaration needs ':'", line=ln)
+            name, spanspec = (s.strip() for s in rest.split(":", 1))
+            if "->" not in spanspec:
+                raise ParseError("arrow declaration needs '->'", line=ln)
+            src, dst = (s.strip() for s in spanspec.split("->", 1))
+            if not name or not src or not dst:
+                raise ParseError("malformed arrow declaration", line=ln)
+            if name in arr_set:
+                raise ParseError(f"arrow '{name}' declared twice", line=ln)
+            arr_set[name] = len(arrows)
+            arrows.append(name)
+            dom.append(need_object(src, ln))
+            cod.append(need_object(dst, ln))
+        elif parts[0] == "identity":
+            # identity OBJ = ARROW
+            if len(parts) != 4 or parts[2] != "=":
+                raise ParseError("expected: identity OBJ = ARROW", line=ln)
+            x = need_object(parts[1], ln)
+            if x in identity_decl:
+                raise ParseError(f"identity for '{parts[1]}' declared twice", line=ln)
+            identity_decl[x] = need_arrow(parts[3], ln)
+        elif parts[0] == "compose":
+            # compose F G = H
+            if len(parts) != 5 or parts[3] != "=":
+                raise ParseError("expected: compose F G = H", line=ln)
+            f = need_arrow(parts[1], ln)
+            g = need_arrow(parts[2], ln)
+            h = need_arrow(parts[4], ln)
+            if dom[f] != cod[g]:
+                raise ParseError(
+                    f"'{parts[1]}' and '{parts[2]}' are not composable: "
+                    f"dom({parts[1]}) = {objects[dom[f]]} but "
+                    f"cod({parts[2]}) = {objects[cod[g]]}",
+                    line=ln,
+                )
+            if (f, g) in comp:
+                raise ParseError(f"compose {parts[1]} {parts[2]} declared twice", line=ln)
+            comp[(f, g)] = h
+        elif parts[0] == "inverse":
+            # inverse F = G
+            if len(parts) != 4 or parts[2] != "=":
+                raise ParseError("expected: inverse F = G", line=ln)
+            f = need_arrow(parts[1], ln)
+            if f in inv:
+                raise ParseError(f"inverse of '{parts[1]}' declared twice", line=ln)
+            inv[f] = need_arrow(parts[3], ln)
+        else:
+            raise ParseError(f"unknown directive '{parts[0]}'", line=ln)
+
+    if not objects:
+        raise ParseError("no objects declared", line=1)
+    identity_of = tuple(identity_decl.get(x) for x in range(len(objects)))
+    inv_total = tuple(inv.get(a) for a in range(len(arrows)))
+    return FiniteGroupoid.make(objects, arrows, dom, cod, identity_of, comp, inv_total)
+
+
+def reference_group_table(rows, name=None) -> FiniteGroupTable:
+    """FiniteGroupTable.from_table with associativity scanned on all n^3
+    triples in order, as it was before the certificate: the same table,
+    or a ValueError with the same message."""
+    n = len(rows)
+    table = tuple(tuple(r) for r in rows)
+    if any(len(r) != n for r in table):
+        raise ValueError("multiplication table is not square")
+    for r in table:
+        for v in r:
+            if not 0 <= v < n:
+                raise ValueError(f"table entry {v} out of range")
+    identity = None
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise ValueError("no identity element")
+    inverse = []
+    for x in range(n):
+        invs = [y for y in range(n) if table[x][y] == identity and table[y][x] == identity]
+        if len(invs) != 1:
+            raise ValueError(f"element {x} lacks a unique inverse")
+        inverse.append(invs[0])
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise ValueError(f"associativity fails at ({a},{b},{c})")
+    if name is None:
+        name = _classify_group(table, identity)
+    return FiniteGroupTable(n, table, identity, tuple(inverse), name)

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from support import reference_group_table
+
 from gpdalg import (
     BlockMatrix,
     BlockShape,
@@ -36,6 +38,47 @@ def test_group_table_verifies_axioms():
         FiniteGroupTable.from_table(
             [[(i - j) % 5 for j in range(5)] for i in range(5)]
         )
+
+
+def _table_outcome(build, rows):
+    try:
+        return build(rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_group_tables_verify_as_the_full_triple_scan():
+    # the certificate on generators, with its ordered fallback scan,
+    # against every triple scanned: the same table or the same message
+    rng = random.Random(14)
+    groups = [cyclic_table(n) for n in (1, 2, 5, 8)]
+    groups += [klein_table(), symmetric_table(3), symmetric_table(4)]
+    cases = [[[(i - j) % 5 for j in range(5)] for i in range(5)]]
+    for t in groups:
+        n = t.size
+        rows = [list(r) for r in t.table]
+        cases.append(rows)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases.append([[perm[v] for v in r] for r in rows])  # relabeled values only
+        for _ in range(12):
+            bad = [list(r) for r in rows]
+            bad[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            cases.append(bad)
+        if n > 2:
+            # swap two non-identity entries of one row: identity and
+            # inverses survive, associativity does not
+            x = rng.choice([v for v in range(n) if v != t.identity])
+            i, j = rng.sample([v for v in range(n) if rows[x][v] != t.identity], 2)
+            bad = [list(r) for r in rows]
+            bad[x][i], bad[x][j] = bad[x][j], bad[x][i]
+            cases.append(bad)
+    outcomes = set()
+    for rows in cases:
+        got = _table_outcome(FiniteGroupTable.from_table, rows)
+        assert got == _table_outcome(reference_group_table, rows), rows
+        outcomes.add(got.split(" at ")[0] if isinstance(got, str) else "group")
+    assert {"group", "associativity fails"} <= outcomes
 
 
 def test_group_classification_names():

@@ -13,7 +13,9 @@ from corpus import chain_graph, groupoid_corpus, in_tree_graph
 from support import reference_kernel_q, reference_rref_q
 
 from gpdalg.leavitt import as_finite_groupoid
-from gpdalg.linalg import echelon, int_det, kernel, reduce, rref, sparse_kernel, sparse_reduce
+from gpdalg.linalg import (
+    echelon, int_det, kernel, reduce, rref, rref_residue, sparse_kernel, sparse_reduce,
+)
 from gpdalg.verdicts import _trace_form
 
 FIELDS = [0, 2, 3, 5, 7]
@@ -189,6 +191,31 @@ def test_sparse_elimination_matches_the_dense_functions(p):
             residue = sparse_reduce(dict(enumerate(vec)), reduced, pivots, p)
             assert all(residue.values())
             assert _densify([residue], n, p)[0] == reduce(vec, dense_reduced, pivots, p)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_residue_against_present_pivots_is_sparse_reduce(p):
+    # rref_residue reads only the rows whose pivots a vector has; on a
+    # full rref that is the residue sparse_reduce finds walking them all
+    rng = random.Random(3000 + p)
+    inputs = _matrices(p, 2) + _matrices(p, 3) + _edge_cases(p)
+    checked = 0
+    for rows in inputs:
+        n = len(rows[0])
+        reduced, pivots = echelon(_sparse_rows(rows), p)
+        pivot_rows = dict(zip(pivots, reduced))
+        before = copy.deepcopy(pivot_rows)
+        vectors = [dict(enumerate(r)) for r in rows] + [
+            {c: _entry(rng, p) for c in rng.sample(range(n), rng.randint(0, n))}
+            for _ in range(20)
+        ]
+        for vec in vectors:
+            want = sparse_reduce(vec, reduced, pivots, p)
+            assert rref_residue(vec, pivot_rows, p) == want
+            checked += bool(want)
+        assert pivot_rows == before
+    assert checked  # some vectors lie outside the span
+    assert rref_residue({1: p + 1, 2: p}, {}, p) == {1: 1}
 
 
 @pytest.mark.parametrize("p", FIELDS)

@@ -469,3 +469,18 @@ def test_a_tampered_radical_is_an_internal_error(monkeypatch, ring, tamper):
             lambda g, bp, p: [[v.get(i, 0) for i in range(d)] for v in fake])
     with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
         radical_oracle(g, ring)
+
+
+@pytest.mark.parametrize("ring", [GF2, GF3])
+def test_a_radical_missing_a_vector_is_an_internal_error(monkeypatch, ring):
+    """The true radical less one basis vector is nilpotent but not an
+    ideal: some one-arrow product of what is left has a residue that
+    only the subtraction of the pivot rows it meets exposes."""
+    g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(ring.p))
+    real = VERDICTS._filtration_radical_modp
+    # M_2 over the augmentation ideal of GF(p)[Z/p], of dimension p - 1
+    assert len(real(g, VERDICTS._basis_products(g), ring.p)) == 4 * (ring.p - 1)
+    monkeypatch.setattr(
+        VERDICTS, "_filtration_radical_modp", lambda g, bp, p: real(g, bp, p)[1:])
+    with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
+        radical_oracle(g, ring)
