@@ -327,7 +327,7 @@ def _pair_multiplicative(d: Decomposition, deltas, units, a, b) -> bool:
     multiplied in full on ring elements."""
     g = d.groupoid
     if g.dom[a] == g.cod[b]:
-        ab = g._rows[a].get(b)
+        ab = g.rows[a].get(b)
         if ab is None:
             raise InternalCheckError(
                 f"no composition for composable pair ({g.arrows[a]}, {g.arrows[b]})"

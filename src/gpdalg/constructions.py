@@ -85,11 +85,9 @@ def product_with_group(g: FiniteGroupoid, table: FiniteGroupTable) -> FiniteGrou
             names.append(f"{g.arrows[a]}@{k}")
             dom.append(g.dom[a])
             cod.append(g.cod[a])
-    comp = {}
-    for (f, h), fh in dict(g.comp).items():
-        for k1 in range(table.size):
-            for k2 in range(table.size):
-                comp[(idx[(f, k1)], idx[(h, k2)])] = idx[(fh, table.table[k1][k2])]
+    comp = {(idx[(f, k1)], idx[(h, k2)]): idx[(fh, k1k2)]
+            for f, row in enumerate(g.rows) for h, fh in row.items()
+            for k1, krow in enumerate(table.table) for k2, k1k2 in enumerate(krow)}
     identity_of = [
         idx[(e, table.identity)] if e is not None else None for e in g.identity_of
     ]
@@ -109,9 +107,8 @@ def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid,
     identity_of = [e for e in g1.identity_of] + [
         (e + na if e is not None else None) for e in g2.identity_of
     ]
-    comp = dict(g1.comp)
-    for (f, h), fh in dict(g2.comp).items():
-        comp[(f + na, h + na)] = fh + na
+    comp = {(f + s, h + s): fh + s for s, part in ((0, g1), (na, g2))
+            for f, row in enumerate(part.rows) for h, fh in row.items()}
     inv = [e for e in g1.inv] + [(e + na if e is not None else None) for e in g2.inv]
     return FiniteGroupoid.make(objects, names, dom, cod, identity_of, comp, inv)
 

@@ -4,9 +4,11 @@ Conventions used throughout the package:
 
   * compose(f, g) means "f after g" and is defined exactly when
     dom(f) = cod(g); the composite runs dom(g) -> cod(f).
-  * a groupoid holds one composition table, the row {g: f after g} of
-    each arrow f, built once (by parse_groupoid as it reads, else from
-    comp); compose, validate and verify_isomorphism all read it.
+  * a groupoid stores one composition table, rows: the row {g: f after
+    g} of each arrow f, filled by parse_groupoid as it reads or by make
+    from a composition dict.  compose, validate, isotropy, the oracle
+    and verify_isomorphism all read it; comp, the sorted tuple of
+    ((f, g), f after g), is a view computed from it on each call.
   * parse accepts structurally well-formed input (every referenced name
     declared, composition lines only for composable pairs) and defers
     all axioms to validate(), which checks them exhaustively and
@@ -38,25 +40,29 @@ class FiniteGroupoid:
     dom: tuple              # arrow index -> object index
     cod: tuple
     identity_of: tuple      # object index -> arrow index or None
-    comp: tuple             # sorted tuple of ((f, g), f_after_g)
+    # the one composition table: rows[f] = {g: f after g}, an entry per
+    # recorded composite.  Never mutated; compared, but not hashed.
+    rows: tuple = field(hash=False)
     inv: tuple              # arrow index -> arrow index or None
-    # the one composition table, comp by arrow: _rows[f] = {g: f after g};
-    # handed over by parse_groupoid, else built from comp.  Never mutated.
-    _rows: list = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self._rows is None:
-            object.__setattr__(self, "_rows", [{} for _ in self.arrows])
-            for (f, h), k in self.comp:
-                self._rows[f][h] = k
         object.__setattr__(self, "_violations", None)  # validate() memo
         object.__setattr__(self, "_obj_index", {x: i for i, x in enumerate(self.objects)})
         object.__setattr__(self, "_arrow_index", {a: i for i, a in enumerate(self.arrows)})
 
     @staticmethod
     def make(objects, arrows, dom, cod, identity_of, comp, inv) -> "FiniteGroupoid":
+        """A groupoid from a composition dict {(f, g): f after g} or its items."""
+        rows = tuple({} for _ in arrows)
+        for (f, h), k in dict(comp).items():
+            rows[f][h] = k
         return FiniteGroupoid(tuple(objects), tuple(arrows), tuple(dom), tuple(cod),
-                              tuple(identity_of), tuple(sorted(dict(comp).items())), tuple(inv))
+                              tuple(identity_of), rows, tuple(inv))
+
+    @property
+    def comp(self) -> tuple:
+        """The sorted tuple of ((f, g), f after g), built from rows."""
+        return tuple(((f, h), row[h]) for f, row in enumerate(self.rows) for h in sorted(row))
 
     def object_index(self, name: str) -> int:
         return self._obj_index[name]
@@ -66,7 +72,7 @@ class FiniteGroupoid:
 
     def compose(self, f: int, g: int):
         """Index of f after g, or None when no entry is recorded."""
-        return self._rows[f].get(g)
+        return self.rows[f].get(g)
 
     def composable(self, f: int, g: int) -> bool:
         return self.dom[f] == self.cod[g]
@@ -184,11 +190,10 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
 
     if not objects:
         raise ParseError("no objects declared", line=1)
-    comp = tuple(((f, h), row[h]) for f, row in enumerate(rows) for h in sorted(row))
     identity_of = tuple(identity_decl.get(x) for x in range(len(objects)))
     inv_total = tuple(inv.get(a) for a in range(len(arrows)))
     return FiniteGroupoid(tuple(objects), tuple(arrows), tuple(dom), tuple(cod),
-                          identity_of, comp, inv_total, rows)
+                          identity_of, tuple(rows), inv_total)
 
 
 def render_groupoid(g: FiniteGroupoid) -> str:
@@ -243,7 +248,7 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
     for a in arrows:
         into[g.cod[a]].append(a)
         outof[g.dom[a]].append(a)
-    rows = g._rows  # f -> {h: f after h}, every recorded entry
+    rows = g.rows  # f -> {h: f after h}, every recorded entry
 
     def name(a):
         return g.arrows[a]
@@ -259,7 +264,11 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
                 f"identity arrow '{name(e)}' of '{obj}' is not a loop at '{obj}'",
             ))
 
-    for (f, h), k in g.comp:
+    # the incoherent entries, in (f, h) order: only these are sorted
+    bad = sorted((f, h) for f, row in enumerate(rows) for h, k in row.items()
+                 if g.dom[f] != g.cod[h] or g.dom[k] != g.dom[h] or g.cod[k] != g.cod[f])
+    for f, h in bad:
+        k = rows[f][h]
         if g.dom[f] != g.cod[h]:
             out.append(Violation(
                 "composition-domain", (name(f), name(h)),
@@ -420,7 +429,7 @@ def _isotropy(g: FiniteGroupoid, x: int, arrows) -> IsotropyGroup:
     loops = sorted((a for a in arrows if g.dom[a] == x == g.cod[a]), key=g.arrows.__getitem__)
     pos = {a: i for i, a in enumerate(loops)}
     try:  # a missing composite, or one that is not a loop at x
-        rows = [[pos[g._rows[a][b]] for b in loops] for a in loops]
+        rows = [[pos[g.rows[a][b]] for b in loops] for a in loops]
     except KeyError:
         raise ValueError(f"loops at '{g.objects[x]}' are not closed under composition") from None
     return IsotropyGroup(x, tuple(loops), FiniteGroupTable.from_table(rows))

@@ -74,6 +74,10 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.vertices)})
         object.__setattr__(self, "_eindex", {e: i for i, e in enumerate(self.edge_names)})
+        out: list = [[] for _ in self.vertices]  # vertex -> its out-edges, ascending
+        for e, v in enumerate(self.src):
+            out[v].append(e)
+        object.__setattr__(self, "_out", tuple(map(tuple, out)))
         object.__setattr__(self, "_groupoid", None)  # graph_groupoid() memo
 
     @staticmethod
@@ -94,8 +98,8 @@ class Graph:
     def edge_index(self, name: str) -> int:
         return self._eindex[name]
 
-    def out_edges(self, v: int):
-        return [e for e in range(len(self.edge_names)) if self.src[e] == v]
+    def out_edges(self, v: int) -> tuple:
+        return self._out[v]
 
     def is_sink(self, v: int) -> bool:
         return not self.out_edges(v)

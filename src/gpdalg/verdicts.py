@@ -24,20 +24,21 @@ later stages need traces of powers of left multiplications, and since
 left multiplication L is a representation of the integer form of the
 algebra it reads them off algebra powers: Tr(L_z^q) = <tr, z^q>, with
 tr[c] the trace of left multiplication by arrow c.  The trace form is
-read off the composition entries alone (one nonzero per Gram row for a
-groupoid), vectors are sparse (dicts from arrow to nonzero
+read off the groupoid's composition table alone (one nonzero per Gram
+row for a groupoid), vectors are sparse (dicts from arrow to nonzero
 coefficient), products walk only the nonzero entries of their factors
 and the elimination (`linalg.echelon`) only the nonzero entries of its
-rows.  When p^dim is small the answer
-is labelled "exhaustive" and reports the element an exhaustive sweep
-of GF(p)^dim would find first: the last row of the radical's reduced
-echelon basis (the sweep itself lives on in the test suite as a
-cross-check).  Either way every nonzero answer is certified on the
-spot: the reported radical must be a nilpotent ideal and the witness
-must satisfy (aA)^k = 0, so a wrong "not semisimple" cannot escape.
-A wrong "semisimple" cannot either: the radical is always contained in
-the trace-form kernel respectively the filtration result, and those
-coming out zero forces the radical to be zero.
+rows.  The caller picks no method: over GF(p) with p^dim at most 4096
+the answer is labelled "exhaustive" and reports the element an
+exhaustive sweep of GF(p)^dim would find first, the last row of the
+radical's reduced echelon basis (the sweep itself lives on in the test
+suite as a cross-check); above that it is labelled "filtration" and
+reports the radical's dimension.  Either way every nonzero answer is
+certified on the spot: the reported radical must be a nilpotent ideal
+and the witness must satisfy (aA)^k = 0, so a wrong "not semisimple"
+cannot escape.  A wrong "semisimple" cannot either: the radical is
+always contained in the trace-form kernel respectively the filtration
+result, and those coming out zero forces the radical to be zero.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ from .rings import (
 
 ORACLE_DIMENSION_LIMIT_CHAR0 = 64
 ORACLE_DIMENSION_LIMIT_CHARP = 96
-_EXHAUSTIVE_LIMIT = 4096  # largest p**dim "auto" reports as the element sweep
+_EXHAUSTIVE_LIMIT = 4096  # largest p**dim reported as the element sweep
 
 CITE_BLOCK = "block reduction"
 CITE_CONNELL = "Connell"
@@ -165,8 +166,9 @@ def _basis_products(g: FiniteGroupoid):
     """bp[i][j] = index of arrow i after arrow j, or -1."""
     d = g.arrow_count
     bp = [[-1] * d for _ in range(d)]
-    for (i, j), k in g.comp:
-        bp[i][j] = k
+    for bp_i, row in zip(bp, g.rows):
+        for j, k in row.items():
+            bp_i[j] = k
     return bp
 
 
@@ -257,22 +259,16 @@ def _certified_radical(bp, radical, d, p=0, pick=0):
     return False, witness, len(radical)
 
 
-def _trace_form(comp, d):
+def _trace_form(rows):
     """The trace form on the arrow basis, read off the composition
-    entries ((i, j), k) alone (k = arrow i after arrow j).  Returns
+    table alone (rows[i] = {j: k}, k = arrow i after arrow j).  Returns
     (tr, gram): tr[i] is the trace of left multiplication by arrow i,
-    the number of entries with k = j, and gram, the integer Gram matrix
-    as sparse rows, holds the trace of left multiplication by the
-    product of arrows i and j, tr[k], at row i and column j.  Only the
-    entries of the table are read; no d x d table is built."""
-    tr = [0] * d
-    for (i, j), k in comp:
-        if k == j:
-            tr[i] += 1
-    gram = [{} for _ in range(d)]
-    for (i, j), k in comp:
-        if tr[k]:
-            gram[i][j] = tr[k]
+    the number of entries of row i with k = j, and gram, the integer
+    Gram matrix as sparse rows, holds the trace of left multiplication
+    by the product of arrows i and j, tr[k], at row i and column j.
+    Only the entries of the table are read; no d x d table is built."""
+    tr = [len([j for j, k in row.items() if k == j]) for row in rows]
+    gram = [{j: tr[k] for j, k in row.items() if tr[k]} for row in rows]
     return tr, gram
 
 
@@ -286,7 +282,7 @@ def _radical_char0(g: FiniteGroupoid):
     certificate multiplies with is built only when the kernel is
     nonzero."""
     d = g.arrow_count
-    radical = sparse_kernel(_trace_form(g.comp, d)[1], d)
+    radical = sparse_kernel(_trace_form(g.rows)[1], d)
     if not radical:
         return True, None, 0
     return _certified_radical(_basis_products(g), [_dense(v, d) for v in radical], d)
@@ -319,7 +315,7 @@ def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
     stage, and the chain reaches it once p^stage covers the dimension.
     Returns the radical's reduced echelon basis as dense vectors."""
     d = g.arrow_count
-    tr, gram = _trace_form(g.comp, d)
+    tr, gram = _trace_form(g.rows)
     stages = 1
     while p ** stages < d:
         stages += 1
@@ -350,20 +346,17 @@ def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
     return [_dense(b, d) for b in basis]
 
 
-def _radical_charp(g: FiniteGroupoid, p: int, method: str):
-    """The certified filtration radical J over GF(p).  "exhaustive"
-    reports what a sweep of GF(p)^d in `itertools.product` order would
-    find first: in a unital algebra wA is nilpotent exactly when w lies
-    in J, and the first nonzero element of J in that order is the last
-    row of J's reduced echelon basis (its pivot is rightmost and 1)."""
+def _radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
+    """The certified filtration radical J over GF(p).  exhaustive reports
+    what a sweep of GF(p)^d in `itertools.product` order would find
+    first, and no radical dimension: in a unital algebra wA is nilpotent
+    exactly when w lies in J, and the first nonzero element of J in that
+    order is the last row of J's reduced echelon basis (its pivot is
+    rightmost and 1)."""
     d = g.arrow_count
     bp = _basis_products(g)
-    if method == "exhaustive" and p ** d > _EXHAUSTIVE_LIMIT:
-        raise OracleBudgetError(
-            f"element sweep over GF({p})^{d} exceeds the oracle budget"
-        )
     radical = _filtration_radical_modp(g, bp, p)
-    if method == "exhaustive":
+    if exhaustive:
         semisimple, witness, _ = _certified_radical(bp, radical, d, p, pick=-1)
         return semisimple, witness, 0 if semisimple else None
     return _certified_radical(bp, radical, d, p)
@@ -379,17 +372,16 @@ def oracle_budget(ring: RingDescriptor):
     return None
 
 
-def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor, method: str = "auto") -> RadicalReport:
+def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor) -> RadicalReport:
     """Decide semisimplicity of the groupoid algebra from its arrow
     basis alone: the trace form over Q, the trace-lift filtration over
     GF(p), each answer certified as described in the module docstring.
 
     Supports Q (dimension up to 64) and GF(p) (dimension up to 96).
-    The groupoid must already have passed validate().  method is
-    "auto", "exhaustive", or "filtration"; the last two are GF(p)-only
-    and raise ValueError over Q.  Both compute the certified filtration
-    radical; "exhaustive" (what "auto" picks while p^dim <= 4096)
-    reports the element sweep's witness and no radical dimension.
+    The groupoid must already have passed validate().  The report's
+    method is "trace form" over Q; over GF(p) it is "exhaustive" while
+    p^dim <= 4096, with the element sweep's witness and no radical
+    dimension, and "filtration" above that.
     """
     d = g.arrow_count
     budget = oracle_budget(ring)
@@ -397,19 +389,15 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor, method: str = "auto"
         raise ValueError(
             f"oracle supports Q and GF(p) only, not {render_ring_descriptor(ring)}"
         )
-    if method not in ("auto", "exhaustive", "filtration"):
-        raise ValueError(f"unknown oracle method '{method}'")
     p = ring.p if isinstance(ring, GaloisField) else 0
-    if not p and method != "auto":
-        raise ValueError(f"oracle method '{method}' is GF(p)-only; over Q use 'auto'")
     if d > budget:
         raise OracleBudgetError(
             f"dimension {d} beyond the char-{'p' if p else 0} oracle budget"
         )
     if p:
-        if method == "auto":
-            method = "exhaustive" if p ** d <= _EXHAUSTIVE_LIMIT else "filtration"
-        semisimple, witness_vec, rad_dim = _radical_charp(g, p, method)
+        exhaustive = p ** d <= _EXHAUSTIVE_LIMIT
+        method = "exhaustive" if exhaustive else "filtration"
+        semisimple, witness_vec, rad_dim = _radical_charp(g, p, exhaustive)
     else:
         method = "trace form"
         semisimple, witness_vec, rad_dim = _radical_char0(g)

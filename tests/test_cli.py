@@ -262,7 +262,7 @@ def test_composition_lost_after_validation_is_an_internal_error(monkeypatch, cap
     def decompose_then_drop_a_composition(g, ring):
         d = real_decompose(g, ring)
         f, h = g.comp[-1][0]
-        monkeypatch.delitem(g._rows[f], h)
+        monkeypatch.delitem(g.rows[f], h)
         return d
 
     monkeypatch.setattr(gpdalg.cli, "decompose", decompose_then_drop_a_composition)

@@ -4,16 +4,22 @@ import random
 
 import pytest
 
-from corpus import groupoid_corpus
-from support import groupoid_axiom_problems, reference_axiom_violations
+from corpus import chain_graph, groupoid_corpus, in_tree_graph
+from support import (
+    groupoid_axiom_problems,
+    reference_axiom_violations,
+    reference_parse_groupoid,
+)
 
 from gpdalg import (
     FiniteGroupoid,
     IntegerGroup,
     ParseError,
     parse_groupoid,
+    parse_isg,
     render_groupoid,
     structured_from_finite,
+    underlying_groupoid,
     validate,
 )
 from gpdalg.constructions import (
@@ -23,6 +29,7 @@ from gpdalg.constructions import (
     product_with_group,
     symmetric_table,
 )
+from gpdalg.leavitt import as_finite_groupoid
 import gpdalg.groupoid
 from gpdalg.groupoid import (
     associativity_generators,
@@ -335,3 +342,117 @@ def test_generator_closure_composes_each_pair_at_most_once():
     assert certify_associativity(range(n), range(n), rows, n)
     # the closure, then a y, x a and the two sides of one triple per generator
     assert lookups[0] == n + 4 * n
+
+
+def _recording_make(monkeypatch) -> list:
+    """Wrap FiniteGroupoid.make to record, per call, the groupoid made
+    and the comp tuple its arguments define: the sorted items of
+    dict(comp)."""
+    made = []
+    real = FiniteGroupoid.make
+
+    def recording(objects, arrows, dom, cod, identity_of, comp, inv):
+        g = real(objects, arrows, dom, cod, identity_of, comp, inv)
+        made.append((g, tuple(sorted(dict(comp).items()))))
+        return g
+
+    monkeypatch.setattr(FiniteGroupoid, "make", staticmethod(recording))
+    return made
+
+
+def _stored_comp(made, g):
+    return next(comp for m, comp in made if m is g)
+
+
+def _with_shuffled_lines(g, rng):
+    """g rendered, with its identity, inverse and compose lines shuffled."""
+    lines = render_groupoid(g).splitlines()
+    head = [ln for ln in lines if ln.startswith(("objects:", "arrow "))]
+    rest = lines[len(head):]
+    rng.shuffle(rest)
+    return "\n".join(head + rest) + "\n"
+
+
+def test_every_builder_yields_the_sorted_comp_of_its_entries(monkeypatch):
+    """comp is a view of rows: whichever way a groupoid is built, it is
+    the sorted tuple of the composition entries the builder was given."""
+    made = _recording_make(monkeypatch)
+    corpus = groupoid_corpus()  # every builder in constructions
+    built = [g for _, g in corpus]
+    built.append(underlying_groupoid(parse_isg((FIXTURES / "i2.isg").read_text())))
+    built += [as_finite_groupoid(graph) for graph in (chain_graph(5), in_tree_graph(7))]
+    for g in built:
+        assert g.comp == _stored_comp(made, g)
+        assert g.rows == tuple({h: k for (f2, h), k in g.comp if f2 == f}
+                               for f in range(g.arrow_count))
+
+    rng = random.Random(15)
+    for name, g in corpus:
+        items = list(g.comp)
+        rng.shuffle(items)
+        shuffled = FiniteGroupoid.make(g.objects, g.arrows, g.dom, g.cod,
+                                       g.identity_of, dict(items), g.inv)
+        assert shuffled.comp == tuple(sorted(items)) == g.comp, name
+
+        text = _with_shuffled_lines(g, rng)
+        made.clear()
+        reference_parse_groupoid(text)
+        assert parse_groupoid(text).comp == made[-1][1], name
+
+
+def test_parsed_and_made_groupoids_are_equal_and_hash_alike():
+    changed = 0
+    for name, g in groupoid_corpus():
+        comp = dict(g.comp)
+        made = FiniteGroupoid.make(g.objects, g.arrows, g.dom, g.cod, g.identity_of, comp, g.inv)
+        parsed = parse_groupoid(render_groupoid(g))
+        assert parsed == made and hash(parsed) == hash(made), name
+        (f, h), k = g.comp[-1]
+        others = [a for a in range(g.arrow_count) if a != k]
+        if others:
+            comp[(f, h)] = others[0]
+            broken = FiniteGroupoid.make(g.objects, g.arrows, g.dom, g.cod,
+                                         g.identity_of, comp, g.inv)
+            assert broken != parsed and parsed != broken, name
+            changed += 1
+    assert changed >= 20
+
+
+def _incoherent(g: FiniteGroupoid, rng) -> dict:
+    """g's composition entries, in a shuffled order, with composites
+    recorded for non-composable pairs and composites of the wrong span,
+    several of each in each of several rows."""
+    comp = dict(g.comp)
+    rows = rng.sample(range(g.arrow_count), 3)
+    for f in rows:
+        strangers = [h for h in range(g.arrow_count) if g.dom[f] != g.cod[h]]
+        for h in rng.sample(strangers, min(3, len(strangers))):
+            comp[(f, h)] = rng.randrange(g.arrow_count)
+        mates = [h for h in range(g.arrow_count) if g.dom[f] == g.cod[h]]
+        for h in rng.sample(mates, min(2, len(mates))):
+            span = (g.dom[h], g.cod[f])
+            comp[(f, h)] = rng.choice([a for a in range(g.arrow_count)
+                                       if (g.dom[a], g.cod[a]) != span])
+    items = list(comp.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def test_coherence_violations_over_shuffled_rows_keep_the_full_scan_order():
+    rng = random.Random(20261018)
+    kinds = {"composition-domain", "composition-span"}
+    cases = unsorted = 0
+    for name, g in groupoid_corpus():
+        if len(g.objects) < 2:
+            continue
+        for _ in range(3):
+            broken = _corrupt(g, comp=_incoherent(g, rng))
+            expected = reference_axiom_violations(broken)
+            assert validate(broken) == expected, name
+            coherence = [v for v in expected if v.kind in kinds]
+            assert {v.kind for v in coherence} == kinds, name
+            assert len({v.witness[0] for v in coherence}) == 3, name
+            # the order a row was filed in is not the order reported
+            unsorted += any(list(row) != sorted(row) for row in broken.rows)
+            cases += 1
+    assert cases >= 30 and unsorted == cases

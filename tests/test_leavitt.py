@@ -599,3 +599,12 @@ def test_materialized_groupoid_is_the_all_pairs_reference():
         assert as_finite_groupoid(g) == expected, name
         built += 1
     assert built >= 10
+
+
+def test_out_edges_are_each_vertex_s_edges_in_ascending_order():
+    graphs = [g for _, g, _ in graph_corpus()] + [chain_graph(6), in_tree_graph(9)]
+    for g in graphs:
+        for v in range(len(g.vertices)):
+            want = tuple(e for e in range(g.edge_count) if g.src[e] == v)
+            assert g.out_edges(v) == want
+            assert g.is_sink(v) == (not want)

@@ -118,7 +118,7 @@ def test_rref_kernel_and_reduce_properties(p, seed):
 
 def _gram(g):
     d = g.arrow_count
-    return [[row.get(j, 0) for j in range(d)] for row in _trace_form(g.comp, d)[1]]
+    return [[row.get(j, 0) for j in range(d)] for row in _trace_form(g.rows)[1]]
 
 
 def _q_reference_inputs():

@@ -139,7 +139,7 @@ def assert_same_parse(text):
         rows = [{} for _ in want.arrows]
         for (f, h), k in want.comp:
             rows[f][h] = k
-        assert got._rows == rows, text
+        assert got.rows == tuple(rows), text
 
 
 def test_every_mutation_kind_parses_as_the_reference():
