@@ -17,8 +17,9 @@ arrows, unit preservation, and that the two directions invert each
 other on every basis vector of both sides.
 
 The checks work on basis indices.  phi runs once per arrow, and each
-image is read back from its block matrix as one matrix unit (block,
-row, col, isotropy key).  A pair then passes when the unit of the
+image, stored as the one block it touches, is read back as one matrix
+unit (block, row, col, isotropy key) at a cost that does not grow with
+the number of blocks.  A pair then passes when the unit of the
 composite, or zero, equals the product of the two units, which is
 (b, r, c', table[k][k']) when both sit in block b and c = r', else zero.
 When every image is such a unit and the units give an injective map
@@ -37,6 +38,7 @@ phi_inv and the block matrix operations with the ring's own elements.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, ParseError, RingMismatchError
@@ -87,7 +89,7 @@ class AlgebraElement:
     def delta(g, ring, arrow: int, coeff: RingElement | None = None) -> "AlgebraElement":
         if coeff is None:
             coeff = RingElement.one(ring)
-        return AlgebraElement.make(g, ring, [(arrow, coeff)])
+        return AlgebraElement(g, ring, () if coeff.is_zero else ((arrow, coeff),))
 
     @staticmethod
     def chi(g, ring, arrow_set) -> "AlgebraElement":
@@ -240,7 +242,7 @@ def phi(d: Decomposition, f: AlgebraElement) -> BlockMatrix:
     """Algebra -> block matrices along the frame."""
     if f.groupoid != d.groupoid or f.ring != d.ring:
         raise RingMismatchError("element does not match the decomposition")
-    items = [[] for _ in d.shape.blocks]
+    items = defaultdict(list)
     for a, c in f.coeffs:
         bi, row, col, key = d.arrow_position[a]
         group = d.shape.blocks[bi][1]
@@ -253,8 +255,8 @@ def phi_inv(d: Decomposition, m: BlockMatrix) -> AlgebraElement:
     if m.shape != d.shape:
         raise RingMismatchError("matrix does not match the decomposition")
     items = []
-    for bi, block in enumerate(m.entries):
-        for (row, col), val in block:
+    for bi, cells in m.entries:
+        for (row, col), val in cells:
             for key, coeff in val.coeffs:
                 items.append((_pull(d, bi, row, col, key), coeff))
     return AlgebraElement.make(d.groupoid, d.ring, items)
@@ -320,31 +322,21 @@ def _slot_certificate(g: FiniteGroupoid, units) -> bool:
     return len(set(slot)) == len(slot)
 
 
-def _pair_multiplicative(d: Decomposition, deltas, units, a, b) -> bool:
-    """phi([a][b]) == phi([a]) phi([b]) on basis indices: the unit of the
-    composite, or zero, against the product of the two units.  The pair
-    (0, 0), and any pair meeting an image that is not a single unit, is
-    multiplied in full on ring elements."""
-    g = d.groupoid
-    if g.dom[a] == g.cod[b]:
-        ab = g.rows[a].get(b)
-        if ab is None:
-            raise InternalCheckError(
-                f"no composition for composable pair ({g.arrows[a]}, {g.arrows[b]})"
-            )
-        left = units[ab]
-    else:
-        left = _ZERO
-    ua, ub = units[a], units[b]
-    if (a == 0 and b == 0) or ua is None or ub is None or left is None:
-        da, db = deltas[a], deltas[b]
-        return phi(d, convolve(da, db)) == phi(d, da) * phi(d, db)
-    bi, row, mid, key = ua
-    bj, mid2, col, key2 = ub
-    if bi == bj and mid == mid2:
-        table = d.shape.blocks[bi][1].table
-        return left == (bi, row, col, table[key][key2])
-    return left == _ZERO
+def _pair_partners(g: FiniteGroupoid, units) -> list:
+    """The b that the pair loop visits for each arrow a, in the order of
+    the full scan.  When the arrow units pass _slot_certificate these
+    are the arrows composable with a, and arrow 0 also meets itself;
+    otherwise every arrow."""
+    n = g.arrow_count
+    if not _slot_certificate(g, units):
+        return [range(n)] * n
+    into = [[] for _ in g.objects]
+    for b in range(n):
+        into[g.cod[b]].append(b)
+    partners = [into[g.dom[a]] for a in range(n)]
+    if n and g.dom[0] != g.cod[0]:
+        partners[0] = [0] + partners[0]
+    return partners
 
 
 def verify_isomorphism(d: Decomposition) -> VerificationReport:
@@ -352,12 +344,12 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     multiplicative on all arrow pairs, unit to identity, inverted both
     ways by phi_inv on every basis vector.
 
-    When the arrow units pass _slot_certificate, the pair loop visits the
-    ring-level pair (0, 0) and then the composable pairs, in the order
-    of the full scan; every other pair is zero on both sides and is
-    counted as passed.  Otherwise it visits every pair.  Either way the
-    failures are those of the full scan.  The round trips compare
-    indices: phi_inv(phi([a])) == [a] as _pull(unit of a) == a, and
+    The pair loop visits the pairs _pair_partners plans: when the arrow
+    units pass _slot_certificate, the ring-level pair (0, 0) and then
+    the composable pairs, in the order of the full scan, every other
+    pair being zero on both sides and counted as passed; otherwise
+    every pair.  Either way the failures are those of the full scan.
+    The round trips compare indices: phi_inv(phi([a])) == [a] as _pull(unit of a) == a, and
     phi(phi_inv(E)) == E as unit of _pull(E) == E.  The first round
     trip of each kind, and any whose pull is missing or whose image is
     not a unit, runs on block matrices and algebra elements."""
@@ -369,18 +361,28 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     images = [phi(d, da) for da in deltas]
     units = [_matrix_unit_index(m) for m in images]
 
-    if _slot_certificate(g, units):
-        into = [[] for _ in g.objects]
-        for b in range(n):
-            into[g.cod[b]].append(b)
-        partners = [into[g.dom[a]] for a in range(n)]
-        if n and g.dom[0] != g.cod[0]:
-            partners[0] = [0] + partners[0]
-    else:
-        partners = [range(n)] * n
-    for a in range(n):
-        for b in partners[a]:
-            if not _pair_multiplicative(d, deltas, units, a, b):
+    dom, cod, blocks = g.dom, g.cod, d.shape.blocks
+    for a, partners in enumerate(_pair_partners(g, units)):
+        row_a, ua = g.rows[a], units[a]
+        for b in partners:
+            if dom[a] == cod[b]:
+                ab = row_a.get(b)
+                if ab is None:
+                    raise InternalCheckError(
+                        f"no composition for composable pair ({g.arrows[a]}, {g.arrows[b]})"
+                    )
+                left = units[ab]
+            else:
+                left = _ZERO
+            ub = units[b]
+            if (a == 0 and b == 0) or ua is None or ub is None or left is None:
+                da, db = deltas[a], deltas[b]
+                ok = phi(d, convolve(da, db)) == phi(d, da) * phi(d, db)
+            elif ua[0] == ub[0] and ua[2] == ub[1]:
+                ok = left == (ua[0], ua[1], ub[2], blocks[ua[0]][1].table[ua[3]][ub[3]])
+            else:
+                ok = left == _ZERO
+            if not ok:
                 failures.append(
                     f"phi not multiplicative on ({g.arrows[a]}, {g.arrows[b]})"
                 )

@@ -242,7 +242,7 @@ class GroupAlgebraElement:
             coeff = RingElement.one(ring)
         if isinstance(group, FiniteGroupTable) and not 0 <= key < group.size:
             raise ValueError(f"group element index {key} out of range")
-        return GroupAlgebraElement.make(group, ring, [(key, coeff)])
+        return GroupAlgebraElement(group, ring, () if coeff.is_zero else ((key, coeff),))
 
     def _check(self, other: "GroupAlgebraElement"):
         if self.group != other.group or self.ring != other.ring:
@@ -331,20 +331,21 @@ class BlockShape:
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """Block-diagonal matrix with group algebra entries, stored sparsely:
-    entries[i] maps (row, col) to a nonzero GroupAlgebraElement."""
+    """Block-diagonal matrix with group algebra entries, stored over the
+    blocks it touches: entries holds (block, cells) in block order for
+    each block with a nonzero entry, cells its sorted ((row, col),
+    nonzero GroupAlgebraElement) pairs.  An empty block is absent, so an
+    operation costs the entries it reads, not the number of blocks."""
 
     shape: BlockShape
-    entries: tuple  # per block: sorted tuple of ((row, col), element)
+    entries: tuple  # sorted tuple of (block, cells), touched blocks only
 
     @staticmethod
     def build(shape: BlockShape, items_per_block) -> "BlockMatrix":
+        """The sum of the ((row, col), element) items in the dict block -> items."""
         blocks = []
-        for bi, (size, group) in enumerate(shape.blocks):
-            items = items_per_block[bi] if bi < len(items_per_block) else ()
-            if not items:
-                blocks.append(())
-                continue
+        for bi, items in sorted(items_per_block.items()):
+            size = shape.blocks[bi][0]
             acc: dict = {}
             for (r, c), val in items:
                 if not 0 <= r < size or not 0 <= c < size:
@@ -353,19 +354,21 @@ class BlockMatrix:
                     acc[(r, c)] = acc[(r, c)] + val
                 else:
                     acc[(r, c)] = val
-            blocks.append(tuple(sorted((rc, v) for rc, v in acc.items() if not v.is_zero)))
+            cells = tuple(sorted((rc, v) for rc, v in acc.items() if not v.is_zero))
+            if cells:
+                blocks.append((bi, cells))
         return BlockMatrix(shape, tuple(blocks))
 
     @staticmethod
     def zero(shape: BlockShape) -> "BlockMatrix":
-        return BlockMatrix(shape, tuple(() for _ in shape.blocks))
+        return BlockMatrix(shape, ())
 
     @staticmethod
     def identity(shape: BlockShape) -> "BlockMatrix":
-        items = []
-        for size, group in shape.blocks:
+        items = {}
+        for bi, (size, group) in enumerate(shape.blocks):
             unit = GroupAlgebraElement.unit(group, shape.ring)
-            items.append([((i, i), unit) for i in range(size)])
+            items[bi] = [((i, i), unit) for i in range(size)]
         return BlockMatrix.build(shape, items)
 
     @staticmethod
@@ -375,9 +378,7 @@ class BlockMatrix:
         if key is None:
             key = _identity_key(group)
         val = GroupAlgebraElement.delta(group, shape.ring, key, coeff)
-        items = [[] for _ in shape.blocks]
-        items[block_index] = [((row, col), val)]
-        return BlockMatrix.build(shape, items)
+        return BlockMatrix.build(shape, {block_index: [((row, col), val)]})
 
     def _check(self, other: "BlockMatrix"):
         if self.shape != other.shape:
@@ -385,19 +386,19 @@ class BlockMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(not b for b in self.entries)
+        return not self.entries
 
     def __add__(self, other):
         self._check(other)
-        items = []
-        for b1, b2 in zip(self.entries, other.entries):
-            items.append(list(b1) + list(b2))
+        items = dict(self.entries)
+        for bi, cells in other.entries:
+            items[bi] = items[bi] + cells if bi in items else cells
         return BlockMatrix.build(self.shape, items)
 
     def __neg__(self):
         return BlockMatrix(
             self.shape,
-            tuple(tuple((rc, -v) for rc, v in b) for b in self.entries),
+            tuple((bi, tuple((rc, -v) for rc, v in cells)) for bi, cells in self.entries),
         )
 
     def __sub__(self, other):
@@ -405,30 +406,31 @@ class BlockMatrix:
 
     def __mul__(self, other):
         self._check(other)
-        items = []
-        for b1, b2 in zip(self.entries, other.entries):
+        right = dict(other.entries)
+        items = {}
+        for bi, cells in self.entries:
+            if bi not in right:
+                continue
             by_row: dict = {}
-            for (r, k), v in b2:
+            for (r, k), v in right[bi]:
                 by_row.setdefault(r, []).append((k, v))
-            out = []
-            for (r, k), v in b1:
-                for c, w in by_row.get(k, ()):
-                    out.append(((r, c), group_algebra_mul(v, w)))
-            items.append(out)
+            items[bi] = [((r, c), group_algebra_mul(v, w))
+                         for (r, k), v in cells for c, w in by_row.get(k, ())]
         return BlockMatrix.build(self.shape, items)
 
     def entry(self, block_index, row, col) -> GroupAlgebraElement:
         size, group = self.shape.blocks[block_index]
-        for (r, c), v in self.entries[block_index]:
-            if (r, c) == (row, col):
+        for rc, v in dict(self.entries).get(block_index, ()):
+            if rc == (row, col):
                 return v
         return GroupAlgebraElement.zero(group, self.shape.ring)
 
     def __str__(self):
+        """Every block of the shape, the empty ones included."""
+        present = dict(self.entries)
         parts = []
-        for bi, block in enumerate(self.entries):
-            size, group = self.shape.blocks[bi]
-            cells = ", ".join(f"({r},{c}): {v}" for (r, c), v in block)
+        for bi, (size, _) in enumerate(self.shape.blocks):
+            cells = ", ".join(f"({r},{c}): {v}" for (r, c), v in present.get(bi, ()))
             parts.append(f"block {bi} [{size}x{size}]: {{{cells}}}")
         return "; ".join(parts)
 
@@ -455,13 +457,14 @@ class IndexMap:
 
     @staticmethod
     def read(m: BlockMatrix) -> "IndexMap | None":
-        """m as an index map, or None when m is not of that form."""
+        """m as an index map, or None when m is not of that form.  Reads
+        the blocks m touches only."""
         ring = m.shape.ring
         one = RingElement.one(ring)
         rows = {}
-        for bi, block in enumerate(m.entries):
-            group = m.shape.blocks[bi][1] if block else None
-            for (row, col), val in block:
+        for bi, cells in m.entries:
+            group = m.shape.blocks[bi][1]
+            for (row, col), val in cells:
                 if len(val.coeffs) != 1 or (bi, row) in rows:
                     return None
                 if not (val.group is group or val.group == group):

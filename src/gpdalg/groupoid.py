@@ -47,7 +47,6 @@ class FiniteGroupoid:
 
     def __post_init__(self):
         object.__setattr__(self, "_violations", None)  # validate() memo
-        object.__setattr__(self, "_obj_index", {x: i for i, x in enumerate(self.objects)})
         object.__setattr__(self, "_arrow_index", {a: i for i, a in enumerate(self.arrows)})
 
     @staticmethod
@@ -63,9 +62,6 @@ class FiniteGroupoid:
     def comp(self) -> tuple:
         """The sorted tuple of ((f, g), f after g), built from rows."""
         return tuple(((f, h), row[h]) for f, row in enumerate(self.rows) for h in sorted(row))
-
-    def object_index(self, name: str) -> int:
-        return self._obj_index[name]
 
     def arrow_index(self, name: str) -> int:
         return self._arrow_index[name]

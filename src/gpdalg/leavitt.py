@@ -29,6 +29,7 @@ connecting arrows take the least admissible nonnegative degree.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -58,10 +59,10 @@ _TRIVIAL = FiniteGroupTable.from_table([[0]], name="1")
 
 # largest boundary-path count verify_leavitt_relations takes; every
 # vertex and every edge starts some boundary path, so this also bounds
-# the vertex and edge counts.  At the limit `graph --verify` takes about
-# 0.7 s on the slowest shape measured (480 disjoint loops, one block
-# each), 0.1 s on a 480-vertex chain.
-LEAVITT_VERIFY_LIMIT = 480
+# the vertex and edge counts.  At the limit `graph --verify --ring Q`
+# takes about 0.9 s on the slowest shape measured (a 1,440-vertex
+# chain), 0.4 s on 1,440 disjoint loops (one block each).
+LEAVITT_VERIFY_LIMIT = 1440
 
 
 @dataclass(frozen=True)
@@ -534,16 +535,16 @@ def generator_images(g: Graph, ring: RingDescriptor):
     E_{row(e.gamma),row(gamma)} over paths gamma starting at r(e),
     keyed on a lasso block by the net degree (1 - deg(e.gamma) +
     deg(gamma)) / |cycle|; the ghost e* to the transposes with the
-    inverse keys."""
+    inverse keys.  Each image collects items for the blocks it touches."""
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         return gd
     shape = block_shape(gd, ring)
     where = {bp: (bi, r) for bi, o in enumerate(gd.orbits) for r, bp in enumerate(o.members)}
     delta = GroupAlgebraElement.delta
-    vertex = {v: [[] for _ in shape.blocks] for v in g.vertices}
-    edge = {e: [[] for _ in shape.blocks] for e in g.edge_names}
-    ghost = {e: [[] for _ in shape.blocks] for e in g.edge_names}
+    vertex = {v: defaultdict(list) for v in g.vertices}  # name -> block -> items
+    edge = {e: defaultdict(list) for e in g.edge_names}
+    ghost = {e: defaultdict(list) for e in g.edge_names}
     for bp, (bi, col) in where.items():
         orbit = gd.orbits[bi]
         v = path_start(g, bp)

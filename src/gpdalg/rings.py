@@ -233,14 +233,12 @@ def parse_ring_descriptor(text: str) -> RingDescriptor:
 # payload arithmetic
 
 
-_Q_ZERO = Fraction(0)  # shared: Fraction is immutable
-
-
+@cache  # payloads are immutable, so one per ring serves every caller
 def zero_payload(ring: RingDescriptor):
     if isinstance(ring, (Integers, GaloisField, ModularIntegers)):
         return 0
     if isinstance(ring, Rationals):
-        return _Q_ZERO
+        return Fraction(0)
     if isinstance(ring, Laurent):
         return ()
     if isinstance(ring, Product):

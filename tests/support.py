@@ -5,6 +5,7 @@ route than the package takes, so agreement is evidence and not an
 echo."""
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -19,7 +20,13 @@ from gpdalg import (
     phi_inv,
 )
 from gpdalg.errors import InternalCheckError, ParseError
-from gpdalg.group_algebra import FiniteGroupTable, _classify_group
+from gpdalg.group_algebra import (
+    BlockShape,
+    FiniteGroupTable,
+    GroupAlgebraElement,
+    _classify_group,
+    group_algebra_mul,
+)
 from gpdalg.groupoid import Violation, isotropy, orbits
 from gpdalg.leavitt import (
     ExitWitness,
@@ -35,8 +42,8 @@ from gpdalg.leavitt import (
     prepend_edge,
     render_path,
 )
-from gpdalg.linalg import kernel, reduce, rref
-from gpdalg.rings import Rationals
+from gpdalg.linalg import kernel, rref, sparse_reduce
+from gpdalg.rings import Rationals, RingElement
 
 
 def groupoid_axiom_problems(g: FiniteGroupoid) -> list:
@@ -332,12 +339,15 @@ def reference_verify_isomorphism(d) -> VerificationReport:
     )
 
 
-def _flatten(m: BlockMatrix, layout) -> list:
-    vec = [Fraction(0)] * layout["dim"]
-    for bi, block in enumerate(m.entries):
-        for (r, c), val in block:
+def _flatten(m: BlockMatrix, layout) -> dict:
+    """m as a sparse Fraction vector: column layout[(block, row, col)]
+    -> the coefficient there."""
+    vec: dict = {}
+    for bi, cells in m.entries:
+        for (r, c), val in cells:
             for key, coeff in val.coeffs:
-                vec[layout["index"][(bi, r, c)]] += coeff.value
+                i = layout[(bi, r, c)]
+                vec[i] = vec.get(i, Fraction(0)) + coeff.value
                 if key != 0:
                     raise InternalCheckError("acyclic flatten hit a Laurent term")
     return vec
@@ -345,26 +355,25 @@ def _flatten(m: BlockMatrix, layout) -> list:
 
 def reference_generated_dimension(images: GeneratorImages) -> int:
     """Rank over Q of the span of all products of generators, by closing
-    the generator images under multiplication one dense Fraction vector
+    the generator images under multiplication one sparse Fraction vector
     at a time.  Only meaningful for acyclic graphs (trivial isotropy
     everywhere)."""
-    layout = {"index": {}, "dim": 0}
+    layout: dict = {}
     for bi, (size, group) in enumerate(images.shape.blocks):
         for r in range(size):
             for c in range(size):
-                layout["index"][(bi, r, c)] = layout["dim"]
-                layout["dim"] += 1
+                layout[(bi, r, c)] = len(layout)
     gens = list(images.vertex.values()) + list(images.edge.values()) + list(images.ghost.values())
-    basis_vecs: list = []
+    basis_vecs: list = []  # each 1 at its pivot and 0 at the pivots before it
     pivots: list = []
 
     def try_add(mat):
-        vec = reduce(_flatten(mat, layout), basis_vecs, pivots)
-        lead = next((i for i, v in enumerate(vec) if v), None)
-        if lead is None:
+        vec = sparse_reduce(_flatten(mat, layout), basis_vecs, pivots)
+        if not vec:
             return False
+        lead = min(vec)
         inv = 1 / vec[lead]
-        basis_vecs.append([v * inv for v in vec])
+        basis_vecs.append({i: v * inv for i, v in vec.items()})
         pivots.append(lead)
         return True
 
@@ -1024,3 +1033,85 @@ def reference_group_table(rows, name=None) -> FiniteGroupTable:
     if name is None:
         name = _classify_group(table, identity)
     return FiniteGroupTable(n, table, identity, tuple(inverse), name)
+
+
+@dataclass(frozen=True)
+class DenseBlockMatrix:
+    """Reference layout for BlockMatrix: blocks[i] is the sorted tuple of
+    ((row, col), element) for the nonzero entries of block i, one tuple
+    per block of the shape, empty or not, and every operation walks
+    every block."""
+
+    shape: BlockShape
+    blocks: tuple
+
+    @staticmethod
+    def build(shape: BlockShape, items_per_block) -> "DenseBlockMatrix":
+        """items_per_block[i] holds the items of block i; a list shorter
+        than the shape leaves the blocks past its end empty."""
+        blocks = []
+        for bi, (size, group) in enumerate(shape.blocks):
+            items = items_per_block[bi] if bi < len(items_per_block) else ()
+            acc: dict = {}
+            for (r, c), val in items:
+                if not 0 <= r < size or not 0 <= c < size:
+                    raise ValueError(f"entry ({r},{c}) outside block of size {size}")
+                acc[(r, c)] = acc[(r, c)] + val if (r, c) in acc else val
+            blocks.append(tuple(sorted((rc, v) for rc, v in acc.items() if not v.is_zero)))
+        return DenseBlockMatrix(shape, tuple(blocks))
+
+    def __add__(self, other):
+        return DenseBlockMatrix.build(
+            self.shape, [list(b1) + list(b2) for b1, b2 in zip(self.blocks, other.blocks)])
+
+    def __neg__(self):
+        return DenseBlockMatrix(
+            self.shape, tuple(tuple((rc, -v) for rc, v in b) for b in self.blocks))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        items = []
+        for b1, b2 in zip(self.blocks, other.blocks):
+            by_row: dict = {}
+            for (r, k), v in b2:
+                by_row.setdefault(r, []).append((k, v))
+            items.append([((r, c), group_algebra_mul(v, w))
+                          for (r, k), v in b1 for c, w in by_row.get(k, ())])
+        return DenseBlockMatrix.build(self.shape, items)
+
+    def entry(self, block_index, row, col) -> GroupAlgebraElement:
+        size, group = self.shape.blocks[block_index]
+        for (r, c), v in self.blocks[block_index]:
+            if (r, c) == (row, col):
+                return v
+        return GroupAlgebraElement.zero(group, self.shape.ring)
+
+    def __str__(self):
+        parts = []
+        for bi, block in enumerate(self.blocks):
+            size, group = self.shape.blocks[bi]
+            cells = ", ".join(f"({r},{c}): {v}" for (r, c), v in block)
+            parts.append(f"block {bi} [{size}x{size}]: {{{cells}}}")
+        return "; ".join(parts)
+
+    def index_rows(self):
+        """The (block, row) -> (col, key) map IndexMap.read gives for
+        this matrix, scanning every block, or None when it is not an
+        index map."""
+        ring = self.shape.ring
+        one = RingElement.one(ring)
+        rows = {}
+        for bi, block in enumerate(self.blocks):
+            group = self.shape.blocks[bi][1]
+            for (row, col), val in block:
+                if len(val.coeffs) != 1 or (bi, row) in rows:
+                    return None
+                if val.group != group or val.ring != ring:
+                    return None
+                (key, coeff), = val.coeffs
+                if coeff != one:
+                    return None
+                rows[bi, row] = (col, key)
+        return rows

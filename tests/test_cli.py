@@ -290,13 +290,13 @@ def test_verified_chain40_in_process(tmp_path, capsys):
 
 
 def test_graph_verification_budget_edge_in_process(tmp_path, capsys):
-    # 480 boundary paths is the largest count the relation check takes
+    # 1440 boundary paths is the largest count the relation check takes
     code, out, err = _main_in_process(
-        capsys, "graph", _chain_file(tmp_path, 480), "--verify", "--format", "machine")
+        capsys, "graph", _chain_file(tmp_path, 1440), "--verify", "--format", "machine")
     assert code == 0 and not err
-    assert "verified_pairs=462238/462238\n" in out
+    assert "verified_pairs=4151518/4151518\n" in out
     code, out, err = _main_in_process(
-        capsys, "graph", _chain_file(tmp_path, 481), "--verify", "--format", "machine")
+        capsys, "graph", _chain_file(tmp_path, 1441), "--verify", "--format", "machine")
     assert code == 0 and not err
     assert "verified_pairs=skipped\n" in out
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from support import reference_group_table
+from support import DenseBlockMatrix, reference_group_table
 
 from gpdalg import (
     BlockMatrix,
@@ -202,14 +202,15 @@ def _map_shape(ring):
 def _random_map_matrix(shape, rng):
     """A block matrix of coefficient-one units, at most one per row, and
     the (block, row) -> (col, key) map it should read as."""
-    rows, items = {}, [[] for _ in shape.blocks]
+    rows, items = {}, {}
     for bi, (size, group) in enumerate(shape.blocks):
         for row in range(size):
             if rng.random() < 0.6:
                 col = rng.randrange(size)
                 key = rng.randint(-3, 3) if isinstance(group, IntegerGroup) else rng.randrange(group.size)
                 rows[bi, row] = (col, key)
-                items[bi].append(((row, col), GroupAlgebraElement.delta(group, shape.ring, key)))
+                items.setdefault(bi, []).append(
+                    ((row, col), GroupAlgebraElement.delta(group, shape.ring, key)))
     return BlockMatrix.build(shape, items), rows
 
 
@@ -239,6 +240,77 @@ def test_index_maps_compose_add_and_compare_like_their_block_matrices(ring):
     assert unit == IndexMap.read(BlockMatrix.matrix_unit(shape, 0, 1, 2))
 
 
+def _dense_shape(ring):
+    # S3, infinite cyclic and trivial blocks; block 3 is never touched
+    return BlockShape(ring, (
+        (2, symmetric_table(3)), (3, IntegerGroup()), (1, cyclic_table(1)),
+        (2, IntegerGroup()), (2, symmetric_table(3)),
+    ))
+
+
+def _random_items(shape, rng):
+    """Items per block for one random matrix, as a dict and as the
+    reference's list: coefficient-one units at most one per row (often
+    an index map), or any small coefficients and repeated cells."""
+    units = rng.random() < 0.4
+    items: dict = {}
+    for bi, (size, group) in enumerate(shape.blocks):
+        if bi == 3 or rng.random() < 0.35:
+            continue
+        for row in range(size):
+            for _ in range(1 if units else rng.randint(0, 2)):
+                if units and rng.random() < 0.3:
+                    continue
+                col = rng.randrange(size)
+                keys = [rng.randint(-2, 2) if isinstance(group, IntegerGroup) else rng.randrange(group.size)
+                        for _ in range(1 if units else rng.randint(1, 2))]
+                val = GroupAlgebraElement.make(group, shape.ring, [
+                    (k, RingElement.one(shape.ring) if units
+                     else RingElement.from_int(shape.ring, rng.randint(-2, 2)))
+                    for k in keys])
+                items.setdefault(bi, []).append(((row, col), val))
+    return items, [items.get(bi, []) for bi in range(len(shape.blocks))]
+
+
+def _assert_matches_dense(m, ref):
+    for bi, (size, _) in enumerate(m.shape.blocks):
+        for row in range(size):
+            for col in range(size):
+                assert m.entry(bi, row, col) == ref.entry(bi, row, col)
+    assert str(m) == str(ref)
+    im = IndexMap.read(m)
+    assert (None if im is None else im.rows) == ref.index_rows()
+    assert (m == BlockMatrix.zero(m.shape)) == all(not b for b in ref.blocks)
+
+
+@pytest.mark.parametrize("ring", [Q, GaloisField(3), Laurent(Q)])
+def test_block_matrices_agree_with_the_dense_reference(ring):
+    shape = _dense_shape(ring)
+    rng = random.Random(16)
+    zero = BlockMatrix.zero(shape)
+    mats = []
+    for _ in range(24):
+        items, dense_items = _random_items(shape, rng)
+        m, ref = BlockMatrix.build(shape, items), DenseBlockMatrix.build(shape, dense_items)
+        _assert_matches_dense(m, ref)
+        mats.append((m, ref))
+    for (a, ra), (b, rb) in zip(mats, mats[1:] + mats[:1]):
+        assert (a == b) == (ra == rb)
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            _assert_matches_dense(op(a, b), op(ra, rb))
+        # cancel each touched block of a in turn: that block drops out
+        for bi, cells in a.entries:
+            minus = BlockMatrix.build(shape, {bi: [(rc, -v) for rc, v in cells]})
+            rminus = DenseBlockMatrix.build(
+                shape, [[(rc, -v) for rc, v in cells] if i == bi else [] for i in range(bi + 1)])
+            cut = a + minus
+            _assert_matches_dense(cut, ra + rminus)
+            assert bi not in dict(cut.entries)
+        gone = a - a
+        assert gone == zero and hash(gone) == hash(zero) and gone.entries == ()
+        assert (a + -a) == zero and hash(a + -a) == hash(zero)
+
+
 def test_only_coefficient_one_single_units_read_as_index_maps():
     shape = _map_shape(Q)
     e01 = BlockMatrix.matrix_unit(shape, 0, 0, 1)
@@ -250,7 +322,7 @@ def test_only_coefficient_one_single_units_read_as_index_maps():
         "two keys in an entry": e01 + BlockMatrix.matrix_unit(shape, 0, 0, 1, key=1),
         "coefficient 2 at x": BlockMatrix.matrix_unit(shape, 1, 0, 0, key=1, coeff=two),
         "an entry over another group": BlockMatrix(shape, (
-            (((0, 1), GroupAlgebraElement.delta(cyclic_table(6), Q, 0)),), (), ())),
+            (0, (((0, 1), GroupAlgebraElement.delta(cyclic_table(6), Q, 0)),)),)),
     }
     for name, m in not_maps.items():
         assert IndexMap.read(m) is None, name

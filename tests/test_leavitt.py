@@ -469,10 +469,10 @@ def test_relation_checks_match_the_block_matrix_reference():
 def _rebuilt(m, entry):
     """m with each entry ((row, col), value) of block bi replaced by the
     items entry(bi, row, col, value) returns."""
-    items = [[] for _ in m.shape.blocks]
-    for bi, block in enumerate(m.entries):
-        for (row, col), val in block:
-            items[bi].extend(entry(bi, row, col, val))
+    items: dict = {}
+    for bi, cells in m.entries:
+        for (row, col), val in cells:
+            items.setdefault(bi, []).extend(entry(bi, row, col, val))
     return BlockMatrix.build(m.shape, items)
 
 
@@ -497,8 +497,8 @@ def _tampered_images(g, images):
     if e is not None:
         out["zero ghost"] = _replaced(images, "ghost", {e: BlockMatrix.zero(images.shape)})
         out["coefficient 2"] = _replaced(images, "edge", {e: images.edge[e] + images.edge[e]})
-        bi, block = next((bi, b) for bi, b in enumerate(images.edge[e].entries) if b)
-        (row, col), val = block[0]
+        bi, cells = images.edge[e].entries[0]
+        (row, col), val = cells[0]
         size = images.shape.blocks[bi][0]
         if size > 1:
             extra = BlockMatrix.matrix_unit(images.shape, bi, row, (col + 1) % size)
