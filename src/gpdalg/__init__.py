@@ -43,8 +43,6 @@ from .group_algebra import (
 from .groupoid import (
     FiniteGroupoid,
     Orbit,
-    OrbitSummary,
-    StructuredGroupoid,
     Violation,
     orbits,
     parse_groupoid,

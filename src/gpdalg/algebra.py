@@ -9,7 +9,8 @@ dom(g) = cod(h), else 0.
 
 decompose() picks the deterministic frame from groupoid.orbits and
 realizes the algebra as one matrix block per orbit, entries in the
-group algebra of the basepoint isotropy.  An arrow g: y -> z in orbit i
+group algebra of the basepoint isotropy; the layout is its BlockShape,
+which verdicts() reads.  An arrow g: y -> z in orbit i
 lands in block i at (row of z, column of y) carrying the isotropy
 element conn_z^-1 g conn_y.  phi/phi_inv implement the two directions;
 verify_isomorphism checks multiplicativity on every pair of basis
@@ -52,8 +53,6 @@ from .groupoid import (
     FiniteGroupoid,
     IsotropyGroup,
     Orbit,
-    StructuredGroupoid,
-    OrbitSummary,
     orbit_isotropies,
     orbits,
     validate,
@@ -194,13 +193,8 @@ class Decomposition:
     ring: RingDescriptor
     orbit_frames: tuple      # Orbit per block
     isotropies: tuple        # IsotropyGroup per block, at each basepoint
-    structured: StructuredGroupoid
     shape: BlockShape
     arrow_position: tuple    # arrow -> (block, row, col, isotropy element index)
-
-    @property
-    def shape_string(self) -> str:
-        return self.shape.render()
 
 
 def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
@@ -216,9 +210,8 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
     frames = orbits(g)
     per_orbit = orbit_isotropies(g, frames)
     isotropies = tuple(iso for _, iso in per_orbit)
-    summaries = tuple(OrbitSummary(len(o.members), iso.table) for o, iso in zip(frames, isotropies))
-    structured = StructuredGroupoid(summaries)
-    shape = BlockShape(ring, tuple((s.size, s.isotropy) for s in summaries))
+    shape = BlockShape(
+        ring, tuple((len(o.members), iso.table) for o, iso in zip(frames, isotropies)))
 
     position = [None] * g.arrow_count
     for bi, (orb, (arrows, iso)) in enumerate(zip(frames, per_orbit)):
@@ -234,7 +227,7 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
     if any(p is None for p in position):
         raise InternalCheckError("orbit computation missed an arrow")
     return Decomposition(
-        g, ring, tuple(frames), tuple(isotropies), structured, shape, tuple(position)
+        g, ring, tuple(frames), tuple(isotropies), shape, tuple(position)
     )
 
 

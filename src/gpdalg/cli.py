@@ -37,6 +37,7 @@ from .isg import parse_isg, semigroup_algebra_iso, isg_verdicts
 from .leavitt import (
     ExitWitness,
     as_finite_groupoid,
+    block_shape,
     condition_ne,
     enumerate_cycles,
     graph_groupoid,
@@ -106,7 +107,7 @@ def _report_groupoid(text: str, ring, do_verify: bool):
             print(f"error: {len(violations) - 3} further violations", file=sys.stderr)
         return None
     d = decompose(g, ring)
-    verdict = verdicts(d.structured, ring)
+    verdict = verdicts(d.shape)
     header = (
         ("objects", str(len(g.objects))),
         ("arrows", str(g.arrow_count)),
@@ -162,7 +163,7 @@ def _report_graph(text: str, ring, do_verify: bool):
                     detail = "algebra is infinite dimensional over the lasso orbits"
                 else:
                     status, detail, witness = _run_oracle(
-                        gd.structured.arrow_count(), lambda: as_finite_groupoid(g),
+                        block_shape(gd, ring).dimension, lambda: as_finite_groupoid(g),
                         ring, verdict.semisimple,
                     )
     return AnalysisReport(

@@ -191,9 +191,6 @@ class IntegerGroup:
         return "ZZ"
 
 
-IsotropyDescriptor = "FiniteGroupTable | IntegerGroup"
-
-
 def entry_ring_rendering(group, ring: RingDescriptor) -> str:
     """How one matrix entry's ring prints inside a shape string."""
     base = render_ring_descriptor(ring)
@@ -317,10 +314,19 @@ def as_laurent_element(a: GroupAlgebraElement) -> RingElement:
 
 @dataclass(frozen=True)
 class BlockShape:
-    """Sizes and isotropy of each diagonal block, plus the ring."""
+    """The block form of a groupoid algebra: per orbit, one diagonal
+    block M_size(ring[isotropy]), plus the ring."""
 
     ring: RingDescriptor
-    blocks: tuple  # tuple of (size, group descriptor)
+    blocks: tuple  # tuple of (size, FiniteGroupTable | IntegerGroup)
+
+    @property
+    def dimension(self):
+        """Sum of size^2 |G| over the blocks, the arrow count, or None
+        when some block has infinite cyclic isotropy."""
+        if any(isinstance(group, IntegerGroup) for _, group in self.blocks):
+            return None
+        return sum(size * size * group.size for size, group in self.blocks)
 
     def render(self) -> str:
         return " x ".join(

@@ -20,14 +20,17 @@ Conventions used throughout the package:
     its lexicographically least object, connecting arrows come from a
     breadth-first search that scans arrows in lexicographic id order,
     and matrix positions follow the sorted member list.
+    structured_from_finite reads the block layout (a BlockShape: per
+    orbit its size and basepoint isotropy) off them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .group_algebra import FiniteGroupTable, IntegerGroup, certify_associativity
+from .group_algebra import BlockShape, FiniteGroupTable, certify_associativity
 from .group_algebra import associativity_generators  # noqa: F401 (re-exported)
+from .rings import RingDescriptor
 
 # file format directives
 _OBJECTS = "objects:"
@@ -449,30 +452,10 @@ def orbit_isotropies(g: FiniteGroupoid, frames: list) -> list:
     return [(arrows, _isotropy(g, orb.members[0], arrows)) for orb, arrows in zip(frames, groups)]
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
-    size: int
-    isotropy: object  # FiniteGroupTable | IntegerGroup
-
-
-@dataclass(frozen=True)
-class StructuredGroupoid:
-    """What the verdict engine needs: per orbit, its size and isotropy."""
-
-    orbits: tuple
-
-    def arrow_count(self):
-        """Total arrows when all isotropy is finite, else None."""
-        total = 0
-        for o in self.orbits:
-            if isinstance(o.isotropy, IntegerGroup):
-                return None
-            total += o.size * o.size * o.isotropy.size
-        return total
-
-
-def structured_from_finite(g: FiniteGroupoid) -> StructuredGroupoid:
+def structured_from_finite(g: FiniteGroupoid, ring: RingDescriptor) -> BlockShape:
+    """The block layout of g's algebra over ring: per orbit, its size
+    and the isotropy group at its basepoint."""
     frames = orbits(g)
-    return StructuredGroupoid(tuple(
-        OrbitSummary(len(orb.members), iso.table)
+    return BlockShape(ring, tuple(
+        (len(orb.members), iso.table)
         for orb, (_, iso) in zip(frames, orbit_isotropies(g, frames))))

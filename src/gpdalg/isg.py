@@ -327,8 +327,7 @@ def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomo
 def isg_verdicts(s: InverseSemigroup, ring: RingDescriptor) -> Verdict:
     """Chain conditions of RS, read off the underlying groupoid."""
     g = underlying_groupoid(s)
-    sg = structured_from_finite(g)
-    base = verdicts(sg, ring)
+    base = verdicts(structured_from_finite(g, ring))
     lines = (
         f"semigroup algebra matches the groupoid algebra of the underlying "
         f"groupoid: {s.size} elements, {len(g.objects)} idempotents, "

@@ -43,7 +43,6 @@ from .group_algebra import (
     IntegerGroup,
     NotAnIndexMap,
 )
-from .groupoid import OrbitSummary, StructuredGroupoid
 from .rings import Rationals, RingDescriptor, ring_predicates
 from .algebra import VerificationReport
 from .verdicts import (
@@ -79,6 +78,10 @@ class Graph:
         for e, v in enumerate(self.src):
             out[v].append(e)
         object.__setattr__(self, "_out", tuple(map(tuple, out)))
+        into: list = [[] for _ in self.vertices]  # vertex -> its in-edges, by edge name
+        for e in sorted(range(self.edge_count), key=self.edge_names.__getitem__):
+            into[self.dst[e]].append(e)
+        object.__setattr__(self, "_in", tuple(map(tuple, into)))
         object.__setattr__(self, "_groupoid", None)  # graph_groupoid() memo
 
     @staticmethod
@@ -101,6 +104,10 @@ class Graph:
 
     def out_edges(self, v: int) -> tuple:
         return self._out[v]
+
+    def in_edges(self, v: int) -> tuple:
+        """The edges into v, in edge-name order."""
+        return self._in[v]
 
     def is_sink(self, v: int) -> bool:
         return not self.out_edges(v)
@@ -356,10 +363,6 @@ def boundary_paths(g: Graph):
                 )
             seen_vertices[v] = c
 
-    in_edges: list = [[] for _ in g.vertices]
-    for e in sorted(range(g.edge_count), key=lambda e: g.edge_names[e]):
-        in_edges[g.dst[e]].append(e)
-
     paths = []
 
     def extend_backward(start, forbidden):
@@ -368,7 +371,7 @@ def boundary_paths(g: Graph):
         chains cannot exhaust the recursion limit."""
         store: list = [()]
         visited = {start}
-        stack = [((), iter(in_edges[start]))]
+        stack = [((), iter(g.in_edges(start)))]
         while stack:
             tail_edges, pending = stack[-1]
             e = next(pending, None)
@@ -391,7 +394,7 @@ def boundary_paths(g: Graph):
             new_edges = (e,) + tail_edges
             store.append(new_edges)
             visited.add(u)
-            stack.append((new_edges, iter(in_edges[u])))
+            stack.append((new_edges, iter(g.in_edges(u))))
         return store
 
     for v in range(len(g.vertices)):
@@ -461,7 +464,6 @@ class GraphOrbit:
 class GraphDecomposition:
     graph: Graph
     orbits: tuple
-    structured: StructuredGroupoid
 
     def boundary_count(self) -> int:
         return sum(len(o.members) for o in self.orbits)
@@ -505,10 +507,7 @@ def _boundary_path_groupoid(g: Graph):
         n = c.length()
         degrees = tuple((bp.offset() - base.offset()) % n for bp in members)
         orbits.append(GraphOrbit("cycle", c, members, degrees, IntegerGroup()))
-    structured = StructuredGroupoid(
-        tuple(OrbitSummary(len(o.members), o.isotropy) for o in orbits)
-    )
-    return GraphDecomposition(g, tuple(orbits), structured)
+    return GraphDecomposition(g, tuple(orbits))
 
 
 def block_shape(gd: GraphDecomposition, ring: RingDescriptor) -> BlockShape:
@@ -549,9 +548,7 @@ def generator_images(g: Graph, ring: RingDescriptor):
         orbit = gd.orbits[bi]
         v = path_start(g, bp)
         vertex[g.vertices[v]][bi].append(((col, col), delta(orbit.isotropy, ring, 0)))
-        for e in range(g.edge_count):
-            if g.dst[e] != v:
-                continue
+        for e in g.in_edges(v):
             bj, row = where.get(prepend_edge(g, e, bp), (None, None))
             if bj != bi:
                 raise InternalCheckError("prepended path leaves its orbit")
@@ -716,7 +713,7 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
 
     if not images.decomposition.has_cycle() and isinstance(ring, Rationals):
         n = _attained_matrix_units(images, maps)
-        expect_dim = sum(len(o.members) ** 2 for o in images.decomposition.orbits)
+        expect_dim = images.shape.dimension
         record(n == expect_dim,
                f"generated subalgebra fills the block algebra ({n} vs {expect_dim})")
     for bi, orbit in enumerate(images.decomposition.orbits):
@@ -842,7 +839,7 @@ def leavitt_verdicts(g: Graph, ring: RingDescriptor) -> Verdict:
         preds.artinian and acyclic,
         preds.field_product and acyclic,
     )
-    chain = verdicts(gd.structured, ring)
+    chain = verdicts(block_shape(gd, ring))
     if graph_route != (chain.noetherian, chain.artinian, chain.semisimple):
         raise InternalCheckError(
             f"graph-side verdicts {graph_route} disagree with the block "

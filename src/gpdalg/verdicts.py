@@ -1,8 +1,9 @@
 """Chain-condition verdicts and the certified semisimplicity oracle.
 
-verdicts() reads facts off the block decomposition: the algebra of a
-finite groupoid is a finite product of matrix algebras over isotropy
-group algebras, so
+verdicts() reads facts off the block layout, a BlockShape: the algebra
+of a groupoid with finitely many orbits is a finite product of matrix
+algebras M_n(R[G]) over isotropy group algebras, one block per orbit,
+so
 
   * Noetherian  iff the coefficient ring is Noetherian and every
     isotropy group algebra is (finite groups: module-finite transfer;
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
 from .group_algebra import BlockShape, IntegerGroup
-from .groupoid import FiniteGroupoid, StructuredGroupoid
+from .groupoid import FiniteGroupoid
 from .linalg import echelon, rref_residue, sparse_kernel
 from .rings import (
     GaloisField,
@@ -77,14 +78,15 @@ class Verdict:
     justification: tuple
 
 
-def verdicts(sg: StructuredGroupoid, ring: RingDescriptor) -> Verdict:
+def verdicts(shape: BlockShape) -> Verdict:
+    """The chain conditions of the block algebra shape, over shape.ring."""
+    ring = shape.ring
     preds = ring_predicates(ring)
     rname = render_ring_descriptor(ring)
-    shape_string = BlockShape(ring, tuple((o.size, o.isotropy) for o in sg.orbits)).render()
-    finite_orders = [
-        o.isotropy.size for o in sg.orbits if not isinstance(o.isotropy, IntegerGroup)
-    ]
-    infinite_isotropy = any(isinstance(o.isotropy, IntegerGroup) for o in sg.orbits)
+    shape_string = shape.render()
+    groups = [group for _, group in shape.blocks]
+    finite_orders = [group.size for group in groups if not isinstance(group, IntegerGroup)]
+    infinite_isotropy = len(finite_orders) < len(groups)
     lines = [f"algebra decomposes as {shape_string} [{CITE_BLOCK}]"]
 
     noetherian = preds.noetherian
@@ -172,19 +174,6 @@ def _basis_products(g: FiniteGroupoid):
     return bp
 
 
-def _sparse(v):
-    """The nonzero entries of a dense vector, as a sparse vector."""
-    return {i: c for i, c in enumerate(v) if c}
-
-
-def _dense(vec, d):
-    """The dense vector of length d with the entries of a sparse one."""
-    v = [0] * d
-    for i, c in vec.items():
-        v[i] = c
-    return v
-
-
 def _mul(bp, u, v, p=0):
     """u * v on the arrow basis, for sparse vectors (dicts from arrow to
     nonzero coefficient), reduced mod p when p > 0: a prime for GF(p),
@@ -219,20 +208,19 @@ def _powers_vanish(bp, base, p):
 
 
 def _right_ideal_nilpotent(bp, w, d, p=0):
-    """Is the right ideal generated by the dense vector w nilpotent over
-    Q (p = 0) or GF(p)?  Exact: build a basis of wA, then take its
+    """Is the right ideal generated by the sparse vector w nilpotent
+    over Q (p = 0) or GF(p)?  Exact: build a basis of wA, then take its
     powers."""
-    sw = _sparse(w)
-    gens = [we for we in (_mul(bp, sw, {e: 1}, p) for e in range(d)) if we]
-    gens.append(sw)
+    gens = [we for we in (_mul(bp, w, {e: 1}, p) for e in range(d)) if we]
+    gens.append(w)
     return _powers_vanish(bp, echelon(gens, p)[0], p)
 
 
 def _ideal_certified_nilpotent(bp, basis, d, p=0):
-    """basis (dense vectors) spans a subspace V; certify V is a
+    """basis (sparse vectors) spans a subspace V; certify V is a
     two-sided ideal and nilpotent.  Used to vouch for every nonzero
     radical answer."""
-    rows, piv = echelon([_sparse(v) for v in basis], p)
+    rows, piv = echelon(basis, p)
     pivot_rows = dict(zip(piv, rows))  # a full rref: see rref_residue
     for u in rows:
         for e in range(d):
@@ -244,10 +232,11 @@ def _ideal_certified_nilpotent(bp, basis, d, p=0):
 
 
 def _certified_radical(bp, radical, d, p=0, pick=0):
-    """Turn a candidate radical basis into the oracle's answer, over Q
-    (p = 0, the trace-form kernel) or GF(p) (the filtration result).
-    A nonzero answer must be a nilpotent ideal, and its vector at index
-    pick, the witness, must generate a nilpotent right ideal."""
+    """Turn a candidate radical basis (sparse vectors) into the oracle's
+    answer, over Q (p = 0, the trace-form kernel) or GF(p) (the
+    filtration result).  A nonzero answer must be a nilpotent ideal,
+    and its vector at index pick, the witness, must generate a
+    nilpotent right ideal."""
     if not radical:
         return True, None, 0
     if not _ideal_certified_nilpotent(bp, radical, d, p):
@@ -285,7 +274,7 @@ def _radical_char0(g: FiniteGroupoid):
     radical = sparse_kernel(_trace_form(g.rows)[1], d)
     if not radical:
         return True, None, 0
-    return _certified_radical(_basis_products(g), [_dense(v, d) for v in radical], d)
+    return _certified_radical(_basis_products(g), radical, d)
 
 
 def _trace_of_power(bp, tr, z, q, mod):
@@ -313,7 +302,7 @@ def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
     Tr(L_(yb)^q) over Z, every stage's matrix is symmetric and only its
     upper triangle is computed.  The radical is contained in every
     stage, and the chain reaches it once p^stage covers the dimension.
-    Returns the radical's reduced echelon basis as dense vectors."""
+    Returns the radical's reduced echelon basis as sparse vectors."""
     d = g.arrow_count
     tr, gram = _trace_form(g.rows)
     stages = 1
@@ -343,7 +332,7 @@ def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
                     vec[idx] = vec.get(idx, 0) + cf * x
             new_basis.append(vec)
         basis, _ = echelon(new_basis, p)
-    return [_dense(b, d) for b in basis]
+    return basis
 
 
 def _radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
@@ -404,6 +393,6 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor) -> RadicalReport:
     witness = None
     if witness_vec is not None:
         witness = AlgebraElement.make(
-            g, ring, [(a, RingElement(ring, c)) for a, c in enumerate(witness_vec) if c]
+            g, ring, [(a, RingElement(ring, c)) for a, c in witness_vec.items()]
         )
     return RadicalReport(semisimple, witness, method, d, rad_dim)

@@ -44,7 +44,7 @@ from gpdalg import (
 )
 from gpdalg.cli import main as cli_main
 from gpdalg.constructions import cyclic_table, group_groupoid
-from gpdalg.leavitt import ExitWitness
+from gpdalg.leavitt import ExitWitness, block_shape
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -84,8 +84,8 @@ def test_acceptance_1_isomorphism_everywhere():
 def test_acceptance_2_cardinality_identity():
     corpus = groupoid_corpus()
     for name, g in corpus:
-        sg = structured_from_finite(g)
-        total = sum(o.size ** 2 * o.isotropy.size for o in sg.orbits)
+        shape = structured_from_finite(g, Q)
+        total = sum(size ** 2 * group.size for size, group in shape.blocks)
         assert total == g.arrow_count, name
     print(
         f"\nACCEPTANCE 2: PASS - sum of size^2 x isotropy order equals the arrow "
@@ -99,7 +99,7 @@ def test_acceptance_3_oracle_agreement():
         if g.arrow_count > 12:
             continue
         for ring in (Q, GF2, GF3):
-            expected = verdicts(structured_from_finite(g), ring).semisimple
+            expected = verdicts(structured_from_finite(g, ring)).semisimple
             assert radical_oracle(g, ring).semisimple == expected, (name, ring)
             compared += 1
     z2 = group_groupoid(cyclic_table(2))
@@ -129,6 +129,7 @@ def test_acceptance_4_leavitt_battery():
         assert len(cycle_orbits) == len(enumerate_cycles(g)), name
         for o in gd.orbits:
             assert isinstance(o.isotropy, IntegerGroup) == (o.kind == "cycle"), name
+        assert (block_shape(gd, Q).dimension is None) == bool(cycle_orbits), name
         for ring in (Q, Z):
             report = verify_leavitt_relations(g, ring)
             assert report.ok, (name, ring, report.failures[:3])
@@ -138,6 +139,7 @@ def test_acceptance_4_leavitt_battery():
         if not finite or enumerate_cycles(g):
             continue
         expected = sum(c * c for c in paths_to_sinks(g).values())
+        assert block_shape(graph_groupoid(g), Q).dimension == expected, name
         assert reference_generated_dimension(generator_images(g, Q)) == expected, name
     a3 = dict((n, g) for n, g, _ in corpus)["a3"]
     assert reference_generated_dimension(generator_images(a3, Q)) == 9
@@ -148,7 +150,7 @@ def test_acceptance_4_leavitt_battery():
         gd = graph_groupoid(g)
         for ring in (Q, Z, GF2, Z6):
             via_graph = leavitt_verdicts(g, ring)
-            via_chain = verdicts(gd.structured, ring)
+            via_chain = verdicts(block_shape(gd, ring))
             assert (via_graph.noetherian, via_graph.artinian, via_graph.semisimple) == (
                 via_chain.noetherian, via_chain.artinian, via_chain.semisimple
             ), (name, ring)
@@ -171,8 +173,8 @@ def test_acceptance_5_inverse_semigroup_battery():
     assert s.size == 7
     v = isg_verdicts(s, Q)
     assert v.shape_string == "M_2(Q) x M_1(Q[Z/2]) x M_1(Q)"
-    sg = structured_from_finite(underlying_groupoid(s))
-    block_dims = sorted(o.size ** 2 * o.isotropy.size for o in sg.orbits)
+    shape = structured_from_finite(underlying_groupoid(s), Q)
+    block_dims = sorted(size ** 2 * group.size for size, group in shape.blocks)
     assert block_dims == [1, 2, 4] and sum(block_dims) == s.size
     for ring in (Q, GF3):
         # 49 element pairs plus the identity-to-unit check

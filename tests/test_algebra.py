@@ -152,7 +152,7 @@ def test_shape_strings():
     ]
     by_name = dict(groupoid_corpus())
     for name, expected in cases:
-        assert decompose(by_name[name], Q).shape_string == expected, name
+        assert decompose(by_name[name], Q).shape.render() == expected, name
 
 
 def test_phi_linear_multiplicative_and_inverted():

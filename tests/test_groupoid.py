@@ -15,6 +15,7 @@ from gpdalg import (
     FiniteGroupoid,
     IntegerGroup,
     ParseError,
+    Q,
     parse_groupoid,
     parse_isg,
     render_groupoid,
@@ -152,16 +153,16 @@ def test_isotropy_groups_verify_as_groups():
 
 def test_structured_summary_and_cardinality():
     p2z2 = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(2))
-    sg = structured_from_finite(p2z2)
-    assert [(o.size, o.isotropy.size) for o in sg.orbits] == [(2, 2)]
-    assert sg.arrow_count() == 8 == p2z2.arrow_count
+    shape = structured_from_finite(p2z2, Q)
+    assert [(size, group.size) for size, group in shape.blocks] == [(2, 2)]
+    assert shape.dimension == 8 == p2z2.arrow_count
     for name, g in groupoid_corpus():
-        sg = structured_from_finite(g)
+        shape = structured_from_finite(g, Q)
         total = 0
-        for o in sg.orbits:
-            assert not isinstance(o.isotropy, IntegerGroup)
-            total += o.size ** 2 * o.isotropy.size
-        assert total == g.arrow_count, name
+        for size, group in shape.blocks:
+            assert not isinstance(group, IntegerGroup)
+            total += size ** 2 * group.size
+        assert total == shape.dimension == g.arrow_count, name
 
 
 def test_identity_arrows_listed():

@@ -52,7 +52,7 @@ from gpdalg import (
     verify_leavitt_relations,
 )
 from gpdalg.group_algebra import IndexMap
-from gpdalg.leavitt import _attained_matrix_units, _generator_matrices
+from gpdalg.leavitt import _attained_matrix_units, _generator_matrices, block_shape
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -235,7 +235,7 @@ def test_materialized_groupoid_of_an_acyclic_graph():
     fg = as_finite_groupoid(g)
     assert validate(fg) == []
     assert fg.arrow_count == 9
-    assert decompose(fg, Q).shape_string == "M_3(Q)"
+    assert decompose(fg, Q).shape.render() == "M_3(Q)"
     with pytest.raises(ValueError):
         as_finite_groupoid(GRAPHS["loop"])
 
@@ -262,7 +262,7 @@ def test_two_routes_agree_on_every_no_exit_graph():
         gd = graph_groupoid(g)
         for ring in (Q, Z, GF2, Z6):
             graph_view = leavitt_verdicts(g, ring)
-            chain_view = verdicts(gd.structured, ring)
+            chain_view = verdicts(block_shape(gd, ring))
             assert (graph_view.noetherian, graph_view.artinian, graph_view.semisimple) == (
                 chain_view.noetherian, chain_view.artinian, chain_view.semisimple
             ), (name, ring)
