@@ -51,8 +51,6 @@ from .group_algebra import (
 )
 from .groupoid import (
     FiniteGroupoid,
-    IsotropyGroup,
-    Orbit,
     orbit_isotropies,
     orbits,
     validate,

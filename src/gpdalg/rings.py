@@ -269,7 +269,11 @@ def int_payload(ring: RingDescriptor, k: int):
 
 
 def _payload_is_zero(ring: RingDescriptor, a) -> bool:
-    return a == zero_payload(ring)
+    # payloads are canonical, so zero is the falsy one; a Product's
+    # tuple of factor zeros is truthy, so its factors are tested apart
+    if isinstance(ring, Product):
+        return all(_payload_is_zero(f, x) for f, x in zip(ring.factors, a))
+    return not a
 
 
 def _laurent_normalize(ring: Laurent, terms: dict):

@@ -29,17 +29,23 @@ read off the groupoid's composition table alone (one nonzero per Gram
 row for a groupoid), vectors are sparse (dicts from arrow to nonzero
 coefficient), products walk only the nonzero entries of their factors
 and the elimination (`linalg.echelon`) only the nonzero entries of its
-rows.  The caller picks no method: over GF(p) with p^dim at most 4096
-the answer is labelled "exhaustive" and reports the element an
-exhaustive sweep of GF(p)^dim would find first, the last row of the
-radical's reduced echelon basis (the sweep itself lives on in the test
-suite as a cross-check); above that it is labelled "filtration" and
-reports the radical's dimension.  Either way every nonzero answer is
-certified on the spot: the reported radical must be a nilpotent ideal
-and the witness must satisfy (aA)^k = 0, so a wrong "not semisimple"
-cannot escape.  A wrong "semisimple" cannot either: the radical is
-always contained in the trace-form kernel respectively the filtration
-result, and those coming out zero forces the radical to be zero.
+rows.  A stage's trace depends on the product alone, so each distinct
+product's trace power is computed once per stage.  The caller picks no
+method: over GF(p) with p^dim at most 4096 the answer is labelled
+"exhaustive" and reports the element an exhaustive sweep of GF(p)^dim
+would find first, the last row of the radical's reduced echelon basis
+(the sweep itself lives on in the test suite as a cross-check); above
+that it is labelled "filtration" and reports the radical's dimension.
+Either way every nonzero answer is certified on the spot: the reported
+radical must be a nilpotent ideal and the witness must satisfy
+(aA)^k = 0, so a wrong "not semisimple" cannot escape.  The ideal
+property is tested against the generating arrows validate certifies
+associativity on (every arrow is a product of them, so closure under
+them is closure under the algebra), and nilpotency by repeated
+squaring, I -> I^2 -> I^4 -> ..., until zero or no drop in dimension.
+A wrong "semisimple" cannot escape either: the radical is always
+contained in the trace-form kernel respectively the filtration result,
+and those coming out zero forces the radical to be zero.
 """
 from __future__ import annotations
 
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
-from .group_algebra import BlockShape, IntegerGroup
+from .group_algebra import BlockShape, IntegerGroup, associativity_generators
 from .groupoid import FiniteGroupoid
 from .linalg import echelon, rref_residue, sparse_kernel
 from .rings import (
@@ -195,10 +201,13 @@ def _mul(bp, u, v, p=0):
 
 def _powers_vanish(bp, base, p):
     """base spans a subspace I with I*I inside I (sparse echelon rows);
-    is I nilpotent?  Take ideal powers until zero or stabilization."""
+    is I nilpotent?  Square until zero or stabilization: I^m*I^m is
+    I^(2m), which lies inside I^m, so a nilpotency index N takes
+    ceil(log2 N) eliminations, and I^(2m) of the same dimension as
+    I^m equals it and never reaches zero."""
     current = base
     while current:
-        products = (_mul(bp, u, v, p) for u in current for v in base)
+        products = (_mul(bp, u, v, p) for u in current for v in current)
         reduced, _ = echelon([w for w in products if w], p)
         if len(reduced) >= len(current):
             # no strict descent and still nonzero: never reaches zero
@@ -216,14 +225,16 @@ def _right_ideal_nilpotent(bp, w, d, p=0):
     return _powers_vanish(bp, echelon(gens, p)[0], p)
 
 
-def _ideal_certified_nilpotent(bp, basis, d, p=0):
+def _ideal_certified_nilpotent(bp, basis, gens, p=0):
     """basis (sparse vectors) spans a subspace V; certify V is a
-    two-sided ideal and nilpotent.  Used to vouch for every nonzero
-    radical answer."""
+    two-sided ideal and nilpotent.  gens generate the algebra (every
+    basis element is a product of them), so V*s and s*V inside V for
+    each s in gens give V*A and A*V inside V.  Used to vouch for every
+    nonzero radical answer."""
     rows, piv = echelon(basis, p)
     pivot_rows = dict(zip(piv, rows))  # a full rref: see rref_residue
     for u in rows:
-        for e in range(d):
+        for e in gens:
             # a product with one arrow gathers from bp: e*u reads row e
             for vec in (_mul(bp, {e: 1}, u, p), _mul(bp, u, {e: 1}, p)):
                 if vec and rref_residue(vec, pivot_rows, p):
@@ -231,21 +242,24 @@ def _ideal_certified_nilpotent(bp, basis, d, p=0):
     return _powers_vanish(bp, rows, p)
 
 
-def _certified_radical(bp, radical, d, p=0, pick=0):
-    """Turn a candidate radical basis (sparse vectors) into the oracle's
-    answer, over Q (p = 0, the trace-form kernel) or GF(p) (the
-    filtration result).  A nonzero answer must be a nilpotent ideal,
-    and its vector at index pick, the witness, must generate a
-    nilpotent right ideal."""
-    if not radical:
-        return True, None, 0
-    if not _ideal_certified_nilpotent(bp, radical, d, p):
+def _certified_radical(bp, radical, gens, p=0, pick=0):
+    """Turn a nonzero candidate radical basis (sparse vectors) into the
+    oracle's answer, over Q (p = 0, the trace-form kernel) or GF(p)
+    (the filtration result); gens generate the algebra.  The answer
+    must be a nilpotent ideal, and its vector at index pick, the
+    witness, must generate a nilpotent right ideal."""
+    if not _ideal_certified_nilpotent(bp, radical, gens, p):
         what = "filtration result" if p else "trace-form kernel"
         raise InternalCheckError(f"{what} is not a nilpotent ideal")
     witness = radical[pick]
-    if not _right_ideal_nilpotent(bp, witness, d, p):
+    if not _right_ideal_nilpotent(bp, witness, len(bp), p):
         raise InternalCheckError("radical witness fails the right-ideal check")
     return False, witness, len(radical)
+
+
+def _generators(g: FiniteGroupoid):
+    """Arrows whose products give every arrow: validate's generators."""
+    return associativity_generators(g.dom, g.cod, g.rows, len(g.objects))
 
 
 def _trace_form(rows):
@@ -274,7 +288,7 @@ def _radical_char0(g: FiniteGroupoid):
     radical = sparse_kernel(_trace_form(g.rows)[1], d)
     if not radical:
         return True, None, 0
-    return _certified_radical(_basis_products(g), radical, d)
+    return _certified_radical(_basis_products(g), radical, _generators(g))
 
 
 def _trace_of_power(bp, tr, z, q, mod):
@@ -300,9 +314,12 @@ def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
     q = p^j modulo p^(j+1), with z the product of two basis vectors,
     divides it by q and reads it mod p.  Since Tr(L_(by)^q) =
     Tr(L_(yb)^q) over Z, every stage's matrix is symmetric and only its
-    upper triangle is computed.  The radical is contained in every
-    stage, and the chain reaches it once p^stage covers the dimension.
-    Returns the radical's reduced echelon basis as sparse vectors."""
+    upper triangle is computed.  The trace depends on z alone, and a
+    stage whose basis holds unit vectors meets the same product many
+    times, so each distinct product's power is taken once per stage.
+    The radical is contained in every stage, and the chain reaches it
+    once p^stage covers the dimension.  Returns the radical's reduced
+    echelon basis as sparse vectors."""
     d = g.arrow_count
     tr, gram = _trace_form(g.rows)
     stages = 1
@@ -316,10 +333,14 @@ def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
         mod = q * p
         n = len(basis)
         rows = [{} for _ in range(n)]
+        traces = {}  # product (as a frozenset of items) -> its trace
         for r, y in enumerate(basis):
             for c in range(r, n):
                 z = _mul(bp, basis[c], y, mod)
-                t = _trace_of_power(bp, tr, z, q, mod)
+                key = frozenset(z.items())
+                t = traces.get(key)
+                if t is None:
+                    t = traces[key] = _trace_of_power(bp, tr, z, q, mod)
                 if t % q:
                     raise InternalCheckError("trace filtration divisibility failed")
                 if x := (t // q) % p:
@@ -342,13 +363,13 @@ def _radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
     exactly when w lies in J, and the first nonzero element of J in that
     order is the last row of J's reduced echelon basis (its pivot is
     rightmost and 1)."""
-    d = g.arrow_count
     bp = _basis_products(g)
     radical = _filtration_radical_modp(g, bp, p)
-    if exhaustive:
-        semisimple, witness, _ = _certified_radical(bp, radical, d, p, pick=-1)
-        return semisimple, witness, 0 if semisimple else None
-    return _certified_radical(bp, radical, d, p)
+    if not radical:
+        return True, None, 0
+    pick = -1 if exhaustive else 0
+    semisimple, witness, dimension = _certified_radical(bp, radical, _generators(g), p, pick)
+    return semisimple, witness, None if exhaustive else dimension
 
 
 def oracle_budget(ring: RingDescriptor):

@@ -751,6 +751,23 @@ def _right_ideal_nilpotent(bp, w, d, p=0):
     return _powers_vanish(bp, rref(gens, p)[0], d, p)
 
 
+def reference_ideal_certified_nilpotent(bp, basis, d, p=0):
+    """The nilpotent-ideal certificate without shortcuts, over Q (p = 0)
+    or GF(p): basis (dense rows) must span a two-sided ideal, tested
+    against every arrow on both sides, and its powers I, I^2, I^3, ...,
+    one factor of I per step, must reach zero.  The package tests the
+    ideal property on generators only and powers by squaring; its
+    answer must be this one."""
+    rows, pivots = rref(basis, p)
+    sparse_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    for u in rows:
+        for e in _unit_vectors(d):
+            for vec in (_vec_mul(bp, e, u, d, p), _vec_mul(bp, u, e, d, p)):
+                if sparse_reduce(dict(enumerate(vec)), sparse_rows, pivots, p):
+                    return False
+    return _powers_vanish(bp, rows, d, p)
+
+
 def _nilpotent_element_modp(bp, w, d, p):
     """Quick soundness filter: anything in the radical is nilpotent."""
     current = w

@@ -103,6 +103,8 @@ def test_product_ring_axioms_exhaustive():
     elems = _elements(ring)
     assert len(elems) == 8
     zero = RingElement.zero(ring)
+    # zero in every factor, not in one: a tuple of factor zeros is truthy
+    assert [a for a in elems if a.is_zero] == [zero]
     for a in elems:
         assert a + (-a) == zero
         for b in elems:

@@ -9,6 +9,7 @@ from corpus import chain_graph, groupoid_corpus, in_tree_graph
 from support import (
     reference_exhaustive_radical,
     reference_filtration_radical,
+    reference_ideal_certified_nilpotent,
     reference_kernel_q,
     reference_trace_form,
 )
@@ -33,6 +34,7 @@ from gpdalg.errors import InternalCheckError
 from gpdalg.leavitt import as_finite_groupoid
 from gpdalg.constructions import (
     cyclic_table,
+    disjoint_union,
     group_groupoid,
     pair_groupoid,
     product_with_group,
@@ -45,7 +47,9 @@ from gpdalg.verdicts import (
     _basis_products,
     _certified_radical,
     _filtration_radical_modp,
+    _generators,
     _ideal_certified_nilpotent,
+    _powers_vanish,
     _radical_charp,
     _right_ideal_nilpotent,
     _trace_form,
@@ -59,6 +63,11 @@ Z4 = parse_ring_descriptor("Z/4")
 Z6 = parse_ring_descriptor("Z/6")
 LQ = parse_ring_descriptor("Laurent(Q)")
 QxGF2 = parse_ring_descriptor("Product(Q, GF(2))")
+
+Z7_GROUPOID = group_groupoid(cyclic_table(7))
+# pair(2) and Z/7 side by side: the stage products repeat, and the
+# generators are a strict subset of the arrows
+PAIR2_U_Z7 = disjoint_union(pair_groupoid(["x", "y"]), Z7_GROUPOID)
 
 RING_BATTERY = (Q, Z, GF2, GF3, Z4, Z6, LQ, QxGF2)
 
@@ -213,6 +222,7 @@ def test_filtration_matches_the_matrix_power_reference():
         for p in (2, 3, 5, 7)
     ]
     cases += [("pair2_S3", pair2_s3, 2), ("pair2_S3", pair2_s3, 3)]
+    cases += [("Z7", Z7_GROUPOID, 7), ("pair2_u_Z7", PAIR2_U_Z7, 7)]
     nonzero = 0
     for name, g, p in cases:
         bp, d = _basis_products(g), g.arrow_count
@@ -360,9 +370,10 @@ PATH_BP = [
 @pytest.mark.parametrize("p", [0, 3])
 def test_certificates_on_the_path_algebra_of_one_arrow(p):
     a, e1 = {A: 2}, {E1: 1}
-    assert _ideal_certified_nilpotent(PATH_BP, [a], 3, p)
-    assert not _ideal_certified_nilpotent(PATH_BP, [e1], 3, p)      # a.e1 = a is outside
-    assert not _ideal_certified_nilpotent(PATH_BP, [e1, a], 3, p)   # an ideal, not nilpotent
+    gens = range(3)
+    assert _ideal_certified_nilpotent(PATH_BP, [a], gens, p)
+    assert not _ideal_certified_nilpotent(PATH_BP, [e1], gens, p)      # a.e1 = a is outside
+    assert not _ideal_certified_nilpotent(PATH_BP, [e1, a], gens, p)   # an ideal, not nilpotent
     assert _right_ideal_nilpotent(PATH_BP, a, 3, p)
     assert not _right_ideal_nilpotent(PATH_BP, e1, 3, p)
 
@@ -382,10 +393,68 @@ CHAIN_BP = [[CHAIN_PRODUCTS.get((i, j), -1) for j in range(6)] for i in range(6)
 @pytest.mark.parametrize("p", [0, 3])
 def test_certificates_on_the_path_algebra_of_two_arrows(p):
     a, b, ba = ({k: 1} for k in (3, 4, 5))
-    assert _ideal_certified_nilpotent(CHAIN_BP, [a, b, ba], 6, p)
-    assert not _ideal_certified_nilpotent(CHAIN_BP, [a], 6, p)
+    assert _ideal_certified_nilpotent(CHAIN_BP, [a, b, ba], range(6), p)
+    assert not _ideal_certified_nilpotent(CHAIN_BP, [a], range(6), p)
     assert _right_ideal_nilpotent(CHAIN_BP, a, 6, p)
     assert _right_ideal_nilpotent(CHAIN_BP, {3: 1, 4: 1}, 6, p)
+
+
+def _certificate_candidates(g, p):
+    """Candidate radicals of g over Q (p = 0) or GF(p): the true radical
+    first, then the radical less its first row, the radical plus an
+    identity arrow, and one non-loop arrow where there is one."""
+    d = g.arrow_count
+    if p:
+        radical = _filtration_radical_modp(g, _basis_products(g), p)
+    else:
+        radical = sparse_kernel(_trace_form(g.rows)[1], d)
+    candidates = [radical, radical[1:], radical + [{g.identity_of[0]: 1}]]
+    candidates += [[{a: 1}] for a in range(d) if g.dom[a] != g.cod[a]][:1]
+    return candidates
+
+
+def test_certificate_on_generators_is_the_certificate_on_every_arrow():
+    """Testing the ideal property against the generators only, and
+    taking powers by squaring, gives the answer the test against every
+    arrow with one factor of I per power step gives."""
+    pair4_s3 = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), symmetric_table(3))
+    cases = [(name, g, p) for name, g in groupoid_corpus() for p in (0, 2, 3)]
+    cases += [
+        ("Z5", group_groupoid(cyclic_table(5)), 5),
+        ("Z7", Z7_GROUPOID, 7),
+        ("pair2_u_Z7", PAIR2_U_Z7, 7),
+        ("pair4_S3", pair4_s3, 2),
+        ("pair4_S3", pair4_s3, 3),
+    ]
+    answers = []
+    for name, g, p in cases:
+        bp, d, gens = _basis_products(g), g.arrow_count, _generators(g)
+        candidates = _certificate_candidates(g, p)
+        assert _ideal_certified_nilpotent(bp, candidates[0], gens, p), (name, p)
+        for basis in candidates:
+            got = _ideal_certified_nilpotent(bp, basis, gens, p)
+            assert got == reference_ideal_certified_nilpotent(bp, _dense_rows(basis, d), d, p), (
+                name, p, basis)
+            answers.append(got)
+    assert answers.count(False) >= 100 and answers.count(True) >= 100
+
+
+def test_powers_vanish_squares_its_way_to_zero(monkeypatch):
+    """The radical of GF(7)[Z/7] has nilpotency index 7: squaring
+    reaches zero in ceil(log2 7) = 3 eliminations, where one factor of
+    the radical per step would take 6."""
+    bp = _basis_products(Z7_GROUPOID)
+    radical = _filtration_radical_modp(Z7_GROUPOID, bp, 7)
+    assert len(radical) == 6
+    rounds = []
+
+    def counting_echelon(rows, p=0):
+        rounds.append(len(rows))
+        return echelon(rows, p)
+
+    monkeypatch.setattr(VERDICTS, "echelon", counting_echelon)
+    assert _powers_vanish(bp, radical, 7)
+    assert len(rounds) == 3
 
 
 def _table(bp):
@@ -404,7 +473,7 @@ def test_trace_form_kernel_over_q_is_the_path_algebra_radical(bp, dim):
     basis = sparse_kernel(gram, d)
     assert len(basis) == dim
     witness = {i: c for i, c in enumerate(reference_kernel_q(_dense_rows(gram, d))[0]) if c}
-    assert _certified_radical(bp, basis, d) == (False, witness, dim)
+    assert _certified_radical(bp, basis, range(d)) == (False, witness, dim)
 
 
 def test_sparse_trace_form_is_the_dense_reference():
@@ -450,7 +519,7 @@ def test_a_tampered_radical_is_an_internal_error(monkeypatch, ring, tamper):
         radical_oracle(g, ring)
 
 
-@pytest.mark.parametrize("ring", [GF2, GF3])
+@pytest.mark.parametrize("ring", [GF2, GF3, GF5])
 def test_a_radical_missing_a_vector_is_an_internal_error(monkeypatch, ring):
     """The true radical less one basis vector is nilpotent but not an
     ideal: some one-arrow product of what is left has a residue that
