@@ -8,7 +8,16 @@ algebras.  Every structural claim can be re-derived by exhaustive
 checks and, for semisimplicity, by an independent radical oracle that
 reads only the arrow multiplication table: the trace form over Q, the
 trace-lift filtration over GF(p), each nonzero answer certified.
+
+Importing the package loads the groupoid engine every subcommand needs:
+``errors``, ``rings``, ``group_algebra``, ``groupoid``, ``algebra``,
+``verdicts`` (with ``linalg``) and ``report``.  The modules
+``constructions``, ``leavitt`` and ``isg`` load on first use, when one
+of their names is read from this package (``gpdalg.Graph``, ``from
+gpdalg import parse_isg``) or the module itself is (``gpdalg.leavitt``),
+so a groupoid report never imports them.
 """
+from importlib import import_module as _import_module
 
 from .errors import (
     InternalCheckError,
@@ -50,16 +59,6 @@ from .groupoid import (
     structured_from_finite,
     validate,
 )
-from .constructions import (
-    action_groupoid,
-    cyclic_table,
-    disjoint_union,
-    group_groupoid,
-    klein_table,
-    pair_groupoid,
-    product_with_group,
-    symmetric_table,
-)
 from .algebra import (
     AlgebraElement,
     Decomposition,
@@ -77,38 +76,37 @@ from .verdicts import (
     radical_oracle,
     verdicts,
 )
-from .leavitt import (
-    Cycle,
-    ExitWitness,
-    Graph,
-    GraphDecomposition,
-    Lasso,
-    SinkPath,
-    as_finite_groupoid,
-    boundary_paths,
-    condition_ne,
-    enumerate_cycles,
-    generator_images,
-    graph_groupoid,
-    is_arrow,
-    leavitt_verdicts,
-    parse_graph,
-    path_start,
-    prepend_edge,
-    render_graph,
-    render_path,
-    verify_leavitt_relations,
-)
-from .isg import (
-    InverseSemigroup,
-    isg_verdicts,
-    maximal_subgroup,
-    natural_partial_order,
-    parse_isg,
-    render_isg,
-    semigroup_algebra_iso,
-    underlying_groupoid,
-)
 from .report import AnalysisReport, render_report_machine, render_report_text
 
 __version__ = "1.0.0"
+
+# module -> the names this package re-exports from it on first use
+_LAZY = {
+    "constructions": (
+        "action_groupoid", "cyclic_table", "disjoint_union", "group_groupoid",
+        "klein_table", "pair_groupoid", "product_with_group", "symmetric_table",
+    ),
+    "leavitt": (
+        "Cycle", "ExitWitness", "Graph", "GraphDecomposition", "Lasso", "SinkPath",
+        "as_finite_groupoid", "boundary_paths", "condition_ne", "enumerate_cycles",
+        "generator_images", "graph_groupoid", "is_arrow", "leavitt_verdicts",
+        "parse_graph", "path_start", "prepend_edge", "render_graph", "render_path",
+        "verify_leavitt_relations",
+    ),
+    "isg": (
+        "InverseSemigroup", "isg_verdicts", "maximal_subgroup", "natural_partial_order",
+        "parse_isg", "render_isg", "semigroup_algebra_iso", "underlying_groupoid",
+    ),
+}
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not bound yet; importing a submodule
+    # binds it here, and each re-exported name is bound on first read
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    for module, names in _LAZY.items():
+        if name in names:
+            value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

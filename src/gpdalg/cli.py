@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from importlib import import_module
 
 from .algebra import decompose, verify_isomorphism
 from .errors import (
@@ -31,21 +32,7 @@ from .errors import (
     OracleBudgetError,
     ParseError,
 )
-# condition_ne, enumerate_cycles, structured_from_finite: not called here; bench/spans.LAYERS rebinds them
-from .groupoid import parse_groupoid, structured_from_finite, validate
-from .isg import parse_isg, semigroup_algebra_iso, isg_verdicts
-from .leavitt import (
-    ExitWitness,
-    as_finite_groupoid,
-    block_shape,
-    condition_ne,
-    enumerate_cycles,
-    graph_groupoid,
-    leavitt_verdicts,
-    parse_graph,
-    verify_leavitt_relations,
-    witness_names,
-)
+from .groupoid import parse_groupoid, validate
 from .report import (
     ORACLE_AGREE,
     ORACLE_SKIPPED,
@@ -56,6 +43,38 @@ from .report import (
 )
 from .rings import parse_ring_descriptor, render_ring_descriptor
 from .verdicts import oracle_budget, radical_oracle, verdicts
+
+# module -> the names the graph and isg reports call from it, bound in
+# this namespace by _load when the subcommand first runs or the name is
+# first read from outside, so a groupoid report never imports them
+_LAZY = {
+    "leavitt": (
+        "ExitWitness", "as_finite_groupoid", "block_shape", "graph_groupoid",
+        "leavitt_verdicts", "parse_graph", "verify_leavitt_relations", "witness_names",
+        "condition_ne", "enumerate_cycles",  # bench/spans only; dropped by ROADMAP item 1
+    ),
+    "isg": ("isg_verdicts", "parse_isg", "semigroup_algebra_iso"),
+    "groupoid": ("structured_from_finite",),  # bench/spans only; dropped by ROADMAP item 1
+}
+
+
+@functools.cache  # one import per process; a later report pays a lookup
+def _load(module: str) -> None:
+    """Bind the names _LAZY lists for module here, keeping any name
+    already bound: a wrapper set on this module before the first report
+    (as bench/spans.install and the tests do) stays in place."""
+    found = import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(found, name))
+
+
+def __getattr__(name):
+    # PEP 562: reached only for a lazy name not bound yet
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,6 +150,7 @@ def _report_groupoid(text: str, ring, do_verify: bool):
 
 
 def _report_graph(text: str, ring, do_verify: bool):
+    _load("leavitt")
     g = parse_graph(text)
     gd = graph_groupoid(g)
     finite = not isinstance(gd, ExitWitness)
@@ -173,6 +193,7 @@ def _report_graph(text: str, ring, do_verify: bool):
 
 
 def _report_isg(text: str, ring, do_verify: bool):
+    _load("isg")
     s = parse_isg(text)
     verdict = isg_verdicts(s, ring)
     header = (

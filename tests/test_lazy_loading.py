@@ -1,0 +1,165 @@
+"""Which modules each entry point loads, and the public names that
+survive loading constructions, leavitt and isg on first use.  Every
+check that depends on what is already imported runs in a fresh
+interpreter."""
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import gpdalg
+import gpdalg.cli
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+LAZY_MODULES = ("gpdalg.constructions", "gpdalg.isg", "gpdalg.leavitt")
+
+# every name gpdalg/__init__.py binds, by the module that defines it
+PUBLIC_NAMES = {
+    "errors": (
+        "InternalCheckError", "LaurentOverflowError", "OracleBudgetError",
+        "ParseError", "RingMismatchError",
+    ),
+    "rings": (
+        "GaloisField", "Integers", "Laurent", "ModularIntegers", "Product", "Q",
+        "Rationals", "RingElement", "RingPredicates", "Z", "laurent_variable",
+        "parse_ring_descriptor", "render_ring_descriptor", "ring_predicates",
+    ),
+    "group_algebra": (
+        "BlockMatrix", "BlockShape", "FiniteGroupTable", "GroupAlgebraElement",
+        "IntegerGroup",
+    ),
+    "groupoid": (
+        "FiniteGroupoid", "Orbit", "Violation", "orbits", "parse_groupoid",
+        "render_groupoid", "structured_from_finite", "validate",
+    ),
+    "constructions": (
+        "action_groupoid", "cyclic_table", "disjoint_union", "group_groupoid",
+        "klein_table", "pair_groupoid", "product_with_group", "symmetric_table",
+    ),
+    "algebra": (
+        "AlgebraElement", "Decomposition", "VerificationReport", "convolve",
+        "decompose", "parse_element_literal", "phi", "phi_inv", "verify_isomorphism",
+    ),
+    "verdicts": ("RadicalReport", "Verdict", "radical_oracle", "verdicts"),
+    "leavitt": (
+        "Cycle", "ExitWitness", "Graph", "GraphDecomposition", "Lasso", "SinkPath",
+        "as_finite_groupoid", "boundary_paths", "condition_ne", "enumerate_cycles",
+        "generator_images", "graph_groupoid", "is_arrow", "leavitt_verdicts",
+        "parse_graph", "path_start", "prepend_edge", "render_graph", "render_path",
+        "verify_leavitt_relations",
+    ),
+    "isg": (
+        "InverseSemigroup", "isg_verdicts", "maximal_subgroup",
+        "natural_partial_order", "parse_isg", "render_isg", "semigroup_algebra_iso",
+        "underlying_groupoid",
+    ),
+    "report": ("AnalysisReport", "render_report_machine", "render_report_text"),
+}
+
+
+def _fresh(code):
+    """Run code in a new interpreter that sees only src/; return the JSON
+    value it prints last."""
+    p = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert p.returncode == 0, p.stderr
+    return json.loads(p.stdout.splitlines()[-1])
+
+
+def _loaded_after(code):
+    return set(_fresh(
+        "import json, sys\n" + code
+        + "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('gpdalg'))))"
+    ))
+
+
+def _report(*argv):
+    return (
+        "import contextlib, io, gpdalg.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert gpdalg.cli.main({list(argv)!r}) == 0\n"
+    )
+
+
+@pytest.mark.parametrize("code, absent, present", [
+    ("import gpdalg", LAZY_MODULES, ()),
+    ("import gpdalg.cli", LAZY_MODULES, ()),
+    (_report("groupoid", str(FIXTURES / "pair2_z2.gpd"), "--verify"), LAZY_MODULES, ()),
+    (_report("graph", str(FIXTURES / "a3.quiv"), "--verify"),
+     ("gpdalg.isg", "gpdalg.constructions"), ("gpdalg.leavitt",)),
+    (_report("isg", str(FIXTURES / "i2.isg"), "--verify"),
+     ("gpdalg.leavitt", "gpdalg.constructions"), ("gpdalg.isg",)),
+], ids=["import-gpdalg", "import-cli", "groupoid", "graph", "isg"])
+def test_each_entry_point_loads_only_its_modules(code, absent, present):
+    loaded = _loaded_after(code)
+    assert "gpdalg.verdicts" in loaded
+    assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
+    assert set(present) <= loaded
+
+
+@pytest.mark.parametrize("access", [
+    "value = getattr(gpdalg, name)",
+    "exec(f'from gpdalg import {name} as value', ns); value = ns['value']",
+])
+def test_public_names_resolve_to_their_defining_objects_on_first_use(access):
+    wrong = _fresh(
+        "import importlib, json, gpdalg\n"
+        "ns = {}\n"
+        f"names = {PUBLIC_NAMES!r}\n"
+        "wrong = []\n"
+        "for module, group in names.items():\n"
+        "    for name in group:\n"
+        f"        {access}\n"
+        "        if value is not getattr(importlib.import_module('gpdalg.' + module), name):\n"
+        "            wrong.append(name)\n"
+        "if not (callable(gpdalg.verdicts) and gpdalg.__version__ == '1.0.0'):\n"
+        "    wrong.append('verdicts or __version__')\n"
+        "print(json.dumps(wrong))"
+    )
+    assert wrong == []
+
+
+def test_lazy_submodules_resolve_after_a_bare_import():
+    assert _fresh(
+        "import json, sys, gpdalg\n"
+        "print(json.dumps([getattr(gpdalg, m) is sys.modules['gpdalg.' + m]\n"
+        "                  for m in ('constructions', 'leavitt', 'isg')]))"
+    ) == [True, True, True]
+
+
+def test_verdicts_is_still_the_function():
+    assert gpdalg.verdicts.__module__ == "gpdalg.verdicts"
+    assert gpdalg.verdicts is sys.modules["gpdalg.verdicts"].verdicts
+
+
+@pytest.mark.parametrize("module", [gpdalg, gpdalg.cli], ids=lambda m: m.__name__)
+def test_an_unknown_name_raises_the_standard_attribute_error(module):
+    with pytest.raises(AttributeError) as info:
+        getattr(module, "no_such_name")
+    assert str(info.value) == f"module {module.__name__!r} has no attribute 'no_such_name'"
+
+
+def test_wrappers_bound_before_the_first_report_are_called():
+    counts = _fresh(
+        "import contextlib, importlib, io, json, gpdalg.cli as cli\n"
+        "counts = {}\n"
+        "def counting(module, name):\n"
+        "    def wrapper(*args):\n"
+        "        counts[name] = counts.get(name, 0) + 1\n"
+        "        return getattr(importlib.import_module(module), name)(*args)\n"
+        "    return wrapper\n"
+        "cli.parse_graph = counting('gpdalg.leavitt', 'parse_graph')\n"
+        "cli.parse_isg = counting('gpdalg.isg', 'parse_isg')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['graph', {str(FIXTURES / 'a3.quiv')!r}]) == 0\n"
+        f"    assert cli.main(['isg', {str(FIXTURES / 'i2.isg')!r}]) == 0\n"
+        f"    assert cli.main(['graph', {str(FIXTURES / 'rose2.quiv')!r}]) == 0\n"
+        "print(json.dumps(counts))"
+    )
+    assert counts == {"parse_graph": 2, "parse_isg": 1}
