@@ -40,7 +40,6 @@ phi_inv and the block matrix operations with the ring's own elements.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .errors import InternalCheckError, ParseError, RingMismatchError
 from .group_algebra import (
@@ -56,15 +55,18 @@ from .groupoid import (
     validate,
 )
 from .rings import RingDescriptor, RingElement
+from .value import Value
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Value):
     """Finitely supported arrow -> coefficient map, no zero entries."""
 
-    groupoid: FiniteGroupoid
-    ring: RingDescriptor
-    coeffs: tuple  # sorted tuple of (arrow index, RingElement)
+    __slots__ = ("groupoid", "ring", "coeffs")
+
+    def __init__(self, groupoid: FiniteGroupoid, ring: RingDescriptor, coeffs: tuple):
+        self.groupoid = groupoid
+        self.ring = ring
+        self.coeffs = coeffs  # sorted tuple of (arrow index, RingElement)
 
     @staticmethod
     def make(g, ring, items) -> "AlgebraElement":
@@ -183,16 +185,17 @@ def parse_element_literal(text: str, g: FiniteGroupoid, ring: RingDescriptor) ->
     return AlgebraElement.make(g, ring, items)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Value):
     """Frame data binding a validated groupoid to its block algebra."""
 
-    groupoid: FiniteGroupoid
-    ring: RingDescriptor
-    orbit_frames: tuple      # Orbit per block
-    isotropies: tuple        # IsotropyGroup per block, at each basepoint
-    shape: BlockShape
-    arrow_position: tuple    # arrow -> (block, row, col, isotropy element index)
+    __slots__ = (
+        "groupoid",
+        "ring",
+        "orbit_frames",    # Orbit per block
+        "isotropies",      # IsotropyGroup per block, at each basepoint
+        "shape",           # BlockShape
+        "arrow_position",  # arrow -> (block, row, col, isotropy element index)
+    )
 
 
 def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
@@ -263,15 +266,11 @@ def _pull(d: Decomposition, bi, row, col, key):
     return g.compose(connecting[row], g.compose(loop, g.inv[connecting[col]]))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     """Outcome of an exhaustive check: how many unit checks ran, how
     many passed, and a witness string per failure."""
 
-    description: str
-    total: int
-    passed: int
-    failures: tuple
+    __slots__ = ("description", "total", "passed", "failures")
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,6 @@ the element is stored exactly as a Laurent polynomial over the ring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import InternalCheckError, RingMismatchError
@@ -18,17 +17,13 @@ from .rings import (
     RingElement,
     render_ring_descriptor,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FiniteGroupTable:
+class FiniteGroupTable(Value):
     """A finite group on indices 0..size-1 with a verified table."""
 
-    size: int
-    table: tuple  # table[i][j] = index of product i*j
-    identity: int
-    inverse: tuple
-    name: str
+    __slots__ = ("size", "table", "identity", "inverse", "name")  # table[i][j] = index of i*j
 
     @staticmethod
     def from_table(rows, name: str | None = None) -> "FiniteGroupTable":
@@ -183,9 +178,10 @@ def _classify_group(table, identity) -> str:
     return f"G{n}"
 
 
-@dataclass(frozen=True)
-class IntegerGroup:
+class IntegerGroup(Value):
     """The infinite cyclic group.  Group algebra = Laurent polynomials."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return "ZZ"
@@ -201,8 +197,7 @@ def entry_ring_rendering(group, ring: RingDescriptor) -> str:
     return f"{base}[{group.name}]"
 
 
-@dataclass(frozen=True)
-class GroupAlgebraElement:
+class GroupAlgebraElement(Value):
     """Finitely supported coefficients over a group.
 
     coeffs maps group element index (finite case) or integer exponent
@@ -210,9 +205,12 @@ class GroupAlgebraElement:
     tuple so equality and hashing are structural.
     """
 
-    group: object
-    ring: RingDescriptor
-    coeffs: tuple
+    __slots__ = ("group", "ring", "coeffs")
+
+    def __init__(self, group, ring: RingDescriptor, coeffs: tuple):
+        self.group = group
+        self.ring = ring
+        self.coeffs = coeffs
 
     @staticmethod
     def make(group, ring, items) -> "GroupAlgebraElement":
@@ -312,13 +310,11 @@ def as_laurent_element(a: GroupAlgebraElement) -> RingElement:
 # block matrices
 
 
-@dataclass(frozen=True)
-class BlockShape:
+class BlockShape(Value):
     """The block form of a groupoid algebra: per orbit, one diagonal
     block M_size(ring[isotropy]), plus the ring."""
 
-    ring: RingDescriptor
-    blocks: tuple  # tuple of (size, FiniteGroupTable | IntegerGroup)
+    __slots__ = ("ring", "blocks")  # blocks: tuple of (size, FiniteGroupTable | IntegerGroup)
 
     @property
     def dimension(self):
@@ -335,16 +331,18 @@ class BlockShape:
         )
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
+class BlockMatrix(Value):
     """Block-diagonal matrix with group algebra entries, stored over the
     blocks it touches: entries holds (block, cells) in block order for
     each block with a nonzero entry, cells its sorted ((row, col),
     nonzero GroupAlgebraElement) pairs.  An empty block is absent, so an
     operation costs the entries it reads, not the number of blocks."""
 
-    shape: BlockShape
-    entries: tuple  # sorted tuple of (block, cells), touched blocks only
+    __slots__ = ("shape", "entries")
+
+    def __init__(self, shape: BlockShape, entries: tuple):
+        self.shape = shape
+        self.entries = entries  # sorted tuple of (block, cells), touched blocks only
 
     @staticmethod
     def build(shape: BlockShape, items_per_block) -> "BlockMatrix":
@@ -446,8 +444,7 @@ class NotAnIndexMap(Exception):
     two entries, or a coefficient other than one, in some row."""
 
 
-@dataclass(frozen=True)
-class IndexMap:
+class IndexMap(Value):
     """A block matrix each of whose nonzero entries is the ring's one
     times a single group element, at most one per row, read as the
     partial map (block, row) -> (col, key).
@@ -458,8 +455,11 @@ class IndexMap:
     is their union; each is the block matrix operation, since one times
     one is one and nothing cancels."""
 
-    shape: BlockShape
-    rows: dict  # (block, row) -> (col, key); never mutated after construction
+    __slots__ = ("shape", "rows")
+
+    def __init__(self, shape: BlockShape, rows: dict):
+        self.shape = shape
+        self.rows = rows  # (block, row) -> (col, key); never mutated after construction
 
     @staticmethod
     def read(m: BlockMatrix) -> "IndexMap | None":

@@ -25,32 +25,44 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ParseError
 from .group_algebra import BlockShape, FiniteGroupTable, certify_associativity
 from .group_algebra import associativity_generators  # noqa: F401 (re-exported)
 from .rings import RingDescriptor
+from .value import Value
 
 # file format directives
 _OBJECTS = "objects:"
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
-    objects: tuple          # object names, declaration order
-    arrows: tuple           # arrow names, declaration order
-    dom: tuple              # arrow index -> object index
-    cod: tuple
-    identity_of: tuple      # object index -> arrow index or None
-    # the one composition table: rows[f] = {g: f after g}, an entry per
-    # recorded composite.  Never mutated; compared, but not hashed.
-    rows: tuple = field(hash=False)
-    inv: tuple              # arrow index -> arrow index or None
+class FiniteGroupoid(Value):
+    __slots__ = (
+        "objects",      # object names, declaration order
+        "arrows",       # arrow names, declaration order
+        "dom",          # arrow index -> object index
+        "cod",
+        "identity_of",  # object index -> arrow index or None
+        # the one composition table: rows[f] = {g: f after g}, an entry
+        # per recorded composite.  Never mutated; compared, but not hashed.
+        "rows",
+        "inv",          # arrow index -> arrow index or None
+        "_violations",  # validate() memo
+        "_arrow_index",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "_violations", None)  # validate() memo
-        object.__setattr__(self, "_arrow_index", {a: i for i, a in enumerate(self.arrows)})
+    def __init__(self, objects, arrows, dom, cod, identity_of, rows, inv):
+        self.objects = objects
+        self.arrows = arrows
+        self.dom = dom
+        self.cod = cod
+        self.identity_of = identity_of
+        self.rows = rows
+        self.inv = inv
+        self._violations = None
+        self._arrow_index = {a: i for i, a in enumerate(arrows)}
+
+    def __hash__(self):
+        return hash((self.objects, self.arrows, self.dom, self.cod, self.identity_of, self.inv))
 
     @staticmethod
     def make(objects, arrows, dom, cod, identity_of, comp, inv) -> "FiniteGroupoid":
@@ -211,11 +223,8 @@ def render_groupoid(g: FiniteGroupoid) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    witness: tuple
-    message: str
+class Violation(Value):
+    __slots__ = ("kind", "witness", "message")
 
     def __str__(self):
         return self.message
@@ -235,7 +244,7 @@ def validate(g: FiniteGroupoid) -> list:
     a fresh list.
     """
     if g._violations is None:
-        object.__setattr__(g, "_violations", tuple(_axiom_violations(g)))
+        g._violations = tuple(_axiom_violations(g))
     return list(g._violations)
 
 
@@ -367,8 +376,7 @@ def _associativity_scan(g: FiniteGroupoid, rows: list, into: list) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Value):
     """One connected component with its frame.
 
     members are sorted object indices (matrix order); basepoint is
@@ -376,8 +384,7 @@ class Orbit:
     the identity at the basepoint in position 0.
     """
 
-    members: tuple
-    connecting: tuple
+    __slots__ = ("members", "connecting")
 
 
 def orbits(g: FiniteGroupoid) -> list:
@@ -410,13 +417,14 @@ def orbits(g: FiniteGroupoid) -> list:
     return result
 
 
-@dataclass(frozen=True)
-class IsotropyGroup:
+class IsotropyGroup(Value):
     """Loops at one object, packaged as a verified group table."""
 
-    object_index: int
-    arrows: tuple           # loop arrow indices, sorted by arrow name
-    table: FiniteGroupTable
+    __slots__ = (
+        "object_index",
+        "arrows",  # loop arrow indices, sorted by arrow name
+        "table",   # FiniteGroupTable
+    )
 
 
 def isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:

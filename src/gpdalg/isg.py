@@ -19,30 +19,33 @@ pairs and the unimodularity of the transition matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .algebra import AlgebraElement, VerificationReport, convolve
 from .errors import InternalCheckError, OracleBudgetError, ParseError
 from .group_algebra import FiniteGroupTable, associativity_failure, square_table
 from .groupoid import FiniteGroupoid, structured_from_finite, validate
 from .linalg import int_det
 from .rings import RingDescriptor, RingElement, render_ring_descriptor
+from .value import Value
 from .verdicts import CITE_BLOCK, Verdict, verdicts
 
 ISG_SIZE_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class InverseSemigroup:
-    elements: tuple   # names, declaration order
-    table: tuple      # table[i][j] = index of elements[i] . elements[j]
-    star: tuple       # index -> index of the unique pseudo-inverse
+class InverseSemigroup(Value):
+    __slots__ = (
+        "elements",   # names, declaration order
+        "table",      # table[i][j] = index of elements[i] . elements[j]
+        "star",       # index -> index of the unique pseudo-inverse
+        "_index",
+        "_groupoid",  # underlying_groupoid() memo
+    )
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {name: i for i, name in enumerate(self.elements)}
-        )
-        object.__setattr__(self, "_groupoid", None)  # underlying_groupoid() memo
+    def __init__(self, elements: tuple, table: tuple, star: tuple):
+        self.elements = elements
+        self.table = table
+        self.star = star
+        self._index = {name: i for i, name in enumerate(elements)}
+        self._groupoid = None
 
     @staticmethod
     def from_table(elements, rows) -> "InverseSemigroup":
@@ -197,11 +200,11 @@ def underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
     """The groupoid with one arrow per element: s runs from s*s to ss*,
     composition is the product on matching pairs.  The result passes
     the exhaustive groupoid validator; a failure would be a bug here,
-    not a property of the input.  Built and validated once per (frozen)
-    InverseSemigroup and memoised on it, so the verdicts and the base
-    change share one groupoid."""
+    not a property of the input.  Built and validated once per
+    InverseSemigroup, which never changes, and memoised on it, so the
+    verdicts and the base change share one groupoid."""
     if s._groupoid is None:
-        object.__setattr__(s, "_groupoid", _build_underlying_groupoid(s))
+        s._groupoid = _build_underlying_groupoid(s)
     return s._groupoid
 
 
@@ -257,14 +260,15 @@ def maximal_subgroup(s: InverseSemigroup, e: int):
     return tuple(members), table
 
 
-@dataclass(frozen=True)
-class IsgIsomorphism:
-    semigroup: InverseSemigroup
-    ring: RingDescriptor
-    groupoid: FiniteGroupoid
-    images: tuple          # per element, an AlgebraElement of the groupoid
-    transition_det: int    # determinant of the 0/1 order matrix
-    report: VerificationReport
+class IsgIsomorphism(Value):
+    __slots__ = (
+        "semigroup",
+        "ring",
+        "groupoid",
+        "images",          # per element, an AlgebraElement of the groupoid
+        "transition_det",  # determinant of the 0/1 order matrix
+        "report",          # VerificationReport
+    )
 
 
 def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomorphism:
@@ -333,4 +337,4 @@ def isg_verdicts(s: InverseSemigroup, ring: RingDescriptor) -> Verdict:
         f"groupoid: {s.size} elements, {len(g.objects)} idempotents, "
         f"unitriangular base change [{CITE_BLOCK}]",
     ) + base.justification
-    return replace(base, justification=lines)
+    return base._replace(justification=lines)

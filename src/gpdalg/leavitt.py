@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from functools import reduce
 
 from .errors import InternalCheckError, OracleBudgetError, ParseError
@@ -45,6 +44,7 @@ from .group_algebra import (
 )
 from .rings import Rationals, RingDescriptor, ring_predicates
 from .algebra import VerificationReport
+from .value import Value
 from .verdicts import (
     CITE_BLOCK,
     CITE_CONNELL,
@@ -64,25 +64,26 @@ _TRIVIAL = FiniteGroupTable.from_table([[0]], name="1")
 LEAVITT_VERIFY_LIMIT = 1440
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertices: tuple
-    edge_names: tuple
-    src: tuple
-    dst: tuple
+class Graph(Value):
+    __slots__ = ("vertices", "edge_names", "src", "dst",
+                 "_vindex", "_eindex", "_out", "_in", "_groupoid")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_eindex", {e: i for i, e in enumerate(self.edge_names)})
-        out: list = [[] for _ in self.vertices]  # vertex -> its out-edges, ascending
-        for e, v in enumerate(self.src):
+    def __init__(self, vertices: tuple, edge_names: tuple, src: tuple, dst: tuple):
+        self.vertices = vertices
+        self.edge_names = edge_names
+        self.src = src
+        self.dst = dst
+        self._vindex = {v: i for i, v in enumerate(vertices)}
+        self._eindex = {e: i for i, e in enumerate(edge_names)}
+        out: list = [[] for _ in vertices]  # vertex -> its out-edges, ascending
+        for e, v in enumerate(src):
             out[v].append(e)
-        object.__setattr__(self, "_out", tuple(map(tuple, out)))
-        into: list = [[] for _ in self.vertices]  # vertex -> its in-edges, by edge name
-        for e in sorted(range(self.edge_count), key=self.edge_names.__getitem__):
-            into[self.dst[e]].append(e)
-        object.__setattr__(self, "_in", tuple(map(tuple, into)))
-        object.__setattr__(self, "_groupoid", None)  # graph_groupoid() memo
+        self._out = tuple(map(tuple, out))
+        into: list = [[] for _ in vertices]  # vertex -> its in-edges, by edge name
+        for e in sorted(range(len(edge_names)), key=edge_names.__getitem__):
+            into[dst[e]].append(e)
+        self._in = tuple(map(tuple, into))
+        self._groupoid = None  # graph_groupoid() memo
 
     @staticmethod
     def make(vertices, edges) -> "Graph":
@@ -172,12 +173,11 @@ def render_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Value):
     """A simple directed cycle, canonically rotated so that the source
     of the first edge is the least vertex name on the cycle."""
 
-    edges: tuple  # edge indices
+    __slots__ = ("edges",)  # edge indices
 
     def length(self) -> int:
         return len(self.edges)
@@ -228,14 +228,12 @@ def enumerate_cycles(g: Graph) -> list:
     return sorted(found, key=lambda c: _cycle_sort_key(g, c))
 
 
-@dataclass(frozen=True)
-class ExitWitness:
+class ExitWitness(Value):
     """A cycle together with an edge leaving it: condition (NE) fails
     and the sets Z(cycle^n exit), n >= 0, are infinitely many nonempty
     disjoint pieces of the boundary-path space."""
 
-    cycle: Cycle
-    exit_edge: int
+    __slots__ = ("cycle", "exit_edge")
 
 
 def witness_names(g: Graph, w: ExitWitness) -> tuple:
@@ -260,22 +258,20 @@ def condition_ne(g: Graph, cycles=None):
     return True, None
 
 
-@dataclass(frozen=True)
-class SinkPath:
+class SinkPath(Value):
     """Finite path ending at a sink; empty edges means the sink alone."""
 
-    edges: tuple  # edge indices, in walking order
-    sink: int     # vertex index
+    __slots__ = (
+        "edges",  # edge indices, in walking order
+        "sink",   # vertex index
+    )
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(Value):
     """spoke (no cycle edges) followed by the cycle repeated forever,
     entering at position entry_pos of the canonical rotation."""
 
-    spoke: tuple
-    cycle: Cycle
-    entry_pos: int
+    __slots__ = ("spoke", "cycle", "entry_pos")
 
     def offset(self) -> int:
         # aligns tails: dropping offset() edges leaves the canonical
@@ -451,19 +447,18 @@ def prepend_edge(g: Graph, e: int, bp):
     return Lasso((e,) + bp.spoke, bp.cycle, bp.entry_pos)
 
 
-@dataclass(frozen=True)
-class GraphOrbit:
-    kind: str          # "sink" or "cycle"
-    anchor: object     # vertex index or Cycle
-    members: tuple     # boundary paths, sorted; members[0] is the basepoint
-    degrees: tuple     # connecting degree basepoint -> member
-    isotropy: object   # FiniteGroupTable (trivial) or IntegerGroup
+class GraphOrbit(Value):
+    __slots__ = (
+        "kind",      # "sink" or "cycle"
+        "anchor",    # vertex index or Cycle
+        "members",   # boundary paths, sorted; members[0] is the basepoint
+        "degrees",   # connecting degree basepoint -> member
+        "isotropy",  # FiniteGroupTable (trivial) or IntegerGroup
+    )
 
 
-@dataclass(frozen=True)
-class GraphDecomposition:
-    graph: Graph
-    orbits: tuple
+class GraphDecomposition(Value):
+    __slots__ = ("graph", "orbits")
 
     def boundary_count(self) -> int:
         return sum(len(o.members) for o in self.orbits)
@@ -477,11 +472,11 @@ def graph_groupoid(g: Graph):
     """Orbit/frame layout of the boundary-path groupoid, or the
     ExitWitness of condition_ne when the space is infinite.
 
-    Computed once per Graph, which is frozen, and memoised on it: this
+    Computed once per Graph, which never changes, and memoised on it: this
     is the one place a report enumerates cycles, decides (NE) and walks
     the boundary paths, and every other stage reads this result."""
     if g._groupoid is None:
-        object.__setattr__(g, "_groupoid", _boundary_path_groupoid(g))
+        g._groupoid = _boundary_path_groupoid(g)
     return g._groupoid
 
 
@@ -514,15 +509,16 @@ def block_shape(gd: GraphDecomposition, ring: RingDescriptor) -> BlockShape:
     return BlockShape(ring, tuple((len(o.members), o.isotropy) for o in gd.orbits))
 
 
-@dataclass
-class GeneratorImages:
-    graph: Graph
-    ring: RingDescriptor
-    decomposition: GraphDecomposition
-    shape: BlockShape
-    vertex: dict   # vertex name -> BlockMatrix
-    edge: dict     # edge name -> BlockMatrix
-    ghost: dict    # edge name -> BlockMatrix (the starred generator)
+class GeneratorImages(Value):
+    __slots__ = (
+        "graph",
+        "ring",
+        "decomposition",  # GraphDecomposition
+        "shape",          # BlockShape
+        "vertex",         # vertex name -> BlockMatrix
+        "edge",           # edge name -> BlockMatrix
+        "ghost",          # edge name -> BlockMatrix (the starred generator)
+    )
 
 
 def generator_images(g: Graph, ring: RingDescriptor):
@@ -857,4 +853,4 @@ def leavitt_verdicts(g: Graph, ring: RingDescriptor) -> Verdict:
             f"entries [{CITE_HILBERT}]"
         )
     lines.extend(chain.justification)
-    return replace(chain, justification=tuple(lines))
+    return chain._replace(justification=tuple(lines))

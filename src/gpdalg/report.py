@@ -13,26 +13,25 @@ identical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import VerificationReport
-from .verdicts import Verdict
+from .value import Value
 
 ORACLE_AGREE = "agree"
 ORACLE_SKIPPED = "skipped"
 ORACLE_UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    kind: str                 # "groupoid", "graph", or "isg"
-    header: tuple             # (label, value) pairs describing the input
-    ring_name: str
-    verdict: Verdict
-    verification: object      # VerificationReport, or a skip marker string
-    oracle_status: str
-    oracle_detail: str        # empty when nothing ran
-    witness: str | None
+class AnalysisReport(Value):
+    __slots__ = (
+        "kind",           # "groupoid", "graph", or "isg"
+        "header",         # (label, value) pairs describing the input
+        "ring_name",
+        "verdict",        # Verdict
+        "verification",   # VerificationReport, or a skip marker string
+        "oracle_status",
+        "oracle_detail",  # empty when nothing ran
+        "witness",        # str or None
+    )
 
 
 def _flag(b: bool) -> str:

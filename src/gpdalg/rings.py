@@ -17,12 +17,11 @@ All arithmetic is exact; nothing here ever touches a float.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Union
 
 from .errors import LaurentOverflowError, ParseError, RingMismatchError
+from .value import Value
 
 # Laurent exponents are plain ints but bounded, so that exponent
 # arithmetic can never silently wrap a huge value into a wrong answer.
@@ -45,72 +44,75 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Integers:
+class Integers(Value):
+    __slots__ = ()
+
     def __repr__(self):
         return "Z"
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(Value):
+    __slots__ = ()
+
     def __repr__(self):
         return "Q"
 
 
-@dataclass(frozen=True)
-class GaloisField:
-    p: int
+class GaloisField(Value):
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p > _MODULUS_LIMIT:
-            raise ValueError(f"GF({self.p}): modulus above the limit {_MODULUS_LIMIT}")
-        if not _is_prime(self.p):
-            raise ValueError(f"GF({self.p}): {self.p} is not prime")
+    def __init__(self, p: int):
+        if p > _MODULUS_LIMIT:
+            raise ValueError(f"GF({p}): modulus above the limit {_MODULUS_LIMIT}")
+        if not _is_prime(p):
+            raise ValueError(f"GF({p}): {p} is not prime")
+        self.p = p
 
     def __repr__(self):
         return f"GF({self.p})"
 
 
-@dataclass(frozen=True)
-class ModularIntegers:
-    n: int
+class ModularIntegers(Value):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n > _MODULUS_LIMIT:
-            raise ValueError(f"Z/{self.n}: modulus above the limit {_MODULUS_LIMIT}")
-        if self.n < 2:
-            raise ValueError(f"Z/{self.n}: modulus must be at least 2")
+    def __init__(self, n: int):
+        if n > _MODULUS_LIMIT:
+            raise ValueError(f"Z/{n}: modulus above the limit {_MODULUS_LIMIT}")
+        if n < 2:
+            raise ValueError(f"Z/{n}: modulus must be at least 2")
+        self.n = n
 
     def __repr__(self):
         return f"Z/{self.n}"
 
 
-@dataclass(frozen=True)
-class Laurent:
-    base: "RingDescriptor"
+class Laurent(Value):
+    __slots__ = ("base",)
 
-    def __post_init__(self):
-        if isinstance(self.base, Laurent):
+    def __init__(self, base: RingDescriptor):
+        if isinstance(base, Laurent):
             raise ValueError("Laurent rings do not nest")
+        self.base = base
 
     def __repr__(self):
         return f"Laurent({self.base!r})"
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple["RingDescriptor", ...]
+class Product(Value):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[RingDescriptor, ...]):
+        if not factors:
             raise ValueError("Product needs at least one factor")
+        self.factors = factors
 
     def __repr__(self):
         inner = ", ".join(repr(f) for f in self.factors)
         return f"Product({inner})"
 
 
-RingDescriptor = Union[Integers, Rationals, GaloisField, ModularIntegers, Laurent, Product]
+# every descriptor class; an annotation reads it as any one of them
+RingDescriptor = (Integers, Rationals, GaloisField, ModularIntegers, Laurent, Product)
 
 Z = Integers()
 Q = Rationals()
@@ -366,13 +368,15 @@ def render_payload(ring: RingDescriptor, a) -> str:
     raise TypeError(f"not a ring descriptor: {ring!r}")
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Value):
     """A value of a specific coefficient ring.  Payloads are canonical,
     so == and hash are structural."""
 
-    ring: RingDescriptor
-    value: object
+    __slots__ = ("ring", "value")
+
+    def __init__(self, ring: RingDescriptor, value):
+        self.ring = ring
+        self.value = value
 
     @staticmethod
     def zero(ring: RingDescriptor) -> "RingElement":
@@ -433,12 +437,8 @@ def laurent_variable(ring: Laurent, exponent: int = 1) -> RingElement:
 # chain-condition predicates
 
 
-@dataclass(frozen=True)
-class RingPredicates:
-    noetherian: bool
-    artinian: bool
-    field_product: bool
-    characteristics: frozenset
+class RingPredicates(Value):
+    __slots__ = ("noetherian", "artinian", "field_product", "characteristics")
 
 
 def _squarefree(n: int) -> bool:

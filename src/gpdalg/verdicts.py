@@ -49,8 +49,6 @@ and those coming out zero forces the radical to be zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
 from .group_algebra import BlockShape, IntegerGroup, associativity_generators
@@ -64,6 +62,7 @@ from .rings import (
     render_ring_descriptor,
     ring_predicates,
 )
+from .value import Value
 
 ORACLE_DIMENSION_LIMIT_CHAR0 = 64
 ORACLE_DIMENSION_LIMIT_CHARP = 96
@@ -75,13 +74,8 @@ CITE_MASCHKE = "Maschke"
 CITE_HILBERT = "Hilbert basis"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    noetherian: bool
-    artinian: bool
-    semisimple: bool
-    shape_string: str
-    justification: tuple
+class Verdict(Value):
+    __slots__ = ("noetherian", "artinian", "semisimple", "shape_string", "justification")
 
 
 def verdicts(shape: BlockShape) -> Verdict:
@@ -161,13 +155,14 @@ def verdicts(shape: BlockShape) -> Verdict:
 # the oracle
 
 
-@dataclass(frozen=True)
-class RadicalReport:
-    semisimple: bool
-    witness: object          # AlgebraElement or None
-    method: str
-    dimension: int
-    radical_dimension: object  # int; None beside an "exhaustive" witness
+class RadicalReport(Value):
+    __slots__ = (
+        "semisimple",
+        "witness",            # AlgebraElement or None
+        "method",
+        "dimension",
+        "radical_dimension",  # int; None beside an "exhaustive" witness
+    )
 
 
 def _basis_products(g: FiniteGroupoid):

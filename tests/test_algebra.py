@@ -1,5 +1,4 @@
 """Convolution algebra and the block-matrix isomorphism."""
-import dataclasses
 import itertools
 import pathlib
 import random
@@ -199,7 +198,7 @@ def _swap_arrows(d):
     f, h = g.arrow_index("f"), g.arrow_index("g")
     swapped = list(d.arrow_position)
     swapped[f], swapped[h] = swapped[h], swapped[f]
-    return dataclasses.replace(d, arrow_position=tuple(swapped))
+    return d._replace(arrow_position=tuple(swapped))
 
 
 def test_tampered_frame_is_detected():
@@ -238,7 +237,7 @@ def _swap_isotropy_keys(d):
         (bi, row, col, relabel.get(key, key) if bi == target else key)
         for bi, row, col, key in d.arrow_position
     )
-    return dataclasses.replace(d, arrow_position=position)
+    return d._replace(arrow_position=position)
 
 
 def _permute_group_table(d):
@@ -253,8 +252,8 @@ def _permute_group_table(d):
             rows[perm[i]][perm[j]] = perm[group.table[i][j]]
     blocks = list(d.shape.blocks)
     blocks[target] = (size, FiniteGroupTable.from_table(rows, group.name))
-    shape = dataclasses.replace(d.shape, blocks=tuple(blocks))
-    return dataclasses.replace(d, shape=shape)
+    shape = d.shape._replace(blocks=tuple(blocks))
+    return d._replace(shape=shape)
 
 
 def _swap_connecting(d):
@@ -265,8 +264,8 @@ def _swap_connecting(d):
     frames = list(d.orbit_frames)
     conn = list(frames[target].connecting)
     conn[-1], conn[-2] = conn[-2], conn[-1]
-    frames[target] = dataclasses.replace(frames[target], connecting=tuple(conn))
-    return dataclasses.replace(d, orbit_frames=tuple(frames))
+    frames[target] = frames[target]._replace(connecting=tuple(conn))
+    return d._replace(orbit_frames=tuple(frames))
 
 
 def _merge_rows(d):
@@ -280,7 +279,7 @@ def _merge_rows(d):
         else (bi, row, col, key)
         for bi, row, col, key in d.arrow_position
     )
-    return dataclasses.replace(d, arrow_position=position)
+    return d._replace(arrow_position=position)
 
 
 @pytest.mark.parametrize("tamper, groupoid", [

@@ -16,6 +16,10 @@ import gpdalg.cli
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 LAZY_MODULES = ("gpdalg.constructions", "gpdalg.isg", "gpdalg.leavitt")
+# standard modules no entry point loads: dataclasses is slow to import
+# and to build classes with, and brings in inspect (with ast, dis and
+# tokenize), which nothing else here needs
+UNUSED_STDLIB = ("dataclasses", "inspect")
 
 # every name gpdalg/__init__.py binds, by the module that defines it
 PUBLIC_NAMES = {
@@ -73,9 +77,11 @@ def _fresh(code):
 
 
 def _loaded_after(code):
+    """The gpdalg modules, and those of UNUSED_STDLIB, loaded after code."""
     return set(_fresh(
         "import json, sys\n" + code
-        + "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('gpdalg'))))"
+        + "\nprint(json.dumps(sorted(m for m in sys.modules"
+        f" if m.startswith('gpdalg') or m in {UNUSED_STDLIB!r})))"
     ))
 
 
@@ -100,6 +106,7 @@ def test_each_entry_point_loads_only_its_modules(code, absent, present):
     loaded = _loaded_after(code)
     assert "gpdalg.verdicts" in loaded
     assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
+    assert loaded.isdisjoint(UNUSED_STDLIB), sorted(loaded & set(UNUSED_STDLIB))
     assert set(present) <= loaded
 
 

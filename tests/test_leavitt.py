@@ -1,5 +1,4 @@
 """Leavitt path algebras through the boundary-path groupoid."""
-import dataclasses
 import itertools
 import pathlib
 import random
@@ -331,7 +330,7 @@ SPAN_GRAPHS = (
 def _replaced(images, kind, items):
     """Copy of the generator images with some images of one kind
     (vertex, edge or ghost) replaced."""
-    return dataclasses.replace(images, **{kind: {**getattr(images, kind), **items}})
+    return images._replace(**{kind: {**getattr(images, kind), **items}})
 
 
 IMAGE_RINGS = (Q, parse_ring_descriptor("GF(3)"), Z6, LQ)

@@ -202,6 +202,24 @@ def test_laurent_no_nesting():
         Laurent(Laurent(Z))
 
 
+@pytest.mark.parametrize("make, text, message, parsed", [
+    (lambda: GaloisField(4), "GF(4)", "GF(4): 4 is not prime", "position 4: GF(4): 4 is not prime"),
+    (lambda: ModularIntegers(1), "Z/1", "Z/1: modulus must be at least 2",
+     "position 3: Z/1: modulus must be at least 2"),
+    (lambda: Laurent(Laurent(Q)), "Laurent(Laurent(Q))", "Laurent rings do not nest",
+     "position 9: Laurent rings do not nest"),
+    (lambda: Product(()), "Product()", "Product needs at least one factor",
+     "position 9: expected a ring descriptor"),
+], ids=["GF(4)", "Z/1", "Laurent(Laurent(Q))", "Product()"])
+def test_descriptor_validation_messages(make, text, message, parsed):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+    with pytest.raises(ParseError) as info:
+        parse_ring_descriptor(text)
+    assert str(info.value) == parsed
+
+
 def _laurent_oracle_mul(a, b):
     out = {}
     for e1, c1 in a.items():
