@@ -54,7 +54,7 @@ from .groupoid import (
     orbits,
     validate,
 )
-from .rings import RingDescriptor, RingElement
+from .rings import RingDescriptor, RingElement, sum_like_terms
 from .value import Value
 
 
@@ -70,15 +70,7 @@ class AlgebraElement(Value):
 
     @staticmethod
     def make(g, ring, items) -> "AlgebraElement":
-        acc: dict = {}
-        for a, c in items:
-            if a in acc:
-                acc[a] = acc[a] + c
-            else:
-                acc[a] = c
-        return AlgebraElement(
-            g, ring, tuple(sorted((a, c) for a, c in acc.items() if not c.is_zero))
-        )
+        return AlgebraElement(g, ring, sum_like_terms(items))
 
     @staticmethod
     def zero(g, ring) -> "AlgebraElement":

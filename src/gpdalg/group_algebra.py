@@ -12,10 +12,10 @@ from operator import itemgetter
 
 from .errors import InternalCheckError, RingMismatchError
 from .rings import (
-    Laurent,
     RingDescriptor,
     RingElement,
     render_ring_descriptor,
+    sum_like_terms,
 )
 from .value import Value
 
@@ -214,14 +214,7 @@ class GroupAlgebraElement(Value):
 
     @staticmethod
     def make(group, ring, items) -> "GroupAlgebraElement":
-        acc = {}
-        for k, c in items:
-            if k in acc:
-                acc[k] = acc[k] + c
-            else:
-                acc[k] = c
-        cleaned = tuple(sorted((k, c) for k, c in acc.items() if not c.is_zero))
-        return GroupAlgebraElement(group, ring, cleaned)
+        return GroupAlgebraElement(group, ring, sum_like_terms(items))
 
     @staticmethod
     def zero(group, ring) -> "GroupAlgebraElement":
@@ -297,15 +290,6 @@ def group_algebra_mul(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAl
     return GroupAlgebraElement.make(group, a.ring, items)
 
 
-def as_laurent_element(a: GroupAlgebraElement) -> RingElement:
-    """View an infinite-cyclic group algebra element as a RingElement of
-    Laurent(ring).  Only defined over base rings that Laurent accepts."""
-    if not isinstance(a.group, IntegerGroup):
-        raise ValueError("only infinite cyclic isotropy converts to a Laurent element")
-    ring = Laurent(a.ring)
-    return RingElement(ring, tuple((e, c.value) for e, c in a.coeffs))
-
-
 # ---------------------------------------------------------------------------
 # block matrices
 
@@ -350,15 +334,10 @@ class BlockMatrix(Value):
         blocks = []
         for bi, items in sorted(items_per_block.items()):
             size = shape.blocks[bi][0]
-            acc: dict = {}
-            for (r, c), val in items:
+            for (r, c), _ in items:
                 if not 0 <= r < size or not 0 <= c < size:
                     raise ValueError(f"entry ({r},{c}) outside block of size {size}")
-                if (r, c) in acc:
-                    acc[(r, c)] = acc[(r, c)] + val
-                else:
-                    acc[(r, c)] = val
-            cells = tuple(sorted((rc, v) for rc, v in acc.items() if not v.is_zero))
+            cells = sum_like_terms(items)
             if cells:
                 blocks.append((bi, cells))
         return BlockMatrix(shape, tuple(blocks))

@@ -305,37 +305,6 @@ def _path_sort_key(g: Graph, bp):
     return (1, len(bp.spoke), tuple(g.edge_names[e] for e in bp.spoke), bp.entry_pos)
 
 
-def _check_path_in_graph(g: Graph, bp):
-    if isinstance(bp, SinkPath):
-        if not 0 <= bp.sink < len(g.vertices) or not g.is_sink(bp.sink):
-            raise ValueError("path does not end at a sink of this graph")
-        at = bp.sink
-        for e in reversed(bp.edges):
-            if not 0 <= e < g.edge_count or g.dst[e] != at:
-                raise ValueError("path edges do not chain in this graph")
-            at = g.src[e]
-        return
-    c = bp.cycle
-    n = c.length()
-    if not 0 <= bp.entry_pos < n:
-        raise ValueError("lasso entry position out of range")
-    if len(set(c.edges)) != n:
-        raise ValueError("cycle repeats an edge")
-    for i, e in enumerate(c.edges):
-        nxt = c.edges[(i + 1) % n]
-        if not 0 <= e < g.edge_count or g.dst[e] != g.src[nxt]:
-            raise ValueError("cycle edges do not chain in this graph")
-    if len({g.src[e] for e in c.edges}) != n:
-        raise ValueError("cycle repeats a vertex")
-    at = g.src[c.edges[bp.entry_pos]]
-    for e in reversed(bp.spoke):
-        if not 0 <= e < g.edge_count or g.dst[e] != at:
-            raise ValueError("spoke edges do not chain in this graph")
-        if e in set(c.edges):
-            raise ValueError("spoke reuses a cycle edge")
-        at = g.src[e]
-
-
 def boundary_paths(g: Graph):
     """All boundary paths when (NE) holds, else an ExitWitness.
 
@@ -404,30 +373,6 @@ def boundary_paths(g: Graph):
             for edges in extend_backward(w, forbidden):
                 paths.append(Lasso(edges, c, pos))
     return sorted(paths, key=lambda bp: _path_sort_key(g, bp))
-
-
-def _normalize_lasso(g: Graph, bp: Lasso) -> Lasso:
-    canon = _canonical_cycle(g, bp.cycle.edges)
-    if canon == bp.cycle:
-        return bp
-    shift = canon.edges.index(bp.cycle.edges[0])
-    return Lasso(bp.spoke, canon, (bp.entry_pos + shift) % canon.length())
-
-
-def is_arrow(g: Graph, eta, k: int, gamma) -> bool:
-    """Is (eta, k, gamma) an arrow of the boundary-path groupoid, i.e.
-    eta = alpha delta, gamma = beta delta with k = |alpha| - |beta|?"""
-    _check_path_in_graph(g, eta)
-    _check_path_in_graph(g, gamma)
-    if isinstance(eta, SinkPath) and isinstance(gamma, SinkPath):
-        return eta.sink == gamma.sink and k == len(eta.edges) - len(gamma.edges)
-    if isinstance(eta, Lasso) and isinstance(gamma, Lasso):
-        eta = _normalize_lasso(g, eta)
-        gamma = _normalize_lasso(g, gamma)
-        if eta.cycle != gamma.cycle:
-            return False
-        return (k - (eta.offset() - gamma.offset())) % eta.cycle.length() == 0
-    return False
 
 
 def prepend_edge(g: Graph, e: int, bp):

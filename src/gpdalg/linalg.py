@@ -14,9 +14,7 @@ row echelon form of a matrix is determined by its row space, so this
 order of elimination gives exactly the rows and pivots of a textbook
 Gauss-Jordan.  `sparse_kernel` reads the kernel off that echelon and
 `sparse_reduce` reduces a vector against echelon rows (`rref_residue`
-reads only the rows a vector needs from a full rref); `rref`, `kernel`
-and `reduce` are the same operations on lists of lists (dense rows),
-converted at the boundary.
+reads only the rows a vector needs from a full rref).
 
 The field is named by its characteristic p: p = 0 means Q (integer or
 `Fraction` input is accepted), and a prime p means GF(p), with `int`
@@ -36,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ONE = Fraction(1)
 
 
 def _start_row(r, p):
@@ -161,37 +159,6 @@ def rref_residue(vec, pivot_rows, p=0):
     pivots vec has are read.  vec is not mutated."""
     present = sorted(c for c in vec if c in pivot_rows)
     return sparse_reduce(vec, [pivot_rows[c] for c in present], present, p)
-
-
-def _sparse_rows(rows):
-    return [{c: v for c, v in enumerate(r) if v} for r in rows]
-
-
-def _dense_rows(rows, ncols, zero):
-    return [[r.get(c, zero) for c in range(ncols)] for r in rows]
-
-
-def rref(rows, p=0):
-    """Reduced row echelon form of dense rows.  Returns (rref rows,
-    pivot cols).  Input rows are not mutated."""
-    reduced, pivots = echelon(_sparse_rows(rows), p)
-    return _dense_rows(reduced, len(rows[0]) if rows else 0, 0 if p else _ZERO), pivots
-
-
-def kernel(rows, p=0):
-    """Basis of {v : M v = 0}, for M given as dense rows (one vector per
-    free column of the rref)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    return _dense_rows(sparse_kernel(_sparse_rows(rows), ncols, p), ncols, 0 if p else _ZERO)
-
-
-def reduce(vec, rows, pivots, p=0):
-    """sparse_reduce on a dense vector and dense echelon rows: the
-    residue is all zeros exactly when vec lies in the span of the rows."""
-    v = sparse_reduce(dict(enumerate(vec)), _sparse_rows(rows), pivots, p)
-    return [v.get(c, 0 if p else _ZERO) for c in range(len(vec))]
 
 
 def int_det(rows) -> int:

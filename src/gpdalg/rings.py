@@ -32,6 +32,11 @@ MAX_LAURENT_EXPONENT = 2 ** 20
 # below this bound and would hang on a huge one
 _MODULUS_LIMIT = 2 ** 31 - 1
 
+# deepest nesting of Laurent and Product the parser accepts: comparing
+# and rendering a descriptor recurse once per level, so a deeper one
+# would exhaust the interpreter's recursion limit after parsing
+_NESTING_LIMIT = 32
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -186,22 +191,29 @@ def _modulus_ring(ring_type, n: int, at: int) -> RingDescriptor:
         raise ParseError(str(e), column=at + 1) from None
 
 
-def _parse_ring(sc: _Scanner) -> RingDescriptor:
+def _parse_ring(sc: _Scanner, depth: int = 0) -> RingDescriptor:
+    """The ring at the scan position, inside depth Laurent and Product
+    constructors."""
     start = sc.pos
+    if depth > _NESTING_LIMIT:
+        sc.skip_ws()
+        raise ParseError(
+            f"ring descriptor nested deeper than {_NESTING_LIMIT} levels", column=sc.pos + 1
+        )
     if sc.match_word("Laurent"):
         sc.expect("(")
         sc.skip_ws()
         if sc.text.startswith("Laurent", sc.pos):
             raise ParseError("Laurent rings do not nest", column=sc.pos + 1)
-        base = _parse_ring(sc)
+        base = _parse_ring(sc, depth + 1)
         sc.expect(")")
         return Laurent(base)
     if sc.match_word("Product"):
         sc.expect("(")
-        factors = [_parse_ring(sc)]
+        factors = [_parse_ring(sc, depth + 1)]
         while sc.peek() == ",":
             sc.expect(",")
-            factors.append(_parse_ring(sc))
+            factors.append(_parse_ring(sc, depth + 1))
         sc.expect(")")
         return Product(tuple(factors))
     if sc.match_word("GF"):
@@ -424,6 +436,19 @@ class RingElement(Value):
 
     def __str__(self) -> str:
         return render_payload(self.ring, self.value)
+
+
+def sum_like_terms(items) -> tuple:
+    """The (key, value) pairs of items with the values of equal keys
+    summed and zero sums dropped, as a tuple sorted by key: the stored
+    form of algebra, group algebra and block matrix entries."""
+    acc: dict = {}
+    for k, v in items:
+        if k in acc:
+            acc[k] = acc[k] + v
+        else:
+            acc[k] = v
+    return tuple(sorted((k, v) for k, v in acc.items() if not v.is_zero))
 
 
 def laurent_variable(ring: Laurent, exponent: int = 1) -> RingElement:

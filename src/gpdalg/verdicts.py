@@ -382,7 +382,8 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor) -> RadicalReport:
     basis alone: the trace form over Q, the trace-lift filtration over
     GF(p), each answer certified as described in the module docstring.
 
-    Supports Q (dimension up to 64) and GF(p) (dimension up to 96).
+    Supports Q up to dimension ORACLE_DIMENSION_LIMIT_CHAR0 and GF(p)
+    up to dimension ORACLE_DIMENSION_LIMIT_CHARP.
     The groupoid must already have passed validate().  The report's
     method is "trace form" over Q; over GF(p) it is "exhaustive" while
     p^dim <= 4096, with the element sweep's witness and no radical

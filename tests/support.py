@@ -34,15 +34,15 @@ from gpdalg.leavitt import (
     Graph,
     Lasso,
     SinkPath,
+    _canonical_cycle,
     block_shape,
     generator_images,
     graph_groupoid,
-    is_arrow,
     path_start,
     prepend_edge,
     render_path,
 )
-from gpdalg.linalg import kernel, rref, sparse_reduce
+from gpdalg.linalg import sparse_reduce
 from gpdalg.rings import Rationals, RingElement
 
 
@@ -428,6 +428,64 @@ def _unrolled(g: Graph, bp, length: int) -> tuple:
     return tuple(out[:length])
 
 
+def _check_path_in_graph(g: Graph, bp):
+    if isinstance(bp, SinkPath):
+        if not 0 <= bp.sink < len(g.vertices) or not g.is_sink(bp.sink):
+            raise ValueError("path does not end at a sink of this graph")
+        at = bp.sink
+        for e in reversed(bp.edges):
+            if not 0 <= e < g.edge_count or g.dst[e] != at:
+                raise ValueError("path edges do not chain in this graph")
+            at = g.src[e]
+        return
+    c = bp.cycle
+    n = c.length()
+    if not 0 <= bp.entry_pos < n:
+        raise ValueError("lasso entry position out of range")
+    if len(set(c.edges)) != n:
+        raise ValueError("cycle repeats an edge")
+    for i, e in enumerate(c.edges):
+        nxt = c.edges[(i + 1) % n]
+        if not 0 <= e < g.edge_count or g.dst[e] != g.src[nxt]:
+            raise ValueError("cycle edges do not chain in this graph")
+    if len({g.src[e] for e in c.edges}) != n:
+        raise ValueError("cycle repeats a vertex")
+    at = g.src[c.edges[bp.entry_pos]]
+    for e in reversed(bp.spoke):
+        if not 0 <= e < g.edge_count or g.dst[e] != at:
+            raise ValueError("spoke edges do not chain in this graph")
+        if e in set(c.edges):
+            raise ValueError("spoke reuses a cycle edge")
+        at = g.src[e]
+
+
+def _normalize_lasso(g: Graph, bp: Lasso) -> Lasso:
+    canon = _canonical_cycle(g, bp.cycle.edges)
+    if canon == bp.cycle:
+        return bp
+    shift = canon.edges.index(bp.cycle.edges[0])
+    return Lasso(bp.spoke, canon, (bp.entry_pos + shift) % canon.length())
+
+
+def is_arrow(g: Graph, eta, k: int, gamma) -> bool:
+    """Is (eta, k, gamma) an arrow of the boundary-path groupoid, i.e.
+    eta = alpha delta, gamma = beta delta with k = |alpha| - |beta|?
+    Decided from the tails alone (same sink, or same cycle with the
+    degree matching the lasso offsets mod the cycle length), a model
+    of the groupoid independent of the package's orbit frames."""
+    _check_path_in_graph(g, eta)
+    _check_path_in_graph(g, gamma)
+    if isinstance(eta, SinkPath) and isinstance(gamma, SinkPath):
+        return eta.sink == gamma.sink and k == len(eta.edges) - len(gamma.edges)
+    if isinstance(eta, Lasso) and isinstance(gamma, Lasso):
+        eta = _normalize_lasso(g, eta)
+        gamma = _normalize_lasso(g, gamma)
+        if eta.cycle != gamma.cycle:
+            return False
+        return (k - (eta.offset() - gamma.offset())) % eta.cycle.length() == 0
+    return False
+
+
 def truncation_is_arrow(g: Graph, eta, k: int, gamma) -> bool:
     """Decide tail equivalence with shift k by brute truncation: look
     for drop counts a, b with a - b = k whose dropped words agree on a
@@ -734,7 +792,7 @@ def _powers_vanish(bp, base, d, p):
     current = base
     while current:
         nxt = [_vec_mul(bp, u, v, d, p) for u in current for v in base]
-        reduced, _ = rref(nxt, p)
+        reduced, _ = reference_rref(nxt, p)
         if len(reduced) >= len(current):
             # no strict descent and still nonzero: never reaches zero
             return not reduced
@@ -748,7 +806,7 @@ def _right_ideal_nilpotent(bp, w, d, p=0):
     its powers."""
     gens = [_vec_mul(bp, w, e, d, p) for e in _unit_vectors(d)]
     gens.append(w)
-    return _powers_vanish(bp, rref(gens, p)[0], d, p)
+    return _powers_vanish(bp, reference_rref(gens, p)[0], d, p)
 
 
 def reference_ideal_certified_nilpotent(bp, basis, d, p=0):
@@ -758,7 +816,7 @@ def reference_ideal_certified_nilpotent(bp, basis, d, p=0):
     one factor of I per step, must reach zero.  The package tests the
     ideal property on generators only and powers by squaring; its
     answer must be this one."""
-    rows, pivots = rref(basis, p)
+    rows, pivots = reference_rref(basis, p)
     sparse_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
     for u in rows:
         for e in _unit_vectors(d):
@@ -862,7 +920,7 @@ def reference_filtration_radical(bp, d, p):
                     raise InternalCheckError("trace filtration divisibility failed")
                 row.append((t // q) % p)
             rows.append(row)
-        coeff_kernel = kernel(rows, p)
+        coeff_kernel = reference_kernel(rows, p)
         new_basis = []
         for coeffs in coeff_kernel:
             vec = [0] * d
@@ -871,16 +929,18 @@ def reference_filtration_radical(bp, d, p):
                     for idx in range(d):
                         vec[idx] = (vec[idx] + c * b[idx]) % p
             new_basis.append(vec)
-        basis, _ = rref(new_basis, p)
+        basis, _ = reference_rref(new_basis, p)
     return basis
 
 
-def reference_rref_q(rows):
-    """Gauss-Jordan over Q on `Fraction` rows: each pivot row is scaled
-    to pivot 1 and subtracted from every other row with a nonzero entry
-    in its column.  `linalg.rref` eliminates on integer rows instead and
-    must return exactly this, entry types included."""
-    m = [list(map(Fraction, r)) for r in rows]
+def reference_rref(rows, p=0):
+    """Gauss-Jordan on dense rows over Q (p = 0) or GF(p): each pivot row
+    is scaled to pivot 1 and subtracted from every other row with a
+    nonzero entry in its column.  Returns (rref rows, pivot cols), the
+    entries `Fraction` over Q and int in range(p) over GF(p).
+    `linalg.echelon` eliminates on sparse rows (fraction free over Q)
+    instead and must return exactly this, entry types included."""
+    m = [[v % p for v in r] if p else list(map(Fraction, r)) for r in rows]
     pivots = []
     row = 0
     ncols = len(m[0]) if m else 0
@@ -889,12 +949,12 @@ def reference_rref_q(rows):
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
+        inv = pow(m[row][col], -1, p) if p else 1 / m[row][col]
+        m[row] = [v * inv % p if p else v * inv for v in m[row]]
         for i in range(len(m)):
             if i != row and m[i][col]:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+                m[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(m[i], m[row])]
         pivots.append(col)
         row += 1
         if row == len(m):
@@ -902,19 +962,21 @@ def reference_rref_q(rows):
     return m[:row], pivots
 
 
-def reference_kernel_q(rows):
-    """Kernel basis read off `reference_rref_q`, one vector per free
-    column, as `linalg.kernel` must return it over Q."""
+def reference_kernel(rows, p=0):
+    """Kernel basis read off `reference_rref`, one vector per free
+    column, as `linalg.sparse_kernel` must give it densely: entry 1 at
+    the free column f and -rref[i][f] at the pivot of each row i."""
     if not rows:
         return []
     ncols = len(rows[0])
-    reduced, pivots = reference_rref_q(rows)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    reduced, pivots = reference_rref(rows, p)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [zero] * ncols
+        v[f] = one
         for r, c in zip(reduced, pivots):
-            v[c] = -r[f]
+            v[c] = -r[f] % p if p else -r[f]
         basis.append(v)
     return basis
 

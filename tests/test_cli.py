@@ -239,6 +239,17 @@ def test_modulus_past_the_integer_string_limit_is_a_parse_error(ring, capsys):
     assert "set_int_max_str_digits" not in err
 
 
+def test_deeply_nested_ring_is_a_parse_error(capsys):
+    # nested far past the parser's limit, a descriptor used to parse and
+    # then overflow the recursion limit when compared or rendered
+    ring = "Product(" * 200 + "Q" + ")" * 200
+    code, out, err = _main_in_process(
+        capsys, "groupoid", str(FIXTURES / "pair2.gpd"), "--ring", ring)
+    assert code == 1 and not out
+    assert err == "error: position 265: ring descriptor nested deeper than 32 levels\n"
+    assert "internal error" not in err
+
+
 def test_largest_modulus_is_accepted(capsys):
     code, out, err = _main_in_process(
         capsys, "groupoid", str(FIXTURES / "z3.gpd"), "--ring", "GF(2147483647)",

@@ -52,7 +52,7 @@ PUBLIC_NAMES = {
     "leavitt": (
         "Cycle", "ExitWitness", "Graph", "GraphDecomposition", "Lasso", "SinkPath",
         "as_finite_groupoid", "boundary_paths", "condition_ne", "enumerate_cycles",
-        "generator_images", "graph_groupoid", "is_arrow", "leavitt_verdicts",
+        "generator_images", "graph_groupoid", "leavitt_verdicts",
         "parse_graph", "path_start", "prepend_edge", "render_graph", "render_path",
         "verify_leavitt_relations",
     ),

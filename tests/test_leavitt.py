@@ -7,6 +7,7 @@ import pytest
 
 from corpus import chain_graph, graph_corpus, in_tree_graph
 from support import (
+    is_arrow,
     paths_to_sinks,
     reference_as_finite_groupoid,
     reference_attained_matrix_units,
@@ -38,7 +39,6 @@ from gpdalg import (
     enumerate_cycles,
     generator_images,
     graph_groupoid,
-    is_arrow,
     leavitt_verdicts,
     parse_graph,
     parse_ring_descriptor,

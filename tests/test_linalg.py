@@ -1,6 +1,7 @@
 """Exact linear algebra over Q (p = 0) and GF(p), checked against the
 properties that pin down the reduced row echelon form, with ranks
-recomputed independently from integer minors."""
+recomputed independently from integer minors, and against a dense
+Gauss-Jordan reference."""
 import copy
 import random
 from fractions import Fraction
@@ -10,12 +11,10 @@ from math import lcm
 import pytest
 
 from corpus import chain_graph, groupoid_corpus, in_tree_graph
-from support import reference_kernel_q, reference_rref_q
+from support import reference_kernel, reference_rref
 
 from gpdalg.leavitt import as_finite_groupoid
-from gpdalg.linalg import (
-    echelon, int_det, kernel, reduce, rref, rref_residue, sparse_kernel, sparse_reduce,
-)
+from gpdalg.linalg import echelon, int_det, rref_residue, sparse_kernel, sparse_reduce
 from gpdalg.verdicts import _trace_form
 
 FIELDS = [0, 2, 3, 5, 7]
@@ -63,6 +62,25 @@ def _minor_rank(rows, p):
     return 0
 
 
+def _sparse_rows(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _densify(vectors, n, p):
+    zero = 0 if p else Fraction(0)
+    return [[v.get(c, zero) for c in range(n)] for v in vectors]
+
+
+def _reference_residue(vec, reduced, pivots, p):
+    """vec minus vec[c] times the rref row at each pivot c: its residue
+    against a full rref, computed densely."""
+    out = list(vec)
+    for row, c in zip(reduced, pivots):
+        f = vec[c]
+        out = [a - f * b for a, b in zip(out, row)]
+    return [x % p for x in out] if p else out
+
+
 def _is_field_entry(v, p):
     return isinstance(v, int) and 0 <= v < p if p else isinstance(v, Fraction)
 
@@ -79,11 +97,14 @@ def _assert_rref(reduced, pivots, p):
 
 @pytest.mark.parametrize("p", FIELDS)
 def test_empty_and_zero_matrices(p):
-    assert rref([], p) == ([], [])
-    assert kernel([], p) == []
-    assert rref([[0, 0, 0], [0, 0, 0]], p) == ([], [])
-    assert kernel([[0, 0, 0]], p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert reduce([1, 2, 3], [], [], p) == ([x % p for x in (1, 2, 3)] if p else [1, 2, 3])
+    assert echelon([], p) == ([], []) == reference_rref([], p)
+    assert reference_kernel([], p) == []
+    assert echelon([{}, {}], p) == ([], []) == reference_rref([[0, 0, 0], [0, 0, 0]], p)
+    assert sparse_kernel([{}], 3, p) == [{0: 1}, {1: 1}, {2: 1}]
+    assert reference_kernel([[0, 0, 0]], p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert sparse_reduce({0: 1, 1: 2, 2: 3}, [], [], p) == (
+        {c: x for c, v in enumerate((1, 2, 3)) if (x := v % p)} if p else {0: 1, 1: 2, 2: 3}
+    )
 
 
 @pytest.mark.parametrize("p", FIELDS)
@@ -91,16 +112,18 @@ def test_empty_and_zero_matrices(p):
 def test_rref_kernel_and_reduce_properties(p, seed):
     rng = random.Random(1000 + seed)
     for rows in _matrices(p, seed):
-        before = copy.deepcopy(rows)
-        reduced, pivots = rref(rows, p)
-        assert rows == before
+        sparse = _sparse_rows(rows)
+        before = copy.deepcopy(sparse)
         n = len(rows[0])
+        echelon_rows, pivots = echelon(sparse, p)
+        assert sparse == before
+        reduced = _densify(echelon_rows, n, p)
         _assert_rref(reduced, pivots, p)
         assert len(reduced) == _minor_rank(rows, p)
-        for row in rows:
-            assert not any(reduce(row, reduced, pivots, p))
+        for row in sparse:
+            assert sparse_reduce(row, echelon_rows, pivots, p) == {}
 
-        basis = kernel(rows, p)
+        basis = _densify(sparse_kernel(sparse, n, p), n, p)
         assert len(basis) == n - len(reduced)
         assert _minor_rank(basis, p) == len(basis)
         for v in basis:
@@ -111,9 +134,10 @@ def test_rref_kernel_and_reduce_properties(p, seed):
 
         rank = len(reduced)
         for vec in ([_entry(rng, p) for _ in range(n)], _combination(rng, rows, n, p)):
-            residue = reduce(vec, reduced, pivots, p)
-            assert all(_is_field_entry(x, p) for x in residue)
-            assert (not any(residue)) == (_minor_rank(rows + [vec], p) == rank)
+            residue = sparse_reduce(dict(enumerate(vec)), echelon_rows, pivots, p)
+            assert all(residue.values())
+            assert all(_is_field_entry(x, p) for x in residue.values())
+            assert (not residue) == (_minor_rank(rows + [vec], p) == rank)
 
 
 def _gram(g):
@@ -135,20 +159,13 @@ def _q_reference_inputs():
 
 def test_q_elimination_matches_the_fraction_reference():
     for rows in _q_reference_inputs():
-        reduced, pivots = rref(rows)
-        assert (reduced, pivots) == reference_rref_q(rows)
-        basis = kernel(rows)
-        assert basis == reference_kernel_q(rows)
-        assert all(type(v) is Fraction for vec in reduced + basis for v in vec)
-
-
-def _sparse_rows(rows):
-    return [{c: v for c, v in enumerate(r) if v} for r in rows]
-
-
-def _densify(vectors, n, p):
-    zero = 0 if p else Fraction(0)
-    return [[v.get(c, zero) for c in range(n)] for v in vectors]
+        n = len(rows[0])
+        sparse = _sparse_rows(rows)
+        reduced, pivots = echelon(sparse)
+        assert (_densify(reduced, n, 0), pivots) == reference_rref(rows)
+        basis = sparse_kernel(sparse, n)
+        assert _densify(basis, n, 0) == reference_kernel(rows)
+        assert all(type(v) is Fraction for vec in reduced + basis for v in vec.values())
 
 
 def _edge_cases(p):
@@ -179,18 +196,15 @@ def test_sparse_elimination_matches_the_dense_functions(p):
         basis = sparse_kernel(sparse, n, p)
         assert sparse == before
         assert all(v for vec in reduced + basis for v in vec.values())
-        assert (_densify(reduced, n, p), pivots) == rref(rows, p)
-        assert _densify(basis, n, p) == kernel(rows, p)
-        if not p:
-            assert (_densify(reduced, n, p), pivots) == reference_rref_q(rows)
-            assert _densify(basis, n, p) == reference_kernel_q(rows)
+        dense_reduced, dense_pivots = reference_rref(rows, p)
+        assert (_densify(reduced, n, p), pivots) == (dense_reduced, dense_pivots)
+        assert _densify(basis, n, p) == reference_kernel(rows, p)
         for vec in sparse:
             assert sparse_reduce(vec, reduced, pivots, p) == {}
-        dense_reduced = rref(rows, p)[0]
         for vec in ([_entry(rng, p) for _ in range(n)], [1] * n):
             residue = sparse_reduce(dict(enumerate(vec)), reduced, pivots, p)
             assert all(residue.values())
-            assert _densify([residue], n, p)[0] == reduce(vec, dense_reduced, pivots, p)
+            assert _densify([residue], n, p)[0] == _reference_residue(vec, dense_reduced, pivots, p)
 
 
 @pytest.mark.parametrize("p", [0, 2, 3])

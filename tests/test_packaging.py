@@ -1,6 +1,7 @@
 """The package has no runtime dependencies: every module it imports by
 absolute name is part of the standard library, and none of them is
-dataclasses, whose class building slowed every cold start."""
+dataclasses, whose class building slowed every cold start.  Every
+top-level definition in it is used by the package or exported."""
 import ast
 import pathlib
 import sys
@@ -30,3 +31,38 @@ def test_every_absolute_import_is_from_the_standard_library():
 def test_no_module_imports_dataclasses():
     for path in sorted(SRC.glob("*.py")):
         assert "dataclasses" not in set(_absolute_imports(path)), path.name
+
+
+def _names_read(node):
+    """Every name node reads below node: plain names, attribute names,
+    names imported from a module, and string constants (so the module
+    and export strings of gpdalg's _LAZY table count)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def test_every_definition_is_used_or_public():
+    # a top-level function or class that nothing else in src/ reads and
+    # that gpdalg does not export is code only the tests reach.  An
+    # export is a read: gpdalg/__init__.py imports the eager names and
+    # lists the lazy ones as _LAZY strings.  A definition's own body (a
+    # recursive call) does not count, and dunders are the interpreter's.
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            statements.append((path.name, node, set(_names_read(node))))
+    unused = []
+    for module, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+            continue
+        if not any(node.name in names for _, other, names in statements if other is not node):
+            unused.append(f"{module}:{node.name}")
+    assert len(statements) > 200
+    assert unused == []

@@ -220,6 +220,19 @@ def test_descriptor_validation_messages(make, text, message, parsed):
     assert str(info.value) == parsed
 
 
+def test_nesting_limit_is_a_parse_error_at_the_deepest_ring():
+    # 32 constructors deep parses and renders back; one more is refused
+    # at the column of the ring that passes the limit
+    deepest = "Product(" * 31 + "Laurent(Q" + ")" * 32
+    assert render_ring_descriptor(parse_ring_descriptor(deepest)) == deepest
+    with pytest.raises(ParseError) as info:
+        parse_ring_descriptor("Product(" * 32 + "Laurent( Q" + ")" * 33)
+    assert str(info.value) == "position 266: ring descriptor nested deeper than 32 levels"
+    with pytest.raises(ParseError) as info:
+        parse_ring_descriptor("Product(Z, " + "Product(" * 200 + "Q" + ")" * 201)
+    assert str(info.value) == "position 268: ring descriptor nested deeper than 32 levels"
+
+
 def _laurent_oracle_mul(a, b):
     out = {}
     for e1, c1 in a.items():
