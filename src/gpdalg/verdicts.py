@@ -26,11 +26,11 @@ left multiplication L is a representation of the integer form of the
 algebra it reads them off algebra powers: Tr(L_z^q) = <tr, z^q>, with
 tr[c] the trace of left multiplication by arrow c.  The trace form is
 read off the groupoid's composition table alone (one nonzero per Gram
-row for a groupoid), vectors are sparse (dicts from arrow to nonzero
-coefficient), products walk only the nonzero entries of their factors
-and the elimination (`linalg.echelon`) only the nonzero entries of its
-rows.  A stage's trace depends on the product alone, so each distinct
-product's trace power is computed once per stage.  The caller picks no
+row for a groupoid); vectors, and the rows `linalg.echelon` eliminates,
+are sparse (dicts from arrow to nonzero coefficient).  The filtration
+runs once per block (arrows linked by nonzero products), in ceil(log_p)
+of the block's dimension stages, carrying each distinct product's power
+to the next stage while the basis stays the same.  The caller picks no
 method: over GF(p) with p^dim at most 4096 the answer is labelled
 "exhaustive" and reports the element an exhaustive sweep of GF(p)^dim
 would find first, the last row of the radical's reduced echelon basis
@@ -42,7 +42,8 @@ radical must be a nilpotent ideal and the witness must satisfy
 property is tested against the generating arrows validate certifies
 associativity on (every arrow is a product of them, so closure under
 them is closure under the algebra), and nilpotency by repeated
-squaring, I -> I^2 -> I^4 -> ..., until zero or no drop in dimension.
+squaring, I -> I^2 -> I^4 -> ..., until zero or no drop in dimension;
+the witness's right ideal is squared only when it is not the radical.
 A wrong "semisimple" cannot escape either: the radical is always
 contained in the trace-form kernel respectively the filtration result,
 and those coming out zero forces the radical to be zero.
@@ -211,13 +212,14 @@ def _powers_vanish(bp, base, p):
     return True
 
 
-def _right_ideal_nilpotent(bp, w, d, p=0):
+def _right_ideal_nilpotent(bp, w, d, p=0, nilpotent=None):
     """Is the right ideal generated by the sparse vector w nilpotent
     over Q (p = 0) or GF(p)?  Exact: build a basis of wA, then take its
-    powers."""
+    powers, unless its rref rows are `nilpotent`, known nilpotent rows."""
     gens = [we for we in (_mul(bp, w, {e: 1}, p) for e in range(d)) if we]
     gens.append(w)
-    return _powers_vanish(bp, echelon(gens, p)[0], p)
+    rows = echelon(gens, p)[0]
+    return rows == nilpotent or _powers_vanish(bp, rows, p)
 
 
 def _ideal_certified_nilpotent(bp, basis, gens, p=0):
@@ -247,7 +249,7 @@ def _certified_radical(bp, radical, gens, p=0, pick=0):
         what = "filtration result" if p else "trace-form kernel"
         raise InternalCheckError(f"{what} is not a nilpotent ideal")
     witness = radical[pick]
-    if not _right_ideal_nilpotent(bp, witness, len(bp), p):
+    if not _right_ideal_nilpotent(bp, witness, len(bp), p, radical):
         raise InternalCheckError("radical witness fails the right-ideal check")
     return False, witness, len(radical)
 
@@ -286,69 +288,97 @@ def _radical_char0(g: FiniteGroupoid):
     return _certified_radical(_basis_products(g), radical, _generators(g))
 
 
-def _trace_of_power(bp, tr, z, q, mod):
-    """Tr(L_z^q) mod `mod` as <tr, z^q>, with z (sparse) raised to the
-    power q by repeated squaring; a power that vanishes ends it early."""
+def _power(bp, z, q, mod):
+    """z^q mod `mod` by repeated squaring; a vanishing power ends it early."""
     result = None
-    base = z
     while q:
-        if not base:
-            return 0
+        if not z:
+            return z
         if q & 1:
-            result = base if result is None else _mul(bp, result, base, mod)
+            result = z if result is None else _mul(bp, result, z, mod)
         q >>= 1
         if q:
-            base = _mul(bp, base, base, mod)
-    return sum(tr[k] * x for k, x in result.items()) % mod
+            z = _mul(bp, z, z, mod)
+    return result
+
+
+def _blocks(rows):
+    """block_of[a] for every arrow a: the components of the arrows, two
+    linked when their product in either order is nonzero (`g.rows`)."""
+    root = list(range(len(rows)))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    for i, row in enumerate(rows):
+        r = find(i)
+        for j in row:
+            if root[j] != r:
+                root[find(j)] = r
+    return [find(a) for a in range(len(rows))]
 
 
 def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
-    """Iterated trace-lift filtration, on sparse vectors.  Stage 0 is
-    the plain trace form mod p on the arrow basis (`_trace_form`), so
-    it needs no products; stage j reads Tr(L_z^q) = <tr, z^q> for
-    q = p^j modulo p^(j+1), with z the product of two basis vectors,
-    divides it by q and reads it mod p.  Since Tr(L_(by)^q) =
-    Tr(L_(yb)^q) over Z, every stage's matrix is symmetric and only its
-    upper triangle is computed.  The trace depends on z alone, and a
-    stage whose basis holds unit vectors meets the same product many
-    times, so each distinct product's power is taken once per stage.
-    The radical is contained in every stage, and the chain reaches it
-    once p^stage covers the dimension.  Returns the radical's reduced
-    echelon basis as sparse vectors."""
-    d = g.arrow_count
+    """Iterated trace-lift filtration on sparse vectors, one block
+    (`_blocks`: a unital two-sided ideal, off which its elements
+    multiply to zero) at a time.  Stage 0 is the trace form mod p; stage
+    j reads Tr(L_z^q) = <tr, z^q> for q = p^j mod p^(j+1), z the product
+    of two basis vectors, divides it by q and reads it mod p, on the
+    upper triangle only, as Tr(L_(by)^q) = Tr(L_(yb)^q) over Z.  A block
+    reaches its radical once p^stages covers its dimension.  Products
+    are taken mod p^(stages+1), each distinct one's power once a stage;
+    while a stage keeps the whole basis, the next raises each power to
+    the p-th.  Returns the radical's rref rows."""
     tr, gram = _trace_form(g.rows)
-    stages = 1
-    while p ** stages < d:
-        stages += 1
-    basis, _ = echelon(sparse_kernel(gram, d, p), p)
-    for j in range(1, stages + 1):
-        if not basis:
-            break
-        q = p ** j
-        mod = q * p
-        n = len(basis)
-        rows = [{} for _ in range(n)]
-        traces = {}  # product (as a frozenset of items) -> its trace
-        for r, y in enumerate(basis):
-            for c in range(r, n):
-                z = _mul(bp, basis[c], y, mod)
-                key = frozenset(z.items())
-                t = traces.get(key)
-                if t is None:
-                    t = traces[key] = _trace_of_power(bp, tr, z, q, mod)
+    kernel = echelon(sparse_kernel(gram, g.arrow_count, p), p)[0]
+    if not kernel:
+        return kernel
+    block_of, by_block = _blocks(g.rows), {}
+    for v in kernel:
+        by_block.setdefault(block_of[next(iter(v))], []).append(v)
+    radical = []
+    for b, basis in by_block.items():
+        size = block_of.count(b)
+        stages = next(s for s in range(1, size + 1) if p ** s >= size)
+        mod = p ** (stages + 1)
+        powers = None  # product (as a frozenset of items) -> z^q mod `mod`
+        for j in range(1, stages + 1):
+            q, n = p ** j, len(basis)
+            if powers is None:
+                where, powers = {}, {}  # where: product -> its (row, column) pairs
+                for r, y in enumerate(basis):
+                    for c in range(r, n):
+                        z = _mul(bp, basis[c], y, mod)
+                        key = frozenset(z.items())
+                        if key not in powers:
+                            powers[key] = _power(bp, z, q, mod)
+                        where.setdefault(key, []).append((r, c))
+            else:
+                powers = {key: _power(bp, z, p, mod) for key, z in powers.items()}
+            rows = [{} for _ in range(n)]
+            for key, z in powers.items():
+                t = sum(tr[k] * x for k, x in z.items()) % (q * p)
                 if t % q:
                     raise InternalCheckError("trace filtration divisibility failed")
-                if x := (t // q) % p:
-                    rows[r][c] = rows[c][r] = x
-        new_basis = []
-        for coeffs in sparse_kernel(rows, n, p):
-            vec = {}
-            for b, cf in coeffs.items():
-                for idx, x in basis[b].items():
-                    vec[idx] = vec.get(idx, 0) + cf * x
-            new_basis.append(vec)
-        basis, _ = echelon(new_basis, p)
-    return basis
+                if x := t // q % p:
+                    for r, c in where[key]:
+                        rows[r][c] = rows[c][r] = x
+            if not any(rows):
+                continue  # the kernel is the whole basis: keep it and the powers
+            new_basis = []
+            for coeffs in sparse_kernel(rows, n, p):
+                vec = {}
+                for i, cf in coeffs.items():
+                    for idx, x in basis[i].items():
+                        vec[idx] = vec.get(idx, 0) + cf * x
+                new_basis.append(vec)
+            basis, powers = echelon(new_basis, p)[0], None
+            if not basis:
+                break
+        radical += basis
+    return echelon(radical, p)[0]
 
 
 def _radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):

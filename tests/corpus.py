@@ -63,6 +63,26 @@ def groupoid_corpus():
     return out
 
 
+def disconnected_ladder():
+    """List of (name, FiniteGroupoid) with several blocks each: the
+    inputs on which the char-p radical oracle runs one filtration per
+    block instead of one over the whole arrow basis."""
+    pair2 = pair_groupoid(["x", "y"])
+    z7 = group_groupoid(cyclic_table(7))
+    discrete5 = pair_groupoid(["o0"])
+    for i in range(1, 5):
+        discrete5 = disjoint_union(discrete5, pair_groupoid([f"o{i}"]))
+    pair4 = pair_groupoid([f"x{i}" for i in range(4)])
+    return [
+        ("pair2_u_Z7", disjoint_union(pair2, z7)),
+        ("pair2Z3_u_Z7_u_Z7", disjoint_union(
+            disjoint_union(product_with_group(pair2, cyclic_table(3)), z7), z7)),
+        ("pair4Z4_u_S3", disjoint_union(
+            product_with_group(pair4, cyclic_table(4)), group_groupoid(symmetric_table(3)))),
+        ("discrete5", discrete5),
+    ]
+
+
 def _graph(vertices, edges):
     return Graph.make(vertices, edges)
 

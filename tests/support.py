@@ -42,8 +42,15 @@ from gpdalg.leavitt import (
     prepend_edge,
     render_path,
 )
-from gpdalg.linalg import sparse_reduce
+from gpdalg.linalg import echelon, sparse_kernel, sparse_reduce
 from gpdalg.rings import Rationals, RingElement
+from gpdalg.verdicts import (
+    _basis_products,
+    _certified_radical,
+    _generators,
+    _mul,
+    _trace_form,
+)
 
 
 def groupoid_axiom_problems(g: FiniteGroupoid) -> list:
@@ -859,20 +866,20 @@ def reference_exhaustive_radical(bp, d, p):
 
 
 def _matrix_power_trace_mod(m, q, mod, d):
+    """Tr(m^q) mod `mod` for the dense d x d integer matrix m, by
+    repeated squaring on its rows held as dicts of nonzero entries
+    (left-multiplication matrices of a groupoid are mostly zero)."""
     def matmul(a, b):
-        out = [[0] * d for _ in range(d)]
-        for r in range(d):
-            ar = a[r]
-            outr = out[r]
-            for k in range(d):
-                ark = ar[k]
-                if ark:
-                    bk = b[k]
-                    for c in range(d):
-                        outr[c] = (outr[c] + ark * bk[c]) % mod
+        out = []
+        for ar in a:
+            outr = {}
+            for k, ark in ar.items():
+                for c, bkc in b[k].items():
+                    outr[c] = (outr.get(c, 0) + ark * bkc) % mod
+            out.append({c: v for c, v in outr.items() if v})
         return out
     result = None
-    base = [[v % mod for v in row] for row in m]
+    base = [{c: v % mod for c, v in enumerate(row) if v % mod} for row in m]
     e = q
     while e:
         if e & 1:
@@ -880,7 +887,7 @@ def _matrix_power_trace_mod(m, q, mod, d):
         e >>= 1
         if e:
             base = matmul(base, base)
-    return sum(result[i][i] for i in range(d)) % mod
+    return sum(result[i].get(i, 0) for i in range(d)) % mod
 
 
 def _left_mult_matrix_int(bp, z, d):
@@ -899,8 +906,10 @@ def reference_filtration_radical(bp, d, p):
     """The trace-lift filtration with every trace read off a matrix:
     build the d x d integer left-multiplication matrix L_z of each basis
     product z, raise it to the power q = p^j mod p^(j+1), and sum its
-    diagonal.  Same stages, kernels and echelon steps as the package's
-    `_filtration_radical_modp`, which reads the trace as <tr, z^q>."""
+    diagonal.  One chain over the whole algebra, with the stages,
+    kernels and echelon steps of `single_chain_radical_charp`; the
+    package's `_filtration_radical_modp` runs it once per block and
+    reads the trace as <tr, z^q>."""
     stages = 1
     while p ** stages < d:
         stages += 1
@@ -911,11 +920,14 @@ def reference_filtration_radical(bp, d, p):
         q = p ** j
         mod = p ** (j + 1)
         rows = []
+        traces = {}  # one matrix power per distinct product
         for y in basis:
             row = []
             for b in basis:
-                z = _vec_mul(bp, b, y, d)
-                t = _matrix_power_trace_mod(_left_mult_matrix_int(bp, z, d), q, mod, d)
+                z = tuple(_vec_mul(bp, b, y, d))
+                if z not in traces:
+                    traces[z] = _matrix_power_trace_mod(_left_mult_matrix_int(bp, z, d), q, mod, d)
+                t = traces[z]
                 if t % q:
                     raise InternalCheckError("trace filtration divisibility failed")
                 row.append((t // q) % p)
@@ -931,6 +943,75 @@ def reference_filtration_radical(bp, d, p):
             new_basis.append(vec)
         basis, _ = reference_rref(new_basis, p)
     return basis
+
+
+def _trace_of_power(bp, tr, z, q, mod):
+    """Tr(L_z^q) mod `mod` as <tr, z^q>, with z (sparse) raised to the
+    power q by repeated squaring; a power that vanishes ends it early."""
+    result = None
+    base = z
+    while q:
+        if not base:
+            return 0
+        if q & 1:
+            result = base if result is None else _mul(bp, result, base, mod)
+        q >>= 1
+        if q:
+            base = _mul(bp, base, base, mod)
+    return sum(tr[k] * x for k, x in result.items()) % mod
+
+
+def _single_chain_filtration(g: FiniteGroupoid, bp, p):
+    """The sparse trace-lift filtration as one chain over the whole
+    algebra: ceil(log_p d) stages, every basis product formed and raised
+    to p^j afresh at each stage j, mod p^(j+1)."""
+    d = g.arrow_count
+    tr, gram = _trace_form(g.rows)
+    stages = 1
+    while p ** stages < d:
+        stages += 1
+    basis, _ = echelon(sparse_kernel(gram, d, p), p)
+    for j in range(1, stages + 1):
+        if not basis:
+            break
+        q = p ** j
+        mod = q * p
+        n = len(basis)
+        rows = [{} for _ in range(n)]
+        traces = {}
+        for r, y in enumerate(basis):
+            for c in range(r, n):
+                z = _mul(bp, basis[c], y, mod)
+                key = frozenset(z.items())
+                t = traces.get(key)
+                if t is None:
+                    t = traces[key] = _trace_of_power(bp, tr, z, q, mod)
+                if t % q:
+                    raise InternalCheckError("trace filtration divisibility failed")
+                if x := (t // q) % p:
+                    rows[r][c] = rows[c][r] = x
+        new_basis = []
+        for coeffs in sparse_kernel(rows, n, p):
+            vec = {}
+            for b, cf in coeffs.items():
+                for idx, x in basis[b].items():
+                    vec[idx] = vec.get(idx, 0) + cf * x
+            new_basis.append(vec)
+        basis, _ = echelon(new_basis, p)
+    return basis
+
+
+def single_chain_radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
+    """`verdicts._radical_charp` on one filtration chain over the whole
+    arrow basis instead of one per block: the same tuple, and the same
+    certificate, must come out."""
+    bp = _basis_products(g)
+    radical = _single_chain_filtration(g, bp, p)
+    if not radical:
+        return True, None, 0
+    pick = -1 if exhaustive else 0
+    semisimple, witness, dimension = _certified_radical(bp, radical, _generators(g), p, pick)
+    return semisimple, witness, None if exhaustive else dimension
 
 
 def reference_rref(rows, p=0):

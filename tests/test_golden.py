@@ -10,15 +10,24 @@ record a deliberate change, run
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff of tests/golden.json.
+
+The char-p sweep runs every groupoid fixture and the disconnected
+ladder over four prime fields: where golden.json has no copy, the
+report must be the one the single-chain filtration gives.
 """
 import contextlib
+import importlib
 import io
 import json
 import pathlib
 
 import pytest
 
+from corpus import disconnected_ladder
+from support import single_chain_radical_charp
+
 import gpdalg.cli
+from gpdalg import render_groupoid
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -63,8 +72,8 @@ def _key(command, name, fmt, verify, ring=None):
     return f"{command} {name}{ring_flag} --format {fmt}" + (" --verify" if verify else "")
 
 
-def _run(command, name, fmt, verify, ring=None):
-    argv = [command, str(FIXTURES / name), "--format", fmt]
+def _run(command, name, fmt, verify, ring=None, folder=FIXTURES):
+    argv = [command, str(folder / name), "--format", fmt]
     if ring:
         argv += ["--ring", ring]
     if verify:
@@ -98,6 +107,31 @@ def test_oracle_route_matches_the_stored_copy(command, name, ring, fmt):
     assert code == stored["exit"] == 0
     assert out == stored["stdout"]
     assert err == ""
+
+
+def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    inputs = [(FIXTURES, path.name) for path in sorted(FIXTURES.glob("*.gpd"))]
+    for name, g in disconnected_ladder():
+        (tmp_path / f"{name}.gpd").write_text(render_groupoid(g))
+        inputs.append((tmp_path, f"{name}.gpd"))
+    verdicts_module = importlib.import_module("gpdalg.verdicts")
+    golden = witnesses = 0
+    for ring in ("GF(2)", "GF(3)", "GF(5)", "GF(7)"):
+        for folder, name in inputs:
+            for fmt in ("text", "machine"):
+                got = _run("groupoid", name, fmt, True, ring, folder)
+                key = _key("groupoid", name, fmt, True, ring)
+                if key in stored:
+                    assert got == (stored[key]["exit"], stored[key]["stdout"], ""), key
+                    golden += 1
+                else:
+                    with monkeypatch.context() as m:
+                        m.setattr(verdicts_module, "_radical_charp", single_chain_radical_charp)
+                        assert got == _run("groupoid", name, fmt, True, ring, folder), key
+                witnesses += "witness" in got[1]
+    assert len(inputs) == 11 and golden == 6
+    assert witnesses == 16
 
 
 if __name__ == "__main__":

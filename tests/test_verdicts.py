@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import chain_graph, groupoid_corpus, in_tree_graph
+from corpus import chain_graph, disconnected_ladder, groupoid_corpus, in_tree_graph
 from support import (
     reference_exhaustive_radical,
     reference_filtration_radical,
     reference_ideal_certified_nilpotent,
     reference_kernel,
     reference_trace_form,
+    single_chain_radical_charp,
 )
 
+import gpdalg.cli
 import gpdalg.linalg
 
 from gpdalg import (
@@ -27,10 +29,12 @@ from gpdalg import (
     parse_element_literal,
     parse_ring_descriptor,
     radical_oracle,
+    render_groupoid,
     structured_from_finite,
     verdicts,
 )
 from gpdalg.errors import InternalCheckError
+from gpdalg.groupoid import orbits
 from gpdalg.leavitt import as_finite_groupoid
 from gpdalg.constructions import (
     cyclic_table,
@@ -45,6 +49,7 @@ from gpdalg.verdicts import (
     ORACLE_DIMENSION_LIMIT_CHARP,
     _EXHAUSTIVE_LIMIT,
     _basis_products,
+    _blocks,
     _certified_radical,
     _filtration_radical_modp,
     _generators,
@@ -70,6 +75,8 @@ Z7_GROUPOID = group_groupoid(cyclic_table(7))
 PAIR2_U_Z7 = disjoint_union(pair_groupoid(["x", "y"]), Z7_GROUPOID)
 
 RING_BATTERY = (Q, Z, GF2, GF3, Z4, Z6, LQ, QxGF2)
+
+PAIR4 = pair_groupoid([f"x{i}" for i in range(4)])
 
 # the module, not the `verdicts` function the package exports under its name
 VERDICTS = importlib.import_module("gpdalg.verdicts")
@@ -532,3 +539,142 @@ def test_a_radical_missing_a_vector_is_an_internal_error(monkeypatch, ring):
         VERDICTS, "_filtration_radical_modp", lambda g, bp, p: real(g, bp, p)[1:])
     with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
         radical_oracle(g, ring)
+
+
+# ---------------------------------------------------------------------------
+# one filtration per block
+
+
+def _arrow_partition(label_of):
+    parts = {}
+    for a, label in enumerate(label_of):
+        parts.setdefault(label, []).append(a)
+    return sorted(parts.values())
+
+
+def test_blocks_are_the_orbits_of_a_groupoid():
+    """The product links of a groupoid's arrows join exactly the arrows
+    of one orbit, wherever the arrow order puts them."""
+    cases = groupoid_corpus() + disconnected_ladder()
+    sigma = list(range(PAIR2_U_Z7.arrow_count))
+    random.Random(20261019).shuffle(sigma)
+    cases.append(("pair2_u_Z7 relabeled", _relabel_arrows(PAIR2_U_Z7, sigma)))
+    counts = []
+    for name, g in cases:
+        orbit_of = {x: i for i, orbit in enumerate(orbits(g)) for x in orbit.members}
+        blocks = _arrow_partition(_blocks(g.rows))
+        assert blocks == _arrow_partition([orbit_of[x] for x in g.dom]), name
+        counts.append(len(blocks))
+    assert counts[-5:] == [2, 3, 2, 5, 2]
+
+
+@pytest.mark.parametrize("p, dims", [(2, [0, 0, 49, 0]), (3, [0, 8, 4, 0]), (7, [6, 12, 0, 0])])
+def test_block_filtration_is_the_matrix_power_reference_on_disconnected_inputs(p, dims):
+    """One filtration per block gives the basis one chain over the whole
+    algebra gives, with every trace read off a power of a d x d matrix."""
+    got = []
+    for name, g in disconnected_ladder():
+        bp, d = _basis_products(g), g.arrow_count
+        basis = _filtration_radical_modp(g, bp, p)
+        assert _dense_rows(basis, d) == reference_filtration_radical(bp, d, p), (name, p)
+        got.append(len(basis))
+    assert got == dims
+
+
+def test_block_filtration_gives_the_single_chain_answer():
+    """`_radical_charp` returns the tuple the single-chain filtration
+    returns, witness included, on the corpus, the disconnected ladder,
+    a relabeled union, and two inputs with large radicals."""
+    sigma = list(range(PAIR2_U_Z7.arrow_count))
+    random.Random(7).shuffle(sigma)
+    cases = [
+        (name, g, p, exhaustive)
+        for name, g in groupoid_corpus() + disconnected_ladder()
+        + [("pair2_u_Z7 relabeled", _relabel_arrows(PAIR2_U_Z7, sigma))]
+        for p in (2, 3, 5, 7)
+        for exhaustive in (True, False)
+    ]
+    cases.append(("pair4_Z8", product_with_group(PAIR4, cyclic_table(8)), 2, False))
+    cases.append(("pair4_S3", product_with_group(PAIR4, symmetric_table(3)), 3, False))
+    nonzero = 0
+    for name, g, p, exhaustive in cases:
+        answer = _radical_charp(g, p, exhaustive)
+        assert answer == single_chain_radical_charp(g, p, exhaustive), (name, p, exhaustive)
+        nonzero += not answer[0]
+    assert nonzero >= 50
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(VERDICTS, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(VERDICTS, name, counting)
+    return calls
+
+
+def test_filtration_carries_its_powers_across_unchanged_stages(monkeypatch):
+    """pair(4) x Z8 over GF(2) keeps all 128 arrows for five stages:
+    the products are formed once for them, each later stage squares the
+    carried powers, and the single chain's 85,410 products drop below
+    50,000.  Stage 6 starts afresh on the 112-dimensional basis."""
+    g = product_with_group(PAIR4, cyclic_table(8))
+    calls = _count_calls(monkeypatch, "_mul")
+    powers = _count_calls(monkeypatch, "_power")
+    semisimple, _, radical_dimension = _radical_charp(g, 2, exhaustive=False)
+    assert not semisimple and radical_dimension == 112
+    assert len(calls) < 50_000
+    assert {q for _, _, q, _ in powers} == {2, 64}
+    # the filtration works mod 2^(7 + 1), the certificate mod 2
+    assert {args[3] for args in calls} == {2, 2 ** 8}
+
+
+def test_each_block_takes_its_own_stage_count_and_one_squaring_chain(monkeypatch):
+    """On pair(2) and Z/7 over GF(7) the 7-arrow block needs one product
+    stage (7^1 covers 7, where 11 arrows would need two), and the
+    witness generates the whole radical, whose squaring chain the
+    certificate has already run."""
+    powers = _count_calls(monkeypatch, "_power")
+    squarings = _count_calls(monkeypatch, "_powers_vanish")
+    report = radical_oracle(PAIR2_U_Z7, GF7)
+    assert not report.semisimple and report.radical_dimension == 6
+    assert {q for _, _, q, _ in powers} == {7}
+    assert len(squarings) == 1
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_right_ideal_check_reuses_only_the_rows_it_is_given(monkeypatch, p):
+    """wA = span(a) is the given nilpotent row: no squaring.  e1 A is
+    not, so its powers are taken, and they never vanish."""
+    squarings = _count_calls(monkeypatch, "_powers_vanish")
+    assert _right_ideal_nilpotent(PATH_BP, {A: 1}, 3, p, [{A: 1}])
+    assert squarings == []
+    assert not _right_ideal_nilpotent(PATH_BP, {E1: 1}, 3, p, [{A: 1}])
+    assert len(squarings) == 1
+
+
+@pytest.mark.parametrize("tamper", ["drop", "add"])
+def test_a_tampered_block_radical_exits_2(monkeypatch, capsys, tmp_path, tamper):
+    """The certificate checks the assembled radical against the whole
+    algebra: dropping a vector of the Z/7 block's radical, or adding an
+    arrow of the semisimple pair(2) block, is an internal error."""
+    path = tmp_path / "pair2_u_z7.gpd"
+    path.write_text(render_groupoid(PAIR2_U_Z7))
+    real = VERDICTS._filtration_radical_modp
+
+    def tampered(g, bp, p):
+        radical = real(g, bp, p)
+        loops = {a for a in range(g.arrow_count) if g.dom[a] == g.cod[a]}
+        assert len(radical) == 6 and all(v.keys() <= loops for v in radical)
+        if tamper == "drop":
+            return radical[1:]
+        return radical + [{next(a for a in range(g.arrow_count) if a not in loops): 1}]
+
+    monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", tampered)
+    code = gpdalg.cli.main(["groupoid", str(path), "--ring", "GF(7)", "--verify"])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err == "internal error: filtration result is not a nilpotent ideal\n"
