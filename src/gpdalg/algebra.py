@@ -259,14 +259,18 @@ def _pull(d: Decomposition, bi, row, col, key):
 
 
 class VerificationReport(Value):
-    """Outcome of an exhaustive check: how many unit checks ran, how
-    many passed, and a witness string per failure."""
+    """Outcome of an exhaustive check: how many unit checks ran, and a
+    witness string per failure; every other check passed."""
 
-    __slots__ = ("description", "total", "passed", "failures")
+    __slots__ = ("description", "total", "failures")
+
+    @property
+    def passed(self) -> int:
+        return self.total - len(self.failures)
 
     @property
     def ok(self) -> bool:
-        return self.passed == self.total and not self.failures
+        return not self.failures
 
     def summary(self) -> str:
         return f"{self.passed}/{self.total} {self.description}"
@@ -368,25 +372,17 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
                 failures.append(
                     f"phi not multiplicative on ({g.arrows[a]}, {g.arrows[b]})"
                 )
-    total = n * n
-    passed = total - len(failures)
-
-    total += 1
-    if phi(d, AlgebraElement.unit(g, d.ring)) == BlockMatrix.identity(d.shape):
-        passed += 1
-    else:
+    total = n * n + 1 + n
+    if phi(d, AlgebraElement.unit(g, d.ring)) != BlockMatrix.identity(d.shape):
         failures.append("phi does not send the unit to the identity matrix")
 
     for a in range(n):
-        total += 1
         back = None if a == 0 or units[a] is None else _pull(d, *units[a])
         if back is None:
             ok = phi_inv(d, images[a]) == deltas[a]
         else:
             ok = back == a
-        if ok:
-            passed += 1
-        else:
+        if not ok:
             failures.append(f"phi_inv(phi([{g.arrows[a]}])) != [{g.arrows[a]}]")
 
     first = True
@@ -403,9 +399,7 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
                         ok = phi(d, phi_inv(d, unit)) == unit
                     else:
                         ok = units[arrow] == (bi, row, col, key)
-                    if ok:
-                        passed += 1
-                    else:
+                    if not ok:
                         failures.append(
                             f"phi(phi_inv(E)) != E at block {bi} ({row},{col}) g{key}"
                         )
@@ -413,6 +407,5 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     return VerificationReport(
         "isomorphism checks (arrow pairs, unit, basis round trips)",
         total,
-        passed,
         tuple(failures),
     )

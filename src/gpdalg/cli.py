@@ -42,7 +42,7 @@ from .report import (
     render_report_text,
 )
 from .rings import parse_ring_descriptor, render_ring_descriptor
-from .verdicts import oracle_budget, radical_oracle, verdicts
+from .verdicts import oracle_refusal, radical_oracle, verdicts
 
 # module -> the names the graph and isg reports call from it, bound in
 # this namespace by _load when the subcommand first runs or the name is
@@ -86,23 +86,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _run_oracle(d: int, groupoid, ring, expected_semisimple: bool):
     """Independent semisimplicity check on the d-dimensional algebra of
-    the finite groupoid groupoid() builds, called only if the ring and
-    budget let the oracle run; returns (status, detail, witness string
-    or None).  Raises InternalCheckError if the oracle contradicts the
-    verdict engine."""
-    budget = oracle_budget(ring)
-    if budget is None:
-        return (
-            ORACLE_UNSUPPORTED,
-            f"oracle handles Q and GF(p), not {render_ring_descriptor(ring)}",
-            None,
-        )
-    if d > budget:
-        return (
-            ORACLE_SKIPPED,
-            f"dimension {d} beyond the oracle budget {budget}",
-            None,
-        )
+    the finite groupoid groupoid() builds, which is built only when
+    oracle_refusal lets the oracle run; a refusal reads skipped over
+    the budget, unsupported otherwise.  Returns (status, detail, witness
+    string or None).  Raises InternalCheckError if the oracle
+    contradicts the verdict engine."""
+    refusal = oracle_refusal(ring, d)
+    if refusal is not None:
+        status = ORACLE_SKIPPED if isinstance(refusal, OracleBudgetError) else ORACLE_UNSUPPORTED
+        return status, str(refusal), None
     rad = radical_oracle(groupoid(), ring)
     if rad.semisimple != expected_semisimple:
         raise InternalCheckError(
@@ -116,6 +108,27 @@ def _run_oracle(d: int, groupoid, ring, expected_semisimple: bool):
     return ORACLE_AGREE, detail, witness
 
 
+def _checked(what: str, rep):
+    """rep, when all its checks passed; a failed check is a bug here."""
+    if not rep.ok:
+        raise InternalCheckError(f"{what} verification failed: {rep.failures[0]}")
+    return rep
+
+
+def _report(kind: str, header, ring, verdict, verify):
+    """The AnalysisReport of one input.  verify is falsy without
+    --verify; otherwise verify() returns the verification and the
+    oracle's (status, detail, witness).  A verification over its budget
+    raises OracleBudgetError, which skips both and names the budget."""
+    verification, oracle = ORACLE_SKIPPED, (ORACLE_SKIPPED, "", None)
+    if verify:
+        try:
+            verification, oracle = verify()
+        except OracleBudgetError as e:
+            oracle = (ORACLE_SKIPPED, str(e), None)
+    return AnalysisReport(kind, header, render_ring_descriptor(ring), verdict, verification, *oracle)
+
+
 def _report_groupoid(text: str, ring, do_verify: bool):
     g = parse_groupoid(text)
     violations = validate(g)
@@ -127,26 +140,13 @@ def _report_groupoid(text: str, ring, do_verify: bool):
         return None
     d = decompose(g, ring)
     verdict = verdicts(d.shape)
-    header = (
-        ("objects", str(len(g.objects))),
-        ("arrows", str(g.arrow_count)),
-    )
-    verification = ORACLE_SKIPPED
-    status, detail, witness = ORACLE_SKIPPED, "", None
-    if do_verify:
-        rep = verify_isomorphism(d)
-        if not rep.ok:
-            raise InternalCheckError(
-                f"isomorphism verification failed: {rep.failures[0]}"
-            )
-        verification = rep
-        status, detail, witness = _run_oracle(
-            g.arrow_count, lambda: g, ring, verdict.semisimple
-        )
-    return AnalysisReport(
-        "groupoid", header, render_ring_descriptor(ring), verdict,
-        verification, status, detail, witness,
-    )
+
+    def verify():
+        rep = _checked("isomorphism", verify_isomorphism(d))
+        return rep, _run_oracle(g.arrow_count, lambda: g, ring, verdict.semisimple)
+
+    header = (("objects", str(len(g.objects))), ("arrows", str(g.arrow_count)))
+    return _report("groupoid", header, ring, verdict, do_verify and verify)
 
 
 def _report_graph(text: str, ring, do_verify: bool):
@@ -155,71 +155,37 @@ def _report_graph(text: str, ring, do_verify: bool):
     gd = graph_groupoid(g)
     finite = not isinstance(gd, ExitWitness)
     verdict = leavitt_verdicts(g, ring)
+
+    def verify():
+        if not finite:
+            witness = f"{witness_names(g, gd)[2]}, n >= 0"
+            return ORACLE_UNSUPPORTED, (ORACLE_UNSUPPORTED, "boundary-path space is infinite", witness)
+        rep = _checked("relation", verify_leavitt_relations(g, ring))
+        if gd.has_cycle():
+            return rep, (ORACLE_UNSUPPORTED, "algebra is infinite dimensional over the lasso orbits", None)
+        return rep, _run_oracle(block_shape(gd, ring).dimension, lambda: as_finite_groupoid(g),
+                                ring, verdict.semisimple)
+
     header = (
         ("vertices", str(len(g.vertices))),
         ("edges", str(g.edge_count)),
         ("boundary paths", str(gd.boundary_count()) if finite else "infinite"),
     )
-    verification = ORACLE_SKIPPED
-    status, detail, witness = ORACLE_SKIPPED, "", None
-    if do_verify:
-        if not finite:
-            verification = status = ORACLE_UNSUPPORTED
-            detail = "boundary-path space is infinite"
-            witness = f"{witness_names(g, gd)[2]}, n >= 0"
-        else:
-            try:
-                rep = verify_leavitt_relations(g, ring)
-            except OracleBudgetError as e:
-                detail = str(e)
-            else:
-                if not rep.ok:
-                    raise InternalCheckError(
-                        f"relation verification failed: {rep.failures[0]}"
-                    )
-                verification = rep
-                if gd.has_cycle():
-                    status = ORACLE_UNSUPPORTED
-                    detail = "algebra is infinite dimensional over the lasso orbits"
-                else:
-                    status, detail, witness = _run_oracle(
-                        block_shape(gd, ring).dimension, lambda: as_finite_groupoid(g),
-                        ring, verdict.semisimple,
-                    )
-    return AnalysisReport(
-        "graph", header, render_ring_descriptor(ring), verdict,
-        verification, status, detail, witness,
-    )
+    return _report("graph", header, ring, verdict, do_verify and verify)
 
 
 def _report_isg(text: str, ring, do_verify: bool):
     _load("isg")
     s = parse_isg(text)
     verdict = isg_verdicts(s, ring)
-    header = (
-        ("elements", str(s.size)),
-        ("idempotents", str(len(s.idempotents()))),
-    )
-    verification = ORACLE_SKIPPED
-    status, detail, witness = ORACLE_SKIPPED, "", None
-    if do_verify:
-        try:
-            iso = semigroup_algebra_iso(s, ring)
-        except OracleBudgetError as e:
-            detail = str(e)
-        else:
-            if not iso.report.ok:
-                raise InternalCheckError(
-                    f"base-change verification failed: {iso.report.failures[0]}"
-                )
-            verification = iso.report
-            status, detail, witness = _run_oracle(
-                iso.groupoid.arrow_count, lambda: iso.groupoid, ring, verdict.semisimple
-            )
-    return AnalysisReport(
-        "isg", header, render_ring_descriptor(ring), verdict,
-        verification, status, detail, witness,
-    )
+
+    def verify():
+        iso = semigroup_algebra_iso(s, ring)
+        rep = _checked("base-change", iso.report)
+        return rep, _run_oracle(iso.groupoid.arrow_count, lambda: iso.groupoid, ring, verdict.semisimple)
+
+    header = (("elements", str(s.size)), ("idempotents", str(len(s.idempotents()))))
+    return _report("isg", header, ring, verdict, do_verify and verify)
 
 
 _COMMANDS = {

@@ -1,10 +1,23 @@
-"""Shared exception types.
+"""Shared exception types, and the line grammar the three file formats
+share.
 
 Parsing problems and input-level validation failures are ordinary bad
 input (CLI exit code 1).  InternalCheckError marks a verification that
 can only fail if the library itself is wrong (CLI exit code 2).
+
+The .gpd, .quiv and .isg readers share one line grammar: '#' starts a
+comment, blank lines are skipped (lines), "PLURAL: name ..." declares
+names (Names.read_list), and "KIND NAME : SRC -> DST" declares a span
+(read_span).  A name is any run of characters other than whitespace
+and '#'; on a declaration line it ends at the first ':', and a span's
+source ends at the first '->'.  The ParseErrors for those lines, for
+unknown directives and for names declared twice, not declared or
+missing are raised here only.
 """
 from __future__ import annotations
+
+from itertools import count
+from operator import itemgetter
 
 
 class ParseError(ValueError):
@@ -37,3 +50,76 @@ class OracleBudgetError(RuntimeError):
 class InternalCheckError(AssertionError):
     """A structural claim that should hold by theorem failed.  Always a
     bug in this package, never a property of the input."""
+
+
+def lines(text: str):
+    """(line number, words, line) for each line of text that holds a
+    word once its '#' comment is cut; line is that cut text.  Built
+    from iterators that run in C: a parser's loop is the only Python
+    step per line."""
+    cut = text.splitlines()
+    if "#" in text:
+        cut = [raw.split("#", 1)[0] for raw in cut]
+    return filter(itemgetter(1), zip(count(1), map(str.split, cut), cut))
+
+
+class Names:
+    """The names of one kind declared so far: index maps each to its
+    position in declaration order.  plural is the word of their list
+    directive."""
+
+    __slots__ = ("kind", "plural", "index")
+
+    def __init__(self, kind: str, plural: str | None = None):
+        self.kind = kind
+        self.plural = plural
+        self.index: dict = {}
+
+    def declare(self, name: str, ln: int) -> None:
+        if name in self.index:
+            raise ParseError(f"{self.kind} '{name}' declared twice", line=ln)
+        self.index[name] = len(self.index)
+
+    def need(self, name: str, ln: int) -> int:
+        found = self.index.get(name)
+        if found is None:
+            raise ParseError(f"{self.kind} '{name}' not declared", line=ln)
+        return found
+
+    def read_list(self, words: list, line: str, ln: int) -> None:
+        """Declare each name of the line "PLURAL: name ...".  Each
+        format tries this directive last, so any other line is an
+        unknown directive."""
+        line = line.lstrip()
+        if not line.startswith(self.plural + ":"):
+            raise ParseError(f"unknown directive '{words[0]}'", line=ln)
+        for name in line[len(self.plural) + 1:].split():
+            self.declare(name, ln)
+
+    def require(self) -> tuple:
+        """The names in declaration order; there must be one."""
+        if not self.index:
+            raise ParseError(f"no {self.plural} declared", line=1)
+        return tuple(self.index)
+
+
+def split_declaration(line: str, keyword: str, ln: int) -> tuple:
+    """(NAME, REST), stripped, of the line "KEYWORD NAME : REST"."""
+    rest = line.lstrip()[len(keyword):]
+    if ":" not in rest:
+        raise ParseError(f"{keyword} declaration needs ':'", line=ln)
+    name, rest = rest.split(":", 1)
+    return name.strip(), rest.strip()
+
+
+def read_span(line: str, ln: int, names: Names, ends: Names) -> tuple:
+    """Declare NAME of the line "KIND NAME : SRC -> DST" in names (KIND
+    is names.kind) and return the indices of SRC and DST in ends."""
+    name, span = split_declaration(line, names.kind, ln)
+    if "->" not in span:
+        raise ParseError(f"{names.kind} declaration needs '->'", line=ln)
+    src, dst = (s.strip() for s in span.split("->", 1))
+    if not name or not src or not dst:
+        raise ParseError(f"malformed {names.kind} declaration", line=ln)
+    names.declare(name, ln)
+    return ends.need(src, ln), ends.need(dst, ln)

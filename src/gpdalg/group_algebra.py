@@ -26,10 +26,10 @@ class FiniteGroupTable(Value):
     __slots__ = ("size", "table", "identity", "inverse", "name")  # table[i][j] = index of i*j
 
     @staticmethod
-    def from_table(rows, name: str | None = None) -> "FiniteGroupTable":
+    def from_table(rows) -> "FiniteGroupTable":
         """Build from a full multiplication table, verifying the group
         axioms rather than assuming them (associativity by
-        associativity_failure)."""
+        associativity_failure); _classify_group names the group."""
         n = len(rows)
         table = square_table(rows, n)
         identity = next(
@@ -45,9 +45,7 @@ class FiniteGroupTable(Value):
         bad = associativity_failure(table)
         if bad is not None:
             raise ValueError("associativity fails at (%d,%d,%d)" % bad)
-        if name is None:
-            name = _classify_group(table, identity)
-        return FiniteGroupTable(n, table, identity, tuple(inverse), name)
+        return FiniteGroupTable(n, table, identity, tuple(inverse), _classify_group(table, identity))
 
     @property
     def is_trivial(self) -> bool:

@@ -25,14 +25,11 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import Names, ParseError, lines, read_span
 from .group_algebra import BlockShape, FiniteGroupTable, certify_associativity
 from .group_algebra import associativity_generators  # noqa: F401 (re-exported)
 from .rings import RingDescriptor
 from .value import Value
-
-# file format directives
-_OBJECTS = "objects:"
 
 
 class FiniteGroupoid(Value):
@@ -105,105 +102,67 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
         compose f g = h
         inverse f = g
 
-    '#' starts a comment; blank lines are skipped.  Each compose line
-    goes straight into its arrow's row of the groupoid's table.
+    in the line grammar of errors.  Each compose line goes
+    straight into its arrow's row of the groupoid's table.
     """
-    objects: list = []
-    obj_set: dict = {}
-    arrows: list = []
-    arr_set: dict = {}
+    objects = Names("object", "objects")
+    arrows = Names("arrow")
     dom: list = []
     cod: list = []
     rows: list = []  # arrow f -> {g: f after g}
     identity_decl: dict = {}
     inv: dict = {}
 
-    def need_object(name, ln):
-        if name not in obj_set:
-            raise ParseError(f"object '{name}' not declared", line=ln)
-        return obj_set[name]
-
-    def need_arrow(name, ln):
-        if name not in arr_set:
-            raise ParseError(f"arrow '{name}' not declared", line=ln)
-        return arr_set[name]
-
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    for ln, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts:
-            continue
+    index = arrows.index
+    for ln, parts, line in lines(text):
         if parts[0] == "compose":
             # compose F G = H
             if len(parts) != 5 or parts[3] != "=":
                 raise ParseError("expected: compose F G = H", line=ln)
             try:
-                f, g, h = arr_set[parts[1]], arr_set[parts[2]], arr_set[parts[4]]
+                f, g, h = index[parts[1]], index[parts[2]], index[parts[4]]
             except KeyError:
-                f, g, h = (need_arrow(parts[i], ln) for i in (1, 2, 4))
+                f, g, h = (arrows.need(parts[i], ln) for i in (1, 2, 4))
             if dom[f] != cod[g]:
+                names = list(objects.index)
                 raise ParseError(
                     f"'{parts[1]}' and '{parts[2]}' are not composable: "
-                    f"dom({parts[1]}) = {objects[dom[f]]} but "
-                    f"cod({parts[2]}) = {objects[cod[g]]}",
+                    f"dom({parts[1]}) = {names[dom[f]]} but "
+                    f"cod({parts[2]}) = {names[cod[g]]}",
                     line=ln,
                 )
             row = rows[f]
             if g in row:
                 raise ParseError(f"compose {parts[1]} {parts[2]} declared twice", line=ln)
             row[g] = h
-            continue
-        line = raw.strip()
-        if line.startswith(_OBJECTS):
-            for name in line[len(_OBJECTS):].split():
-                if name in obj_set:
-                    raise ParseError(f"object '{name}' declared twice", line=ln)
-                obj_set[name] = len(objects)
-                objects.append(name)
         elif parts[0] == "arrow":
-            # arrow NAME : SRC -> DST
-            rest = line[len("arrow"):].strip()
-            if ":" not in rest:
-                raise ParseError("arrow declaration needs ':'", line=ln)
-            name, spanspec = (s.strip() for s in rest.split(":", 1))
-            if "->" not in spanspec:
-                raise ParseError("arrow declaration needs '->'", line=ln)
-            src, dst = (s.strip() for s in spanspec.split("->", 1))
-            if not name or not src or not dst:
-                raise ParseError("malformed arrow declaration", line=ln)
-            if name in arr_set:
-                raise ParseError(f"arrow '{name}' declared twice", line=ln)
-            arr_set[name] = len(arrows)
-            arrows.append(name)
-            dom.append(need_object(src, ln))
-            cod.append(need_object(dst, ln))
+            src, dst = read_span(line, ln, arrows, objects)
+            dom.append(src)
+            cod.append(dst)
             rows.append({})
         elif parts[0] == "identity":
             # identity OBJ = ARROW
             if len(parts) != 4 or parts[2] != "=":
                 raise ParseError("expected: identity OBJ = ARROW", line=ln)
-            x = need_object(parts[1], ln)
+            x = objects.need(parts[1], ln)
             if x in identity_decl:
                 raise ParseError(f"identity for '{parts[1]}' declared twice", line=ln)
-            identity_decl[x] = need_arrow(parts[3], ln)
+            identity_decl[x] = arrows.need(parts[3], ln)
         elif parts[0] == "inverse":
             # inverse F = G
             if len(parts) != 4 or parts[2] != "=":
                 raise ParseError("expected: inverse F = G", line=ln)
-            f = need_arrow(parts[1], ln)
+            f = arrows.need(parts[1], ln)
             if f in inv:
                 raise ParseError(f"inverse of '{parts[1]}' declared twice", line=ln)
-            inv[f] = need_arrow(parts[3], ln)
+            inv[f] = arrows.need(parts[3], ln)
         else:
-            raise ParseError(f"unknown directive '{parts[0]}'", line=ln)
+            objects.read_list(parts, line, ln)
 
-    if not objects:
-        raise ParseError("no objects declared", line=1)
-    identity_of = tuple(identity_decl.get(x) for x in range(len(objects)))
-    inv_total = tuple(inv.get(a) for a in range(len(arrows)))
-    return FiniteGroupoid(tuple(objects), tuple(arrows), tuple(dom), tuple(cod),
+    object_names = objects.require()
+    identity_of = tuple(identity_decl.get(x) for x in range(len(object_names)))
+    inv_total = tuple(inv.get(a) for a in range(len(dom)))
+    return FiniteGroupoid(object_names, tuple(arrows.index), tuple(dom), tuple(cod),
                           identity_of, tuple(rows), inv_total)
 
 

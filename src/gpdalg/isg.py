@@ -20,7 +20,7 @@ pairs and the unimodularity of the transition matrix.
 from __future__ import annotations
 
 from .algebra import AlgebraElement, VerificationReport, convolve
-from .errors import InternalCheckError, OracleBudgetError, ParseError
+from .errors import InternalCheckError, Names, OracleBudgetError, ParseError, lines, split_declaration
 from .group_algebra import FiniteGroupTable, associativity_failure, square_table
 from .groupoid import FiniteGroupoid, structured_from_finite, validate
 from .linalg import int_det
@@ -106,62 +106,43 @@ class InverseSemigroup(Value):
 
 
 def parse_isg(text: str) -> InverseSemigroup:
-    """Line format:
+    """Line format, in the line grammar of errors:
 
         elements: a b c
         row a: a b c
 
     where 'row x:' lists the products x.a x.b x.c in declaration order.
-    '#' comments and blank lines allowed.  Structural problems raise
-    ParseError; axiom failures raise ValueError from the table check."""
-    elements: list = []
-    eset: dict = {}
-    rows: dict = {}
-    pending: list = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("elements:"):
-            for name in line[len("elements:"):].split():
-                if name in eset:
-                    raise ParseError(f"element '{name}' declared twice", line=ln)
-                eset[name] = len(elements)
-                elements.append(name)
-        elif line.startswith("row "):
-            rest = line[len("row "):]
-            if ":" not in rest:
-                raise ParseError("row declaration needs ':'", line=ln)
-            name, prods = (s.strip() for s in rest.split(":", 1))
-            if name not in eset:
-                raise ParseError(f"element '{name}' not declared", line=ln)
+    Structural problems raise ParseError; axiom failures raise
+    ValueError from the table check."""
+    elements = Names("element", "elements")
+    rows: dict = {}  # name -> (line number, products), in line order
+    for ln, words, line in lines(text):
+        if words[0] == "row":
+            name, products = split_declaration(line, "row", ln)
+            elements.need(name, ln)
             if name in rows:
                 raise ParseError(f"row for '{name}' declared twice", line=ln)
-            entries = prods.split()
-            pending.append((ln, name, entries))
-            rows[name] = entries
+            rows[name] = (ln, products.split())
         else:
-            raise ParseError(f"unknown directive '{line.split()[0]}'", line=ln)
-    if not elements:
-        raise ParseError("no elements declared", line=1)
-    n = len(elements)
+            elements.read_list(words, line, ln)
+    names, index = elements.require(), elements.index
+    n = len(names)
     table = [[0] * n for _ in range(n)]
-    seen = set()
-    for ln, name, entries in pending:
+    for name, (ln, entries) in rows.items():
         if len(entries) != n:
             raise ParseError(
                 f"row for '{name}' has {len(entries)} entries, expected {n}",
                 line=ln,
             )
-        for j, prod in enumerate(entries):
-            if prod not in eset:
-                raise ParseError(f"element '{prod}' not declared", line=ln)
-            table[eset[name]][j] = eset[prod]
-        seen.add(name)
-    missing = [e for e in elements if e not in seen]
+        try:
+            table[index[name]] = [index[prod] for prod in entries]
+        except KeyError:
+            for prod in entries:
+                elements.need(prod, ln)
+    missing = [e for e in names if e not in rows]
     if missing:
         raise ParseError(f"no row for element '{missing[0]}'", line=1)
-    return InverseSemigroup.from_table(elements, table)
+    return InverseSemigroup.from_table(names, table)
 
 
 def render_isg(s: InverseSemigroup) -> str:
@@ -297,32 +278,20 @@ def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomo
             f"transition matrix of the natural partial order has determinant "
             f"{det}, expected a unit"
         )
-    total = 0
-    passed = 0
-    failures = []
-    for i in range(s.size):
-        for j in range(s.size):
-            total += 1
-            lhs = convolve(images[i], images[j])
-            rhs = images[s.mul(i, j)]
-            if lhs == rhs:
-                passed += 1
-            else:
-                failures.append(
-                    f"image({s.elements[i]}) * image({s.elements[j]}) "
-                    f"!= image({s.elements[s.mul(i, j)]})"
-                )
+    failures = [
+        f"image({s.elements[i]}) * image({s.elements[j]}) != image({s.elements[s.mul(i, j)]})"
+        for i in range(s.size) for j in range(s.size)
+        if convolve(images[i], images[j]) != images[s.mul(i, j)]
+    ]
+    total = s.size * s.size
     one = s.identity_element()
     if one is not None:
         total += 1
-        if images[one] == AlgebraElement.unit(g, ring):
-            passed += 1
-        else:
+        if images[one] != AlgebraElement.unit(g, ring):
             failures.append("image of the identity element is not the unit")
     report = VerificationReport(
         f"semigroup algebra pairs over {render_ring_descriptor(ring)}",
         total,
-        passed,
         tuple(failures),
     )
     return IsgIsomorphism(s, ring, g, images, det, report)

@@ -397,13 +397,18 @@ def _radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
     return semisimple, witness, None if exhaustive else dimension
 
 
-def oracle_budget(ring: RingDescriptor):
-    """Largest arrow count the oracle takes over ring: the char-0 limit
-    for Q, the char-p limit for GF(p), None for any other ring."""
+def oracle_refusal(ring: RingDescriptor, d: int):
+    """Why radical_oracle does not take a d-dimensional algebra over
+    ring, or None when it does: a ValueError for a ring other than Q
+    and GF(p), an OracleBudgetError for d above the ring's limit."""
     if isinstance(ring, Rationals):
-        return ORACLE_DIMENSION_LIMIT_CHAR0
-    if isinstance(ring, GaloisField):
-        return ORACLE_DIMENSION_LIMIT_CHARP
+        budget = ORACLE_DIMENSION_LIMIT_CHAR0
+    elif isinstance(ring, GaloisField):
+        budget = ORACLE_DIMENSION_LIMIT_CHARP
+    else:
+        return ValueError(f"oracle handles Q and GF(p), not {render_ring_descriptor(ring)}")
+    if d > budget:
+        return OracleBudgetError(f"dimension {d} beyond the oracle budget {budget}")
     return None
 
 
@@ -412,24 +417,19 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor) -> RadicalReport:
     basis alone: the trace form over Q, the trace-lift filtration over
     GF(p), each answer certified as described in the module docstring.
 
-    Supports Q up to dimension ORACLE_DIMENSION_LIMIT_CHAR0 and GF(p)
-    up to dimension ORACLE_DIMENSION_LIMIT_CHARP.
+    Takes Q up to dimension ORACLE_DIMENSION_LIMIT_CHAR0 and GF(p) up
+    to ORACLE_DIMENSION_LIMIT_CHARP, and raises oracle_refusal's error
+    otherwise.
     The groupoid must already have passed validate().  The report's
     method is "trace form" over Q; over GF(p) it is "exhaustive" while
     p^dim <= 4096, with the element sweep's witness and no radical
     dimension, and "filtration" above that.
     """
     d = g.arrow_count
-    budget = oracle_budget(ring)
-    if budget is None:
-        raise ValueError(
-            f"oracle supports Q and GF(p) only, not {render_ring_descriptor(ring)}"
-        )
+    refusal = oracle_refusal(ring, d)
+    if refusal is not None:
+        raise refusal
     p = ring.p if isinstance(ring, GaloisField) else 0
-    if d > budget:
-        raise OracleBudgetError(
-            f"dimension {d} beyond the char-{'p' if p else 0} oracle budget"
-        )
     if p:
         exhaustive = p ** d <= _EXHAUSTIVE_LIMIT
         method = "exhaustive" if exhaustive else "filtration"

@@ -296,32 +296,25 @@ def reference_verify_isomorphism(d) -> VerificationReport:
     g = d.groupoid
     failures = []
     total = 0
-    passed = 0
 
     for a in range(g.arrow_count):
         da = AlgebraElement.delta(g, d.ring, a)
         for b in range(g.arrow_count):
             db = AlgebraElement.delta(g, d.ring, b)
             total += 1
-            if phi(d, convolve(da, db)) == phi(d, da) * phi(d, db):
-                passed += 1
-            else:
+            if phi(d, convolve(da, db)) != phi(d, da) * phi(d, db):
                 failures.append(
                     f"phi not multiplicative on ({g.arrows[a]}, {g.arrows[b]})"
                 )
 
     total += 1
-    if phi(d, AlgebraElement.unit(g, d.ring)) == BlockMatrix.identity(d.shape):
-        passed += 1
-    else:
+    if phi(d, AlgebraElement.unit(g, d.ring)) != BlockMatrix.identity(d.shape):
         failures.append("phi does not send the unit to the identity matrix")
 
     for a in range(g.arrow_count):
         da = AlgebraElement.delta(g, d.ring, a)
         total += 1
-        if phi_inv(d, phi(d, da)) == da:
-            passed += 1
-        else:
+        if phi_inv(d, phi(d, da)) != da:
             failures.append(f"phi_inv(phi([{g.arrows[a]}])) != [{g.arrows[a]}]")
 
     for bi, (size, group) in enumerate(d.shape.blocks):
@@ -331,9 +324,7 @@ def reference_verify_isomorphism(d) -> VerificationReport:
                 for key in keys:
                     unit = BlockMatrix.matrix_unit(d.shape, bi, row, col, key)
                     total += 1
-                    if phi(d, phi_inv(d, unit)) == unit:
-                        passed += 1
-                    else:
+                    if phi(d, phi_inv(d, unit)) != unit:
                         failures.append(
                             f"phi(phi_inv(E)) != E at block {bi} ({row},{col}) g{key}"
                         )
@@ -341,7 +332,6 @@ def reference_verify_isomorphism(d) -> VerificationReport:
     return VerificationReport(
         "isomorphism checks (arrow pairs, unit, basis round trips)",
         total,
-        passed,
         tuple(failures),
     )
 
@@ -613,15 +603,12 @@ def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages |
     if images is None:
         images = generator_images(g, ring)
     total = 0
-    passed = 0
     failures = []
 
     def check(ok: bool, label: str):
-        nonlocal total, passed
+        nonlocal total
         total += 1
-        if ok:
-            passed += 1
-        else:
+        if not ok:
             failures.append(label)
 
     zero = BlockMatrix.zero(images.shape)
@@ -678,7 +665,7 @@ def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages |
         check(word.entry(bi, 0, 0) == expect.entry(bi, 0, 0),
               f"cycle word attains x in block {bi}")
 
-    return VerificationReport("Leavitt relation checks", total, passed, tuple(failures))
+    return VerificationReport("Leavitt relation checks", total, tuple(failures))
 
 
 def reference_path_unit_count(images: GeneratorImages) -> int:
@@ -1160,7 +1147,103 @@ def reference_parse_groupoid(text: str) -> FiniteGroupoid:
     return FiniteGroupoid.make(objects, arrows, dom, cod, identity_of, comp, inv_total)
 
 
-def reference_group_table(rows, name=None) -> FiniteGroupTable:
+def reference_parse_graph(text: str) -> Graph:
+    """parse_graph as it was before the line grammar was shared: the
+    same graph, or a ParseError with the same message and line."""
+    vertices: list = []
+    vset: dict = {}
+    edges: list = []
+    eset = set()
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("vertices:"):
+            for name in line[len("vertices:"):].split():
+                if name in vset:
+                    raise ParseError(f"vertex '{name}' declared twice", line=ln)
+                vset[name] = len(vertices)
+                vertices.append(name)
+        elif line.split()[0] == "edge":
+            rest = line[len("edge"):].strip()
+            if ":" not in rest:
+                raise ParseError("edge declaration needs ':'", line=ln)
+            name, spanspec = (s.strip() for s in rest.split(":", 1))
+            if "->" not in spanspec:
+                raise ParseError("edge declaration needs '->'", line=ln)
+            s, t = (x.strip() for x in spanspec.split("->", 1))
+            if not name or not s or not t:
+                raise ParseError("malformed edge declaration", line=ln)
+            if name in eset:
+                raise ParseError(f"edge '{name}' declared twice", line=ln)
+            if s not in vset:
+                raise ParseError(f"vertex '{s}' not declared", line=ln)
+            if t not in vset:
+                raise ParseError(f"vertex '{t}' not declared", line=ln)
+            eset.add(name)
+            edges.append((name, s, t))
+        else:
+            raise ParseError(f"unknown directive '{line.split()[0]}'", line=ln)
+    if not vertices:
+        raise ParseError("no vertices declared", line=1)
+    return Graph.make(vertices, edges)
+
+
+def reference_parse_isg(text: str) -> InverseSemigroup:
+    """parse_isg as it was before the line grammar was shared: the same
+    semigroup, or a ParseError (or the table check's ValueError) with
+    the same message.  It reads 'row' only when a space follows."""
+    elements: list = []
+    eset: dict = {}
+    rows: dict = {}
+    pending: list = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("elements:"):
+            for name in line[len("elements:"):].split():
+                if name in eset:
+                    raise ParseError(f"element '{name}' declared twice", line=ln)
+                eset[name] = len(elements)
+                elements.append(name)
+        elif line.startswith("row "):
+            rest = line[len("row "):]
+            if ":" not in rest:
+                raise ParseError("row declaration needs ':'", line=ln)
+            name, prods = (s.strip() for s in rest.split(":", 1))
+            if name not in eset:
+                raise ParseError(f"element '{name}' not declared", line=ln)
+            if name in rows:
+                raise ParseError(f"row for '{name}' declared twice", line=ln)
+            entries = prods.split()
+            pending.append((ln, name, entries))
+            rows[name] = entries
+        else:
+            raise ParseError(f"unknown directive '{line.split()[0]}'", line=ln)
+    if not elements:
+        raise ParseError("no elements declared", line=1)
+    n = len(elements)
+    table = [[0] * n for _ in range(n)]
+    seen = set()
+    for ln, name, entries in pending:
+        if len(entries) != n:
+            raise ParseError(
+                f"row for '{name}' has {len(entries)} entries, expected {n}",
+                line=ln,
+            )
+        for j, prod in enumerate(entries):
+            if prod not in eset:
+                raise ParseError(f"element '{prod}' not declared", line=ln)
+            table[eset[name]][j] = eset[prod]
+        seen.add(name)
+    missing = [e for e in elements if e not in seen]
+    if missing:
+        raise ParseError(f"no row for element '{missing[0]}'", line=1)
+    return InverseSemigroup.from_table(elements, table)
+
+
+def reference_group_table(rows) -> FiniteGroupTable:
     """FiniteGroupTable.from_table with associativity scanned on all n^3
     triples in order, as it was before the certificate: the same table,
     or a ValueError with the same message."""
@@ -1190,9 +1273,7 @@ def reference_group_table(rows, name=None) -> FiniteGroupTable:
             for c in range(n):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     raise ValueError(f"associativity fails at ({a},{b},{c})")
-    if name is None:
-        name = _classify_group(table, identity)
-    return FiniteGroupTable(n, table, identity, tuple(inverse), name)
+    return FiniteGroupTable(n, table, identity, tuple(inverse), _classify_group(table, identity))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from gpdalg import (
     Q,
     RingElement,
     RingMismatchError,
+    VerificationReport,
     Z,
     convolve,
     decompose,
@@ -193,6 +194,13 @@ def test_verify_isomorphism_spot_checks():
         assert report.passed == report.total
 
 
+def test_a_report_stores_its_total_and_failures_and_derives_passed():
+    assert VerificationReport._fields == ("description", "total", "failures")
+    report = VerificationReport("checks", 5, ("first", "second"))
+    assert (report.passed, report.ok, report.summary()) == (3, False, "3/5 checks")
+    assert VerificationReport("checks", 5, ()).ok
+
+
 def _swap_arrows(d):
     g = d.groupoid
     f, h = g.arrow_index("f"), g.arrow_index("g")
@@ -251,7 +259,9 @@ def _permute_group_table(d):
         for j in range(group.size):
             rows[perm[i]][perm[j]] = perm[group.table[i][j]]
     blocks = list(d.shape.blocks)
-    blocks[target] = (size, FiniteGroupTable.from_table(rows, group.name))
+    permuted = FiniteGroupTable.from_table(rows)
+    assert permuted.name == group.name
+    blocks[target] = (size, permuted)
     shape = d.shape._replace(blocks=tuple(blocks))
     return d._replace(shape=shape)
 

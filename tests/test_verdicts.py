@@ -46,6 +46,7 @@ from gpdalg.constructions import (
 )
 from gpdalg.linalg import echelon, sparse_kernel, sparse_reduce
 from gpdalg.verdicts import (
+    ORACLE_DIMENSION_LIMIT_CHAR0,
     ORACLE_DIMENSION_LIMIT_CHARP,
     _EXHAUSTIVE_LIMIT,
     _basis_products,
@@ -58,7 +59,9 @@ from gpdalg.verdicts import (
     _radical_charp,
     _right_ideal_nilpotent,
     _trace_form,
+    oracle_refusal,
 )
+from gpdalg.rings import render_ring_descriptor
 
 GF2 = parse_ring_descriptor("GF(2)")
 GF3 = parse_ring_descriptor("GF(3)")
@@ -353,6 +356,28 @@ def test_oracle_budget_errors():
     z6 = group_groupoid(cyclic_table(6))
     fi = radical_oracle(z6, GF5)
     assert fi.semisimple and fi.method == "filtration"
+
+
+def test_one_gate_decides_the_ring_the_dimension_and_the_refusal():
+    laurent = parse_ring_descriptor("Laurent(Q)")
+    for ring, limit in ((Q, ORACLE_DIMENSION_LIMIT_CHAR0), (GF2, ORACLE_DIMENSION_LIMIT_CHARP)):
+        assert oracle_refusal(ring, limit) is None
+        refusal = oracle_refusal(ring, limit + 1)
+        assert type(refusal) is OracleBudgetError
+        assert str(refusal) == f"dimension {limit + 1} beyond the oracle budget {limit}"
+    for ring in (Z, laurent):
+        refusal = oracle_refusal(ring, 1)
+        assert type(refusal) is ValueError
+        assert str(refusal) == f"oracle handles Q and GF(p), not {render_ring_descriptor(ring)}"
+    # radical_oracle raises the gate's refusal, word for word
+    pair9 = pair_groupoid([f"v{i}" for i in range(9)])
+    with pytest.raises(OracleBudgetError) as exc:
+        radical_oracle(pair9, Q)
+    assert str(exc.value) == str(oracle_refusal(Q, pair9.arrow_count))
+    z2 = group_groupoid(cyclic_table(2))
+    with pytest.raises(ValueError) as exc:
+        radical_oracle(z2, laurent)
+    assert str(exc.value) == str(oracle_refusal(laurent, z2.arrow_count))
 
 
 def test_oracle_rejects_unsupported_rings_and_methods():
