@@ -18,24 +18,31 @@ arrows, unit preservation, and that the two directions invert each
 other on every basis vector of both sides.
 
 The checks work on basis indices.  phi runs once per arrow, and each
-image, stored as the one block it touches, is read back as one matrix
-unit (block, row, col, isotropy key) at a cost that does not grow with
-the number of blocks.  A pair then passes when the unit of the
-composite, or zero, equals the product of the two units, which is
+image, built as the one cell of the one block it touches, is read as one
+matrix unit (block, row, col, isotropy key) at a cost that does not
+grow with the number of blocks.  A pair then passes when the unit of
+the composite, or zero, equals the product of the two units, which is
 (b, r, c', table[k][k']) when both sit in block b and c = r', else zero.
 When every image is such a unit and the units give an injective map
 object -> (block, row) (slot(cod a) = (b, r), slot(dom a) = (b, c)),
 two units chain only when their arrows compose, so every
 non-composable pair is zero on both sides and passes without being
-visited: the pair loop walks the composable pairs alone, and the
-report still counts all d^2.  Otherwise every pair is visited.  The
-round trips compare indices too: phi_inv sends the unit (b, r, c, k)
-to the arrow conn_r iso[k] conn_c^-1, so phi_inv(phi([a])) == [a]
-when that arrow is a, and phi(phi_inv(E)) == E when the unit of that
-arrow is E.  The pair (0, 0), the first round trip of each kind, and
-any check that meets an image that is not a single coefficient-one
-unit or a missing composition, still goes through convolve, phi,
-phi_inv and the block matrix operations with the ring's own elements.
+visited.  Of the composable pairs, those (a, s) with s one of the
+generators validate certified associativity on suffice: every arrow
+is a left-nested composite of them and phi is linear, so
+multiplicativity on them gives it on every pair by induction, as
+Light's test gives associativity (Clifford and Preston, The Algebraic
+Theory of Semigroups I, 1.2).  When a generator pair fails the pair
+loop visits every composable pair, and without the slot map every
+pair, so failures are listed as by the full scan; the report still
+counts all d^2.  The round trips compare indices too: phi_inv sends
+the unit (b, r, c, k) to the arrow conn_r iso[k] conn_c^-1, so
+phi_inv(phi([a])) == [a] when that arrow is a, and phi(phi_inv(E)) ==
+E when the unit of that arrow is E.  The pair (0, 0), the first round
+trip of each kind, and any check that meets an image that is not a
+single coefficient-one unit or a missing composition, still goes
+through convolve, phi, phi_inv and the block matrix operations with
+the ring's own elements.
 """
 from __future__ import annotations
 
@@ -46,10 +53,10 @@ from .group_algebra import (
     BlockMatrix,
     BlockShape,
     GroupAlgebraElement,
-    IndexMap,
 )
 from .groupoid import (
     FiniteGroupoid,
+    generators,
     orbit_isotropies,
     orbits,
     validate,
@@ -228,6 +235,14 @@ def phi(d: Decomposition, f: AlgebraElement) -> BlockMatrix:
     """Algebra -> block matrices along the frame."""
     if f.groupoid != d.groupoid or f.ring != d.ring:
         raise RingMismatchError("element does not match the decomposition")
+    if len(f.coeffs) == 1:  # one term, one cell: what build would give
+        (a, c), = f.coeffs
+        bi, row, col, key = d.arrow_position[a]
+        size, group = d.shape.blocks[bi]
+        val = GroupAlgebraElement.delta(group, d.ring, key, c)
+        if not 0 <= row < size or not 0 <= col < size:
+            raise ValueError(f"entry ({row},{col}) outside block of size {size}")
+        return BlockMatrix(d.shape, ((bi, (((row, col), val),)),) if val.coeffs else ())
     items = defaultdict(list)
     for a, c in f.coeffs:
         bi, row, col, key = d.arrow_position[a]
@@ -281,12 +296,21 @@ _ZERO = ()  # index form of the zero matrix in the pair check
 
 def _matrix_unit_index(m: BlockMatrix):
     """(block, row, col, key) when m is a single coefficient-one unit,
-    else None."""
-    im = IndexMap.read(m)
-    if im is None or len(im.rows) != 1:
+    else None: m's one cell when it has exactly one, read as
+    IndexMap.read reads a cell."""
+    if len(m.entries) != 1:
         return None
-    ((bi, row), (col, key)), = im.rows.items()
-    return bi, row, col, key
+    (bi, cells), = m.entries
+    if len(cells) != 1:
+        return None
+    ((row, col), val), = cells
+    if len(val.coeffs) != 1:
+        return None
+    group, ring = m.shape.blocks[bi][1], m.shape.ring
+    if not (val.group is group or val.group == group) or not (val.ring is ring or val.ring == ring):
+        return None
+    (key, coeff), = val.coeffs
+    return (bi, row, col, key) if coeff == RingElement.one(ring) else None
 
 
 def _slot_certificate(g: FiniteGroupoid, units) -> bool:
@@ -308,16 +332,17 @@ def _slot_certificate(g: FiniteGroupoid, units) -> bool:
     return len(set(slot)) == len(slot)
 
 
-def _pair_partners(g: FiniteGroupoid, units) -> list:
+def _pair_partners(g: FiniteGroupoid, slots_ok: bool, gens=None) -> list:
     """The b that the pair loop visits for each arrow a, in the order of
-    the full scan.  When the arrow units pass _slot_certificate these
-    are the arrows composable with a, and arrow 0 also meets itself;
-    otherwise every arrow."""
+    the full scan.  When the arrow units pass _slot_certificate
+    (slots_ok) these are the arrows composable with a, or only those in
+    gens when given, and arrow 0 also meets itself; otherwise every
+    arrow."""
     n = g.arrow_count
-    if not _slot_certificate(g, units):
+    if not slots_ok:
         return [range(n)] * n
     into = [[] for _ in g.objects]
-    for b in range(n):
+    for b in range(n) if gens is None else gens:
         into[g.cod[b]].append(b)
     partners = [into[g.dom[a]] for a in range(n)]
     if n and g.dom[0] != g.cod[0]:
@@ -325,53 +350,82 @@ def _pair_partners(g: FiniteGroupoid, units) -> list:
     return partners
 
 
+def _product_generators(g: FiniteGroupoid):
+    """validate's generators when g passed validate and every row holds
+    an entry per arrow into its domain, else None."""
+    if validate(g):
+        return None
+    into = [0] * len(g.objects)
+    for y in g.cod:
+        into[y] += 1
+    if any(len(row) != into[x] for row, x in zip(g.rows, g.dom)):
+        return None
+    return generators(g)
+
+
 def verify_isomorphism(d: Decomposition) -> VerificationReport:
     """Check that phi is a unital isomorphism onto the block algebra:
     multiplicative on all arrow pairs, unit to identity, inverted both
     ways by phi_inv on every basis vector.
 
-    The pair loop visits the pairs _pair_partners plans: when the arrow
-    units pass _slot_certificate, the ring-level pair (0, 0) and then
-    the composable pairs, in the order of the full scan, every other
-    pair being zero on both sides and counted as passed; otherwise
-    every pair.  Either way the failures are those of the full scan.
-    The round trips compare indices: phi_inv(phi([a])) == [a] as _pull(unit of a) == a, and
-    phi(phi_inv(E)) == E as unit of _pull(E) == E.  The first round
-    trip of each kind, and any whose pull is missing or whose image is
-    not a unit, runs on block matrices and algebra elements."""
+    The pair loop visits the pairs _pair_partners plans.  When the
+    arrow units pass _slot_certificate every non-composable pair is
+    zero on both sides and counts as passed.  If moreover g passed
+    validate, the loop visits the ring-level pair (0, 0) and the pairs
+    (a, s) with s one of validate's generators and dom a = cod s, in
+    the order of the full scan.  That proves the rest: every arrow t is
+    a left-nested composite of generators, t = t's with s a generator,
+    so by induction on t and the associativity validate certified,
+    phi([a][t]) = phi([a][t'][s]) = phi([a][t']) phi(s) = phi(a)
+    phi(t') phi(s) = phi(a) phi(t), and phi is linear.  When a visited
+    pair fails, or g did not pass, the loop visits (0, 0) and every
+    composable pair; without the slot certificate, every pair.  Either
+    way the failures are those of the full scan, and the report counts
+    all d^2.  The round trips compare indices: phi_inv(phi([a])) == [a]
+    as _pull(unit of a) == a, and phi(phi_inv(E)) == E as unit of
+    _pull(E) == E.  The first round trip of each kind, and any whose
+    pull is missing or whose image is not a unit, runs on block
+    matrices and algebra elements."""
     g = d.groupoid
     n = g.arrow_count
-    failures = []
 
     deltas = [AlgebraElement.delta(g, d.ring, a) for a in range(n)]
     images = [phi(d, da) for da in deltas]
     units = [_matrix_unit_index(m) for m in images]
 
     dom, cod, blocks = g.dom, g.cod, d.shape.blocks
-    for a, partners in enumerate(_pair_partners(g, units)):
-        row_a, ua = g.rows[a], units[a]
-        for b in partners:
-            if dom[a] == cod[b]:
-                ab = row_a.get(b)
-                if ab is None:
-                    raise InternalCheckError(
-                        f"no composition for composable pair ({g.arrows[a]}, {g.arrows[b]})"
-                    )
-                left = units[ab]
-            else:
-                left = _ZERO
-            ub = units[b]
-            if (a == 0 and b == 0) or ua is None or ub is None or left is None:
-                da, db = deltas[a], deltas[b]
-                ok = phi(d, convolve(da, db)) == phi(d, da) * phi(d, db)
-            elif ua[0] == ub[0] and ua[2] == ub[1]:
-                ok = left == (ua[0], ua[1], ub[2], blocks[ua[0]][1].table[ua[3]][ub[3]])
-            else:
-                ok = left == _ZERO
-            if not ok:
-                failures.append(
-                    f"phi not multiplicative on ({g.arrows[a]}, {g.arrows[b]})"
-                )
+
+    def pair_failures(plan):
+        out = []
+        for a, partners in enumerate(plan):
+            row_a, ua = g.rows[a], units[a]
+            for b in partners:
+                if dom[a] == cod[b]:
+                    ab = row_a.get(b)
+                    if ab is None:
+                        raise InternalCheckError(
+                            f"no composition for composable pair ({g.arrows[a]}, {g.arrows[b]})"
+                        )
+                    left = units[ab]
+                else:
+                    left = _ZERO
+                ub = units[b]
+                if (a == 0 and b == 0) or ua is None or ub is None or left is None:
+                    da, db = deltas[a], deltas[b]
+                    ok = phi(d, convolve(da, db)) == phi(d, da) * phi(d, db)
+                elif ua[0] == ub[0] and ua[2] == ub[1]:
+                    ok = left == (ua[0], ua[1], ub[2], blocks[ua[0]][1].table[ua[3]][ub[3]])
+                else:
+                    ok = left == _ZERO
+                if not ok:
+                    out.append(f"phi not multiplicative on ({g.arrows[a]}, {g.arrows[b]})")
+        return out
+
+    slots_ok = _slot_certificate(g, units)
+    gens = _product_generators(g) if slots_ok else None
+    failures = pair_failures(_pair_partners(g, slots_ok, gens))
+    if failures and gens is not None:
+        failures = pair_failures(_pair_partners(g, slots_ok))
     total = n * n + 1 + n
     if phi(d, AlgebraElement.unit(g, d.ring)) != BlockMatrix.identity(d.shape):
         failures.append("phi does not send the unit to the identity matrix")

@@ -9,10 +9,10 @@ The .gpd, .quiv and .isg readers share one line grammar: '#' starts a
 comment, blank lines are skipped (lines), "PLURAL: name ..." declares
 names (Names.read_list), and "KIND NAME : SRC -> DST" declares a span
 (read_span).  A name is any run of characters other than whitespace
-and '#'; on a declaration line it ends at the first ':', and a span's
-source ends at the first '->'.  The ParseErrors for those lines, for
-unknown directives and for names declared twice, not declared or
-missing are raised here only.
+and '#'; on a declaration line it ends at the first ':' and must be
+one word, and a span's source ends at the first '->'.  The
+ParseErrors for those lines, for unknown directives and for names
+declared twice, not declared or missing are raised here only.
 """
 from __future__ import annotations
 
@@ -104,12 +104,16 @@ class Names:
 
 
 def split_declaration(line: str, keyword: str, ln: int) -> tuple:
-    """(NAME, REST), stripped, of the line "KEYWORD NAME : REST"."""
+    """(NAME, REST), stripped, of the line "KEYWORD NAME : REST"; NAME
+    is one word."""
     rest = line.lstrip()[len(keyword):]
     if ":" not in rest:
         raise ParseError(f"{keyword} declaration needs ':'", line=ln)
     name, rest = rest.split(":", 1)
-    return name.strip(), rest.strip()
+    name = name.strip()
+    if len(name.split()) > 1:
+        raise ParseError(f"{keyword} name '{name}' contains whitespace", line=ln)
+    return name, rest.strip()
 
 
 def read_span(line: str, ln: int, names: Names, ends: Names) -> tuple:

@@ -52,7 +52,7 @@ class FiniteGroupTable(Value):
         return self.size == 1
 
 
-def certify_associativity(dom, cod, rows, object_count: int) -> bool:
+def certify_associativity(dom, cod, rows, object_count: int, gens=None) -> bool:
     """Light's associativity test on a generating set (Clifford and
     Preston, The Algebraic Theory of Semigroups I, 1.2).
 
@@ -72,9 +72,11 @@ def certify_associativity(dom, cod, rows, object_count: int) -> bool:
     codomain, the closure composes each composable (arrow, generator)
     pair at most once, and the check reads a subset of the composable
     triples, comparing for each generator a and each x the row of x a
-    at every y with the row of x at every a y.  True proves
+    at every y with the row of x at every a y.  gens, when given, must
+    be associativity_generators of the same table.  True proves
     associativity; False means some triple through a generator fails."""
-    gens = associativity_generators(dom, cod, rows, object_count)
+    if gens is None:
+        gens = associativity_generators(dom, cod, rows, object_count)
     outof: list = [[] for _ in range(object_count)]  # object -> arrows with that dom
     into: list = [[] for _ in range(object_count)]   # object -> arrows with that cod
     for a in range(len(dom)):

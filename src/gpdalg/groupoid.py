@@ -26,8 +26,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from .errors import Names, ParseError, lines, read_span
-from .group_algebra import BlockShape, FiniteGroupTable, certify_associativity
-from .group_algebra import associativity_generators  # noqa: F401 (re-exported)
+from .group_algebra import (
+    BlockShape,
+    FiniteGroupTable,
+    associativity_generators,
+    certify_associativity,
+)
 from .rings import RingDescriptor
 from .value import Value
 
@@ -44,6 +48,7 @@ class FiniteGroupoid(Value):
         "rows",
         "inv",          # arrow index -> arrow index or None
         "_violations",  # validate() memo
+        "_generators",  # generators() memo
         "_arrow_index",
     )
 
@@ -56,6 +61,7 @@ class FiniteGroupoid(Value):
         self.rows = rows
         self.inv = inv
         self._violations = None
+        self._generators = None
         self._arrow_index = {a: i for i, a in enumerate(arrows)}
 
     def __hash__(self):
@@ -207,14 +213,27 @@ def validate(g: FiniteGroupoid) -> list:
     return list(g._violations)
 
 
+def generators(g: FiniteGroupoid) -> tuple:
+    """The generators validate certifies associativity on
+    (associativity_generators), computed once per groupoid: every arrow
+    is a left-nested composite of them.  Composition must be total on
+    composable pairs; validate's associativity certificate,
+    verify_isomorphism's pair certificate and the radical oracle's
+    ideal certificate read this memo."""
+    if g._generators is None:
+        g._generators = tuple(associativity_generators(g.dom, g.cod, g.rows, len(g.objects)))
+    return g._generators
+
+
 def _axiom_violations(g: FiniteGroupoid) -> list:
     out: list = []
+    dom, cod = g.dom, g.cod
     arrows = range(g.arrow_count)
     into: list = [[] for _ in g.objects]   # object -> arrows with that cod, ascending
     outof: list = [[] for _ in g.objects]  # object -> arrows with that dom, ascending
     for a in arrows:
-        into[g.cod[a]].append(a)
-        outof[g.dom[a]].append(a)
+        into[cod[a]].append(a)
+        outof[dom[a]].append(a)
     rows = g.rows  # f -> {h: f after h}, every recorded entry
 
     def name(a):
@@ -225,7 +244,7 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
         if e is None:
             out.append(Violation("identity-missing", (obj,), f"object '{obj}' has no identity arrow"))
             continue
-        if g.dom[e] != x or g.cod[e] != x:
+        if dom[e] != x or cod[e] != x:
             out.append(Violation(
                 "identity-span", (obj, name(e)),
                 f"identity arrow '{name(e)}' of '{obj}' is not a loop at '{obj}'",
@@ -233,42 +252,44 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
 
     # the incoherent entries, in (f, h) order: only these are sorted
     bad = sorted((f, h) for f, row in enumerate(rows) for h, k in row.items()
-                 if g.dom[f] != g.cod[h] or g.dom[k] != g.dom[h] or g.cod[k] != g.cod[f])
+                 if dom[f] != cod[h] or dom[k] != dom[h] or cod[k] != cod[f])
     for f, h in bad:
         k = rows[f][h]
-        if g.dom[f] != g.cod[h]:
+        if dom[f] != cod[h]:
             out.append(Violation(
                 "composition-domain", (name(f), name(h)),
                 f"composition recorded for non-composable pair ({name(f)}, {name(h)})",
             ))
             continue
-        if g.dom[k] != g.dom[h] or g.cod[k] != g.cod[f]:
+        if dom[k] != dom[h] or cod[k] != cod[f]:
             out.append(Violation(
                 "composition-span", (name(f), name(h), name(k)),
                 f"compose {name(f)} {name(h)} = {name(k)} breaks dom/cod coherence",
             ))
 
     for f in arrows:
-        row = rows[f]
-        for h in into[g.dom[f]]:
-            if h not in row:
-                out.append(Violation(
-                    "composition-missing", (name(f), name(h)),
-                    f"no composition declared for composable pair ({name(f)}, {name(h)})",
-                ))
+        row, hs = rows[f], into[dom[f]]
+        # with every entry coherent, a row keyed by all of hs misses none
+        if bad or len(row) != len(hs):
+            for h in hs:
+                if h not in row:
+                    out.append(Violation(
+                        "composition-missing", (name(f), name(h)),
+                        f"no composition declared for composable pair ({name(f)}, {name(h)})",
+                    ))
 
     for x, e in enumerate(g.identity_of):
         if e is None:
             continue
         for f in sorted({*outof[x], *into[x]}):  # the arrows at x, in arrow order
-            if g.dom[f] == x:
+            if dom[f] == x:
                 got = rows[f].get(e)
                 if got is not None and got != f:
                     out.append(Violation(
                         "identity-law", (name(f), name(e)),
                         f"{name(f)} after {name(e)} is {name(got)}, expected {name(f)}",
                     ))
-            if g.cod[f] == x:
+            if cod[f] == x:
                 got = rows[e].get(f)
                 if got is not None and got != f:
                     out.append(Violation(
@@ -278,7 +299,7 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
 
     # the checks above passing make composition total on composable
     # pairs with coherent spans, which is all the certificate needs
-    certified = not out and certify_associativity(g.dom, g.cod, rows, len(g.objects))
+    certified = not out and certify_associativity(dom, cod, rows, len(g.objects), generators(g))
     if not certified:
         out.extend(_associativity_scan(g, rows, into))
 
@@ -287,14 +308,14 @@ def _axiom_violations(g: FiniteGroupoid) -> list:
         if fi is None:
             out.append(Violation("inverse-missing", (name(f),), f"arrow '{name(f)}' has no inverse"))
             continue
-        if g.dom[fi] != g.cod[f] or g.cod[fi] != g.dom[f]:
+        if dom[fi] != cod[f] or cod[fi] != dom[f]:
             out.append(Violation(
                 "inverse-span", (name(f), name(fi)),
                 f"inverse of '{name(f)}' has the wrong endpoints",
             ))
             continue
-        e_dom = g.identity_of[g.dom[f]]
-        e_cod = g.identity_of[g.cod[f]]
+        e_dom = g.identity_of[dom[f]]
+        e_cod = g.identity_of[cod[f]]
         if e_dom is not None and rows[fi].get(f) not in (None, e_dom):
             out.append(Violation(
                 "inverse-law", (name(f),),

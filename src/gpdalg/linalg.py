@@ -12,7 +12,8 @@ the rightmost pivot to the leftmost, clears every pivot column in the
 rows to its left.  Work is done only on nonzero entries.  The reduced
 row echelon form of a matrix is determined by its row space, so this
 order of elimination gives exactly the rows and pivots of a textbook
-Gauss-Jordan.  `sparse_kernel` reads the kernel off that echelon and
+Gauss-Jordan.  `sparse_kernel` reads the kernel off that echelon (or,
+on rows of at most one nonzero entry, off the rows alone) and
 `sparse_reduce` reduces a vector against echelon rows (`rref_residue`
 reads only the rows a vector needs from a full rref).
 
@@ -119,10 +120,28 @@ def echelon(rows, p=0):
     return reduced, pivots
 
 
+def _monomial_columns(rows, p):
+    """The columns of the rows' nonzero entries (mod p) when no row has
+    two, else None."""
+    cols: set = set()
+    for r in rows:
+        hit = [c for c, v in r.items() if (v % p if p else v)]
+        if len(hit) > 1:
+            return None
+        cols.update(hit)
+    return cols
+
+
 def sparse_kernel(rows, ncols, p=0):
     """Basis of {v : M v = 0} for the ncols-column matrix M given as
     sparse rows, as sparse vectors: one per free column f of the rref,
-    with entry 1 at f and -rref[i][f] at the pivot of each row i."""
+    with entry 1 at f and -rref[i][f] at the pivot of each row i.  When
+    no row has two nonzero entries (a groupoid's Gram matrix over Q),
+    the rref is the unit rows at the columns of those entries and the
+    kernel is read off with no elimination."""
+    monomial = _monomial_columns(rows, p)
+    if monomial is not None:
+        return [{f: 1 if p else _ONE} for f in range(ncols) if f not in monomial]
     reduced, pivots = _echelon(rows, p)
     pivot_set = set(pivots)
     basis = {f: {f: 1 if p else _ONE} for f in range(ncols) if f not in pivot_set}

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
-from .group_algebra import BlockShape, IntegerGroup, associativity_generators
-from .groupoid import FiniteGroupoid
+from .group_algebra import BlockShape, IntegerGroup
+from .groupoid import FiniteGroupoid, generators
 from .linalg import echelon, rref_residue, sparse_kernel
 from .rings import (
     GaloisField,
@@ -254,11 +254,6 @@ def _certified_radical(bp, radical, gens, p=0, pick=0):
     return False, witness, len(radical)
 
 
-def _generators(g: FiniteGroupoid):
-    """Arrows whose products give every arrow: validate's generators."""
-    return associativity_generators(g.dom, g.cod, g.rows, len(g.objects))
-
-
 def _trace_form(rows):
     """The trace form on the arrow basis, read off the composition
     table alone (rows[i] = {j: k}, k = arrow i after arrow j).  Returns
@@ -285,7 +280,7 @@ def _radical_char0(g: FiniteGroupoid):
     radical = sparse_kernel(_trace_form(g.rows)[1], d)
     if not radical:
         return True, None, 0
-    return _certified_radical(_basis_products(g), radical, _generators(g))
+    return _certified_radical(_basis_products(g), radical, generators(g))
 
 
 def _power(bp, z, q, mod):
@@ -393,7 +388,7 @@ def _radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
     if not radical:
         return True, None, 0
     pick = -1 if exhaustive else 0
-    semisimple, witness, dimension = _certified_radical(bp, radical, _generators(g), p, pick)
+    semisimple, witness, dimension = _certified_radical(bp, radical, generators(g), p, pick)
     return semisimple, witness, None if exhaustive else dimension
 
 

@@ -27,7 +27,7 @@ from gpdalg.group_algebra import (
     _classify_group,
     group_algebra_mul,
 )
-from gpdalg.groupoid import Violation, isotropy, orbits
+from gpdalg.groupoid import Violation, generators, isotropy, orbits
 from gpdalg.leavitt import (
     ExitWitness,
     GeneratorImages,
@@ -47,7 +47,6 @@ from gpdalg.rings import Rationals, RingElement
 from gpdalg.verdicts import (
     _basis_products,
     _certified_radical,
-    _generators,
     _mul,
     _trace_form,
 )
@@ -997,7 +996,7 @@ def single_chain_radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
     if not radical:
         return True, None, 0
     pick = -1 if exhaustive else 0
-    semisimple, witness, dimension = _certified_radical(bp, radical, _generators(g), p, pick)
+    semisimple, witness, dimension = _certified_radical(bp, radical, generators(g), p, pick)
     return semisimple, witness, None if exhaustive else dimension
 
 
@@ -1049,6 +1048,12 @@ def reference_kernel(rows, p=0):
     return basis
 
 
+def _reference_one_word(name: str, keyword: str, ln: int) -> None:
+    """The NAME of a "KEYWORD NAME : ..." line must be one word."""
+    if len(name.split()) > 1:
+        raise ParseError(f"{keyword} name '{name}' contains whitespace", line=ln)
+
+
 def reference_parse_groupoid(text: str) -> FiniteGroupoid:
     """groupoid.parse_groupoid as it was before the one-pass parser:
     every line comment-stripped and split, compose entries collected in
@@ -1093,6 +1098,7 @@ def reference_parse_groupoid(text: str) -> FiniteGroupoid:
             if ":" not in rest:
                 raise ParseError("arrow declaration needs ':'", line=ln)
             name, spanspec = (s.strip() for s in rest.split(":", 1))
+            _reference_one_word(name, "arrow", ln)
             if "->" not in spanspec:
                 raise ParseError("arrow declaration needs '->'", line=ln)
             src, dst = (s.strip() for s in spanspec.split("->", 1))
@@ -1169,6 +1175,7 @@ def reference_parse_graph(text: str) -> Graph:
             if ":" not in rest:
                 raise ParseError("edge declaration needs ':'", line=ln)
             name, spanspec = (s.strip() for s in rest.split(":", 1))
+            _reference_one_word(name, "edge", ln)
             if "->" not in spanspec:
                 raise ParseError("edge declaration needs '->'", line=ln)
             s, t = (x.strip() for x in spanspec.split("->", 1))
@@ -1212,6 +1219,7 @@ def reference_parse_isg(text: str) -> InverseSemigroup:
             if ":" not in rest:
                 raise ParseError("row declaration needs ':'", line=ln)
             name, prods = (s.strip() for s in rest.split(":", 1))
+            _reference_one_word(name, "row", ln)
             if name not in eset:
                 raise ParseError(f"element '{name}' not declared", line=ln)
             if name in rows:

@@ -34,7 +34,9 @@ from gpdalg.constructions import (
     cyclic_table,
     pair_groupoid,
     product_with_group,
+    symmetric_table,
 )
+from gpdalg.groupoid import generators
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -202,8 +204,10 @@ def test_a_report_stores_its_total_and_failures_and_derives_passed():
 
 
 def _swap_arrows(d):
+    # exchange the images of f and g, or of the first two arrows when
+    # the groupoid has no arrows of those names
     g = d.groupoid
-    f, h = g.arrow_index("f"), g.arrow_index("g")
+    f, h = (g.arrow_index("f"), g.arrow_index("g")) if {"f", "g"} <= set(g.arrows) else (0, 1)
     swapped = list(d.arrow_position)
     swapped[f], swapped[h] = swapped[h], swapped[f]
     return d._replace(arrow_position=tuple(swapped))
@@ -312,6 +316,41 @@ def test_tampered_decompositions_fail_exactly_as_the_reference(tamper, groupoid)
         assert _outcome(report) == _outcome(reference_verify_isomorphism(bad))
 
 
+_TAMPERS = (_swap_arrows, _swap_isotropy_keys, _permute_group_table, _swap_connecting, _merge_rows)
+
+
+def test_every_tamper_of_every_corpus_decomposition_fails_as_the_reference():
+    # the generator pairs pass only when every pair does: a failing
+    # tamper falls back to the full scan and lists its failures
+    for name, g in groupoid_corpus():
+        for ring in (Q, GF2, Z6):
+            d = decompose(g, ring)
+            for tamper in _TAMPERS:
+                try:
+                    bad = tamper(d)
+                except (StopIteration, IndexError):  # no block, frame or arrow to tamper with
+                    continue
+                report = verify_isomorphism(bad)
+                assert _outcome(report) == _outcome(reference_verify_isomorphism(bad)), (
+                    name, ring, tamper.__name__)
+
+
+def test_doubled_images_fail_as_the_reference_on_every_corpus_decomposition(monkeypatch):
+    real_phi = gpdalg.algebra.phi
+
+    def doubled_phi(d, f):
+        m = real_phi(d, f)
+        return m + m
+
+    monkeypatch.setattr(gpdalg.algebra, "phi", doubled_phi)
+    monkeypatch.setattr(support, "phi", doubled_phi)
+    for name, g in groupoid_corpus():
+        for ring in (Q, GF2, Z6):
+            d = decompose(g, ring)
+            report = verify_isomorphism(d)
+            assert _outcome(report) == _outcome(reference_verify_isomorphism(d)), (name, ring)
+
+
 def test_phi_runs_a_linear_number_of_times(monkeypatch):
     g = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), cyclic_table(4))
     assert g.arrow_count == 64
@@ -354,13 +393,13 @@ def test_round_trips_run_a_constant_number_of_times_on_ring_elements(monkeypatch
 
 
 def _planned_pairs(monkeypatch):
-    """The pairs (a, b) the pair loop of the next verify_isomorphism
-    visits, in order, as its _pair_partners call plans them."""
+    """The pairs (a, b) the pair loops of the next verify_isomorphism
+    visit, in order, as its _pair_partners calls plan them."""
     visits = []
     real = gpdalg.algebra._pair_partners
 
-    def recording(g, units):
-        partners = real(g, units)
+    def recording(*args):
+        partners = real(*args)
         visits.extend((a, b) for a, bs in enumerate(partners) for b in bs)
         return partners
 
@@ -384,6 +423,19 @@ def _non_loop_first(g):
     )
 
 
+def _sentinel(g):
+    # the ring-level pair (0, 0) runs first, composable or not
+    return [] if g.dom[0] == g.cod[0] else [(0, 0)]
+
+
+def _generator_pairs(g):
+    """(0, 0), then (a, s) for s among validate's generators with
+    cod s = dom a, in the order of the full scan."""
+    gens = generators(g)
+    return _sentinel(g) + [
+        (a, s) for a in range(g.arrow_count) for s in gens if g.cod[s] == g.dom[a]]
+
+
 @pytest.mark.parametrize("reorder", [False, True], ids=["loop_first", "non_loop_first"])
 def test_pair_phase_visits_only_composable_pairs(monkeypatch, reorder):
     g = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), cyclic_table(4))
@@ -393,11 +445,31 @@ def test_pair_phase_visits_only_composable_pairs(monkeypatch, reorder):
     visits = _planned_pairs(monkeypatch)
     report = verify_isomorphism(decompose(g, Q))
     assert report.ok and report.total == (n + 1) ** 2
+    # the generator pairs alone, every one composable but the sentinel
+    assert visits == _generator_pairs(g)
+    assert len(visits) == 64 * 2 + (1 if reorder else 0)
     composable = [(a, b) for a in range(n) for b in range(n) if g.dom[a] == g.cod[b]]
     assert len(composable) == 1024
-    # the ring-level pair (0, 0) always runs, first, composable or not
-    assert visits == (composable if g.dom[0] == g.cod[0] else [(0, 0)] + composable)
-    assert len(visits) <= 1024 + 1
+    # a failing generator pair: the generator pairs, then the full scan
+    visits.clear()
+    bad = _swap_isotropy_keys(decompose(g, Q))
+    report = verify_isomorphism(bad)
+    assert not report.ok
+    assert visits == _generator_pairs(g) + _sentinel(g) + composable
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_pair_phase_counts_one_visit_per_arrow_and_generator_into_its_domain(
+        monkeypatch, size):
+    # counted work, not time: a later fallback to the full scan fails here
+    for table in (cyclic_table(2), cyclic_table(4), symmetric_table(3)):
+        g = product_with_group(pair_groupoid([f"x{i}" for i in range(size)]), table)
+        for h in (g, _non_loop_first(g)):
+            visits = _planned_pairs(monkeypatch)
+            assert verify_isomorphism(decompose(h, Q)).ok
+            gens = generators(h)
+            expected = sum(1 for a in range(h.arrow_count) for s in gens if h.cod[s] == h.dom[a])
+            assert len(visits) == expected + len(_sentinel(h)), (size, table.name)
 
 
 def test_a_slot_map_that_is_not_injective_scans_every_pair(monkeypatch):

@@ -64,6 +64,20 @@ def test_corrupted_fixtures_exit_one_with_diagnostics(sub, name, fragment):
     assert not r.stdout, name
 
 
+@pytest.mark.parametrize("sub, text, fragment", [
+    ("groupoid", "objects: a\narrow i d : a -> a\n", "line 2: arrow name 'i d' contains"),
+    ("graph", "vertices: v\nedge e\t1 : v -> v\n", "line 2: edge name 'e\t1' contains"),
+    ("isg", "elements: z\nrow z z : z\n", "line 2: row name 'z z' contains whitespace"),
+])
+def test_a_declared_name_with_whitespace_exits_one(tmp_path, sub, text, fragment):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    r = run_cli(sub, str(path))
+    assert r.returncode == 1, r.stderr
+    assert fragment in r.stderr, r.stderr
+    assert not r.stdout
+
+
 def test_usage_and_input_errors_exit_one():
     bad_calls = [
         (),

@@ -232,6 +232,40 @@ def test_residue_against_present_pivots_is_sparse_reduce(p):
     assert rref_residue({1: p + 1, 2: p}, {}, p) == {1: 1}
 
 
+def _monomial_cases(p):
+    """Rows of at most one nonzero entry each, read off with no
+    elimination: in distinct columns, with an entry that vanishes mod p
+    (p itself; an explicit zero over Q), with empty rows, and with two
+    rows sharing a column."""
+    rng = random.Random(3000 + p)
+    cases = []
+    for n in (1, 4, 7):
+        for m in range(n + 1):
+            cols = rng.sample(range(n), m)
+            rows = [{c: _entry(rng, p) or 2} for c in cols]
+            cases.append((rows[:1] + [{}] + rows[1:] + [{}], n))
+            if rows:
+                cases.append((rows, n))
+                cases.append((rows + [{cols[0]: p}], n))
+                cases.append((rows + [{cols[0]: _entry(rng, p) or 1}], n))
+    return cases
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_kernel_of_monomial_rows_matches_the_reference(p):
+    shared = 0
+    for sparse, n in _monomial_cases(p) + [([{0: 1, 2: 3}, {1: 2}], 3)]:
+        before = copy.deepcopy(sparse)
+        dense = [[r.get(c, 0) for c in range(n)] for r in sparse]
+        basis = sparse_kernel(sparse, n, p)
+        assert sparse == before
+        assert all(_is_field_entry(v, p) for vec in basis for v in vec.values())
+        assert _densify(basis, n, p) == reference_kernel(dense, p), (sparse, n)
+        cols = [c for r in sparse for c, v in r.items() if (v % p if p else v)]
+        shared += len(cols) != len(set(cols))
+    assert shared  # two rows with the same nonzero column occur
+
+
 @pytest.mark.parametrize("p", FIELDS)
 def test_sparse_elimination_of_no_rows(p):
     assert echelon([], p) == ([], [])

@@ -34,7 +34,7 @@ from gpdalg import (
     verdicts,
 )
 from gpdalg.errors import InternalCheckError
-from gpdalg.groupoid import orbits
+from gpdalg.groupoid import generators, orbits
 from gpdalg.leavitt import as_finite_groupoid
 from gpdalg.constructions import (
     cyclic_table,
@@ -53,7 +53,6 @@ from gpdalg.verdicts import (
     _blocks,
     _certified_radical,
     _filtration_radical_modp,
-    _generators,
     _ideal_certified_nilpotent,
     _powers_vanish,
     _radical_charp,
@@ -460,7 +459,7 @@ def test_certificate_on_generators_is_the_certificate_on_every_arrow():
     ]
     answers = []
     for name, g, p in cases:
-        bp, d, gens = _basis_products(g), g.arrow_count, _generators(g)
+        bp, d, gens = _basis_products(g), g.arrow_count, generators(g)
         candidates = _certificate_candidates(g, p)
         assert _ideal_certified_nilpotent(bp, candidates[0], gens, p), (name, p)
         for basis in candidates:
