@@ -18,11 +18,12 @@ arrows, unit preservation, and that the two directions invert each
 other on every basis vector of both sides.
 
 The checks work on basis indices.  phi runs once per arrow, and each
-image, built as the one cell of the one block it touches, is read as one
-matrix unit (block, row, col, isotropy key) at a cost that does not
-grow with the number of blocks.  A pair then passes when the unit of
-the composite, or zero, equals the product of the two units, which is
-(b, r, c', table[k][k']) when both sit in block b and c = r', else zero.
+image, a block matrix stored by its matrix units, is one unit (block,
+row, col, isotropy key) with coefficient one, read off at a cost that
+does not grow with the number of blocks.  A pair then passes when the
+unit of the composite, or zero, equals the product of the two units,
+which is (b, r, c', table[k][k']) when both sit in block b and c = r',
+else zero.
 When every image is such a unit and the units give an injective map
 object -> (block, row) (slot(cod a) = (b, r), slot(dom a) = (b, c)),
 two units chain only when their arrows compose, so every
@@ -46,14 +47,8 @@ the ring's own elements.
 """
 from __future__ import annotations
 
-from collections import defaultdict
-
 from .errors import InternalCheckError, ParseError, RingMismatchError
-from .group_algebra import (
-    BlockMatrix,
-    BlockShape,
-    GroupAlgebraElement,
-)
+from .group_algebra import BlockMatrix, BlockShape
 from .groupoid import (
     FiniteGroupoid,
     generators,
@@ -232,35 +227,20 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
 
 
 def phi(d: Decomposition, f: AlgebraElement) -> BlockMatrix:
-    """Algebra -> block matrices along the frame."""
+    """Algebra -> block matrices along the frame: [a] goes to the matrix
+    unit at arrow_position[a]."""
     if f.groupoid != d.groupoid or f.ring != d.ring:
         raise RingMismatchError("element does not match the decomposition")
-    if len(f.coeffs) == 1:  # one term, one cell: what build would give
-        (a, c), = f.coeffs
-        bi, row, col, key = d.arrow_position[a]
-        size, group = d.shape.blocks[bi]
-        val = GroupAlgebraElement.delta(group, d.ring, key, c)
-        if not 0 <= row < size or not 0 <= col < size:
-            raise ValueError(f"entry ({row},{col}) outside block of size {size}")
-        return BlockMatrix(d.shape, ((bi, (((row, col), val),)),) if val.coeffs else ())
-    items = defaultdict(list)
-    for a, c in f.coeffs:
-        bi, row, col, key = d.arrow_position[a]
-        group = d.shape.blocks[bi][1]
-        items[bi].append(((row, col), GroupAlgebraElement.delta(group, d.ring, key, c)))
-    return BlockMatrix.build(d.shape, items)
+    position = d.arrow_position
+    return BlockMatrix.build(d.shape, [(position[a], c) for a, c in f.coeffs])
 
 
 def phi_inv(d: Decomposition, m: BlockMatrix) -> AlgebraElement:
     """Block matrices -> algebra: a E_{zy} pulls back to conn_z a conn_y^-1."""
     if m.shape != d.shape:
         raise RingMismatchError("matrix does not match the decomposition")
-    items = []
-    for bi, cells in m.entries:
-        for (row, col), val in cells:
-            for key, coeff in val.coeffs:
-                items.append((_pull(d, bi, row, col, key), coeff))
-    return AlgebraElement.make(d.groupoid, d.ring, items)
+    return AlgebraElement.make(
+        d.groupoid, d.ring, [(_pull(d, *unit), c) for unit, c in m.entries])
 
 
 def _pull(d: Decomposition, bi, row, col, key):
@@ -292,25 +272,6 @@ class VerificationReport(Value):
 
 
 _ZERO = ()  # index form of the zero matrix in the pair check
-
-
-def _matrix_unit_index(m: BlockMatrix):
-    """(block, row, col, key) when m is a single coefficient-one unit,
-    else None: m's one cell when it has exactly one, read as
-    IndexMap.read reads a cell."""
-    if len(m.entries) != 1:
-        return None
-    (bi, cells), = m.entries
-    if len(cells) != 1:
-        return None
-    ((row, col), val), = cells
-    if len(val.coeffs) != 1:
-        return None
-    group, ring = m.shape.blocks[bi][1], m.shape.ring
-    if not (val.group is group or val.group == group) or not (val.ring is ring or val.ring == ring):
-        return None
-    (key, coeff), = val.coeffs
-    return (bi, row, col, key) if coeff == RingElement.one(ring) else None
 
 
 def _slot_certificate(g: FiniteGroupoid, units) -> bool:
@@ -391,7 +352,7 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
 
     deltas = [AlgebraElement.delta(g, d.ring, a) for a in range(n)]
     images = [phi(d, da) for da in deltas]
-    units = [_matrix_unit_index(m) for m in images]
+    units = [m.unit_index() for m in images]
 
     dom, cod, blocks = g.dom, g.cod, d.shape.blocks
 

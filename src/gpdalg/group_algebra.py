@@ -5,6 +5,12 @@ table, or the infinite cyclic group.  A group algebra element is a
 finitely supported map from group elements to ring coefficients.  Over
 the infinite cyclic group that map is keyed by integer exponents, i.e.
 the element is stored exactly as a Laurent polynomial over the ring.
+
+A block matrix over such entries is stored by matrix unit: one
+coefficient per (block, row, col, group element) it touches, so sums,
+products and comparisons read ring coefficients and group table
+entries directly, and entry() rebuilds one cell's group algebra
+element only when asked.
 """
 from __future__ import annotations
 
@@ -316,52 +322,73 @@ class BlockShape(Value):
 
 
 class BlockMatrix(Value):
-    """Block-diagonal matrix with group algebra entries, stored over the
-    blocks it touches: entries holds (block, cells) in block order for
-    each block with a nonzero entry, cells its sorted ((row, col),
-    nonzero GroupAlgebraElement) pairs.  An empty block is absent, so an
-    operation costs the entries it reads, not the number of blocks."""
+    """Block-diagonal matrix with group algebra entries, stored as its
+    matrix units: entries is the sorted tuple of ((block, row, col, key),
+    nonzero RingElement) pairs, key a group element index of the
+    block's isotropy (a Laurent exponent on an infinite cyclic block),
+    the way AlgebraElement stores arrow coefficients.  An operation
+    costs the units it reads, not the number of blocks or cells."""
 
-    __slots__ = ("shape", "entries")
+    __slots__ = ("shape", "entries", "_rows")
 
     def __init__(self, shape: BlockShape, entries: tuple):
         self.shape = shape
-        self.entries = entries  # sorted tuple of (block, cells), touched blocks only
+        self.entries = entries  # sorted tuple of ((block, row, col, key), RingElement)
+        self._rows = None       # row_index() memo
 
     @staticmethod
-    def build(shape: BlockShape, items_per_block) -> "BlockMatrix":
-        """The sum of the ((row, col), element) items in the dict block -> items."""
-        blocks = []
-        for bi, items in sorted(items_per_block.items()):
-            size = shape.blocks[bi][0]
-            for (r, c), _ in items:
-                if not 0 <= r < size or not 0 <= c < size:
-                    raise ValueError(f"entry ({r},{c}) outside block of size {size}")
-            cells = sum_like_terms(items)
-            if cells:
-                blocks.append((bi, cells))
-        return BlockMatrix(shape, tuple(blocks))
+    def build(shape: BlockShape, items) -> "BlockMatrix":
+        """The sum of the ((block, row, col, key), coefficient) items.  A
+        block index outside the shape or a key outside a finite block's
+        group raises ValueError first, then a row or column outside its
+        block, the lowest such block first."""
+        items = list(items)
+        blocks = shape.blocks
+        outside = None
+        for (bi, row, col, key), _ in items:
+            if not 0 <= bi < len(blocks):
+                raise ValueError(f"block index {bi} out of range")
+            size, group = blocks[bi]
+            if isinstance(group, FiniteGroupTable) and not 0 <= key < group.size:
+                raise ValueError(f"group element index {key} out of range")
+            if not (0 <= row < size and 0 <= col < size) and (outside is None or bi < outside[0]):
+                outside = (bi, row, col, size)
+        if outside is not None:
+            _, row, col, size = outside
+            raise ValueError(f"entry ({row},{col}) outside block of size {size}")
+        if len(items) == 1 and not items[0][1].is_zero:  # already its own sum
+            return BlockMatrix(shape, tuple(items))
+        return BlockMatrix(shape, sum_like_terms(items))
 
     @staticmethod
     def zero(shape: BlockShape) -> "BlockMatrix":
         return BlockMatrix(shape, ())
 
     @staticmethod
+    def sum(shape: BlockShape, matrices) -> "BlockMatrix":
+        """The sum of the matrices, each over shape, in one pass."""
+        items: list = []
+        for m in matrices:
+            if m.shape != shape:
+                raise RingMismatchError("block shape mismatch")
+            items.extend(m.entries)
+        return BlockMatrix(shape, sum_like_terms(items))
+
+    @staticmethod
     def identity(shape: BlockShape) -> "BlockMatrix":
-        items = {}
-        for bi, (size, group) in enumerate(shape.blocks):
-            unit = GroupAlgebraElement.unit(group, shape.ring)
-            items[bi] = [((i, i), unit) for i in range(size)]
-        return BlockMatrix.build(shape, items)
+        one = RingElement.one(shape.ring)
+        return BlockMatrix(shape, tuple(
+            ((bi, i, i, _identity_key(group)), one)
+            for bi, (size, group) in enumerate(shape.blocks) for i in range(size)))
 
     @staticmethod
     def matrix_unit(shape, block_index, row, col, key=None, coeff=None) -> "BlockMatrix":
         """coeff * (group element) * E_{row,col} inside one block."""
-        size, group = shape.blocks[block_index]
         if key is None:
-            key = _identity_key(group)
-        val = GroupAlgebraElement.delta(group, shape.ring, key, coeff)
-        return BlockMatrix.build(shape, {block_index: [((row, col), val)]})
+            key = _identity_key(shape.blocks[block_index][1])
+        if coeff is None:
+            coeff = RingElement.one(shape.ring)
+        return BlockMatrix.build(shape, [((block_index, row, col, key), coeff)])
 
     def _check(self, other: "BlockMatrix"):
         if self.shape != other.shape:
@@ -371,126 +398,70 @@ class BlockMatrix(Value):
     def is_zero(self) -> bool:
         return not self.entries
 
+    def unit_index(self):
+        """(block, row, col, key) when self is a single matrix unit with
+        coefficient one, else None."""
+        if len(self.entries) != 1:
+            return None
+        (unit, coeff), = self.entries
+        return unit if coeff == RingElement.one(self.shape.ring) else None
+
+    def row_index(self) -> dict:
+        """(block, row) -> [(col, key, coefficient)] over the units in
+        that row, in entry order; built once."""
+        if self._rows is None:
+            rows: dict = {}
+            for (bi, row, col, key), c in self.entries:
+                rows.setdefault((bi, row), []).append((col, key, c))
+            self._rows = rows
+        return self._rows
+
     def __add__(self, other):
-        self._check(other)
-        items = dict(self.entries)
-        for bi, cells in other.entries:
-            items[bi] = items[bi] + cells if bi in items else cells
-        return BlockMatrix.build(self.shape, items)
+        return BlockMatrix.sum(self.shape, (self, other))
 
     def __neg__(self):
-        return BlockMatrix(
-            self.shape,
-            tuple((bi, tuple((rc, -v) for rc, v in cells)) for bi, cells in self.entries),
-        )
+        return BlockMatrix(self.shape, tuple((unit, -c) for unit, c in self.entries))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        """Each unit (b, r, m, k) of self meets the units (b, m, c, k') of
+        the row m of other, giving (b, r, c, k k').  A coefficient that is
+        the ring's one multiplies as itself, and a product of two ones
+        needs no zero test unless it was summed."""
         self._check(other)
-        right = dict(other.entries)
-        items = {}
-        for bi, cells in self.entries:
-            if bi not in right:
+        rows = other.row_index()
+        blocks = self.shape.blocks
+        one = RingElement.one(self.shape.ring)
+        acc: dict = {}
+        for (bi, row, mid, k), a in self.entries:
+            hits = rows.get((bi, mid))
+            if hits is None:
                 continue
-            by_row: dict = {}
-            for (r, k), v in right[bi]:
-                by_row.setdefault(r, []).append((k, v))
-            items[bi] = [((r, c), group_algebra_mul(v, w))
-                         for (r, k), v in cells for c, w in by_row.get(k, ())]
-        return BlockMatrix.build(self.shape, items)
+            group = blocks[bi][1]
+            table = None if isinstance(group, IntegerGroup) else group.table
+            for col, k2, b in hits:
+                unit = (bi, row, col, k + k2 if table is None else table[k][k2])
+                c = b if a is one else a if b is one else a * b
+                acc[unit] = acc[unit] + c if unit in acc else c
+        return BlockMatrix(self.shape, tuple(sorted(
+            (unit, c) for unit, c in acc.items() if c is one or not c.is_zero)))
 
     def entry(self, block_index, row, col) -> GroupAlgebraElement:
-        size, group = self.shape.blocks[block_index]
-        for rc, v in dict(self.entries).get(block_index, ()):
-            if rc == (row, col):
-                return v
-        return GroupAlgebraElement.zero(group, self.shape.ring)
+        group = self.shape.blocks[block_index][1]
+        return GroupAlgebraElement(group, self.shape.ring, tuple(
+            (key, c) for at, key, c in self.row_index().get((block_index, row), ()) if at == col))
 
     def __str__(self):
         """Every block of the shape, the empty ones included."""
-        present = dict(self.entries)
+        cells: dict = {}  # block -> (row, col) -> [(key, coefficient)]
+        for (bi, row, col, key), c in self.entries:
+            cells.setdefault(bi, {}).setdefault((row, col), []).append((key, c))
+        ring = self.shape.ring
         parts = []
-        for bi, (size, _) in enumerate(self.shape.blocks):
-            cells = ", ".join(f"({r},{c}): {v}" for (r, c), v in present.get(bi, ()))
-            parts.append(f"block {bi} [{size}x{size}]: {{{cells}}}")
+        for bi, (size, group) in enumerate(self.shape.blocks):
+            text = ", ".join(f"({r},{c}): {GroupAlgebraElement(group, ring, tuple(v))}"
+                             for (r, c), v in cells.get(bi, {}).items())
+            parts.append(f"block {bi} [{size}x{size}]: {{{text}}}")
         return "; ".join(parts)
-
-
-class NotAnIndexMap(Exception):
-    """A sum of index maps whose rows overlap: the block matrix sum has
-    two entries, or a coefficient other than one, in some row."""
-
-
-class IndexMap(Value):
-    """A block matrix each of whose nonzero entries is the ring's one
-    times a single group element, at most one per row, read as the
-    partial map (block, row) -> (col, key).
-
-    Over one shape, two maps are equal exactly when their block
-    matrices are, a product composes by row lookup with the keys
-    multiplied in the block's group, and a sum of maps on disjoint rows
-    is their union; each is the block matrix operation, since one times
-    one is one and nothing cancels."""
-
-    __slots__ = ("shape", "rows")
-
-    def __init__(self, shape: BlockShape, rows: dict):
-        self.shape = shape
-        self.rows = rows  # (block, row) -> (col, key); never mutated after construction
-
-    @staticmethod
-    def read(m: BlockMatrix) -> "IndexMap | None":
-        """m as an index map, or None when m is not of that form.  Reads
-        the blocks m touches only."""
-        ring = m.shape.ring
-        one = RingElement.one(ring)
-        rows = {}
-        for bi, cells in m.entries:
-            group = m.shape.blocks[bi][1]
-            for (row, col), val in cells:
-                if len(val.coeffs) != 1 or (bi, row) in rows:
-                    return None
-                if not (val.group is group or val.group == group):
-                    return None
-                if not (val.ring is ring or val.ring == ring):
-                    return None
-                (key, coeff), = val.coeffs
-                if coeff != one:
-                    return None
-                rows[bi, row] = (col, key)
-        return IndexMap(m.shape, rows)
-
-    @staticmethod
-    def unit(shape: BlockShape, block_index, row, col) -> "IndexMap":
-        """The matrix unit E_{row,col} of one block, at the identity."""
-        key = _identity_key(shape.blocks[block_index][1])
-        return IndexMap(shape, {(block_index, row): (col, key)})
-
-    def _check(self, other: "IndexMap"):
-        if self.shape is not other.shape and self.shape != other.shape:
-            raise RingMismatchError("block shape mismatch")
-
-    def __mul__(self, other: "IndexMap") -> "IndexMap":
-        self._check(other)
-        blocks = self.shape.blocks
-        out = {}
-        for (bi, row), (mid, a) in self.rows.items():
-            hit = other.rows.get((bi, mid))
-            if hit is not None:
-                group = blocks[bi][1]
-                key = a + hit[1] if isinstance(group, IntegerGroup) else group.table[a][hit[1]]
-                out[bi, row] = (hit[0], key)
-        return IndexMap(self.shape, out)
-
-    def __add__(self, other: "IndexMap") -> "IndexMap":
-        self._check(other)
-        if not self.rows.keys().isdisjoint(other.rows):
-            raise NotAnIndexMap("the summands share a row")
-        return IndexMap(self.shape, {**self.rows, **other.rows})
-
-    def entry(self, block_index, row, col):
-        """The key at (row, col) of one block, or None where it is zero."""
-        found = self.rows.get((block_index, row))
-        return found[1] if found is not None and found[0] == col else None

@@ -15,7 +15,9 @@ where <= is the natural partial order (t <= s iff t = (t t*) s, or
 equivalently t = e s for some idempotent e).  The transition matrix is
 unitriangular in any linear extension of <=, so the map is a bijection
 on bases; this module verifies multiplicativity exhaustively on all
-pairs and the unimodularity of the transition matrix.
+pairs, and proves the transition matrix unitriangular from the order:
+every s <= s, and t <= s with t != s has fewer elements below it than
+s, so listing elements by that count is a linear extension.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from .algebra import AlgebraElement, VerificationReport, convolve
 from .errors import InternalCheckError, Names, OracleBudgetError, ParseError, lines, split_declaration
 from .group_algebra import FiniteGroupTable, associativity_failure, square_table
 from .groupoid import FiniteGroupoid, structured_from_finite, validate
-from .linalg import int_det
 from .rings import RingDescriptor, RingElement, render_ring_descriptor
 from .value import Value
 from .verdicts import CITE_BLOCK, Verdict, verdicts
@@ -247,9 +248,34 @@ class IsgIsomorphism(Value):
         "ring",
         "groupoid",
         "images",          # per element, an AlgebraElement of the groupoid
-        "transition_det",  # determinant of the 0/1 order matrix
+        "transition_det",  # determinant of the 0/1 order matrix: 1
         "report",          # VerificationReport
     )
+
+
+def _unitriangular_det(s: InverseSemigroup, below) -> int:
+    """1, the determinant of the transition matrix [t <= s], proved from
+    the order itself: every s <= s, and t <= s with t != s has fewer
+    elements below it than s.  Listing the elements by that count then
+    extends the order, so the matrix is unitriangular in that listing.
+    Otherwise raises InternalCheckError naming the first pair that
+    fails: the diagonal first, then (t, s) with s in element order and
+    then t."""
+    n = s.size
+    names = s.elements
+    for x in range(n):
+        if not below[x][x]:
+            raise InternalCheckError(
+                f"natural partial order is not reflexive: {names[x]} <= {names[x]} fails")
+    down = [sum(1 for t in range(n) if below[t][x]) for x in range(n)]  # #{t <= x}
+    for x in range(n):
+        for t in range(n):
+            if t != x and below[t][x] and down[t] >= down[x]:
+                raise InternalCheckError(
+                    f"transition matrix of the natural partial order is not unitriangular: "
+                    f"{names[t]} <= {names[x]} but #down({names[t]}) = {down[t]} "
+                    f">= #down({names[x]}) = {down[x]}")
+    return 1
 
 
 def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomorphism:
@@ -271,13 +297,7 @@ def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomo
         )
         for i in range(s.size)
     )
-    matrix = [[1 if below[t][i] else 0 for t in range(s.size)] for i in range(s.size)]
-    det = int_det(matrix)
-    if abs(det) != 1:
-        raise InternalCheckError(
-            f"transition matrix of the natural partial order has determinant "
-            f"{det}, expected a unit"
-        )
+    det = _unitriangular_det(s, below)
     failures = [
         f"image({s.elements[i]}) * image({s.elements[j]}) != image({s.elements[s.mul(i, j)]})"
         for i in range(s.size) for j in range(s.size)

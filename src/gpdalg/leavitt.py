@@ -29,7 +29,6 @@ connecting arrows take the least admissible nonnegative degree.
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
 from functools import reduce
 
 from .errors import InternalCheckError, Names, OracleBudgetError, lines, read_span
@@ -38,11 +37,9 @@ from .group_algebra import (
     BlockShape,
     FiniteGroupTable,
     GroupAlgebraElement,
-    IndexMap,
     IntegerGroup,
-    NotAnIndexMap,
 )
-from .rings import Rationals, RingDescriptor, ring_predicates
+from .rings import Rationals, RingDescriptor, RingElement, ring_predicates
 from .algebra import VerificationReport
 from .value import Value
 from .verdicts import (
@@ -59,8 +56,8 @@ _TRIVIAL = FiniteGroupTable.from_table([[0]])
 # largest boundary-path count verify_leavitt_relations takes; every
 # vertex and every edge starts some boundary path, so this also bounds
 # the vertex and edge counts.  At the limit `graph --verify --ring Q`
-# takes about 0.9 s on the slowest shape measured (a 1,440-vertex
-# chain), 0.4 s on 1,440 disjoint loops (one block each).
+# takes about 0.8 s on the slowest shape measured (a 1,440-vertex
+# chain), 0.3 s on 1,440 disjoint loops (one block each).
 LEAVITT_VERIFY_LIMIT = 1440
 
 
@@ -449,20 +446,20 @@ def generator_images(g: Graph, ring: RingDescriptor):
     E_{row(e.gamma),row(gamma)} over paths gamma starting at r(e),
     keyed on a lasso block by the net degree (1 - deg(e.gamma) +
     deg(gamma)) / |cycle|; the ghost e* to the transposes with the
-    inverse keys.  Each image collects items for the blocks it touches."""
+    inverse keys.  Each image is built from its (unit, one) items."""
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         return gd
     shape = block_shape(gd, ring)
     where = {bp: (bi, r) for bi, o in enumerate(gd.orbits) for r, bp in enumerate(o.members)}
-    delta = GroupAlgebraElement.delta
-    vertex = {v: defaultdict(list) for v in g.vertices}  # name -> block -> items
-    edge = {e: defaultdict(list) for e in g.edge_names}
-    ghost = {e: defaultdict(list) for e in g.edge_names}
+    one = RingElement.one(ring)
+    vertex = {v: [] for v in g.vertices}  # name -> items
+    edge = {e: [] for e in g.edge_names}
+    ghost = {e: [] for e in g.edge_names}
     for bp, (bi, col) in where.items():
         orbit = gd.orbits[bi]
         v = path_start(g, bp)
-        vertex[g.vertices[v]][bi].append(((col, col), delta(orbit.isotropy, ring, 0)))
+        vertex[g.vertices[v]].append(((bi, col, col, 0), one))
         for e in g.in_edges(v):
             bj, row = where.get(prepend_edge(g, e, bp), (None, None))
             if bj != bi:
@@ -472,23 +469,13 @@ def generator_images(g: Graph, ring: RingDescriptor):
             if net % n:
                 raise InternalCheckError("lasso arrow degree not a multiple of the cycle length")
             key = net // n  # 0, the identity, on a sink block
-            edge[g.edge_names[e]][bi].append(((row, col), delta(orbit.isotropy, ring, key)))
-            ghost[g.edge_names[e]][bi].append(((col, row), delta(orbit.isotropy, ring, -key)))
+            edge[g.edge_names[e]].append(((bi, row, col, key), one))
+            ghost[g.edge_names[e]].append(((bi, col, row, -key), one))
     vertex, edge, ghost = (
         {name: BlockMatrix.build(shape, items) for name, items in terms.items()}
         for terms in (vertex, edge, ghost)
     )
     return GeneratorImages(g, ring, gd, shape, vertex, edge, ghost)
-
-
-def _generator_matrices(images: GeneratorImages) -> dict:
-    """Every generator image by (kind, name): "v" a vertex, "e" an
-    edge, "g" the ghost of an edge."""
-    out = {}
-    for kind, table in (("v", images.vertex), ("e", images.edge), ("g", images.ghost)):
-        for name, m in table.items():
-            out[kind, name] = m
-    return out
 
 
 def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorImages | None = None) -> VerificationReport:
@@ -503,17 +490,12 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     word.  Raises OracleBudgetError above LEAVITT_VERIFY_LIMIT boundary
     paths.
 
-    The checks run on index maps.  Each image is read once, off the
-    block matrix being verified, as the partial map (block, row) ->
-    (col, key) of its coefficient-one entries; products, sums and
-    comparisons are compositions, unions and dict comparisons of these
-    maps, and of the V^2 vertex and E^2 CK1 pairs only those whose maps
-    meet are composed, every other composite being the empty map that
-    the expected 0 equals.  The first check of every run, and every
-    check that meets an image or a sum that is not an index map,
-    multiplies in full as BlockMatrix products over the ring, so when
-    every image is a map the relation checks make one such product
-    outside the span check."""
+    Every relation is multiplied out once as block matrices over the
+    ring.  Of the V^2 vertex and E^2 CK1 pairs, only those where some
+    column of the left factor is a row of the right one are multiplied;
+    every other product is zero, which the expected 0 equals.  On valid
+    images that makes V + 6E products, plus |c| - 1 per cycle c and the
+    span check's 2(P - S) for P boundary paths into S sinks."""
     gd = images.decomposition if images is not None else graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         raise ValueError("boundary-path space is infinite; no finite block algebra")
@@ -524,23 +506,8 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
         )
     if images is None:
         images = generator_images(g, ring)
-    full = _generator_matrices(images)
-    full["0", None] = BlockMatrix.zero(images.shape)
-    full["1", None] = BlockMatrix.identity(images.shape)
-    for bi, orbit in enumerate(images.decomposition.orbits):
-        if orbit.kind == "cycle":
-            full["x", bi] = BlockMatrix.matrix_unit(images.shape, bi, 0, 0, key=1)
-    maps = {key: IndexMap.read(m) for key, m in full.items()}
-
-    def block_matrix(kind, name=None):
-        return full[kind, name]
-
-    def index_map(kind, name=None):
-        found = maps[kind, name]
-        if found is None:
-            raise NotAnIndexMap(f"{kind} {name}")
-        return found
-
+    vertex, edge, ghost = images.vertex, images.edge, images.ghost
+    zero = BlockMatrix.zero(images.shape)
     total = 0
     failures = []
 
@@ -550,95 +517,69 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
         if not ok:
             failures.append(label)
 
-    def check(label: str, relation):
-        """relation(value) decides the check, value(kind, name) giving
-        each operand; on index maps unless this is the run's first
-        check or some operand or sum is not one."""
-        ok = None
-        if total:
-            try:
-                ok = relation(index_map)
-            except NotAnIndexMap:
-                pass
-        if ok is None:
-            ok = relation(block_matrix)
-        record(ok, label)
-
     def pairs(label, lefts, rights, diagonal):
         """The checks lefts[i] * rights[j] == (diagonal[i] if i == j
-        else 0), for every i and then every j.  Composing left i looks
-        up the rows its columns lead to, so only the j whose map has
-        such a row, j = i, and the j that are not maps need a check of
-        their own: for every other j both are maps whose composite is
-        the empty map, which is the expected 0, and the check passes."""
+        else 0), for every i and then every j.  Only j = i and the j
+        whose matrix has a row at a column of left i are multiplied;
+        every other product is zero, and the check passes."""
         nonlocal total
-        owners: dict = {}  # (block, row) -> the j whose map has that row
-        unread = []        # the j that are not index maps
-        for j, key in enumerate(rights):
-            if maps[key] is None:
-                unread.append(j)
-            else:
-                for row in maps[key].rows:
-                    owners.setdefault(row, []).append(j)
-        for i, key in enumerate(lefts):
-            if maps[key] is None:
-                js = range(len(rights))
-            else:
-                js = {i, *unread}
-                for (bi, _), (col, _) in maps[key].rows.items():
-                    js.update(owners.get((bi, col), ()))
-                js = sorted(js)
-            for j in js:
-                check(label(i, j), lambda m: m(*lefts[i]) * m(*rights[j])
-                      == (m(*diagonal[i]) if i == j else m("0")))
+        owners: dict = {}  # (block, row) -> the j whose matrix has that row
+        for j, m in enumerate(rights):
+            for row in m.row_index():
+                owners.setdefault(row, []).append(j)
+        for i, m in enumerate(lefts):
+            js = {i}
+            for (bi, _, col, _), _ in m.entries:
+                js.update(owners.get((bi, col), ()))
+            for j in sorted(js):
+                record(m * rights[j] == (diagonal[i] if i == j else zero), label(i, j))
             total += len(rights) - len(js)
 
     names = list(g.vertices)
-    vertices = [("v", u) for u in names]
+    vertices = [vertex[u] for u in names]
     pairs(lambda i, j: f"vertex idempotents: {names[i]} * {names[j]}",
           vertices, vertices, vertices)
-    check("vertex sum = identity",
-          lambda m: reduce(operator.add, (m("v", v) for v in names)) == m("1"))
+    record(BlockMatrix.sum(images.shape, vertices) == BlockMatrix.identity(images.shape),
+           "vertex sum = identity")
 
     for e in range(g.edge_count):
         en = g.edge_names[e]
         sv = g.vertices[g.src[e]]
         rv = g.vertices[g.dst[e]]
-        check(f"unit path: {sv} . {en}", lambda m: m("v", sv) * m("e", en) == m("e", en))
-        check(f"unit path: {en} . {rv}", lambda m: m("e", en) * m("v", rv) == m("e", en))
-        check(f"unit path: {rv} . {en}*", lambda m: m("v", rv) * m("g", en) == m("g", en))
-        check(f"unit path: {en}* . {sv}", lambda m: m("g", en) * m("v", sv) == m("g", en))
+        x, y = edge[en], ghost[en]
+        record(vertex[sv] * x == x, f"unit path: {sv} . {en}")
+        record(x * vertex[rv] == x, f"unit path: {en} . {rv}")
+        record(vertex[rv] * y == y, f"unit path: {rv} . {en}*")
+        record(y * vertex[sv] == y, f"unit path: {en}* . {sv}")
 
     edges = g.edge_names
     pairs(lambda i, j: f"CK1: {edges[i]}* . {edges[j]}",
-          [("g", en) for en in edges], [("e", en) for en in edges],
-          [("v", g.vertices[g.dst[e]]) for e in range(g.edge_count)])
+          [ghost[en] for en in edges], [edge[en] for en in edges],
+          [vertex[g.vertices[g.dst[e]]] for e in range(g.edge_count)])
 
     for v in range(len(g.vertices)):
         outs = [g.edge_names[e] for e in g.out_edges(v)]
         if outs:
             vn = g.vertices[v]
-            check(f"CK2 at {vn}",
-                  lambda m: reduce(operator.add, (m("e", en) * m("g", en) for en in outs))
-                  == m("v", vn))
+            terms = [edge[en] * ghost[en] for en in outs]
+            record(BlockMatrix.sum(images.shape, terms) == vertex[vn], f"CK2 at {vn}")
 
     if not images.decomposition.has_cycle() and isinstance(ring, Rationals):
-        n = _attained_matrix_units(images, maps)
+        n = _attained_matrix_units(images)
         expect_dim = images.shape.dimension
         record(n == expect_dim,
                f"generated subalgebra fills the block algebra ({n} vs {expect_dim})")
     for bi, orbit in enumerate(images.decomposition.orbits):
         if orbit.kind != "cycle":
             continue
-        word = [g.edge_names[e] for e in orbit.anchor.edges]
-        check(f"cycle word attains x in block {bi}",
-              lambda m: reduce(operator.mul, (m("e", en) for en in word)).entry(bi, 0, 0)
-              == m("x", bi).entry(bi, 0, 0))
+        word = reduce(operator.mul, (edge[g.edge_names[e]] for e in orbit.anchor.edges))
+        x = GroupAlgebraElement.delta(orbit.isotropy, images.shape.ring, 1)
+        record(word.entry(bi, 0, 0) == x, f"cycle word attains x in block {bi}")
 
     return VerificationReport("Leavitt relation checks", total, tuple(failures))
 
 
-def _attained_matrix_units(images: GeneratorImages, maps: dict) -> int:
+def _attained_matrix_units(images: GeneratorImages) -> int:
     """Number of pairs (eta, gamma) of paths into one sink w whose
     monomial eta . gamma* the count shows to map to E_{eta,gamma}: per
     sink orbit, rows eta with img(eta) = E_{eta,w} times columns gamma
@@ -646,19 +587,9 @@ def _attained_matrix_units(images: GeneratorImages, maps: dict) -> int:
     E_{eta,w} E_{w,gamma} = E_{eta,gamma}.  When all pairs are attained
     the generators span the whole block algebra.  Each path's image is
     built once from its suffix, a shorter member of the same orbit, so
-    this takes at most 2P products for P paths.  They compose index
-    maps, except the first, which multiplies the block matrices over
-    the ring and reads the result back; when some generator image is
-    not an index map every product is a block matrix product.  maps
-    holds each generator image read as an index map (None where it is
-    not one), keyed as _generator_matrices keys the images, as
-    verify_leavitt_relations reads them.  Only meaningful for acyclic
-    graphs."""
+    this takes 2(P - S) products for P paths into S sinks.  Only
+    meaningful for acyclic graphs, where every key is 0."""
     g = images.graph
-    full = _generator_matrices(images)
-    on_maps = all(maps[key] is not None for key in full)
-    table, unit = (maps, IndexMap.unit) if on_maps else (full, BlockMatrix.matrix_unit)
-    pending = on_maps  # the first product still to multiply in full
     img: dict = {}    # (edges, sink) -> image of the path
     ghost: dict = {}  # (edges, sink) -> image of its ghost
     attained = 0
@@ -668,20 +599,15 @@ def _attained_matrix_units(images: GeneratorImages, maps: dict) -> int:
         # and members[0] is the empty path w at row 0
         for r, bp in enumerate(orbit.members):
             key = (bp.edges, bp.sink)
-            sink = g.vertices[bp.sink]
             if not bp.edges:
-                img[key] = ghost[key] = table["v", sink]
+                img[key] = ghost[key] = images.vertex[g.vertices[bp.sink]]
             else:
                 first = g.edge_names[bp.edges[0]]
                 rest = (bp.edges[1:], bp.sink)
-                if pending and len(bp.edges) == 1:
-                    pending = False
-                    img[key] = IndexMap.read(full["e", first] * full["v", sink])
-                else:
-                    img[key] = table["e", first] * img[rest]
-                ghost[key] = ghost[rest] * table["g", first]
-            rows += img[key] == unit(images.shape, bi, r, 0)
-            cols += ghost[key] == unit(images.shape, bi, 0, r)
+                img[key] = images.edge[first] * img[rest]
+                ghost[key] = ghost[rest] * images.ghost[first]
+            rows += img[key].unit_index() == (bi, r, 0, 0)
+            cols += ghost[key].unit_index() == (bi, 0, r, 0)
         attained += rows * cols
     return attained
 

@@ -1,5 +1,4 @@
-"""Small exact linear algebra: one sparse elimination over Q or GF(p),
-plus an integer determinant.
+"""Small exact linear algebra: one sparse elimination over Q or GF(p).
 
 A sparse row (or vector) is a dict from column to its nonzero entry.
 The matrices here are mostly zero: the trace-form Gram matrix of a
@@ -178,27 +177,3 @@ def rref_residue(vec, pivot_rows, p=0):
     pivots vec has are read.  vec is not mutated."""
     present = sorted(c for c in vec if c in pivot_rows)
     return sparse_reduce(vec, [pivot_rows[c] for c in present], present, p)
-
-
-def int_det(rows) -> int:
-    """Determinant of a square integer matrix, Bareiss elimination
-    (fraction free, exact)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

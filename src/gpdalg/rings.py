@@ -448,7 +448,9 @@ def sum_like_terms(items) -> tuple:
             acc[k] = acc[k] + v
         else:
             acc[k] = v
-    return tuple(sorted((k, v) for k, v in acc.items() if not v.is_zero))
+    terms = [kv for kv in acc.items() if not kv[1].is_zero]
+    terms.sort()
+    return tuple(terms)
 
 
 def laurent_variable(ring: Laurent, exponent: int = 1) -> RingElement:

@@ -43,7 +43,7 @@ from gpdalg.leavitt import (
     render_path,
 )
 from gpdalg.linalg import echelon, sparse_kernel, sparse_reduce
-from gpdalg.rings import Rationals, RingElement
+from gpdalg.rings import Rationals
 from gpdalg.verdicts import (
     _basis_products,
     _certified_radical,
@@ -339,13 +339,11 @@ def _flatten(m: BlockMatrix, layout) -> dict:
     """m as a sparse Fraction vector: column layout[(block, row, col)]
     -> the coefficient there."""
     vec: dict = {}
-    for bi, cells in m.entries:
-        for (r, c), val in cells:
-            for key, coeff in val.coeffs:
-                i = layout[(bi, r, c)]
-                vec[i] = vec.get(i, Fraction(0)) + coeff.value
-                if key != 0:
-                    raise InternalCheckError("acyclic flatten hit a Laurent term")
+    for (bi, r, c, key), coeff in m.entries:
+        i = layout[(bi, r, c)]
+        vec[i] = vec.get(i, Fraction(0)) + coeff.value
+        if key != 0:
+            raise InternalCheckError("acyclic flatten hit a Laurent term")
     return vec
 
 
@@ -564,11 +562,10 @@ def reference_generator_images(g: Graph, ring) -> GeneratorImages:
     return GeneratorImages(g, ring, gd, shape, vertex, edge, ghost)
 
 
-def reference_attained_matrix_units(images: GeneratorImages, maps: dict) -> int:
+def reference_attained_matrix_units(images: GeneratorImages) -> int:
     """Number of pairs (eta, gamma) of paths into one sink with
     img(eta) . ghost(gamma) equal to a freshly built E_{eta,gamma}: all
-    P^2 products, each path's image built from its suffix.  Takes the
-    index maps _attained_matrix_units takes and ignores them.  Only
+    P^2 products, each path's image built from its suffix.  Only
     meaningful for acyclic graphs."""
     g = images.graph
     img: dict = {}
@@ -1286,10 +1283,11 @@ def reference_group_table(rows) -> FiniteGroupTable:
 
 @dataclass(frozen=True)
 class DenseBlockMatrix:
-    """Reference layout for BlockMatrix: blocks[i] is the sorted tuple of
-    ((row, col), element) for the nonzero entries of block i, one tuple
-    per block of the shape, empty or not, and every operation walks
-    every block."""
+    """Reference for BlockMatrix, which stores matrix units: blocks[i] is
+    the sorted tuple of ((row, col), group algebra element) for the
+    nonzero cells of block i, one tuple per block of the shape, empty or
+    not; every operation walks every block, and cells multiply by
+    group_algebra_mul."""
 
     shape: BlockShape
     blocks: tuple
@@ -1345,22 +1343,26 @@ class DenseBlockMatrix:
             parts.append(f"block {bi} [{size}x{size}]: {{{cells}}}")
         return "; ".join(parts)
 
-    def index_rows(self):
-        """The (block, row) -> (col, key) map IndexMap.read gives for
-        this matrix, scanning every block, or None when it is not an
-        index map."""
-        ring = self.shape.ring
-        one = RingElement.one(ring)
-        rows = {}
-        for bi, block in enumerate(self.blocks):
-            group = self.shape.blocks[bi][1]
-            for (row, col), val in block:
-                if len(val.coeffs) != 1 or (bi, row) in rows:
-                    return None
-                if val.group != group or val.ring != ring:
-                    return None
-                (key, coeff), = val.coeffs
-                if coeff != one:
-                    return None
-                rows[bi, row] = (col, key)
-        return rows
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix, Bareiss elimination
+    (fraction free, exact)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

@@ -17,12 +17,8 @@ from gpdalg import (
     Z,
 )
 from gpdalg.constructions import cyclic_table, klein_table, symmetric_table
-from gpdalg.group_algebra import (
-    IndexMap,
-    NotAnIndexMap,
-    entry_ring_rendering,
-)
-from gpdalg.rings import Laurent, ModularIntegers, laurent_variable
+from gpdalg.group_algebra import entry_ring_rendering
+from gpdalg.rings import Laurent, ModularIntegers, Product, laurent_variable
 
 
 def test_group_table_verifies_axioms():
@@ -193,53 +189,6 @@ def test_group_algebra_over_z_has_no_surprise_division():
     assert (two * g).coeffs[0][1] == RingElement.from_int(Z, 2)
 
 
-def _map_shape(ring):
-    return BlockShape(ring, (
-        (3, symmetric_table(3)), (2, IntegerGroup()), (2, FiniteGroupTable.from_table([[0]])),
-    ))
-
-
-def _random_map_matrix(shape, rng):
-    """A block matrix of coefficient-one units, at most one per row, and
-    the (block, row) -> (col, key) map it should read as."""
-    rows, items = {}, {}
-    for bi, (size, group) in enumerate(shape.blocks):
-        for row in range(size):
-            if rng.random() < 0.6:
-                col = rng.randrange(size)
-                key = rng.randint(-3, 3) if isinstance(group, IntegerGroup) else rng.randrange(group.size)
-                rows[bi, row] = (col, key)
-                items.setdefault(bi, []).append(
-                    ((row, col), GroupAlgebraElement.delta(group, shape.ring, key)))
-    return BlockMatrix.build(shape, items), rows
-
-
-@pytest.mark.parametrize("ring", [Q, GaloisField(3), Laurent(Q)])
-def test_index_maps_compose_add_and_compare_like_their_block_matrices(ring):
-    shape = _map_shape(ring)
-    rng = random.Random(11)
-    for _ in range(60):
-        (a, rows_a), (b, rows_b) = _random_map_matrix(shape, rng), _random_map_matrix(shape, rng)
-        ma, mb = IndexMap.read(a), IndexMap.read(b)
-        assert ma.rows == rows_a and mb.rows == rows_b
-        assert (ma == mb) == (a == b)
-        assert IndexMap.read(a * b) == ma * mb
-        for bi, (size, _) in enumerate(shape.blocks):
-            for row in range(size):
-                for col in range(size):
-                    key = ma.entry(bi, row, col)
-                    want = a.entry(bi, row, col)
-                    assert want == (GroupAlgebraElement.zero(shape.blocks[bi][1], ring) if key is None
-                                    else GroupAlgebraElement.delta(shape.blocks[bi][1], ring, key))
-        if rows_a.keys().isdisjoint(rows_b):
-            assert IndexMap.read(a + b) == ma + mb
-        else:
-            with pytest.raises(NotAnIndexMap):
-                ma + mb
-    unit = IndexMap.unit(shape, 0, 1, 2)
-    assert unit == IndexMap.read(BlockMatrix.matrix_unit(shape, 0, 1, 2))
-
-
 def _dense_shape(ring):
     # S3, infinite cyclic and trivial blocks; block 3 is never touched
     return BlockShape(ring, (
@@ -249,11 +198,14 @@ def _dense_shape(ring):
 
 
 def _random_items(shape, rng):
-    """Items per block for one random matrix, as a dict and as the
-    reference's list: coefficient-one units at most one per row (often
-    an index map), or any small coefficients and repeated cells."""
+    """One random matrix as ((block, row, col, key), coefficient) items,
+    and as the reference's per-block lists of ((row, col), element):
+    coefficient-one units at most one per row, or small coefficients
+    (-3..3, so 2 * 3 and 1 + 1 can vanish) with repeated cells and
+    keys."""
     units = rng.random() < 0.4
-    items: dict = {}
+    ring = shape.ring
+    items, dense = [], [[] for _ in shape.blocks]
     for bi, (size, group) in enumerate(shape.blocks):
         if bi == 3 or rng.random() < 0.35:
             continue
@@ -262,14 +214,23 @@ def _random_items(shape, rng):
                 if units and rng.random() < 0.3:
                     continue
                 col = rng.randrange(size)
-                keys = [rng.randint(-2, 2) if isinstance(group, IntegerGroup) else rng.randrange(group.size)
-                        for _ in range(1 if units else rng.randint(1, 2))]
-                val = GroupAlgebraElement.make(group, shape.ring, [
-                    (k, RingElement.one(shape.ring) if units
-                     else RingElement.from_int(shape.ring, rng.randint(-2, 2)))
-                    for k in keys])
-                items.setdefault(bi, []).append(((row, col), val))
-    return items, [items.get(bi, []) for bi in range(len(shape.blocks))]
+                for _ in range(1 if units else rng.randint(1, 2)):
+                    key = rng.randint(-2, 2) if isinstance(group, IntegerGroup) else rng.randrange(group.size)
+                    coeff = RingElement.one(ring) if units else RingElement.from_int(ring, rng.randint(-3, 3))
+                    items.append(((bi, row, col, key), coeff))
+                    dense[bi].append(((row, col), GroupAlgebraElement.delta(group, ring, key, coeff)))
+    return items, dense
+
+
+def _dense_unit(ref):
+    """(block, row, col, key) when ref is one coefficient-one matrix
+    unit, read off its cells, else None."""
+    cells = [(bi, rc, v) for bi, block in enumerate(ref.blocks) for rc, v in block]
+    if len(cells) != 1 or len(cells[0][2].coeffs) != 1:
+        return None
+    (bi, (row, col), v), = cells
+    (key, coeff), = v.coeffs
+    return (bi, row, col, key) if coeff == RingElement.one(ref.shape.ring) else None
 
 
 def _assert_matches_dense(m, ref):
@@ -278,12 +239,14 @@ def _assert_matches_dense(m, ref):
             for col in range(size):
                 assert m.entry(bi, row, col) == ref.entry(bi, row, col)
     assert str(m) == str(ref)
-    im = IndexMap.read(m)
-    assert (None if im is None else im.rows) == ref.index_rows()
+    assert m.unit_index() == _dense_unit(ref)
     assert (m == BlockMatrix.zero(m.shape)) == all(not b for b in ref.blocks)
 
 
-@pytest.mark.parametrize("ring", [Q, GaloisField(3), Laurent(Q)])
+@pytest.mark.parametrize("ring", [
+    Q, GaloisField(3), Laurent(Q), GaloisField(2), ModularIntegers(6), Z,
+    Product((GaloisField(2), GaloisField(3))),
+])
 def test_block_matrices_agree_with_the_dense_reference(ring):
     shape = _dense_shape(ring)
     rng = random.Random(16)
@@ -294,37 +257,43 @@ def test_block_matrices_agree_with_the_dense_reference(ring):
         m, ref = BlockMatrix.build(shape, items), DenseBlockMatrix.build(shape, dense_items)
         _assert_matches_dense(m, ref)
         mats.append((m, ref))
-    for (a, ra), (b, rb) in zip(mats, mats[1:] + mats[:1]):
+    for (a, ra), (b, rb), (c, rc) in zip(mats, mats[1:] + mats[:1], mats[2:] + mats[:2]):
         assert (a == b) == (ra == rb)
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
             _assert_matches_dense(op(a, b), op(ra, rb))
+        # triple products, and equal values hash alike
+        left, right = (a * b) * c, a * (b * c)
+        _assert_matches_dense(left, (ra * rb) * rc)
+        assert left == right and hash(left) == hash(right)
+        spread, split = a * (b + c), a * b + a * c
+        _assert_matches_dense(spread, ra * (rb + rc))
+        assert spread == split and hash(spread) == hash(split)
         # cancel each touched block of a in turn: that block drops out
-        for bi, cells in a.entries:
-            minus = BlockMatrix.build(shape, {bi: [(rc, -v) for rc, v in cells]})
+        for bi in sorted({unit[0] for unit, _ in a.entries}):
+            minus = BlockMatrix.build(shape, [(u, -v) for u, v in a.entries if u[0] == bi])
             rminus = DenseBlockMatrix.build(
-                shape, [[(rc, -v) for rc, v in cells] if i == bi else [] for i in range(bi + 1)])
+                shape, [[(rc, -v) for rc, v in ra.blocks[i]] if i == bi else [] for i in range(bi + 1)])
             cut = a + minus
             _assert_matches_dense(cut, ra + rminus)
-            assert bi not in dict(cut.entries)
+            assert all(unit[0] != bi for unit, _ in cut.entries)
         gone = a - a
         assert gone == zero and hash(gone) == hash(zero) and gone.entries == ()
         assert (a + -a) == zero and hash(a + -a) == hash(zero)
 
 
-def test_only_coefficient_one_single_units_read_as_index_maps():
-    shape = _map_shape(Q)
-    e01 = BlockMatrix.matrix_unit(shape, 0, 0, 1)
-    two = RingElement.from_int(Q, 2)
-    s3 = shape.blocks[0][1]
-    not_maps = {
-        "coefficient 2": e01 + e01,
-        "two entries in a row": e01 + BlockMatrix.matrix_unit(shape, 0, 0, 2),
-        "two keys in an entry": e01 + BlockMatrix.matrix_unit(shape, 0, 0, 1, key=1),
-        "coefficient 2 at x": BlockMatrix.matrix_unit(shape, 1, 0, 0, key=1, coeff=two),
-        "an entry over another group": BlockMatrix(shape, (
-            (0, (((0, 1), GroupAlgebraElement.delta(cyclic_table(6), Q, 0)),)),)),
-    }
-    for name, m in not_maps.items():
-        assert IndexMap.read(m) is None, name
-    assert IndexMap.read(e01 + BlockMatrix.matrix_unit(shape, 0, 1, 1, key=s3.size - 1)) is not None
-    assert IndexMap.read(BlockMatrix.zero(shape)).rows == {}
+def test_build_raises_on_blocks_and_keys_before_cells_outside_their_block():
+    shape = _dense_shape(Q)
+    one = RingElement.one(Q)
+    with pytest.raises(ValueError, match="group element index 6 out of range"):
+        BlockMatrix.build(shape, [((0, 5, 0, 0), one), ((4, 0, 0, 6), one)])
+    with pytest.raises(ValueError, match=r"entry \(0,2\) outside block of size 2"):
+        BlockMatrix.build(shape, [((4, 0, 3, 0), one), ((0, 0, 2, 0), one)])
+    # a block index outside the shape is not read modulo the block count
+    for bi in (-1, 5):
+        with pytest.raises(ValueError, match=f"block index {bi} out of range"):
+            BlockMatrix.build(shape, [((bi, 0, 0, 0), one)])
+    # a key is checked on a zero coefficient too, as the cell element was built first
+    with pytest.raises(ValueError, match="group element index -1 out of range"):
+        BlockMatrix.build(shape, [((0, 0, 0, -1), RingElement.zero(Q))])
+    assert BlockMatrix.build(shape, [((1, 0, 0, -7), one)]).entry(1, 0, 0) == \
+        GroupAlgebraElement.delta(IntegerGroup(), Q, -7)

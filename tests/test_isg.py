@@ -1,10 +1,14 @@
 """Inverse semigroup algebras via the underlying groupoid."""
+import itertools
 import pathlib
 import random
 
 import pytest
 
-from support import reference_inverse_semigroup
+from support import int_det, reference_inverse_semigroup
+
+import gpdalg.cli
+import gpdalg.isg
 
 from gpdalg import (
     AlgebraElement,
@@ -272,3 +276,61 @@ def test_table_check_certifies_a_large_group_on_two_generators():
     assert associativity_generators((0,) * n, (0,) * n, table, 1) == [0, 1]
     s = InverseSemigroup.from_table([f"z{i}" for i in range(n)], table)
     assert s.star == tuple((n - i) % n for i in range(n))
+
+
+def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
+    """All partial bijections of an n-point set, the empty map first."""
+    maps = [{}]
+    for k in range(1, n + 1):
+        for dom in itertools.combinations(range(n), k):
+            for img in itertools.permutations(range(n), k):
+                maps.append(dict(zip(dom, img)))
+    lookup = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
+    table = [[lookup[tuple(sorted(_compose(a, b).items()))] for b in maps] for a in maps]
+    return InverseSemigroup.from_table([f"m{i}" for i in range(len(maps))], table)
+
+
+def _semigroup_corpus():
+    for name, elements, table in _tables():
+        if name != "left_zero":
+            yield name, InverseSemigroup.from_table(elements, table)
+    yield "i2.isg", _i2_fixture()
+    yield "I3", symmetric_inverse_monoid(3)
+
+
+def test_transition_matrix_is_unitriangular_on_the_corpus():
+    for name, s in _semigroup_corpus():
+        below = natural_partial_order(s)
+        iso = semigroup_algebra_iso(s, Q)
+        assert iso.transition_det == 1 and iso.report.ok, name
+        matrix = [[1 if below[t][i] else 0 for t in range(s.size)] for i in range(s.size)]
+        assert int_det(matrix) == 1, name
+
+
+def _patched_order(change):
+    def order(s):
+        below = [list(row) for row in natural_partial_order(s)]
+        change(s, below)
+        return below
+    return order
+
+
+def _no_diagonal(s, below):
+    below[s.element_index("e1")][s.element_index("e1")] = False
+
+
+def _two_cycle(s, below):
+    # zero <= e1 already; e1 <= zero closes a 2-cycle
+    below[s.element_index("e1")][s.element_index("zero")] = True
+
+
+@pytest.mark.parametrize("change, message", [
+    (_no_diagonal, "not reflexive: e1 <= e1 fails"),
+    (_two_cycle, "not unitriangular: e1 <= zero but #down(e1) = 2 >= #down(zero) = 2"),
+])
+def test_an_order_that_is_not_unitriangular_exits_2(monkeypatch, capsys, change, message):
+    monkeypatch.setattr(gpdalg.isg, "natural_partial_order", _patched_order(change))
+    code = gpdalg.cli.main(["isg", str(FIXTURES / "i2.isg"), "--verify"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: ") and message in err

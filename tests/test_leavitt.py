@@ -24,7 +24,6 @@ from gpdalg import (
     Cycle,
     ExitWitness,
     Graph,
-    GroupAlgebraElement,
     IntegerGroup,
     Lasso,
     OracleBudgetError,
@@ -50,8 +49,7 @@ from gpdalg import (
     verdicts,
     verify_leavitt_relations,
 )
-from gpdalg.group_algebra import IndexMap
-from gpdalg.leavitt import _attained_matrix_units, _generator_matrices, block_shape
+from gpdalg.leavitt import _attained_matrix_units, block_shape
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -333,7 +331,7 @@ def _replaced(images, kind, items):
     return images._replace(**{kind: {**getattr(images, kind), **items}})
 
 
-IMAGE_RINGS = (Q, parse_ring_descriptor("GF(3)"), Z6, LQ)
+IMAGE_RINGS = (Q, GF2, parse_ring_descriptor("GF(3)"), Z6, LQ)
 RELATION_GRAPHS = (
     NE_GRAPHS
     + [(f"chain{n}", chain_graph(n)) for n in (1, 2, 5, 9)]
@@ -352,19 +350,12 @@ def test_generator_images_match_the_arrow_by_arrow_reference():
             assert got.ghost == want.ghost, (name, ring)
 
 
-def _index_maps(images):
-    """Each generator image read as an index map, as
-    verify_leavitt_relations hands them to _attained_matrix_units."""
-    return {key: IndexMap.read(m) for key, m in _generator_matrices(images).items()}
-
-
 def test_matrix_unit_count_equals_the_closure_rank():
     for name, g in SPAN_GRAPHS:
         images = generator_images(g, Q)
         expected = sum(c * c for c in paths_to_sinks(g).values())
-        maps = _index_maps(images)
-        assert _attained_matrix_units(images, maps) == expected, name
-        assert reference_attained_matrix_units(images, maps) == expected, name
+        assert _attained_matrix_units(images) == expected, name
+        assert reference_attained_matrix_units(images) == expected, name
         assert reference_generated_dimension(images) == expected, name
 
 
@@ -386,7 +377,7 @@ def test_tampered_images_never_pass_where_the_closure_fails(monkeypatch):
                 images, "vertex", {sink: images.vertex[other], other: images.vertex[sink]}),
         }
         for kind, t in tampered.items():
-            attained = _attained_matrix_units(t, _index_maps(t))
+            attained = _attained_matrix_units(t)
             rank = reference_generated_dimension(t)
             assert attained < full, (name, kind)
             assert rank == full or attained < full, (name, kind)
@@ -403,43 +394,18 @@ def test_tampered_images_never_pass_where_the_closure_fails(monkeypatch):
 
 
 def test_span_check_makes_at_most_2p_products(monkeypatch):
-    real_mul = BlockMatrix.__mul__
-    calls = 0
-
-    def counting_mul(self, other):
-        nonlocal calls
-        calls += 1
-        return real_mul(self, other)
-
     for name, g in SPAN_GRAPHS + [("chain40", chain_graph(40))]:
         images = generator_images(g, Q)
         p = images.decomposition.boundary_count()
-        maps = _index_maps(images)
-        calls = 0
-        monkeypatch.setattr(BlockMatrix, "__mul__", counting_mul)
-        _attained_matrix_units(images, maps)
+        sinks = len(images.decomposition.orbits)
+        calls = _count_products(monkeypatch)
+        _attained_matrix_units(images)
         monkeypatch.undo()
-        assert calls <= 2 * p, (name, calls, p)
+        # one product for the image and one for the ghost of each path
+        # but the empty paths at the sinks
+        assert len(calls) == 2 * (p - sinks) <= 2 * p, (name, len(calls), p)
         # a graph without edges needs no product: its paths are its sinks
-        assert (calls > 0) == (g.edge_count > 0), (name, calls, p)
-
-
-def test_relation_verification_reads_each_image_once(monkeypatch):
-    real_read = IndexMap.read
-    reads = []
-
-    def counting_read(m):
-        reads.append(m)
-        return real_read(m)
-
-    monkeypatch.setattr(IndexMap, "read", staticmethod(counting_read))
-    for name, g in SPAN_GRAPHS:
-        reads.clear()
-        assert verify_leavitt_relations(g, Q).ok, name
-        # every generator image, 0 and 1 once, and the span check's one
-        # product multiplied in full when the graph has an edge
-        images = len(g.vertices) + 2 * g.edge_count
-        assert len(reads) == images + 2 + (g.edge_count > 0), name
+        assert (len(calls) > 0) == (g.edge_count > 0), (name, len(calls), p)
 
 
 def test_relation_verification_has_a_boundary_path_budget(monkeypatch):
@@ -466,28 +432,25 @@ def test_relation_checks_match_the_block_matrix_reference():
 
 
 def _rebuilt(m, entry):
-    """m with each entry ((row, col), value) of block bi replaced by the
-    items entry(bi, row, col, value) returns."""
-    items: dict = {}
-    for bi, cells in m.entries:
-        for (row, col), val in cells:
-            items.setdefault(bi, []).extend(entry(bi, row, col, val))
-    return BlockMatrix.build(m.shape, items)
+    """m with each of its items (unit, coefficient) replaced by the
+    items entry(shape, unit, coefficient) returns."""
+    return BlockMatrix.build(m.shape, [
+        item for unit, coeff in m.entries for item in entry(m.shape, unit, coeff)])
 
 
-def _shifted_key(bi, row, col, val):
+def _shifted_key(shape, unit, coeff):
     # x^k -> x^(k+1) on a lasso block, sink blocks unchanged
-    if not isinstance(val.group, IntegerGroup):
-        return [((row, col), val)]
-    return [((row, col), GroupAlgebraElement.make(
-        val.group, val.ring, [(k + 1, c) for k, c in val.coeffs]))]
+    bi, row, col, key = unit
+    if not isinstance(shape.blocks[bi][1], IntegerGroup):
+        return [(unit, coeff)]
+    return [((bi, row, col, key + 1), coeff)]
 
 
 def _tampered_images(g, images):
     """Swapped edges, a zeroed ghost and swapped vertices where the
-    graph has them, a cycle edge with its key shifted by one, and two
-    images that are not index maps: an edge with coefficient 2 and an
-    edge with a second entry in one of its rows."""
+    graph has them, a cycle edge with its key shifted by one, a doubled
+    edge (every coefficient 2), an edge with coefficient 2 at one unit,
+    and an edge with a second entry in one of its rows."""
     out = {}
     e = g.edge_names[0] if g.edge_count else None
     if g.edge_count >= 2:
@@ -495,9 +458,10 @@ def _tampered_images(g, images):
         out["swapped edges"] = _replaced(images, "edge", {e: images.edge[f], f: images.edge[e]})
     if e is not None:
         out["zero ghost"] = _replaced(images, "ghost", {e: BlockMatrix.zero(images.shape)})
-        out["coefficient 2"] = _replaced(images, "edge", {e: images.edge[e] + images.edge[e]})
-        bi, cells = images.edge[e].entries[0]
-        (row, col), val = cells[0]
+        out["doubled edge"] = _replaced(images, "edge", {e: images.edge[e] + images.edge[e]})
+        first = BlockMatrix.build(images.shape, images.edge[e].entries[:1])
+        out["coefficient 2 at one unit"] = _replaced(images, "edge", {e: images.edge[e] + first})
+        (bi, row, col, _), _ = images.edge[e].entries[0]
         size = images.shape.blocks[bi][0]
         if size > 1:
             extra = BlockMatrix.matrix_unit(images.shape, bi, row, (col + 1) % size)
@@ -532,10 +496,9 @@ def test_tampered_images_fail_exactly_as_the_block_matrix_reference():
                     assert any(f.startswith("cycle word attains x") for f in report.failures), (
                         name, ring)
                 if ring == Q and not images.decomposition.has_cycle():
-                    assert _attained_matrix_units(t, _index_maps(t)) == reference_path_unit_count(t), (
-                        name, kind)
-    assert seen == {"swapped edges", "zero ghost", "coefficient 2", "two entries in a row",
-                    "swapped vertices", "shifted cycle key"}
+                    assert _attained_matrix_units(t) == reference_path_unit_count(t), (name, kind)
+    assert seen == {"swapped edges", "zero ghost", "doubled edge", "coefficient 2 at one unit",
+                    "two entries in a row", "swapped vertices", "shifted cycle key"}
 
 
 def _count_products(monkeypatch):
@@ -550,38 +513,29 @@ def _count_products(monkeypatch):
     return calls
 
 
-def test_relation_checks_on_index_maps_make_one_product_per_run(monkeypatch):
-    for name, g in RELATION_GRAPHS:
-        for ring in IMAGE_RINGS:
-            images = generator_images(g, ring)
-            spans = ring == Q and not images.decomposition.has_cycle()
-            calls = _count_products(monkeypatch)
-            report = verify_leavitt_relations(g, ring, images)
-            monkeypatch.undo()
-            assert report.ok, (name, ring)
-            # the run's first check, and the span check's first product
-            assert len(calls) == 1 + (spans and g.edge_count > 0), (name, ring, len(calls))
+def _expected_products(g, images, ring):
+    """The products verify_leavitt_relations makes on valid images: one
+    per vertex (the pair v * v), four unit paths, one CK1 pair and one
+    CK2 term per edge, |c| - 1 per cycle word, and over Q on an
+    acyclic graph an image and a ghost per path that is not a sink."""
+    gd = images.decomposition
+    cycles = sum(o.anchor.length() - 1 for o in gd.orbits if o.kind == "cycle")
+    spans = ring == Q and not gd.has_cycle()
+    paths = 2 * (gd.boundary_count() - len(gd.orbits)) if spans else 0
+    return len(g.vertices) + 6 * g.edge_count + cycles + paths
 
 
-@pytest.mark.parametrize("graph, ring, products", [
-    # first check 1, unit paths v0.e0 and e0.v1 2, CK1 f*.e0 for f in
-    # e0, e1 2, CK2 at v0 1
-    ("chain3", parse_ring_descriptor("GF(3)"), 6),
-    # first check 1, unit paths 2, CK1 f*.x for f in x, y, z 3, CK2 at
-    # a 1, the cycle word x.y.z 2
-    ("c3", Q, 9),
-])
-def test_checks_that_meet_an_image_that_is_not_a_map_multiply_in_full(
-        monkeypatch, graph, ring, products):
-    g = chain_graph(3) if graph == "chain3" else GRAPHS[graph]
-    images = generator_images(g, ring)
-    e = g.edge_names[0]
-    doubled = _replaced(images, "edge", {e: images.edge[e] + images.edge[e]})
-    calls = _count_products(monkeypatch)
-    report = verify_leavitt_relations(g, ring, doubled)
-    monkeypatch.undo()
-    assert len(calls) == products
-    assert _outcome(report) == _outcome(reference_verify_leavitt_relations(g, ring, doubled))
+@pytest.mark.parametrize("ring", IMAGE_RINGS, ids=str)
+def test_relation_checks_make_one_product_per_relation_term(monkeypatch, ring):
+    cases = RELATION_GRAPHS + [("chain40", chain_graph(40))]
+    for name, g in cases:
+        images = generator_images(g, ring)
+        calls = _count_products(monkeypatch)
+        report = verify_leavitt_relations(g, ring, images)
+        monkeypatch.undo()
+        assert report.ok, (name, ring)
+        # V^2 + E^2 would mean every vertex and CK1 pair is multiplied
+        assert len(calls) == _expected_products(g, images, ring), (name, ring, len(calls))
 
 
 def test_materialized_groupoid_is_the_all_pairs_reference():

@@ -11,10 +11,10 @@ from math import lcm
 import pytest
 
 from corpus import chain_graph, groupoid_corpus, in_tree_graph
-from support import reference_kernel, reference_rref
+from support import int_det, reference_kernel, reference_rref
 
 from gpdalg.leavitt import as_finite_groupoid
-from gpdalg.linalg import echelon, int_det, rref_residue, sparse_kernel, sparse_reduce
+from gpdalg.linalg import echelon, rref_residue, sparse_kernel, sparse_reduce
 from gpdalg.verdicts import _trace_form
 
 FIELDS = [0, 2, 3, 5, 7]

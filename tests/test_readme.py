@@ -1,6 +1,6 @@
 """Every `$ gpdalg ...` example in README.md prints what the README
 shows, and so does its `--format machine` repeat where the README
-prints one."""
+prints one; every ```python block prints what its comments show."""
 import pathlib
 import re
 import shlex
@@ -38,3 +38,22 @@ def test_every_readme_example_prints_what_the_readme_shows(capsys, monkeypatch):
         code = gpdalg.cli.main(argv)
         out, err = capsys.readouterr()
         assert (code, out, err) == (0, printed, ""), argv
+
+
+PYTHON = re.compile(r"^```python\n(.*?)^```$", re.S | re.M)
+
+
+def test_every_readme_python_block_prints_what_its_comments_show(capsys, monkeypatch):
+    """Each ```python block runs from the repository root, and the
+    output written in its `# ...` comments appears in stdout, one line
+    each, in order."""
+    monkeypatch.chdir(ROOT)
+    blocks = PYTHON.findall((ROOT / "README.md").read_text())
+    assert blocks
+    for code in blocks:
+        shown = [line.partition("#")[2].strip() for line in code.splitlines() if "#" in line]
+        assert shown
+        exec(compile(code, "README.md", "exec"), {})
+        printed = iter(capsys.readouterr().out.splitlines())
+        for want in shown:
+            assert any(line == want for line in printed), (want, code)
