@@ -11,6 +11,12 @@ record a deliberate change, run
 
 and review the diff of tests/golden.json.
 
+The parity corpus pins exit code, stdout and stderr of every fixture,
+good or corrupted, over seven rings, with and without --verify, in both
+formats, and of every graph in tests/corpus.graph_corpus() over the
+same rings under --verify in machine format, so an output move on any
+ring shows up as a named key.
+
 The char-p sweep runs every groupoid fixture and the disconnected
 ladder over four prime fields: where golden.json has no copy, the
 report must be the one the single-chain filtration gives.
@@ -20,14 +26,15 @@ import importlib
 import io
 import json
 import pathlib
+import tempfile
 
 import pytest
 
-from corpus import disconnected_ladder
+from corpus import disconnected_ladder, graph_corpus
 from support import single_chain_radical_charp
 
 import gpdalg.cli
-from gpdalg import render_groupoid
+from gpdalg import render_graph, render_groupoid
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -67,6 +74,24 @@ ORACLE_INVOCATIONS = [
 ]
 
 
+PARITY_RINGS = ("Q", "Z", "GF(2)", "GF(3)", "Z/6", "Laurent(Q)", "Product(GF(2),GF(3))")
+
+COMMAND_OF = {".gpd": "groupoid", ".quiv": "graph", ".isg": "isg"}
+
+# (command, fixture, ring, fmt, verify): every fixture, good or corrupted
+PARITY_INVOCATIONS = [
+    (COMMAND_OF[path.suffix], path.name, ring, fmt, verify)
+    for path in sorted(FIXTURES.iterdir())
+    for ring in PARITY_RINGS
+    for fmt in ("text", "machine")
+    for verify in (False, True)
+]
+
+# (file name, text) of every corpus graph; the prefix keeps the names
+# apart from the fixtures
+CORPUS_GRAPHS = [(f"corpus_{name}.quiv", render_graph(g)) for name, g, _ in graph_corpus()]
+
+
 def _key(command, name, fmt, verify, ring=None):
     ring_flag = f" --ring {ring}" if ring else ""
     return f"{command} {name}{ring_flag} --format {fmt}" + (" --verify" if verify else "")
@@ -88,7 +113,9 @@ def test_golden_file_covers_every_invocation():
     stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
     keys = [_key(*inv) for inv in INVOCATIONS]
     keys += [_key(command, name, fmt, True, ring) for command, name, ring, fmt in ORACLE_INVOCATIONS]
-    assert sorted(stored) == sorted(keys)
+    keys += [_key(command, name, fmt, verify, ring) for command, name, ring, fmt, verify in PARITY_INVOCATIONS]
+    keys += [_key("graph", name, "machine", True, ring) for name, _ in CORPUS_GRAPHS for ring in PARITY_RINGS]
+    assert sorted(stored) == sorted(set(keys))
 
 
 @pytest.mark.parametrize("command, name, fmt, verify", INVOCATIONS)
@@ -109,6 +136,26 @@ def test_oracle_route_matches_the_stored_copy(command, name, ring, fmt):
     assert err == ""
 
 
+def _parity_runs(folder):
+    """(key, (exit, stdout, stderr)) of every parity invocation; the
+    corpus graphs are written to folder first."""
+    for command, name, ring, fmt, verify in PARITY_INVOCATIONS:
+        yield _key(command, name, fmt, verify, ring), _run(command, name, fmt, verify, ring)
+    for name, text in CORPUS_GRAPHS:
+        (folder / name).write_text(text, encoding="utf-8")
+        for ring in PARITY_RINGS:
+            yield _key("graph", name, "machine", True, ring), _run("graph", name, "machine", True, ring, folder)
+
+
+def test_parity_corpus_matches_the_stored_copy(tmp_path):
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    moved = [
+        key for key, got in _parity_runs(tmp_path)
+        if got != (stored[key]["exit"], stored[key]["stdout"], stored[key]["stderr"])
+    ]
+    assert moved == []
+
+
 def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
     stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
     inputs = [(FIXTURES, path.name) for path in sorted(FIXTURES.glob("*.gpd"))]
@@ -123,14 +170,14 @@ def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
                 got = _run("groupoid", name, fmt, True, ring, folder)
                 key = _key("groupoid", name, fmt, True, ring)
                 if key in stored:
-                    assert got == (stored[key]["exit"], stored[key]["stdout"], ""), key
+                    assert got == (stored[key]["exit"], stored[key]["stdout"], stored[key]["stderr"]), key
                     golden += 1
                 else:
                     with monkeypatch.context() as m:
                         m.setattr(verdicts_module, "_radical_charp", single_chain_radical_charp)
                         assert got == _run("groupoid", name, fmt, True, ring, folder), key
                 witnesses += "witness" in got[1]
-    assert len(inputs) == 11 and golden == 6
+    assert len(inputs) == 11 and golden == 28
     assert witnesses == 16
 
 
@@ -139,9 +186,12 @@ if __name__ == "__main__":
     for inv in INVOCATIONS:
         code, out, err = _run(*inv)
         assert not err, (inv, err)
-        record[_key(*inv)] = {"exit": code, "stdout": out}
+        record[_key(*inv)] = {"exit": code, "stdout": out, "stderr": err}
     for command, name, ring, fmt in ORACLE_INVOCATIONS:
         code, out, err = _run(command, name, fmt, True, ring)
         assert not err, (command, name, ring, fmt, err)
-        record[_key(command, name, fmt, True, ring)] = {"exit": code, "stdout": out}
+        record[_key(command, name, fmt, True, ring)] = {"exit": code, "stdout": out, "stderr": err}
+    with tempfile.TemporaryDirectory() as folder:
+        for key, (code, out, err) in _parity_runs(pathlib.Path(folder)):
+            record[key] = {"exit": code, "stdout": out, "stderr": err}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
