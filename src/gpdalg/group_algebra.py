@@ -304,7 +304,12 @@ class BlockShape(Value):
     """The block form of a groupoid algebra: per orbit, one diagonal
     block M_size(ring[isotropy]), plus the ring."""
 
-    __slots__ = ("ring", "blocks")  # blocks: tuple of (size, FiniteGroupTable | IntegerGroup)
+    __slots__ = ("ring", "blocks", "_one")  # blocks: tuple of (size, FiniteGroupTable | IntegerGroup)
+
+    def __init__(self, ring: RingDescriptor, blocks: tuple):
+        self.ring = ring
+        self.blocks = blocks
+        self._one = RingElement.one(ring)  # products read it without hashing the ring
 
     @property
     def dimension(self):
@@ -327,7 +332,14 @@ class BlockMatrix(Value):
     nonzero RingElement) pairs, key a group element index of the
     block's isotropy (a Laurent exponent on an infinite cyclic block),
     the way AlgebraElement stores arrow coefficients.  An operation
-    costs the units it reads, not the number of blocks or cells."""
+    costs the units it reads, not the number of blocks or cells.
+
+    Two matrices are equal when their shapes are (the same object, or
+    equal values) and their entries are; the hash is that of a Value
+    over the same two fields.  A product whose units meet at one unit
+    stores that unit as it is, with no sort, unless its coefficient is
+    zero (2 * 3 over Z/6); a coefficient that is the shape's one is
+    kept without a zero test."""
 
     __slots__ = ("shape", "entries", "_rows")
 
@@ -369,14 +381,14 @@ class BlockMatrix(Value):
         """The sum of the matrices, each over shape, in one pass."""
         items: list = []
         for m in matrices:
-            if m.shape != shape:
+            if m.shape is not shape and m.shape != shape:
                 raise RingMismatchError("block shape mismatch")
             items.extend(m.entries)
         return BlockMatrix(shape, sum_like_terms(items))
 
     @staticmethod
     def identity(shape: BlockShape) -> "BlockMatrix":
-        one = RingElement.one(shape.ring)
+        one = shape._one
         return BlockMatrix(shape, tuple(
             ((bi, i, i, _identity_key(group)), one)
             for bi, (size, group) in enumerate(shape.blocks) for i in range(size)))
@@ -387,12 +399,17 @@ class BlockMatrix(Value):
         if key is None:
             key = _identity_key(shape.blocks[block_index][1])
         if coeff is None:
-            coeff = RingElement.one(shape.ring)
+            coeff = shape._one
         return BlockMatrix.build(shape, [((block_index, row, col, key), coeff)])
 
-    def _check(self, other: "BlockMatrix"):
-        if self.shape != other.shape:
-            raise RingMismatchError("block shape mismatch")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        shape = self.shape
+        return other is self or (
+            (other.shape is shape or other.shape == shape) and other.entries == self.entries)
+
+    __hash__ = Value.__hash__
 
     @property
     def is_zero(self) -> bool:
@@ -404,7 +421,8 @@ class BlockMatrix(Value):
         if len(self.entries) != 1:
             return None
         (unit, coeff), = self.entries
-        return unit if coeff == RingElement.one(self.shape.ring) else None
+        one = self.shape._one
+        return unit if coeff is one or coeff == one else None
 
     def row_index(self) -> dict:
         """(block, row) -> [(col, key, coefficient)] over the units in
@@ -430,10 +448,14 @@ class BlockMatrix(Value):
         the row m of other, giving (b, r, c, k k').  A coefficient that is
         the ring's one multiplies as itself, and a product of two ones
         needs no zero test unless it was summed."""
-        self._check(other)
-        rows = other.row_index()
-        blocks = self.shape.blocks
-        one = RingElement.one(self.shape.ring)
+        shape = self.shape
+        if other.shape is not shape and other.shape != shape:
+            raise RingMismatchError("block shape mismatch")
+        rows = other._rows
+        if rows is None:
+            rows = other.row_index()
+        blocks = shape.blocks
+        one = shape._one
         acc: dict = {}
         for (bi, row, mid, k), a in self.entries:
             hits = rows.get((bi, mid))
@@ -445,7 +467,11 @@ class BlockMatrix(Value):
                 unit = (bi, row, col, k + k2 if table is None else table[k][k2])
                 c = b if a is one else a if b is one else a * b
                 acc[unit] = acc[unit] + c if unit in acc else c
-        return BlockMatrix(self.shape, tuple(sorted(
+        if len(acc) == 1:  # one unit: nothing to sort
+            entries = tuple(acc.items())
+            c = entries[0][1]
+            return BlockMatrix(shape, entries if c is one or not c.is_zero else ())
+        return BlockMatrix(shape, tuple(sorted(
             (unit, c) for unit, c in acc.items() if c is one or not c.is_zero)))
 
     def entry(self, block_index, row, col) -> GroupAlgebraElement:

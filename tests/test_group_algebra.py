@@ -243,6 +243,22 @@ def _assert_matches_dense(m, ref):
     assert (m == BlockMatrix.zero(m.shape)) == all(not b for b in ref.blocks)
 
 
+# ring -> coefficient payloads whose product is zero
+ZERO_PRODUCTS = {
+    ModularIntegers(6): ((2, 3),),
+    Product((GaloisField(2), GaloisField(3))): (((1, 0), (0, 1)),),
+}
+
+
+def _unit_items(shape, unit, coeff):
+    """One matrix unit as build items, and as the reference's per-block lists."""
+    bi, row, col, key = unit
+    dense = [[] for _ in shape.blocks]
+    group = shape.blocks[bi][1]
+    dense[bi].append(((row, col), GroupAlgebraElement.delta(group, shape.ring, key, coeff)))
+    return [(unit, coeff)], dense
+
+
 @pytest.mark.parametrize("ring", [
     Q, GaloisField(3), Laurent(Q), GaloisField(2), ModularIntegers(6), Z,
     Product((GaloisField(2), GaloisField(3))),
@@ -279,6 +295,25 @@ def test_block_matrices_agree_with_the_dense_reference(ring):
         gone = a - a
         assert gone == zero and hash(gone) == hash(zero) and gone.entries == ()
         assert (a + -a) == zero and hash(a + -a) == hash(zero)
+    # an equal shape built separately: its matrices compare equal, hash
+    # alike and multiply with those over shape; a matrix is not its entries
+    twin = _dense_shape(ring)
+    assert twin is not shape and twin == shape
+    for (a, _), (b, _) in zip(mats, mats[1:]):
+        twin_a = BlockMatrix.build(twin, a.entries)
+        assert twin_a == a and a == twin_a and hash(twin_a) == hash(a)
+        assert twin_a * b == a * b and a * BlockMatrix.build(twin, b.entries) == a * b
+        assert (a == a.entries) is False and (a == None) is False and a != 0  # noqa: E711
+    # one unit times one unit whose coefficients multiply to zero
+    for left, right in ZERO_PRODUCTS.get(ring, ()):
+        for unit_a, unit_b in (((0, 0, 1, 2), (0, 1, 0, 4)), ((1, 2, 0, -1), (1, 0, 2, 3))):
+            items_a, dense_a = _unit_items(shape, unit_a, RingElement(ring, left))
+            items_b, dense_b = _unit_items(shape, unit_b, RingElement(ring, right))
+            a, b = BlockMatrix.build(shape, items_a), BlockMatrix.build(shape, items_b)
+            product = a * b
+            dense = DenseBlockMatrix.build(shape, dense_a) * DenseBlockMatrix.build(shape, dense_b)
+            _assert_matches_dense(product, dense)
+            assert product.entries == () and product == zero and hash(product) == hash(zero)
 
 
 def test_build_raises_on_blocks_and_keys_before_cells_outside_their_block():
