@@ -18,8 +18,9 @@ same rings under --verify in machine format, so an output move on any
 ring shows up as a named key.
 
 The char-p sweep runs every groupoid fixture and the disconnected
-ladder over four prime fields: where golden.json has no copy, the
-report must be the one the single-chain filtration gives.
+ladder over four prime fields: every report must be the one the
+single-chain filtration gives, and where golden.json has a copy, that
+copy as well.
 """
 import contextlib
 import importlib
@@ -172,10 +173,9 @@ def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
                 if key in stored:
                     assert got == (stored[key]["exit"], stored[key]["stdout"], stored[key]["stderr"]), key
                     golden += 1
-                else:
-                    with monkeypatch.context() as m:
-                        m.setattr(verdicts_module, "_radical_charp", single_chain_radical_charp)
-                        assert got == _run("groupoid", name, fmt, True, ring, folder), key
+                with monkeypatch.context() as m:
+                    m.setattr(verdicts_module, "_radical_charp", single_chain_radical_charp)
+                    assert got == _run("groupoid", name, fmt, True, ring, folder), key
                 witnesses += "witness" in got[1]
     assert len(inputs) == 11 and golden == 28
     assert witnesses == 16
