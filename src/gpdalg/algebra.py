@@ -39,12 +39,11 @@ pair, so failures are listed as by the full scan; the report still
 counts all d^2.  The round trips compare indices too: phi_inv sends
 the unit (b, r, c, k) to the arrow conn_r iso[k] conn_c^-1, so
 phi_inv(phi([a])) == [a] when that arrow is a, and phi(phi_inv(E)) ==
-E when the unit of that arrow is E, and phi sends the unit to the
-identity when the identity arrows' units are the diagonal slots, each
-once.  The pair (0, 0), the first round trip of each kind, and any
-check that meets an image that is not a single coefficient-one unit
-or a missing composition, still goes through convolve, phi, phi_inv
-and the block matrix operations with the ring's own elements.
+E when the unit of that arrow is E.  The pair (0, 0), the first round
+trip of each kind, and any check that meets an image that is not a
+single coefficient-one unit or a missing composition, still goes
+through convolve, phi, phi_inv and the block matrix operations with
+the ring's own elements.
 """
 from __future__ import annotations
 
@@ -325,14 +324,6 @@ def _product_generators(g: FiniteGroupoid):
     return generators(g)
 
 
-def _units_are_the_diagonal(units, identity: BlockMatrix) -> bool:
-    """True when units, the units of the identity arrows' images, are
-    all coefficient-one units and, sorted, are the identity matrix's
-    diagonal slots, each once.  Then the unit's image, the sum of those
-    units, is the identity; False leaves the check to the ring."""
-    return None not in units and sorted(units) == [unit for unit, _ in identity.entries]
-
-
 def verify_isomorphism(d: Decomposition) -> VerificationReport:
     """Check that phi is a unital isomorphism onto the block algebra:
     multiplicative on all arrow pairs, unit to identity, inverted both
@@ -353,11 +344,9 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     way the failures are those of the full scan, and the report counts
     all d^2.  The round trips compare indices: phi_inv(phi([a])) == [a]
     as _pull(unit of a) == a, and phi(phi_inv(E)) == E as unit of
-    _pull(E) == E.  The unit check passes on indices when the identity
-    arrows' units are the diagonal slots (_units_are_the_diagonal).  The
-    first round trip of each kind, any whose pull is missing or whose
-    image is not a unit, and a unit check the indices do not pass, run
-    on block matrices and algebra elements."""
+    _pull(E) == E.  The first round trip of each kind, and any whose
+    pull is missing or whose image is not a unit, runs on block
+    matrices and algebra elements."""
     g = d.groupoid
     n = g.arrow_count
 
@@ -399,10 +388,7 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     if failures and gens is not None:
         failures = pair_failures(_pair_partners(g, slots_ok))
     total = n * n + 1 + n
-    identity = BlockMatrix.identity(d.shape)
-    identity_units = [units[e] for e in g.identity_arrows()]
-    if (not _units_are_the_diagonal(identity_units, identity)
-            and phi(d, AlgebraElement.unit(g, d.ring)) != identity):
+    if phi(d, AlgebraElement.unit(g, d.ring)) != BlockMatrix.identity(d.shape):
         failures.append("phi does not send the unit to the identity matrix")
 
     for a in range(n):

@@ -334,12 +334,11 @@ class BlockMatrix(Value):
     the way AlgebraElement stores arrow coefficients.  An operation
     costs the units it reads, not the number of blocks or cells.
 
-    Two matrices are equal when their shapes are (the same object, or
-    equal values) and their entries are; the hash is that of a Value
-    over the same two fields.  A product whose units meet at one unit
-    stores that unit as it is, with no sort, unless its coefficient is
-    zero (2 * 3 over Z/6); a coefficient that is the shape's one is
-    kept without a zero test."""
+    Two matrices are equal when their shapes and entries are, compared
+    as a Value compares its fields (each by identity before ==).  A
+    product whose units meet at one unit stores that unit as it is,
+    with no sort, unless its coefficient is zero (2 * 3 over Z/6); a
+    coefficient that is the shape's one is kept without a zero test."""
 
     __slots__ = ("shape", "entries", "_rows")
 
@@ -401,15 +400,6 @@ class BlockMatrix(Value):
         if coeff is None:
             coeff = shape._one
         return BlockMatrix.build(shape, [((block_index, row, col, key), coeff)])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        shape = self.shape
-        return other is self or (
-            (other.shape is shape or other.shape == shape) and other.entries == self.entries)
-
-    __hash__ = Value.__hash__
 
     @property
     def is_zero(self) -> bool:

@@ -69,10 +69,9 @@ class FiniteGroupoid(Value):
 
     @staticmethod
     def make(objects, arrows, dom, cod, identity_of, comp, inv) -> "FiniteGroupoid":
-        """A groupoid from a composition dict {(f, g): f after g} or its
-        items, read in place; of repeated items the last one wins."""
+        """A groupoid from a composition dict {(f, g): f after g} or its items."""
         rows = tuple({} for _ in arrows)
-        for (f, h), k in comp.items() if isinstance(comp, dict) else comp:
+        for (f, h), k in dict(comp).items():
             rows[f][h] = k
         return FiniteGroupoid(tuple(objects), tuple(arrows), tuple(dom), tuple(cod),
                               tuple(identity_of), rows, tuple(inv))

@@ -79,13 +79,15 @@ PARITY_RINGS = ("Q", "Z", "GF(2)", "GF(3)", "Z/6", "Laurent(Q)", "Product(GF(2),
 
 COMMAND_OF = {".gpd": "groupoid", ".quiv": "graph", ".isg": "isg"}
 
-# (command, fixture, ring, fmt, verify): every fixture, good or corrupted
+# (command, fixture, ring, fmt, verify): every fixture, good or
+# corrupted, but for the ORACLE_INVOCATIONS, which pin their own keys
 PARITY_INVOCATIONS = [
     (COMMAND_OF[path.suffix], path.name, ring, fmt, verify)
     for path in sorted(FIXTURES.iterdir())
     for ring in PARITY_RINGS
     for fmt in ("text", "machine")
     for verify in (False, True)
+    if not (verify and (COMMAND_OF[path.suffix], path.name, ring) in ORACLE_ROUTES)
 ]
 
 # (file name, text) of every corpus graph; the prefix keeps the names
@@ -116,7 +118,7 @@ def test_golden_file_covers_every_invocation():
     keys += [_key(command, name, fmt, True, ring) for command, name, ring, fmt in ORACLE_INVOCATIONS]
     keys += [_key(command, name, fmt, verify, ring) for command, name, ring, fmt, verify in PARITY_INVOCATIONS]
     keys += [_key("graph", name, "machine", True, ring) for name, _ in CORPUS_GRAPHS for ring in PARITY_RINGS]
-    assert sorted(stored) == sorted(set(keys))
+    assert sorted(stored) == sorted(keys)
 
 
 @pytest.mark.parametrize("command, name, fmt, verify", INVOCATIONS)

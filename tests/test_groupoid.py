@@ -394,13 +394,6 @@ def test_every_builder_yields_the_sorted_comp_of_its_entries(monkeypatch):
         shuffled = FiniteGroupoid.make(g.objects, g.arrows, g.dom, g.cod,
                                        g.identity_of, dict(items), g.inv)
         assert shuffled.comp == tuple(sorted(items)) == g.comp, name
-        # items with a repeated key keep the last value, as a dict does
-        key, right = items[0]
-        wrong = (right + 1) % g.arrow_count
-        for given, kept in (([(key, wrong)] + items, right), (items + [(key, wrong)], wrong)):
-            twice = FiniteGroupoid.make(g.objects, g.arrows, g.dom, g.cod, g.identity_of, given, g.inv)
-            assert twice.compose(*key) == kept, name
-            assert twice.comp == tuple(sorted(dict(given).items())), name
 
         text = _with_shuffled_lines(g, rng)
         made.clear()
