@@ -15,7 +15,10 @@ The parity corpus pins exit code, stdout and stderr of every fixture,
 good or corrupted, over seven rings, with and without --verify, in both
 formats, and of every graph in tests/corpus.graph_corpus() over the
 same rings under --verify in machine format, so an output move on any
-ring shows up as a named key.
+ring shows up as a named key.  It pins as well every groupoid of
+tests/corpus.groupoid_corpus() and disconnected_ladder() over GF(2),
+GF(3), GF(5) and GF(7) under --verify in machine format, so a moved
+radical witness shows up as a named key too.
 
 The char-p sweep runs every groupoid fixture and the disconnected
 ladder over four prime fields: every report must be the one the
@@ -31,7 +34,7 @@ import tempfile
 
 import pytest
 
-from corpus import disconnected_ladder, graph_corpus
+from corpus import disconnected_ladder, graph_corpus, groupoid_corpus
 from support import single_chain_radical_charp
 
 import gpdalg.cli
@@ -90,9 +93,18 @@ PARITY_INVOCATIONS = [
     if not (verify and (COMMAND_OF[path.suffix], path.name, ring) in ORACLE_ROUTES)
 ]
 
-# (file name, text) of every corpus graph; the prefix keeps the names
-# apart from the fixtures
-CORPUS_GRAPHS = [(f"corpus_{name}.quiv", render_graph(g)) for name, g, _ in graph_corpus()]
+ORACLE_RINGS = ("GF(2)", "GF(3)", "GF(5)", "GF(7)")
+
+# (command, file name, text, rings) of every corpus input, each run
+# under --verify in machine format: the graph corpus over the parity
+# rings, and the groupoid corpus and the disconnected ladder over the
+# prime fields.  The corpus_ prefix keeps the names apart from the
+# fixtures; the ladder keeps the names the char-p sweep gives it.
+CORPUS_INPUTS = (
+    [("graph", f"corpus_{name}.quiv", render_graph(g), PARITY_RINGS) for name, g, _ in graph_corpus()]
+    + [("groupoid", f"corpus_{name}.gpd", render_groupoid(g), ORACLE_RINGS) for name, g in groupoid_corpus()]
+    + [("groupoid", f"{name}.gpd", render_groupoid(g), ORACLE_RINGS) for name, g in disconnected_ladder()]
+)
 
 
 def _key(command, name, fmt, verify, ring=None):
@@ -117,7 +129,7 @@ def test_golden_file_covers_every_invocation():
     keys = [_key(*inv) for inv in INVOCATIONS]
     keys += [_key(command, name, fmt, True, ring) for command, name, ring, fmt in ORACLE_INVOCATIONS]
     keys += [_key(command, name, fmt, verify, ring) for command, name, ring, fmt, verify in PARITY_INVOCATIONS]
-    keys += [_key("graph", name, "machine", True, ring) for name, _ in CORPUS_GRAPHS for ring in PARITY_RINGS]
+    keys += [_key(command, name, "machine", True, ring) for command, name, _, rings in CORPUS_INPUTS for ring in rings]
     assert sorted(stored) == sorted(keys)
 
 
@@ -141,13 +153,13 @@ def test_oracle_route_matches_the_stored_copy(command, name, ring, fmt):
 
 def _parity_runs(folder):
     """(key, (exit, stdout, stderr)) of every parity invocation; the
-    corpus graphs are written to folder first."""
+    corpus inputs are written to folder first."""
     for command, name, ring, fmt, verify in PARITY_INVOCATIONS:
         yield _key(command, name, fmt, verify, ring), _run(command, name, fmt, verify, ring)
-    for name, text in CORPUS_GRAPHS:
+    for command, name, text, rings in CORPUS_INPUTS:
         (folder / name).write_text(text, encoding="utf-8")
-        for ring in PARITY_RINGS:
-            yield _key("graph", name, "machine", True, ring), _run("graph", name, "machine", True, ring, folder)
+        for ring in rings:
+            yield _key(command, name, "machine", True, ring), _run(command, name, "machine", True, ring, folder)
 
 
 def test_parity_corpus_matches_the_stored_copy(tmp_path):
@@ -167,7 +179,7 @@ def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
         inputs.append((tmp_path, f"{name}.gpd"))
     verdicts_module = importlib.import_module("gpdalg.verdicts")
     golden = witnesses = 0
-    for ring in ("GF(2)", "GF(3)", "GF(5)", "GF(7)"):
+    for ring in ORACLE_RINGS:
         for folder, name in inputs:
             for fmt in ("text", "machine"):
                 got = _run("groupoid", name, fmt, True, ring, folder)
@@ -179,7 +191,7 @@ def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
                     m.setattr(verdicts_module, "_radical_charp", single_chain_radical_charp)
                     assert got == _run("groupoid", name, fmt, True, ring, folder), key
                 witnesses += "witness" in got[1]
-    assert len(inputs) == 11 and golden == 28
+    assert len(inputs) == 11 and golden == 44
     assert witnesses == 16
 
 
