@@ -166,7 +166,7 @@ def parse_element_literal(text: str, g: FiniteGroupoid, ring: RingDescriptor) ->
                     coeff = RingElement.from_int(ring, int(coeff_text))
             except RingMismatchError:
                 raise
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad coefficient '{coeff_text}'") from exc
         else:
             name = term
@@ -311,19 +311,6 @@ def _pair_partners(g: FiniteGroupoid, slots_ok: bool, gens=None) -> list:
     return partners
 
 
-def _product_generators(g: FiniteGroupoid):
-    """validate's generators when g passed validate and every row holds
-    an entry per arrow into its domain, else None."""
-    if validate(g):
-        return None
-    into = [0] * len(g.objects)
-    for y in g.cod:
-        into[y] += 1
-    if any(len(row) != into[x] for row, x in zip(g.rows, g.dom)):
-        return None
-    return generators(g)
-
-
 def verify_isomorphism(d: Decomposition) -> VerificationReport:
     """Check that phi is a unital isomorphism onto the block algebra:
     multiplicative on all arrow pairs, unit to identity, inverted both
@@ -332,11 +319,14 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     The pair loop visits the pairs _pair_partners plans.  When the
     arrow units pass _slot_certificate every non-composable pair is
     zero on both sides and counts as passed.  If moreover g passed
-    validate, the loop visits the ring-level pair (0, 0) and the pairs
-    (a, s) with s one of validate's generators and dom a = cod s, in
-    the order of the full scan.  That proves the rest: every arrow t is
-    a left-nested composite of generators, t = t's with s a generator,
-    so by induction on t and the associativity validate certified,
+    validate, each row of the composition table is keyed by exactly
+    the arrows into its domain (no composition-missing and no
+    composition-domain violation), and the loop visits the ring-level
+    pair (0, 0) and the pairs (a, s) with s one of validate's
+    generators and dom a = cod s, in the order of the full scan.  That
+    proves the rest: every arrow t is a left-nested composite of
+    generators, t = t's with s a generator, so by induction on t and
+    the associativity validate certified,
     phi([a][t]) = phi([a][t'][s]) = phi([a][t']) phi(s) = phi(a)
     phi(t') phi(s) = phi(a) phi(t), and phi is linear.  When a visited
     pair fails, or g did not pass, the loop visits (0, 0) and every
@@ -383,7 +373,7 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
         return out
 
     slots_ok = _slot_certificate(g, units)
-    gens = _product_generators(g) if slots_ok else None
+    gens = generators(g) if slots_ok and not validate(g) else None
     failures = pair_failures(_pair_partners(g, slots_ok, gens))
     if failures and gens is not None:
         failures = pair_failures(_pair_partners(g, slots_ok))

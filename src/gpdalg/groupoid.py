@@ -217,9 +217,9 @@ def generators(g: FiniteGroupoid) -> tuple:
     """The generators validate certifies associativity on
     (associativity_generators), computed once per groupoid: every arrow
     is a left-nested composite of them.  Composition must be total on
-    composable pairs; validate's associativity certificate,
-    verify_isomorphism's pair certificate and the radical oracle's
-    ideal certificate read this memo."""
+    composable pairs: validate calls this only once its earlier checks
+    passed, and verify_isomorphism's pair certificate and the radical
+    oracle's ideal certificate only on a groupoid that passed validate."""
     if g._generators is None:
         g._generators = tuple(associativity_generators(g.dom, g.cod, g.rows, len(g.objects)))
     return g._generators

@@ -13,11 +13,12 @@ by the base change
 
 where <= is the natural partial order (t <= s iff t = (t t*) s, or
 equivalently t = e s for some idempotent e).  The transition matrix is
-unitriangular in any linear extension of <=, so the map is a bijection
-on bases; this module verifies multiplicativity exhaustively on all
-pairs, and proves the transition matrix unitriangular from the order:
+unitriangular in any linear extension of <=, so its determinant is 1
+and the map is a bijection on bases.  This module proves the matrix
+unitriangular from the order, raising InternalCheckError otherwise:
 every s <= s, and t <= s with t != s has fewer elements below it than
-s, so listing elements by that count is a linear extension.
+s, so listing elements by that count is a linear extension.  It then
+verifies multiplicativity exhaustively on all pairs.
 """
 from __future__ import annotations
 
@@ -244,23 +245,20 @@ def maximal_subgroup(s: InverseSemigroup, e: int):
 
 class IsgIsomorphism(Value):
     __slots__ = (
-        "semigroup",
-        "ring",
         "groupoid",
-        "images",          # per element, an AlgebraElement of the groupoid
-        "transition_det",  # determinant of the 0/1 order matrix: 1
-        "report",          # VerificationReport
+        "images",  # per element, an AlgebraElement of the groupoid
+        "report",  # VerificationReport
     )
 
 
-def _unitriangular_det(s: InverseSemigroup, below) -> int:
-    """1, the determinant of the transition matrix [t <= s], proved from
-    the order itself: every s <= s, and t <= s with t != s has fewer
-    elements below it than s.  Listing the elements by that count then
-    extends the order, so the matrix is unitriangular in that listing.
-    Otherwise raises InternalCheckError naming the first pair that
-    fails: the diagonal first, then (t, s) with s in element order and
-    then t."""
+def _check_unitriangular(s: InverseSemigroup, below) -> None:
+    """Prove the transition matrix [t <= s] unitriangular from the order
+    itself: every s <= s, and t <= s with t != s has fewer elements
+    below it than s.  Listing the elements by that count then extends
+    the order, so the matrix is unitriangular in that listing, and its
+    determinant is 1.  Otherwise raises InternalCheckError naming the
+    first pair that fails: the diagonal first, then (t, s) with s in
+    element order and then t."""
     n = s.size
     names = s.elements
     for x in range(n):
@@ -275,7 +273,6 @@ def _unitriangular_det(s: InverseSemigroup, below) -> int:
                     f"transition matrix of the natural partial order is not unitriangular: "
                     f"{names[t]} <= {names[x]} but #down({names[t]}) = {down[t]} "
                     f">= #down({names[x]}) = {down[x]}")
-    return 1
 
 
 def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomorphism:
@@ -297,7 +294,7 @@ def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomo
         )
         for i in range(s.size)
     )
-    det = _unitriangular_det(s, below)
+    _check_unitriangular(s, below)
     failures = [
         f"image({s.elements[i]}) * image({s.elements[j]}) != image({s.elements[s.mul(i, j)]})"
         for i in range(s.size) for j in range(s.size)
@@ -314,7 +311,7 @@ def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomo
         total,
         tuple(failures),
     )
-    return IsgIsomorphism(s, ring, g, images, det, report)
+    return IsgIsomorphism(g, images, report)
 
 
 def isg_verdicts(s: InverseSemigroup, ring: RingDescriptor) -> Verdict:

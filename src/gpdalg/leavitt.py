@@ -428,7 +428,6 @@ def block_shape(gd: GraphDecomposition, ring: RingDescriptor) -> BlockShape:
 class GeneratorImages(Value):
     __slots__ = (
         "graph",
-        "ring",
         "decomposition",  # GraphDecomposition
         "shape",          # BlockShape
         "vertex",         # vertex name -> BlockMatrix
@@ -475,7 +474,7 @@ def generator_images(g: Graph, ring: RingDescriptor):
         {name: BlockMatrix.build(shape, items) for name, items in terms.items()}
         for terms in (vertex, edge, ghost)
     )
-    return GeneratorImages(g, ring, gd, shape, vertex, edge, ghost)
+    return GeneratorImages(g, gd, shape, vertex, edge, ghost)
 
 
 def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorImages | None = None) -> VerificationReport:

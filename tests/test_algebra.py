@@ -126,6 +126,10 @@ def test_element_literal_parsing():
     with pytest.raises(ParseError) as exc:
         parse_element_literal("two*f", g, Z)
     assert "bad coefficient" in str(exc.value)
+    for text, coeff in (("x/2*f", "x/2"), ("1/0*f", "1/0"), ("(1/0)*f", "1/0")):
+        with pytest.raises(ParseError) as exc:
+            parse_element_literal(text, g, Q)
+        assert str(exc.value) == f"bad coefficient '{coeff}'"
     with pytest.raises(RingMismatchError):
         parse_element_literal("1/2*f", g, Z)
 

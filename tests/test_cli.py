@@ -286,7 +286,9 @@ def test_composition_lost_after_validation_is_an_internal_error(monkeypatch, cap
 
     def decompose_then_drop_a_composition(g, ring):
         d = real_decompose(g, ring)
-        f, h = g.comp[-1][0]
+        # a pair (f, s) with s a generator, which the pair check visits
+        gens = gpdalg.groupoid.generators(g)
+        f, h = next(pair for pair, _ in reversed(g.comp) if pair[1] in gens)
         monkeypatch.delitem(g.rows[f], h)
         return d
 

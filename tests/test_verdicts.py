@@ -7,6 +7,7 @@ import pytest
 
 from corpus import chain_graph, disconnected_ladder, groupoid_corpus, in_tree_graph
 from support import (
+    _right_ideal_nilpotent,
     reference_exhaustive_radical,
     reference_filtration_radical,
     reference_ideal_certified_nilpotent,
@@ -56,7 +57,6 @@ from gpdalg.verdicts import (
     _ideal_certified_nilpotent,
     _powers_vanish,
     _radical_charp,
-    _right_ideal_nilpotent,
     _trace_form,
     oracle_refusal,
 )
@@ -405,8 +405,8 @@ def test_certificates_on_the_path_algebra_of_one_arrow(p):
     assert _ideal_certified_nilpotent(PATH_BP, [a], gens, p)
     assert not _ideal_certified_nilpotent(PATH_BP, [e1], gens, p)      # a.e1 = a is outside
     assert not _ideal_certified_nilpotent(PATH_BP, [e1, a], gens, p)   # an ideal, not nilpotent
-    assert _right_ideal_nilpotent(PATH_BP, a, 3, p)
-    assert not _right_ideal_nilpotent(PATH_BP, e1, 3, p)
+    assert _right_ideal_nilpotent(PATH_BP, [0, 0, 2], 3, p)
+    assert not _right_ideal_nilpotent(PATH_BP, [1, 0, 0], 3, p)
 
 
 # Path algebra of 1 -> 2 -> 3 on the basis e1, e2, e3, a, b, ba with
@@ -426,8 +426,8 @@ def test_certificates_on_the_path_algebra_of_two_arrows(p):
     a, b, ba = ({k: 1} for k in (3, 4, 5))
     assert _ideal_certified_nilpotent(CHAIN_BP, [a, b, ba], range(6), p)
     assert not _ideal_certified_nilpotent(CHAIN_BP, [a], range(6), p)
-    assert _right_ideal_nilpotent(CHAIN_BP, a, 6, p)
-    assert _right_ideal_nilpotent(CHAIN_BP, {3: 1, 4: 1}, 6, p)
+    assert _right_ideal_nilpotent(CHAIN_BP, [0, 0, 0, 1, 0, 0], 6, p)
+    assert _right_ideal_nilpotent(CHAIN_BP, [0, 0, 0, 1, 1, 0], 6, p)
 
 
 def _certificate_candidates(g, p):
@@ -495,6 +495,23 @@ def _table(bp):
 
 def _dense_rows(rows, d):
     return [[row.get(j, 0) for j in range(d)] for row in rows]
+
+
+def test_every_char_p_witness_generates_a_nilpotent_right_ideal():
+    """The witness is a vector of the certified radical J, so its right
+    ideal wA lies inside J and the oracle checks it no further: the
+    dense reference finds wA nilpotent for every non-semisimple answer,
+    either witness pick, over the corpus and the disconnected ladder."""
+    answers = 0
+    for name, g in groupoid_corpus() + disconnected_ladder():
+        bp, d = _basis_products(g), g.arrow_count
+        for p in (2, 3, 5, 7):
+            for exhaustive in (False, True):
+                semisimple, w, _ = _radical_charp(g, p, exhaustive)
+                if not semisimple:
+                    assert _right_ideal_nilpotent(bp, _dense_rows([w], d)[0], d, p), (name, p)
+                    answers += 1
+    assert answers == 52
 
 
 @pytest.mark.parametrize("bp, dim", [(PATH_BP, 1), (CHAIN_BP, 3)], ids=["path", "chain"])
@@ -659,24 +676,12 @@ def test_filtration_carries_its_powers_across_unchanged_stages(monkeypatch):
 def test_each_block_takes_its_own_stage_count_and_one_squaring_chain(monkeypatch):
     """On pair(2) and Z/7 over GF(7) the 7-arrow block needs one product
     stage (7^1 covers 7, where 11 arrows would need two), and the
-    witness generates the whole radical, whose squaring chain the
-    certificate has already run."""
+    certificate runs one squaring chain, on the whole radical."""
     powers = _count_calls(monkeypatch, "_power")
     squarings = _count_calls(monkeypatch, "_powers_vanish")
     report = radical_oracle(PAIR2_U_Z7, GF7)
     assert not report.semisimple and report.radical_dimension == 6
     assert {q for _, _, q, _ in powers} == {7}
-    assert len(squarings) == 1
-
-
-@pytest.mark.parametrize("p", [0, 3])
-def test_right_ideal_check_reuses_only_the_rows_it_is_given(monkeypatch, p):
-    """wA = span(a) is the given nilpotent row: no squaring.  e1 A is
-    not, so its powers are taken, and they never vanish."""
-    squarings = _count_calls(monkeypatch, "_powers_vanish")
-    assert _right_ideal_nilpotent(PATH_BP, {A: 1}, 3, p, [{A: 1}])
-    assert squarings == []
-    assert not _right_ideal_nilpotent(PATH_BP, {E1: 1}, 3, p, [{A: 1}])
     assert len(squarings) == 1
 
 
