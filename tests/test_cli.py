@@ -281,20 +281,37 @@ def test_orbit_that_misses_an_arrow_is_an_internal_error(monkeypatch, capsys):
     assert err == "internal error: orbit computation missed an arrow\n"
 
 
-def test_composition_lost_after_validation_is_an_internal_error(monkeypatch, capsys):
+def _verify_after_dropping_a_composition(monkeypatch, capsys, pick):
+    """Run groupoid --verify on pair2_z2.gpd, deleting the composition
+    pick(g) returns from g.rows after validate has passed."""
     real_decompose = gpdalg.cli.decompose
 
     def decompose_then_drop_a_composition(g, ring):
         d = real_decompose(g, ring)
-        # a pair (f, s) with s a generator, which the pair check visits
-        gens = gpdalg.groupoid.generators(g)
-        f, h = next(pair for pair, _ in reversed(g.comp) if pair[1] in gens)
+        f, h = pick(g)
         monkeypatch.delitem(g.rows[f], h)
         return d
 
     monkeypatch.setattr(gpdalg.cli, "decompose", decompose_then_drop_a_composition)
-    code, out, err = _main_in_process(
-        capsys, "groupoid", str(FIXTURES / "pair2_z2.gpd"), "--verify")
+    return _main_in_process(capsys, "groupoid", str(FIXTURES / "pair2_z2.gpd"), "--verify")
+
+
+def test_composition_lost_after_validation_is_an_internal_error(monkeypatch, capsys):
+    # the last pair of g.comp has no generator on the right, so the pair
+    # check does not visit it; the radical certificate is what fails
+    code, out, err = _verify_after_dropping_a_composition(
+        monkeypatch, capsys, lambda g: g.comp[-1][0])
+    assert code == 2
+    assert not out
+    assert err == "internal error: trace-form kernel is not a nilpotent ideal\n"
+
+
+def test_generator_composition_lost_after_validation_is_an_internal_error(monkeypatch, capsys):
+    def generator_pair(g):
+        gens = gpdalg.groupoid.generators(g)
+        return next(pair for pair, _ in reversed(g.comp) if pair[1] in gens)
+
+    code, out, err = _verify_after_dropping_a_composition(monkeypatch, capsys, generator_pair)
     assert code == 2
     assert not out
     assert err.startswith("internal error: no composition for composable pair (")

@@ -99,11 +99,12 @@ ORACLE_RINGS = ("GF(2)", "GF(3)", "GF(5)", "GF(7)")
 # under --verify in machine format: the graph corpus over the parity
 # rings, and the groupoid corpus and the disconnected ladder over the
 # prime fields.  The corpus_ prefix keeps the names apart from the
-# fixtures; the ladder keeps the names the char-p sweep gives it.
+# fixtures and from the ladder names of the char-p sweep, so each stored
+# key has one test.
 CORPUS_INPUTS = (
     [("graph", f"corpus_{name}.quiv", render_graph(g), PARITY_RINGS) for name, g, _ in graph_corpus()]
     + [("groupoid", f"corpus_{name}.gpd", render_groupoid(g), ORACLE_RINGS) for name, g in groupoid_corpus()]
-    + [("groupoid", f"{name}.gpd", render_groupoid(g), ORACLE_RINGS) for name, g in disconnected_ladder()]
+    + [("groupoid", f"corpus_{name}.gpd", render_groupoid(g), ORACLE_RINGS) for name, g in disconnected_ladder()]
 )
 
 
@@ -191,7 +192,7 @@ def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
                     m.setattr(verdicts_module, "_radical_charp", single_chain_radical_charp)
                     assert got == _run("groupoid", name, fmt, True, ring, folder), key
                 witnesses += "witness" in got[1]
-    assert len(inputs) == 11 and golden == 44
+    assert len(inputs) == 11 and golden == 28
     assert witnesses == 16
 
 
