@@ -17,33 +17,29 @@ verify_isomorphism checks multiplicativity on every pair of basis
 arrows, unit preservation, and that the two directions invert each
 other on every basis vector of both sides.
 
-The checks work on basis indices.  phi runs once per arrow, and each
-image, a block matrix stored by its matrix units, is one unit (block,
-row, col, isotropy key) with coefficient one, read off at a cost that
-does not grow with the number of blocks.  A pair then passes when the
-unit of the composite, or zero, equals the product of the two units,
-which is (b, r, c', table[k][k']) when both sit in block b and c = r',
-else zero.
-When every image is such a unit and the units give an injective map
-object -> (block, row) (slot(cod a) = (b, r), slot(dom a) = (b, c)),
-two units chain only when their arrows compose, so every
-non-composable pair is zero on both sides and passes without being
-visited.  Of the composable pairs, those (a, s) with s one of the
-generators validate certified associativity on suffice: every arrow
-is a left-nested composite of them and phi is linear, so
-multiplicativity on them gives it on every pair by induction, as
-Light's test gives associativity (Clifford and Preston, The Algebraic
-Theory of Semigroups I, 1.2).  When a generator pair fails the pair
-loop visits every composable pair, and without the slot map every
-pair, so failures are listed as by the full scan; the report still
-counts all d^2.  The round trips compare indices too: phi_inv sends
-the unit (b, r, c, k) to the arrow conn_r iso[k] conn_c^-1, so
+The checks work on basis indices, over every ring alike.  phi sends
+the arrow a to one matrix unit with coefficient one, the (block, row,
+col, isotropy key) stored in arrow_position[a], so a pair passes when
+the unit of the composite, or zero, equals the product of the two
+units, which is (b, r, c', table[k][k']) when both sit in block b and
+c = r', else zero.
+When the units give an injective map object -> (block, row)
+(slot(cod a) = (b, r), slot(dom a) = (b, c)), two units chain only
+when their arrows compose, so every non-composable pair is zero on
+both sides and passes without being visited.  Of the composable pairs,
+those (a, s) with s one of the generators validate certified
+associativity on suffice: every arrow is a left-nested composite of
+them and phi is linear, so multiplicativity on them gives it on every
+pair by induction, as Light's test gives associativity (Clifford and
+Preston, The Algebraic Theory of Semigroups I, 1.2).  When a generator
+pair fails the pair loop visits every composable pair, and without the
+slot map every pair, so failures are listed as by the full scan; the
+report still counts all d^2.  phi sends the unit to the identity when
+the identity arrows' units are the diagonal units, each once.  The
+round trips compare indices too: phi_inv sends the unit (b, r, c, k)
+to the arrow conn_r iso[k] conn_c^-1, pulled back once per unit, so
 phi_inv(phi([a])) == [a] when that arrow is a, and phi(phi_inv(E)) ==
-E when the unit of that arrow is E.  The pair (0, 0), the first round
-trip of each kind, and any check that meets an image that is not a
-single coefficient-one unit or a missing composition, still goes
-through convolve, phi, phi_inv and the block matrix operations with
-the ring's own elements.
+E when the unit of that arrow is E.
 """
 from __future__ import annotations
 
@@ -275,16 +271,13 @@ _ZERO = ()  # index form of the zero matrix in the pair check
 
 
 def _slot_certificate(g: FiniteGroupoid, units) -> bool:
-    """True when every image is a unit and object -> (block, row), with
-    slot(cod a) = (b, r) and slot(dom a) = (b, c) for the unit (b, r, c, k)
-    of each arrow a, is well defined and injective.  Then the units of a
-    and b chain only when dom a = cod b, so every other pair multiplies
-    to zero on both sides."""
+    """True when object -> (block, row), with slot(cod a) = (b, r) and
+    slot(dom a) = (b, c) for the unit (b, r, c, k) of each arrow a, is
+    well defined and injective.  Then the units of a and b chain only
+    when dom a = cod b, so every other pair multiplies to zero on both
+    sides."""
     slot = [None] * len(g.objects)
-    for a, unit in enumerate(units):
-        if unit is None:
-            return False
-        bi, row, col, _ = unit
+    for a, (bi, row, col, _) in enumerate(units):
         for x, s in ((g.cod[a], (bi, row)), (g.dom[a], (bi, col))):
             if slot[x] is None:
                 slot[x] = s
@@ -297,53 +290,45 @@ def _pair_partners(g: FiniteGroupoid, slots_ok: bool, gens=None) -> list:
     """The b that the pair loop visits for each arrow a, in the order of
     the full scan.  When the arrow units pass _slot_certificate
     (slots_ok) these are the arrows composable with a, or only those in
-    gens when given, and arrow 0 also meets itself; otherwise every
-    arrow."""
+    gens when given; otherwise every arrow."""
     n = g.arrow_count
     if not slots_ok:
         return [range(n)] * n
     into = [[] for _ in g.objects]
     for b in range(n) if gens is None else gens:
         into[g.cod[b]].append(b)
-    partners = [into[g.dom[a]] for a in range(n)]
-    if n and g.dom[0] != g.cod[0]:
-        partners[0] = [0] + partners[0]
-    return partners
+    return [into[g.dom[a]] for a in range(n)]
 
 
 def verify_isomorphism(d: Decomposition) -> VerificationReport:
     """Check that phi is a unital isomorphism onto the block algebra:
     multiplicative on all arrow pairs, unit to identity, inverted both
-    ways by phi_inv on every basis vector.
+    ways by phi_inv on every basis vector.  Every check reads the
+    matrix unit d.arrow_position[a] that phi sends [a] to.
 
     The pair loop visits the pairs _pair_partners plans.  When the
     arrow units pass _slot_certificate every non-composable pair is
     zero on both sides and counts as passed.  If moreover g passed
     validate, each row of the composition table is keyed by exactly
     the arrows into its domain (no composition-missing and no
-    composition-domain violation), and the loop visits the ring-level
-    pair (0, 0) and the pairs (a, s) with s one of validate's
-    generators and dom a = cod s, in the order of the full scan.  That
-    proves the rest: every arrow t is a left-nested composite of
-    generators, t = t's with s a generator, so by induction on t and
-    the associativity validate certified,
-    phi([a][t]) = phi([a][t'][s]) = phi([a][t']) phi(s) = phi(a)
-    phi(t') phi(s) = phi(a) phi(t), and phi is linear.  When a visited
-    pair fails, or g did not pass, the loop visits (0, 0) and every
+    composition-domain violation), and the loop visits the pairs
+    (a, s) with s one of validate's generators and dom a = cod s, in
+    the order of the full scan.  That proves the rest: every arrow t
+    is a left-nested composite of generators, t = t's with s a
+    generator, so by induction on t and the associativity validate
+    certified, phi([a][t]) = phi([a][t'][s]) = phi([a][t']) phi(s) =
+    phi(a) phi(t') phi(s) = phi(a) phi(t), and phi is linear.  When a
+    visited pair fails, or g did not pass, the loop visits every
     composable pair; without the slot certificate, every pair.  Either
     way the failures are those of the full scan, and the report counts
-    all d^2.  The round trips compare indices: phi_inv(phi([a])) == [a]
-    as _pull(unit of a) == a, and phi(phi_inv(E)) == E as unit of
-    _pull(E) == E.  The first round trip of each kind, and any whose
-    pull is missing or whose image is not a unit, runs on block
-    matrices and algebra elements."""
+    all d^2.  The unit passes when the identity arrows' units are the
+    diagonal units of the identity matrix, each once.  Each matrix unit
+    E is pulled back once: phi_inv(phi([a])) == [a] when the pull of a's
+    unit is a, and phi(phi_inv(E)) == E when the unit of E's pull is
+    E."""
     g = d.groupoid
     n = g.arrow_count
-
-    deltas = [AlgebraElement.delta(g, d.ring, a) for a in range(n)]
-    images = [phi(d, da) for da in deltas]
-    units = [m.unit_index() for m in images]
-
+    units = d.arrow_position
     dom, cod, blocks = g.dom, g.cod, d.shape.blocks
 
     def pair_failures(plan):
@@ -361,10 +346,7 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
                 else:
                     left = _ZERO
                 ub = units[b]
-                if (a == 0 and b == 0) or ua is None or ub is None or left is None:
-                    da, db = deltas[a], deltas[b]
-                    ok = phi(d, convolve(da, db)) == phi(d, da) * phi(d, db)
-                elif ua[0] == ub[0] and ua[2] == ub[1]:
+                if ua[0] == ub[0] and ua[2] == ub[1]:
                     ok = left == (ua[0], ua[1], ub[2], blocks[ua[0]][1].table[ua[3]][ub[3]])
                 else:
                     ok = left == _ZERO
@@ -377,40 +359,24 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     failures = pair_failures(_pair_partners(g, slots_ok, gens))
     if failures and gens is not None:
         failures = pair_failures(_pair_partners(g, slots_ok))
-    total = n * n + 1 + n
-    if phi(d, AlgebraElement.unit(g, d.ring)) != BlockMatrix.identity(d.shape):
+    diagonal = [unit for unit, _ in BlockMatrix.identity(d.shape).entries]
+    if sorted(units[a] for a in g.identity_arrows()) != diagonal:
         failures.append("phi does not send the unit to the identity matrix")
 
+    pulled = {
+        (bi, row, col, key): _pull(d, bi, row, col, key)
+        for bi, (size, group) in enumerate(blocks)
+        for row in range(size) for col in range(size) for key in range(group.size)
+    }
     for a in range(n):
-        back = None if a == 0 or units[a] is None else _pull(d, *units[a])
-        if back is None:
-            ok = phi_inv(d, images[a]) == deltas[a]
-        else:
-            ok = back == a
-        if not ok:
+        if pulled.get(units[a]) != a:
             failures.append(f"phi_inv(phi([{g.arrows[a]}])) != [{g.arrows[a]}]")
-
-    first = True
-    for bi, (size, group) in enumerate(d.shape.blocks):
-        keys = range(group.size)
-        for row in range(size):
-            for col in range(size):
-                for key in keys:
-                    total += 1
-                    arrow = None if first else _pull(d, bi, row, col, key)
-                    first = False
-                    if arrow is None or units[arrow] is None:
-                        unit = BlockMatrix.matrix_unit(d.shape, bi, row, col, key)
-                        ok = phi(d, phi_inv(d, unit)) == unit
-                    else:
-                        ok = units[arrow] == (bi, row, col, key)
-                    if not ok:
-                        failures.append(
-                            f"phi(phi_inv(E)) != E at block {bi} ({row},{col}) g{key}"
-                        )
+    for (bi, row, col, key), arrow in pulled.items():
+        if arrow is None or units[arrow] != (bi, row, col, key):
+            failures.append(f"phi(phi_inv(E)) != E at block {bi} ({row},{col}) g{key}")
 
     return VerificationReport(
         "isomorphism checks (arrow pairs, unit, basis round trips)",
-        total,
+        n * n + 1 + n + len(pulled),
         tuple(failures),
     )

@@ -318,6 +318,49 @@ def test_generator_composition_lost_after_validation_is_an_internal_error(monkey
     assert "Traceback" not in err
 
 
+def test_composition_lost_on_a_pull_path_fails_a_round_trip(monkeypatch, capsys):
+    # p_x_y@1 is no generator, so the pair check does not visit the lost
+    # composition; pulling p_x_y@1's unit back along the frame needs it
+    def pull_path_pair(g):
+        return g.arrow_index("p_x_x@0"), g.arrow_index("p_x_y@1")
+
+    code, out, err = _verify_after_dropping_a_composition(monkeypatch, capsys, pull_path_pair)
+    assert code == 2
+    assert not out
+    assert err == (
+        "internal error: isomorphism verification failed: phi_inv(phi([p_x_y@1])) != [p_x_y@1]\n")
+
+
+_NOT_MULTIPLICATIVE = "isomorphism verification failed: phi not multiplicative on (p_x_x@0, p_x_y@1)"
+
+
+@pytest.mark.parametrize("arrow, field, value, message", [
+    ("p_x_y@1", 1, 2, _NOT_MULTIPLICATIVE),   # row = block size
+    ("p_x_y@1", 0, 1, _NOT_MULTIPLICATIVE),   # block = block count
+    ("p_x_y@1", 3, -1, _NOT_MULTIPLICATIVE),  # key = -1
+    # a loop's unit out of the block list meets itself in the pair check
+    ("p_y_y@1", 0, 1, "IndexError: tuple index out of range"),
+], ids=["row", "block", "key", "loop_block"])
+def test_a_decomposition_outside_its_shape_is_an_internal_error(
+        monkeypatch, capsys, arrow, field, value, message):
+    # once exit 1 through phi's ValueError, as if the input were bad
+    real_decompose = gpdalg.cli.decompose
+
+    def decompose_then_move_an_arrow(g, ring):
+        d = real_decompose(g, ring)
+        position = list(d.arrow_position)
+        unit = list(position[g.arrow_index(arrow)])
+        unit[field] = value
+        position[g.arrow_index(arrow)] = tuple(unit)
+        return d._replace(arrow_position=tuple(position))
+
+    monkeypatch.setattr(gpdalg.cli, "decompose", decompose_then_move_an_arrow)
+    code, out, err = _main_in_process(capsys, "groupoid", str(FIXTURES / "pair2_z2.gpd"), "--verify")
+    assert code == 2
+    assert not out
+    assert err == f"internal error: {message}\n"
+
+
 def _chain_file(tmp_path, n):
     path = tmp_path / f"chain{n}.quiv"
     path.write_text(render_graph(chain_graph(n)))
