@@ -22,7 +22,8 @@ the arrow a to one matrix unit with coefficient one, the (block, row,
 col, isotropy key) stored in arrow_position[a], so a pair passes when
 the unit of the composite, or zero, equals the product of the two
 units, which is (b, r, c', table[k][k']) when both sit in block b and
-c = r', else zero.
+c = r', else zero; units that chain fail when one is outside the
+shape.
 When the units give an injective map object -> (block, row)
 (slot(cod a) = (b, r), slot(dom a) = (b, c)), two units chain only
 when their arrows compose, so every non-composable pair is zero on
@@ -44,14 +45,8 @@ E when the unit of that arrow is E.
 from __future__ import annotations
 
 from .errors import InternalCheckError, ParseError, RingMismatchError
-from .group_algebra import BlockMatrix, BlockShape
-from .groupoid import (
-    FiniteGroupoid,
-    generators,
-    orbit_isotropies,
-    orbits,
-    validate,
-)
+from .group_algebra import BlockMatrix
+from .groupoid import FiniteGroupoid, generators, orbit_layout, validate
 from .rings import RingDescriptor, RingElement, sum_like_terms
 from .value import Value
 
@@ -198,11 +193,7 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
     if problems:
         head = "; ".join(str(v) for v in problems[:3])
         raise ValueError(f"not a groupoid ({len(problems)} violations): {head}")
-    frames = orbits(g)
-    per_orbit = orbit_isotropies(g, frames)
-    isotropies = tuple(iso for _, iso in per_orbit)
-    shape = BlockShape(
-        ring, tuple((len(o.members), iso.table) for o, iso in zip(frames, isotropies)))
+    frames, per_orbit, shape = orbit_layout(g, ring)
 
     position = [None] * g.arrow_count
     for bi, (orb, (arrows, iso)) in enumerate(zip(frames, per_orbit)):
@@ -218,7 +209,7 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
     if any(p is None for p in position):
         raise InternalCheckError("orbit computation missed an arrow")
     return Decomposition(
-        g, ring, tuple(frames), tuple(isotropies), shape, tuple(position)
+        g, ring, tuple(frames), tuple(iso for _, iso in per_orbit), shape, tuple(position)
     )
 
 
@@ -321,8 +312,10 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     visited pair fails, or g did not pass, the loop visits every
     composable pair; without the slot certificate, every pair.  Either
     way the failures are those of the full scan, and the report counts
-    all d^2.  The unit passes when the identity arrows' units are the
-    diagonal units of the identity matrix, each once.  Each matrix unit
+    all d^2.  Each arrow's unit is tested against the shape once: a pair
+    whose units chain fails when either is not a unit of the shape.  The
+    unit passes when the identity arrows' units are the diagonal units
+    of the identity matrix, each once.  Each matrix unit
     E is pulled back once: phi_inv(phi([a])) == [a] when the pull of a's
     unit is a, and phi(phi_inv(E)) == E when the unit of E's pull is
     E."""
@@ -330,6 +323,12 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     n = g.arrow_count
     units = d.arrow_position
     dom, cod, blocks = g.dom, g.cod, d.shape.blocks
+    pulled = {
+        (bi, row, col, key): _pull(d, bi, row, col, key)
+        for bi, (size, group) in enumerate(blocks)
+        for row in range(size) for col in range(size) for key in range(group.size)
+    }
+    inside = [unit in pulled for unit in units]  # a unit of the shape
 
     def pair_failures(plan):
         out = []
@@ -347,7 +346,8 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
                     left = _ZERO
                 ub = units[b]
                 if ua[0] == ub[0] and ua[2] == ub[1]:
-                    ok = left == (ua[0], ua[1], ub[2], blocks[ua[0]][1].table[ua[3]][ub[3]])
+                    ok = inside[a] and inside[b] and left == (
+                        ua[0], ua[1], ub[2], blocks[ua[0]][1].table[ua[3]][ub[3]])
                 else:
                     ok = left == _ZERO
                 if not ok:
@@ -363,11 +363,6 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     if sorted(units[a] for a in g.identity_arrows()) != diagonal:
         failures.append("phi does not send the unit to the identity matrix")
 
-    pulled = {
-        (bi, row, col, key): _pull(d, bi, row, col, key)
-        for bi, (size, group) in enumerate(blocks)
-        for row in range(size) for col in range(size) for key in range(group.size)
-    }
     for a in range(n):
         if pulled.get(units[a]) != a:
             failures.append(f"phi_inv(phi([{g.arrows[a]}])) != [{g.arrows[a]}]")

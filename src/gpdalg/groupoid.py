@@ -19,9 +19,10 @@ Conventions used throughout the package:
   * orbits and frames are deterministic: the basepoint of an orbit is
     its lexicographically least object, connecting arrows come from a
     breadth-first search that scans arrows in lexicographic id order,
-    and matrix positions follow the sorted member list.
-    structured_from_finite reads the block layout (a BlockShape: per
-    orbit its size and basepoint isotropy) off them.
+    and matrix positions follow the sorted member list.  orbit_layout
+    walks them once and reads the block layout (a BlockShape: per orbit
+    its size and basepoint isotropy) off them, for decompose and
+    structured_from_finite alike.
 """
 from __future__ import annotations
 
@@ -422,28 +423,24 @@ def _isotropy(g: FiniteGroupoid, x: int, arrows) -> IsotropyGroup:
     return IsotropyGroup(x, tuple(loops), FiniteGroupTable.from_table(rows))
 
 
-def orbit_isotropies(g: FiniteGroupoid, frames: list) -> list:
-    """Per orbit of frames (the output of orbits): its arrows, in arrow
-    order, and the isotropy group at its basepoint.  The arrows are
-    grouped by the orbit of their domain in one pass, and each
-    basepoint's loops are looked for among its orbit's arrows only, so
-    the cost is linear in the arrows, not orbits x arrows."""
-    orbit_of: list = [None] * len(g.objects)
-    for bi, orb in enumerate(frames):
-        for m in orb.members:
-            orbit_of[m] = bi
+def orbit_layout(g: FiniteGroupoid, ring: RingDescriptor) -> tuple:
+    """(orbits(g); per orbit, its arrows in arrow order and the isotropy
+    group at its basepoint; the BlockShape of g's algebra over ring) of
+    a groupoid that passed validate().  The loops at a basepoint are
+    looked for among its orbit's arrows only, so the cost is linear in
+    the arrows, not orbits x arrows."""
+    frames = orbits(g)
+    orbit_of = {m: bi for bi, orb in enumerate(frames) for m in orb.members}
     groups: list = [[] for _ in frames]
     for a in range(g.arrow_count):
-        bi = orbit_of[g.dom[a]]
-        if bi is not None:  # frames that miss an object leave its arrows out
-            groups[bi].append(a)
-    return [(arrows, _isotropy(g, orb.members[0], arrows)) for orb, arrows in zip(frames, groups)]
+        groups[orbit_of[g.dom[a]]].append(a)
+    per_orbit = [(arrows, _isotropy(g, orb.members[0], arrows)) for orb, arrows in zip(frames, groups)]
+    shape = BlockShape(ring, tuple(
+        (len(orb.members), iso.table) for orb, (_, iso) in zip(frames, per_orbit)))
+    return frames, per_orbit, shape
 
 
 def structured_from_finite(g: FiniteGroupoid, ring: RingDescriptor) -> BlockShape:
     """The block layout of g's algebra over ring: per orbit, its size
     and the isotropy group at its basepoint."""
-    frames = orbits(g)
-    return BlockShape(ring, tuple(
-        (len(orb.members), iso.table)
-        for orb, (_, iso) in zip(frames, orbit_isotropies(g, frames))))
+    return orbit_layout(g, ring)[2]

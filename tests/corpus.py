@@ -1,10 +1,10 @@
-"""Shared example inventory: groupoids and graphs the whole test suite
-runs against.  Randomized entries use fixed seeds so every run sees the
-same corpus."""
+"""Shared example inventory: groupoids, graphs and inverse semigroups
+the whole test suite runs against.  Randomized entries use fixed seeds
+so every run sees the same corpus."""
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 from gpdalg.constructions import (
     action_groupoid,
@@ -16,7 +16,11 @@ from gpdalg.constructions import (
     product_with_group,
     symmetric_table,
 )
+from gpdalg.isg import InverseSemigroup
 from gpdalg.leavitt import Graph
+
+# the coefficient rings the parity checks run every input over
+PARITY_RINGS = ("Q", "Z", "GF(2)", "GF(3)", "Z/6", "Laurent(Q)", "Product(GF(2),GF(3))")
 
 
 def groupoid_corpus():
@@ -195,3 +199,67 @@ def graph_corpus():
         False,
     ))
     return out
+
+
+def _compose_partial(x: dict, y: dict) -> dict:
+    """x . y of two partial bijections of a finite set: y first."""
+    return {a: x[b] for a, b in y.items() if b in x}
+
+
+def partial_bijection_semigroup(maps, n: int) -> InverseSemigroup:
+    """The inverse semigroup of maps, a list of partial bijections of an
+    n-point set closed under composition, in list order.  Each is named
+    by its images, one digit per point and _ where undefined: '1_0'
+    sends 0 to 1 and 2 to 0."""
+    names = ["".join(str(m[x]) if x in m else "_" for x in range(n)) for m in maps]
+    lookup = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
+    table = [[lookup[tuple(sorted(_compose_partial(a, b).items()))] for b in maps] for a in maps]
+    return InverseSemigroup.from_table(names, table)
+
+
+def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
+    """I_n: all partial bijections of an n-point set, the empty map first."""
+    maps = [{}]
+    for k in range(1, n + 1):
+        for dom in combinations(range(n), k):
+            for img in permutations(range(n), k):
+                maps.append(dict(zip(dom, img)))
+    return partial_bijection_semigroup(maps, n)
+
+
+def inverse_subsemigroup(generators, n: int) -> InverseSemigroup:
+    """The inverse subsemigroup of I_n that the partial bijections
+    generators generate, in order of discovery."""
+    maps, seen = [], set()
+
+    def add(m):
+        key = tuple(sorted(m.items()))
+        if key not in seen:
+            seen.add(key)
+            maps.append(m)
+
+    for m in generators:
+        add(m)
+        add({v: x for x, v in m.items()})
+    i = 0
+    while i < len(maps):  # each pair is multiplied when its later member comes up
+        for j in range(i + 1):
+            add(_compose_partial(maps[i], maps[j]))
+            add(_compose_partial(maps[j], maps[i]))
+        i += 1
+    return partial_bijection_semigroup(maps, n)
+
+
+def isg_corpus():
+    """List of (name, InverseSemigroup): I_3 and four inverse
+    subsemigroups of it, each closed from a few partial bijections."""
+    return [
+        ("I3", symmetric_inverse_monoid(3)),
+        # the semilattice of the eight partial identities
+        ("E3", inverse_subsemigroup([{0: 0, 1: 1}, {1: 1, 2: 2}, {0: 0, 2: 2}, {0: 0, 1: 1, 2: 2}], 3)),
+        # the maps of rank at most one: the Brandt semigroup B_3 with zero
+        ("B3", inverse_subsemigroup([{0: 1}, {1: 2}], 3)),
+        ("shift3", inverse_subsemigroup([{0: 1, 1: 2}], 3)),
+        # Z_3 over the maps of rank at most one
+        ("cycle_rank1", inverse_subsemigroup([{0: 1, 1: 2, 2: 0}, {0: 0}], 3)),
+    ]

@@ -9,17 +9,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
+import gpdalg.isg
 from gpdalg import (
     AlgebraElement,
     BlockMatrix,
     FiniteGroupoid,
     InverseSemigroup,
+    RingElement,
     VerificationReport,
     convolve,
     phi,
     phi_inv,
+    render_ring_descriptor,
 )
-from gpdalg.errors import InternalCheckError, ParseError
+from gpdalg.errors import InternalCheckError, OracleBudgetError, ParseError
 from gpdalg.group_algebra import (
     BlockShape,
     FiniteGroupTable,
@@ -260,6 +263,44 @@ def reference_inverse_semigroup(elements, rows) -> InverseSemigroup:
             )
         star.append(pseudo[0])
     return InverseSemigroup(elements, table, tuple(star))
+
+
+def reference_semigroup_algebra_iso(s: InverseSemigroup, ring):
+    """semigroup_algebra_iso on algebra elements: (images, report), with
+    image(x) the AlgebraElement sum of [t] over t <= x, every pair
+    multiplied through convolve and the unit compared with
+    AlgebraElement.unit.  Same budget, order checks, count and failure
+    strings as the package's arrow-count check."""
+    if s.size > gpdalg.isg.ISG_SIZE_LIMIT:
+        raise OracleBudgetError(
+            f"inverse semigroup has {s.size} elements; "
+            f"the pairwise verification budget stops at {gpdalg.isg.ISG_SIZE_LIMIT}"
+        )
+    g = gpdalg.isg.underlying_groupoid(s)
+    below = gpdalg.isg.natural_partial_order(s)
+    unit_coeff = RingElement.one(ring)
+    images = tuple(
+        AlgebraElement.make(g, ring, [(t, unit_coeff) for t in range(s.size) if below[t][i]])
+        for i in range(s.size)
+    )
+    gpdalg.isg._check_unitriangular(s, below)
+    failures = [
+        f"image({s.elements[i]}) * image({s.elements[j]}) != image({s.elements[s.mul(i, j)]})"
+        for i in range(s.size) for j in range(s.size)
+        if convolve(images[i], images[j]) != images[s.mul(i, j)]
+    ]
+    total = s.size * s.size
+    one = s.identity_element()
+    if one is not None:
+        total += 1
+        if images[one] != AlgebraElement.unit(g, ring):
+            failures.append("image of the identity element is not the unit")
+    report = VerificationReport(
+        f"semigroup algebra pairs over {render_ring_descriptor(ring)}",
+        total,
+        tuple(failures),
+    )
+    return images, report
 
 
 def naive_convolution(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:

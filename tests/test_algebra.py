@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import corpus
 from corpus import groupoid_corpus
 import support
 from support import naive_convolution, reference_verify_isomorphism
@@ -230,8 +231,7 @@ def _outcome(report):
     return report.total, report.passed, report.failures
 
 
-PARITY_RINGS = tuple(parse_ring_descriptor(r) for r in (
-    "Q", "Z", "GF(2)", "GF(3)", "Z/6", "Laurent(Q)", "Product(GF(2),GF(3))"))
+PARITY_RINGS = tuple(parse_ring_descriptor(r) for r in corpus.PARITY_RINGS)
 
 
 def test_index_check_matches_the_object_reference_on_the_corpus():

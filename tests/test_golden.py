@@ -13,9 +13,10 @@ and review the diff of tests/golden.json.
 
 The parity corpus pins exit code, stdout and stderr of every fixture,
 good or corrupted, over seven rings, with and without --verify, in both
-formats, and of every graph in tests/corpus.graph_corpus() over the
-same rings under --verify in machine format, so an output move on any
-ring shows up as a named key.  It pins as well every groupoid of
+formats, and of every graph in tests/corpus.graph_corpus() and every
+inverse semigroup in tests/corpus.isg_corpus() over the same rings
+under --verify in machine format, so an output move on any ring shows
+up as a named key.  It pins as well every groupoid of
 tests/corpus.groupoid_corpus() and disconnected_ladder() over GF(2),
 GF(3), GF(5) and GF(7) under --verify in machine format, so a moved
 radical witness shows up as a named key too.
@@ -34,11 +35,11 @@ import tempfile
 
 import pytest
 
-from corpus import disconnected_ladder, graph_corpus, groupoid_corpus
+from corpus import PARITY_RINGS, disconnected_ladder, graph_corpus, groupoid_corpus, isg_corpus
 from support import single_chain_radical_charp
 
 import gpdalg.cli
-from gpdalg import render_graph, render_groupoid
+from gpdalg import render_graph, render_groupoid, render_isg
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -78,8 +79,6 @@ ORACLE_INVOCATIONS = [
 ]
 
 
-PARITY_RINGS = ("Q", "Z", "GF(2)", "GF(3)", "Z/6", "Laurent(Q)", "Product(GF(2),GF(3))")
-
 COMMAND_OF = {".gpd": "groupoid", ".quiv": "graph", ".isg": "isg"}
 
 # (command, fixture, ring, fmt, verify): every fixture, good or
@@ -96,13 +95,14 @@ PARITY_INVOCATIONS = [
 ORACLE_RINGS = ("GF(2)", "GF(3)", "GF(5)", "GF(7)")
 
 # (command, file name, text, rings) of every corpus input, each run
-# under --verify in machine format: the graph corpus over the parity
-# rings, and the groupoid corpus and the disconnected ladder over the
+# under --verify in machine format: the graph and isg corpora over the
+# parity rings, and the groupoid corpus and the disconnected ladder over the
 # prime fields.  The corpus_ prefix keeps the names apart from the
 # fixtures and from the ladder names of the char-p sweep, so each stored
 # key has one test.
 CORPUS_INPUTS = (
     [("graph", f"corpus_{name}.quiv", render_graph(g), PARITY_RINGS) for name, g, _ in graph_corpus()]
+    + [("isg", f"corpus_{name}.isg", render_isg(s), PARITY_RINGS) for name, s in isg_corpus()]
     + [("groupoid", f"corpus_{name}.gpd", render_groupoid(g), ORACLE_RINGS) for name, g in groupoid_corpus()]
     + [("groupoid", f"corpus_{name}.gpd", render_groupoid(g), ORACLE_RINGS) for name, g in disconnected_ladder()]
 )

@@ -1,17 +1,19 @@
 """Inverse semigroup algebras via the underlying groupoid."""
-import itertools
 import pathlib
 import random
 
 import pytest
 
-from support import order_det, reference_inverse_semigroup
+from corpus import PARITY_RINGS, isg_corpus, partial_bijection_semigroup
+from support import order_det, reference_inverse_semigroup, reference_semigroup_algebra_iso
 
+import gpdalg.algebra
 import gpdalg.cli
 import gpdalg.isg
 
 from gpdalg import (
     AlgebraElement,
+    InternalCheckError,
     InverseSemigroup,
     OracleBudgetError,
     ParseError,
@@ -37,11 +39,6 @@ GF2 = parse_ring_descriptor("GF(2)")
 GF3 = parse_ring_descriptor("GF(3)")
 
 
-def _compose(x: dict, y: dict) -> dict:
-    # x . y applies y first: partial bijections of a finite set
-    return {a: x[b] for a, b in y.items() if b in x}
-
-
 def partial_bijection_monoid():
     """The seven partial bijections of a two-point set, ordered to match
     the i2.isg fixture."""
@@ -54,13 +51,8 @@ def partial_bijection_monoid():
         ("one", {0: 0, 1: 1}),
         ("swap", {0: 1, 1: 0}),
     ]
-    names = [n for n, _ in maps]
-    lookup = {tuple(sorted(m.items())): i for i, (_, m) in enumerate(maps)}
-    table = [
-        [lookup[tuple(sorted(_compose(a, b).items()))] for _, b in maps]
-        for _, a in maps
-    ]
-    return InverseSemigroup.from_table(names, table)
+    table = partial_bijection_semigroup([m for _, m in maps], 2).table
+    return InverseSemigroup.from_table([name for name, _ in maps], table)
 
 
 def _i2_fixture():
@@ -140,7 +132,7 @@ def test_base_change_isomorphism_over_two_rings():
         assert iso.report.total == s.size ** 2 + 1
     assert order_det(natural_partial_order(s)) == 1
     ix = s.element_index
-    image = semigroup_algebra_iso(s, Q).images[ix("swap")]
+    image = reference_semigroup_algebra_iso(s, Q)[0][ix("swap")]
     g = underlying_groupoid(s)
     assert image == parse_element_literal("zero + m12 + m21 + swap", g, Q)
 
@@ -182,10 +174,11 @@ def test_group_as_inverse_semigroup_has_trivial_order():
         for j in range(3):
             assert below[i][j] == (i == j)
     assert order_det(below) == 1
-    iso = semigroup_algebra_iso(s, Q)
+    assert semigroup_algebra_iso(s, Q).report.ok
+    images, _ = reference_semigroup_algebra_iso(s, Q)
     one = RingElement.one(Q)
-    assert iso.images == tuple(
-        AlgebraElement.make(iso.groupoid, Q, [(i, one)]) for i in range(3)
+    assert images == tuple(
+        AlgebraElement.make(underlying_groupoid(s), Q, [(i, one)]) for i in range(3)
     )
     assert isg_verdicts(s, Q).shape_string == "M_1(Q[Z/3])"
 
@@ -278,24 +271,12 @@ def test_table_check_certifies_a_large_group_on_two_generators():
     assert s.star == tuple((n - i) % n for i in range(n))
 
 
-def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
-    """All partial bijections of an n-point set, the empty map first."""
-    maps = [{}]
-    for k in range(1, n + 1):
-        for dom in itertools.combinations(range(n), k):
-            for img in itertools.permutations(range(n), k):
-                maps.append(dict(zip(dom, img)))
-    lookup = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
-    table = [[lookup[tuple(sorted(_compose(a, b).items()))] for b in maps] for a in maps]
-    return InverseSemigroup.from_table([f"m{i}" for i in range(len(maps))], table)
-
-
 def _semigroup_corpus():
     for name, elements, table in _tables():
         if name != "left_zero":
             yield name, InverseSemigroup.from_table(elements, table)
     yield "i2.isg", _i2_fixture()
-    yield "I3", symmetric_inverse_monoid(3)
+    yield from isg_corpus()
 
 
 def test_transition_matrix_is_unitriangular_on_the_corpus():
@@ -331,3 +312,74 @@ def test_an_order_that_is_not_unitriangular_exits_2(monkeypatch, capsys, change,
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("internal error: ") and message in err
+
+
+def _base_change_outcome(check, s, ring):
+    try:
+        report = check(s, ring)
+    except (InternalCheckError, OracleBudgetError) as exc:
+        return type(exc).__name__, str(exc)
+    return report.total, report.failures
+
+
+def _flip(*relations):
+    def change(s, below):
+        for t, x in relations:
+            below[t][x] = not below[t][x]
+    return change
+
+
+def _base_change_cases():
+    """(name, semigroup, order change or None): the two fixtures, the
+    isg corpus and one semigroup over the budget, with their true order
+    and with one relation t <= x flipped, for every (t, x) on at most 64
+    pairs and a fixed sample of 8 otherwise.  Two flips on i2 double an
+    arrow in a product, which is zero over GF(2) only."""
+    rng = random.Random(20261019)
+    chain = [[min(i, j) for j in range(65)] for i in range(65)]
+    semigroups = [
+        (name, parse_isg((FIXTURES / name).read_text())) for name in ("i2.isg", "semilattice2.isg")
+    ] + isg_corpus() + [("chain65", InverseSemigroup.from_table([f"c{i}" for i in range(65)], chain))]
+    for name, s in semigroups:
+        yield name, s, None
+        pairs = [(t, x) for t in range(s.size) for x in range(s.size)]
+        for t, x in pairs if len(pairs) <= 64 else rng.sample(pairs, 8):
+            yield f"{name} flip {s.elements[t]} <= {s.elements[x]}", s, _flip((t, x))
+    i2 = _i2_fixture()
+    ix = i2.element_index
+    yield "i2 flip e1 <= m12, e2 <= swap", i2, _flip((ix("e1"), ix("m12")), (ix("e2"), ix("swap")))
+
+
+def test_base_change_counts_arrows_and_fails_as_the_reference(monkeypatch):
+    rings = [parse_ring_descriptor(r) for r in PARITY_RINGS]
+    cases = []
+    for name, s, change in _base_change_cases():
+        with monkeypatch.context() as m:
+            if change is not None:
+                m.setattr(gpdalg.isg, "natural_partial_order", _patched_order(change))
+            for ring in rings:
+                expected = _base_change_outcome(
+                    lambda s, r: reference_semigroup_algebra_iso(s, r)[1], s, ring)
+                cases.append((name, s, change, ring, expected))
+
+    def ring_level(*args, **kwargs):
+        raise AssertionError("semigroup_algebra_iso ran ring-level arithmetic")
+
+    monkeypatch.setattr(gpdalg.algebra, "convolve", ring_level)
+    monkeypatch.setattr(AlgebraElement, "make", staticmethod(ring_level))
+    monkeypatch.setattr(RingElement, "__mul__", ring_level)
+    monkeypatch.setattr(RingElement, "__add__", ring_level)
+    kinds, by_ring = set(), {}
+    for name, s, change, ring, expected in cases:
+        with monkeypatch.context() as m:
+            if change is not None:
+                m.setattr(gpdalg.isg, "natural_partial_order", _patched_order(change))
+            got = _base_change_outcome(lambda s, r: semigroup_algebra_iso(s, r).report, s, ring)
+        assert got == expected, (name, ring)
+        kinds.add(got[0] if isinstance(got[0], str) else bool(got[1]))
+        by_ring.setdefault(name, set()).add(got)
+    # passes, failed pairs and both exceptions occur, and one outcome
+    # depends on the ring
+    assert kinds == {False, True, "InternalCheckError", "OracleBudgetError"}
+    assert [name for name, outcomes in by_ring.items() if len(outcomes) > 1] == [
+        "i2 flip e1 <= m12, e2 <= swap"]
