@@ -5,9 +5,11 @@ Conventions used throughout the package:
   * compose(f, g) means "f after g" and is defined exactly when
     dom(f) = cod(g); the composite runs dom(g) -> cod(f).
   * a groupoid stores one composition table, rows: the row {g: f after
-    g} of each arrow f, filled by parse_groupoid as it reads or by make
-    from a composition dict.  compose, validate, isotropy, the oracle
-    and verify_isomorphism all read it; comp, the sorted tuple of
+    g} of each arrow f.  parse_groupoid fills it as it reads, and
+    leavitt.as_finite_groupoid and isg.underlying_groupoid build it
+    row by row; make fills it from a composition dict, for
+    constructions.  compose, validate, isotropy, the oracle and
+    verify_isomorphism all read it; comp, the sorted tuple of
     ((f, g), f after g), is a view computed from it on each call.
   * parse accepts structurally well-formed input (every referenced name
     declared, composition lines only for composable pairs) and defers
@@ -70,7 +72,9 @@ class FiniteGroupoid(Value):
 
     @staticmethod
     def make(objects, arrows, dom, cod, identity_of, comp, inv) -> "FiniteGroupoid":
-        """A groupoid from a composition dict {(f, g): f after g} or its items."""
+        """A groupoid from a composition dict {(f, g): f after g} or its
+        items, copied into rows: the form constructions builds.  Parsers
+        and the graph and semigroup builders fill rows directly."""
         rows = tuple({} for _ in arrows)
         for (f, h), k in dict(comp).items():
             rows[f][h] = k
@@ -402,7 +406,6 @@ class IsotropyGroup(Value):
     """Loops at one object, packaged as a verified group table."""
 
     __slots__ = (
-        "object_index",
         "arrows",  # loop arrow indices, sorted by arrow name
         "table",   # FiniteGroupTable
     )
@@ -420,7 +423,7 @@ def _isotropy(g: FiniteGroupoid, x: int, arrows) -> IsotropyGroup:
         rows = [[pos[g.rows[a][b]] for b in loops] for a in loops]
     except KeyError:
         raise ValueError(f"loops at '{g.objects[x]}' are not closed under composition") from None
-    return IsotropyGroup(x, tuple(loops), FiniteGroupTable.from_table(rows))
+    return IsotropyGroup(tuple(loops), FiniteGroupTable.from_table(rows))
 
 
 def orbit_layout(g: FiniteGroupoid, ring: RingDescriptor) -> tuple:

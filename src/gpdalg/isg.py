@@ -14,10 +14,11 @@ by the base change
 where <= is the natural partial order (t <= s iff t = (t t*) s, or
 equivalently t = e s for some idempotent e).  The transition matrix is
 unitriangular in any linear extension of <=, so its determinant is 1
-and the map is a bijection on bases.  This module proves the matrix
-unitriangular from the order, raising InternalCheckError otherwise:
-every s <= s, and t <= s with t != s has fewer elements below it than
-s, so listing elements by that count is a linear extension.  It then
+and the map is a bijection on bases.  This module reads the order once
+into down-sets (the t <= s of each s) and proves the matrix
+unitriangular from them, raising InternalCheckError otherwise: every
+s <= s, and t <= s with t != s has a smaller down-set than s, so
+listing elements by down-set size is a linear extension.  It then
 verifies multiplicativity exhaustively on all pairs, by counting
 arrows: every image is a sum of arrows with coefficient one.
 """
@@ -196,25 +197,18 @@ def underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
 
 
 def _build_underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
+    """Arrow i's row holds the products i.j over the arrows j with
+    cod j = dom i, read off the semigroup table in element order."""
     idem = s.idempotents()
     obj_of = {e: k for k, e in enumerate(idem)}
-    dom = [obj_of[s.mul(s.star[i], i)] for i in range(s.size)]
-    cod = [obj_of[s.mul(i, s.star[i])] for i in range(s.size)]
-    identity_of = [e for e in idem]
-    comp = {}
-    for i in range(s.size):
-        for j in range(s.size):
-            if dom[i] == cod[j]:
-                comp[(i, j)] = s.mul(i, j)
-    g = FiniteGroupoid.make(
-        [s.elements[e] for e in idem],
-        list(s.elements),
-        dom,
-        cod,
-        identity_of,
-        comp,
-        list(s.star),
-    )
+    dom = tuple(obj_of[s.mul(s.star[i], i)] for i in range(s.size))
+    cod = tuple(obj_of[s.mul(i, s.star[i])] for i in range(s.size))
+    into = [[] for _ in idem]  # object -> arrows with that cod, ascending
+    for j, c in enumerate(cod):
+        into[c].append(j)
+    rows = tuple({j: products[j] for j in into[dom[i]]} for i, products in enumerate(s.table))
+    g = FiniteGroupoid(tuple(s.elements[e] for e in idem), tuple(s.elements), dom, cod, idem,
+                       rows, tuple(s.star))
     violations = validate(g)
     if violations:
         raise InternalCheckError(
@@ -254,28 +248,27 @@ class IsgIsomorphism(Value):
     )
 
 
-def _check_unitriangular(s: InverseSemigroup, below) -> None:
+def _check_unitriangular(s: InverseSemigroup, down) -> None:
     """Prove the transition matrix [t <= s] unitriangular from the order
-    itself: every s <= s, and t <= s with t != s has fewer elements
-    below it than s.  Listing the elements by that count then extends
-    the order, so the matrix is unitriangular in that listing, and its
-    determinant is 1.  Otherwise raises InternalCheckError naming the
-    first pair that fails: the diagonal first, then (t, s) with s in
-    element order and then t."""
-    n = s.size
+    itself, given as down-sets (down[x] = the t <= x, ascending): every
+    s <= s, and t <= s with t != s has fewer elements below it than s.
+    Listing the elements by that count then extends the order, so the
+    matrix is unitriangular in that listing, and its determinant is 1.
+    Otherwise raises InternalCheckError naming the first pair that
+    fails: the diagonal first, then (t, s) with s in element order and
+    then t."""
     names = s.elements
-    for x in range(n):
-        if not below[x][x]:
+    for x, below_x in enumerate(down):
+        if x not in below_x:
             raise InternalCheckError(
                 f"natural partial order is not reflexive: {names[x]} <= {names[x]} fails")
-    down = [sum(1 for t in range(n) if below[t][x]) for x in range(n)]  # #{t <= x}
-    for x in range(n):
-        for t in range(n):
-            if t != x and below[t][x] and down[t] >= down[x]:
+    for x, below_x in enumerate(down):
+        for t in below_x:
+            if t != x and len(down[t]) >= len(below_x):
                 raise InternalCheckError(
                     f"transition matrix of the natural partial order is not unitriangular: "
-                    f"{names[t]} <= {names[x]} but #down({names[t]}) = {down[t]} "
-                    f">= #down({names[x]}) = {down[x]}")
+                    f"{names[t]} <= {names[x]} but #down({names[t]}) = {len(down[t])} "
+                    f">= #down({names[x]}) = {len(below_x)}")
 
 
 def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomorphism:
@@ -293,7 +286,7 @@ def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomo
     below = natural_partial_order(s)
     n = s.size
     down = [[t for t in range(n) if below[t][x]] for x in range(n)]
-    _check_unitriangular(s, below)
+    _check_unitriangular(s, down)
     vanishes = cache(lambda k: RingElement.from_int(ring, k).is_zero)
     failures = []
     for i in range(n):

@@ -624,9 +624,8 @@ def as_finite_groupoid(g: Graph):
     if isinstance(gd, ExitWitness) or gd.has_cycle():
         raise ValueError("graph has a cycle; its boundary-path groupoid is not finite")
     names = [render_path(g, bp) for orbit in gd.orbits for bp in orbit.members]
-    arrows, dom, cod, inv = [], [], [], []
+    arrows, dom, cod, inv, rows = [], [], [], [], []
     identity_of = [None] * len(names)
-    comp = {}
     start = 0
     for orbit in gd.orbits:
         # the orbit's paths are contiguous, and so are its arrows, row by row
@@ -640,10 +639,11 @@ def as_finite_groupoid(g: Graph):
                 dom.append(j)
                 cod.append(i)
                 inv.append(offset + j * n + i)
-                for k in paths:
-                    comp[(offset + i * n + j, offset + j * n + k)] = offset + i * n + k
+                # w{i}_{j} after w{j}_{k} is w{i}_{k}
+                rows.append({offset + j * n + k: offset + i * n + k for k in paths})
         start += n
-    return FiniteGroupoid.make(names, arrows, dom, cod, identity_of, comp, inv)
+    return FiniteGroupoid(tuple(names), tuple(arrows), tuple(dom), tuple(cod),
+                          tuple(identity_of), tuple(rows), tuple(inv))
 
 
 def leavitt_verdicts(g: Graph, ring: RingDescriptor) -> Verdict:

@@ -24,10 +24,11 @@ Wales 1997), whose stage 0 is the same trace form read mod p.  The
 later stages need traces of powers of left multiplications, and since
 left multiplication L is a representation of the integer form of the
 algebra it reads them off algebra powers: Tr(L_z^q) = <tr, z^q>, with
-tr[c] the trace of left multiplication by arrow c.  The trace form is
-read off the groupoid's composition table alone (one nonzero per Gram
-row for a groupoid); vectors, and the rows `linalg.echelon` eliminates,
-are sparse (dicts from arrow to nonzero coefficient).  The filtration
+tr[c] the trace of left multiplication by arrow c.  The trace form and
+every product are read off the groupoid's one composition table,
+`g.rows` (one nonzero per Gram row for a groupoid); no d x d table is
+built.  Vectors, and the rows `linalg.echelon` eliminates, are sparse
+(dicts from arrow to nonzero coefficient).  The filtration
 runs once per block (arrows linked by nonzero products), in ceil(log_p)
 of the block's dimension stages, carrying each distinct product's power
 to the next stage while the basis stays the same.  The caller picks no
@@ -166,36 +167,28 @@ class RadicalReport(Value):
     )
 
 
-def _basis_products(g: FiniteGroupoid):
-    """bp[i][j] = index of arrow i after arrow j, or -1."""
-    d = g.arrow_count
-    bp = [[-1] * d for _ in range(d)]
-    for bp_i, row in zip(bp, g.rows):
-        for j, k in row.items():
-            bp_i[j] = k
-    return bp
-
-
-def _mul(bp, u, v, p=0):
+def _mul(rows, u, v, p=0):
     """u * v on the arrow basis, for sparse vectors (dicts from arrow to
-    nonzero coefficient), reduced mod p when p > 0: a prime for GF(p),
-    or the prime power p^(j+1) the trace-lift filtration works modulo.
+    nonzero coefficient), read off the composition table `g.rows`
+    (rows[i] = {j: k}, k = arrow i after arrow j) and reduced mod p
+    when p > 0: a prime for GF(p), or the prime power p^(j+1) the
+    trace-lift filtration works modulo.
     With p = 0 the entries are multiplied exactly (rationals over Q).
     Every product of two arrows is one arrow or 0, so only pairs of
     nonzero entries cost anything."""
     out = {}
     for i, ui in u.items():
-        row = bp[i]
+        row = rows[i]
         for j, vj in v.items():
-            k = row[j]
-            if k >= 0:
+            k = row.get(j)
+            if k is not None:
                 out[k] = out.get(k, 0) + ui * vj
     if p:
         return {k: r for k, x in out.items() if (r := x % p)}
     return {k: x for k, x in out.items() if x}
 
 
-def _powers_vanish(bp, base, p):
+def _powers_vanish(rows, base, p):
     """base spans a subspace I with I*I inside I (sparse echelon rows);
     is I nilpotent?  Square until zero or stabilization: I^m*I^m is
     I^(2m), which lies inside I^m, so a nilpotency index N takes
@@ -203,7 +196,7 @@ def _powers_vanish(bp, base, p):
     I^m equals it and never reaches zero."""
     current = base
     while current:
-        products = (_mul(bp, u, v, p) for u in current for v in current)
+        products = (_mul(rows, u, v, p) for u in current for v in current)
         reduced, _ = echelon([w for w in products if w], p)
         if len(reduced) >= len(current):
             # no strict descent and still nonzero: never reaches zero
@@ -212,31 +205,31 @@ def _powers_vanish(bp, base, p):
     return True
 
 
-def _ideal_certified_nilpotent(bp, basis, gens, p=0):
+def _ideal_certified_nilpotent(rows, basis, gens, p=0):
     """basis (sparse vectors) spans a subspace V; certify V is a
     two-sided ideal and nilpotent.  gens generate the algebra (every
     basis element is a product of them), so V*s and s*V inside V for
     each s in gens give V*A and A*V inside V.  Used to vouch for every
     nonzero radical answer."""
-    rows, piv = echelon(basis, p)
-    pivot_rows = dict(zip(piv, rows))  # a full rref: see rref_residue
-    for u in rows:
+    reduced, piv = echelon(basis, p)
+    pivot_rows = dict(zip(piv, reduced))  # a full rref: see rref_residue
+    for u in reduced:
         for e in gens:
-            # a product with one arrow gathers from bp: e*u reads row e
-            for vec in (_mul(bp, {e: 1}, u, p), _mul(bp, u, {e: 1}, p)):
+            # e*u reads row e; u*e reads entry e of each row u touches
+            for vec in (_mul(rows, {e: 1}, u, p), _mul(rows, u, {e: 1}, p)):
                 if vec and rref_residue(vec, pivot_rows, p):
                     return False
-    return _powers_vanish(bp, rows, p)
+    return _powers_vanish(rows, reduced, p)
 
 
-def _certified_radical(bp, radical, gens, p=0, pick=0):
+def _certified_radical(rows, radical, gens, p=0, pick=0):
     """Turn a nonzero candidate radical basis (sparse vectors) into the
     oracle's answer, over Q (p = 0, the trace-form kernel) or GF(p)
     (the filtration result); gens generate the algebra.  The answer
     must be a nilpotent two-sided ideal J.  Its vector at index pick is
     the witness w, whose right ideal wA then lies inside J and needs no
     check of its own."""
-    if not _ideal_certified_nilpotent(bp, radical, gens, p):
+    if not _ideal_certified_nilpotent(rows, radical, gens, p):
         what = "filtration result" if p else "trace-form kernel"
         raise InternalCheckError(f"{what} is not a nilpotent ideal")
     return False, radical[pick], len(radical)
@@ -261,26 +254,25 @@ def _radical_char0(g: FiniteGroupoid):
     nonzero entries (one per row for a groupoid), so `Fraction` entries
     appear only in the kernel vectors.  In characteristic zero this
     nullspace is the radical; a nonzero kernel is certified a nilpotent
-    ideal at runtime, and the products table the certificate multiplies
-    with is built only when the kernel is nonzero."""
+    ideal at runtime, multiplying on `g.rows`."""
     d = g.arrow_count
     radical = sparse_kernel(_trace_form(g.rows)[1], d)
     if not radical:
         return True, None, 0
-    return _certified_radical(_basis_products(g), radical, generators(g))
+    return _certified_radical(g.rows, radical, generators(g))
 
 
-def _power(bp, z, q, mod):
+def _power(rows, z, q, mod):
     """z^q mod `mod` by repeated squaring; a vanishing power ends it early."""
     result = None
     while q:
         if not z:
             return z
         if q & 1:
-            result = z if result is None else _mul(bp, result, z, mod)
+            result = z if result is None else _mul(rows, result, z, mod)
         q >>= 1
         if q:
-            z = _mul(bp, z, z, mod)
+            z = _mul(rows, z, z, mod)
     return result
 
 
@@ -302,7 +294,7 @@ def _blocks(rows):
     return [find(a) for a in range(len(rows))]
 
 
-def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
+def _filtration_radical_modp(g: FiniteGroupoid, p):
     """Iterated trace-lift filtration on sparse vectors, one block
     (`_blocks`: a unital two-sided ideal, off which its elements
     multiply to zero) at a time.  Stage 0 is the trace form mod p; stage
@@ -312,12 +304,14 @@ def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
     reaches its radical once p^stages covers its dimension.  Products
     are taken mod p^(stages+1), each distinct one's power once a stage;
     while a stage keeps the whole basis, the next raises each power to
-    the p-th.  Returns the radical's rref rows."""
-    tr, gram = _trace_form(g.rows)
+    the p-th.  Products are read off `g.rows`.  Returns the radical's
+    rref rows."""
+    rows = g.rows
+    tr, gram = _trace_form(rows)
     kernel = echelon(sparse_kernel(gram, g.arrow_count, p), p)[0]
     if not kernel:
         return kernel
-    block_of, by_block = _blocks(g.rows), {}
+    block_of, by_block = _blocks(rows), {}
     for v in kernel:
         by_block.setdefault(block_of[next(iter(v))], []).append(v)
     radical = []
@@ -332,25 +326,25 @@ def _filtration_radical_modp(g: FiniteGroupoid, bp, p):
                 where, powers = {}, {}  # where: product -> its (row, column) pairs
                 for r, y in enumerate(basis):
                     for c in range(r, n):
-                        z = _mul(bp, basis[c], y, mod)
+                        z = _mul(rows, basis[c], y, mod)
                         key = frozenset(z.items())
                         if key not in powers:
-                            powers[key] = _power(bp, z, q, mod)
+                            powers[key] = _power(rows, z, q, mod)
                         where.setdefault(key, []).append((r, c))
             else:
-                powers = {key: _power(bp, z, p, mod) for key, z in powers.items()}
-            rows = [{} for _ in range(n)]
+                powers = {key: _power(rows, z, p, mod) for key, z in powers.items()}
+            form = [{} for _ in range(n)]
             for key, z in powers.items():
                 t = sum(tr[k] * x for k, x in z.items()) % (q * p)
                 if t % q:
                     raise InternalCheckError("trace filtration divisibility failed")
                 if x := t // q % p:
                     for r, c in where[key]:
-                        rows[r][c] = rows[c][r] = x
-            if not any(rows):
+                        form[r][c] = form[c][r] = x
+            if not any(form):
                 continue  # the kernel is the whole basis: keep it and the powers
             new_basis = []
-            for coeffs in sparse_kernel(rows, n, p):
+            for coeffs in sparse_kernel(form, n, p):
                 vec = {}
                 for i, cf in coeffs.items():
                     for idx, x in basis[i].items():
@@ -370,12 +364,11 @@ def _radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
     exactly when w lies in J, and the first nonzero element of J in that
     order is the last row of J's reduced echelon basis (its pivot is
     rightmost and 1)."""
-    bp = _basis_products(g)
-    radical = _filtration_radical_modp(g, bp, p)
+    radical = _filtration_radical_modp(g, p)
     if not radical:
         return True, None, 0
     pick = -1 if exhaustive else 0
-    semisimple, witness, dimension = _certified_radical(bp, radical, generators(g), p, pick)
+    semisimple, witness, dimension = _certified_radical(g.rows, radical, generators(g), p, pick)
     return semisimple, witness, None if exhaustive else dimension
 
 

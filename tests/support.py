@@ -48,7 +48,6 @@ from gpdalg.leavitt import (
 from gpdalg.linalg import echelon, sparse_kernel, sparse_reduce
 from gpdalg.rings import Rationals
 from gpdalg.verdicts import (
-    _basis_products,
     _certified_radical,
     _mul,
     _trace_form,
@@ -265,6 +264,44 @@ def reference_inverse_semigroup(elements, rows) -> InverseSemigroup:
     return InverseSemigroup(elements, table, tuple(star))
 
 
+def reference_check_unitriangular(s: InverseSemigroup, below) -> None:
+    """isg._check_unitriangular on the n x n order matrix below[t][x]:
+    the diagonal scanned first, then every pair (t, x) with x in element
+    order and then t, each down-set counted along a column of below.
+    Same failures, same InternalCheckError text."""
+    n = s.size
+    names = s.elements
+    for x in range(n):
+        if not below[x][x]:
+            raise InternalCheckError(
+                f"natural partial order is not reflexive: {names[x]} <= {names[x]} fails")
+    down = [sum(1 for t in range(n) if below[t][x]) for x in range(n)]  # #{t <= x}
+    for x in range(n):
+        for t in range(n):
+            if t != x and below[t][x] and down[t] >= down[x]:
+                raise InternalCheckError(
+                    f"transition matrix of the natural partial order is not unitriangular: "
+                    f"{names[t]} <= {names[x]} but #down({names[t]}) = {down[t]} "
+                    f">= #down({names[x]}) = {down[x]}")
+
+
+def reference_underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
+    """isg.underlying_groupoid as a filter over all n^2 pairs: a
+    composition dict {(i, j): i.j} over the pairs with dom i = cod j,
+    handed to FiniteGroupoid.make.  Not validated, not memoised."""
+    idem = s.idempotents()
+    obj_of = {e: k for k, e in enumerate(idem)}
+    dom = [obj_of[s.mul(s.star[i], i)] for i in range(s.size)]
+    cod = [obj_of[s.mul(i, s.star[i])] for i in range(s.size)]
+    comp = {}
+    for i in range(s.size):
+        for j in range(s.size):
+            if dom[i] == cod[j]:
+                comp[(i, j)] = s.mul(i, j)
+    return FiniteGroupoid.make(
+        [s.elements[e] for e in idem], list(s.elements), dom, cod, list(idem), comp, list(s.star))
+
+
 def reference_semigroup_algebra_iso(s: InverseSemigroup, ring):
     """semigroup_algebra_iso on algebra elements: (images, report), with
     image(x) the AlgebraElement sum of [t] over t <= x, every pair
@@ -283,7 +320,7 @@ def reference_semigroup_algebra_iso(s: InverseSemigroup, ring):
         AlgebraElement.make(g, ring, [(t, unit_coeff) for t in range(s.size) if below[t][i]])
         for i in range(s.size)
     )
-    gpdalg.isg._check_unitriangular(s, below)
+    reference_check_unitriangular(s, below)
     failures = [
         f"image({s.elements[i]}) * image({s.elements[j]}) != image({s.elements[s.mul(i, j)]})"
         for i in range(s.size) for j in range(s.size)
@@ -786,6 +823,18 @@ def reference_as_finite_groupoid(g: Graph) -> FiniteGroupoid:
     return FiniteGroupoid.make(names, arrows, dom, cod, identity_of, comp, inv)
 
 
+def _basis_products(rows):
+    """The dense d x d products table of a composition table (rows[i] =
+    {j: k}, k = arrow i after arrow j, as in `g.rows`): bp[i][j] = k, or
+    -1.  The dense references below read it."""
+    d = len(rows)
+    bp = [[-1] * d for _ in range(d)]
+    for bp_i, row in zip(bp, rows):
+        for j, k in row.items():
+            bp_i[j] = k
+    return bp
+
+
 def reference_trace_form(bp, d):
     """The integer Gram matrix of the trace form as d dense rows, from a
     d x d products table (bp[i][j] = index of arrow i after arrow j, or
@@ -969,7 +1018,7 @@ def reference_filtration_radical(bp, d, p):
     return basis
 
 
-def _trace_of_power(bp, tr, z, q, mod):
+def _trace_of_power(table, tr, z, q, mod):
     """Tr(L_z^q) mod `mod` as <tr, z^q>, with z (sparse) raised to the
     power q by repeated squaring; a power that vanishes ends it early."""
     result = None
@@ -978,19 +1027,19 @@ def _trace_of_power(bp, tr, z, q, mod):
         if not base:
             return 0
         if q & 1:
-            result = base if result is None else _mul(bp, result, base, mod)
+            result = base if result is None else _mul(table, result, base, mod)
         q >>= 1
         if q:
-            base = _mul(bp, base, base, mod)
+            base = _mul(table, base, base, mod)
     return sum(tr[k] * x for k, x in result.items()) % mod
 
 
-def _single_chain_filtration(g: FiniteGroupoid, bp, p):
+def _single_chain_filtration(g: FiniteGroupoid, p):
     """The sparse trace-lift filtration as one chain over the whole
     algebra: ceil(log_p d) stages, every basis product formed and raised
     to p^j afresh at each stage j, mod p^(j+1)."""
-    d = g.arrow_count
-    tr, gram = _trace_form(g.rows)
+    d, table = g.arrow_count, g.rows
+    tr, gram = _trace_form(table)
     stages = 1
     while p ** stages < d:
         stages += 1
@@ -1005,11 +1054,11 @@ def _single_chain_filtration(g: FiniteGroupoid, bp, p):
         traces = {}
         for r, y in enumerate(basis):
             for c in range(r, n):
-                z = _mul(bp, basis[c], y, mod)
+                z = _mul(table, basis[c], y, mod)
                 key = frozenset(z.items())
                 t = traces.get(key)
                 if t is None:
-                    t = traces[key] = _trace_of_power(bp, tr, z, q, mod)
+                    t = traces[key] = _trace_of_power(table, tr, z, q, mod)
                 if t % q:
                     raise InternalCheckError("trace filtration divisibility failed")
                 if x := (t // q) % p:
@@ -1029,12 +1078,11 @@ def single_chain_radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
     """`verdicts._radical_charp` on one filtration chain over the whole
     arrow basis instead of one per block: the same tuple, and the same
     certificate, must come out."""
-    bp = _basis_products(g)
-    radical = _single_chain_filtration(g, bp, p)
+    radical = _single_chain_filtration(g, p)
     if not radical:
         return True, None, 0
     pick = -1 if exhaustive else 0
-    semisimple, witness, dimension = _certified_radical(bp, radical, generators(g), p, pick)
+    semisimple, witness, dimension = _certified_radical(g.rows, radical, generators(g), p, pick)
     return semisimple, witness, None if exhaustive else dimension
 
 

@@ -5,11 +5,16 @@ each route of the char-p radical oracle as well.
 
 The stored copy was written from the package before the report pipeline
 was restructured, so any change to a report's bytes shows up here.  To
-record a deliberate change, run
+see which keys a change moves, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of tests/golden.json.
+which lists every moved, new or missing key and exits 1 if there is
+any; it writes nothing.  To record a deliberate change, run
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and review the diff of tests/golden.json.  The tests run neither.
 
 The parity corpus pins exit code, stdout and stderr of every fixture,
 good or corrupted, over seven rings, with and without --verify, in both
@@ -31,6 +36,7 @@ import importlib
 import io
 import json
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -196,7 +202,8 @@ def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
     assert witnesses == 16
 
 
-if __name__ == "__main__":
+def _record() -> dict:
+    """Every stored invocation, run now: key -> exit, stdout and stderr."""
     record = {}
     for inv in INVOCATIONS:
         code, out, err = _run(*inv)
@@ -209,4 +216,21 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as folder:
         for key, (code, out, err) in _parity_runs(pathlib.Path(folder)):
             record[key] = {"exit": code, "stdout": out, "stderr": err}
-    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return record
+
+
+if __name__ == "__main__":
+    record = _record()
+    if "--write" in sys.argv[1:]:
+        GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        sys.exit(0)
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    changes = sorted(
+        [("moved", key) for key in record.keys() & stored.keys() if record[key] != stored[key]]
+        + [("new", key) for key in record.keys() - stored.keys()]
+        + [("missing", key) for key in stored.keys() - record.keys()],
+        key=lambda change: change[1])
+    for kind, key in changes:
+        print(f"{kind}: {key}")
+    print(f"{len(changes)} of {len(record.keys() | stored.keys())} keys differ from {GOLDEN.name}")
+    sys.exit(1 if changes else 0)

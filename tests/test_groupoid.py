@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from corpus import chain_graph, groupoid_corpus, in_tree_graph
+from corpus import chain_graph, graph_corpus, groupoid_corpus, in_tree_graph, isg_corpus
 from support import (
     groupoid_axiom_problems,
+    reference_as_finite_groupoid,
     reference_axiom_violations,
     reference_parse_groupoid,
+    reference_underlying_groupoid,
 )
 
 from gpdalg import (
@@ -379,10 +381,7 @@ def test_every_builder_yields_the_sorted_comp_of_its_entries(monkeypatch):
     the sorted tuple of the composition entries the builder was given."""
     made = _recording_make(monkeypatch)
     corpus = groupoid_corpus()  # every builder in constructions
-    built = [g for _, g in corpus]
-    built.append(underlying_groupoid(parse_isg((FIXTURES / "i2.isg").read_text())))
-    built += [as_finite_groupoid(graph) for graph in (chain_graph(5), in_tree_graph(7))]
-    for g in built:
+    for _, g in corpus:
         assert g.comp == _stored_comp(made, g)
         assert g.rows == tuple({h: k for (f2, h), k in g.comp if f2 == f}
                                for f in range(g.arrow_count))
@@ -399,6 +398,43 @@ def test_every_builder_yields_the_sorted_comp_of_its_entries(monkeypatch):
         made.clear()
         reference_parse_groupoid(text)
         assert parse_groupoid(text).comp == made[-1][1], name
+
+
+def _graph_and_semigroup_groupoids():
+    """(name, package-built groupoid, comp-dict reference) for the
+    acyclic graphs of the corpus and the inverse semigroups."""
+    graphs = [(name, g) for name, g, _ in graph_corpus()]
+    graphs += [("chain5", chain_graph(5)), ("chain40", chain_graph(40)),
+               ("in_tree7", in_tree_graph(7))]
+    for name, graph in graphs:
+        try:
+            expected = reference_as_finite_groupoid(graph)
+        except ValueError:  # a cycle: no finite groupoid
+            continue
+        yield name, as_finite_groupoid(graph), expected
+    semigroups = isg_corpus()
+    semigroups += [(name, parse_isg((FIXTURES / f"{name}.isg").read_text()))
+                   for name in ("i2", "semilattice2")]
+    for name, s in semigroups:
+        yield name, underlying_groupoid(s), reference_underlying_groupoid(s)
+
+
+def test_rows_built_groupoids_are_the_comp_dict_references():
+    """as_finite_groupoid and underlying_groupoid write rows directly;
+    the groupoid is the one FiniteGroupoid.make builds from the full
+    composition dict, field for field and row order included."""
+    fields = ("objects", "arrows", "dom", "cod", "identity_of", "rows", "inv")
+    names = []
+    for name, g, expected in _graph_and_semigroup_groupoids():
+        assert g == expected, name
+        for field in fields:
+            got, want = getattr(g, field), getattr(expected, field)
+            assert type(got) is type(want) and got == want, (name, field)
+        assert g.comp == expected.comp, name
+        assert [list(row.items()) for row in g.rows] == [
+            list(row.items()) for row in expected.rows], name
+        names.append(name)
+    assert len(names) == 18 and names[-2:] == ["i2", "semilattice2"]
 
 
 def test_parsed_and_made_groupoids_are_equal_and_hash_alike():

@@ -7,6 +7,7 @@ import pytest
 
 from corpus import chain_graph, disconnected_ladder, groupoid_corpus, in_tree_graph
 from support import (
+    _basis_products,
     _right_ideal_nilpotent,
     reference_exhaustive_radical,
     reference_filtration_radical,
@@ -50,7 +51,6 @@ from gpdalg.verdicts import (
     ORACLE_DIMENSION_LIMIT_CHAR0,
     ORACLE_DIMENSION_LIMIT_CHARP,
     _EXHAUSTIVE_LIMIT,
-    _basis_products,
     _blocks,
     _certified_radical,
     _filtration_radical_modp,
@@ -214,7 +214,7 @@ def test_exhaustive_and_filtration_methods_agree():
                 assert ex_dim is None and fi_dim >= 1
                 # the exhaustive witness lies in the radical, and so
                 # inside the filtration result
-                basis, pivots = echelon(_filtration_radical_modp(g, _basis_products(g), p), p)
+                basis, pivots = echelon(_filtration_radical_modp(g, p), p)
                 assert not sparse_reduce(w, basis, pivots, p), (name, ring)
             checked += 1
     assert checked >= 15
@@ -234,8 +234,8 @@ def test_filtration_matches_the_matrix_power_reference():
     cases += [("Z7", Z7_GROUPOID, 7), ("pair2_u_Z7", PAIR2_U_Z7, 7)]
     nonzero = 0
     for name, g, p in cases:
-        bp, d = _basis_products(g), g.arrow_count
-        basis = _filtration_radical_modp(g, bp, p)
+        bp, d = _basis_products(g.rows), g.arrow_count
+        basis = _filtration_radical_modp(g, p)
         assert _dense_rows(basis, d) == reference_filtration_radical(bp, d, p), (name, p)
         nonzero += bool(basis)
     assert nonzero >= 10
@@ -247,7 +247,7 @@ def _assert_matches_the_sweep(name, g, p):
     d = g.arrow_count
     report = radical_oracle(g, ring)
     semisimple, witness, radical_dimension = reference_exhaustive_radical(
-        _basis_products(g), d, p
+        _basis_products(g.rows), d, p
     )
     assert report.method == "exhaustive", (name, p)
     assert report.semisimple == semisimple, (name, p)
@@ -389,22 +389,24 @@ def test_oracle_rejects_unsupported_rings_and_methods():
 # a = e2.a.e1: not semisimple and not a groupoid algebra.  Over Q every
 # finite groupoid algebra is semisimple (Maschke), so this is what
 # reaches the nonzero-radical branches of the certificates in
-# characteristic 0.  PATH_BP[i][j] is the basis index of i.j, or -1.
+# characteristic 0.  PATH_ROWS[i] = {j: i.j} over the nonzero products,
+# the package's table form; PATH_BP is its dense form for the reference.
 E1, E2, A = 0, 1, 2
-PATH_BP = [
-    [E1, -1, -1],  # e1.e1 = e1
-    [-1, E2, A],   # e2.e2 = e2, e2.a = a
-    [A, -1, -1],   # a.e1 = a
+PATH_ROWS = [
+    {E1: E1},         # e1.e1 = e1
+    {E2: E2, A: A},   # e2.e2 = e2, e2.a = a
+    {E1: A},          # a.e1 = a
 ]
+PATH_BP = _basis_products(PATH_ROWS)
 
 
 @pytest.mark.parametrize("p", [0, 3])
 def test_certificates_on_the_path_algebra_of_one_arrow(p):
     a, e1 = {A: 2}, {E1: 1}
     gens = range(3)
-    assert _ideal_certified_nilpotent(PATH_BP, [a], gens, p)
-    assert not _ideal_certified_nilpotent(PATH_BP, [e1], gens, p)      # a.e1 = a is outside
-    assert not _ideal_certified_nilpotent(PATH_BP, [e1, a], gens, p)   # an ideal, not nilpotent
+    assert _ideal_certified_nilpotent(PATH_ROWS, [a], gens, p)
+    assert not _ideal_certified_nilpotent(PATH_ROWS, [e1], gens, p)      # a.e1 = a is outside
+    assert not _ideal_certified_nilpotent(PATH_ROWS, [e1, a], gens, p)   # an ideal, not nilpotent
     assert _right_ideal_nilpotent(PATH_BP, [0, 0, 2], 3, p)
     assert not _right_ideal_nilpotent(PATH_BP, [1, 0, 0], 3, p)
 
@@ -418,14 +420,15 @@ CHAIN_PRODUCTS = {
     (2, 4): 4, (4, 1): 4,              # e3.b = b.e2 = b
     (4, 3): 5, (2, 5): 5, (5, 0): 5,   # b.a = e3.ba = ba.e1 = ba
 }
-CHAIN_BP = [[CHAIN_PRODUCTS.get((i, j), -1) for j in range(6)] for i in range(6)]
+CHAIN_ROWS = [{j: k for (f, j), k in CHAIN_PRODUCTS.items() if f == i} for i in range(6)]
+CHAIN_BP = _basis_products(CHAIN_ROWS)
 
 
 @pytest.mark.parametrize("p", [0, 3])
 def test_certificates_on_the_path_algebra_of_two_arrows(p):
     a, b, ba = ({k: 1} for k in (3, 4, 5))
-    assert _ideal_certified_nilpotent(CHAIN_BP, [a, b, ba], range(6), p)
-    assert not _ideal_certified_nilpotent(CHAIN_BP, [a], range(6), p)
+    assert _ideal_certified_nilpotent(CHAIN_ROWS, [a, b, ba], range(6), p)
+    assert not _ideal_certified_nilpotent(CHAIN_ROWS, [a], range(6), p)
     assert _right_ideal_nilpotent(CHAIN_BP, [0, 0, 0, 1, 0, 0], 6, p)
     assert _right_ideal_nilpotent(CHAIN_BP, [0, 0, 0, 1, 1, 0], 6, p)
 
@@ -436,7 +439,7 @@ def _certificate_candidates(g, p):
     identity arrow, and one non-loop arrow where there is one."""
     d = g.arrow_count
     if p:
-        radical = _filtration_radical_modp(g, _basis_products(g), p)
+        radical = _filtration_radical_modp(g, p)
     else:
         radical = sparse_kernel(_trace_form(g.rows)[1], d)
     candidates = [radical, radical[1:], radical + [{g.identity_of[0]: 1}]]
@@ -459,11 +462,11 @@ def test_certificate_on_generators_is_the_certificate_on_every_arrow():
     ]
     answers = []
     for name, g, p in cases:
-        bp, d, gens = _basis_products(g), g.arrow_count, generators(g)
+        bp, d, gens = _basis_products(g.rows), g.arrow_count, generators(g)
         candidates = _certificate_candidates(g, p)
-        assert _ideal_certified_nilpotent(bp, candidates[0], gens, p), (name, p)
+        assert _ideal_certified_nilpotent(g.rows, candidates[0], gens, p), (name, p)
         for basis in candidates:
-            got = _ideal_certified_nilpotent(bp, basis, gens, p)
+            got = _ideal_certified_nilpotent(g.rows, basis, gens, p)
             assert got == reference_ideal_certified_nilpotent(bp, _dense_rows(basis, d), d, p), (
                 name, p, basis)
             answers.append(got)
@@ -474,8 +477,7 @@ def test_powers_vanish_squares_its_way_to_zero(monkeypatch):
     """The radical of GF(7)[Z/7] has nilpotency index 7: squaring
     reaches zero in ceil(log2 7) = 3 eliminations, where one factor of
     the radical per step would take 6."""
-    bp = _basis_products(Z7_GROUPOID)
-    radical = _filtration_radical_modp(Z7_GROUPOID, bp, 7)
+    radical = _filtration_radical_modp(Z7_GROUPOID, 7)
     assert len(radical) == 6
     rounds = []
 
@@ -484,13 +486,8 @@ def test_powers_vanish_squares_its_way_to_zero(monkeypatch):
         return echelon(rows, p)
 
     monkeypatch.setattr(VERDICTS, "echelon", counting_echelon)
-    assert _powers_vanish(bp, radical, 7)
+    assert _powers_vanish(Z7_GROUPOID.rows, radical, 7)
     assert len(rounds) == 3
-
-
-def _table(bp):
-    """The composition table rows[i] = {j: k} of a products table."""
-    return [{j: k for j, k in enumerate(row) if k >= 0} for row in bp]
 
 
 def _dense_rows(rows, d):
@@ -504,7 +501,7 @@ def test_every_char_p_witness_generates_a_nilpotent_right_ideal():
     either witness pick, over the corpus and the disconnected ladder."""
     answers = 0
     for name, g in groupoid_corpus() + disconnected_ladder():
-        bp, d = _basis_products(g), g.arrow_count
+        bp, d = _basis_products(g.rows), g.arrow_count
         for p in (2, 3, 5, 7):
             for exhaustive in (False, True):
                 semisimple, w, _ = _radical_charp(g, p, exhaustive)
@@ -514,14 +511,14 @@ def test_every_char_p_witness_generates_a_nilpotent_right_ideal():
     assert answers == 52
 
 
-@pytest.mark.parametrize("bp, dim", [(PATH_BP, 1), (CHAIN_BP, 3)], ids=["path", "chain"])
-def test_trace_form_kernel_over_q_is_the_path_algebra_radical(bp, dim):
-    d = len(bp)
-    gram = _trace_form(_table(bp))[1]
+@pytest.mark.parametrize("rows, dim", [(PATH_ROWS, 1), (CHAIN_ROWS, 3)], ids=["path", "chain"])
+def test_trace_form_kernel_over_q_is_the_path_algebra_radical(rows, dim):
+    d = len(rows)
+    gram = _trace_form(rows)[1]
     basis = sparse_kernel(gram, d)
     assert len(basis) == dim
     witness = {i: c for i, c in enumerate(reference_kernel(_dense_rows(gram, d))[0]) if c}
-    assert _certified_radical(bp, basis, range(d)) == (False, witness, dim)
+    assert _certified_radical(rows, basis, range(d)) == (False, witness, dim)
 
 
 def test_sparse_trace_form_is_the_dense_reference():
@@ -531,14 +528,16 @@ def test_sparse_trace_form_is_the_dense_reference():
         d = g.arrow_count
         gram = _trace_form(g.rows)[1]
         assert all(v for row in gram for v in row.values())
-        assert _dense_rows(gram, d) == reference_trace_form(_basis_products(g), d)
+        assert _dense_rows(gram, d) == reference_trace_form(_basis_products(g.rows), d)
 
 
 def test_q_oracle_builds_no_products_table_on_the_corpus(monkeypatch):
-    def refuse(g):
-        raise AssertionError("the Q oracle built the products table")
+    """A groupoid's trace-form kernel over Q is zero, so the Q oracle
+    multiplies nothing: its certificate never runs."""
+    def refuse(*args):
+        raise AssertionError("the Q oracle multiplied")
 
-    monkeypatch.setattr(VERDICTS, "_basis_products", refuse)
+    monkeypatch.setattr(VERDICTS, "_mul", refuse)
     checked = 0
     for name, g in groupoid_corpus():
         if g.arrow_count <= 64:
@@ -562,7 +561,7 @@ def test_a_tampered_radical_is_an_internal_error(monkeypatch, ring, tamper):
     if ring == Q:
         monkeypatch.setattr(VERDICTS, "sparse_kernel", lambda rows, n, p=0: fake)
     else:
-        monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", lambda g, bp, p: fake)
+        monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", lambda g, p: fake)
     with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
         radical_oracle(g, ring)
 
@@ -575,9 +574,8 @@ def test_a_radical_missing_a_vector_is_an_internal_error(monkeypatch, ring):
     g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(ring.p))
     real = VERDICTS._filtration_radical_modp
     # M_2 over the augmentation ideal of GF(p)[Z/p], of dimension p - 1
-    assert len(real(g, VERDICTS._basis_products(g), ring.p)) == 4 * (ring.p - 1)
-    monkeypatch.setattr(
-        VERDICTS, "_filtration_radical_modp", lambda g, bp, p: real(g, bp, p)[1:])
+    assert len(real(g, ring.p)) == 4 * (ring.p - 1)
+    monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", lambda g, p: real(g, p)[1:])
     with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
         radical_oracle(g, ring)
 
@@ -615,8 +613,8 @@ def test_block_filtration_is_the_matrix_power_reference_on_disconnected_inputs(p
     algebra gives, with every trace read off a power of a d x d matrix."""
     got = []
     for name, g in disconnected_ladder():
-        bp, d = _basis_products(g), g.arrow_count
-        basis = _filtration_radical_modp(g, bp, p)
+        bp, d = _basis_products(g.rows), g.arrow_count
+        basis = _filtration_radical_modp(g, p)
         assert _dense_rows(basis, d) == reference_filtration_radical(bp, d, p), (name, p)
         got.append(len(basis))
     assert got == dims
@@ -694,8 +692,8 @@ def test_a_tampered_block_radical_exits_2(monkeypatch, capsys, tmp_path, tamper)
     path.write_text(render_groupoid(PAIR2_U_Z7))
     real = VERDICTS._filtration_radical_modp
 
-    def tampered(g, bp, p):
-        radical = real(g, bp, p)
+    def tampered(g, p):
+        radical = real(g, p)
         loops = {a for a in range(g.arrow_count) if g.dom[a] == g.cod[a]}
         assert len(radical) == 6 and all(v.keys() <= loops for v in radical)
         if tamper == "drop":
