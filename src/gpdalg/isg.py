@@ -165,17 +165,17 @@ def natural_partial_order(s: InverseSemigroup):
     """below[i][j] is True iff elements[i] <= elements[j].
 
     Computed two ways (t = (t t*) s, and t = e s for an idempotent e)
-    which must agree."""
+    which must agree; the set {e s} is formed once per s."""
     n = s.size
     idem = s.idempotents()
+    restrictions = [{s.mul(e, x) for e in idem} for x in range(n)]
     below = []
     for t in range(n):
         tt = s.mul(t, s.star[t])
         row = []
         for x in range(n):
             first = s.mul(tt, x) == t
-            second = any(s.mul(e, x) == t for e in idem)
-            if first != second:
+            if first != (t in restrictions[x]):
                 raise InternalCheckError(
                     "the two descriptions of the natural partial order disagree"
                 )

@@ -15,45 +15,45 @@ so
     (Maschke's theorem), with all isotropy finite.
 
 radical_oracle() answers the semisimplicity question for the same
-algebra without using any of that structure: it works directly on the
-arrow basis of a validated finite groupoid.  Over Q the radical is the
-nullspace of the trace form of the left regular representation.  Over
-GF(p) it is the end of an iterated trace-lift filtration, the classical
-radical algorithm over prime fields (Ronyai 1990; Cohen, Ivanyos and
-Wales 1997), whose stage 0 is the same trace form read mod p.  The
-later stages need traces of powers of left multiplications, and since
-left multiplication L is a representation of the integer form of the
-algebra it reads them off algebra powers: Tr(L_z^q) = <tr, z^q>, with
-tr[c] the trace of left multiplication by arrow c.  The trace form and
-every product are read off the groupoid's one composition table,
-`g.rows` (one nonzero per Gram row for a groupoid); no d x d table is
-built.  Vectors, and the rows `linalg.echelon` eliminates, are sparse
-(dicts from arrow to nonzero coefficient).  The filtration
-runs once per block (arrows linked by nonzero products), in ceil(log_p)
-of the block's dimension stages, carrying each distinct product's power
-to the next stage while the basis stays the same.  The caller picks no
-method: over GF(p) with p^dim at most 4096 the answer is labelled
-"exhaustive" and reports the element an exhaustive sweep of GF(p)^dim
-would find first, the last row of the radical's reduced echelon basis
-(the sweep itself lives on in the test suite as a cross-check); above
-that it is labelled "filtration" and reports the radical's dimension.
-Either way every nonzero answer is certified on the spot: the reported
-radical must be a nilpotent two-sided ideal, so a wrong "not
-semisimple" cannot escape.  The witness w is one of its vectors, so
-its right ideal wA lies inside it and is nilpotent as well.  The ideal
-property is tested against the generating arrows validate certifies
-associativity on (every arrow is a product of them, so closure under
-them is closure under the algebra), and nilpotency by repeated
+algebra without using any of that structure: it reads every product of
+arrows off the groupoid's one composition table `g.rows`, on sparse
+vectors (dicts from arrow to nonzero coefficient).  Over Q the radical
+is the nullspace of the trace form of the left regular representation
+(one nonzero per Gram row for a groupoid).  Over GF(p) that trace form
+mod p comes first: its kernel holds the radical, so a zero kernel means
+semisimple.  Each block (arrows linked by nonzero products) the kernel
+touches is reduced to one corner: for the block's least idempotent
+arrow e, eAe is the group algebra of the loops at e, and rad(eAe) =
+e rad(A) e (Lam, A First Course in Noncommutative Rings, Thm 21.10).
+Its radical N is the end of the iterated trace-lift filtration, the
+classical radical algorithm over prime fields (Ronyai 1990; Cohen,
+Ivanyos and Wales 1997), which reads Tr(L_z^q) = <tr, z^q> off algebra
+powers, tr[c] the trace of left multiplication by arrow c.  Transport
+arrows h_y: e -> 1_y and their inverses carry N over the block:
+J = sum of h_y N h_z^-1 = A N A.  Over GF(p) with p^dim at most 4096
+the answer is labelled "exhaustive" and reports the element an
+exhaustive sweep of GF(p)^dim would find first, the last row of J's
+reduced echelon basis (the sweep lives on in the test suite); above
+that it is labelled "filtration" and reports J's dimension.
+
+Every nonzero answer is certified, so a wrong "not semisimple" cannot
+escape.  The trace-form kernel over Q, and N in eAe, must be nilpotent
+two-sided ideals: closed under the generating arrows validate certifies
+associativity on (the corner's own, for N), and nilpotent by repeated
 squaring, I -> I^2 -> I^4 -> ..., until zero or no drop in dimension.
-A wrong "semisimple" cannot escape either: the radical is always
-contained in the trace-form kernel respectively the filtration result,
-and those coming out zero forces the radical to be zero.
+J = A N A is an ideal by construction, and J^k lies in A N^k A = 0, as
+N A N = N eAe N lies in N^2.  The witness is a vector of the ideal, so
+its right ideal lies inside it.  A wrong "semisimple" cannot escape
+either: the radical lies in the trace-form kernel, and in J, since
+1_y rad(A) 1_z = h_y e (h_y^-1 rad(A) h_z) e h_z^-1 lies in
+h_y N h_z^-1.  A missing transport, or copies of the corner that do not
+cover the block's arrows once each, is an internal error.
 """
 from __future__ import annotations
 
 from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
-from .group_algebra import BlockShape, IntegerGroup
+from .group_algebra import BlockShape, IntegerGroup, associativity_generators
 from .groupoid import FiniteGroupoid, generators
 from .linalg import echelon, rref_residue, sparse_kernel
 from .rings import (
@@ -294,82 +294,115 @@ def _blocks(rows):
     return [find(a) for a in range(len(rows))]
 
 
-def _filtration_radical_modp(g: FiniteGroupoid, p):
-    """Iterated trace-lift filtration on sparse vectors, one block
-    (`_blocks`: a unital two-sided ideal, off which its elements
-    multiply to zero) at a time.  Stage 0 is the trace form mod p; stage
-    j reads Tr(L_z^q) = <tr, z^q> for q = p^j mod p^(j+1), z the product
-    of two basis vectors, divides it by q and reads it mod p, on the
-    upper triangle only, as Tr(L_(by)^q) = Tr(L_(yb)^q) over Z.  A block
-    reaches its radical once p^stages covers its dimension.  Products
-    are taken mod p^(stages+1), each distinct one's power once a stage;
-    while a stage keeps the whole basis, the next raises each power to
-    the p-th.  Products are read off `g.rows`.  Returns the radical's
-    rref rows."""
-    rows = g.rows
+def _filtration_radical_modp(rows, p):
+    """Iterated trace-lift filtration on sparse vectors over the table
+    rows of one unital algebra (the oracle passes a corner GF(p)[G_x]).
+    Stage 0 is the trace form mod p; stage j reads Tr(L_z^q) = <tr, z^q>
+    for q = p^j mod p^(j+1), z the product of two basis vectors, divides
+    it by q and reads it mod p, on the upper triangle only, as
+    Tr(L_(by)^q) = Tr(L_(yb)^q) over Z.  It reaches the radical once
+    p^stages covers the dimension.  Products are taken mod
+    p^(stages+1), each distinct one's power once a stage; while a stage
+    keeps the whole basis, the next raises each power to the p-th.
+    Returns the radical's rref rows."""
+    d = len(rows)
     tr, gram = _trace_form(rows)
-    kernel = echelon(sparse_kernel(gram, g.arrow_count, p), p)[0]
+    basis = echelon(sparse_kernel(gram, d, p), p)[0]
+    stages = next(s for s in range(1, d + 1) if p ** s >= d)
+    mod = p ** (stages + 1)
+    powers = None  # product (as a frozenset of items) -> z^q mod `mod`
+    for j in range(1, stages + 1):
+        if not basis:
+            break
+        q, n = p ** j, len(basis)
+        if powers is None:
+            where, powers = {}, {}  # where: product -> its (row, column) pairs
+            for r, y in enumerate(basis):
+                for c in range(r, n):
+                    z = _mul(rows, basis[c], y, mod)
+                    key = frozenset(z.items())
+                    if key not in powers:
+                        powers[key] = _power(rows, z, q, mod)
+                    where.setdefault(key, []).append((r, c))
+        else:
+            powers = {key: _power(rows, z, p, mod) for key, z in powers.items()}
+        form = [{} for _ in range(n)]
+        for key, z in powers.items():
+            t = sum(tr[k] * x for k, x in z.items()) % (q * p)
+            if t % q:
+                raise InternalCheckError("trace filtration divisibility failed")
+            if x := t // q % p:
+                for r, c in where[key]:
+                    form[r][c] = form[c][r] = x
+        if not any(form):
+            continue  # the kernel is the whole basis: keep it and the powers
+        new_basis = []
+        for coeffs in sparse_kernel(form, n, p):
+            vec = {}
+            for i, cf in coeffs.items():
+                for idx, x in basis[i].items():
+                    vec[idx] = vec.get(idx, 0) + cf * x
+            new_basis.append(vec)
+        basis, powers = echelon(new_basis, p)[0], None
+    return basis
+
+
+def _block_radical(g: FiniteGroupoid, block, p):
+    """The radical of one block of `_blocks` (its arrows, ascending):
+    the corner's certified radical N, carried over as h_y N h_z^-1."""
+    rows, names = g.rows, g.arrows
+    idempotents = [a for a in block if rows[a].get(a) == a]
+    e = idempotents[0]
+    loops = sorted(a for a, k in rows[e].items() if k == a and rows[a].get(e) == a)
+    local = {a: i for i, a in enumerate(loops)}
+    corner = [{local[b]: local[k] for b, k in rows[a].items() if b in local} for a in loops]
+    transports = []
+    for f in idempotents:
+        h = e if f == e else next((a for a, k in rows[f].items() if k == a and rows[a].get(e) == a), None)
+        inverse = next((b for b in rows[e] if rows[b].get(h) == e and rows[h].get(b) == f), None)
+        if inverse is None:
+            raise InternalCheckError(f"no transport from {names[e]} to {names[f]}")
+        transports.append((h, inverse))
+    copies = [
+        [None if (k := rows[hy].get(a)) is None else rows[k].get(hz) for a in loops]
+        for hy, _ in transports for _, hz in transports
+    ]
+    hits = [k for copy in copies for k in copy]
+    if None in hits or sorted(hits) != block:
+        raise InternalCheckError(f"transported corner of {names[e]} does not cover its block once")
+    radical = _filtration_radical_modp(corner, p)
+    if not radical:
+        return radical
+    n = len(loops)  # the corner's generators; raises unless N is a nilpotent ideal of eAe
+    _certified_radical(corner, radical, associativity_generators([0] * n, [0] * n, corner, 1), p)
+    return [{copy[i]: x for i, x in v.items()} for copy in copies for v in radical]
+
+
+def _radical_modp(g: FiniteGroupoid, p):
+    """The radical of the algebra of g over GF(p) as rref rows: empty
+    when the trace form mod p is nondegenerate, else `_block_radical`
+    on each block its kernel touches."""
+    rows = g.rows
+    kernel = sparse_kernel(_trace_form(rows)[1], g.arrow_count, p)
     if not kernel:
         return kernel
-    block_of, by_block = _blocks(rows), {}
-    for v in kernel:
-        by_block.setdefault(block_of[next(iter(v))], []).append(v)
-    radical = []
-    for b, basis in by_block.items():
-        size = block_of.count(b)
-        stages = next(s for s in range(1, size + 1) if p ** s >= size)
-        mod = p ** (stages + 1)
-        powers = None  # product (as a frozenset of items) -> z^q mod `mod`
-        for j in range(1, stages + 1):
-            q, n = p ** j, len(basis)
-            if powers is None:
-                where, powers = {}, {}  # where: product -> its (row, column) pairs
-                for r, y in enumerate(basis):
-                    for c in range(r, n):
-                        z = _mul(rows, basis[c], y, mod)
-                        key = frozenset(z.items())
-                        if key not in powers:
-                            powers[key] = _power(rows, z, q, mod)
-                        where.setdefault(key, []).append((r, c))
-            else:
-                powers = {key: _power(rows, z, p, mod) for key, z in powers.items()}
-            form = [{} for _ in range(n)]
-            for key, z in powers.items():
-                t = sum(tr[k] * x for k, x in z.items()) % (q * p)
-                if t % q:
-                    raise InternalCheckError("trace filtration divisibility failed")
-                if x := t // q % p:
-                    for r, c in where[key]:
-                        form[r][c] = form[c][r] = x
-            if not any(form):
-                continue  # the kernel is the whole basis: keep it and the powers
-            new_basis = []
-            for coeffs in sparse_kernel(form, n, p):
-                vec = {}
-                for i, cf in coeffs.items():
-                    for idx, x in basis[i].items():
-                        vec[idx] = vec.get(idx, 0) + cf * x
-                new_basis.append(vec)
-            basis, powers = echelon(new_basis, p)[0], None
-            if not basis:
-                break
-        radical += basis
+    block_of, radical = _blocks(rows), []
+    for b in sorted({block_of[a] for v in kernel for a in v}):
+        radical += _block_radical(g, [a for a, c in enumerate(block_of) if c == b], p)
     return echelon(radical, p)[0]
 
 
 def _radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
-    """The certified filtration radical J over GF(p).  exhaustive reports
+    """The certified radical J over GF(p).  exhaustive reports
     what a sweep of GF(p)^d in `itertools.product` order would find
     first, and no radical dimension: in a unital algebra wA is nilpotent
     exactly when w lies in J, and the first nonzero element of J in that
     order is the last row of J's reduced echelon basis (its pivot is
     rightmost and 1)."""
-    radical = _filtration_radical_modp(g, p)
+    radical = _radical_modp(g, p)
     if not radical:
         return True, None, 0
-    pick = -1 if exhaustive else 0
-    semisimple, witness, dimension = _certified_radical(g.rows, radical, generators(g), p, pick)
-    return semisimple, witness, None if exhaustive else dimension
+    return False, radical[-1 if exhaustive else 0], None if exhaustive else len(radical)
 
 
 def oracle_refusal(ring: RingDescriptor, d: int):
@@ -389,9 +422,12 @@ def oracle_refusal(ring: RingDescriptor, d: int):
 
 def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor) -> RadicalReport:
     """Decide semisimplicity of the groupoid algebra from its arrow
-    basis alone: the trace form over Q, the trace-lift filtration over
-    GF(p).  A nonzero radical is certified a nilpotent two-sided ideal,
-    and the witness is one of its vectors (see the module docstring).
+    basis alone: the trace form over Q; over GF(p) the trace-lift
+    filtration on one corner eAe per block, whose radical N is
+    e rad(A) e (Lam, Thm 21.10), carried over the block as J = A N A.
+    The trace-form kernel, or N, is certified a nilpotent two-sided
+    ideal; J is then one, as J^k lies in A N^k A = 0.  The witness is
+    one of its vectors (see the module docstring).
 
     Takes Q up to dimension ORACLE_DIMENSION_LIMIT_CHAR0 and GF(p) up
     to ORACLE_DIMENSION_LIMIT_CHARP, and raises oracle_refusal's error

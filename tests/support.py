@@ -981,8 +981,8 @@ def reference_filtration_radical(bp, d, p):
     product z, raise it to the power q = p^j mod p^(j+1), and sum its
     diagonal.  One chain over the whole algebra, with the stages,
     kernels and echelon steps of `single_chain_radical_charp`; the
-    package's `_filtration_radical_modp` runs it once per block and
-    reads the trace as <tr, z^q>."""
+    package's `_filtration_radical_modp` runs it on one corner per block
+    and reads the trace as <tr, z^q>."""
     stages = 1
     while p ** stages < d:
         stages += 1
@@ -1076,8 +1076,8 @@ def _single_chain_filtration(g: FiniteGroupoid, p):
 
 def single_chain_radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
     """`verdicts._radical_charp` on one filtration chain over the whole
-    arrow basis instead of one per block: the same tuple, and the same
-    certificate, must come out."""
+    arrow basis, certified on the whole algebra, instead of one corner
+    per block: the same tuple must come out."""
     radical = _single_chain_filtration(g, p)
     if not radical:
         return True, None, 0

@@ -334,6 +334,30 @@ def test_composition_lost_on_a_pull_path_fails_a_round_trip(monkeypatch, capsys)
         "internal error: isomorphism verification failed: phi_inv(phi([p_x_y@1])) != [p_x_y@1]\n")
 
 
+@pytest.mark.parametrize("lost, message", [
+    (("p_x_y@0", "p_y_x@0"), "no transport from p_x_x@0 to p_y_y@0"),
+    (("p_y_x@0", "p_x_x@1"), "transported corner of p_x_x@0 does not cover its block once"),
+], ids=["inverse", "relabelling"])
+def test_transport_composition_lost_before_the_oracle_is_an_internal_error(
+        monkeypatch, capsys, lost, message):
+    # over GF(2) the oracle carries the radical of the corner at x to
+    # y along p_y_x@0 : x -> y and its inverse p_x_y@0; the composition
+    # goes after the isomorphism check has passed
+    real_oracle = gpdalg.cli.radical_oracle
+
+    def drop_then_run(g, ring):
+        f, h = (g.arrow_index(name) for name in lost)
+        monkeypatch.delitem(g.rows[f], h)
+        return real_oracle(g, ring)
+
+    monkeypatch.setattr(gpdalg.cli, "radical_oracle", drop_then_run)
+    code, out, err = _main_in_process(
+        capsys, "groupoid", str(FIXTURES / "pair2_z2.gpd"), "--ring", "GF(2)", "--verify")
+    assert code == 2
+    assert not out
+    assert err == f"internal error: {message}\n"
+
+
 _NOT_MULTIPLICATIVE = "isomorphism verification failed: phi not multiplicative on (p_x_x@0, p_x_y@1)"
 _LOOP_NOT_MULTIPLICATIVE = "isomorphism verification failed: phi not multiplicative on (p_x_y@0, p_y_y@1)"
 

@@ -102,6 +102,29 @@ def test_natural_partial_order_on_the_fixture():
                     assert below[i][k]
 
 
+def test_natural_partial_order_reads_each_restriction_set_once(monkeypatch):
+    """On I3 (34 elements, 8 idempotents) the order takes n products for
+    the t t*, n^2 for the first description and n |E| for the sets
+    {e x}, and still compares the two descriptions at every (t, x): an
+    idempotent left out of the second is a disagreement."""
+    s = isg_corpus()[0][1]
+    n, idem = s.size, s.idempotents()
+    assert (n, len(idem)) == (34, 8)
+    calls = []
+    real = InverseSemigroup.mul
+
+    def counting(self, i, j):
+        calls.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(InverseSemigroup, "mul", counting)
+    natural_partial_order(s)
+    assert len(calls) == n * (1 + n + len(idem))
+    monkeypatch.setattr(InverseSemigroup, "idempotents", lambda self: idem[1:])
+    with pytest.raises(InternalCheckError, match="two descriptions of the natural partial order disagree"):
+        natural_partial_order(s)
+
+
 def test_underlying_groupoid_structure():
     s = _i2_fixture()
     g = underlying_groupoid(s)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import chain_graph, disconnected_ladder, groupoid_corpus, in_tree_graph
+from corpus import chain_graph, disconnected_ladder, groupoid_corpus, in_tree_graph, isg_corpus
 from support import (
     _basis_products,
     _right_ideal_nilpotent,
@@ -37,6 +37,7 @@ from gpdalg import (
 )
 from gpdalg.errors import InternalCheckError
 from gpdalg.groupoid import generators, orbits
+from gpdalg.isg import underlying_groupoid
 from gpdalg.leavitt import as_finite_groupoid
 from gpdalg.constructions import (
     cyclic_table,
@@ -57,6 +58,7 @@ from gpdalg.verdicts import (
     _ideal_certified_nilpotent,
     _powers_vanish,
     _radical_charp,
+    _radical_modp,
     _trace_form,
     oracle_refusal,
 )
@@ -214,7 +216,7 @@ def test_exhaustive_and_filtration_methods_agree():
                 assert ex_dim is None and fi_dim >= 1
                 # the exhaustive witness lies in the radical, and so
                 # inside the filtration result
-                basis, pivots = echelon(_filtration_radical_modp(g, p), p)
+                basis, pivots = echelon(_radical_modp(g, p), p)
                 assert not sparse_reduce(w, basis, pivots, p), (name, ring)
             checked += 1
     assert checked >= 15
@@ -235,7 +237,7 @@ def test_filtration_matches_the_matrix_power_reference():
     nonzero = 0
     for name, g, p in cases:
         bp, d = _basis_products(g.rows), g.arrow_count
-        basis = _filtration_radical_modp(g, p)
+        basis = _radical_modp(g, p)
         assert _dense_rows(basis, d) == reference_filtration_radical(bp, d, p), (name, p)
         nonzero += bool(basis)
     assert nonzero >= 10
@@ -314,7 +316,9 @@ def test_exhaustive_witness_follows_a_relabeling_of_the_arrows():
 
 def test_sweep_sized_input_is_answered_with_few_products(monkeypatch):
     """pair(2) x Z3 over GF(2) is semisimple: the sweep walked all
-    4,095 nonzero elements; the filtration needs fewer than d^2 products."""
+    4,095 nonzero elements.  The whole trace form mod 2 is degenerate
+    (each identity has trace 6), so the filtration runs on the corner
+    GF(2)[Z3], whose trace form is not: it forms no product at all."""
     calls = []
     product = VERDICTS._mul
 
@@ -326,9 +330,10 @@ def test_sweep_sized_input_is_answered_with_few_products(monkeypatch):
     g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(3))
     d = g.arrow_count
     assert d == 12
+    corners = _count_calls(monkeypatch, "_filtration_radical_modp")
     report = radical_oracle(g, GF2)
     assert report.semisimple and report.method == "exhaustive"
-    assert 0 < len(calls) < d * d
+    assert len(corners) == 1 and len(corners[0][0]) == 3 and calls == []
     calls.clear()
     report = radical_oracle(product_with_group(pair_groupoid(["x", "y"]), symmetric_table(3)), Q)
     assert report.semisimple and calls == []
@@ -439,7 +444,7 @@ def _certificate_candidates(g, p):
     identity arrow, and one non-loop arrow where there is one."""
     d = g.arrow_count
     if p:
-        radical = _filtration_radical_modp(g, p)
+        radical = _radical_modp(g, p)
     else:
         radical = sparse_kernel(_trace_form(g.rows)[1], d)
     candidates = [radical, radical[1:], radical + [{g.identity_of[0]: 1}]]
@@ -477,7 +482,7 @@ def test_powers_vanish_squares_its_way_to_zero(monkeypatch):
     """The radical of GF(7)[Z/7] has nilpotency index 7: squaring
     reaches zero in ceil(log2 7) = 3 eliminations, where one factor of
     the radical per step would take 6."""
-    radical = _filtration_radical_modp(Z7_GROUPOID, 7)
+    radical = _radical_modp(Z7_GROUPOID, 7)
     assert len(radical) == 6
     rounds = []
 
@@ -551,37 +556,52 @@ def test_q_oracle_builds_no_products_table_on_the_corpus(monkeypatch):
 @pytest.mark.parametrize("tamper", ["identity", "non-ideal"])
 def test_a_tampered_radical_is_an_internal_error(monkeypatch, ring, tamper):
     """A candidate radical that is not a nilpotent ideal never becomes
-    a "not semisimple" answer, whichever route produced it."""
-    g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(2))
+    a "not semisimple" answer, whichever route produced it: the
+    trace-form kernel over Q, the corner's filtration over GF(p)."""
+    g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(2 if ring == Q else ring.p))
     d = g.arrow_count
-    e = g.identity_of[0]
-    # an identity is idempotent; an arrow x -> y alone spans no ideal
-    a = next(a for a in range(d) if g.dom[a] != g.cod[a])
-    fake = [{e: 1}] if tamper == "identity" else [{a: 1}]
     if ring == Q:
+        # an identity is idempotent; an arrow x -> y alone spans no ideal
+        e = g.identity_of[0]
+        a = next(a for a in range(d) if g.dom[a] != g.cod[a])
+        fake = [{e: 1}] if tamper == "identity" else [{a: 1}]
         monkeypatch.setattr(VERDICTS, "sparse_kernel", lambda rows, n, p=0: fake)
     else:
-        monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", lambda g, p: fake)
+        # the corner GF(p)[Z/p]: its identity is idempotent, and a
+        # group element other than it alone spans no ideal
+        def fake(rows, p):
+            i = next(i for i, row in enumerate(rows) if (row[i] == i) == (tamper == "identity"))
+            return [{i: 1}]
+
+        monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", fake)
     with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
         radical_oracle(g, ring)
 
 
 @pytest.mark.parametrize("ring", [GF2, GF3, GF5])
 def test_a_radical_missing_a_vector_is_an_internal_error(monkeypatch, ring):
-    """The true radical less one basis vector is nilpotent but not an
-    ideal: some one-arrow product of what is left has a residue that
-    only the subtraction of the pivot rows it meets exposes."""
-    g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(ring.p))
+    """The corner's true radical less one basis vector is nilpotent but
+    not an ideal: some one-arrow product of what is left has a residue
+    that only the subtraction of the pivot rows it meets exposes."""
+    order = 4 if ring.p == 2 else ring.p
+    g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(order))
     real = VERDICTS._filtration_radical_modp
-    # M_2 over the augmentation ideal of GF(p)[Z/p], of dimension p - 1
-    assert len(real(g, ring.p)) == 4 * (ring.p - 1)
-    monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", lambda g, p: real(g, p)[1:])
+    # the corner's radical is the augmentation ideal of GF(p)[Z/order]
+    calls = []
+
+    def less_one(rows, p):
+        radical = real(rows, p)
+        calls.append(len(radical))
+        return radical[1:]
+
+    monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", less_one)
     with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
         radical_oracle(g, ring)
+    assert calls == [order - 1]
 
 
 # ---------------------------------------------------------------------------
-# one filtration per block
+# one corner per block
 
 
 def _arrow_partition(label_of):
@@ -609,12 +629,12 @@ def test_blocks_are_the_orbits_of_a_groupoid():
 
 @pytest.mark.parametrize("p, dims", [(2, [0, 0, 49, 0]), (3, [0, 8, 4, 0]), (7, [6, 12, 0, 0])])
 def test_block_filtration_is_the_matrix_power_reference_on_disconnected_inputs(p, dims):
-    """One filtration per block gives the basis one chain over the whole
+    """One corner per block gives the basis one chain over the whole
     algebra gives, with every trace read off a power of a d x d matrix."""
     got = []
     for name, g in disconnected_ladder():
         bp, d = _basis_products(g.rows), g.arrow_count
-        basis = _filtration_radical_modp(g, p)
+        basis = _radical_modp(g, p)
         assert _dense_rows(basis, d) == reference_filtration_radical(bp, d, p), (name, p)
         got.append(len(basis))
     assert got == dims
@@ -623,13 +643,25 @@ def test_block_filtration_is_the_matrix_power_reference_on_disconnected_inputs(p
 def test_block_filtration_gives_the_single_chain_answer():
     """`_radical_charp` returns the tuple the single-chain filtration
     returns, witness included, on the corpus, the disconnected ladder,
-    a relabeled union, and two inputs with large radicals."""
+    the groupoids of the inverse-semigroup corpus, two relabeled inputs
+    (one whose blocks do not start at their least idempotent arrow), and
+    inputs with large radicals."""
     sigma = list(range(PAIR2_U_Z7.arrow_count))
     random.Random(7).shuffle(sigma)
+    pair2_z3 = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(3))
+    tau = list(range(pair2_z3.arrow_count))
+    random.Random(3).shuffle(tau)
+    shuffled = _relabel_arrows(pair2_z3, tau)
+    idempotents = [a for a in range(shuffled.arrow_count) if shuffled.rows[a].get(a) == a]
+    assert min(idempotents) != 0
+    pair3_z4 = product_with_group(pair_groupoid(["x", "y", "z"]), cyclic_table(4))
+    pair2_s3 = product_with_group(pair_groupoid(["x", "y"]), symmetric_table(3))
     cases = [
         (name, g, p, exhaustive)
         for name, g in groupoid_corpus() + disconnected_ladder()
-        + [("pair2_u_Z7 relabeled", _relabel_arrows(PAIR2_U_Z7, sigma))]
+        + [(name, underlying_groupoid(s)) for name, s in isg_corpus()]
+        + [("pair2_u_Z7 relabeled", _relabel_arrows(PAIR2_U_Z7, sigma)),
+           ("pair2_Z3 relabeled", shuffled), ("pair3_Z4", pair3_z4), ("pair2_S3", pair2_s3)]
         for p in (2, 3, 5, 7)
         for exhaustive in (True, False)
     ]
@@ -640,7 +672,7 @@ def test_block_filtration_gives_the_single_chain_answer():
         answer = _radical_charp(g, p, exhaustive)
         assert answer == single_chain_radical_charp(g, p, exhaustive), (name, p, exhaustive)
         nonzero += not answer[0]
-    assert nonzero >= 50
+    assert nonzero >= 70
 
 
 def _count_calls(monkeypatch, name):
@@ -656,25 +688,30 @@ def _count_calls(monkeypatch, name):
 
 
 def test_filtration_carries_its_powers_across_unchanged_stages(monkeypatch):
-    """pair(4) x Z8 over GF(2) keeps all 128 arrows for five stages:
-    the products are formed once for them, each later stage squares the
-    carried powers, and the single chain's 85,410 products drop below
-    50,000.  Stage 6 starts afresh on the 112-dimensional basis."""
-    g = product_with_group(PAIR4, cyclic_table(8))
-    calls = _count_calls(monkeypatch, "_mul")
-    powers = _count_calls(monkeypatch, "_power")
-    semisimple, _, radical_dimension = _radical_charp(g, 2, exhaustive=False)
-    assert not semisimple and radical_dimension == 112
-    assert len(calls) < 50_000
-    assert {q for _, _, q, _ in powers} == {2, 64}
-    # the filtration works mod 2^(7 + 1), the certificate mod 2
-    assert {args[3] for args in calls} == {2, 2 ** 8}
+    """pair(k) x Z8 over GF(2) runs the filtration on one corner, the
+    8-dimensional GF(2)[Z8], for every k: the same products and powers
+    for k = 2, 3 and 4, three stages mod 2^(3 + 1) (2^3 covers 8), and a
+    certificate mod 2 on the corner alone.  The basis stays whole until
+    the last stage, so every `_power` call squares."""
+    counts = []
+    for k in (2, 3, 4):
+        g = product_with_group(pair_groupoid([f"x{i}" for i in range(k)]), cyclic_table(8))
+        with monkeypatch.context() as m:
+            calls = _count_calls(m, "_mul")
+            powers = _count_calls(m, "_power")
+            semisimple, _, radical_dimension = _radical_charp(g, 2, exhaustive=False)
+        assert not semisimple and radical_dimension == 7 * k * k
+        counts.append((len(calls), len(powers)))
+        assert {q for _, _, q, _ in powers} == {2}
+        assert {args[3] for args in calls} == {2, 2 ** 4}
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_each_block_takes_its_own_stage_count_and_one_squaring_chain(monkeypatch):
-    """On pair(2) and Z/7 over GF(7) the 7-arrow block needs one product
+    """On pair(2) and Z/7 over GF(7) the 7-arrow corner needs one product
     stage (7^1 covers 7, where 11 arrows would need two), and the
-    certificate runs one squaring chain, on the whole radical."""
+    certificate runs one squaring chain, on that corner's radical: the
+    pair(2) block's trace form is nondegenerate mod 7."""
     powers = _count_calls(monkeypatch, "_power")
     squarings = _count_calls(monkeypatch, "_powers_vanish")
     report = radical_oracle(PAIR2_U_Z7, GF7)
@@ -685,20 +722,20 @@ def test_each_block_takes_its_own_stage_count_and_one_squaring_chain(monkeypatch
 
 @pytest.mark.parametrize("tamper", ["drop", "add"])
 def test_a_tampered_block_radical_exits_2(monkeypatch, capsys, tmp_path, tamper):
-    """The certificate checks the assembled radical against the whole
-    algebra: dropping a vector of the Z/7 block's radical, or adding an
-    arrow of the semisimple pair(2) block, is an internal error."""
+    """The certificate checks the corner's radical against the corner's
+    own generators: dropping a vector of the Z/7 corner's radical, or
+    adding the corner's identity, is an internal error.  The pair(2)
+    block's trace form is nondegenerate mod 7, so its corner never runs."""
     path = tmp_path / "pair2_u_z7.gpd"
     path.write_text(render_groupoid(PAIR2_U_Z7))
     real = VERDICTS._filtration_radical_modp
 
-    def tampered(g, p):
-        radical = real(g, p)
-        loops = {a for a in range(g.arrow_count) if g.dom[a] == g.cod[a]}
-        assert len(radical) == 6 and all(v.keys() <= loops for v in radical)
+    def tampered(rows, p):
+        radical = real(rows, p)
+        assert len(rows) == 7 and len(radical) == 6
         if tamper == "drop":
             return radical[1:]
-        return radical + [{next(a for a in range(g.arrow_count) if a not in loops): 1}]
+        return radical + [{next(i for i, row in enumerate(rows) if row[i] == i): 1}]
 
     monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", tampered)
     code = gpdalg.cli.main(["groupoid", str(path), "--ring", "GF(7)", "--verify"])
