@@ -103,6 +103,23 @@ def in_tree_graph(n):
     return Graph.make(vs, [(f"e{i}", vs[i], vs[(i - 1) // 2]) for i in range(1, n)])
 
 
+def _diamonds(k):
+    """Vertices and edges of k diamonds in a row, names zero-padded:
+    v_i -> a_i, b_i -> v_(i+1)."""
+    vs, es = [], []
+    for i in range(k):
+        v, a, b, w = f"v{i:02d}", f"a{i:02d}", f"b{i:02d}", f"v{i + 1:02d}"
+        vs += [v, a, b]
+        es += [(f"p{i:02d}", v, a), (f"q{i:02d}", v, b), (f"r{i:02d}", a, w), (f"s{i:02d}", b, w)]
+    vs.append(f"v{k:02d}")
+    return vs, es
+
+
+def diamond_chain_graph(k):
+    """k diamonds in a row: one sink with 2^(k+2) - 3 paths into it."""
+    return Graph.make(*_diamonds(k))
+
+
 def graph_corpus():
     """List of (name, Graph, expect_finite_boundary)."""
     out = []
@@ -195,6 +212,40 @@ def graph_corpus():
         _graph(
             ["a", "b", "c"],
             [("x", "a", "b"), ("y", "b", "a"), ("z", "a", "c"), ("w", "c", "a")],
+        ),
+        False,
+    ))
+    # three padded diamonds feeding a loop that has a second spoke
+    vs, es = _diamonds(3)
+    out.append((
+        "diamonds3_loop",
+        _graph(vs + ["x", "y"], es + [("l", "x", "x"), ("t", "y", "x"), ("u", "v03", "x")]),
+        True,
+    ))
+    # exit-free cycles (g.h) and (i.o.j), fed by one in-tree with the
+    # parallel edges e1, e2; canonical rotations start mid-list
+    out.append((
+        "two_cycles_in_tree",
+        _graph(
+            ["c", "m", "d", "k", "z", "r", "s", "w", "u"],
+            [
+                ("h", "m", "c"), ("g", "c", "m"),
+                ("j", "z", "d"), ("i", "d", "k"), ("o", "k", "z"),
+                ("e1", "s", "r"), ("e2", "s", "r"), ("e3", "w", "s"), ("e4", "u", "r"),
+                ("f1", "r", "m"), ("f2", "r", "d"), ("f3", "s", "k"),
+            ],
+        ),
+        True,
+    ))
+    # cycles (w), (x.y) and (z.v.u), each with an exit
+    out.append((
+        "exits_everywhere",
+        _graph(
+            ["a", "b", "c", "d", "s"],
+            [
+                ("x", "a", "b"), ("y", "b", "a"), ("z", "b", "c"), ("w", "c", "c"),
+                ("v", "c", "d"), ("u", "d", "b"), ("t", "c", "s"),
+            ],
         ),
         False,
     ))
