@@ -11,8 +11,10 @@ This module works at desk scale with the graphs whose boundary-path
 space is finite.  A boundary path is either a finite path ending at a
 sink (possibly empty) or a lasso: a spoke with no cycle edges followed
 by a simple cycle repeated forever.  The space is finite exactly when
-no cycle has an exit, condition (NE); when (NE) fails the module
-reports the infinite witness family instead.
+no cycle has an exit, condition (NE).  One topological peel (Kahn)
+decides (NE) and counts the paths of every orbit; the cycles are
+enumerated only to name the infinite witness family when (NE) fails,
+and an orbit lists its paths only when they are read.
 
 Arrows of the boundary-path groupoid are triples (eta, k, gamma) of
 boundary paths with a common tail, k counting the length difference of
@@ -56,8 +58,8 @@ _TRIVIAL = FiniteGroupTable.from_table([[0]])
 # largest boundary-path count verify_leavitt_relations takes; every
 # vertex and every edge starts some boundary path, so this also bounds
 # the vertex and edge counts.  At the limit `graph --verify --ring Q`
-# takes about 0.8 s on the slowest shape measured (a 1,440-vertex
-# chain), 0.3 s on 1,440 disjoint loops (one block each).
+# takes about 0.4 s on the slowest shapes measured (a 1,440-vertex
+# chain or cycle), 0.3 s on 1,440 disjoint loops (one block each).
 LEAVITT_VERIFY_LIMIT = 1440
 
 
@@ -215,18 +217,37 @@ def witness_names(g: Graph, w: ExitWitness) -> tuple:
     return cyc, exit_name, f"Z(({cyc})^n.{exit_name})"
 
 
-def condition_ne(g: Graph, cycles=None):
+def condition_ne(g: Graph):
     """Returns (holds, witness).  holds is True iff every vertex on
-    every cycle has out-degree exactly one."""
-    if cycles is None:
-        cycles = enumerate_cycles(g)
-    for c in cycles:
+    every cycle has out-degree exactly one.  It enumerates every simple
+    cycle, so a report calls it only to name the witness once the peel
+    has found that (NE) fails."""
+    for c in enumerate_cycles(g):
         for e in c.edges:
             # an edge off the cycle, or a second cycle edge at src(e)
             for other in g.out_edges(g.src[e]):
                 if other != e:
                     return False, ExitWitness(c, other)
     return True, None
+
+
+def _peel(g: Graph):
+    """Kahn's topological peel: removes, in topological order, every
+    vertex that no cycle reaches.  Returns (counts, left): counts[v] is
+    1 plus the sum of counts[src e] over the removed edges e into v,
+    which for a removed v is the number of paths ending at v, and left
+    lists the vertices not removed."""
+    indegree = [len(g.in_edges(v)) for v in range(len(g.vertices))]
+    counts = [1] * len(g.vertices)
+    ready = [v for v, d in enumerate(indegree) if not d]
+    for v in ready:  # the list grows while it is read: a queue
+        for e in g.out_edges(v):
+            w = g.dst[e]
+            counts[w] += counts[v]
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return counts, [v for v, d in enumerate(indegree) if d]
 
 
 class SinkPath(Value):
@@ -243,11 +264,6 @@ class Lasso(Value):
     entering at position entry_pos of the canonical rotation."""
 
     __slots__ = ("spoke", "cycle", "entry_pos")
-
-    def offset(self) -> int:
-        # aligns tails: dropping offset() edges leaves the canonical
-        # rotation of the cycle, up to multiples of the length
-        return len(self.spoke) - self.entry_pos
 
 
 def path_start(g: Graph, bp) -> int:
@@ -270,80 +286,14 @@ def render_path(g: Graph, bp) -> str:
     return (spoke + "." if spoke else "") + f"({cyc})^inf"
 
 
-def _path_sort_key(g: Graph, bp):
-    if isinstance(bp, SinkPath):
-        return (0, len(bp.edges), tuple(g.edge_names[e] for e in bp.edges))
-    return (1, len(bp.spoke), tuple(g.edge_names[e] for e in bp.spoke), bp.entry_pos)
-
-
 def boundary_paths(g: Graph):
-    """All boundary paths when (NE) holds, else an ExitWitness.
-
-    Sink paths are enumerated backward from each sink; spokes backward
-    from each cycle vertex over non-cycle edges.  Both walks are
-    vertex-simple, which (NE) guarantees is exhaustive: a repeated
-    vertex would put a cycle with an exit inside the path.
-    """
-    cycles = enumerate_cycles(g)
-    holds, witness = condition_ne(g, cycles)
-    if not holds:
-        return witness
-
-    seen_vertices: dict = {}
-    for c in cycles:
-        for e in c.edges:
-            v = g.src[e]
-            if v in seen_vertices:
-                raise InternalCheckError(
-                    "distinct cycles share a vertex although (NE) holds"
-                )
-            seen_vertices[v] = c
-
-    paths = []
-
-    def extend_backward(start, forbidden):
-        """Every vertex-simple path ending at start, in depth-first
-        preorder, the empty path first.  The stack is explicit, so long
-        chains cannot exhaust the recursion limit."""
-        store: list = [()]
-        visited = {start}
-        stack = [((), iter(g.in_edges(start)))]
-        while stack:
-            tail_edges, pending = stack[-1]
-            e = next(pending, None)
-            if e is None:
-                stack.pop()
-                if tail_edges:
-                    visited.discard(g.src[tail_edges[0]])
-                continue
-            if e in forbidden:
-                continue
-            u = g.src[e]
-            if u in visited:
-                raise InternalCheckError(
-                    "vertex-simple walk revisited a vertex although (NE) holds"
-                )
-            if u in seen_vertices:
-                raise InternalCheckError(
-                    "spoke or sink path touched a cycle although (NE) holds"
-                )
-            new_edges = (e,) + tail_edges
-            store.append(new_edges)
-            visited.add(u)
-            stack.append((new_edges, iter(g.in_edges(u))))
-        return store
-
-    for v in range(len(g.vertices)):
-        if g.is_sink(v):
-            for edges in extend_backward(v, frozenset()):
-                paths.append(SinkPath(edges, v))
-    for c in cycles:
-        forbidden = frozenset(c.edges)
-        for pos in range(c.length()):
-            w = g.src[c.edges[pos]]
-            for edges in extend_backward(w, forbidden):
-                paths.append(Lasso(edges, c, pos))
-    return sorted(paths, key=lambda bp: _path_sort_key(g, bp))
+    """All boundary paths when (NE) holds, else an ExitWitness: orbit by
+    orbit in graph_groupoid's order (sinks by vertex name, then cycles by
+    edge names), each orbit by length, edge names and entry position."""
+    gd = graph_groupoid(g)
+    if isinstance(gd, ExitWitness):
+        return gd
+    return [bp for o in gd.orbits for bp in o.members]
 
 
 def prepend_edge(g: Graph, e: int, bp):
@@ -364,20 +314,67 @@ def prepend_edge(g: Graph, e: int, bp):
 
 
 class GraphOrbit(Value):
+    """One tail-equivalence class of boundary paths.  Its members
+    (members[0] is the basepoint) and their connecting degrees from the
+    basepoint are listed together, once, on first read."""
+
     __slots__ = (
         "kind",      # "sink" or "cycle"
         "anchor",    # vertex index or Cycle
-        "members",   # boundary paths, sorted; members[0] is the basepoint
-        "degrees",   # connecting degree basepoint -> member
+        "size",      # number of members, from the peel's path counts
         "isotropy",  # FiniteGroupTable (trivial) or IntegerGroup
+        "_graph",    # the Graph the listing walks
+        "_listed",   # (members, degrees) memo
     )
+
+    def __init__(self, kind, anchor, size, isotropy, graph):
+        super().__init__(kind, anchor, size, isotropy)
+        self._graph = graph
+        self._listed = None
+
+    @property
+    def members(self) -> tuple:
+        return self._listing()[0]
+
+    @property
+    def degrees(self) -> tuple:
+        return self._listing()[1]
+
+    def _listing(self):
+        """One backward walk.  Level 0 is the sink alone, or the pure
+        lassos by entry position; level k + 1 prepends each non-cycle
+        edge into a path of level k, ordered by (edge name, place of the
+        path in level k), which orders the members by (length, edge
+        names, entry position).  A member's degree is its length, less
+        its entry position mod |c| on a lasso orbit."""
+        if self._listed is not None:
+            return self._listed
+        g = self._graph
+        c = self.anchor if self.kind == "cycle" else None
+        # (edges, start vertex, entry position)
+        level = [((), g.src[e], pos) for pos, e in enumerate(c.edges)] if c else [((), self.anchor, 0)]
+        skip = frozenset(c.edges if c else ())
+        listed: list = []
+        while level:
+            listed += level
+            if len(listed) > self.size or len(level[0][0]) >= len(g.vertices):
+                raise InternalCheckError(f"listing an orbit of {self.size} boundary paths walked past it")
+            grown = sorted((g.edge_names[e], i, e) for i, (_, v, _) in enumerate(level)
+                           for e in g.in_edges(v) if e not in skip)
+            level = [((e,) + level[i][0], g.src[e], level[i][2]) for _, i, e in grown]
+        if len(listed) != self.size:
+            raise InternalCheckError(f"listed {len(listed)} boundary paths in an orbit of {self.size}")
+        self._listed = (
+            tuple(Lasso(edges, c, pos) if c else SinkPath(edges, self.anchor) for edges, _, pos in listed),
+            tuple((len(edges) - pos) % c.length() if c else len(edges) for edges, _, pos in listed))
+        return self._listed
 
 
 class GraphDecomposition(Value):
     __slots__ = ("graph", "orbits")
 
     def boundary_count(self) -> int:
-        return sum(len(o.members) for o in self.orbits)
+        return sum(o.size for o in self.orbits)
 
     def has_cycle(self) -> bool:
         # under (NE) every cycle of the graph owns a lasso orbit
@@ -388,41 +385,43 @@ def graph_groupoid(g: Graph):
     """Orbit/frame layout of the boundary-path groupoid, or the
     ExitWitness of condition_ne when the space is infinite.
 
-    Computed once per Graph, which never changes, and memoised on it: this
-    is the one place a report enumerates cycles, decides (NE) and walks
-    the boundary paths, and every other stage reads this result."""
+    Computed once per Graph, which never changes, and memoised on it:
+    this is the one place a report decides (NE) and sizes the orbits,
+    by one topological peel, and every other stage reads this result.
+    Cycles are enumerated only when (NE) fails, to name the witness,
+    and an orbit lists its boundary paths only when they are read."""
     if g._groupoid is None:
         g._groupoid = _boundary_path_groupoid(g)
     return g._groupoid
 
 
 def _boundary_path_groupoid(g: Graph):
-    paths = boundary_paths(g)
-    if isinstance(paths, ExitWitness):
-        return paths
-    sink_groups: dict = {}
-    cycle_groups: dict = {}
-    for bp in paths:
-        if isinstance(bp, SinkPath):
-            sink_groups.setdefault(bp.sink, []).append(bp)
-        else:
-            cycle_groups.setdefault(bp.cycle, []).append(bp)
-    orbits = []
-    for v in sorted(sink_groups, key=lambda v: g.vertices[v]):
-        members = tuple(sink_groups[v])
-        degrees = tuple(len(bp.edges) - len(members[0].edges) for bp in members)
-        orbits.append(GraphOrbit("sink", v, members, degrees, _TRIVIAL))
-    for c in sorted(cycle_groups, key=lambda c: _cycle_sort_key(g, c)):
-        members = tuple(cycle_groups[c])
-        base = members[0]
-        n = c.length()
-        degrees = tuple((bp.offset() - base.offset()) % n for bp in members)
-        orbits.append(GraphOrbit("cycle", c, members, degrees, IntegerGroup()))
+    # after the peel, (NE) holds iff every vertex left has out-degree 1:
+    # the vertices left then each have one in-edge from the others, so
+    # they form disjoint cycles, none with an exit
+    counts, left = _peel(g)
+    if any(len(g.out_edges(v)) != 1 for v in left):
+        return condition_ne(g)[1]
+    cycles, seen = [], set()
+    for v in left:
+        edges = []
+        while v not in seen:
+            seen.add(v)
+            edges.append(g.out_edges(v)[0])
+            v = g.dst[edges[-1]]
+        if edges:
+            cycles.append(_canonical_cycle(g, edges))
+    orbits = [GraphOrbit("sink", v, counts[v], _TRIVIAL, g)
+              for v in sorted(range(len(g.vertices)), key=g.vertices.__getitem__)
+              if g.is_sink(v)]
+    for c in sorted(cycles, key=lambda c: _cycle_sort_key(g, c)):
+        size = sum(counts[g.src[e]] for e in c.edges)
+        orbits.append(GraphOrbit("cycle", c, size, IntegerGroup(), g))
     return GraphDecomposition(g, tuple(orbits))
 
 
 def block_shape(gd: GraphDecomposition, ring: RingDescriptor) -> BlockShape:
-    return BlockShape(ring, tuple((len(o.members), o.isotropy) for o in gd.orbits))
+    return BlockShape(ring, tuple((o.size, o.isotropy) for o in gd.orbits))
 
 
 class GeneratorImages(Value):

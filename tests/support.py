@@ -39,6 +39,7 @@ from gpdalg.leavitt import (
     SinkPath,
     _canonical_cycle,
     block_shape,
+    enumerate_cycles,
     generator_images,
     graph_groupoid,
     path_start,
@@ -482,6 +483,122 @@ def paths_to_sinks(g: Graph) -> dict:
     return {v: count_into(v, 0) for v in range(len(g.vertices)) if g.is_sink(v)}
 
 
+def _offset(bp: Lasso) -> int:
+    """Aligns tails: dropping _offset(bp) edges leaves the canonical
+    rotation of the cycle, up to multiples of its length."""
+    return len(bp.spoke) - bp.entry_pos
+
+
+def _path_sort_key(g: Graph, bp):
+    if isinstance(bp, SinkPath):
+        return (0, len(bp.edges), tuple(g.edge_names[e] for e in bp.edges))
+    return (1, len(bp.spoke), tuple(g.edge_names[e] for e in bp.spoke), bp.entry_pos)
+
+
+def reference_boundary_paths(g: Graph):
+    """All boundary paths when (NE) holds, else an ExitWitness, as
+    leavitt.boundary_paths listed them before the topological peel:
+    every simple cycle enumerated, every vertex-simple backward walk
+    listed depth first, one global sort.
+
+    Sink paths are enumerated backward from each sink; spokes backward
+    from each cycle vertex over non-cycle edges.  Both walks are
+    vertex-simple, which (NE) guarantees is exhaustive: a repeated
+    vertex would put a cycle with an exit inside the path.
+    """
+    cycles = enumerate_cycles(g)
+    for c in cycles:
+        for e in c.edges:
+            for other in g.out_edges(g.src[e]):
+                if other != e:
+                    return ExitWitness(c, other)
+
+    seen_vertices: dict = {}
+    for c in cycles:
+        for e in c.edges:
+            v = g.src[e]
+            if v in seen_vertices:
+                raise InternalCheckError(
+                    "distinct cycles share a vertex although (NE) holds"
+                )
+            seen_vertices[v] = c
+
+    paths = []
+
+    def extend_backward(start, forbidden):
+        """Every vertex-simple path ending at start, in depth-first
+        preorder, the empty path first.  The stack is explicit, so long
+        chains cannot exhaust the recursion limit."""
+        store: list = [()]
+        visited = {start}
+        stack = [((), iter(g.in_edges(start)))]
+        while stack:
+            tail_edges, pending = stack[-1]
+            e = next(pending, None)
+            if e is None:
+                stack.pop()
+                if tail_edges:
+                    visited.discard(g.src[tail_edges[0]])
+                continue
+            if e in forbidden:
+                continue
+            u = g.src[e]
+            if u in visited:
+                raise InternalCheckError(
+                    "vertex-simple walk revisited a vertex although (NE) holds"
+                )
+            if u in seen_vertices:
+                raise InternalCheckError(
+                    "spoke or sink path touched a cycle although (NE) holds"
+                )
+            new_edges = (e,) + tail_edges
+            store.append(new_edges)
+            visited.add(u)
+            stack.append((new_edges, iter(g.in_edges(u))))
+        return store
+
+    for v in range(len(g.vertices)):
+        if g.is_sink(v):
+            for edges in extend_backward(v, frozenset()):
+                paths.append(SinkPath(edges, v))
+    for c in cycles:
+        forbidden = frozenset(c.edges)
+        for pos in range(c.length()):
+            w = g.src[c.edges[pos]]
+            for edges in extend_backward(w, forbidden):
+                paths.append(Lasso(edges, c, pos))
+    return sorted(paths, key=lambda bp: _path_sort_key(g, bp))
+
+
+def reference_graph_orbits(g: Graph):
+    """reference_boundary_paths regrouped into orbits as the package
+    grouped them before the peel: a list of (kind, anchor, members,
+    degrees), sinks by vertex name and then cycles by edge names, or
+    the ExitWitness."""
+    paths = reference_boundary_paths(g)
+    if isinstance(paths, ExitWitness):
+        return paths
+    sink_groups: dict = {}
+    cycle_groups: dict = {}
+    for bp in paths:
+        if isinstance(bp, SinkPath):
+            sink_groups.setdefault(bp.sink, []).append(bp)
+        else:
+            cycle_groups.setdefault(bp.cycle, []).append(bp)
+    orbits = []
+    for v in sorted(sink_groups, key=lambda v: g.vertices[v]):
+        members = tuple(sink_groups[v])
+        degrees = tuple(len(bp.edges) - len(members[0].edges) for bp in members)
+        orbits.append(("sink", v, members, degrees))
+    for c in sorted(cycle_groups, key=lambda c: tuple(g.edge_names[e] for e in c.edges)):
+        members = tuple(cycle_groups[c])
+        base = members[0]
+        n = c.length()
+        degrees = tuple((_offset(bp) - _offset(base)) % n for bp in members)
+        orbits.append(("cycle", c, members, degrees))
+    return orbits
+
+
 def _unrolled(g: Graph, bp, length: int) -> tuple:
     """First `length` edges of the boundary path as a tuple; sink paths
     are padded with ("stop", sink) markers."""
@@ -554,7 +671,7 @@ def is_arrow(g: Graph, eta, k: int, gamma) -> bool:
         gamma = _normalize_lasso(g, gamma)
         if eta.cycle != gamma.cycle:
             return False
-        return (k - (eta.offset() - gamma.offset())) % eta.cycle.length() == 0
+        return (k - (_offset(eta) - _offset(gamma))) % eta.cycle.length() == 0
     return False
 
 

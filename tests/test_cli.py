@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from corpus import chain_graph
+from corpus import chain_graph, diamond_chain_graph
 
 import gpdalg.cli
 import gpdalg.groupoid
@@ -22,12 +22,12 @@ MACHINE_KEYS = [
 ]
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "gpdalg.cli", *args],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -451,14 +451,61 @@ def _count_calls(monkeypatch, name, *modules):
 def test_graph_report_derives_the_boundary_path_groupoid_once(monkeypatch, capsys):
     counters = {
         name: _count_calls(monkeypatch, name, gpdalg.leavitt)
-        for name in ("boundary_paths", "enumerate_cycles", "condition_ne")
+        for name in ("_peel", "enumerate_cycles", "condition_ne")
     }
     code, out, err = _main_in_process(
         capsys, "graph", str(FIXTURES / "a3.quiv"), "--ring", "Q", "--verify")
     assert code == 0, err
     assert "oracle: agree" in out
+    # (NE) holds: one peel decides it, and no cycle is enumerated
     assert {name: len(calls) for name, calls in counters.items()} == {
-        "boundary_paths": 1, "enumerate_cycles": 1, "condition_ne": 1}
+        "_peel": 1, "enumerate_cycles": 0, "condition_ne": 0}
+    for calls in counters.values():
+        calls.clear()
+    code, out, err = _main_in_process(capsys, "graph", str(FIXTURES / "rose2.quiv"), "--verify")
+    assert code == 0, err
+    assert "Z((e)^n.f)" in out
+    # (NE) fails: the cycles are enumerated once, to name the witness
+    assert {name: len(calls) for name, calls in counters.items()} == {
+        "_peel": 1, "enumerate_cycles": 1, "condition_ne": 1}
+
+
+def test_forty_diamonds_report_without_listing_a_path(tmp_path, monkeypatch, capsys):
+    # 2^42 - 3 paths into the one sink: counted by the peel, never listed
+    path = tmp_path / "diamonds40.quiv"
+    path.write_text(render_graph(diamond_chain_graph(40)))
+    r = run_cli("graph", str(path), timeout=30)
+    assert r.returncode == 0 and not r.stderr
+    assert "boundary paths: 4398046511101\n" in r.stdout
+    assert "shape: M_4398046511101(Q)\n" in r.stdout
+    r = run_cli("graph", str(path), "--verify", timeout=30)
+    assert r.returncode == 0 and not r.stderr
+    assert "verification: skipped\n" in r.stdout
+    assert ("graph has 4398046511101 boundary paths; "
+            "the relation verification budget stops at 1440") in r.stdout
+    listings = _count_calls(monkeypatch, "_listing", gpdalg.leavitt.GraphOrbit)
+    code, out, err = _main_in_process(capsys, "graph", str(path), "--verify")
+    assert (code, out, err) == (0, r.stdout, "")
+    assert listings == []
+
+
+def test_long_chain_reports_within_the_timeout(tmp_path):
+    r = run_cli("graph", _chain_file(tmp_path, 5000), timeout=30)
+    assert r.returncode == 0 and not r.stderr
+    assert "boundary paths: 5000\n" in r.stdout
+
+
+def test_a_wrong_ne_decision_fails_closed(tmp_path, monkeypatch, capsys):
+    # the loop e exits to the sink w; a peel that leaves no vertex makes
+    # the graph look acyclic, with one path into w
+    path = tmp_path / "loop_exit.quiv"
+    path.write_text("vertices: v w\nedge e : v -> v\nedge f : v -> w\n")
+    real_peel = gpdalg.leavitt._peel
+    monkeypatch.setattr(gpdalg.leavitt, "_peel", lambda g: (real_peel(g)[0], []))
+    # the listing that --verify reads walks past the peel's count
+    code, out, err = _main_in_process(capsys, "graph", str(path), "--verify")
+    assert code == 2 and not out
+    assert err == "internal error: listing an orbit of 1 boundary paths walked past it\n"
 
 
 def test_isg_report_validates_the_underlying_groupoid_once(monkeypatch, capsys):

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from corpus import chain_graph, graph_corpus, in_tree_graph
+from corpus import chain_graph, diamond_chain_graph, graph_corpus, in_tree_graph
 from support import (
     is_arrow,
     paths_to_sinks,
     reference_as_finite_groupoid,
     reference_attained_matrix_units,
+    reference_graph_orbits,
     reference_generated_dimension,
     reference_generator_images,
     reference_path_unit_count,
@@ -25,6 +26,7 @@ from gpdalg import (
     ExitWitness,
     Graph,
     IntegerGroup,
+    InternalCheckError,
     Lasso,
     OracleBudgetError,
     ParseError,
@@ -292,6 +294,67 @@ def test_long_chains_and_cycles_do_not_recurse():
     lassos = boundary_paths(ring)
     assert [(bp.spoke, bp.entry_pos) for bp in lassos] == [((), pos) for pos in range(n)]
     assert {bp.cycle.edges for bp in lassos} == {tuple(range(n))}
+
+
+def _fed_cycles(rng):
+    """A seeded graph: exit-free cycles of length 1 to 3, a random DAG
+    on the other vertices whose edges point forward or into a cycle,
+    and now and then one stray edge anywhere, which may break (NE)."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 9))]
+    rng.shuffle(vs)
+    edges, cut = [], 0
+    while cut < len(vs) and rng.random() < 0.5:
+        cycle = vs[cut:cut + rng.randint(1, 3)]
+        edges += [(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle)]
+        cut += len(cycle)
+    dag = vs[cut:]
+    for _ in range(rng.randint(0, 12)):
+        i = rng.randrange(len(dag)) if dag else 0
+        targets = dag[i + 1:] + vs[:cut]
+        if dag and targets:
+            edges.append((dag[i], rng.choice(targets)))
+    if rng.random() < 0.2:
+        edges.append((rng.choice(vs), rng.choice(vs)))
+    names = rng.sample(range(len(edges)), len(edges))  # edge order is not name order
+    return Graph.make(vs, [(f"e{k}", s, t) for k, (s, t) in zip(names, edges)])
+
+
+def test_the_peel_matches_the_enumerating_reference(monkeypatch):
+    calls = []
+    real = gpdalg.leavitt.condition_ne
+    monkeypatch.setattr(gpdalg.leavitt, "condition_ne", lambda g: calls.append(g) or real(g))
+    rng = random.Random(20261019)
+    graphs = ([g for _, g, _ in graph_corpus()]
+              + [chain_graph(n) for n in range(1, 30)] + [in_tree_graph(n) for n in range(1, 30)]
+              + [diamond_chain_graph(k) for k in range(1, 9)]
+              + [_fed_cycles(rng) for _ in range(3000)])
+    exits = cycles = 0
+    for g in graphs:
+        want = reference_graph_orbits(g)
+        got = graph_groupoid(g)
+        if isinstance(want, ExitWitness):
+            assert got == want and calls[-1] is g
+            exits += 1
+            continue
+        assert [(o.kind, o.anchor, o.size, o.members, o.degrees) for o in got.orbits] == [
+            (kind, anchor, len(members), members, degrees) for kind, anchor, members, degrees in want]
+        assert boundary_paths(g) == [bp for _, _, members, _ in want for bp in members]
+        cycles += got.has_cycle()
+    # condition_ne runs once per graph that fails (NE), and on no other
+    assert len(calls) == exits
+    assert exits > 200 and cycles > 1000
+
+
+def test_a_listing_past_the_peel_count_fails_closed(monkeypatch):
+    g = Graph.make(["v", "w"], [("e", "v", "v"), ("f", "v", "w")])
+    # a peel that claims no vertex is left and leaves the counts as given
+    monkeypatch.setattr(gpdalg.leavitt, "_peel", lambda g: ([10 ** 6] * 2, []))
+    with pytest.raises(InternalCheckError, match="walked past"):
+        graph_groupoid(g).orbits[0].members
+    g = chain_graph(3)
+    monkeypatch.setattr(gpdalg.leavitt, "_peel", lambda g: ([4] * 3, []))
+    with pytest.raises(InternalCheckError, match="listed 3 boundary paths in an orbit of 4"):
+        graph_groupoid(g).orbits[0].degrees
 
 
 def _out_tree(depth):
