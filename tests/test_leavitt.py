@@ -11,9 +11,9 @@ from support import (
     paths_to_sinks,
     reference_as_finite_groupoid,
     reference_attained_matrix_units,
-    reference_graph_orbits,
     reference_generated_dimension,
     reference_generator_images,
+    reference_graph_orbits,
     reference_path_unit_count,
     reference_verify_leavitt_relations,
     truncation_is_arrow,
@@ -308,10 +308,10 @@ def _fed_cycles(rng):
         edges += [(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle)]
         cut += len(cycle)
     dag = vs[cut:]
-    for _ in range(rng.randint(0, 12)):
-        i = rng.randrange(len(dag)) if dag else 0
+    for _ in range(rng.randint(0, 12) if dag else 0):
+        i = rng.randrange(len(dag))
         targets = dag[i + 1:] + vs[:cut]
-        if dag and targets:
+        if targets:
             edges.append((dag[i], rng.choice(targets)))
     if rng.random() < 0.2:
         edges.append((rng.choice(vs), rng.choice(vs)))
