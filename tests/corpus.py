@@ -120,6 +120,15 @@ def diamond_chain_graph(k):
     return Graph.make(*_diamonds(k))
 
 
+def complete_digraph(n):
+    """K_n: an edge e_i_j from every vertex v_i to every other v_j, names
+    zero-padded and listed in reverse name order, so out-edge order is
+    not name order."""
+    vs = [f"v{i:02d}" for i in range(n)]
+    return Graph.make(vs, [(f"e{i:02d}_{j:02d}", vs[i], vs[j])
+                           for i in reversed(range(n)) for j in reversed(range(n)) if i != j])
+
+
 def graph_corpus():
     """List of (name, Graph, expect_finite_boundary)."""
     out = []
@@ -246,6 +255,18 @@ def graph_corpus():
                 ("x", "a", "b"), ("y", "b", "a"), ("z", "b", "c"), ("w", "c", "c"),
                 ("v", "c", "d"), ("u", "d", "b"), ("t", "c", "s"),
             ],
+        ),
+        False,
+    ))
+    for n in (4, 5, 6):
+        out.append((f"K{n}", complete_digraph(n), False))
+    # the exit-free loop (k) at a and the cycle (z.y) through b sort
+    # around (m.n), the least cycle with an exit, which avoids a and b
+    out.append((
+        "least_exit_avoids_a",
+        _graph(
+            ["a", "b", "c", "d"],
+            [("k", "a", "a"), ("z", "b", "c"), ("y", "c", "b"), ("m", "c", "d"), ("n", "d", "c")],
         ),
         False,
     ))
