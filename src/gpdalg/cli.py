@@ -51,10 +51,10 @@ _LAZY = {
     "leavitt": (
         "ExitWitness", "as_finite_groupoid", "block_shape", "graph_groupoid",
         "leavitt_verdicts", "parse_graph", "verify_leavitt_relations", "witness_names",
-        "condition_ne", "enumerate_cycles",  # bench/spans only; dropped by ROADMAP item 1
+        "condition_ne", "enumerate_cycles",  # bench/spans only, until it reads --stats
     ),
     "isg": ("isg_verdicts", "parse_isg", "semigroup_algebra_iso"),
-    "groupoid": ("structured_from_finite",),  # bench/spans only; dropped by ROADMAP item 1
+    "groupoid": ("structured_from_finite",),  # bench/spans only, until it reads --stats
 }
 
 

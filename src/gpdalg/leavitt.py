@@ -12,9 +12,10 @@ space is finite.  A boundary path is either a finite path ending at a
 sink (possibly empty) or a lasso: a spoke with no cycle edges followed
 by a simple cycle repeated forever.  The space is finite exactly when
 no cycle has an exit, condition (NE).  One topological peel (Kahn)
-decides (NE) and counts the paths of every orbit; the cycles are
-enumerated only to name the infinite witness family when (NE) fails,
-and an orbit lists its paths only when they are read.
+decides (NE) and counts the paths of every orbit; when (NE) fails, the
+least cycle with an exit, which names the infinite witness family, is
+built greedily from the strongly connected components, and an orbit
+lists its paths only when they are read.
 
 Arrows of the boundary-path groupoid are triples (eta, k, gamma) of
 boundary paths with a common tail, k counting the length difference of
@@ -41,7 +42,7 @@ from .group_algebra import (
     GroupAlgebraElement,
     IntegerGroup,
 )
-from .rings import Rationals, RingDescriptor, RingElement, ring_predicates
+from .rings import Rationals, RingDescriptor, ring_predicates
 from .algebra import VerificationReport
 from .value import Value
 from .verdicts import (
@@ -58,8 +59,9 @@ _TRIVIAL = FiniteGroupTable.from_table([[0]])
 # largest boundary-path count verify_leavitt_relations takes; every
 # vertex and every edge starts some boundary path, so this also bounds
 # the vertex and edge counts.  At the limit `graph --verify --ring Q`
-# takes about 0.4 s on the slowest shapes measured (a 1,440-vertex
-# chain or cycle), 0.3 s on 1,440 disjoint loops (one block each).
+# takes about 0.2 s on a 2-CPU Xeon, interpreter start-up included, on
+# each shape measured: a 1,440-vertex chain or cycle, and 1,440
+# disjoint loops (one block each).
 LEAVITT_VERIFY_LIMIT = 1440
 
 
@@ -217,18 +219,114 @@ def witness_names(g: Graph, w: ExitWitness) -> tuple:
     return cyc, exit_name, f"Z(({cyc})^n.{exit_name})"
 
 
+def _first_exit(g: Graph, c: Cycle):
+    """The first edge off c: along c, an edge off the cycle or a second
+    cycle edge at src(e), in out-edge order; None when c has no exit."""
+    for e in c.edges:
+        for other in g.out_edges(g.src[e]):
+            if other != e:
+                return other
+    return None
+
+
 def condition_ne(g: Graph):
     """Returns (holds, witness).  holds is True iff every vertex on
     every cycle has out-degree exactly one.  It enumerates every simple
-    cycle, so a report calls it only to name the witness once the peel
-    has found that (NE) fails."""
+    cycle, which takes exponential time on dense graphs; a report builds
+    the same witness with _exit_witness instead."""
     for c in enumerate_cycles(g):
-        for e in c.edges:
-            # an edge off the cycle, or a second cycle edge at src(e)
-            for other in g.out_edges(g.src[e]):
-                if other != e:
-                    return False, ExitWitness(c, other)
+        other = _first_exit(g, c)
+        if other is not None:
+            return False, ExitWitness(c, other)
     return True, None
+
+
+def _components(g: Graph) -> list:
+    """Tarjan's strongly connected components (SIAM J. Comput. 1
+    (1972)) with an explicit stack: comp[v] is the root vertex of v's
+    component."""
+    index: dict = {}  # vertex -> visit number
+    low, comp = [0] * len(g.vertices), [None] * len(g.vertices)
+    stack: list = []
+    work: list = []  # (vertex, its out-edges not yet read)
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        work.append((v, iter(g.out_edges(v))))
+
+    for root in range(len(g.vertices)):
+        if root not in index:
+            visit(root)
+        while work:
+            v, out = work[-1]
+            e = next(out, None)
+            if e is not None:
+                w = g.dst[e]
+                if w not in index:
+                    visit(w)
+                elif comp[w] is None:  # w is still on the stack
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while comp[v] is None:
+                    comp[stack.pop()] = v
+    return comp
+
+
+def _exit_witness(g: Graph) -> ExitWitness:
+    """The ExitWitness condition_ne names, without enumerating cycles:
+    the least cycle with an exit under _cycle_sort_key, and its first
+    exit edge.  A cycle has an exit iff some vertex of its strongly
+    connected component has out-degree above one.  A cycle's word starts
+    at its least-named vertex s, and edge names are unique, so the least
+    word starts with the least-named edge out of such an s that returns
+    to s through vertices named above s; each later step takes the
+    least-named edge after which s is still reached through unvisited
+    vertices named above s.  No cycle's word is a prefix of another's,
+    so the greedy word is the least one."""
+    comp, names = _components(g), g.vertices
+    exits = {comp[v] for v in range(len(names))
+             if len(g.out_edges(v)) > 1 and any(comp[g.dst[e]] == comp[v] for e in g.out_edges(v))}
+
+    def allowed(u, s, on):  # u may lie on a cycle whose least vertex is s
+        return names[u] > names[s] and comp[u] == comp[s] and u not in on
+
+    def reaching(s, on):
+        """The allowed vertices that reach s through allowed vertices."""
+        seen, todo = set(), [s]
+        while todo:
+            for e in g.in_edges(todo.pop()):
+                u = g.src[e]
+                if u not in seen and allowed(u, s, on):
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    back: dict = {}  # s -> reaching(s, ())
+    for e in sorted(range(g.edge_count), key=g.edge_names.__getitem__):
+        s, w = g.src[e], g.dst[e]
+        if comp[s] in exits and (w == s or allowed(w, s, ())):
+            if s not in back:
+                back[s] = reaching(s, ())
+            if w == s or w in back[s]:
+                break
+    else:
+        raise InternalCheckError("condition (NE) fails but no cycle has an exit")
+    path, on = [e], set()
+    while g.dst[path[-1]] != s:
+        on.add(g.dst[path[-1]])
+        steps = [f for f in g.out_edges(g.dst[path[-1]]) if g.dst[f] == s or allowed(g.dst[f], s, on)]
+        if len(steps) > 1:  # one step is the way back that the last step left open
+            ahead = reaching(s, on)
+            steps = [f for f in steps if g.dst[f] == s or g.dst[f] in ahead]
+        path.append(min(steps, key=g.edge_names.__getitem__))
+    c = Cycle(tuple(path))
+    return ExitWitness(c, _first_exit(g, c))
 
 
 def _peel(g: Graph):
@@ -314,9 +412,11 @@ def prepend_edge(g: Graph, e: int, bp):
 
 
 class GraphOrbit(Value):
-    """One tail-equivalence class of boundary paths.  Its members
-    (members[0] is the basepoint) and their connecting degrees from the
-    basepoint are listed together, once, on first read."""
+    """One tail-equivalence class of boundary paths.  Its listing (the
+    connecting degrees from the basepoint, the start vertices, and the
+    links that prepend an edge to a member) is made once, on first
+    read; its members (members[0] is the basepoint) are built from the
+    links only when they are read."""
 
     __slots__ = (
         "kind",      # "sink" or "cycle"
@@ -324,49 +424,69 @@ class GraphOrbit(Value):
         "size",      # number of members, from the peel's path counts
         "isotropy",  # FiniteGroupTable (trivial) or IntegerGroup
         "_graph",    # the Graph the listing walks
-        "_listed",   # (members, degrees) memo
+        "_listed",   # (degrees, starts, links) memo
+        "_members",  # members memo
     )
 
     def __init__(self, kind, anchor, size, isotropy, graph):
         super().__init__(kind, anchor, size, isotropy)
         self._graph = graph
-        self._listed = None
+        self._listed = self._members = None
 
     @property
     def members(self) -> tuple:
-        return self._listing()[0]
+        if self._members is None:
+            links = self._listing()[2]
+            c = self.anchor if self.kind == "cycle" else None
+            paths = [((), pos) for pos in range(c.length())] if c else [((), 0)]  # (edges, entry)
+            for e, _, parent in links[len(paths) if c else 0:]:  # past the cycle links
+                paths.append(((e,) + paths[parent][0], paths[parent][1]))
+            self._members = tuple(Lasso(edges, c, pos) if c else SinkPath(edges, self.anchor)
+                                  for edges, pos in paths)
+        return self._members
 
     @property
     def degrees(self) -> tuple:
-        return self._listing()[1]
+        return self._listing()[0]
 
     def _listing(self):
-        """One backward walk.  Level 0 is the sink alone, or the pure
-        lassos by entry position; level k + 1 prepends each non-cycle
-        edge into a path of level k, ordered by (edge name, place of the
-        path in level k), which orders the members by (length, edge
-        names, entry position).  A member's degree is its length, less
-        its entry position mod |c| on a lasso orbit."""
+        """One backward walk, the orbit's one index of its paths:
+        (degrees, starts, links), with starts[r] the start vertex of
+        member r and links one (edge, row, parent row) per member built
+        as edge . member parent.  Level 0 is the sink alone, or the pure
+        lassos by entry position, linked by their |c| cycle edges; level
+        k + 1 prepends each non-cycle edge into a path of level k,
+        ordered by (edge name, row of the path), which orders the
+        members by (length, edge names, entry position).  So the links
+        come in row order and pair every edge with every member it
+        reaches.  A member's degree is its length, less its entry
+        position mod |c| on a lasso orbit."""
         if self._listed is not None:
             return self._listed
         g = self._graph
         c = self.anchor if self.kind == "cycle" else None
-        # (edges, start vertex, entry position)
-        level = [((), g.src[e], pos) for pos, e in enumerate(c.edges)] if c else [((), self.anchor, 0)]
+        if c:
+            n = c.length()
+            degrees = [-pos % n for pos in range(n)]
+            starts = [g.src[e] for e in c.edges]
+            links = [(e, pos, (pos + 1) % n) for pos, e in enumerate(c.edges)]
+        else:
+            degrees, starts, links = [0], [self.anchor], []
         skip = frozenset(c.edges if c else ())
-        listed: list = []
+        level, length = range(len(starts)), 0
         while level:
-            listed += level
-            if len(listed) > self.size or len(level[0][0]) >= len(g.vertices):
+            if len(starts) > self.size or length >= len(g.vertices):
                 raise InternalCheckError(f"listing an orbit of {self.size} boundary paths walked past it")
-            grown = sorted((g.edge_names[e], i, e) for i, (_, v, _) in enumerate(level)
-                           for e in g.in_edges(v) if e not in skip)
-            level = [((e,) + level[i][0], g.src[e], level[i][2]) for _, i, e in grown]
-        if len(listed) != self.size:
-            raise InternalCheckError(f"listed {len(listed)} boundary paths in an orbit of {self.size}")
-        self._listed = (
-            tuple(Lasso(edges, c, pos) if c else SinkPath(edges, self.anchor) for edges, _, pos in listed),
-            tuple((len(edges) - pos) % c.length() if c else len(edges) for edges, _, pos in listed))
+            grown = sorted((g.edge_names[e], r, e) for r in level for e in g.in_edges(starts[r])
+                           if e not in skip)
+            level, length = range(len(starts), len(starts) + len(grown)), length + 1
+            for _, r, e in grown:
+                links.append((e, len(starts), r))
+                starts.append(g.src[e])
+                degrees.append((degrees[r] + 1) % n if c else length)
+        if len(starts) != self.size:
+            raise InternalCheckError(f"listed {len(starts)} boundary paths in an orbit of {self.size}")
+        self._listed = (tuple(degrees), starts, links)
         return self._listed
 
 
@@ -388,8 +508,9 @@ def graph_groupoid(g: Graph):
     Computed once per Graph, which never changes, and memoised on it:
     this is the one place a report decides (NE) and sizes the orbits,
     by one topological peel, and every other stage reads this result.
-    Cycles are enumerated only when (NE) fails, to name the witness,
-    and an orbit lists its boundary paths only when they are read."""
+    When (NE) fails the witness is built from the strongly connected
+    components, with no cycle enumerated, and an orbit lists its
+    boundary paths only when they are read."""
     if g._groupoid is None:
         g._groupoid = _boundary_path_groupoid(g)
     return g._groupoid
@@ -401,7 +522,7 @@ def _boundary_path_groupoid(g: Graph):
     # they form disjoint cycles, none with an exit
     counts, left = _peel(g)
     if any(len(g.out_edges(v)) != 1 for v in left):
-        return condition_ne(g)[1]
+        return _exit_witness(g)
     cycles, seen = [], set()
     for v in left:
         edges = []
@@ -439,39 +560,36 @@ def generator_images(g: Graph, ring: RingDescriptor):
     """Images of the Leavitt generators in the block algebra, or an
     ExitWitness when the boundary-path space is infinite.
 
-    Read straight off the frame: v maps to the sum of E_{r,r} over the
-    rows r of paths starting at v; an edge e maps to the sum of
-    E_{row(e.gamma),row(gamma)} over paths gamma starting at r(e),
-    keyed on a lasso block by the net degree (1 - deg(e.gamma) +
-    deg(gamma)) / |cycle|; the ghost e* to the transposes with the
-    inverse keys.  Each image is built from its (unit, one) items."""
+    Read straight off each orbit's listing: v maps to the sum of
+    E_{r,r} over the rows r of paths starting at v; each link (e, row,
+    parent) of an edge e into the start of path parent gives e the unit
+    E_{row,parent}, keyed on a lasso block by the net degree (1 -
+    deg(row) + deg(parent)) / |cycle|, and the ghost e* the transpose
+    with the inverse key.  The links list every such pair once, so an
+    image is its sorted tuple of distinct units with coefficient one."""
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         return gd
     shape = block_shape(gd, ring)
-    where = {bp: (bi, r) for bi, o in enumerate(gd.orbits) for r, bp in enumerate(o.members)}
-    one = RingElement.one(ring)
-    vertex = {v: [] for v in g.vertices}  # name -> items
-    edge = {e: [] for e in g.edge_names}
-    ghost = {e: [] for e in g.edge_names}
-    for bp, (bi, col) in where.items():
-        orbit = gd.orbits[bi]
-        v = path_start(g, bp)
-        vertex[g.vertices[v]].append(((bi, col, col, 0), one))
-        for e in g.in_edges(v):
-            bj, row = where.get(prepend_edge(g, e, bp), (None, None))
-            if bj != bi:
-                raise InternalCheckError("prepended path leaves its orbit")
-            net = 1 - orbit.degrees[row] + orbit.degrees[col]
-            n = orbit.anchor.length() if orbit.kind == "cycle" else 1
+    one = shape._one
+    vertex = [[] for _ in g.vertices]  # vertex index -> units
+    edge = [[] for _ in g.edge_names]  # edge index -> units
+    ghost = [[] for _ in g.edge_names]
+    for bi, orbit in enumerate(gd.orbits):
+        degrees, starts, links = orbit._listing()
+        for r, v in enumerate(starts):
+            vertex[v].append(((bi, r, r, 0), one))
+        n = orbit.anchor.length() if orbit.kind == "cycle" else 1
+        for e, row, col in links:
+            net = 1 - degrees[row] + degrees[col]
             if net % n:
                 raise InternalCheckError("lasso arrow degree not a multiple of the cycle length")
             key = net // n  # 0, the identity, on a sink block
-            edge[g.edge_names[e]].append(((bi, row, col, key), one))
-            ghost[g.edge_names[e]].append(((bi, col, row, -key), one))
+            edge[e].append(((bi, row, col, key), one))
+            ghost[e].append(((bi, col, row, -key), one))
     vertex, edge, ghost = (
-        {name: BlockMatrix.build(shape, items) for name, items in terms.items()}
-        for terms in (vertex, edge, ghost)
+        {name: BlockMatrix(shape, tuple(sorted(units))) for name, units in zip(names, terms)}
+        for names, terms in ((g.vertices, vertex), (g.edge_names, edge), (g.edge_names, ghost))
     )
     return GeneratorImages(g, gd, shape, vertex, edge, ghost)
 
@@ -529,10 +647,8 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
             for row in m.row_index():
                 owners.setdefault(row, []).append(j)
         for i, m in enumerate(lefts):
-            js = {i}
-            for (bi, _, col, _), _ in m.entries:
-                js.update(owners.get((bi, col), ()))
-            for j in sorted(js):
+            met = [j for (bi, _, col, _), _ in m.entries for j in owners.get((bi, col), ()) if j != i]
+            for j in sorted({i, *met}) if met else (i,):
                 if m * rights[j] != (diagonal[i] if i == j else zero):
                     failures.append(label.format(names[i], names[j]))
             total += len(rights)
@@ -586,28 +702,22 @@ def _attained_matrix_units(images: GeneratorImages) -> int:
     with ghost(gamma) = E_{w,gamma}, since then img(eta) ghost(gamma) =
     E_{eta,w} E_{w,gamma} = E_{eta,gamma}.  When all pairs are attained
     the generators span the whole block algebra.  Each path's image is
-    built once from its suffix, a shorter member of the same orbit, so
-    this takes 2(P - S) products for P paths into S sinks.  Only
+    built once, by row, from its listing link (e, row, parent): img(e .
+    parent) = img(e) img(parent), parent a shorter member listed before
+    it, so this takes 2(P - S) products for P paths into S sinks.  Only
     meaningful for acyclic graphs, where every key is 0."""
     g = images.graph
-    img: dict = {}    # (edges, sink) -> image of the path
-    ghost: dict = {}  # (edges, sink) -> image of its ghost
     attained = 0
     for bi, orbit in enumerate(images.decomposition.orbits):
-        rows = cols = 0
-        # members sort by length first, so every suffix is already built
-        # and members[0] is the empty path w at row 0
-        for r, bp in enumerate(orbit.members):
-            key = (bp.edges, bp.sink)
-            if not bp.edges:
-                img[key] = ghost[key] = images.vertex[g.vertices[bp.sink]]
-            else:
-                first = g.edge_names[bp.edges[0]]
-                rest = (bp.edges[1:], bp.sink)
-                img[key] = images.edge[first] * img[rest]
-                ghost[key] = ghost[rest] * images.ghost[first]
-            rows += img[key].unit_index() == (bi, r, 0, 0)
-            cols += ghost[key].unit_index() == (bi, 0, r, 0)
+        # row 0 is the empty path w, and the links come in row order
+        img = [images.vertex[g.vertices[orbit.anchor]]]
+        ghost = img[:]
+        for e, _, parent in orbit._listing()[2]:
+            name = g.edge_names[e]
+            img.append(images.edge[name] * img[parent])
+            ghost.append(ghost[parent] * images.ghost[name])
+        rows = sum(m.unit_index() == (bi, r, 0, 0) for r, m in enumerate(img))
+        cols = sum(m.unit_index() == (bi, 0, r, 0) for r, m in enumerate(ghost))
         attained += rows * cols
     return attained
 
@@ -622,24 +732,30 @@ def as_finite_groupoid(g: Graph):
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness) or gd.has_cycle():
         raise ValueError("graph has a cycle; its boundary-path groupoid is not finite")
-    names = [render_path(g, bp) for orbit in gd.orbits for bp in orbit.members]
+    names = []  # render_path of each member, read off the listing's links
+    for orbit in gd.orbits:
+        first = len(names)
+        names.append(f"({g.vertices[orbit.anchor]})")
+        for e, _, parent in orbit._listing()[2]:
+            names.append(g.edge_names[e] + ("." + names[first + parent] if parent else ""))
     arrows, dom, cod, inv, rows = [], [], [], [], []
     identity_of = [None] * len(names)
     start = 0
     for orbit in gd.orbits:
         # the orbit's paths are contiguous, and so are its arrows, row by row
-        n = len(orbit.members)
+        n = orbit.size
         paths = range(start, start + n)
         offset = len(arrows) - start * (n + 1)  # w{i}_{j} is arrow offset + i*n + j
-        for i in paths:
+        block = [range(offset + i * n + start, offset + i * n + start + n) for i in paths]
+        for i, row_i in zip(paths, block):  # row_i: the arrows w{i}_{k}, k in paths
             identity_of[i] = offset + i * n + i
-            for j in paths:
+            for j, row_j in zip(paths, block):
                 arrows.append(f"w{i}_{j}")
                 dom.append(j)
                 cod.append(i)
                 inv.append(offset + j * n + i)
                 # w{i}_{j} after w{j}_{k} is w{i}_{k}
-                rows.append({offset + j * n + k: offset + i * n + k for k in paths})
+                rows.append(dict(zip(row_j, row_i)))
         start += n
     return FiniteGroupoid(tuple(names), tuple(arrows), tuple(dom), tuple(cod),
                           tuple(identity_of), tuple(rows), tuple(inv))

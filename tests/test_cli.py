@@ -6,11 +6,13 @@ import time
 
 import pytest
 
-from corpus import chain_graph, diamond_chain_graph
+from corpus import chain_graph, complete_digraph, diamond_chain_graph, graph_corpus
 
 import gpdalg.cli
+import gpdalg.group_algebra
 import gpdalg.groupoid
 import gpdalg.leavitt
+import gpdalg.rings
 from gpdalg import Orbit, render_graph, render_groupoid
 from gpdalg.constructions import cyclic_table, pair_groupoid, product_with_group
 
@@ -465,9 +467,9 @@ def test_graph_report_derives_the_boundary_path_groupoid_once(monkeypatch, capsy
     code, out, err = _main_in_process(capsys, "graph", str(FIXTURES / "rose2.quiv"), "--verify")
     assert code == 0, err
     assert "Z((e)^n.f)" in out
-    # (NE) fails: the cycles are enumerated once, to name the witness
+    # (NE) fails: the witness is built without enumerating a cycle
     assert {name: len(calls) for name, calls in counters.items()} == {
-        "_peel": 1, "enumerate_cycles": 1, "condition_ne": 1}
+        "_peel": 1, "enumerate_cycles": 0, "condition_ne": 0}
 
 
 def test_forty_diamonds_report_without_listing_a_path(tmp_path, monkeypatch, capsys):
@@ -493,6 +495,51 @@ def test_long_chain_reports_within_the_timeout(tmp_path):
     r = run_cli("graph", _chain_file(tmp_path, 5000), timeout=30)
     assert r.returncode == 0 and not r.stderr
     assert "boundary paths: 5000\n" in r.stdout
+
+
+def test_complete_digraph_k12_reports_its_witness_within_the_timeout(tmp_path):
+    # K12 has billions of simple cycles; the witness is built without them
+    path = tmp_path / "k12.quiv"
+    path.write_text(render_graph(complete_digraph(12)))
+    r = run_cli("graph", str(path), timeout=30)
+    assert r.returncode == 0 and not r.stderr
+    assert "condition (NE) fails: cycle (e00_01.e01_00) has exit edge 'e00_11'" in r.stdout
+
+
+def test_generator_images_read_the_listing_without_path_lookups(tmp_path, monkeypatch, capsys):
+    made, inside, calls = [], [], []
+    real_images = gpdalg.leavitt.generator_images
+
+    def images(*args):
+        made.append(args)
+        inside.append(True)
+        try:
+            return real_images(*args)
+        finally:
+            inside.pop()
+
+    def watched(name, real):
+        def wrapper(*args):
+            if inside:
+                calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(gpdalg.leavitt, "generator_images", images)
+    for module, name in ((gpdalg.leavitt, "prepend_edge"), (gpdalg.leavitt, "path_start"),
+                         (gpdalg.rings, "sum_like_terms"), (gpdalg.group_algebra, "sum_like_terms")):
+        monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
+    BlockMatrix = gpdalg.group_algebra.BlockMatrix
+    monkeypatch.setattr(BlockMatrix, "build", staticmethod(watched("BlockMatrix.build", BlockMatrix.build)))
+    finite = 0
+    for name, g, expect_finite in graph_corpus():
+        path = tmp_path / f"{name}.quiv"
+        path.write_text(render_graph(g))
+        code, out, err = _main_in_process(capsys, "graph", str(path), "--verify")
+        assert code == 0 and not err, name
+        finite += expect_finite
+    assert len(made) == finite > 10
+    assert calls == []
 
 
 def test_a_wrong_ne_decision_fails_closed(tmp_path, monkeypatch, capsys):
