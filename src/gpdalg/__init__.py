@@ -90,8 +90,7 @@ _LAZY = {
         "Cycle", "ExitWitness", "Graph", "GraphDecomposition", "Lasso", "SinkPath",
         "as_finite_groupoid", "boundary_paths", "condition_ne", "enumerate_cycles",
         "generator_images", "graph_groupoid", "leavitt_verdicts",
-        "parse_graph", "path_start", "prepend_edge", "render_graph", "render_path",
-        "verify_leavitt_relations",
+        "parse_graph", "render_graph", "render_path", "verify_leavitt_relations",
     ),
     "isg": (
         "InverseSemigroup", "isg_verdicts", "maximal_subgroup", "natural_partial_order",

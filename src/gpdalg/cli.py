@@ -17,10 +17,16 @@ base-change check for inverse semigroups, and where the certified
 radical oracle supports the ring and the dimension fits its budget,
 an independent semisimplicity computation that must agree with the
 reported verdict.
+
+An argv of exactly the usage line's form (the subcommand first, then
+FILE, --verify, "--ring R" and "--format F" as separate words in any
+order, no value starting with '-', the last of a repeated option
+winning) is read directly.  Any other argv, such as -h, an abbreviated
+option, --opt=value, '--' or a usage error, goes to argparse, which
+reads it as it always has; a normal report never imports argparse.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from importlib import import_module
@@ -75,13 +81,6 @@ def __getattr__(name):
             _load(module)
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems are ordinary bad input: exit 1, not argparse's 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"error: {message}\n")
 
 
 def _run_oracle(d: int, groupoid, ring, expected_semisimple: bool):
@@ -196,7 +195,17 @@ _COMMANDS = {
 
 
 @functools.cache  # built once per process; parse_args keeps no state between calls
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of the usage line; it reads every argv that
+    _read_argv does not."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # usage problems are ordinary bad input: exit 1, not argparse's 2
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"error: {message}\n")
+
     parser = _Parser(
         prog="gpdalg",
         description="structure of groupoid algebras at desk scale",
@@ -217,15 +226,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv):
+    """(command, file, ring, verify, format) as parse_args reads argv,
+    when argv has the usage line's form word by word; None otherwise."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    file, verify, values = None, False, {"--ring": "Q", "--format": "text"}
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--verify":
+            verify = True
+        elif word in values:
+            value = next(words, "-")
+            if value.startswith("-") or (word == "--format" and value not in ("text", "machine")):
+                return None
+            values[word] = value
+        elif file is None and not word.startswith("-"):
+            file = word
+        else:
+            return None
+    if file is None:
+        return None
+    return argv[0], file, values["--ring"], verify, values["--format"]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        a = build_parser().parse_args(argv)
+        args = a.command, a.file, a.ring, a.verify, a.format
+    command, file, ring, verify, fmt = args
     try:
-        ring = parse_ring_descriptor(args.ring)
-        with open(args.file, encoding="utf-8") as fh:
-            report = _COMMANDS[args.command](fh.read(), ring, args.verify)
+        ring = parse_ring_descriptor(ring)
+        with open(file, encoding="utf-8") as fh:
+            report = _COMMANDS[command](fh.read(), ring, verify)
         if report is None:
             return 1
-        render = render_report_machine if args.format == "machine" else render_report_text
+        render = render_report_machine if fmt == "machine" else render_report_text
         text = render(report)
     except (ParseError, ValueError, LaurentOverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -116,9 +116,16 @@ def split_declaration(line: str, keyword: str, ln: int) -> tuple:
     return name, rest.strip()
 
 
-def read_span(line: str, ln: int, names: Names, ends: Names) -> tuple:
+def read_span(words: list, line: str, ln: int, names: Names, ends: Names) -> tuple:
     """Declare NAME of the line "KIND NAME : SRC -> DST" in names (KIND
-    is names.kind) and return the indices of SRC and DST in ends."""
+    is names.kind and words[0]; words is line.split()) and return the
+    indices of SRC and DST in ends."""
+    if (len(words) == 6 and words[2] == ":" and words[4] == "->"
+            and ":" not in words[1] and "->" not in words[3]):
+        # the first ':' and the first '->' are the separator words, so
+        # the string path below would split the line the same way
+        names.declare(words[1], ln)
+        return ends.need(words[3], ln), ends.need(words[5], ln)
     name, span = split_declaration(line, names.kind, ln)
     if "->" not in span:
         raise ParseError(f"{names.kind} declaration needs '->'", line=ln)

@@ -147,7 +147,7 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
                 raise ParseError(f"compose {parts[1]} {parts[2]} declared twice", line=ln)
             row[g] = h
         elif parts[0] == "arrow":
-            src, dst = read_span(line, ln, arrows, objects)
+            src, dst = read_span(parts, line, ln, arrows, objects)
             dom.append(src)
             cod.append(dst)
             rows.append({})

@@ -131,7 +131,7 @@ def parse_graph(text: str) -> Graph:
     dst: list = []
     for ln, words, line in lines(text):
         if words[0] == "edge":
-            s, t = read_span(line, ln, edges, vertices)
+            s, t = read_span(words, line, ln, edges, vertices)
             src.append(s)
             dst.append(t)
         else:
@@ -364,14 +364,6 @@ class Lasso(Value):
     __slots__ = ("spoke", "cycle", "entry_pos")
 
 
-def path_start(g: Graph, bp) -> int:
-    if isinstance(bp, SinkPath):
-        return g.src[bp.edges[0]] if bp.edges else bp.sink
-    if bp.spoke:
-        return g.src[bp.spoke[0]]
-    return g.src[bp.cycle.edges[bp.entry_pos]]
-
-
 def render_path(g: Graph, bp) -> str:
     if isinstance(bp, SinkPath):
         if not bp.edges:
@@ -392,23 +384,6 @@ def boundary_paths(g: Graph):
     if isinstance(gd, ExitWitness):
         return gd
     return [bp for o in gd.orbits for bp in o.members]
-
-
-def prepend_edge(g: Graph, e: int, bp):
-    """The boundary path e . bp; requires dst(e) = start(bp)."""
-    if g.dst[e] != path_start(g, bp):
-        raise ValueError("edge does not reach the start of the path")
-    if isinstance(bp, SinkPath):
-        return SinkPath((e,) + bp.edges, bp.sink)
-    if e in set(bp.cycle.edges):
-        if bp.spoke:
-            raise InternalCheckError("cycle edge feeding a nonempty spoke")
-        n = bp.cycle.length()
-        pos = bp.cycle.edges.index(e)
-        if (pos + 1) % n != bp.entry_pos:
-            raise InternalCheckError("cycle edge does not precede the entry")
-        return Lasso((), bp.cycle, pos)
-    return Lasso((e,) + bp.spoke, bp.cycle, bp.entry_pos)
 
 
 class GraphOrbit(Value):

@@ -335,3 +335,22 @@ def isg_corpus():
         # Z_3 over the maps of rank at most one
         ("cycle_rank1", inverse_subsemigroup([{0: 1, 1: 2, 2: 0}, {0: 0}], 3)),
     ]
+
+
+def glued_span_line(words: list, names: list, rng: random.Random) -> str:
+    """The span line words = [KIND, NAME, ':', SRC, '->', DST] with the
+    whitespace on one or more sides of its separators removed, or with
+    ':' or '->' and a name from names put inside NAME, SRC or DST: lines
+    the word-level reading of a span line leaves to the string path, or
+    names holding a separator that it reads itself."""
+    kind, name, _, src, _, dst = words
+    if rng.random() < 0.5:
+        gaps = [" "] * 4  # before and after ':', then before and after '->'
+        for k in rng.sample(range(4), rng.randint(1, 4)):
+            gaps[k] = ""
+        return f"{kind} {name}{gaps[0]}:{gaps[1]}{src}{gaps[2]}->{gaps[3]}{dst}"
+    j = rng.choice((1, 3, 5))
+    sep, other = rng.choice((":", "->")), rng.choice(names)
+    words = list(words)
+    words[j] = rng.choice((words[j] + sep + other, other + sep + words[j]))
+    return " ".join(words)

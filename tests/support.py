@@ -42,8 +42,6 @@ from gpdalg.leavitt import (
     enumerate_cycles,
     generator_images,
     graph_groupoid,
-    path_start,
-    prepend_edge,
     render_path,
 )
 from gpdalg.linalg import echelon, sparse_kernel, sparse_reduce
@@ -703,6 +701,32 @@ def truncation_is_arrow(g: Graph, eta, k: int, gamma) -> bool:
         if word_eta[a:a + window] == word_gamma[b:b + window]:
             return True
     return False
+
+
+def path_start(g: Graph, bp) -> int:
+    """The vertex the boundary path bp starts at."""
+    if isinstance(bp, SinkPath):
+        return g.src[bp.edges[0]] if bp.edges else bp.sink
+    if bp.spoke:
+        return g.src[bp.spoke[0]]
+    return g.src[bp.cycle.edges[bp.entry_pos]]
+
+
+def prepend_edge(g: Graph, e: int, bp):
+    """The boundary path e . bp; requires dst(e) = start(bp)."""
+    if g.dst[e] != path_start(g, bp):
+        raise ValueError("edge does not reach the start of the path")
+    if isinstance(bp, SinkPath):
+        return SinkPath((e,) + bp.edges, bp.sink)
+    if e in set(bp.cycle.edges):
+        if bp.spoke:
+            raise InternalCheckError("cycle edge feeding a nonempty spoke")
+        n = bp.cycle.length()
+        pos = bp.cycle.edges.index(e)
+        if (pos + 1) % n != bp.entry_pos:
+            raise InternalCheckError("cycle edge does not precede the entry")
+        return Lasso((), bp.cycle, pos)
+    return Lasso((e,) + bp.spoke, bp.cycle, bp.entry_pos)
 
 
 def _reference_arrow_matrix(gd, ring, eta, k: int, gamma) -> BlockMatrix:

@@ -1,10 +1,14 @@
 """End-to-end command line behavior via subprocess."""
+import contextlib
+import io
+import os
 import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import chain_graph, complete_digraph, diamond_chain_graph, graph_corpus
 
@@ -109,6 +113,119 @@ def test_one_parser_serves_every_call_with_the_same_usage_errors(capsys):
             assert (out, err) == ("", fresh.stderr), bad
             code, out, err = _main_in_process(capsys, "groupoid", path, "--format", "machine")
             assert code == 0 and out.startswith("noetherian=true\n") and not err
+
+
+COMMANDS = ("groupoid", "graph", "isg")
+# single words, including argparse-only forms: an abbreviation, --opt=value,
+# help, '--', a file named '-', a value that looks like a negative number
+ARGV_WORDS = COMMANDS + (
+    "frobnicate", "pair2.gpd", "a3.quiv", "--ring", "--format", "--verify", "Q", "GF(2)",
+    "text", "machine", "yaml", "--ver", "--ring=Q", "-h", "--", "-", "-1", "",
+)
+# the words of the usage line's form, one option or FILE at a time, with
+# values argparse rejects or the direct reader leaves to it among them
+ARGV_GROUPS = (
+    ("a3.quiv",), ("--verify",),
+    ("--ring", "Q"), ("--ring", "GF(2)"), ("--ring", "text"), ("--ring", ""), ("--ring", "-1"),
+    ("--format", "text"), ("--format", "machine"), ("--format", "yaml"), ("--format", "Q"),
+)
+
+
+def _argparse_reads(argv):
+    """(command, file, ring, verify, format) from build_parser, or None
+    when it exits (help or a usage error)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            a = gpdalg.cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+    return a.command, a.file, a.ring, a.verify, a.format
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    st.one_of(st.sampled_from(COMMANDS), st.sampled_from(ARGV_WORDS)),
+    st.lists(st.sampled_from(ARGV_GROUPS), max_size=4),
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(0, 10), st.sampled_from(ARGV_WORDS)), max_size=1),
+)
+def test_the_direct_argv_reader_agrees_with_argparse(first, groups, file_at, inserted):
+    groups.insert(file_at, ("pair2.gpd",))
+    argv = [first, *(w for group in groups for w in group)]
+    for at, word in inserted:
+        argv.insert(at, word)
+    read = gpdalg.cli._read_argv(argv)
+    if read is not None:  # argparse reads it the same, and so accepts it
+        assert read == _argparse_reads(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["groupoid", "pair2.gpd"],
+    ["graph", "a3.quiv", "--verify", "--format", "machine"],
+    ["isg", "--ring", "GF(2)", "i2.isg", "--verify"],
+    ["groupoid", "--format", "text", "--ring", "Z", "--ring", "GF(3)", "f", "--format", "machine"],
+    ["graph", "", "--ring", ""],
+])
+def test_the_usage_line_forms_are_read_directly(argv):
+    read = gpdalg.cli._read_argv(argv)
+    assert read is not None and read == _argparse_reads(argv)
+
+
+def test_main_without_argv_reads_sys_argv_on_both_paths(monkeypatch, capsys):
+    path = str(FIXTURES / "pair2.gpd")
+    for argv in (["groupoid", path, "--format", "machine"], ["groupoid", path, "--format=machine"]):
+        monkeypatch.setattr(sys, "argv", ["gpdalg", *argv])
+        assert gpdalg.cli.main() == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("noetherian=true\n") and not err, argv
+
+
+_GROUPOID_USAGE = (
+    "usage: gpdalg groupoid [-h] [--ring RING] [--verify] [--format {text,machine}]\n"
+    "                       file\n"
+)
+
+
+@pytest.mark.parametrize("args, code, out, err", [
+    (("-h",), 0, (
+        "usage: gpdalg [-h] {groupoid,graph,isg} ...\n"
+        "\n"
+        "structure of groupoid algebras at desk scale\n"
+        "\n"
+        "positional arguments:\n"
+        "  {groupoid,graph,isg}\n"
+        "    groupoid            analyze a finite groupoid file\n"
+        "    graph               analyze the Leavitt path algebra of a directed graph\n"
+        "    isg                 analyze a finite inverse semigroup algebra\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ), ""),
+    (("groupoid", "-h"), 0, _GROUPOID_USAGE + (
+        "\n"
+        "positional arguments:\n"
+        "  file                  input file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ring RING           coefficient ring descriptor (default Q)\n"
+        "  --verify              re-derive all structural claims and run the oracle\n"
+        "  --format {text,machine}\n"
+        "                        output format (default text)\n"
+    ), ""),
+    (("groupoid", "PAIR2", "--format", "yaml"), 1, "", _GROUPOID_USAGE
+     + "error: argument --format: invalid choice: 'yaml' (choose from 'text', 'machine')\n"),
+    (("groupoid", "PAIR2", "--ring"), 1, "", _GROUPOID_USAGE
+     + "error: argument --ring: expected one argument\n"),
+    (("frobnicate", "PAIR2"), 1, "", "usage: gpdalg [-h] {groupoid,graph,isg} ...\n"
+     "error: argument command: invalid choice: 'frobnicate' (choose from 'groupoid', 'graph', 'isg')\n"),
+    (("groupoid",), 1, "", _GROUPOID_USAGE + "error: the following arguments are required: file\n"),
+], ids=["help", "groupoid-help", "format-yaml", "ring-no-value", "unknown-command", "missing-file"])
+def test_help_and_usage_errors_print_what_argparse_always_printed(args, code, out, err):
+    args = [str(FIXTURES / "pair2.gpd") if a == "PAIR2" else a for a in args]
+    r = subprocess.run([sys.executable, "-m", "gpdalg.cli", *args], capture_output=True, text=True,
+                       timeout=60, env=dict(os.environ, COLUMNS="80"))
+    assert (r.returncode, r.stdout, r.stderr) == (code, out, err)
 
 
 def test_machine_format_has_the_fixed_keys_in_order():
@@ -526,8 +643,7 @@ def test_generator_images_read_the_listing_without_path_lookups(tmp_path, monkey
         return wrapper
 
     monkeypatch.setattr(gpdalg.leavitt, "generator_images", images)
-    for module, name in ((gpdalg.leavitt, "prepend_edge"), (gpdalg.leavitt, "path_start"),
-                         (gpdalg.rings, "sum_like_terms"), (gpdalg.group_algebra, "sum_like_terms")):
+    for module, name in ((gpdalg.rings, "sum_like_terms"), (gpdalg.group_algebra, "sum_like_terms")):
         monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
     BlockMatrix = gpdalg.group_algebra.BlockMatrix
     monkeypatch.setattr(BlockMatrix, "build", staticmethod(watched("BlockMatrix.build", BlockMatrix.build)))

@@ -20,6 +20,9 @@ LAZY_MODULES = ("gpdalg.constructions", "gpdalg.isg", "gpdalg.leavitt")
 # and to build classes with, and brings in inspect (with ast, dis and
 # tokenize), which nothing else here needs
 UNUSED_STDLIB = ("dataclasses", "inspect")
+# standard modules only help and usage errors load: a report reads its
+# argv directly
+USAGE_ONLY = ("argparse", "gettext")
 
 # every name gpdalg/__init__.py binds, by the module that defines it
 PUBLIC_NAMES = {
@@ -53,8 +56,7 @@ PUBLIC_NAMES = {
         "Cycle", "ExitWitness", "Graph", "GraphDecomposition", "Lasso", "SinkPath",
         "as_finite_groupoid", "boundary_paths", "condition_ne", "enumerate_cycles",
         "generator_images", "graph_groupoid", "leavitt_verdicts",
-        "parse_graph", "path_start", "prepend_edge", "render_graph", "render_path",
-        "verify_leavitt_relations",
+        "parse_graph", "render_graph", "render_path", "verify_leavitt_relations",
     ),
     "isg": (
         "InverseSemigroup", "isg_verdicts", "maximal_subgroup",
@@ -77,11 +79,12 @@ def _fresh(code):
 
 
 def _loaded_after(code):
-    """The gpdalg modules, and those of UNUSED_STDLIB, loaded after code."""
+    """The gpdalg modules, and those of UNUSED_STDLIB and USAGE_ONLY,
+    loaded after code."""
     return set(_fresh(
         "import json, sys\n" + code
         + "\nprint(json.dumps(sorted(m for m in sys.modules"
-        f" if m.startswith('gpdalg') or m in {UNUSED_STDLIB!r})))"
+        f" if m.startswith('gpdalg') or m in {UNUSED_STDLIB + USAGE_ONLY!r})))"
     ))
 
 
@@ -107,7 +110,24 @@ def test_each_entry_point_loads_only_its_modules(code, absent, present):
     assert "gpdalg.verdicts" in loaded
     assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
     assert loaded.isdisjoint(UNUSED_STDLIB), sorted(loaded & set(UNUSED_STDLIB))
+    assert loaded.isdisjoint(USAGE_ONLY), sorted(loaded & set(USAGE_ONLY))
     assert set(present) <= loaded
+
+
+def test_a_usage_error_loads_argparse_and_prints_its_usage():
+    loaded = _loaded_after(
+        "import contextlib, io, gpdalg.cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    try:\n"
+        "        gpdalg.cli.main(['groupoid', '--format', 'yaml'])\n"
+        "    except SystemExit as e:\n"
+        "        assert e.code == 1\n"
+        "    else:\n"
+        "        raise AssertionError('no usage error')\n"
+        "assert err.getvalue().startswith('usage: gpdalg groupoid [-h]'), err.getvalue()\n"
+    )
+    assert set(USAGE_ONLY) <= loaded
 
 
 @pytest.mark.parametrize("access", [

@@ -8,7 +8,9 @@ import pytest
 from corpus import chain_graph, complete_digraph, diamond_chain_graph, graph_corpus, in_tree_graph
 from support import (
     is_arrow,
+    path_start,
     paths_to_sinks,
+    prepend_edge,
     reference_as_finite_groupoid,
     reference_attained_matrix_units,
     reference_generated_dimension,
@@ -43,8 +45,6 @@ from gpdalg import (
     leavitt_verdicts,
     parse_graph,
     parse_ring_descriptor,
-    path_start,
-    prepend_edge,
     render_graph,
     render_path,
     validate,

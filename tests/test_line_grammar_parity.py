@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import graph_corpus
+from corpus import glued_span_line, graph_corpus
 from support import reference_parse_graph, reference_parse_isg
 
 from gpdalg import (
@@ -34,7 +34,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 MUTATIONS = (
     "none", "drop_token", "extra_token", "garble_token", "undeclared_name",
-    "duplicate_line", "comment", "tabs", "crlf", "empty",
+    "duplicate_line", "glued_separator", "comment", "tabs", "crlf", "empty",
 )
 KEYWORDS = {"vertices:", "edge", ":", "->", "elements:", "row"}
 
@@ -105,6 +105,11 @@ def mutate(lines: list, kind: str, rng: random.Random) -> str:
         lines[i] = " ".join(parts)
     elif kind == "duplicate_line":
         lines.insert(rng.randrange(i, len(lines)) + 1, rng.choice(lines))
+    elif kind == "glued_separator":
+        spans = [k for k, ln in enumerate(lines) if ln.startswith("edge ")]
+        if spans:
+            k = rng.choice(spans)
+            lines[k] = glued_span_line(lines[k].split(), _names(lines), rng)
     elif kind == "comment":
         lines[i] = rng.choice([
             lines[i] + "  # a comment",

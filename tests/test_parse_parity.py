@@ -9,7 +9,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from corpus import groupoid_corpus
+from corpus import glued_span_line, groupoid_corpus
 from support import reference_parse_groupoid
 
 from gpdalg import FiniteGroupoid, ParseError, parse_groupoid, render_groupoid
@@ -18,7 +18,7 @@ _SMALL = [(name, g) for name, g in groupoid_corpus() if g.arrow_count <= 24]
 
 MUTATIONS = (
     "none", "drop_token", "extra_token", "garble_token", "undeclared_name",
-    "duplicate_line", "drop_line", "non_composable", "comment", "tabs", "crlf",
+    "duplicate_line", "glued_separator", "drop_line", "non_composable", "comment", "tabs", "crlf",
     "objects_variant", "empty",
 )
 
@@ -83,6 +83,11 @@ def mutate(lines: list, kind: str, rng: random.Random) -> str:
         if pairs:
             f, h = rng.choice(pairs)
             lines.insert(rng.randrange(i, len(lines)) + 1, f"compose {f} {h} = {f}")
+    elif kind == "glued_separator":
+        spans = [k for k, ln in enumerate(lines) if ln.startswith("arrow ")]
+        if spans:
+            k = rng.choice(spans)
+            lines[k] = glued_span_line(lines[k].split(), _names(lines), rng)
     elif kind == "comment":
         lines[i] = rng.choice([
             lines[i] + "  # a comment",
