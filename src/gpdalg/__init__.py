@@ -93,8 +93,8 @@ _LAZY = {
         "parse_graph", "render_graph", "render_path", "verify_leavitt_relations",
     ),
     "isg": (
-        "InverseSemigroup", "isg_verdicts", "maximal_subgroup", "natural_partial_order",
-        "parse_isg", "render_isg", "semigroup_algebra_iso", "underlying_groupoid",
+        "InverseSemigroup", "isg_verdicts", "natural_partial_order", "parse_isg",
+        "render_isg", "semigroup_algebra_iso", "underlying_groupoid",
     ),
 }
 

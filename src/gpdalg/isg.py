@@ -29,7 +29,7 @@ from functools import cache
 
 from .algebra import VerificationReport
 from .errors import InternalCheckError, Names, OracleBudgetError, ParseError, lines, split_declaration
-from .group_algebra import FiniteGroupTable, associativity_failure, square_table
+from .group_algebra import associativity_failure, square_table
 from .groupoid import FiniteGroupoid, structured_from_finite, validate
 from .rings import RingDescriptor, RingElement, render_ring_descriptor
 from .value import Value
@@ -215,30 +215,6 @@ def _build_underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
             f"underlying groupoid fails validation: {violations[0].message}"
         )
     return g
-
-
-def maximal_subgroup(s: InverseSemigroup, e: int):
-    """Element indices of the maximal subgroup at the idempotent e,
-    with its abstract group table."""
-    if s.table[e][e] != e:
-        raise ValueError(f"'{s.elements[e]}' is not an idempotent")
-    members = [
-        i
-        for i in range(s.size)
-        if s.mul(s.star[i], i) == e and s.mul(i, s.star[i]) == e
-    ]
-    index = {m: k for k, m in enumerate(members)}
-    rows = []
-    for a in members:
-        row = []
-        for b in members:
-            prod = s.mul(a, b)
-            if prod not in index:
-                raise InternalCheckError("maximal subgroup is not closed")
-            row.append(index[prod])
-        rows.append(row)
-    table = FiniteGroupTable.from_table(rows)
-    return tuple(members), table
 
 
 class IsgIsomorphism(Value):

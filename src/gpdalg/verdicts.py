@@ -18,13 +18,17 @@ radical_oracle() answers the semisimplicity question for the same
 algebra without using any of that structure: it reads every product of
 arrows off the groupoid's one composition table `g.rows`, on sparse
 vectors (dicts from arrow to nonzero coefficient).  Over Q the radical
-is the nullspace of the trace form of the left regular representation
-(one nonzero per Gram row for a groupoid).  Over GF(p) that trace form
-mod p comes first: its kernel holds the radical, so a zero kernel means
-semisimple.  Each block (arrows linked by nonzero products) the kernel
-touches is reduced to one corner: for the block's least idempotent
-arrow e, eAe is the group algebra of the loops at e, and rad(eAe) =
-e rad(A) e (Lam, A First Course in Noncommutative Rings, Thm 21.10).
+is the nullspace of the trace form of the left regular representation.
+On a groupoid that form pairs each arrow with its inverse alone (only
+an identity 1_y has a nonzero trace, the number of arrows into y), so
+its Gram matrix has one nonzero entry per row and those entries meet
+every column: the oracle checks exactly that pattern and eliminates
+nothing.  Over GF(p) that trace form mod p comes first: its kernel
+holds the radical, so a zero kernel means semisimple.  Each block
+(arrows linked by nonzero products) the kernel touches is reduced to
+one corner: for the block's least idempotent arrow e, eAe is the group
+algebra of the loops at e, and rad(eAe) = e rad(A) e (Lam, A First
+Course in Noncommutative Rings, Thm 21.10).
 Its radical N is the end of the iterated trace-lift filtration, the
 classical radical algorithm over prime fields (Ronyai 1990; Cohen,
 Ivanyos and Wales 1997), which reads Tr(L_z^q) = <tr, z^q> off algebra
@@ -37,14 +41,14 @@ reduced echelon basis (the sweep lives on in the test suite); above
 that it is labelled "filtration" and reports J's dimension.
 
 Every nonzero answer is certified, so a wrong "not semisimple" cannot
-escape.  The trace-form kernel over Q, and N in eAe, must be nilpotent
-two-sided ideals: closed under the generating arrows validate certifies
-associativity on (the corner's own, for N), and nilpotent by repeated
-squaring, I -> I^2 -> I^4 -> ..., until zero or no drop in dimension.
+escape.  N in eAe must be a nilpotent two-sided ideal: closed under
+the corner's own generating arrows, and nilpotent by repeated squaring,
+I -> I^2 -> I^4 -> ..., until zero or no drop in dimension.
 J = A N A is an ideal by construction, and J^k lies in A N^k A = 0, as
 N A N = N eAe N lies in N^2.  The witness is a vector of the ideal, so
 its right ideal lies inside it.  A wrong "semisimple" cannot escape
-either: the radical lies in the trace-form kernel, and in J, since
+either: over Q the radical is the trace-form kernel, which the checked
+pattern makes zero; over GF(p) it lies in that kernel, and in J, since
 1_y rad(A) 1_z = h_y e (h_y^-1 rad(A) h_z) e h_z^-1 lies in
 h_y N h_z^-1.  A missing transport, or copies of the corner that do not
 cover the block's arrows once each, is an internal error.
@@ -54,7 +58,7 @@ from __future__ import annotations
 from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
 from .group_algebra import BlockShape, IntegerGroup, associativity_generators
-from .groupoid import FiniteGroupoid, generators
+from .groupoid import FiniteGroupoid
 from .linalg import echelon, rref_residue, sparse_kernel
 from .rings import (
     GaloisField,
@@ -104,9 +108,7 @@ def verdicts(shape: BlockShape) -> Verdict:
         lines.append(f"not Noetherian: {rname} is not Noetherian [{CITE_BLOCK}]")
 
     bad_char = None
-    for p in sorted(preds.characteristics):
-        if p == 0:
-            continue
+    for p in sorted(preds.characteristics - {0}):
         for i, n in enumerate(finite_orders):
             if n % p == 0:
                 bad_char = (p, i, n)
@@ -167,15 +169,13 @@ class RadicalReport(Value):
     )
 
 
-def _mul(rows, u, v, p=0):
+def _mul(rows, u, v, p):
     """u * v on the arrow basis, for sparse vectors (dicts from arrow to
     nonzero coefficient), read off the composition table `g.rows`
-    (rows[i] = {j: k}, k = arrow i after arrow j) and reduced mod p
-    when p > 0: a prime for GF(p), or the prime power p^(j+1) the
-    trace-lift filtration works modulo.
-    With p = 0 the entries are multiplied exactly (rationals over Q).
-    Every product of two arrows is one arrow or 0, so only pairs of
-    nonzero entries cost anything."""
+    (rows[i] = {j: k}, k = arrow i after arrow j) and reduced mod p: a
+    prime for GF(p), or the prime power p^(j+1) the trace-lift
+    filtration works modulo.  Every product of two arrows is one arrow
+    or 0, so only pairs of nonzero entries cost anything."""
     out = {}
     for i, ui in u.items():
         row = rows[i]
@@ -183,9 +183,7 @@ def _mul(rows, u, v, p=0):
             k = row.get(j)
             if k is not None:
                 out[k] = out.get(k, 0) + ui * vj
-    if p:
-        return {k: r for k, x in out.items() if (r := x % p)}
-    return {k: x for k, x in out.items() if x}
+    return {k: r for k, x in out.items() if (r := x % p)}
 
 
 def _powers_vanish(rows, base, p):
@@ -205,7 +203,7 @@ def _powers_vanish(rows, base, p):
     return True
 
 
-def _ideal_certified_nilpotent(rows, basis, gens, p=0):
+def _ideal_certified_nilpotent(rows, basis, gens, p):
     """basis (sparse vectors) spans a subspace V; certify V is a
     two-sided ideal and nilpotent.  gens generate the algebra (every
     basis element is a product of them), so V*s and s*V inside V for
@@ -222,19 +220,6 @@ def _ideal_certified_nilpotent(rows, basis, gens, p=0):
     return _powers_vanish(rows, reduced, p)
 
 
-def _certified_radical(rows, radical, gens, p=0, pick=0):
-    """Turn a nonzero candidate radical basis (sparse vectors) into the
-    oracle's answer, over Q (p = 0, the trace-form kernel) or GF(p)
-    (the filtration result); gens generate the algebra.  The answer
-    must be a nilpotent two-sided ideal J.  Its vector at index pick is
-    the witness w, whose right ideal wA then lies inside J and needs no
-    check of its own."""
-    if not _ideal_certified_nilpotent(rows, radical, gens, p):
-        what = "filtration result" if p else "trace-form kernel"
-        raise InternalCheckError(f"{what} is not a nilpotent ideal")
-    return False, radical[pick], len(radical)
-
-
 def _trace_form(rows):
     """The trace form on the arrow basis, read off the composition
     table alone (rows[i] = {j: k}, k = arrow i after arrow j).  Returns
@@ -249,17 +234,15 @@ def _trace_form(rows):
 
 
 def _radical_char0(g: FiniteGroupoid):
-    """Nullspace of the trace form, exact over Q.  The Gram matrix holds
-    integers and `sparse_kernel` eliminates it fraction free on its
-    nonzero entries (one per row for a groupoid), so `Fraction` entries
-    appear only in the kernel vectors.  In characteristic zero this
-    nullspace is the radical; a nonzero kernel is certified a nilpotent
-    ideal at runtime, multiplying on `g.rows`."""
-    d = g.arrow_count
-    radical = sparse_kernel(_trace_form(g.rows)[1], d)
-    if not radical:
-        return True, None, 0
-    return _certified_radical(g.rows, radical, generators(g))
+    """The radical over Q, which is zero: the Gram matrix of the trace
+    form, read off `g.rows`, must have one nonzero entry per row, and
+    those entries must meet every column (a nondegenerate monomial form,
+    as on every groupoid).  Any other pattern is an internal error;
+    nothing is eliminated."""
+    gram = _trace_form(g.rows)[1]
+    if not all(len(row) == 1 for row in gram) or len(set().union(*gram)) != g.arrow_count:
+        raise InternalCheckError("trace form over Q is not a nondegenerate monomial form")
+    return True, None, 0
 
 
 def _power(rows, z, q, mod):
@@ -373,8 +356,10 @@ def _block_radical(g: FiniteGroupoid, block, p):
     radical = _filtration_radical_modp(corner, p)
     if not radical:
         return radical
-    n = len(loops)  # the corner's generators; raises unless N is a nilpotent ideal of eAe
-    _certified_radical(corner, radical, associativity_generators([0] * n, [0] * n, corner, 1), p)
+    n = len(loops)
+    gens = associativity_generators([0] * n, [0] * n, corner, 1)  # the corner's generators
+    if not _ideal_certified_nilpotent(corner, radical, gens, p):
+        raise InternalCheckError("filtration result is not a nilpotent ideal")
     return [{copy[i]: x for i, x in v.items()} for copy in copies for v in radical]
 
 
@@ -422,12 +407,14 @@ def oracle_refusal(ring: RingDescriptor, d: int):
 
 def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor) -> RadicalReport:
     """Decide semisimplicity of the groupoid algebra from its arrow
-    basis alone: the trace form over Q; over GF(p) the trace-lift
-    filtration on one corner eAe per block, whose radical N is
-    e rad(A) e (Lam, Thm 21.10), carried over the block as J = A N A.
-    The trace-form kernel, or N, is certified a nilpotent two-sided
-    ideal; J is then one, as J^k lies in A N^k A = 0.  The witness is
-    one of its vectors (see the module docstring).
+    basis alone.  Over Q the trace form's Gram matrix must be a
+    nondegenerate monomial form, so the radical is zero, and any other
+    pattern is an internal error.  Over GF(p) the trace-lift filtration
+    runs on one corner eAe per block, whose radical N is e rad(A) e
+    (Lam, Thm 21.10), carried over the block as J = A N A.  N is
+    certified a nilpotent two-sided ideal; J is then one, as J^k lies
+    in A N^k A = 0.  The witness is one of its vectors (see the module
+    docstring).
 
     Takes Q up to dimension ORACLE_DIMENSION_LIMIT_CHAR0 and GF(p) up
     to ORACLE_DIMENSION_LIMIT_CHARP, and raises oracle_refusal's error

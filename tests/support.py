@@ -47,7 +47,7 @@ from gpdalg.leavitt import (
 from gpdalg.linalg import echelon, sparse_kernel, sparse_reduce
 from gpdalg.rings import Rationals
 from gpdalg.verdicts import (
-    _certified_radical,
+    _ideal_certified_nilpotent,
     _mul,
     _trace_form,
 )
@@ -424,6 +424,23 @@ def _flatten(m: BlockMatrix, layout) -> dict:
     return vec
 
 
+def _fraction_residue(vec, rows, pivots):
+    """Residue over Q of the sparse vector vec against echelon rows, each
+    with entry 1 at its pivot and 0 at the pivots of the rows before it;
+    empty exactly when vec lies in their span.  vec is not mutated."""
+    v = {c: y for c, y in vec.items() if y}
+    for r, c in zip(rows, pivots):
+        f = v.get(c)
+        if f:
+            for k, x in r.items():
+                y = v.get(k, 0) - f * x
+                if y:
+                    v[k] = y
+                else:
+                    v.pop(k, None)
+    return v
+
+
 def reference_generated_dimension(images: GeneratorImages) -> int:
     """Rank over Q of the span of all products of generators, by closing
     the generator images under multiplication one sparse Fraction vector
@@ -439,7 +456,7 @@ def reference_generated_dimension(images: GeneratorImages) -> int:
     pivots: list = []
 
     def try_add(mat):
-        vec = sparse_reduce(_flatten(mat, layout), basis_vecs, pivots)
+        vec = _fraction_residue(_flatten(mat, layout), basis_vecs, pivots)
         if not vec:
             return False
         lead = min(vec)
@@ -1021,18 +1038,18 @@ def _powers_vanish(bp, base, d, p):
     return True
 
 
-def _right_ideal_nilpotent(bp, w, d, p=0):
-    """Is the right ideal generated by w nilpotent over Q (p = 0) or
-    GF(p)?  Exact: build a basis of wA from d dense products, then take
+def _right_ideal_nilpotent(bp, w, d, p):
+    """Is the right ideal generated by w nilpotent over GF(p)?  Exact:
+    build a basis of wA from d dense products, then take
     its powers."""
     gens = [_vec_mul(bp, w, e, d, p) for e in _unit_vectors(d)]
     gens.append(w)
     return _powers_vanish(bp, reference_rref(gens, p)[0], d, p)
 
 
-def reference_ideal_certified_nilpotent(bp, basis, d, p=0):
-    """The nilpotent-ideal certificate without shortcuts, over Q (p = 0)
-    or GF(p): basis (dense rows) must span a two-sided ideal, tested
+def reference_ideal_certified_nilpotent(bp, basis, d, p):
+    """The nilpotent-ideal certificate without shortcuts, over GF(p):
+    basis (dense rows) must span a two-sided ideal, tested
     against every arrow on both sides, and its powers I, I^2, I^3, ...,
     one factor of I per step, must reach zero.  The package tests the
     ideal property on generators only and powers by squaring; its
@@ -1222,19 +1239,18 @@ def single_chain_radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
     radical = _single_chain_filtration(g, p)
     if not radical:
         return True, None, 0
-    pick = -1 if exhaustive else 0
-    semisimple, witness, dimension = _certified_radical(g.rows, radical, generators(g), p, pick)
-    return semisimple, witness, None if exhaustive else dimension
+    if not _ideal_certified_nilpotent(g.rows, radical, generators(g), p):
+        raise InternalCheckError("filtration result is not a nilpotent ideal")
+    return False, radical[-1 if exhaustive else 0], None if exhaustive else len(radical)
 
 
-def reference_rref(rows, p=0):
-    """Gauss-Jordan on dense rows over Q (p = 0) or GF(p): each pivot row
-    is scaled to pivot 1 and subtracted from every other row with a
-    nonzero entry in its column.  Returns (rref rows, pivot cols), the
-    entries `Fraction` over Q and int in range(p) over GF(p).
-    `linalg.echelon` eliminates on sparse rows (fraction free over Q)
-    instead and must return exactly this, entry types included."""
-    m = [[v % p for v in r] if p else list(map(Fraction, r)) for r in rows]
+def reference_rref(rows, p):
+    """Gauss-Jordan on dense rows over GF(p): each pivot row is scaled
+    to pivot 1 and subtracted from every other row with a nonzero entry
+    in its column.  Returns (rref rows, pivot cols), the entries int in
+    range(p).  `linalg.echelon` eliminates on sparse rows instead and
+    must return exactly this."""
+    m = [[v % p for v in r] for r in rows]
     pivots = []
     row = 0
     ncols = len(m[0]) if m else 0
@@ -1243,12 +1259,12 @@ def reference_rref(rows, p=0):
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, p) if p else 1 / m[row][col]
-        m[row] = [v * inv % p if p else v * inv for v in m[row]]
+        inv = pow(m[row][col], -1, p)
+        m[row] = [v * inv % p for v in m[row]]
         for i in range(len(m)):
             if i != row and m[i][col]:
                 f = m[i][col]
-                m[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(m[i], m[row])]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[row])]
         pivots.append(col)
         row += 1
         if row == len(m):
@@ -1256,21 +1272,20 @@ def reference_rref(rows, p=0):
     return m[:row], pivots
 
 
-def reference_kernel(rows, p=0):
+def reference_kernel(rows, p):
     """Kernel basis read off `reference_rref`, one vector per free
     column, as `linalg.sparse_kernel` must give it densely: entry 1 at
     the free column f and -rref[i][f] at the pivot of each row i."""
     if not rows:
         return []
     ncols = len(rows[0])
-    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     reduced, pivots = reference_rref(rows, p)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
-        v = [zero] * ncols
-        v[f] = one
+        v = [0] * ncols
+        v[f] = 1
         for r, c in zip(reduced, pivots):
-            v[c] = -r[f] % p if p else -r[f]
+            v[c] = -r[f] % p
         basis.append(v)
     return basis
 

@@ -420,12 +420,13 @@ def _verify_after_dropping_a_composition(monkeypatch, capsys, pick):
 
 def test_composition_lost_after_validation_is_an_internal_error(monkeypatch, capsys):
     # the last pair of g.comp has no generator on the right, so the pair
-    # check does not visit it; the radical certificate is what fails
+    # check does not visit it; it composes to an identity, so its Gram
+    # row over Q is left empty and the Q oracle's pattern check fails
     code, out, err = _verify_after_dropping_a_composition(
         monkeypatch, capsys, lambda g: g.comp[-1][0])
     assert code == 2
     assert not out
-    assert err == "internal error: trace-form kernel is not a nilpotent ideal\n"
+    assert err == "internal error: trace form over Q is not a nondegenerate monomial form\n"
 
 
 def test_generator_composition_lost_after_validation_is_an_internal_error(monkeypatch, capsys):

@@ -20,7 +20,6 @@ from gpdalg import (
     Q,
     RingElement,
     isg_verdicts,
-    maximal_subgroup,
     natural_partial_order,
     parse_element_literal,
     parse_isg,
@@ -31,7 +30,7 @@ from gpdalg import (
     underlying_groupoid,
 )
 from gpdalg.constructions import cyclic_table, symmetric_table
-from gpdalg.groupoid import associativity_generators, orbits
+from gpdalg.groupoid import associativity_generators, isotropy, orbits
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -136,15 +135,17 @@ def test_underlying_groupoid_structure():
 
 
 def test_maximal_subgroups():
+    # the maximal subgroup at an idempotent is the isotropy group of the
+    # underlying groupoid at that idempotent's object
     s = _i2_fixture()
-    ix = s.element_index
-    members, table = maximal_subgroup(s, ix("one"))
-    assert {s.elements[m] for m in members} == {"one", "swap"}
-    assert table.name == "Z/2"
-    members, table = maximal_subgroup(s, ix("e1"))
-    assert members == (ix("e1"),) and table.is_trivial
+    g = underlying_groupoid(s)
+    group = isotropy(g, g.objects.index("one"))
+    assert {g.arrows[a] for a in group.arrows} == {"one", "swap"}
+    assert group.table.name == "Z/2"
+    group = isotropy(g, g.objects.index("e1"))
+    assert group.arrows == (g.arrow_index("e1"),) and group.table.is_trivial
     with pytest.raises(ValueError):
-        maximal_subgroup(s, ix("m12"))
+        g.objects.index("m12")
 
 
 def test_base_change_isomorphism_over_two_rings():

@@ -1,30 +1,23 @@
-"""Exact linear algebra over Q (p = 0) and GF(p), checked against the
-properties that pin down the reduced row echelon form, with ranks
-recomputed independently from integer minors, and against a dense
-Gauss-Jordan reference."""
+"""Exact linear algebra over GF(p), checked against the properties that
+pin down the reduced row echelon form, with ranks recomputed
+independently from integer minors, and against a dense Gauss-Jordan
+reference."""
 import copy
 import random
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 import pytest
 
-from corpus import chain_graph, groupoid_corpus, in_tree_graph
 from support import int_det, reference_kernel, reference_rref
 
-from gpdalg.leavitt import as_finite_groupoid
 from gpdalg.linalg import echelon, rref_residue, sparse_kernel, sparse_reduce
-from gpdalg.verdicts import _trace_form
 
-FIELDS = [0, 2, 3, 5, 7]
+FIELDS = [2, 3, 5, 7]
 SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (2, 6), (6, 2), (4, 5), (6, 6)]
 
 
 def _entry(rng, p):
-    if p:
-        return rng.randrange(p)
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.randrange(p)
 
 
 def _combination(rng, gens, n, p):
@@ -32,7 +25,7 @@ def _combination(rng, gens, n, p):
     for g in gens:
         c = _entry(rng, p)
         v = [a + c * b for a, b in zip(v, g)]
-    return [x % p for x in v] if p else v
+    return [x % p for x in v]
 
 
 def _matrices(p, seed):
@@ -50,14 +43,12 @@ def _matrices(p, seed):
 
 
 def _minor_rank(rows, p):
-    """Rank as the size of the largest nonzero minor (mod p for GF(p))."""
-    ints = [[int(v * lcm(*(Fraction(x).denominator for x in r))) for v in r] for r in rows]
+    """Rank as the size of the largest minor nonzero mod p."""
     m, n = len(rows), len(rows[0]) if rows else 0
     for k in range(min(m, n), 0, -1):
         for rs in combinations(range(m), k):
             for cs in combinations(range(n), k):
-                det = int_det([[ints[r][c] for c in cs] for r in rs])
-                if det % p if p else det:
+                if int_det([[rows[r][c] for c in cs] for r in rs]) % p:
                     return k
     return 0
 
@@ -67,8 +58,7 @@ def _sparse_rows(rows):
 
 
 def _densify(vectors, n, p):
-    zero = 0 if p else Fraction(0)
-    return [[v.get(c, zero) for c in range(n)] for v in vectors]
+    return [[v.get(c, 0) for c in range(n)] for v in vectors]
 
 
 def _reference_residue(vec, reduced, pivots, p):
@@ -78,11 +68,11 @@ def _reference_residue(vec, reduced, pivots, p):
     for row, c in zip(reduced, pivots):
         f = vec[c]
         out = [a - f * b for a, b in zip(out, row)]
-    return [x % p for x in out] if p else out
+    return [x % p for x in out]
 
 
 def _is_field_entry(v, p):
-    return isinstance(v, int) and 0 <= v < p if p else isinstance(v, Fraction)
+    return isinstance(v, int) and 0 <= v < p
 
 
 def _assert_rref(reduced, pivots, p):
@@ -102,9 +92,9 @@ def test_empty_and_zero_matrices(p):
     assert echelon([{}, {}], p) == ([], []) == reference_rref([[0, 0, 0], [0, 0, 0]], p)
     assert sparse_kernel([{}], 3, p) == [{0: 1}, {1: 1}, {2: 1}]
     assert reference_kernel([[0, 0, 0]], p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert sparse_reduce({0: 1, 1: 2, 2: 3}, [], [], p) == (
-        {c: x for c, v in enumerate((1, 2, 3)) if (x := v % p)} if p else {0: 1, 1: 2, 2: 3}
-    )
+    assert sparse_reduce({0: 1, 1: 2, 2: 3}, [], [], p) == {
+        c: x for c, v in enumerate((1, 2, 3)) if (x := v % p)
+    }
 
 
 @pytest.mark.parametrize("p", FIELDS)
@@ -130,7 +120,7 @@ def test_rref_kernel_and_reduce_properties(p, seed):
             assert all(_is_field_entry(x, p) for x in v)
             for row in rows:
                 dot = sum(a * b for a, b in zip(row, v))
-                assert (dot % p if p else dot) == 0
+                assert dot % p == 0
 
         rank = len(reduced)
         for vec in ([_entry(rng, p) for _ in range(n)], _combination(rng, rows, n, p)):
@@ -138,34 +128,6 @@ def test_rref_kernel_and_reduce_properties(p, seed):
             assert all(residue.values())
             assert all(_is_field_entry(x, p) for x in residue.values())
             assert (not residue) == (_minor_rank(rows + [vec], p) == rank)
-
-
-def _gram(g):
-    d = g.arrow_count
-    return [[row.get(j, 0) for j in range(d)] for row in _trace_form(g.rows)[1]]
-
-
-def _q_reference_inputs():
-    """The random matrices above, with `Fraction` entries and again as
-    integer rows, and the trace-form Gram matrices the Q oracle reduces."""
-    out = []
-    for seed in range(2):
-        for rows in _matrices(0, seed):
-            out += [rows, [[Fraction(v).numerator for v in r] for r in rows]]
-    out += [_gram(g) for _, g in groupoid_corpus() if g.arrow_count <= 64]
-    out += [_gram(as_finite_groupoid(graph)) for graph in (chain_graph(8), in_tree_graph(7))]
-    return out
-
-
-def test_q_elimination_matches_the_fraction_reference():
-    for rows in _q_reference_inputs():
-        n = len(rows[0])
-        sparse = _sparse_rows(rows)
-        reduced, pivots = echelon(sparse)
-        assert (_densify(reduced, n, 0), pivots) == reference_rref(rows)
-        basis = sparse_kernel(sparse, n)
-        assert _densify(basis, n, 0) == reference_kernel(rows)
-        assert all(type(v) is Fraction for vec in reduced + basis for v in vec.values())
 
 
 def _edge_cases(p):
@@ -186,8 +148,6 @@ def _edge_cases(p):
 def test_sparse_elimination_matches_the_dense_functions(p):
     rng = random.Random(2000 + p)
     inputs = _matrices(p, 0) + _matrices(p, 1) + _edge_cases(p)
-    if not p:
-        inputs += [[[Fraction(v).numerator for v in r] for r in rows] for rows in inputs]
     for rows in inputs:
         n = len(rows[0])
         sparse = _sparse_rows(rows)
@@ -207,7 +167,7 @@ def test_sparse_elimination_matches_the_dense_functions(p):
             assert _densify([residue], n, p)[0] == _reference_residue(vec, dense_reduced, pivots, p)
 
 
-@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
 def test_residue_against_present_pivots_is_sparse_reduce(p):
     # rref_residue reads only the rows whose pivots a vector has; on a
     # full rref that is the residue sparse_reduce finds walking them all
@@ -235,7 +195,7 @@ def test_residue_against_present_pivots_is_sparse_reduce(p):
 def _monomial_cases(p):
     """Rows of at most one nonzero entry each, read off with no
     elimination: in distinct columns, with an entry that vanishes mod p
-    (p itself; an explicit zero over Q), with empty rows, and with two
+    (p itself), with empty rows, and with two
     rows sharing a column."""
     rng = random.Random(3000 + p)
     cases = []
@@ -261,7 +221,7 @@ def test_kernel_of_monomial_rows_matches_the_reference(p):
         assert sparse == before
         assert all(_is_field_entry(v, p) for vec in basis for v in vec.values())
         assert _densify(basis, n, p) == reference_kernel(dense, p), (sparse, n)
-        cols = [c for r in sparse for c, v in r.items() if (v % p if p else v)]
+        cols = [c for r in sparse for c, v in r.items() if v % p]
         shared += len(cols) != len(set(cols))
     assert shared  # two rows with the same nonzero column occur
 

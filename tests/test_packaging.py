@@ -1,7 +1,8 @@
 """The package has no runtime dependencies: every module it imports by
 absolute name is part of the standard library, and none of them is
-dataclasses, whose class building slowed every cold start.  Every
-top-level definition in it is used by the package or exported."""
+dataclasses, whose class building slowed every cold start, and only
+`rings` imports fractions.  Every top-level definition in it is used
+by the package or exported."""
 import ast
 import pathlib
 import sys
@@ -31,6 +32,14 @@ def test_every_absolute_import_is_from_the_standard_library():
 def test_no_module_imports_dataclasses():
     for path in sorted(SRC.glob("*.py")):
         assert "dataclasses" not in set(_absolute_imports(path)), path.name
+
+
+def test_only_rings_imports_fractions():
+    # Q is a ring of the coefficient arithmetic only: no linear algebra
+    # or oracle step eliminates over Q
+    importers = [path.stem for path in sorted(SRC.glob("*.py"))
+                 if "fractions" in set(_absolute_imports(path))]
+    assert importers == ["rings"]
 
 
 def _names_read(node):

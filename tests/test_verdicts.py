@@ -1,7 +1,6 @@
 """Chain-condition verdicts against the brute-force radical oracle."""
 import importlib
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,13 +11,11 @@ from support import (
     reference_exhaustive_radical,
     reference_filtration_radical,
     reference_ideal_certified_nilpotent,
-    reference_kernel,
     reference_trace_form,
     single_chain_radical_charp,
 )
 
 import gpdalg.cli
-import gpdalg.linalg
 
 from gpdalg import (
     BlockShape,
@@ -47,13 +44,12 @@ from gpdalg.constructions import (
     product_with_group,
     symmetric_table,
 )
-from gpdalg.linalg import echelon, sparse_kernel, sparse_reduce
+from gpdalg.linalg import echelon, sparse_reduce
 from gpdalg.verdicts import (
     ORACLE_DIMENSION_LIMIT_CHAR0,
     ORACLE_DIMENSION_LIMIT_CHARP,
     _EXHAUSTIVE_LIMIT,
     _blocks,
-    _certified_radical,
     _filtration_radical_modp,
     _ideal_certified_nilpotent,
     _powers_vanish,
@@ -162,21 +158,6 @@ def test_oracle_fixed_points():
     report = radical_oracle(z2, GF2)
     assert not report.semisimple and report.method == "exhaustive"
     assert report.witness == parse_element_literal("1*g0 + 1*g1", z2, GF2)
-
-
-def test_q_oracle_builds_no_fraction_on_a_semisimple_algebra(monkeypatch):
-    built = []
-
-    def counting_fraction(*args):
-        built.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(gpdalg.linalg, "Fraction", counting_fraction)
-    g = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), cyclic_table(4))
-    assert g.arrow_count == 64
-    report = radical_oracle(g, Q)
-    assert report.semisimple and report.radical_dimension == 0
-    assert built == []
 
 
 def test_oracle_agrees_with_verdicts_over_corpus():
@@ -391,10 +372,10 @@ def test_oracle_rejects_unsupported_rings_and_methods():
 
 
 # Path algebra of the quiver 1 -> 2 on the basis e1, e2, a with
-# a = e2.a.e1: not semisimple and not a groupoid algebra.  Over Q every
-# finite groupoid algebra is semisimple (Maschke), so this is what
-# reaches the nonzero-radical branches of the certificates in
-# characteristic 0.  PATH_ROWS[i] = {j: i.j} over the nonzero products,
+# a = e2.a.e1: not semisimple and not a groupoid algebra, with radical
+# span(a) over every field.  The certificates are checked on it
+# directly, and its trace form, degenerate even over Q, is what the Q
+# oracle must refuse.  PATH_ROWS[i] = {j: i.j} over the nonzero products,
 # the package's table form; PATH_BP is its dense form for the reference.
 E1, E2, A = 0, 1, 2
 PATH_ROWS = [
@@ -405,7 +386,7 @@ PATH_ROWS = [
 PATH_BP = _basis_products(PATH_ROWS)
 
 
-@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("p", [2, 3])
 def test_certificates_on_the_path_algebra_of_one_arrow(p):
     a, e1 = {A: 2}, {E1: 1}
     gens = range(3)
@@ -429,7 +410,7 @@ CHAIN_ROWS = [{j: k for (f, j), k in CHAIN_PRODUCTS.items() if f == i} for i in 
 CHAIN_BP = _basis_products(CHAIN_ROWS)
 
 
-@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("p", [2, 3])
 def test_certificates_on_the_path_algebra_of_two_arrows(p):
     a, b, ba = ({k: 1} for k in (3, 4, 5))
     assert _ideal_certified_nilpotent(CHAIN_ROWS, [a, b, ba], range(6), p)
@@ -439,14 +420,11 @@ def test_certificates_on_the_path_algebra_of_two_arrows(p):
 
 
 def _certificate_candidates(g, p):
-    """Candidate radicals of g over Q (p = 0) or GF(p): the true radical
-    first, then the radical less its first row, the radical plus an
-    identity arrow, and one non-loop arrow where there is one."""
+    """Candidate radicals of g over GF(p): the true radical first, then
+    the radical less its first row, the radical plus an identity arrow,
+    and one non-loop arrow where there is one."""
     d = g.arrow_count
-    if p:
-        radical = _radical_modp(g, p)
-    else:
-        radical = sparse_kernel(_trace_form(g.rows)[1], d)
+    radical = _radical_modp(g, p)
     candidates = [radical, radical[1:], radical + [{g.identity_of[0]: 1}]]
     candidates += [[{a: 1}] for a in range(d) if g.dom[a] != g.cod[a]][:1]
     return candidates
@@ -457,7 +435,7 @@ def test_certificate_on_generators_is_the_certificate_on_every_arrow():
     taking powers by squaring, gives the answer the test against every
     arrow with one factor of I per power step gives."""
     pair4_s3 = product_with_group(pair_groupoid([f"x{i}" for i in range(4)]), symmetric_table(3))
-    cases = [(name, g, p) for name, g in groupoid_corpus() for p in (0, 2, 3)]
+    cases = [(name, g, p) for name, g in groupoid_corpus() for p in (2, 3)]
     cases += [
         ("Z5", group_groupoid(cyclic_table(5)), 5),
         ("Z7", Z7_GROUPOID, 7),
@@ -486,7 +464,7 @@ def test_powers_vanish_squares_its_way_to_zero(monkeypatch):
     assert len(radical) == 6
     rounds = []
 
-    def counting_echelon(rows, p=0):
+    def counting_echelon(rows, p):
         rounds.append(len(rows))
         return echelon(rows, p)
 
@@ -516,16 +494,6 @@ def test_every_char_p_witness_generates_a_nilpotent_right_ideal():
     assert answers == 52
 
 
-@pytest.mark.parametrize("rows, dim", [(PATH_ROWS, 1), (CHAIN_ROWS, 3)], ids=["path", "chain"])
-def test_trace_form_kernel_over_q_is_the_path_algebra_radical(rows, dim):
-    d = len(rows)
-    gram = _trace_form(rows)[1]
-    basis = sparse_kernel(gram, d)
-    assert len(basis) == dim
-    witness = {i: c for i, c in enumerate(reference_kernel(_dense_rows(gram, d))[0]) if c}
-    assert _certified_radical(rows, basis, range(d)) == (False, witness, dim)
-
-
 def test_sparse_trace_form_is_the_dense_reference():
     groupoids = [g for _, g in groupoid_corpus()]
     groupoids += [as_finite_groupoid(graph) for graph in (chain_graph(8), in_tree_graph(7))]
@@ -537,35 +505,81 @@ def test_sparse_trace_form_is_the_dense_reference():
 
 
 def test_q_oracle_builds_no_products_table_on_the_corpus(monkeypatch):
-    """A groupoid's trace-form kernel over Q is zero, so the Q oracle
-    multiplies nothing: its certificate never runs."""
+    """A groupoid's trace form over Q is a nondegenerate monomial form,
+    read off the composition table: the Q oracle multiplies nothing and
+    eliminates nothing, on the corpus and on pair(4) x Z4."""
     def refuse(*args):
-        raise AssertionError("the Q oracle multiplied")
+        raise AssertionError("the Q oracle multiplied or eliminated")
 
-    monkeypatch.setattr(VERDICTS, "_mul", refuse)
-    checked = 0
-    for name, g in groupoid_corpus():
-        if g.arrow_count <= 64:
-            report = radical_oracle(g, Q)
-            assert report.semisimple and report.radical_dimension == 0, name
-            checked += 1
-    assert checked == len(groupoid_corpus())
+    for name in ("_mul", "echelon", "sparse_kernel"):
+        monkeypatch.setattr(VERDICTS, name, refuse)
+    pair4_z4 = product_with_group(PAIR4, cyclic_table(4))
+    assert pair4_z4.arrow_count == 64
+    cases = groupoid_corpus() + [("pair4_Z4", pair4_z4)]
+    for name, g in cases:
+        report = radical_oracle(g, Q)
+        assert report.semisimple and report.witness is None, name
+        assert report.radical_dimension == 0 and report.method == "trace form", name
+
+
+def _tampered_gram(tamper, rows):
+    """The trace form of rows with its Gram matrix tampered with: one
+    entry dropped, a second entry added to a row, or one row's entry
+    moved to the column of another's."""
+    tr, gram = _trace_form(rows)
+    gram = [dict(row) for row in gram]
+    if tamper == "dropped":
+        gram[-1].clear()
+    elif tamper == "added":
+        gram[0][next(c for c in range(len(rows)) if c not in gram[0])] = 1
+    else:
+        gram[0] = dict(gram[1])
+    return tr, gram
+
+
+@pytest.mark.parametrize("case", ["path", "chain", "dropped", "added", "shared"])
+def test_a_degenerate_trace_form_over_q_is_an_internal_error(monkeypatch, case):
+    """The Q oracle passes only a Gram matrix with one nonzero entry per
+    row meeting every column.  The path algebras' trace forms, read in
+    place of a groupoid's of the same dimension, and a corpus groupoid's
+    with an entry dropped, added or sharing another row's column, are
+    internal errors."""
+    real = VERDICTS._trace_form
+    if case in ("path", "chain"):
+        table = PATH_ROWS if case == "path" else CHAIN_ROWS
+        groupoids = [group_groupoid(cyclic_table(len(table)))]
+        monkeypatch.setattr(VERDICTS, "_trace_form", lambda rows: real(table))
+    else:
+        groupoids = [g for _, g in groupoid_corpus() if g.arrow_count > 1]
+        monkeypatch.setattr(VERDICTS, "_trace_form", lambda rows: _tampered_gram(case, rows))
+    for g in groupoids:
+        with pytest.raises(InternalCheckError) as exc:
+            radical_oracle(g, Q)
+        assert str(exc.value) == "trace form over Q is not a nondegenerate monomial form"
 
 
 @pytest.mark.parametrize("ring", [Q, GF2, GF3])
 @pytest.mark.parametrize("tamper", ["identity", "non-ideal"])
 def test_a_tampered_radical_is_an_internal_error(monkeypatch, ring, tamper):
     """A candidate radical that is not a nilpotent ideal never becomes
-    a "not semisimple" answer, whichever route produced it: the
-    trace-form kernel over Q, the corner's filtration over GF(p)."""
+    a "not semisimple" answer, whichever route produced it: over Q a
+    Gram matrix with the column at that vector dropped, so the vector
+    spans the trace form's kernel; over GF(p) the corner's filtration."""
     g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(2 if ring == Q else ring.p))
     d = g.arrow_count
     if ring == Q:
         # an identity is idempotent; an arrow x -> y alone spans no ideal
         e = g.identity_of[0]
         a = next(a for a in range(d) if g.dom[a] != g.cod[a])
-        fake = [{e: 1}] if tamper == "identity" else [{a: 1}]
-        monkeypatch.setattr(VERDICTS, "sparse_kernel", lambda rows, n, p=0: fake)
+        c = e if tamper == "identity" else a
+        real = VERDICTS._trace_form
+
+        def degenerate(rows):
+            tr, gram = real(rows)
+            return tr, [{j: x for j, x in row.items() if j != c} for row in gram]
+
+        monkeypatch.setattr(VERDICTS, "_trace_form", degenerate)
+        match = "is not a nondegenerate monomial form"
     else:
         # the corner GF(p)[Z/p]: its identity is idempotent, and a
         # group element other than it alone spans no ideal
@@ -574,7 +588,8 @@ def test_a_tampered_radical_is_an_internal_error(monkeypatch, ring, tamper):
             return [{i: 1}]
 
         monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", fake)
-    with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
+        match = "is not a nilpotent ideal"
+    with pytest.raises(InternalCheckError, match=match):
         radical_oracle(g, ring)
 
 
