@@ -1,5 +1,6 @@
 """Chain-condition verdicts against the brute-force radical oracle."""
 import importlib
+from fractions import Fraction
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from support import (
 )
 
 import gpdalg.cli
+import gpdalg.rings
 
 from gpdalg import (
     BlockShape,
@@ -520,6 +522,21 @@ def test_q_oracle_builds_no_products_table_on_the_corpus(monkeypatch):
         report = radical_oracle(g, Q)
         assert report.semisimple and report.witness is None, name
         assert report.radical_dimension == 0 and report.method == "trace form", name
+
+
+def test_q_oracle_builds_no_fraction_on_a_semisimple_algebra(monkeypatch):
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(gpdalg.rings, "Fraction", counting_fraction)
+    g = product_with_group(PAIR4, cyclic_table(4))
+    assert g.arrow_count == 64
+    report = radical_oracle(g, Q)
+    assert report.semisimple and report.radical_dimension == 0
+    assert built == []
 
 
 def _tampered_gram(tamper, rows):
