@@ -9,6 +9,14 @@ checks and, for semisimplicity, by an independent radical oracle that
 reads only the arrow multiplication table: the trace form over Q, the
 trace-lift filtration over GF(p), each nonzero answer certified.
 
+The public API is the reports' pipeline: parse an input, decompose or
+lay it out (decompose, graph_groupoid, underlying_groupoid), decide
+the chain conditions (verdicts, leavitt_verdicts, isg_verdicts), and
+verify (verify_isomorphism, verify_leavitt_relations,
+semigroup_algebra_iso, radical_oracle).  Every check compares matrix
+unit indices or integer counts, so no ring element is ever multiplied
+and the package exports no element arithmetic.
+
 Importing the package loads the groupoid engine every subcommand needs:
 ``errors``, ``rings``, ``group_algebra``, ``groupoid``, ``algebra``,
 ``verdicts`` (with ``linalg``) and ``report``.  The modules
@@ -19,13 +27,7 @@ so a groupoid report never imports them.
 """
 from importlib import import_module as _import_module
 
-from .errors import (
-    InternalCheckError,
-    LaurentOverflowError,
-    OracleBudgetError,
-    ParseError,
-    RingMismatchError,
-)
+from .errors import InternalCheckError, OracleBudgetError, ParseError
 from .rings import (
     GaloisField,
     Integers,
@@ -34,21 +36,13 @@ from .rings import (
     Product,
     Q,
     Rationals,
-    RingElement,
     RingPredicates,
     Z,
-    laurent_variable,
     parse_ring_descriptor,
     render_ring_descriptor,
     ring_predicates,
 )
-from .group_algebra import (
-    BlockMatrix,
-    BlockShape,
-    FiniteGroupTable,
-    GroupAlgebraElement,
-    IntegerGroup,
-)
+from .group_algebra import BlockShape, FiniteGroupTable, IntegerGroup
 from .groupoid import (
     FiniteGroupoid,
     Orbit,
@@ -59,17 +53,7 @@ from .groupoid import (
     structured_from_finite,
     validate,
 )
-from .algebra import (
-    AlgebraElement,
-    Decomposition,
-    VerificationReport,
-    convolve,
-    decompose,
-    parse_element_literal,
-    phi,
-    phi_inv,
-    verify_isomorphism,
-)
+from .algebra import Decomposition, VerificationReport, decompose, verify_isomorphism
 from .verdicts import (
     RadicalReport,
     Verdict,

@@ -10,20 +10,23 @@ dom(g) = cod(h), else 0.
 decompose() picks the deterministic frame from groupoid.orbits and
 realizes the algebra as one matrix block per orbit, entries in the
 group algebra of the basepoint isotropy; the layout is its BlockShape,
-which verdicts() reads.  An arrow g: y -> z in orbit i
-lands in block i at (row of z, column of y) carrying the isotropy
-element conn_z^-1 g conn_y.  phi/phi_inv implement the two directions;
-verify_isomorphism checks multiplicativity on every pair of basis
-arrows, unit preservation, and that the two directions invert each
-other on every basis vector of both sides.
+which verdicts() reads.  An arrow g: y -> z in orbit i lands in block
+i at (row of z, column of y) carrying the isotropy element conn_z^-1 g
+conn_y.  The map phi sends the basis arrow [g] to that matrix unit,
+with coefficient one, and its inverse phi^-1 sends the unit (b, r, c,
+k) back to the arrow conn_r iso[k] conn_c^-1.  Both are read off
+indices: d.arrow_position[a] is the unit of a, and _pull the arrow of
+a unit.  Neither map is built as a function on algebra elements; the
+failure strings of verify_isomorphism name phi and phi_inv as the maps
+their checks test.
 
-The checks work on basis indices, over every ring alike.  phi sends
-the arrow a to one matrix unit with coefficient one, the (block, row,
-col, isotropy key) stored in arrow_position[a], so a pair passes when
-the unit of the composite, or zero, equals the product of the two
-units, which is (b, r, c', table[k][k']) when both sit in block b and
-c = r', else zero; units that chain fail when one is outside the
-shape.
+verify_isomorphism checks multiplicativity on every pair of basis
+arrows, unit preservation, and that the two maps invert each other on
+every basis vector of both sides, on basis indices, over every ring
+alike.  A pair passes when the unit of the composite, or zero, equals
+the product of the two units, which is (b, r, c', table[k][k']) when
+both sit in block b and c = r', else zero; units that chain fail when
+one is outside the shape.
 When the units give an injective map object -> (block, row)
 (slot(cod a) = (b, r), slot(dom a) = (b, c)), two units chain only
 when their arrows compose, so every non-composable pair is zero on
@@ -37,137 +40,16 @@ pair fails the pair loop visits every composable pair, and without the
 slot map every pair, so failures are listed as by the full scan; the
 report still counts all d^2.  phi sends the unit to the identity when
 the identity arrows' units are the diagonal units, each once.  The
-round trips compare indices too: phi_inv sends the unit (b, r, c, k)
-to the arrow conn_r iso[k] conn_c^-1, pulled back once per unit, so
+round trips compare indices too: each unit is pulled back once, so
 phi_inv(phi([a])) == [a] when that arrow is a, and phi(phi_inv(E)) ==
 E when the unit of that arrow is E.
 """
 from __future__ import annotations
 
-from .errors import InternalCheckError, ParseError, RingMismatchError
-from .group_algebra import BlockMatrix
+from .errors import InternalCheckError
 from .groupoid import FiniteGroupoid, generators, orbit_layout, validate
-from .rings import RingDescriptor, RingElement, sum_like_terms
+from .rings import RingDescriptor
 from .value import Value
-
-
-class AlgebraElement(Value):
-    """Finitely supported arrow -> coefficient map, no zero entries."""
-
-    __slots__ = ("groupoid", "ring", "coeffs")
-
-    def __init__(self, groupoid: FiniteGroupoid, ring: RingDescriptor, coeffs: tuple):
-        self.groupoid = groupoid
-        self.ring = ring
-        self.coeffs = coeffs  # sorted tuple of (arrow index, RingElement)
-
-    @staticmethod
-    def make(g, ring, items) -> "AlgebraElement":
-        return AlgebraElement(g, ring, sum_like_terms(items))
-
-    @staticmethod
-    def zero(g, ring) -> "AlgebraElement":
-        return AlgebraElement(g, ring, ())
-
-    @staticmethod
-    def delta(g, ring, arrow: int, coeff: RingElement | None = None) -> "AlgebraElement":
-        if coeff is None:
-            coeff = RingElement.one(ring)
-        return AlgebraElement(g, ring, () if coeff.is_zero else ((arrow, coeff),))
-
-    @staticmethod
-    def chi(g, ring, arrow_set) -> "AlgebraElement":
-        one = RingElement.one(ring)
-        return AlgebraElement.make(g, ring, [(a, one) for a in arrow_set])
-
-    @staticmethod
-    def unit(g, ring) -> "AlgebraElement":
-        """Characteristic function of the unit space."""
-        return AlgebraElement.chi(g, ring, g.identity_arrows())
-
-    def _check(self, other):
-        if self.groupoid is not other.groupoid and self.groupoid != other.groupoid:
-            raise RingMismatchError("elements live over different groupoids")
-        if self.ring != other.ring:
-            raise RingMismatchError("elements live over different rings")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, arrow: int) -> RingElement:
-        for a, c in self.coeffs:
-            if a == arrow:
-                return c
-        return RingElement.zero(self.ring)
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement.make(self.groupoid, self.ring, self.coeffs + other.coeffs)
-
-    def __neg__(self):
-        return AlgebraElement(
-            self.groupoid, self.ring, tuple((a, -c) for a, c in self.coeffs)
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return convolve(self, other)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{self.groupoid.arrows[a]}" for a, c in self.coeffs)
-
-
-def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
-    f1._check(f2)
-    g = f1.groupoid
-    items = []
-    for a, c1 in f1.coeffs:
-        for b, c2 in f2.coeffs:
-            if g.dom[a] == g.cod[b]:
-                ab = g.compose(a, b)
-                if ab is None:
-                    raise ValueError("groupoid has a missing composition entry")
-                items.append((ab, c1 * c2))
-    return AlgebraElement.make(g, f1.ring, items)
-
-
-def parse_element_literal(text: str, g: FiniteGroupoid, ring: RingDescriptor) -> AlgebraElement:
-    """Literal syntax for tests and reports: '3*f + (-1)*id_a + g'.
-    Coefficients are integers, fractions n/d (over Q), possibly
-    parenthesized with a sign."""
-    items = []
-    for chunk in text.split("+"):
-        term = chunk.strip()
-        if not term:
-            raise ParseError("empty term in element literal")
-        if "*" in term:
-            coeff_text, name = (s.strip() for s in term.rsplit("*", 1))
-            if coeff_text.startswith("(") and coeff_text.endswith(")"):
-                coeff_text = coeff_text[1:-1].strip()
-            try:
-                if "/" in coeff_text:
-                    num, den = coeff_text.split("/", 1)
-                    coeff = RingElement.rational(ring, int(num), int(den))
-                else:
-                    coeff = RingElement.from_int(ring, int(coeff_text))
-            except RingMismatchError:
-                raise
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad coefficient '{coeff_text}'") from exc
-        else:
-            name = term
-            coeff = RingElement.one(ring)
-        try:
-            arrow = g.arrow_index(name)
-        except KeyError:
-            raise ParseError(f"unknown arrow '{name}'") from None
-        items.append((arrow, coeff))
-    return AlgebraElement.make(g, ring, items)
 
 
 class Decomposition(Value):
@@ -213,25 +95,8 @@ def decompose(g: FiniteGroupoid, ring: RingDescriptor) -> Decomposition:
     )
 
 
-def phi(d: Decomposition, f: AlgebraElement) -> BlockMatrix:
-    """Algebra -> block matrices along the frame: [a] goes to the matrix
-    unit at arrow_position[a]."""
-    if f.groupoid != d.groupoid or f.ring != d.ring:
-        raise RingMismatchError("element does not match the decomposition")
-    position = d.arrow_position
-    return BlockMatrix.build(d.shape, [(position[a], c) for a, c in f.coeffs])
-
-
-def phi_inv(d: Decomposition, m: BlockMatrix) -> AlgebraElement:
-    """Block matrices -> algebra: a E_{zy} pulls back to conn_z a conn_y^-1."""
-    if m.shape != d.shape:
-        raise RingMismatchError("matrix does not match the decomposition")
-    return AlgebraElement.make(
-        d.groupoid, d.ring, [(_pull(d, *unit), c) for unit, c in m.entries])
-
-
 def _pull(d: Decomposition, bi, row, col, key):
-    """The arrow conn_row iso[key] conn_col^-1 that phi_inv gives for the
+    """The arrow conn_row iso[key] conn_col^-1 that phi^-1 gives for the
     coefficient-one unit (bi, row, col, key), or None when a composition
     along the way is missing."""
     g = d.groupoid
@@ -359,7 +224,8 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     failures = pair_failures(_pair_partners(g, slots_ok, gens))
     if failures and gens is not None:
         failures = pair_failures(_pair_partners(g, slots_ok))
-    diagonal = [unit for unit, _ in BlockMatrix.identity(d.shape).entries]
+    diagonal = [(bi, i, i, group.identity)
+                for bi, (size, group) in enumerate(blocks) for i in range(size)]
     if sorted(units[a] for a in g.identity_arrows()) != diagonal:
         failures.append("phi does not send the unit to the identity matrix")
 

@@ -32,12 +32,7 @@ import sys
 from importlib import import_module
 
 from .algebra import decompose, verify_isomorphism
-from .errors import (
-    InternalCheckError,
-    LaurentOverflowError,
-    OracleBudgetError,
-    ParseError,
-)
+from .errors import InternalCheckError, OracleBudgetError, ParseError
 from .groupoid import parse_groupoid, validate
 from .report import (
     ORACLE_AGREE,
@@ -266,7 +261,7 @@ def main(argv=None) -> int:
             return 1
         render = render_report_machine if fmt == "machine" else render_report_text
         text = render(report)
-    except (ParseError, ValueError, LaurentOverflowError, OSError) as e:
+    except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InternalCheckError as e:

@@ -33,15 +33,6 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class RingMismatchError(ValueError):
-    """Arithmetic attempted between elements of different rings."""
-
-
-class LaurentOverflowError(ArithmeticError):
-    """Laurent exponent left the supported range.  Desk-scale inputs
-    never get here; overflow is an error, not a wraparound."""
-
-
 class OracleBudgetError(RuntimeError):
     """Input exceeds the budget of a bounded check: the arrow count the
     radical oracle takes, or the size limit of a pairwise verification."""

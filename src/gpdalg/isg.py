@@ -31,7 +31,7 @@ from .algebra import VerificationReport
 from .errors import InternalCheckError, Names, OracleBudgetError, ParseError, lines, split_declaration
 from .group_algebra import associativity_failure, square_table
 from .groupoid import FiniteGroupoid, structured_from_finite, validate
-from .rings import RingDescriptor, RingElement, render_ring_descriptor
+from .rings import RingDescriptor, _payload_is_zero, int_payload, render_ring_descriptor
 from .value import Value
 from .verdicts import CITE_BLOCK, Verdict, verdicts
 
@@ -263,7 +263,7 @@ def semigroup_algebra_iso(s: InverseSemigroup, ring: RingDescriptor) -> IsgIsomo
     n = s.size
     down = [[t for t in range(n) if below[t][x]] for x in range(n)]
     _check_unitriangular(s, down)
-    vanishes = cache(lambda k: RingElement.from_int(ring, k).is_zero)
+    vanishes = cache(lambda k: _payload_is_zero(ring, int_payload(ring, k)))
     failures = []
     for i in range(n):
         rows = [g.rows[a] for a in down[i]]

@@ -14,8 +14,8 @@ by a simple cycle repeated forever.  The space is finite exactly when
 no cycle has an exit, condition (NE).  One topological peel (Kahn)
 decides (NE) and counts the paths of every orbit; when (NE) fails, the
 least cycle with an exit, which names the infinite witness family, is
-built greedily from the strongly connected components, and an orbit
-lists its paths only when they are read.
+found by one depth-first search inside the strongly connected
+components, and an orbit lists its paths only when they are read.
 
 Arrows of the boundary-path groupoid are triples (eta, k, gamma) of
 boundary paths with a common tail, k counting the length difference of
@@ -28,20 +28,18 @@ Frames are deterministic: members of an orbit sort by (spoke length,
 edge names, entry position) with the empty sink path respectively the
 pure lasso at the cycle's canonical rotation coming first, and
 connecting arrows take the least admissible nonnegative degree.
+
+Every generator maps to a sum of coefficient-one matrix units of the
+block algebra, for every commutative coefficient ring (Tomforde, J.
+Pure Appl. Algebra 215 (2011)), so the images are index tuples and the
+relations are checked by composing them, with no ring element read.
 """
 from __future__ import annotations
 
-import operator
 from functools import reduce
 
 from .errors import InternalCheckError, Names, OracleBudgetError, lines, read_span
-from .group_algebra import (
-    BlockMatrix,
-    BlockShape,
-    FiniteGroupTable,
-    GroupAlgebraElement,
-    IntegerGroup,
-)
+from .group_algebra import BlockShape, FiniteGroupTable, IntegerGroup
 from .rings import Rationals, RingDescriptor, ring_predicates
 from .algebra import VerificationReport
 from .value import Value
@@ -59,9 +57,9 @@ _TRIVIAL = FiniteGroupTable.from_table([[0]])
 # largest boundary-path count verify_leavitt_relations takes; every
 # vertex and every edge starts some boundary path, so this also bounds
 # the vertex and edge counts.  At the limit `graph --verify --ring Q`
-# takes about 0.2 s on a 2-CPU Xeon, interpreter start-up included, on
-# each shape measured: a 1,440-vertex chain or cycle, and 1,440
-# disjoint loops (one block each).
+# takes 0.17-0.20 s on a 1,440-vertex chain, 0.16-0.19 s on a 1,440-
+# vertex cycle and 0.19-0.21 s on 1,440 disjoint loops (one block each),
+# on a 2-CPU Xeon, interpreter start-up included (two rounds of 5 runs).
 LEAVITT_VERIFY_LIMIT = 1440
 
 
@@ -284,47 +282,64 @@ def _exit_witness(g: Graph) -> ExitWitness:
     exit edge.  A cycle has an exit iff some vertex of its strongly
     connected component has out-degree above one.  A cycle's word starts
     at its least-named vertex s, and edge names are unique, so the least
-    word starts with the least-named edge out of such an s that returns
-    to s through vertices named above s; each later step takes the
-    least-named edge after which s is still reached through unvisited
-    vertices named above s.  No cycle's word is a prefix of another's,
-    so the greedy word is the least one."""
+    word starts with the least-named edge s -> w out of such an s that
+    returns to s through vertices named above s in s's component (the
+    allowed vertices).  From w one depth-first search takes out-edges in
+    name order, enters only allowed vertices and never enters a vertex
+    twice; the first edge back to s closes the witness, and the search
+    stack is the rest of the word.
+
+    The stack is then the least word.  While the search runs, every
+    path of allowed vertices to s from a vertex it has left meets the
+    stack.  This holds for a vertex x when it is left: each out-edge of
+    x led onto the stack, to a vertex left before, or to one not allowed
+    (an edge to s would have closed the search), and a path that comes
+    back to x goes on from its last visit.  It keeps holding when x
+    leaves the stack, as a path through x goes on from x.  Let the least
+    word and the stack first differ after the prefix ending at u, the
+    least word taking f into v.  The search tried f before its own edge,
+    so v, off the prefix, was left without closing: every path from v to
+    s meets the prefix, but the least word's rest does not.  So they
+    never differ, and as no cycle's word is a prefix of another's, the
+    word is the least cycle's.  A start from s that fails leaves the
+    stack empty, so no vertex it entered reaches s, and the later starts
+    from s keep them as entered: the starts from one s enter each
+    vertex, and read its out-edges, at most once."""
     comp, names = _components(g), g.vertices
     exits = {comp[v] for v in range(len(names))
              if len(g.out_edges(v)) > 1 and any(comp[g.dst[e]] == comp[v] for e in g.out_edges(v))}
-
-    def allowed(u, s, on):  # u may lie on a cycle whose least vertex is s
-        return names[u] > names[s] and comp[u] == comp[s] and u not in on
-
-    def reaching(s, on):
-        """The allowed vertices that reach s through allowed vertices."""
-        seen, todo = set(), [s]
-        while todo:
-            for e in g.in_edges(todo.pop()):
-                u = g.src[e]
-                if u not in seen and allowed(u, s, on):
-                    seen.add(u)
-                    todo.append(u)
-        return seen
-
-    back: dict = {}  # s -> reaching(s, ())
-    for e in sorted(range(g.edge_count), key=g.edge_names.__getitem__):
+    by_name = g.edge_names.__getitem__
+    entered: dict = {}  # start vertex s -> the vertices its searches entered
+    for e in sorted(range(g.edge_count), key=by_name):
         s, w = g.src[e], g.dst[e]
-        if comp[s] in exits and (w == s or allowed(w, s, ())):
-            if s not in back:
-                back[s] = reaching(s, ())
-            if w == s or w in back[s]:
+        if comp[s] not in exits:
+            continue
+        if w == s:
+            path = [e]
+            break
+        seen = entered.setdefault(s, set())
+        if w in seen or names[w] <= names[s] or comp[w] != comp[s]:
+            continue
+        seen.add(w)
+        path, todo = [e], [iter(sorted(g.out_edges(w), key=by_name))]
+        while todo:
+            f = next(todo[-1], None)
+            if f is None:  # every way on from the top of the stack is spent
+                todo.pop()
+                path.pop()
+                continue
+            u = g.dst[f]
+            if u == s:
+                path.append(f)
                 break
+            if u not in seen and names[u] > names[s] and comp[u] == comp[s]:
+                seen.add(u)
+                path.append(f)
+                todo.append(iter(sorted(g.out_edges(u), key=by_name)))
+        if path:
+            break
     else:
         raise InternalCheckError("condition (NE) fails but no cycle has an exit")
-    path, on = [e], set()
-    while g.dst[path[-1]] != s:
-        on.add(g.dst[path[-1]])
-        steps = [f for f in g.out_edges(g.dst[path[-1]]) if g.dst[f] == s or allowed(g.dst[f], s, on)]
-        if len(steps) > 1:  # one step is the way back that the last step left open
-            ahead = reaching(s, on)
-            steps = [f for f in steps if g.dst[f] == s or g.dst[f] in ahead]
-        path.append(min(steps, key=g.edge_names.__getitem__))
     c = Cycle(tuple(path))
     return ExitWitness(c, _first_exit(g, c))
 
@@ -521,17 +536,21 @@ def block_shape(gd: GraphDecomposition, ring: RingDescriptor) -> BlockShape:
 
 
 class GeneratorImages(Value):
+    """The images of the Leavitt generators in the block algebra, each
+    the sorted tuple of its (block, row, col, key) matrix units, all
+    with coefficient one; key is a Laurent exponent on a lasso block and
+    0 on a sink block."""
+
     __slots__ = (
         "graph",
         "decomposition",  # GraphDecomposition
-        "shape",          # BlockShape
-        "vertex",         # vertex name -> BlockMatrix
-        "edge",           # edge name -> BlockMatrix
-        "ghost",          # edge name -> BlockMatrix (the starred generator)
+        "vertex",         # vertex name -> units
+        "edge",           # edge name -> units
+        "ghost",          # edge name -> units (the starred generator)
     )
 
 
-def generator_images(g: Graph, ring: RingDescriptor):
+def generator_images(g: Graph):
     """Images of the Leavitt generators in the block algebra, or an
     ExitWitness when the boundary-path space is infinite.
 
@@ -541,32 +560,45 @@ def generator_images(g: Graph, ring: RingDescriptor):
     E_{row,parent}, keyed on a lasso block by the net degree (1 -
     deg(row) + deg(parent)) / |cycle|, and the ghost e* the transpose
     with the inverse key.  The links list every such pair once, so an
-    image is its sorted tuple of distinct units with coefficient one."""
+    image is its sorted tuple of distinct units.  Every coefficient is
+    one, so the images are the same over every coefficient ring."""
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         return gd
-    shape = block_shape(gd, ring)
-    one = shape._one
     vertex = [[] for _ in g.vertices]  # vertex index -> units
     edge = [[] for _ in g.edge_names]  # edge index -> units
     ghost = [[] for _ in g.edge_names]
     for bi, orbit in enumerate(gd.orbits):
         degrees, starts, links = orbit._listing()
         for r, v in enumerate(starts):
-            vertex[v].append(((bi, r, r, 0), one))
+            vertex[v].append((bi, r, r, 0))
         n = orbit.anchor.length() if orbit.kind == "cycle" else 1
         for e, row, col in links:
             net = 1 - degrees[row] + degrees[col]
             if net % n:
                 raise InternalCheckError("lasso arrow degree not a multiple of the cycle length")
             key = net // n  # 0, the identity, on a sink block
-            edge[e].append(((bi, row, col, key), one))
-            ghost[e].append(((bi, col, row, -key), one))
+            edge[e].append((bi, row, col, key))
+            ghost[e].append((bi, col, row, -key))
     vertex, edge, ghost = (
-        {name: BlockMatrix(shape, tuple(sorted(units))) for name, units in zip(names, terms)}
+        {name: tuple(sorted(units)) for name, units in zip(names, terms)}
         for names, terms in ((g.vertices, vertex), (g.edge_names, edge), (g.edge_names, ghost))
     )
-    return GeneratorImages(g, gd, shape, vertex, edge, ghost)
+    return GeneratorImages(g, gd, vertex, edge, ghost)
+
+
+def _compose(left: tuple, right: tuple) -> tuple:
+    """The product of two sums of coefficient-one matrix units, as the
+    sorted tuple of its units: (b, r, m, k)(b, m, c, k') = (b, r, c,
+    k + k'), the keys adding on a lasso block (x^k x^k' = x^(k+k')) and
+    staying 0 on a sink block.  Every pair of units that meets gives one
+    unit, so a unit met twice is listed twice, as its coefficient 2 is
+    over the integers."""
+    rows: dict = {}  # (block, row) -> (col, key) of the units of right there
+    for b, r, c, k in right:
+        rows.setdefault((b, r), []).append((c, k))
+    return tuple(sorted([(b, r, c, k + k2)
+                         for b, r, m, k in left for c, k2 in rows.get((b, m), ())]))
 
 
 def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorImages | None = None) -> VerificationReport:
@@ -581,14 +613,20 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     word.  Raises OracleBudgetError above LEAVITT_VERIFY_LIMIT boundary
     paths.
 
-    Every relation is multiplied out once as block matrices over the
-    ring.  Of the V^2 vertex and E^2 CK1 pairs, only those where some
-    column of the left factor is a row of the right one are multiplied;
-    every other product is zero, which the expected 0 equals.  On valid
-    images that makes V + 6E products, plus |c| - 1 per cycle c and the
-    span check's 2(P - S) for P boundary paths into S sinks.  A check
-    carries its failure text as a format and its arguments, and the
-    text is built only when the check fails."""
+    Every image is a sum of coefficient-one matrix units, and so is
+    every product and sum of them: a product composes unit sets
+    (_compose) and a sum concatenates them, so each relation holds over
+    every commutative ring exactly when its two sides are the same
+    sorted tuple of units, and a repeated unit, coefficient 2, fails
+    wherever one unit is expected.  The ring only decides whether the
+    span entry, which the report counts over Q alone, is checked.  Of
+    the V^2 vertex and E^2 CK1 pairs, only those where some column of
+    the left factor is a row of the right one are composed; every other
+    product is empty, which the expected 0 equals.  On valid images that
+    makes V + 6E products, plus |c| - 1 per cycle c and the span check's
+    2(P - S) for P boundary paths into S sinks.  A check carries its
+    failure text as a format and its arguments, and the text is built
+    only when the check fails."""
     gd = images.decomposition if images is not None else graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         raise ValueError("boundary-path space is infinite; no finite block algebra")
@@ -598,9 +636,8 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
             f"the relation verification budget stops at {LEAVITT_VERIFY_LIMIT}"
         )
     if images is None:
-        images = generator_images(g, ring)
+        images = generator_images(g)
     vertex, edge, ghost = images.vertex, images.edge, images.ghost
-    zero = BlockMatrix.zero(images.shape)
     total = 0
     failures = []
 
@@ -613,24 +650,25 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     def pairs(label, names, lefts, rights, diagonal):
         """The checks lefts[i] * rights[j] == (diagonal[i] if i == j
         else 0), for every i and then every j, labelled with names[i]
-        and names[j].  Only j = i and the j whose matrix has a row at a
-        column of left i are multiplied; every other product is zero,
-        and the check passes."""
+        and names[j].  Only j = i and the j whose units have a row at a
+        column of left i are composed; every other product is 0, and
+        the check passes."""
         nonlocal total
-        owners: dict = {}  # (block, row) -> the j whose matrix has that row
-        for j, m in enumerate(rights):
-            for row in m.row_index():
+        owners: dict = {}  # (block, row) -> the j whose units have that row
+        for j, units in enumerate(rights):
+            for row in {unit[:2] for unit in units}:
                 owners.setdefault(row, []).append(j)
-        for i, m in enumerate(lefts):
-            met = [j for (bi, _, col, _), _ in m.entries for j in owners.get((bi, col), ()) if j != i]
+        for i, units in enumerate(lefts):
+            met = [j for bi, _, col, _ in units for j in owners.get((bi, col), ()) if j != i]
             for j in sorted({i, *met}) if met else (i,):
-                if m * rights[j] != (diagonal[i] if i == j else zero):
+                if _compose(units, rights[j]) != (diagonal[i] if i == j else ()):
                     failures.append(label.format(names[i], names[j]))
             total += len(rights)
 
     vertices = [vertex[u] for u in g.vertices]
     pairs("vertex idempotents: {} * {}", g.vertices, vertices, vertices, vertices)
-    record(BlockMatrix.sum(images.shape, vertices) == BlockMatrix.identity(images.shape),
+    identity = [(bi, r, r, 0) for bi, o in enumerate(gd.orbits) for r in range(o.size)]
+    record(sorted(unit for units in vertices for unit in units) == identity,
            "vertex sum = identity")
 
     for e in range(g.edge_count):
@@ -638,10 +676,10 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
         sv = g.vertices[g.src[e]]
         rv = g.vertices[g.dst[e]]
         x, y = edge[en], ghost[en]
-        record(vertex[sv] * x == x, "unit path: {} . {}", sv, en)
-        record(x * vertex[rv] == x, "unit path: {} . {}", en, rv)
-        record(vertex[rv] * y == y, "unit path: {} . {}*", rv, en)
-        record(y * vertex[sv] == y, "unit path: {}* . {}", en, sv)
+        record(_compose(vertex[sv], x) == x, "unit path: {} . {}", sv, en)
+        record(_compose(x, vertex[rv]) == x, "unit path: {} . {}", en, rv)
+        record(_compose(vertex[rv], y) == y, "unit path: {} . {}*", rv, en)
+        record(_compose(y, vertex[sv]) == y, "unit path: {}* . {}", en, sv)
 
     edges = g.edge_names
     pairs("CK1: {}* . {}", edges,
@@ -652,20 +690,20 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
         outs = [g.edge_names[e] for e in g.out_edges(v)]
         if outs:
             vn = g.vertices[v]
-            terms = [edge[en] * ghost[en] for en in outs]
-            record(BlockMatrix.sum(images.shape, terms) == vertex[vn], "CK2 at {}", vn)
+            terms = tuple(sorted(unit for en in outs for unit in _compose(edge[en], ghost[en])))
+            record(terms == vertex[vn], "CK2 at {}", vn)
 
-    if not images.decomposition.has_cycle() and isinstance(ring, Rationals):
+    if not gd.has_cycle() and isinstance(ring, Rationals):
         n = _attained_matrix_units(images)
-        expect_dim = images.shape.dimension
+        expect_dim = sum(o.size * o.size for o in gd.orbits)
         record(n == expect_dim, "generated subalgebra fills the block algebra ({} vs {})",
                n, expect_dim)
-    for bi, orbit in enumerate(images.decomposition.orbits):
+    for bi, orbit in enumerate(gd.orbits):
         if orbit.kind != "cycle":
             continue
-        word = reduce(operator.mul, (edge[g.edge_names[e]] for e in orbit.anchor.edges))
-        x = GroupAlgebraElement.delta(orbit.isotropy, images.shape.ring, 1)
-        record(word.entry(bi, 0, 0) == x, "cycle word attains x in block {}", bi)
+        word = reduce(_compose, (edge[g.edge_names[e]] for e in orbit.anchor.edges))
+        record([unit for unit in word if unit[:3] == (bi, 0, 0)] == [(bi, 0, 0, 1)],
+               "cycle word attains x in block {}", bi)
 
     return VerificationReport("Leavitt relation checks", total, tuple(failures))
 
@@ -689,10 +727,10 @@ def _attained_matrix_units(images: GeneratorImages) -> int:
         ghost = img[:]
         for e, _, parent in orbit._listing()[2]:
             name = g.edge_names[e]
-            img.append(images.edge[name] * img[parent])
-            ghost.append(ghost[parent] * images.ghost[name])
-        rows = sum(m.unit_index() == (bi, r, 0, 0) for r, m in enumerate(img))
-        cols = sum(m.unit_index() == (bi, 0, r, 0) for r, m in enumerate(ghost))
+            img.append(_compose(images.edge[name], img[parent]))
+            ghost.append(_compose(ghost[parent], images.ghost[name]))
+        rows = sum(units == ((bi, r, 0, 0),) for r, units in enumerate(img))
+        cols = sum(units == ((bi, 0, r, 0),) for r, units in enumerate(ghost))
         attained += rows * cols
     return attained
 

@@ -1,10 +1,13 @@
-"""Exact coefficient rings.
+"""Coefficient ring descriptors.
 
 A ring descriptor is an immutable value naming one of:
 
     Z, Q, GF(p), Z/n, Laurent(base), Product(r1, ..., rk)
 
-Elements carry their descriptor and a canonical payload:
+The package computes over a ring only through its descriptor: the
+block shape names it, ring_predicates decides the chain conditions
+from it, and int_payload gives the image of an integer in it, as a
+canonical payload:
 
     Z          int
     Q          Fraction (always reduced, positive denominator)
@@ -13,19 +16,16 @@ Elements carry their descriptor and a canonical payload:
     Laurent    sorted tuple of (exponent, base payload), no zero terms
     Product    tuple of factor payloads
 
-All arithmetic is exact; nothing here ever touches a float.
+render_payload prints one.  No element of a ring is ever multiplied:
+every structure map the reports check has coefficients one, so the
+checks read indices and integer counts.  Nothing here touches a float.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
-from .errors import LaurentOverflowError, ParseError, RingMismatchError
+from .errors import ParseError
 from .value import Value
-
-# Laurent exponents are plain ints but bounded, so that exponent
-# arithmetic can never silently wrap a huge value into a wrong answer.
-MAX_LAURENT_EXPONENT = 2 ** 20
 
 # largest modulus GF(p) and Z/n accept: primality and the ring
 # predicates divide by trial up to the square root, which stays quick
@@ -244,24 +244,7 @@ def parse_ring_descriptor(text: str) -> RingDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# payload arithmetic
-
-
-@cache  # payloads are immutable, so one per ring serves every caller
-def zero_payload(ring: RingDescriptor):
-    if isinstance(ring, (Integers, GaloisField, ModularIntegers)):
-        return 0
-    if isinstance(ring, Rationals):
-        return Fraction(0)
-    if isinstance(ring, Laurent):
-        return ()
-    if isinstance(ring, Product):
-        return tuple(zero_payload(f) for f in ring.factors)
-    raise TypeError(f"not a ring descriptor: {ring!r}")
-
-
-def one_payload(ring: RingDescriptor):
-    return int_payload(ring, 1)
+# payloads
 
 
 def int_payload(ring: RingDescriptor, k: int):
@@ -290,75 +273,8 @@ def _payload_is_zero(ring: RingDescriptor, a) -> bool:
     return not a
 
 
-def _laurent_normalize(ring: Laurent, terms: dict):
-    out = []
-    for e in sorted(terms):
-        if abs(e) > MAX_LAURENT_EXPONENT:
-            raise LaurentOverflowError(f"Laurent exponent {e} out of range")
-        c = terms[e]
-        if not _payload_is_zero(ring.base, c):
-            out.append((e, c))
-    return tuple(out)
-
-
-def add_payload(ring: RingDescriptor, a, b):
-    if isinstance(ring, (Integers, Rationals)):
-        return a + b
-    if isinstance(ring, GaloisField):
-        return (a + b) % ring.p
-    if isinstance(ring, ModularIntegers):
-        return (a + b) % ring.n
-    if isinstance(ring, Laurent):
-        terms = dict(a)
-        for e, c in b:
-            terms[e] = add_payload(ring.base, terms.get(e, zero_payload(ring.base)), c)
-        return _laurent_normalize(ring, terms)
-    if isinstance(ring, Product):
-        return tuple(add_payload(f, x, y) for f, x, y in zip(ring.factors, a, b))
-    raise TypeError(f"not a ring descriptor: {ring!r}")
-
-
-def neg_payload(ring: RingDescriptor, a):
-    if isinstance(ring, (Integers, Rationals)):
-        return -a
-    if isinstance(ring, GaloisField):
-        return (-a) % ring.p
-    if isinstance(ring, ModularIntegers):
-        return (-a) % ring.n
-    if isinstance(ring, Laurent):
-        return tuple((e, neg_payload(ring.base, c)) for e, c in a)
-    if isinstance(ring, Product):
-        return tuple(neg_payload(f, x) for f, x in zip(ring.factors, a))
-    raise TypeError(f"not a ring descriptor: {ring!r}")
-
-
-def mul_payload(ring: RingDescriptor, a, b):
-    if isinstance(ring, (Integers, Rationals)):
-        return a * b
-    if isinstance(ring, GaloisField):
-        return (a * b) % ring.p
-    if isinstance(ring, ModularIntegers):
-        return (a * b) % ring.n
-    if isinstance(ring, Laurent):
-        terms: dict = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = e1 + e2
-                c = mul_payload(ring.base, c1, c2)
-                if e in terms:
-                    terms[e] = add_payload(ring.base, terms[e], c)
-                else:
-                    terms[e] = c
-        return _laurent_normalize(ring, terms)
-    if isinstance(ring, Product):
-        return tuple(mul_payload(f, x, y) for f, x, y in zip(ring.factors, a, b))
-    raise TypeError(f"not a ring descriptor: {ring!r}")
-
-
 def render_payload(ring: RingDescriptor, a) -> str:
-    if isinstance(ring, (Integers, GaloisField, ModularIntegers)):
-        return str(a)
-    if isinstance(ring, Rationals):
+    if isinstance(ring, (Integers, Rationals, GaloisField, ModularIntegers)):
         return str(a)
     if isinstance(ring, Laurent):
         if not a:
@@ -378,86 +294,6 @@ def render_payload(ring: RingDescriptor, a) -> str:
     if isinstance(ring, Product):
         return "(" + ",".join(render_payload(f, x) for f, x in zip(ring.factors, a)) + ")"
     raise TypeError(f"not a ring descriptor: {ring!r}")
-
-
-class RingElement(Value):
-    """A value of a specific coefficient ring.  Payloads are canonical,
-    so == and hash are structural."""
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring: RingDescriptor, value):
-        self.ring = ring
-        self.value = value
-
-    @staticmethod
-    def zero(ring: RingDescriptor) -> "RingElement":
-        return RingElement(ring, zero_payload(ring))
-
-    @staticmethod
-    @cache  # elements are immutable, so one per ring serves every caller
-    def one(ring: RingDescriptor) -> "RingElement":
-        return RingElement(ring, one_payload(ring))
-
-    @staticmethod
-    def from_int(ring: RingDescriptor, k: int) -> "RingElement":
-        return RingElement(ring, int_payload(ring, k))
-
-    @staticmethod
-    def rational(ring: RingDescriptor, num: int, den: int) -> "RingElement":
-        if not isinstance(ring, Rationals):
-            raise RingMismatchError("fractional literals only make sense over Q")
-        return RingElement(ring, Fraction(num, den))
-
-    def _check(self, other: "RingElement"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
-
-    @property
-    def is_zero(self) -> bool:
-        return _payload_is_zero(self.ring, self.value)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement(self.ring, add_payload(self.ring, self.value, other.value))
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, neg_payload(self.ring, self.value))
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement(self.ring, mul_payload(self.ring, self.value, other.value))
-
-    def __str__(self) -> str:
-        return render_payload(self.ring, self.value)
-
-
-def sum_like_terms(items) -> tuple:
-    """The (key, value) pairs of items with the values of equal keys
-    summed and zero sums dropped, as a tuple sorted by key: the stored
-    form of algebra, group algebra and block matrix entries."""
-    acc: dict = {}
-    for k, v in items:
-        if k in acc:
-            acc[k] = acc[k] + v
-        else:
-            acc[k] = v
-    terms = [kv for kv in acc.items() if not kv[1].is_zero]
-    terms.sort()
-    return tuple(terms)
-
-
-def laurent_variable(ring: Laurent, exponent: int = 1) -> RingElement:
-    """x^exponent as an element of Laurent(base)."""
-    if abs(exponent) > MAX_LAURENT_EXPONENT:
-        raise LaurentOverflowError(f"Laurent exponent {exponent} out of range")
-    return RingElement(ring, ((exponent, one_payload(ring.base)),))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ cover the block's arrows once each, is an internal error.
 """
 from __future__ import annotations
 
-from .algebra import AlgebraElement
 from .errors import InternalCheckError, OracleBudgetError
 from .group_algebra import BlockShape, IntegerGroup, associativity_generators
 from .groupoid import FiniteGroupoid
@@ -64,7 +63,7 @@ from .rings import (
     GaloisField,
     Rationals,
     RingDescriptor,
-    RingElement,
+    render_payload,
     render_ring_descriptor,
     ring_predicates,
 )
@@ -162,7 +161,7 @@ def verdicts(shape: BlockShape) -> Verdict:
 class RadicalReport(Value):
     __slots__ = (
         "semisimple",
-        "witness",            # AlgebraElement or None
+        "witness",            # "c*arrow + ..." over the arrow basis, or None
         "method",
         "dimension",
         "radical_dimension",  # int; None beside an "exhaustive" witness
@@ -438,7 +437,6 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor) -> RadicalReport:
         semisimple, witness_vec, rad_dim = _radical_char0(g)
     witness = None
     if witness_vec is not None:
-        witness = AlgebraElement.make(
-            g, ring, [(a, RingElement(ring, c)) for a, c in witness_vec.items()]
-        )
+        witness = " + ".join(f"{render_payload(ring, witness_vec[a])}*{g.arrows[a]}"
+                             for a in sorted(witness_vec))
     return RadicalReport(semisimple, witness, method, d, rad_dim)

@@ -6,30 +6,13 @@ echo."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 
 import gpdalg.isg
-from gpdalg import (
-    AlgebraElement,
-    BlockMatrix,
-    FiniteGroupoid,
-    InverseSemigroup,
-    RingElement,
-    VerificationReport,
-    convolve,
-    phi,
-    phi_inv,
-    render_ring_descriptor,
-)
+from gpdalg import FiniteGroupoid, InverseSemigroup, VerificationReport, render_ring_descriptor
+from gpdalg.algebra import _pull
 from gpdalg.errors import InternalCheckError, OracleBudgetError, ParseError
-from gpdalg.group_algebra import (
-    BlockShape,
-    FiniteGroupTable,
-    GroupAlgebraElement,
-    _classify_group,
-    group_algebra_mul,
-)
+from gpdalg.group_algebra import BlockShape, FiniteGroupTable, IntegerGroup, _classify_group
 from gpdalg.groupoid import Violation, generators, isotropy, orbits
 from gpdalg.leavitt import (
     ExitWitness,
@@ -45,7 +28,16 @@ from gpdalg.leavitt import (
     render_path,
 )
 from gpdalg.linalg import echelon, sparse_kernel, sparse_reduce
-from gpdalg.rings import Rationals
+from gpdalg.rings import (
+    Q,
+    GaloisField,
+    Laurent,
+    ModularIntegers,
+    Product,
+    Rationals,
+    _payload_is_zero,
+    int_payload,
+)
 from gpdalg.verdicts import (
     _ideal_certified_nilpotent,
     _mul,
@@ -301,12 +293,149 @@ def reference_underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
         [s.elements[e] for e in idem], list(s.elements), dom, cod, list(idem), comp, list(s.star))
 
 
+# ---------------------------------------------------------------------------
+# ring-level arithmetic for the references (the package has none):
+# coefficients are the payloads gpdalg.rings.int_payload makes, and an
+# element of a groupoid algebra, or a cell of a block, is the sorted
+# tuple of its (basis key, nonzero coefficient) terms
+
+
+def coeff_add(ring, a, b):
+    if isinstance(ring, Laurent):
+        return combine(ring.base, a + b)
+    if isinstance(ring, Product):
+        return tuple(coeff_add(f, x, y) for f, x, y in zip(ring.factors, a, b))
+    return _residue(ring, a + b)
+
+
+def coeff_mul(ring, a, b):
+    if isinstance(ring, Laurent):
+        return combine(ring.base, [(e1 + e2, coeff_mul(ring.base, c1, c2))
+                                   for e1, c1 in a for e2, c2 in b])
+    if isinstance(ring, Product):
+        return tuple(coeff_mul(f, x, y) for f, x, y in zip(ring.factors, a, b))
+    return _residue(ring, a * b)
+
+
+def _residue(ring, x):
+    if isinstance(ring, GaloisField):
+        return x % ring.p
+    if isinstance(ring, ModularIntegers):
+        return x % ring.n
+    return x
+
+
+def combine(ring, terms) -> tuple:
+    """The (key, coefficient) terms with the coefficients of equal keys
+    summed and zero sums dropped, sorted by key."""
+    acc: dict = {}
+    for k, c in terms:
+        acc[k] = coeff_add(ring, acc[k], c) if k in acc else c
+    return tuple(sorted((k, c) for k, c in acc.items() if not _payload_is_zero(ring, c)))
+
+
+@dataclass(frozen=True)
+class DenseBlockMatrix:
+    """A block matrix at ring level: blocks[i] is the sorted tuple of
+    ((row, col), cell) for the nonzero cells of block i, one tuple per
+    block of the shape, empty or not, a cell being a group algebra
+    element (see combine); every operation walks every block, and cells
+    multiply by convolution over the block's group, exponents adding on
+    an infinite cyclic block."""
+
+    shape: BlockShape
+    blocks: tuple
+
+    @staticmethod
+    def build(shape: BlockShape, items_per_block) -> "DenseBlockMatrix":
+        """items_per_block[i] holds the ((row, col), (key, coefficient))
+        terms of block i; a list shorter than the shape leaves the blocks
+        past its end empty."""
+        blocks = []
+        for bi, (size, _) in enumerate(shape.blocks):
+            cells: dict = {}
+            for (r, c), term in items_per_block[bi] if bi < len(items_per_block) else ():
+                if not 0 <= r < size or not 0 <= c < size:
+                    raise ValueError(f"entry ({r},{c}) outside block of size {size}")
+                cells.setdefault((r, c), []).append(term)
+            blocks.append(tuple(sorted(
+                (rc, cell) for rc, terms in cells.items() if (cell := combine(shape.ring, terms)))))
+        return DenseBlockMatrix(shape, tuple(blocks))
+
+    @staticmethod
+    def from_units(shape: BlockShape, units) -> "DenseBlockMatrix":
+        """The sum of the (block, row, col, key) matrix units, each with
+        coefficient one: a unit listed twice has coefficient 2."""
+        one = int_payload(shape.ring, 1)
+        items: list = [[] for _ in shape.blocks]
+        for bi, r, c, k in units:
+            items[bi].append(((r, c), (k, one)))
+        return DenseBlockMatrix.build(shape, items)
+
+    def __add__(self, other):
+        return DenseBlockMatrix.build(self.shape, [
+            [(rc, term) for rc, cell in b1 + b2 for term in cell]
+            for b1, b2 in zip(self.blocks, other.blocks)])
+
+    def __mul__(self, other):
+        ring, items = self.shape.ring, []
+        for (_, group), b1, b2 in zip(self.shape.blocks, self.blocks, other.blocks):
+            by_row: dict = {}
+            for (r, c), cell in b2:
+                by_row.setdefault(r, []).append((c, cell))
+            times = (lambda k1, k2: k1 + k2) if isinstance(group, IntegerGroup) else (
+                lambda k1, k2, table=group.table: table[k1][k2])
+            items.append([((r, c), (times(k1, k2), coeff_mul(ring, x, y)))
+                          for (r, m), u in b1 for c, v in by_row.get(m, ())
+                          for k1, x in u for k2, y in v])
+        return DenseBlockMatrix.build(self.shape, items)
+
+    def entry(self, block_index, row, col) -> tuple:
+        return dict(self.blocks[block_index]).get((row, col), ())
+
+
+def naive_convolution(g: FiniteGroupoid, ring, f1, f2) -> tuple:
+    """Convolution directly from the displayed formula
+
+        (f1 * f2)(g) = sum over h with dom(h) = dom(g) of f1(g h^-1) f2(h)
+
+    iterating over every arrow g of the groupoid, not over support
+    pairs."""
+    c1 = dict(f1)
+    items = []
+    for a in range(g.arrow_count):
+        for h, v2 in f2:
+            if g.dom[h] == g.dom[a]:
+                gh_inv = g.compose(a, g.inv[h])
+                if gh_inv in c1:
+                    items.append((a, coeff_mul(ring, c1[gh_inv], v2)))
+    return combine(ring, items)
+
+
+def reference_phi(d, f) -> DenseBlockMatrix:
+    """phi at ring level: the arrow a goes to the matrix unit at
+    arrow_position[a], the element f to the sum of its terms."""
+    items: list = [[] for _ in d.shape.blocks]
+    for a, c in f:
+        bi, row, col, key = d.arrow_position[a]
+        items[bi].append(((row, col), (key, c)))
+    return DenseBlockMatrix.build(d.shape, items)
+
+
+def reference_phi_inv(d, m: DenseBlockMatrix) -> tuple:
+    """phi^-1 at ring level: each unit of m pulls back to the arrow
+    conn_row iso[key] conn_col^-1."""
+    return combine(d.ring, [(_pull(d, bi, row, col, key), c)
+                            for bi, block in enumerate(m.blocks)
+                            for (row, col), cell in block for key, c in cell])
+
+
 def reference_semigroup_algebra_iso(s: InverseSemigroup, ring):
     """semigroup_algebra_iso on algebra elements: (images, report), with
-    image(x) the AlgebraElement sum of [t] over t <= x, every pair
-    multiplied through convolve and the unit compared with
-    AlgebraElement.unit.  Same budget, order checks, count and failure
-    strings as the package's arrow-count check."""
+    image(x) the sum of [t] over t <= x (see combine), every pair
+    multiplied through naive_convolution and the unit compared with the
+    sum of the identity arrows.  Same budget, order checks, count and
+    failure strings as the package's arrow-count check."""
     if s.size > gpdalg.isg.ISG_SIZE_LIMIT:
         raise OracleBudgetError(
             f"inverse semigroup has {s.size} elements; "
@@ -314,22 +443,20 @@ def reference_semigroup_algebra_iso(s: InverseSemigroup, ring):
         )
     g = gpdalg.isg.underlying_groupoid(s)
     below = gpdalg.isg.natural_partial_order(s)
-    unit_coeff = RingElement.one(ring)
+    one = int_payload(ring, 1)
     images = tuple(
-        AlgebraElement.make(g, ring, [(t, unit_coeff) for t in range(s.size) if below[t][i]])
-        for i in range(s.size)
-    )
+        combine(ring, [(t, one) for t in range(s.size) if below[t][i]]) for i in range(s.size))
     reference_check_unitriangular(s, below)
     failures = [
         f"image({s.elements[i]}) * image({s.elements[j]}) != image({s.elements[s.mul(i, j)]})"
         for i in range(s.size) for j in range(s.size)
-        if convolve(images[i], images[j]) != images[s.mul(i, j)]
+        if naive_convolution(g, ring, images[i], images[j]) != images[s.mul(i, j)]
     ]
     total = s.size * s.size
-    one = s.identity_element()
-    if one is not None:
+    unit = s.identity_element()
+    if unit is not None:
         total += 1
-        if images[one] != AlgebraElement.unit(g, ring):
+        if images[unit] != combine(ring, [(a, one) for a in g.identity_arrows()]):
             failures.append("image of the identity element is not the unit")
     report = VerificationReport(
         f"semigroup algebra pairs over {render_ring_descriptor(ring)}",
@@ -339,68 +466,47 @@ def reference_semigroup_algebra_iso(s: InverseSemigroup, ring):
     return images, report
 
 
-def naive_convolution(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
-    """Convolution directly from the displayed formula
-
-        (f1 * f2)(g) = sum over h with dom(h) = dom(g) of f1(g h^-1) f2(h)
-
-    iterating over every arrow g of the groupoid, not over support
-    pairs."""
-    g = f1.groupoid
-    c2 = dict(f2.coeffs)
-    items = []
-    for a in range(g.arrow_count):
-        acc = None
-        for h, v2 in c2.items():
-            if g.dom[h] != g.dom[a]:
-                continue
-            gh_inv = g.compose(a, g.inv[h])
-            if gh_inv is None:
-                continue
-            term = f1.coefficient(gh_inv) * v2
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero:
-            items.append((a, acc))
-    return AlgebraElement.make(g, f1.ring, items)
-
-
 def reference_verify_isomorphism(d) -> VerificationReport:
-    """verify_isomorphism on objects only: every arrow pair is multiplied
-    as algebra elements through convolve, phi and the block matrix
-    product, with phi recomputed for every operand.  Same checks, same
-    counts and same failure strings as the package's index-based check."""
-    g = d.groupoid
+    """verify_isomorphism at ring level: every arrow pair is multiplied
+    as algebra elements through naive_convolution, reference_phi and the
+    DenseBlockMatrix product, with phi recomputed for every operand.
+    Same checks, same counts and same failure strings as the package's
+    index-based check."""
+    g, ring, shape = d.groupoid, d.ring, d.shape
+    one = int_payload(ring, 1)
     failures = []
     total = 0
 
     for a in range(g.arrow_count):
-        da = AlgebraElement.delta(g, d.ring, a)
+        da = ((a, one),)
         for b in range(g.arrow_count):
-            db = AlgebraElement.delta(g, d.ring, b)
+            db = ((b, one),)
             total += 1
-            if phi(d, convolve(da, db)) != phi(d, da) * phi(d, db):
+            if reference_phi(d, naive_convolution(g, ring, da, db)) != (
+                    reference_phi(d, da) * reference_phi(d, db)):
                 failures.append(
                     f"phi not multiplicative on ({g.arrows[a]}, {g.arrows[b]})"
                 )
 
     total += 1
-    if phi(d, AlgebraElement.unit(g, d.ring)) != BlockMatrix.identity(d.shape):
+    identity = DenseBlockMatrix.build(shape, [
+        [((i, i), (group.identity, one)) for i in range(size)] for size, group in shape.blocks])
+    if reference_phi(d, combine(ring, [(a, one) for a in g.identity_arrows()])) != identity:
         failures.append("phi does not send the unit to the identity matrix")
 
     for a in range(g.arrow_count):
-        da = AlgebraElement.delta(g, d.ring, a)
+        da = ((a, one),)
         total += 1
-        if phi_inv(d, phi(d, da)) != da:
+        if reference_phi_inv(d, reference_phi(d, da)) != da:
             failures.append(f"phi_inv(phi([{g.arrows[a]}])) != [{g.arrows[a]}]")
 
-    for bi, (size, group) in enumerate(d.shape.blocks):
-        keys = range(group.size)
+    for bi, (size, group) in enumerate(shape.blocks):
         for row in range(size):
             for col in range(size):
-                for key in keys:
-                    unit = BlockMatrix.matrix_unit(d.shape, bi, row, col, key)
+                for key in range(group.size):
+                    unit = DenseBlockMatrix.from_units(shape, [(bi, row, col, key)])
                     total += 1
-                    if phi(d, phi_inv(d, unit)) != unit:
+                    if reference_phi(d, reference_phi_inv(d, unit)) != unit:
                         failures.append(
                             f"phi(phi_inv(E)) != E at block {bi} ({row},{col}) g{key}"
                         )
@@ -412,15 +518,16 @@ def reference_verify_isomorphism(d) -> VerificationReport:
     )
 
 
-def _flatten(m: BlockMatrix, layout) -> dict:
-    """m as a sparse Fraction vector: column layout[(block, row, col)]
-    -> the coefficient there."""
+def _flatten(m: DenseBlockMatrix, layout) -> dict:
+    """m, over Q with trivial isotropy, as a sparse Fraction vector:
+    column layout[(block, row, col)] -> the coefficient there."""
     vec: dict = {}
-    for (bi, r, c, key), coeff in m.entries:
-        i = layout[(bi, r, c)]
-        vec[i] = vec.get(i, Fraction(0)) + coeff.value
-        if key != 0:
-            raise InternalCheckError("acyclic flatten hit a Laurent term")
+    for bi, block in enumerate(m.blocks):
+        for (r, c), cell in block:
+            for key, coeff in cell:
+                if key != 0:
+                    raise InternalCheckError("acyclic flatten hit a Laurent term")
+                vec[layout[(bi, r, c)]] = coeff
     return vec
 
 
@@ -446,12 +553,13 @@ def reference_generated_dimension(images: GeneratorImages) -> int:
     the generator images under multiplication one sparse Fraction vector
     at a time.  Only meaningful for acyclic graphs (trivial isotropy
     everywhere)."""
+    shape, vertex, edge, ghost = _dense_images(images, Q)
     layout: dict = {}
-    for bi, (size, group) in enumerate(images.shape.blocks):
+    for bi, (size, group) in enumerate(shape.blocks):
         for r in range(size):
             for c in range(size):
                 layout[(bi, r, c)] = len(layout)
-    gens = list(images.vertex.values()) + list(images.edge.values()) + list(images.ghost.values())
+    gens = list(vertex.values()) + list(edge.values()) + list(ghost.values())
     basis_vecs: list = []  # each 1 at its pivot and 0 at the pivots before it
     pivots: list = []
 
@@ -746,14 +854,13 @@ def prepend_edge(g: Graph, e: int, bp):
     return Lasso((e,) + bp.spoke, bp.cycle, bp.entry_pos)
 
 
-def _reference_arrow_matrix(gd, ring, eta, k: int, gamma) -> BlockMatrix:
-    """Block matrix of one groupoid arrow (eta, k, gamma): is_arrow
+def _reference_arrow_unit(gd, eta, k: int, gamma) -> tuple:
+    """Matrix unit of one groupoid arrow (eta, k, gamma): is_arrow
     decides it is one, a scan of the orbit members finds its row and
-    column, and the entry carries x^(net degree / cycle length) on a
-    lasso block."""
+    column, and the key is the net degree over the cycle length on a
+    lasso block, 0 on a sink block."""
     if not is_arrow(gd.graph, eta, k, gamma):
         raise ValueError("not an arrow of the boundary-path groupoid")
-    shape = block_shape(gd, ring)
     for bi, orbit in enumerate(gd.orbits):
         if eta not in orbit.members:
             continue
@@ -763,47 +870,50 @@ def _reference_arrow_matrix(gd, ring, eta, k: int, gamma) -> BlockMatrix:
         if orbit.kind == "sink":
             if net != 0:
                 raise InternalCheckError("sink orbit arrow with nonzero net degree")
-            return BlockMatrix.matrix_unit(shape, bi, row, col)
+            return (bi, row, col, 0)
         n = orbit.anchor.length()
         if net % n:
             raise InternalCheckError("lasso arrow degree not a multiple of the cycle length")
-        return BlockMatrix.matrix_unit(shape, bi, row, col, key=net // n)
+        return (bi, row, col, net // n)
     raise ValueError("boundary path not in any orbit")
 
 
-def reference_generator_images(g: Graph, ring) -> GeneratorImages:
+def reference_generator_images(g: Graph) -> GeneratorImages:
     """generator_images arrow by arrow: v is the sum of the identity
     arrows (x, 0, x) at paths x starting at v, e the sum of the arrows
     (e.x, 1, x) over paths x starting at r(e), e* the sum of their
     inverses (x, -1, e.x), each term one matrix unit."""
     gd = graph_groupoid(g)
-    shape = block_shape(gd, ring)
     paths = [bp for o in gd.orbits for bp in o.members]
     vertex, edge, ghost = {}, {}, {}
     for v in range(len(g.vertices)):
-        acc = BlockMatrix.zero(shape)
-        for bp in paths:
-            if path_start(g, bp) == v:
-                acc = acc + _reference_arrow_matrix(gd, ring, bp, 0, bp)
-        vertex[g.vertices[v]] = acc
+        vertex[g.vertices[v]] = tuple(sorted(
+            _reference_arrow_unit(gd, bp, 0, bp) for bp in paths if path_start(g, bp) == v))
     for e in range(g.edge_count):
-        acc_e = acc_g = BlockMatrix.zero(shape)
-        for bp in paths:
-            if path_start(g, bp) == g.dst[e]:
-                extended = prepend_edge(g, e, bp)
-                acc_e = acc_e + _reference_arrow_matrix(gd, ring, extended, 1, bp)
-                acc_g = acc_g + _reference_arrow_matrix(gd, ring, bp, -1, extended)
-        edge[g.edge_names[e]] = acc_e
-        ghost[g.edge_names[e]] = acc_g
-    return GeneratorImages(g, gd, shape, vertex, edge, ghost)
+        pairs = [(prepend_edge(g, e, bp), bp) for bp in paths if path_start(g, bp) == g.dst[e]]
+        edge[g.edge_names[e]] = tuple(sorted(
+            _reference_arrow_unit(gd, extended, 1, bp) for extended, bp in pairs))
+        ghost[g.edge_names[e]] = tuple(sorted(
+            _reference_arrow_unit(gd, bp, -1, extended) for extended, bp in pairs))
+    return GeneratorImages(g, gd, vertex, edge, ghost)
+
+
+def _dense_images(images: GeneratorImages, ring):
+    """(shape, vertex, edge, ghost): the images as DenseBlockMatrix over
+    ring, each unit a coefficient one."""
+    shape = block_shape(images.decomposition, ring)
+    return (shape,) + tuple(
+        {name: DenseBlockMatrix.from_units(shape, units) for name, units in kind.items()}
+        for kind in (images.vertex, images.edge, images.ghost))
 
 
 def reference_attained_matrix_units(images: GeneratorImages) -> int:
     """Number of pairs (eta, gamma) of paths into one sink with
     img(eta) . ghost(gamma) equal to a freshly built E_{eta,gamma}: all
-    P^2 products, each path's image built from its suffix.  Only
+    P^2 products over Q, each path's image built from its suffix.  Only
     meaningful for acyclic graphs."""
     g = images.graph
+    shape, vertex, edge, ghost_of = _dense_images(images, Q)
     img: dict = {}
     ghost: dict = {}
     attained = 0
@@ -812,28 +922,30 @@ def reference_attained_matrix_units(images: GeneratorImages) -> int:
         for bp in members:
             key = (bp.edges, bp.sink)
             if not bp.edges:
-                img[key] = ghost[key] = images.vertex[g.vertices[bp.sink]]
+                img[key] = ghost[key] = vertex[g.vertices[bp.sink]]
                 continue
             first = g.edge_names[bp.edges[0]]
             rest = (bp.edges[1:], bp.sink)
-            img[key] = images.edge[first] * img[rest]
-            ghost[key] = ghost[rest] * images.ghost[first]
+            img[key] = edge[first] * img[rest]
+            ghost[key] = ghost[rest] * ghost_of[first]
         for r, eta in enumerate(members):
             left = img[(eta.edges, eta.sink)]
             for c, gamma in enumerate(members):
-                unit = BlockMatrix.matrix_unit(images.shape, bi, r, c)
+                unit = DenseBlockMatrix.from_units(shape, [(bi, r, c, 0)])
                 if left * ghost[(gamma.edges, gamma.sink)] == unit:
                     attained += 1
     return attained
 
 
 def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages | None = None) -> VerificationReport:
-    """verify_leavitt_relations on block matrices only: every relation
-    is multiplied out as BlockMatrix products over the ring, and the
-    span check counts attained units with reference_path_unit_count.
-    Same checks, same labels, same order; no budget."""
+    """verify_leavitt_relations at ring level: every image becomes a
+    DenseBlockMatrix over ring, each unit a coefficient one, every
+    relation is multiplied out with its products and sums, and the span
+    check counts attained units with reference_path_unit_count.  Same
+    checks, same labels, same order; no budget."""
     if images is None:
-        images = generator_images(g, ring)
+        images = generator_images(g)
+    shape, vertex, edge, ghost = _dense_images(images, ring)
     total = 0
     failures = []
 
@@ -843,33 +955,34 @@ def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages |
         if not ok:
             failures.append(label)
 
-    zero = BlockMatrix.zero(images.shape)
+    zero = DenseBlockMatrix.build(shape, [])
     names = list(g.vertices)
     for u in names:
         for v in names:
-            expect = images.vertex[u] if u == v else zero
-            check(images.vertex[u] * images.vertex[v] == expect,
-                  f"vertex idempotents: {u} * {v}")
+            expect = vertex[u] if u == v else zero
+            check(vertex[u] * vertex[v] == expect, f"vertex idempotents: {u} * {v}")
     unit = zero
     for v in names:
-        unit = unit + images.vertex[v]
-    check(unit == BlockMatrix.identity(images.shape), "vertex sum = identity")
+        unit = unit + vertex[v]
+    identity = DenseBlockMatrix.build(shape, [
+        [((i, i), (0, int_payload(ring, 1))) for i in range(size)] for size, _ in shape.blocks])
+    check(unit == identity, "vertex sum = identity")
 
     for e in range(g.edge_count):
         en = g.edge_names[e]
         sv = g.vertices[g.src[e]]
         rv = g.vertices[g.dst[e]]
-        x, y = images.edge[en], images.ghost[en]
-        check(images.vertex[sv] * x == x, f"unit path: {sv} . {en}")
-        check(x * images.vertex[rv] == x, f"unit path: {en} . {rv}")
-        check(images.vertex[rv] * y == y, f"unit path: {rv} . {en}*")
-        check(y * images.vertex[sv] == y, f"unit path: {en}* . {sv}")
+        x, y = edge[en], ghost[en]
+        check(vertex[sv] * x == x, f"unit path: {sv} . {en}")
+        check(x * vertex[rv] == x, f"unit path: {en} . {rv}")
+        check(vertex[rv] * y == y, f"unit path: {rv} . {en}*")
+        check(y * vertex[sv] == y, f"unit path: {en}* . {sv}")
 
     for e in range(g.edge_count):
         for f in range(g.edge_count):
             en, fn = g.edge_names[e], g.edge_names[f]
-            expect = images.vertex[g.vertices[g.dst[e]]] if e == f else zero
-            check(images.ghost[en] * images.edge[fn] == expect, f"CK1: {en}* . {fn}")
+            expect = vertex[g.vertices[g.dst[e]]] if e == f else zero
+            check(ghost[en] * edge[fn] == expect, f"CK1: {en}* . {fn}")
 
     for v in range(len(g.vertices)):
         outs = g.out_edges(v)
@@ -878,8 +991,8 @@ def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages |
         acc = zero
         for e in outs:
             en = g.edge_names[e]
-            acc = acc + images.edge[en] * images.ghost[en]
-        check(acc == images.vertex[g.vertices[v]], f"CK2 at {g.vertices[v]}")
+            acc = acc + edge[en] * ghost[en]
+        check(acc == vertex[g.vertices[v]], f"CK2 at {g.vertices[v]}")
 
     if not images.decomposition.has_cycle() and isinstance(ring, Rationals):
         n = reference_path_unit_count(images)
@@ -891,21 +1004,21 @@ def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages |
             continue
         word = None
         for e in orbit.anchor.edges:
-            m = images.edge[g.edge_names[e]]
+            m = edge[g.edge_names[e]]
             word = m if word is None else word * m
-        expect = BlockMatrix.matrix_unit(images.shape, bi, 0, 0, key=1)
-        check(word.entry(bi, 0, 0) == expect.entry(bi, 0, 0),
-              f"cycle word attains x in block {bi}")
+        x = DenseBlockMatrix.from_units(shape, [(bi, 0, 0, 1)])
+        check(word.entry(bi, 0, 0) == x.entry(bi, 0, 0), f"cycle word attains x in block {bi}")
 
     return VerificationReport("Leavitt relation checks", total, tuple(failures))
 
 
 def reference_path_unit_count(images: GeneratorImages) -> int:
-    """_attained_matrix_units on block matrices: each path's image and
-    ghost is the BlockMatrix product of its first edge's image with its
-    suffix's, compared with a freshly built matrix unit, 2P products for
-    P paths.  Only meaningful for acyclic graphs."""
+    """_attained_matrix_units at ring level: each path's image and ghost
+    is the DenseBlockMatrix product over Q of its first edge's image
+    with its suffix's, compared with a freshly built matrix unit, 2P
+    products for P paths.  Only meaningful for acyclic graphs."""
     g = images.graph
+    shape, vertex, edge, ghost_of = _dense_images(images, Q)
     img: dict = {}
     ghost: dict = {}
     attained = 0
@@ -914,14 +1027,14 @@ def reference_path_unit_count(images: GeneratorImages) -> int:
         for r, bp in enumerate(orbit.members):
             key = (bp.edges, bp.sink)
             if not bp.edges:
-                img[key] = ghost[key] = images.vertex[g.vertices[bp.sink]]
+                img[key] = ghost[key] = vertex[g.vertices[bp.sink]]
             else:
                 first = g.edge_names[bp.edges[0]]
                 rest = (bp.edges[1:], bp.sink)
-                img[key] = images.edge[first] * img[rest]
-                ghost[key] = ghost[rest] * images.ghost[first]
-            rows += img[key] == BlockMatrix.matrix_unit(images.shape, bi, r, 0)
-            cols += ghost[key] == BlockMatrix.matrix_unit(images.shape, bi, 0, r)
+                img[key] = edge[first] * img[rest]
+                ghost[key] = ghost[rest] * ghost_of[first]
+            rows += img[key] == DenseBlockMatrix.from_units(shape, [(bi, r, 0, 0)])
+            cols += ghost[key] == DenseBlockMatrix.from_units(shape, [(bi, 0, r, 0)])
         attained += rows * cols
     return attained
 
@@ -1524,69 +1637,6 @@ def reference_group_table(rows) -> FiniteGroupTable:
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     raise ValueError(f"associativity fails at ({a},{b},{c})")
     return FiniteGroupTable(n, table, identity, tuple(inverse), _classify_group(table, identity))
-
-
-@dataclass(frozen=True)
-class DenseBlockMatrix:
-    """Reference for BlockMatrix, which stores matrix units: blocks[i] is
-    the sorted tuple of ((row, col), group algebra element) for the
-    nonzero cells of block i, one tuple per block of the shape, empty or
-    not; every operation walks every block, and cells multiply by
-    group_algebra_mul."""
-
-    shape: BlockShape
-    blocks: tuple
-
-    @staticmethod
-    def build(shape: BlockShape, items_per_block) -> "DenseBlockMatrix":
-        """items_per_block[i] holds the items of block i; a list shorter
-        than the shape leaves the blocks past its end empty."""
-        blocks = []
-        for bi, (size, group) in enumerate(shape.blocks):
-            items = items_per_block[bi] if bi < len(items_per_block) else ()
-            acc: dict = {}
-            for (r, c), val in items:
-                if not 0 <= r < size or not 0 <= c < size:
-                    raise ValueError(f"entry ({r},{c}) outside block of size {size}")
-                acc[(r, c)] = acc[(r, c)] + val if (r, c) in acc else val
-            blocks.append(tuple(sorted((rc, v) for rc, v in acc.items() if not v.is_zero)))
-        return DenseBlockMatrix(shape, tuple(blocks))
-
-    def __add__(self, other):
-        return DenseBlockMatrix.build(
-            self.shape, [list(b1) + list(b2) for b1, b2 in zip(self.blocks, other.blocks)])
-
-    def __neg__(self):
-        return DenseBlockMatrix(
-            self.shape, tuple(tuple((rc, -v) for rc, v in b) for b in self.blocks))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        items = []
-        for b1, b2 in zip(self.blocks, other.blocks):
-            by_row: dict = {}
-            for (r, k), v in b2:
-                by_row.setdefault(r, []).append((k, v))
-            items.append([((r, c), group_algebra_mul(v, w))
-                          for (r, k), v in b1 for c, w in by_row.get(k, ())])
-        return DenseBlockMatrix.build(self.shape, items)
-
-    def entry(self, block_index, row, col) -> GroupAlgebraElement:
-        size, group = self.shape.blocks[block_index]
-        for (r, c), v in self.blocks[block_index]:
-            if (r, c) == (row, col):
-                return v
-        return GroupAlgebraElement.zero(group, self.shape.ring)
-
-    def __str__(self):
-        parts = []
-        for bi, block in enumerate(self.blocks):
-            size, group = self.shape.blocks[bi]
-            cells = ", ".join(f"({r},{c}): {v}" for (r, c), v in block)
-            parts.append(f"block {bi} [{size}x{size}]: {{{cells}}}")
-        return "; ".join(parts)
 
 
 def int_det(rows) -> int:

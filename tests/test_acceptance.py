@@ -30,7 +30,6 @@ from gpdalg import (
     isg_verdicts,
     leavitt_verdicts,
     natural_partial_order,
-    parse_element_literal,
     parse_isg,
     parse_ring_descriptor,
     radical_oracle,
@@ -107,7 +106,7 @@ def test_acceptance_3_oracle_agreement():
     assert radical_oracle(z2, Q).semisimple
     rep = radical_oracle(z2, GF2)
     assert not rep.semisimple
-    assert rep.witness == parse_element_literal("1*g0 + 1*g1", z2, GF2)
+    assert rep.witness == "1*g0 + 1*g1"
     print(
         f"\nACCEPTANCE 3: PASS - radical oracle agrees with the verdict engine on "
         f"{compared} groupoid/ring pairs; fixed points over Q and GF(2) confirmed"
@@ -141,9 +140,9 @@ def test_acceptance_4_leavitt_battery():
             continue
         expected = sum(c * c for c in paths_to_sinks(g).values())
         assert block_shape(graph_groupoid(g), Q).dimension == expected, name
-        assert reference_generated_dimension(generator_images(g, Q)) == expected, name
+        assert reference_generated_dimension(generator_images(g)) == expected, name
     a3 = dict((n, g) for n, g, _ in corpus)["a3"]
-    assert reference_generated_dimension(generator_images(a3, Q)) == 9
+    assert reference_generated_dimension(generator_images(a3)) == 9
 
     for name, g, finite in corpus:
         if not finite:
@@ -187,7 +186,7 @@ def test_acceptance_5_inverse_semigroup_battery():
     assert not isg_verdicts(s, GF2).semisimple
     rep = radical_oracle(g, GF2)
     assert not rep.semisimple
-    assert rep.witness == parse_element_literal("1*one + 1*swap", g, GF2)
+    assert rep.witness == "1*one + 1*swap"
 
     lattice = parse_isg((FIXTURES / "semilattice2.isg").read_text())
     assert isg_verdicts(lattice, Q).shape_string == "M_1(Q) x M_1(Q)"

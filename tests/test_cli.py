@@ -3,6 +3,7 @@ import contextlib
 import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -13,11 +14,9 @@ from hypothesis import given, settings, strategies as st
 from corpus import chain_graph, complete_digraph, diamond_chain_graph, graph_corpus
 
 import gpdalg.cli
-import gpdalg.group_algebra
 import gpdalg.groupoid
 import gpdalg.leavitt
-import gpdalg.rings
-from gpdalg import Orbit, render_graph, render_groupoid
+from gpdalg import Graph, Orbit, render_graph, render_groupoid
 from gpdalg.constructions import cyclic_table, pair_groupoid, product_with_group
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -624,6 +623,22 @@ def test_complete_digraph_k12_reports_its_witness_within_the_timeout(tmp_path):
     assert "condition (NE) fails: cycle (e00_01.e01_00) has exit edge 'e00_11'" in r.stdout
 
 
+def test_ring_with_random_exits_reports_its_witness_within_the_timeout(tmp_path):
+    # a 20,000-edge ring and one seeded random edge out of every vertex:
+    # every step of the witness, the whole ring, has two edges to choose
+    # from, and the witness search must stay linear in the graph
+    n, rng = 20000, random.Random(20261020)
+    vs = [f"v{i:05d}" for i in range(n)]
+    ring = [(f"e{i:05d}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    exits = [(f"f{i:05d}", vs[i], vs[rng.randrange(n)]) for i in range(n)]
+    path = tmp_path / "ring20000.quiv"
+    path.write_text(render_graph(Graph.make(vs, ring + exits)))
+    r = run_cli("graph", str(path), timeout=30)
+    assert r.returncode == 0 and not r.stderr
+    cycle = ".".join(name for name, _, _ in ring)
+    assert f"condition (NE) fails: cycle ({cycle}) has exit edge 'f00000'" in r.stdout
+
+
 def test_generator_images_read_the_listing_without_path_lookups(tmp_path, monkeypatch, capsys):
     made, inside, calls = [], [], []
     real_images = gpdalg.leavitt.generator_images
@@ -644,10 +659,10 @@ def test_generator_images_read_the_listing_without_path_lookups(tmp_path, monkey
         return wrapper
 
     monkeypatch.setattr(gpdalg.leavitt, "generator_images", images)
-    for module, name in ((gpdalg.rings, "sum_like_terms"), (gpdalg.group_algebra, "sum_like_terms")):
-        monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
-    BlockMatrix = gpdalg.group_algebra.BlockMatrix
-    monkeypatch.setattr(BlockMatrix, "build", staticmethod(watched("BlockMatrix.build", BlockMatrix.build)))
+    # no boundary path is built, and no unit set is merged or multiplied
+    orbit = gpdalg.leavitt.GraphOrbit
+    monkeypatch.setattr(orbit, "members", property(watched("members", orbit.members.fget)))
+    monkeypatch.setattr(gpdalg.leavitt, "_compose", watched("_compose", gpdalg.leavitt._compose))
     finite = 0
     for name, g, expect_finite in graph_corpus():
         path = tmp_path / f"{name}.quiv"

@@ -1,24 +1,17 @@
-"""Group tables, group algebra arithmetic, and block matrices."""
+"""Group tables, the ring-level group algebra and block matrices the
+references compute with, and the unit-set product of the Leavitt check
+against them."""
 import random
 
 import pytest
 
-from support import DenseBlockMatrix, reference_group_table
+from support import DenseBlockMatrix, coeff_mul, reference_group_table
 
-from gpdalg import (
-    BlockMatrix,
-    BlockShape,
-    FiniteGroupTable,
-    GaloisField,
-    GroupAlgebraElement,
-    IntegerGroup,
-    Q,
-    RingElement,
-    Z,
-)
+from gpdalg import BlockShape, FiniteGroupTable, GaloisField, IntegerGroup, Q, Z
 from gpdalg.constructions import cyclic_table, klein_table, symmetric_table
 from gpdalg.group_algebra import entry_ring_rendering
-from gpdalg.rings import Laurent, ModularIntegers, Product, laurent_variable
+from gpdalg.leavitt import _compose
+from gpdalg.rings import Laurent, ModularIntegers, Product, int_payload
 
 
 def test_group_table_verifies_axioms():
@@ -84,14 +77,17 @@ def test_group_classification_names():
     assert symmetric_table(3).name == "S3"
 
 
+def _cell(group, ring, terms):
+    """The group algebra element sum of c * g over (g, c) in terms, as
+    the one cell of a 1 x 1 block."""
+    shape = BlockShape(ring, ((1, group),))
+    return DenseBlockMatrix.build(shape, [[((0, 0), (k, int_payload(ring, c))) for k, c in terms]])
+
+
 def test_one_plus_g_squares_to_zero_in_char_two():
-    ring = GaloisField(2)
-    z2 = cyclic_table(2)
-    one_plus_g = GroupAlgebraElement.make(
-        z2, ring, [(0, RingElement.one(ring)), (1, RingElement.one(ring))]
-    )
-    assert (one_plus_g * one_plus_g).is_zero
-    assert not one_plus_g.is_zero
+    one_plus_g = _cell(cyclic_table(2), GaloisField(2), [(0, 1), (1, 1)])
+    assert one_plus_g.blocks != ((),)
+    assert (one_plus_g * one_plus_g).blocks == ((),)
 
 
 def test_group_algebra_associativity_seeded():
@@ -99,14 +95,8 @@ def test_group_algebra_associativity_seeded():
     for table, ring in [(symmetric_table(3), Q), (cyclic_table(4), GaloisField(3))]:
         for _ in range(25):
             a, b, c = (
-                GroupAlgebraElement.make(
-                    table,
-                    ring,
-                    [
-                        (rng.randrange(table.size), RingElement.from_int(ring, rng.randint(-3, 3)))
-                        for _ in range(rng.randint(0, 3))
-                    ],
-                )
+                _cell(table, ring, [(rng.randrange(table.size), rng.randint(-3, 3))
+                                    for _ in range(rng.randint(0, 3))])
                 for _ in range(3)
             )
             assert (a * b) * c == a * (b * c)
@@ -114,15 +104,16 @@ def test_group_algebra_associativity_seeded():
 
 
 def test_integer_group_is_laurent():
-    ring = Q
-    g = IntegerGroup()
-    x = GroupAlgebraElement.delta(g, ring, 3)
-    y = GroupAlgebraElement.delta(g, ring, -1)
-    prod = x * y
-    assert prod == GroupAlgebraElement.delta(g, ring, 2)
+    prod = _cell(IntegerGroup(), Q, [(3, 1)]) * _cell(IntegerGroup(), Q, [(-1, 1)])
+    assert prod == _cell(IntegerGroup(), Q, [(2, 1)])
     # the same coefficients read as an element of Laurent(Q)
-    lau = RingElement(Laurent(Q), tuple((e, c.value) for e, c in prod.coeffs))
-    assert lau == laurent_variable(Laurent(Q), 2)
+    one = int_payload(Q, 1)
+    assert prod.entry(0, 0, 0) == coeff_mul(Laurent(Q), ((3, one),), ((-1, one),))
+
+
+def test_group_algebra_over_z_has_no_surprise_division():
+    two_g = _cell(cyclic_table(2), Z, [(0, 2)]) * _cell(cyclic_table(2), Z, [(1, 1)])
+    assert two_g.entry(0, 0, 0) == ((1, 2),)
 
 
 def test_entry_ring_rendering():
@@ -132,131 +123,50 @@ def test_entry_ring_rendering():
     assert entry_ring_rendering(IntegerGroup(), ModularIntegers(6)) == "Laurent(Z/6)"
 
 
-def _shape():
-    return BlockShape(Q, ((2, cyclic_table(2)), (1, cyclic_table(1))))
+# the unit-set product of leavitt._compose, on the blocks it meets: one
+# with infinite cyclic isotropy (keys are exponents and add) and one
+# with trivial isotropy (every key 0)
+_SIZES = (3, 2)
+
+
+def _unit(bi, row, col, key=0):
+    return ((bi, row, col, key),)
 
 
 def test_matrix_units_multiply_like_matrix_units():
-    shape = _shape()
-    size = shape.blocks[0][0]
+    size = _SIZES[0]
     for i in range(size):
         for j in range(size):
             for k in range(size):
                 for l in range(size):
-                    prod = BlockMatrix.matrix_unit(shape, 0, i, j) * BlockMatrix.matrix_unit(shape, 0, k, l)
-                    if j == k:
-                        assert prod == BlockMatrix.matrix_unit(shape, 0, i, l)
-                    else:
-                        assert prod.is_zero
+                    prod = _compose(_unit(0, i, j, 2), _unit(0, k, l, -3))
+                    assert prod == (_unit(0, i, l, -1) if j == k else ())
 
 
 def test_block_matrix_identity_and_blocks_do_not_mix():
-    shape = _shape()
-    ident = BlockMatrix.identity(shape)
-    a = BlockMatrix.matrix_unit(shape, 0, 0, 1)
-    b = BlockMatrix.matrix_unit(shape, 1, 0, 0)
-    assert ident * a == a and a * ident == a
-    assert (a * b).is_zero and (b * a).is_zero
-    assert a + b - a == b
+    identity = tuple((bi, i, i, 0) for bi, size in enumerate(_SIZES) for i in range(size))
+    a, b = _unit(0, 0, 1, 4), _unit(1, 0, 0)
+    assert _compose(identity, a) == a == _compose(a, identity)
+    assert _compose(a, b) == () == _compose(b, a)
+
+
+def _random_units(rng):
+    """A sorted unit set, repeats allowed: coefficient 2 over Z."""
+    units = []
+    for _ in range(rng.randint(0, 5)):
+        bi = rng.randrange(len(_SIZES))
+        size = _SIZES[bi]
+        key = rng.randint(-2, 2) if bi == 0 else 0
+        units.append((bi, rng.randrange(size), rng.randrange(size), key))
+    return tuple(sorted(units))
 
 
 def test_block_matrix_associativity_seeded():
-    shape = _shape()
     rng = random.Random(5)
-
-    def rand_matrix():
-        m = BlockMatrix.zero(shape)
-        for _ in range(rng.randint(0, 4)):
-            bi = rng.randrange(2)
-            size, group = shape.blocks[bi]
-            m = m + BlockMatrix.matrix_unit(
-                shape, bi, rng.randrange(size), rng.randrange(size),
-                key=rng.randrange(group.size),
-                coeff=RingElement.from_int(Q, rng.randint(-2, 2)),
-            )
-        return m
-
-    for _ in range(30):
-        a, b, c = rand_matrix(), rand_matrix(), rand_matrix()
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-
-def test_group_algebra_over_z_has_no_surprise_division():
-    z2 = cyclic_table(2)
-    two = GroupAlgebraElement.make(z2, Z, [(0, RingElement.from_int(Z, 2))])
-    g = GroupAlgebraElement.delta(z2, Z, 1)
-    assert (two * g).coeffs[0][1] == RingElement.from_int(Z, 2)
-
-
-def _dense_shape(ring):
-    # S3, infinite cyclic and trivial blocks; block 3 is never touched
-    return BlockShape(ring, (
-        (2, symmetric_table(3)), (3, IntegerGroup()), (1, cyclic_table(1)),
-        (2, IntegerGroup()), (2, symmetric_table(3)),
-    ))
-
-
-def _random_items(shape, rng):
-    """One random matrix as ((block, row, col, key), coefficient) items,
-    and as the reference's per-block lists of ((row, col), element):
-    coefficient-one units at most one per row, or small coefficients
-    (-3..3, so 2 * 3 and 1 + 1 can vanish) with repeated cells and
-    keys."""
-    units = rng.random() < 0.4
-    ring = shape.ring
-    items, dense = [], [[] for _ in shape.blocks]
-    for bi, (size, group) in enumerate(shape.blocks):
-        if bi == 3 or rng.random() < 0.35:
-            continue
-        for row in range(size):
-            for _ in range(1 if units else rng.randint(0, 2)):
-                if units and rng.random() < 0.3:
-                    continue
-                col = rng.randrange(size)
-                for _ in range(1 if units else rng.randint(1, 2)):
-                    key = rng.randint(-2, 2) if isinstance(group, IntegerGroup) else rng.randrange(group.size)
-                    coeff = RingElement.one(ring) if units else RingElement.from_int(ring, rng.randint(-3, 3))
-                    items.append(((bi, row, col, key), coeff))
-                    dense[bi].append(((row, col), GroupAlgebraElement.delta(group, ring, key, coeff)))
-    return items, dense
-
-
-def _dense_unit(ref):
-    """(block, row, col, key) when ref is one coefficient-one matrix
-    unit, read off its cells, else None."""
-    cells = [(bi, rc, v) for bi, block in enumerate(ref.blocks) for rc, v in block]
-    if len(cells) != 1 or len(cells[0][2].coeffs) != 1:
-        return None
-    (bi, (row, col), v), = cells
-    (key, coeff), = v.coeffs
-    return (bi, row, col, key) if coeff == RingElement.one(ref.shape.ring) else None
-
-
-def _assert_matches_dense(m, ref):
-    for bi, (size, _) in enumerate(m.shape.blocks):
-        for row in range(size):
-            for col in range(size):
-                assert m.entry(bi, row, col) == ref.entry(bi, row, col)
-    assert str(m) == str(ref)
-    assert m.unit_index() == _dense_unit(ref)
-    assert (m == BlockMatrix.zero(m.shape)) == all(not b for b in ref.blocks)
-
-
-# ring -> coefficient payloads whose product is zero
-ZERO_PRODUCTS = {
-    ModularIntegers(6): ((2, 3),),
-    Product((GaloisField(2), GaloisField(3))): (((1, 0), (0, 1)),),
-}
-
-
-def _unit_items(shape, unit, coeff):
-    """One matrix unit as build items, and as the reference's per-block lists."""
-    bi, row, col, key = unit
-    dense = [[] for _ in shape.blocks]
-    group = shape.blocks[bi][1]
-    dense[bi].append(((row, col), GroupAlgebraElement.delta(group, shape.ring, key, coeff)))
-    return [(unit, coeff)], dense
+    for _ in range(60):
+        a, b, c = _random_units(rng), _random_units(rng), _random_units(rng)
+        assert _compose(_compose(a, b), c) == _compose(a, _compose(b, c))
+        assert _compose(a, tuple(sorted(b + c))) == tuple(sorted(_compose(a, b) + _compose(a, c)))
 
 
 @pytest.mark.parametrize("ring", [
@@ -264,71 +174,19 @@ def _unit_items(shape, unit, coeff):
     Product((GaloisField(2), GaloisField(3))),
 ])
 def test_block_matrices_agree_with_the_dense_reference(ring):
-    shape = _dense_shape(ring)
+    # a unit set is a sum of coefficient-one units: its product and sum
+    # are the ring-level ones in every ring
+    shape = BlockShape(ring, ((_SIZES[0], IntegerGroup()), (_SIZES[1], cyclic_table(1))))
     rng = random.Random(16)
-    zero = BlockMatrix.zero(shape)
-    mats = []
-    for _ in range(24):
-        items, dense_items = _random_items(shape, rng)
-        m, ref = BlockMatrix.build(shape, items), DenseBlockMatrix.build(shape, dense_items)
-        _assert_matches_dense(m, ref)
-        mats.append((m, ref))
-    for (a, ra), (b, rb), (c, rc) in zip(mats, mats[1:] + mats[:1], mats[2:] + mats[:2]):
-        assert (a == b) == (ra == rb)
-        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
-            _assert_matches_dense(op(a, b), op(ra, rb))
-        # triple products, and equal values hash alike
-        left, right = (a * b) * c, a * (b * c)
-        _assert_matches_dense(left, (ra * rb) * rc)
-        assert left == right and hash(left) == hash(right)
-        spread, split = a * (b + c), a * b + a * c
-        _assert_matches_dense(spread, ra * (rb + rc))
-        assert spread == split and hash(spread) == hash(split)
-        # cancel each touched block of a in turn: that block drops out
-        for bi in sorted({unit[0] for unit, _ in a.entries}):
-            minus = BlockMatrix.build(shape, [(u, -v) for u, v in a.entries if u[0] == bi])
-            rminus = DenseBlockMatrix.build(
-                shape, [[(rc, -v) for rc, v in ra.blocks[i]] if i == bi else [] for i in range(bi + 1)])
-            cut = a + minus
-            _assert_matches_dense(cut, ra + rminus)
-            assert all(unit[0] != bi for unit, _ in cut.entries)
-        gone = a - a
-        assert gone == zero and hash(gone) == hash(zero) and gone.entries == ()
-        assert (a + -a) == zero and hash(a + -a) == hash(zero)
-    # an equal shape built separately: its matrices compare equal, hash
-    # alike and multiply with those over shape; a matrix is not its entries
-    twin = _dense_shape(ring)
-    assert twin is not shape and twin == shape
-    for (a, _), (b, _) in zip(mats, mats[1:]):
-        twin_a = BlockMatrix.build(twin, a.entries)
-        assert twin_a == a and a == twin_a and hash(twin_a) == hash(a)
-        assert twin_a * b == a * b and a * BlockMatrix.build(twin, b.entries) == a * b
-        assert (a == a.entries) is False and (a == None) is False and a != 0  # noqa: E711
-    # one unit times one unit whose coefficients multiply to zero
-    for left, right in ZERO_PRODUCTS.get(ring, ()):
-        for unit_a, unit_b in (((0, 0, 1, 2), (0, 1, 0, 4)), ((1, 2, 0, -1), (1, 0, 2, 3))):
-            items_a, dense_a = _unit_items(shape, unit_a, RingElement(ring, left))
-            items_b, dense_b = _unit_items(shape, unit_b, RingElement(ring, right))
-            a, b = BlockMatrix.build(shape, items_a), BlockMatrix.build(shape, items_b)
-            product = a * b
-            dense = DenseBlockMatrix.build(shape, dense_a) * DenseBlockMatrix.build(shape, dense_b)
-            _assert_matches_dense(product, dense)
-            assert product.entries == () and product == zero and hash(product) == hash(zero)
 
+    def dense(units):
+        return DenseBlockMatrix.from_units(shape, units)
 
-def test_build_raises_on_blocks_and_keys_before_cells_outside_their_block():
-    shape = _dense_shape(Q)
-    one = RingElement.one(Q)
-    with pytest.raises(ValueError, match="group element index 6 out of range"):
-        BlockMatrix.build(shape, [((0, 5, 0, 0), one), ((4, 0, 0, 6), one)])
-    with pytest.raises(ValueError, match=r"entry \(0,2\) outside block of size 2"):
-        BlockMatrix.build(shape, [((4, 0, 3, 0), one), ((0, 0, 2, 0), one)])
-    # a block index outside the shape is not read modulo the block count
-    for bi in (-1, 5):
-        with pytest.raises(ValueError, match=f"block index {bi} out of range"):
-            BlockMatrix.build(shape, [((bi, 0, 0, 0), one)])
-    # a key is checked on a zero coefficient too, as the cell element was built first
-    with pytest.raises(ValueError, match="group element index -1 out of range"):
-        BlockMatrix.build(shape, [((0, 0, 0, -1), RingElement.zero(Q))])
-    assert BlockMatrix.build(shape, [((1, 0, 0, -7), one)]).entry(1, 0, 0) == \
-        GroupAlgebraElement.delta(IntegerGroup(), Q, -7)
+    mats = [_random_units(rng) for _ in range(40)]
+    for a, b in zip(mats, mats[1:] + mats[:1]):
+        assert dense(_compose(a, b)) == dense(a) * dense(b)
+        assert dense(tuple(sorted(a + b))) == dense(a) + dense(b)
+    # a unit listed twice is coefficient 2, zero in GF(2) alone
+    doubled = [m for m in mats if m]
+    cancelled = sum(dense(tuple(sorted(m + m))) == dense(()) for m in doubled)
+    assert doubled and cancelled == (len(doubled) if ring == GaloisField(2) else 0)

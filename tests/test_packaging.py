@@ -2,7 +2,9 @@
 absolute name is part of the standard library, and none of them is
 dataclasses, whose class building slowed every cold start, and only
 `rings` imports fractions.  Every top-level definition in it is used
-by the package or exported."""
+by the package or exported, and no class in it does arithmetic: the
+checks compare matrix-unit indices and integer counts, so the package
+adds, negates and multiplies no ring or algebra element."""
 import ast
 import pathlib
 import sys
@@ -40,6 +42,18 @@ def test_only_rings_imports_fractions():
     importers = [path.stem for path in sorted(SRC.glob("*.py"))
                  if "fractions" in set(_absolute_imports(path))]
     assert importers == ["rings"]
+
+
+def test_no_class_defines_arithmetic_operators():
+    operators = {"__add__", "__sub__", "__neg__", "__mul__"}
+    classes = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                classes += 1
+                defined = {sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)}
+                assert not defined & operators, (path.name, node.name, sorted(defined & operators))
+    assert classes >= 20
 
 
 def _names_read(node):
