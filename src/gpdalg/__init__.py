@@ -17,55 +17,44 @@ semigroup_algebra_iso, radical_oracle).  Every check compares matrix
 unit indices or integer counts, so no ring element is ever multiplied
 and the package exports no element arithmetic.
 
-Importing the package loads the groupoid engine every subcommand needs:
-``errors``, ``rings``, ``group_algebra``, ``groupoid``, ``algebra``,
-``verdicts`` (with ``linalg``) and ``report``.  The modules
-``constructions``, ``leavitt`` and ``isg`` load on first use, when one
-of their names is read from this package (``gpdalg.Graph``, ``from
-gpdalg import parse_isg``) or the module itself is (``gpdalg.leavitt``),
-so a groupoid report never imports them.
+Importing the package loads only ``verdicts``, the one module every
+report runs, with the ``errors``, ``rings``, ``group_algebra`` and
+``value`` it builds on; ``gpdalg.verdicts`` is the function.  Every
+other name is bound on first read, from the module _LAZY lists it
+under (``gpdalg.Graph``, ``from gpdalg import radical_oracle``), and a
+module loads when one of its names or the module itself is read
+(``gpdalg.leavitt``).  The CLI loads per report:
+
+    every report     errors, rings, group_algebra, value, verdicts, report
+    groupoid         + groupoid, algebra
+    graph            + leavitt
+    isg              + groupoid, isg
+    --verify oracle  + oracle (and groupoid); over GF(p) also linalg
 """
 from importlib import import_module as _import_module
 
-from .errors import InternalCheckError, OracleBudgetError, ParseError
-from .rings import (
-    GaloisField,
-    Integers,
-    Laurent,
-    ModularIntegers,
-    Product,
-    Q,
-    Rationals,
-    RingPredicates,
-    Z,
-    parse_ring_descriptor,
-    render_ring_descriptor,
-    ring_predicates,
-)
-from .group_algebra import BlockShape, FiniteGroupTable, IntegerGroup
-from .groupoid import (
-    FiniteGroupoid,
-    Orbit,
-    Violation,
-    orbits,
-    parse_groupoid,
-    render_groupoid,
-    structured_from_finite,
-    validate,
-)
-from .algebra import Decomposition, VerificationReport, decompose, verify_isomorphism
-from .verdicts import (
-    RadicalReport,
-    Verdict,
-    radical_oracle,
-    verdicts,
-)
-from .report import AnalysisReport, render_report_machine, render_report_text
+from .verdicts import verdicts
 
 __version__ = "1.0.0"
 
 # module -> the names this package re-exports from it on first use
 _LAZY = {
+    "errors": ("InternalCheckError", "OracleBudgetError", "ParseError"),
+    "rings": (
+        "GaloisField", "Integers", "Laurent", "ModularIntegers", "Product", "Q",
+        "Rationals", "RingPredicates", "Z", "parse_ring_descriptor",
+        "render_ring_descriptor", "ring_predicates",
+    ),
+    "group_algebra": ("BlockShape", "FiniteGroupTable", "IntegerGroup"),
+    "groupoid": (
+        "FiniteGroupoid", "Orbit", "Violation", "orbits", "parse_groupoid",
+        "render_groupoid", "structured_from_finite", "validate",
+    ),
+    "algebra": ("Decomposition", "decompose", "verify_isomorphism"),
+    "verdicts": ("Verdict",),
+    "oracle": ("RadicalReport", "radical_oracle"),
+    "report": ("AnalysisReport", "VerificationReport",
+               "render_report_machine", "render_report_text"),
     "constructions": (
         "action_groupoid", "cyclic_table", "disjoint_union", "group_groupoid",
         "klein_table", "pair_groupoid", "product_with_group", "symmetric_table",

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from .errors import InternalCheckError
 from .groupoid import FiniteGroupoid, generators, orbit_layout, validate
+from .report import VerificationReport
 from .rings import RingDescriptor
 from .value import Value
 
@@ -103,24 +104,6 @@ def _pull(d: Decomposition, bi, row, col, key):
     connecting = d.orbit_frames[bi].connecting
     loop = d.isotropies[bi].arrows[key]
     return g.compose(connecting[row], g.compose(loop, g.inv[connecting[col]]))
-
-
-class VerificationReport(Value):
-    """Outcome of an exhaustive check: how many unit checks ran, and a
-    witness string per failure; every other check passed."""
-
-    __slots__ = ("description", "total", "failures")
-
-    @property
-    def passed(self) -> int:
-        return self.total - len(self.failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        return f"{self.passed}/{self.total} {self.description}"
 
 
 _ZERO = ()  # index form of the zero matrix in the pair check

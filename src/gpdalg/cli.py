@@ -31,9 +31,7 @@ import functools
 import sys
 from importlib import import_module
 
-from .algebra import decompose, verify_isomorphism
 from .errors import InternalCheckError, OracleBudgetError, ParseError
-from .groupoid import parse_groupoid, validate
 from .report import (
     ORACLE_AGREE,
     ORACLE_SKIPPED,
@@ -43,19 +41,22 @@ from .report import (
     render_report_text,
 )
 from .rings import parse_ring_descriptor, render_ring_descriptor
-from .verdicts import oracle_refusal, radical_oracle, verdicts
+from .verdicts import verdicts
 
-# module -> the names the graph and isg reports call from it, bound in
-# this namespace by _load when the subcommand first runs or the name is
-# first read from outside, so a groupoid report never imports them
+# module -> the names the reports call from it, bound in this namespace
+# by _load when a report first needs them or the name is first read
+# from outside, so a report imports only the modules its path runs
 _LAZY = {
+    "groupoid": ("parse_groupoid", "validate",
+                 "structured_from_finite"),  # bench/spans only, until it reads --stats
+    "algebra": ("decompose", "verify_isomorphism"),
+    "oracle": ("oracle_refusal", "radical_oracle"),
     "leavitt": (
         "ExitWitness", "as_finite_groupoid", "block_shape", "graph_groupoid",
         "leavitt_verdicts", "parse_graph", "verify_leavitt_relations", "witness_names",
         "condition_ne", "enumerate_cycles",  # bench/spans only, until it reads --stats
     ),
     "isg": ("isg_verdicts", "parse_isg", "semigroup_algebra_iso"),
-    "groupoid": ("structured_from_finite",),  # bench/spans only, until it reads --stats
 }
 
 
@@ -85,6 +86,7 @@ def _run_oracle(d: int, groupoid, ring, expected_semisimple: bool):
     the budget, unsupported otherwise.  Returns (status, detail, witness
     string or None).  Raises InternalCheckError if the oracle
     contradicts the verdict engine."""
+    _load("oracle")
     refusal = oracle_refusal(ring, d)
     if refusal is not None:
         status = ORACLE_SKIPPED if isinstance(refusal, OracleBudgetError) else ORACLE_UNSUPPORTED
@@ -124,6 +126,8 @@ def _report(kind: str, header, ring, verdict, verify):
 
 
 def _report_groupoid(text: str, ring, do_verify: bool):
+    _load("groupoid")
+    _load("algebra")
     g = parse_groupoid(text)
     violations = validate(g)
     if violations:

@@ -27,10 +27,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 
-from .algebra import VerificationReport
 from .errors import InternalCheckError, Names, OracleBudgetError, ParseError, lines, split_declaration
 from .group_algebra import associativity_failure, square_table
 from .groupoid import FiniteGroupoid, structured_from_finite, validate
+from .report import VerificationReport
 from .rings import RingDescriptor, _payload_is_zero, int_payload, render_ring_descriptor
 from .value import Value
 from .verdicts import CITE_BLOCK, Verdict, verdicts

@@ -40,8 +40,8 @@ from functools import reduce
 
 from .errors import InternalCheckError, Names, OracleBudgetError, lines, read_span
 from .group_algebra import BlockShape, FiniteGroupTable, IntegerGroup
+from .report import VerificationReport
 from .rings import Rationals, RingDescriptor, ring_predicates
-from .algebra import VerificationReport
 from .value import Value
 from .verdicts import (
     CITE_BLOCK,

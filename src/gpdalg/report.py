@@ -13,12 +13,29 @@ identical.
 """
 from __future__ import annotations
 
-from .algebra import VerificationReport
 from .value import Value
 
 ORACLE_AGREE = "agree"
 ORACLE_SKIPPED = "skipped"
 ORACLE_UNSUPPORTED = "unsupported"
+
+
+class VerificationReport(Value):
+    """Outcome of an exhaustive check: how many unit checks ran, and a
+    witness string per failure; every other check passed."""
+
+    __slots__ = ("description", "total", "failures")
+
+    @property
+    def passed(self) -> int:
+        return self.total - len(self.failures)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def summary(self) -> str:
+        return f"{self.passed}/{self.total} {self.description}"
 
 
 class AnalysisReport(Value):

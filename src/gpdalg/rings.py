@@ -22,8 +22,6 @@ checks read indices and integer counts.  Nothing here touches a float.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ParseError
 from .value import Value
 
@@ -252,6 +250,8 @@ def int_payload(ring: RingDescriptor, k: int):
     if isinstance(ring, Integers):
         return k
     if isinstance(ring, Rationals):
+        from fractions import Fraction  # read only where semigroup pair counts differ
+
         return Fraction(k)
     if isinstance(ring, GaloisField):
         return k % ring.p

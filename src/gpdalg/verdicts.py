@@ -1,4 +1,4 @@
-"""Chain-condition verdicts and the certified semisimplicity oracle.
+"""Chain-condition verdicts.
 
 verdicts() reads facts off the block layout, a BlockShape: the algebra
 of a groupoid with finitely many orbits is a finite product of matrix
@@ -14,64 +14,14 @@ so
     none of whose characteristics divides any isotropy order
     (Maschke's theorem), with all isotropy finite.
 
-radical_oracle() answers the semisimplicity question for the same
-algebra without using any of that structure: it reads every product of
-arrows off the groupoid's one composition table `g.rows`, on sparse
-vectors (dicts from arrow to nonzero coefficient).  Over Q the radical
-is the nullspace of the trace form of the left regular representation.
-On a groupoid that form pairs each arrow with its inverse alone (only
-an identity 1_y has a nonzero trace, the number of arrows into y), so
-its Gram matrix has one nonzero entry per row and those entries meet
-every column: the oracle checks exactly that pattern and eliminates
-nothing.  Over GF(p) that trace form mod p comes first: its kernel
-holds the radical, so a zero kernel means semisimple.  Each block
-(arrows linked by nonzero products) the kernel touches is reduced to
-one corner: for the block's least idempotent arrow e, eAe is the group
-algebra of the loops at e, and rad(eAe) = e rad(A) e (Lam, A First
-Course in Noncommutative Rings, Thm 21.10).
-Its radical N is the end of the iterated trace-lift filtration, the
-classical radical algorithm over prime fields (Ronyai 1990; Cohen,
-Ivanyos and Wales 1997), which reads Tr(L_z^q) = <tr, z^q> off algebra
-powers, tr[c] the trace of left multiplication by arrow c.  Transport
-arrows h_y: e -> 1_y and their inverses carry N over the block:
-J = sum of h_y N h_z^-1 = A N A.  Over GF(p) with p^dim at most 4096
-the answer is labelled "exhaustive" and reports the element an
-exhaustive sweep of GF(p)^dim would find first, the last row of J's
-reduced echelon basis (the sweep lives on in the test suite); above
-that it is labelled "filtration" and reports J's dimension.
-
-Every nonzero answer is certified, so a wrong "not semisimple" cannot
-escape.  N in eAe must be a nilpotent two-sided ideal: closed under
-the corner's own generating arrows, and nilpotent by repeated squaring,
-I -> I^2 -> I^4 -> ..., until zero or no drop in dimension.
-J = A N A is an ideal by construction, and J^k lies in A N^k A = 0, as
-N A N = N eAe N lies in N^2.  The witness is a vector of the ideal, so
-its right ideal lies inside it.  A wrong "semisimple" cannot escape
-either: over Q the radical is the trace-form kernel, which the checked
-pattern makes zero; over GF(p) it lies in that kernel, and in J, since
-1_y rad(A) 1_z = h_y e (h_y^-1 rad(A) h_z) e h_z^-1 lies in
-h_y N h_z^-1.  A missing transport, or copies of the corner that do not
-cover the block's arrows once each, is an internal error.
+The certified semisimplicity oracle that checks the last of these
+verdicts independently lives in `oracle`.
 """
 from __future__ import annotations
 
-from .errors import InternalCheckError, OracleBudgetError
-from .group_algebra import BlockShape, IntegerGroup, associativity_generators
-from .groupoid import FiniteGroupoid
-from .linalg import echelon, rref_residue, sparse_kernel
-from .rings import (
-    GaloisField,
-    Rationals,
-    RingDescriptor,
-    render_payload,
-    render_ring_descriptor,
-    ring_predicates,
-)
+from .group_algebra import BlockShape, IntegerGroup
+from .rings import render_ring_descriptor, ring_predicates
 from .value import Value
-
-ORACLE_DIMENSION_LIMIT_CHAR0 = 64
-ORACLE_DIMENSION_LIMIT_CHARP = 96
-_EXHAUSTIVE_LIMIT = 4096  # largest p**dim reported as the element sweep
 
 CITE_BLOCK = "block reduction"
 CITE_CONNELL = "Connell"
@@ -152,291 +102,3 @@ def verdicts(shape: BlockShape) -> Verdict:
         )
 
     return Verdict(noetherian, artinian, semisimple, shape_string, tuple(lines))
-
-
-# ---------------------------------------------------------------------------
-# the oracle
-
-
-class RadicalReport(Value):
-    __slots__ = (
-        "semisimple",
-        "witness",            # "c*arrow + ..." over the arrow basis, or None
-        "method",
-        "dimension",
-        "radical_dimension",  # int; None beside an "exhaustive" witness
-    )
-
-
-def _mul(rows, u, v, p):
-    """u * v on the arrow basis, for sparse vectors (dicts from arrow to
-    nonzero coefficient), read off the composition table `g.rows`
-    (rows[i] = {j: k}, k = arrow i after arrow j) and reduced mod p: a
-    prime for GF(p), or the prime power p^(j+1) the trace-lift
-    filtration works modulo.  Every product of two arrows is one arrow
-    or 0, so only pairs of nonzero entries cost anything."""
-    out = {}
-    for i, ui in u.items():
-        row = rows[i]
-        for j, vj in v.items():
-            k = row.get(j)
-            if k is not None:
-                out[k] = out.get(k, 0) + ui * vj
-    return {k: r for k, x in out.items() if (r := x % p)}
-
-
-def _powers_vanish(rows, base, p):
-    """base spans a subspace I with I*I inside I (sparse echelon rows);
-    is I nilpotent?  Square until zero or stabilization: I^m*I^m is
-    I^(2m), which lies inside I^m, so a nilpotency index N takes
-    ceil(log2 N) eliminations, and I^(2m) of the same dimension as
-    I^m equals it and never reaches zero."""
-    current = base
-    while current:
-        products = (_mul(rows, u, v, p) for u in current for v in current)
-        reduced, _ = echelon([w for w in products if w], p)
-        if len(reduced) >= len(current):
-            # no strict descent and still nonzero: never reaches zero
-            return not reduced
-        current = reduced
-    return True
-
-
-def _ideal_certified_nilpotent(rows, basis, gens, p):
-    """basis (sparse vectors) spans a subspace V; certify V is a
-    two-sided ideal and nilpotent.  gens generate the algebra (every
-    basis element is a product of them), so V*s and s*V inside V for
-    each s in gens give V*A and A*V inside V.  Used to vouch for every
-    nonzero radical answer."""
-    reduced, piv = echelon(basis, p)
-    pivot_rows = dict(zip(piv, reduced))  # a full rref: see rref_residue
-    for u in reduced:
-        for e in gens:
-            # e*u reads row e; u*e reads entry e of each row u touches
-            for vec in (_mul(rows, {e: 1}, u, p), _mul(rows, u, {e: 1}, p)):
-                if vec and rref_residue(vec, pivot_rows, p):
-                    return False
-    return _powers_vanish(rows, reduced, p)
-
-
-def _trace_form(rows):
-    """The trace form on the arrow basis, read off the composition
-    table alone (rows[i] = {j: k}, k = arrow i after arrow j).  Returns
-    (tr, gram): tr[i] is the trace of left multiplication by arrow i,
-    the number of entries of row i with k = j, and gram, the integer
-    Gram matrix as sparse rows, holds the trace of left multiplication
-    by the product of arrows i and j, tr[k], at row i and column j.
-    Only the entries of the table are read; no d x d table is built."""
-    tr = [len([j for j, k in row.items() if k == j]) for row in rows]
-    gram = [{j: tr[k] for j, k in row.items() if tr[k]} for row in rows]
-    return tr, gram
-
-
-def _radical_char0(g: FiniteGroupoid):
-    """The radical over Q, which is zero: the Gram matrix of the trace
-    form, read off `g.rows`, must have one nonzero entry per row, and
-    those entries must meet every column (a nondegenerate monomial form,
-    as on every groupoid).  Any other pattern is an internal error;
-    nothing is eliminated."""
-    gram = _trace_form(g.rows)[1]
-    if not all(len(row) == 1 for row in gram) or len(set().union(*gram)) != g.arrow_count:
-        raise InternalCheckError("trace form over Q is not a nondegenerate monomial form")
-    return True, None, 0
-
-
-def _power(rows, z, q, mod):
-    """z^q mod `mod` by repeated squaring; a vanishing power ends it early."""
-    result = None
-    while q:
-        if not z:
-            return z
-        if q & 1:
-            result = z if result is None else _mul(rows, result, z, mod)
-        q >>= 1
-        if q:
-            z = _mul(rows, z, z, mod)
-    return result
-
-
-def _blocks(rows):
-    """block_of[a] for every arrow a: the components of the arrows, two
-    linked when their product in either order is nonzero (`g.rows`)."""
-    root = list(range(len(rows)))
-
-    def find(a):
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        return a
-
-    for i, row in enumerate(rows):
-        r = find(i)
-        for j in row:
-            if root[j] != r:
-                root[find(j)] = r
-    return [find(a) for a in range(len(rows))]
-
-
-def _filtration_radical_modp(rows, p):
-    """Iterated trace-lift filtration on sparse vectors over the table
-    rows of one unital algebra (the oracle passes a corner GF(p)[G_x]).
-    Stage 0 is the trace form mod p; stage j reads Tr(L_z^q) = <tr, z^q>
-    for q = p^j mod p^(j+1), z the product of two basis vectors, divides
-    it by q and reads it mod p, on the upper triangle only, as
-    Tr(L_(by)^q) = Tr(L_(yb)^q) over Z.  It reaches the radical once
-    p^stages covers the dimension.  Products are taken mod
-    p^(stages+1), each distinct one's power once a stage; while a stage
-    keeps the whole basis, the next raises each power to the p-th.
-    Returns the radical's rref rows."""
-    d = len(rows)
-    tr, gram = _trace_form(rows)
-    basis = echelon(sparse_kernel(gram, d, p), p)[0]
-    stages = next(s for s in range(1, d + 1) if p ** s >= d)
-    mod = p ** (stages + 1)
-    powers = None  # product (as a frozenset of items) -> z^q mod `mod`
-    for j in range(1, stages + 1):
-        if not basis:
-            break
-        q, n = p ** j, len(basis)
-        if powers is None:
-            where, powers = {}, {}  # where: product -> its (row, column) pairs
-            for r, y in enumerate(basis):
-                for c in range(r, n):
-                    z = _mul(rows, basis[c], y, mod)
-                    key = frozenset(z.items())
-                    if key not in powers:
-                        powers[key] = _power(rows, z, q, mod)
-                    where.setdefault(key, []).append((r, c))
-        else:
-            powers = {key: _power(rows, z, p, mod) for key, z in powers.items()}
-        form = [{} for _ in range(n)]
-        for key, z in powers.items():
-            t = sum(tr[k] * x for k, x in z.items()) % (q * p)
-            if t % q:
-                raise InternalCheckError("trace filtration divisibility failed")
-            if x := t // q % p:
-                for r, c in where[key]:
-                    form[r][c] = form[c][r] = x
-        if not any(form):
-            continue  # the kernel is the whole basis: keep it and the powers
-        new_basis = []
-        for coeffs in sparse_kernel(form, n, p):
-            vec = {}
-            for i, cf in coeffs.items():
-                for idx, x in basis[i].items():
-                    vec[idx] = vec.get(idx, 0) + cf * x
-            new_basis.append(vec)
-        basis, powers = echelon(new_basis, p)[0], None
-    return basis
-
-
-def _block_radical(g: FiniteGroupoid, block, p):
-    """The radical of one block of `_blocks` (its arrows, ascending):
-    the corner's certified radical N, carried over as h_y N h_z^-1."""
-    rows, names = g.rows, g.arrows
-    idempotents = [a for a in block if rows[a].get(a) == a]
-    e = idempotents[0]
-    loops = sorted(a for a, k in rows[e].items() if k == a and rows[a].get(e) == a)
-    local = {a: i for i, a in enumerate(loops)}
-    corner = [{local[b]: local[k] for b, k in rows[a].items() if b in local} for a in loops]
-    transports = []
-    for f in idempotents:
-        h = e if f == e else next((a for a, k in rows[f].items() if k == a and rows[a].get(e) == a), None)
-        inverse = next((b for b in rows[e] if rows[b].get(h) == e and rows[h].get(b) == f), None)
-        if inverse is None:
-            raise InternalCheckError(f"no transport from {names[e]} to {names[f]}")
-        transports.append((h, inverse))
-    copies = [
-        [None if (k := rows[hy].get(a)) is None else rows[k].get(hz) for a in loops]
-        for hy, _ in transports for _, hz in transports
-    ]
-    hits = [k for copy in copies for k in copy]
-    if None in hits or sorted(hits) != block:
-        raise InternalCheckError(f"transported corner of {names[e]} does not cover its block once")
-    radical = _filtration_radical_modp(corner, p)
-    if not radical:
-        return radical
-    n = len(loops)
-    gens = associativity_generators([0] * n, [0] * n, corner, 1)  # the corner's generators
-    if not _ideal_certified_nilpotent(corner, radical, gens, p):
-        raise InternalCheckError("filtration result is not a nilpotent ideal")
-    return [{copy[i]: x for i, x in v.items()} for copy in copies for v in radical]
-
-
-def _radical_modp(g: FiniteGroupoid, p):
-    """The radical of the algebra of g over GF(p) as rref rows: empty
-    when the trace form mod p is nondegenerate, else `_block_radical`
-    on each block its kernel touches."""
-    rows = g.rows
-    kernel = sparse_kernel(_trace_form(rows)[1], g.arrow_count, p)
-    if not kernel:
-        return kernel
-    block_of, radical = _blocks(rows), []
-    for b in sorted({block_of[a] for v in kernel for a in v}):
-        radical += _block_radical(g, [a for a, c in enumerate(block_of) if c == b], p)
-    return echelon(radical, p)[0]
-
-
-def _radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
-    """The certified radical J over GF(p).  exhaustive reports
-    what a sweep of GF(p)^d in `itertools.product` order would find
-    first, and no radical dimension: in a unital algebra wA is nilpotent
-    exactly when w lies in J, and the first nonzero element of J in that
-    order is the last row of J's reduced echelon basis (its pivot is
-    rightmost and 1)."""
-    radical = _radical_modp(g, p)
-    if not radical:
-        return True, None, 0
-    return False, radical[-1 if exhaustive else 0], None if exhaustive else len(radical)
-
-
-def oracle_refusal(ring: RingDescriptor, d: int):
-    """Why radical_oracle does not take a d-dimensional algebra over
-    ring, or None when it does: a ValueError for a ring other than Q
-    and GF(p), an OracleBudgetError for d above the ring's limit."""
-    if isinstance(ring, Rationals):
-        budget = ORACLE_DIMENSION_LIMIT_CHAR0
-    elif isinstance(ring, GaloisField):
-        budget = ORACLE_DIMENSION_LIMIT_CHARP
-    else:
-        return ValueError(f"oracle handles Q and GF(p), not {render_ring_descriptor(ring)}")
-    if d > budget:
-        return OracleBudgetError(f"dimension {d} beyond the oracle budget {budget}")
-    return None
-
-
-def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor) -> RadicalReport:
-    """Decide semisimplicity of the groupoid algebra from its arrow
-    basis alone.  Over Q the trace form's Gram matrix must be a
-    nondegenerate monomial form, so the radical is zero, and any other
-    pattern is an internal error.  Over GF(p) the trace-lift filtration
-    runs on one corner eAe per block, whose radical N is e rad(A) e
-    (Lam, Thm 21.10), carried over the block as J = A N A.  N is
-    certified a nilpotent two-sided ideal; J is then one, as J^k lies
-    in A N^k A = 0.  The witness is one of its vectors (see the module
-    docstring).
-
-    Takes Q up to dimension ORACLE_DIMENSION_LIMIT_CHAR0 and GF(p) up
-    to ORACLE_DIMENSION_LIMIT_CHARP, and raises oracle_refusal's error
-    otherwise.
-    The groupoid must already have passed validate().  The report's
-    method is "trace form" over Q; over GF(p) it is "exhaustive" while
-    p^dim <= 4096, with the element sweep's witness and no radical
-    dimension, and "filtration" above that.
-    """
-    d = g.arrow_count
-    refusal = oracle_refusal(ring, d)
-    if refusal is not None:
-        raise refusal
-    p = ring.p if isinstance(ring, GaloisField) else 0
-    if p:
-        exhaustive = p ** d <= _EXHAUSTIVE_LIMIT
-        method = "exhaustive" if exhaustive else "filtration"
-        semisimple, witness_vec, rad_dim = _radical_charp(g, p, exhaustive)
-    else:
-        method = "trace form"
-        semisimple, witness_vec, rad_dim = _radical_char0(g)
-    witness = None
-    if witness_vec is not None:
-        witness = " + ".join(f"{render_payload(ring, witness_vec[a])}*{g.arrows[a]}"
-                             for a in sorted(witness_vec))
-    return RadicalReport(semisimple, witness, method, d, rad_dim)

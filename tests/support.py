@@ -38,7 +38,7 @@ from gpdalg.rings import (
     _payload_is_zero,
     int_payload,
 )
-from gpdalg.verdicts import (
+from gpdalg.oracle import (
     _ideal_certified_nilpotent,
     _mul,
     _trace_form,

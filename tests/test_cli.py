@@ -428,6 +428,16 @@ def test_composition_lost_after_validation_is_an_internal_error(monkeypatch, cap
     assert err == "internal error: trace form over Q is not a nondegenerate monomial form\n"
 
 
+def test_identity_composition_lost_after_validation_fails_the_q_trace_check(monkeypatch, capsys):
+    # p_y_y@0 after p_y_y@1 is no generator pair and on no pull path,
+    # and its Gram row keeps one entry; only tr(1_y) drops from 4 to 3
+    code, out, err = _verify_after_dropping_a_composition(
+        monkeypatch, capsys, lambda g: (g.arrow_index("p_y_y@0"), g.arrow_index("p_y_y@1")))
+    assert code == 2
+    assert not out
+    assert err == "internal error: trace over Q of p_y_y@0 is 3, not 4\n"
+
+
 def test_generator_composition_lost_after_validation_is_an_internal_error(monkeypatch, capsys):
     def generator_pair(g):
         gens = gpdalg.groupoid.generators(g)

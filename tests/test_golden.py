@@ -32,7 +32,6 @@ single-chain filtration gives, and where golden.json has a copy, that
 copy as well.
 """
 import contextlib
-import importlib
 import io
 import json
 import pathlib
@@ -45,6 +44,7 @@ from corpus import PARITY_RINGS, disconnected_ladder, graph_corpus, groupoid_cor
 from support import single_chain_radical_charp
 
 import gpdalg.cli
+import gpdalg.oracle
 from gpdalg import render_graph, render_groupoid, render_isg
 
 HERE = pathlib.Path(__file__).parent
@@ -184,7 +184,6 @@ def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
     for name, g in disconnected_ladder():
         (tmp_path / f"{name}.gpd").write_text(render_groupoid(g))
         inputs.append((tmp_path, f"{name}.gpd"))
-    verdicts_module = importlib.import_module("gpdalg.verdicts")
     golden = witnesses = 0
     for ring in ORACLE_RINGS:
         for folder, name in inputs:
@@ -195,7 +194,7 @@ def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
                     assert got == (stored[key]["exit"], stored[key]["stdout"], stored[key]["stderr"]), key
                     golden += 1
                 with monkeypatch.context() as m:
-                    m.setattr(verdicts_module, "_radical_charp", single_chain_radical_charp)
+                    m.setattr(gpdalg.oracle, "_radical_charp", single_chain_radical_charp)
                     assert got == _run("groupoid", name, fmt, True, ring, folder), key
                 witnesses += "witness" in got[1]
     assert len(inputs) == 11 and golden == 28

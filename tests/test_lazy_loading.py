@@ -1,5 +1,5 @@
-"""Which modules each entry point loads, and the public names that
-survive loading constructions, leavitt and isg on first use.  Every
+"""Which modules each entry point and each report loads, and the
+public names that survive loading their modules on first use.  Every
 check that depends on what is already imported runs in a fresh
 interpreter."""
 import json
@@ -23,6 +23,11 @@ UNUSED_STDLIB = ("dataclasses", "inspect")
 # standard modules only help and usage errors load: a report reads its
 # argv directly
 USAGE_ONLY = ("argparse", "gettext")
+# standard modules a Q payload (a Fraction) needs; no report builds one
+FRACTION_STDLIB = ("fractions", "decimal", "numbers")
+# the gpdalg modules every report loads: the CLI, the chain-condition
+# verdicts, the report and what they build on
+REPORT_BASE = ("cli", "errors", "group_algebra", "report", "rings", "value", "verdicts")
 
 # every name gpdalg/__init__.py binds, by the module that defines it
 PUBLIC_NAMES = {
@@ -41,8 +46,9 @@ PUBLIC_NAMES = {
         "action_groupoid", "cyclic_table", "disjoint_union", "group_groupoid",
         "klein_table", "pair_groupoid", "product_with_group", "symmetric_table",
     ),
-    "algebra": ("Decomposition", "VerificationReport", "decompose", "verify_isomorphism"),
-    "verdicts": ("RadicalReport", "Verdict", "radical_oracle", "verdicts"),
+    "algebra": ("Decomposition", "decompose", "verify_isomorphism"),
+    "verdicts": ("Verdict", "verdicts"),
+    "oracle": ("RadicalReport", "radical_oracle"),
     "leavitt": (
         "Cycle", "ExitWitness", "Graph", "GraphDecomposition", "Lasso", "SinkPath",
         "as_finite_groupoid", "boundary_paths", "condition_ne", "enumerate_cycles",
@@ -53,7 +59,9 @@ PUBLIC_NAMES = {
         "InverseSemigroup", "isg_verdicts", "natural_partial_order", "parse_isg",
         "render_isg", "semigroup_algebra_iso", "underlying_groupoid",
     ),
-    "report": ("AnalysisReport", "render_report_machine", "render_report_text"),
+    "report": (
+        "AnalysisReport", "VerificationReport", "render_report_machine", "render_report_text",
+    ),
 }
 
 
@@ -69,20 +77,20 @@ def _fresh(code):
 
 
 def _loaded_after(code):
-    """The gpdalg modules, and those of UNUSED_STDLIB and USAGE_ONLY,
-    loaded after code."""
+    """The gpdalg modules, and those of UNUSED_STDLIB, USAGE_ONLY and
+    FRACTION_STDLIB, loaded after code."""
     return set(_fresh(
         "import json, sys\n" + code
         + "\nprint(json.dumps(sorted(m for m in sys.modules"
-        f" if m.startswith('gpdalg') or m in {UNUSED_STDLIB + USAGE_ONLY!r})))"
+        f" if m.startswith('gpdalg') or m in {UNUSED_STDLIB + USAGE_ONLY + FRACTION_STDLIB!r})))"
     ))
 
 
-def _report(*argv):
+def _report(*argv, status=0):
     return (
         "import contextlib, io, gpdalg.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert gpdalg.cli.main({list(argv)!r}) == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert gpdalg.cli.main({list(argv)!r}) == {status}\n"
     )
 
 
@@ -101,7 +109,38 @@ def test_each_entry_point_loads_only_its_modules(code, absent, present):
     assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
     assert loaded.isdisjoint(UNUSED_STDLIB), sorted(loaded & set(UNUSED_STDLIB))
     assert loaded.isdisjoint(USAGE_ONLY), sorted(loaded & set(USAGE_ONLY))
+    assert loaded.isdisjoint(FRACTION_STDLIB), sorted(loaded & set(FRACTION_STDLIB))
     assert set(present) <= loaded
+
+
+# argv with FILE under tests/fixtures, exit status, and the gpdalg modules
+# each report loads beyond REPORT_BASE
+REPORT_MODULES = [
+    (("groupoid", "pair2.gpd", "--verify"), 0, ("algebra", "groupoid", "oracle")),
+    (("groupoid", "pair2_z2.gpd", "--ring", "GF(2)", "--verify"), 0,
+     ("algebra", "groupoid", "linalg", "oracle")),
+    (("groupoid", "z3.gpd", "--ring", "GF(3)"), 0, ("algebra", "groupoid")),
+    (("groupoid", "broken_assoc.gpd", "--verify"), 1, ("algebra", "groupoid")),
+    (("graph", "a3.quiv", "--verify"), 0, ("groupoid", "leavitt", "oracle")),
+    (("graph", "loop_spoke.quiv", "--verify"), 0, ("leavitt",)),
+    (("graph", "rose2.quiv", "--ring", "Z", "--verify"), 0, ("leavitt",)),
+    (("isg", "i2.isg", "--verify"), 0, ("groupoid", "isg", "oracle")),
+    (("isg", "semilattice2.isg", "--ring", "GF(2)"), 0, ("groupoid", "isg")),
+    (("isg", "left_zero.isg", "--verify"), 1, ("groupoid", "isg")),
+]
+
+
+@pytest.mark.parametrize("argv, status, extra", REPORT_MODULES,
+                         ids=[" ".join(argv) for argv, _, _ in REPORT_MODULES])
+def test_each_report_loads_exactly_the_modules_its_path_runs(argv, status, extra):
+    """Beyond REPORT_BASE a report loads its own subcommand's modules,
+    oracle only when it runs the oracle, and linalg only when that
+    oracle is over GF(p): a graph report reaches the groupoid engine
+    only through the oracle's finite groupoid, and loads algebra never.
+    No report loads FRACTION_STDLIB."""
+    command, name, *options = argv
+    loaded = _loaded_after(_report(command, str(FIXTURES / name), *options, status=status))
+    assert loaded == {"gpdalg", *(f"gpdalg.{m}" for m in REPORT_BASE + extra)}
 
 
 def test_a_usage_error_loads_argparse_and_prints_its_usage():

@@ -1,10 +1,11 @@
 """The package has no runtime dependencies: every module it imports by
 absolute name is part of the standard library, and none of them is
 dataclasses, whose class building slowed every cold start, and only
-`rings` imports fractions.  Every top-level definition in it is used
-by the package or exported, and no class in it does arithmetic: the
-checks compare matrix-unit indices and integer counts, so the package
-adds, negates and multiplies no ring or algebra element."""
+`rings` imports fractions, inside the one function that builds a Q
+payload.  Every top-level definition in it is used by the package or
+exported, and no class in it does arithmetic: the checks compare
+matrix-unit indices and integer counts, so the package adds, negates
+and multiplies no ring or algebra element."""
 import ast
 import pathlib
 import sys
@@ -12,12 +13,19 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gpdalg"
 
 
-def _absolute_imports(path):
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+def _absolute_imports(path, on_load_only=False):
+    """The modules path imports by absolute name; with on_load_only,
+    only the imports that run when it is loaded, outside every function
+    body."""
+    nodes = [ast.parse(path.read_text(), filename=str(path))]
+    while nodes:
+        node = nodes.pop()
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module
+        elif not (on_load_only and isinstance(node, ast.FunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
 
 
 def test_every_absolute_import_is_from_the_standard_library():
@@ -42,6 +50,13 @@ def test_only_rings_imports_fractions():
     importers = [path.stem for path in sorted(SRC.glob("*.py"))
                  if "fractions" in set(_absolute_imports(path))]
     assert importers == ["rings"]
+
+
+def test_no_module_imports_fractions_at_module_level():
+    # fractions brings decimal and numbers with it, about 2 ms of every
+    # cold start, for a payload only a failing semigroup pair builds
+    for path in sorted(SRC.glob("*.py")):
+        assert "fractions" not in set(_absolute_imports(path, on_load_only=True)), path.name
 
 
 def test_no_class_defines_arithmetic_operators():

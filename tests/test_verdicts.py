@@ -1,7 +1,9 @@
 """Chain-condition verdicts against the brute-force radical oracle."""
-import importlib
-from fractions import Fraction
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +19,8 @@ from support import (
 )
 
 import gpdalg.cli
-import gpdalg.rings
+import gpdalg.linalg
+import gpdalg.oracle
 
 from gpdalg import (
     BlockShape,
@@ -46,7 +49,7 @@ from gpdalg.constructions import (
     symmetric_table,
 )
 from gpdalg.linalg import echelon, sparse_reduce
-from gpdalg.verdicts import (
+from gpdalg.oracle import (
     ORACLE_DIMENSION_LIMIT_CHAR0,
     ORACLE_DIMENSION_LIMIT_CHARP,
     _EXHAUSTIVE_LIMIT,
@@ -79,8 +82,7 @@ RING_BATTERY = (Q, Z, GF2, GF3, Z4, Z6, LQ, QxGF2)
 
 PAIR4 = pair_groupoid([f"x{i}" for i in range(4)])
 
-# the module, not the `verdicts` function the package exports under its name
-VERDICTS = importlib.import_module("gpdalg.verdicts")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_verdict_table():
@@ -304,13 +306,13 @@ def test_sweep_sized_input_is_answered_with_few_products(monkeypatch):
     (each identity has trace 6), so the filtration runs on the corner
     GF(2)[Z3], whose trace form is not: it forms no product at all."""
     calls = []
-    product = VERDICTS._mul
+    product = gpdalg.oracle._mul
 
     def counting_mul(*args):
         calls.append(args)
         return product(*args)
 
-    monkeypatch.setattr(VERDICTS, "_mul", counting_mul)
+    monkeypatch.setattr(gpdalg.oracle, "_mul", counting_mul)
     g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(3))
     d = g.arrow_count
     assert d == 12
@@ -471,7 +473,7 @@ def test_powers_vanish_squares_its_way_to_zero(monkeypatch):
         rounds.append(len(rows))
         return echelon(rows, p)
 
-    monkeypatch.setattr(VERDICTS, "echelon", counting_echelon)
+    monkeypatch.setattr(gpdalg.linalg, "echelon", counting_echelon)
     assert _powers_vanish(Z7_GROUPOID.rows, radical, 7)
     assert len(rounds) == 3
 
@@ -514,8 +516,9 @@ def test_q_oracle_builds_no_products_table_on_the_corpus(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Q oracle multiplied or eliminated")
 
-    for name in ("_mul", "echelon", "sparse_kernel"):
-        monkeypatch.setattr(VERDICTS, name, refuse)
+    for module, name in ((gpdalg.oracle, "_mul"), (gpdalg.linalg, "echelon"),
+                         (gpdalg.linalg, "sparse_kernel")):
+        monkeypatch.setattr(module, name, refuse)
     pair4_z4 = product_with_group(PAIR4, cyclic_table(4))
     assert pair4_z4.arrow_count == 64
     cases = groupoid_corpus() + [("pair4_Z4", pair4_z4)]
@@ -525,19 +528,21 @@ def test_q_oracle_builds_no_products_table_on_the_corpus(monkeypatch):
         assert report.radical_dimension == 0 and report.method == "trace form", name
 
 
-def test_q_oracle_builds_no_fraction_on_a_semisimple_algebra(monkeypatch):
-    built = []
-
-    def counting_fraction(*args):
-        built.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(gpdalg.rings, "Fraction", counting_fraction)
-    g = product_with_group(PAIR4, cyclic_table(4))
-    assert g.arrow_count == 64
-    report = radical_oracle(g, Q)
-    assert report.semisimple and report.radical_dimension == 0
-    assert built == []
+def test_q_oracle_builds_no_fraction_on_a_semisimple_algebra():
+    """rings imports fractions only to build a Q payload, and the Q
+    oracle builds none: in a fresh interpreter, fractions is still not
+    loaded after the oracle answers on pair(4) x Z4."""
+    code = (
+        "import sys\n"
+        "from gpdalg import Q, cyclic_table, pair_groupoid, product_with_group, radical_oracle\n"
+        "g = product_with_group(pair_groupoid([f'x{i}' for i in range(4)]), cyclic_table(4))\n"
+        "report = radical_oracle(g, Q)\n"
+        "assert g.arrow_count == 64 and report.semisimple and report.radical_dimension == 0\n"
+        "assert 'fractions' not in sys.modules, sorted(sys.modules)\n"
+    )
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert p.returncode == 0, p.stderr
 
 
 def _tampered_gram(tamper, rows):
@@ -562,14 +567,14 @@ def test_a_degenerate_trace_form_over_q_is_an_internal_error(monkeypatch, case):
     place of a groupoid's of the same dimension, and a corpus groupoid's
     with an entry dropped, added or sharing another row's column, are
     internal errors."""
-    real = VERDICTS._trace_form
+    real = gpdalg.oracle._trace_form
     if case in ("path", "chain"):
         table = PATH_ROWS if case == "path" else CHAIN_ROWS
         groupoids = [group_groupoid(cyclic_table(len(table)))]
-        monkeypatch.setattr(VERDICTS, "_trace_form", lambda rows: real(table))
+        monkeypatch.setattr(gpdalg.oracle, "_trace_form", lambda rows: real(table))
     else:
         groupoids = [g for _, g in groupoid_corpus() if g.arrow_count > 1]
-        monkeypatch.setattr(VERDICTS, "_trace_form", lambda rows: _tampered_gram(case, rows))
+        monkeypatch.setattr(gpdalg.oracle, "_trace_form", lambda rows: _tampered_gram(case, rows))
     for g in groupoids:
         with pytest.raises(InternalCheckError) as exc:
             radical_oracle(g, Q)
@@ -590,13 +595,13 @@ def test_a_tampered_radical_is_an_internal_error(monkeypatch, ring, tamper):
         e = g.identity_of[0]
         a = next(a for a in range(d) if g.dom[a] != g.cod[a])
         c = e if tamper == "identity" else a
-        real = VERDICTS._trace_form
+        real = gpdalg.oracle._trace_form
 
         def degenerate(rows):
             tr, gram = real(rows)
             return tr, [{j: x for j, x in row.items() if j != c} for row in gram]
 
-        monkeypatch.setattr(VERDICTS, "_trace_form", degenerate)
+        monkeypatch.setattr(gpdalg.oracle, "_trace_form", degenerate)
         match = "is not a nondegenerate monomial form"
     else:
         # the corner GF(p)[Z/p]: its identity is idempotent, and a
@@ -605,7 +610,7 @@ def test_a_tampered_radical_is_an_internal_error(monkeypatch, ring, tamper):
             i = next(i for i, row in enumerate(rows) if (row[i] == i) == (tamper == "identity"))
             return [{i: 1}]
 
-        monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", fake)
+        monkeypatch.setattr(gpdalg.oracle, "_filtration_radical_modp", fake)
         match = "is not a nilpotent ideal"
     with pytest.raises(InternalCheckError, match=match):
         radical_oracle(g, ring)
@@ -618,7 +623,7 @@ def test_a_radical_missing_a_vector_is_an_internal_error(monkeypatch, ring):
     that only the subtraction of the pivot rows it meets exposes."""
     order = 4 if ring.p == 2 else ring.p
     g = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(order))
-    real = VERDICTS._filtration_radical_modp
+    real = gpdalg.oracle._filtration_radical_modp
     # the corner's radical is the augmentation ideal of GF(p)[Z/order]
     calls = []
 
@@ -627,7 +632,7 @@ def test_a_radical_missing_a_vector_is_an_internal_error(monkeypatch, ring):
         calls.append(len(radical))
         return radical[1:]
 
-    monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", less_one)
+    monkeypatch.setattr(gpdalg.oracle, "_filtration_radical_modp", less_one)
     with pytest.raises(InternalCheckError, match="is not a nilpotent ideal"):
         radical_oracle(g, ring)
     assert calls == [order - 1]
@@ -710,13 +715,13 @@ def test_block_filtration_gives_the_single_chain_answer():
 
 def _count_calls(monkeypatch, name):
     calls = []
-    real = getattr(VERDICTS, name)
+    real = getattr(gpdalg.oracle, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(VERDICTS, name, counting)
+    monkeypatch.setattr(gpdalg.oracle, name, counting)
     return calls
 
 
@@ -761,7 +766,7 @@ def test_a_tampered_block_radical_exits_2(monkeypatch, capsys, tmp_path, tamper)
     block's trace form is nondegenerate mod 7, so its corner never runs."""
     path = tmp_path / "pair2_u_z7.gpd"
     path.write_text(render_groupoid(PAIR2_U_Z7))
-    real = VERDICTS._filtration_radical_modp
+    real = gpdalg.oracle._filtration_radical_modp
 
     def tampered(rows, p):
         radical = real(rows, p)
@@ -770,7 +775,7 @@ def test_a_tampered_block_radical_exits_2(monkeypatch, capsys, tmp_path, tamper)
             return radical[1:]
         return radical + [{next(i for i, row in enumerate(rows) if row[i] == i): 1}]
 
-    monkeypatch.setattr(VERDICTS, "_filtration_radical_modp", tampered)
+    monkeypatch.setattr(gpdalg.oracle, "_filtration_radical_modp", tampered)
     code = gpdalg.cli.main(["groupoid", str(path), "--ring", "GF(7)", "--verify"])
     out, err = capsys.readouterr()
     assert code == 2 and not out
