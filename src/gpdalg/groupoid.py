@@ -11,6 +11,12 @@ Conventions used throughout the package:
     constructions.  compose, validate, isotropy, the oracle and
     verify_isomorphism all read it; comp, the sorted tuple of
     ((f, g), f after g), is a view computed from it on each call.
+  * parse_groupoid reads the compose lines of a text in render_groupoid's
+    order and form (last, each exactly "compose F G = H\\n") as one
+    block, by string and itemgetter passes that run in C, and any other
+    text line by line.  The block only decides whether it is accepted,
+    and the line loop reads every text it refuses, so every groupoid,
+    error message and error line is the line loop's.
   * parse accepts structurally well-formed input (every referenced name
     declared, composition lines only for composable pairs) and defers
     all axioms to validate(), which checks them exhaustively and
@@ -27,6 +33,8 @@ Conventions used throughout the package:
     structured_from_finite alike.
 """
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .errors import Names, ParseError, lines, read_span
 from .group_algebra import (
@@ -113,9 +121,86 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
         compose f g = h
         inverse f = g
 
-    in the line grammar of errors.  Each compose line goes
-    straight into its arrow's row of the groupoid's table.
+    in the line grammar of errors.  Each compose line goes straight
+    into its arrow's row of the groupoid's table.
+
+    When every line from the first one that starts "compose " to the
+    end of the text is exactly "compose F G = H\\n", single spaces
+    and all (the order and form render_groupoid writes), those lines
+    are read as one block by string and itemgetter passes that run in
+    C, and only the lines before them go through the line loop.  The
+    block only decides whether it is accepted.  Otherwise, and when a
+    name in it is not declared, a pair is not composable or a pair is
+    declared twice, the line loop reads the whole text again, and
+    reports the first bad line as it would have.  An error before the
+    block is the line loop's own, raised at the same line, as that loop
+    has read only the lines before it.  "no objects declared", which it
+    raises only at the end of the text, cannot follow an accepted
+    block, whose names are declared arrows.  So every groupoid, error
+    message and error line is the line loop's.
     """
+    start = text.find("\ncompose ") + 1
+    if start:
+        tables = _read_lines(text[:start])
+        if _read_compose_block(tables, text, start):
+            return _groupoid(*tables)
+    return _groupoid(*_read_lines(text))
+
+
+# the compose block is split into words a chunk of about this many
+# characters at a time, so the memory its words take is bounded
+# whatever the size of the block
+_CHUNK_CHARS = 4096
+
+
+def _read_compose_block(tables: tuple, text: str, start: int) -> bool:
+    """Enter the lines "compose F G = H" of text from start on into the
+    tables _read_lines returned for the lines before them, and say
+    whether the line loop would have read them the same: every line of
+    that form, every name declared, every pair composable and none
+    declared twice, in the block or before it.  On False the tables are
+    spoilt."""
+    _, arrows, dom, cod, rows, _, _ = tables
+    entries = sum(map(len, rows))
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        names = _compose_names(text[start:end])
+        if names is None:
+            return False
+        n = len(names) // 3
+        try:
+            found = itemgetter(*names)(arrows.index)
+        except KeyError:
+            return False
+        f, g, h = found[:n], found[n:2 * n], found[2 * n:]
+        # one pair gives two ints, more give two tuples
+        if itemgetter(*f)(dom) != itemgetter(*g)(cod):
+            return False
+        for a, b, c in zip(f, g, h):
+            rows[a][b] = c
+        entries += n
+        start = end
+    return sum(map(len, rows)) == entries
+
+
+def _compose_names(chunk: str):
+    """The names F of each line of chunk, then its names G, then its
+    names H, when each of its lines is the six words "compose F G = H
+    \\n" of chunk.replace("\\n", " \\n ").split(" "); otherwise None.
+    Checking the "\\n" column keeps every line at six words: a stride
+    alone would pass a four-word line followed by a six-word one when
+    arrows are named "compose" or "="."""
+    words = chunk.replace("\n", " \n ").split(" ")
+    n = chunk.count("\n")
+    if (len(words) != 6 * n + 1 or words[-1] or words[5::6].count("\n") != n
+            or words[0::6].count("compose") != n or words[3::6].count("=") != n):
+        return None
+    return words[1::6] + words[2::6] + words[4::6]
+
+
+def _read_lines(text: str) -> tuple:
+    """The tables of the lines of text, read one by one: the object and
+    arrow Names, dom, cod, rows, the declared identities and inverses."""
     objects = Names("object", "objects")
     arrows = Names("arrow")
     dom: list = []
@@ -170,6 +255,11 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
         else:
             objects.read_list(parts, line, ln)
 
+    return objects, arrows, dom, cod, rows, identity_decl, inv
+
+
+def _groupoid(objects, arrows, dom, cod, rows, identity_decl, inv) -> FiniteGroupoid:
+    """The groupoid of the tables _read_lines returned."""
     object_names = objects.require()
     identity_of = tuple(identity_decl.get(x) for x in range(len(object_names)))
     inv_total = tuple(inv.get(a) for a in range(len(dom)))

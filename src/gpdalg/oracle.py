@@ -47,9 +47,12 @@ from importlib import import_module
 
 from .errors import InternalCheckError, OracleBudgetError
 from .group_algebra import associativity_generators
-from .groupoid import FiniteGroupoid
 from .rings import GaloisField, Rationals, RingDescriptor, render_payload, render_ring_descriptor
 from .value import Value
+
+# FiniteGroupoid in the annotations is groupoid's, not imported: the
+# annotations are never evaluated, and a report whose oracle is refused
+# does not load groupoid
 
 ORACLE_DIMENSION_LIMIT_CHAR0 = 64
 ORACLE_DIMENSION_LIMIT_CHARP = 96

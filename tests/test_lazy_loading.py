@@ -124,6 +124,7 @@ REPORT_MODULES = [
     (("graph", "a3.quiv", "--verify"), 0, ("groupoid", "leavitt", "oracle")),
     (("graph", "loop_spoke.quiv", "--verify"), 0, ("leavitt",)),
     (("graph", "rose2.quiv", "--ring", "Z", "--verify"), 0, ("leavitt",)),
+    (("graph", "a3.quiv", "--ring", "Z", "--verify"), 0, ("leavitt", "oracle")),
     (("isg", "i2.isg", "--verify"), 0, ("groupoid", "isg", "oracle")),
     (("isg", "semilattice2.isg", "--ring", "GF(2)"), 0, ("groupoid", "isg")),
     (("isg", "left_zero.isg", "--verify"), 1, ("groupoid", "isg")),
