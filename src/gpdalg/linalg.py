@@ -6,7 +6,8 @@ groupoid algebra has one nonzero entry per row, and products of arrow
 combinations stay short.  `echelon` reduces sparse rows in two steps:
 each input row is reduced forward against a map from pivot column to
 pivot row until its leading column carries no pivot (or it vanishes)
-and then joins the map; afterwards one back-substitution pass, from
+and then joins the map (`insert_reduced`, which also grows a span one
+vector at a time); afterwards one back-substitution pass, from
 the rightmost pivot to the leftmost, clears every pivot column in the
 rows to its left.  Work is done only on nonzero entries.  The reduced
 row echelon form of a matrix is determined by its row space, so this
@@ -36,23 +37,32 @@ def _eliminate(row, col, prow, p):
     return row
 
 
+def insert_reduced(row, pivot_row, p):
+    """Reduce the sparse row (entries in range(1, p); it is consumed)
+    forward against pivot_row, a map from pivot column to a row leading
+    there with entry 1, until its leading column carries no pivot; then
+    scale that entry to 1 and add the row to the map.  Returns the added
+    row, or None when row lies in the span of the map's rows."""
+    while row:
+        col = min(row)
+        prow = pivot_row.get(col)
+        if prow is None:
+            if row[col] != 1:
+                inv = pow(row[col], -1, p)
+                row = {c: v * inv % p for c, v in row.items()}
+            pivot_row[col] = row
+            return row
+        row = _eliminate(row, col, prow, p)
+    return None
+
+
 def echelon(rows, p):
     """Reduced row echelon form of sparse rows.  Returns (rref rows as
     sparse rows, pivot cols), the pivots ascending and the zero rows
     dropped.  Input rows are not mutated."""
     pivot_row: dict = {}  # pivot column -> its row, leading at that column
     for r in rows:
-        row = {c: x for c, v in r.items() if (x := v % p)}
-        while row:
-            col = min(row)
-            prow = pivot_row.get(col)
-            if prow is None:
-                if row[col] != 1:
-                    inv = pow(row[col], -1, p)
-                    row = {c: v * inv % p for c, v in row.items()}
-                pivot_row[col] = row
-                break
-            row = _eliminate(row, col, prow, p)
+        insert_reduced({c: x for c, v in r.items() if (x := v % p)}, pivot_row, p)
     pivots = sorted(pivot_row)
     for col in reversed(pivots):
         row = pivot_row[col]

@@ -29,8 +29,10 @@ GF(p) path eliminates, so only it loads `linalg`, once, through _linalg.
 
 Every nonzero answer is certified, so a wrong "not semisimple" cannot
 escape.  N in eAe must be a nilpotent two-sided ideal: closed under
-the corner's own generating arrows, and nilpotent by repeated squaring,
-I -> I^2 -> I^4 -> ..., until zero or no drop in dimension.
+the corner's own generating arrows, and nilpotent: a few of its vectors
+W with N = eAe W give N^m = eAe W^(m), W^(m) the span of the m-fold
+products of W, squared W -> W^(2) -> W^(4) -> ... until zero, or until
+m > dim N, past the nilpotency index of any ideal of that dimension.
 J = A N A is an ideal by construction, and J^k lies in A N^k A = 0, as
 N A N = N eAe N lies in N^2.  The witness is a vector of the ideal, so
 its right ideal lies inside it.  A wrong "semisimple" cannot escape
@@ -87,30 +89,48 @@ def _mul(rows, u, v, p):
     return {k: r for k, x in out.items() if (r := x % p)}
 
 
-def _powers_vanish(rows, base, p):
-    """base spans a subspace I with I*I inside I (sparse echelon rows);
-    is I nilpotent?  Square until zero or stabilization: I^m*I^m is
-    I^(2m), which lies inside I^m, so a nilpotency index N takes
-    ceil(log2 N) eliminations, and I^(2m) of the same dimension as
-    I^m equals it and never reaches zero."""
-    linalg = _linalg()
-    current = base
-    while current:
-        products = (_mul(rows, u, v, p) for u in current for v in current)
-        reduced, _ = linalg.echelon([w for w in products if w], p)
-        if len(reduced) >= len(current):
-            # no strict descent and still nonzero: never reaches zero
-            return not reduced
-        current = reduced
-    return True
+def _left_generators(rows, basis, gens, p):
+    """W, rows of basis with A*W = I, for I the span of basis, a
+    two-sided ideal of the unital algebra A that gens generate: a row
+    outside the span C so far joins W, and C is closed under left
+    multiplication by gens.  C lies in A*W, inside I, and holds every
+    row of basis, so its rank reaches dim I; that rank proves A*W = I."""
+    insert, span, picks = _linalg().insert_reduced, {}, []
+    for u in basis:
+        if len(span) == len(basis) or (v := insert(dict(u), span, p)) is None:
+            continue
+        picks.append(u)
+        queue = [v]
+        while queue and len(span) < len(basis):
+            v = queue.pop()
+            queue += [w for e in gens if (w := _mul(rows, {e: 1}, v, p)) and (w := insert(w, span, p))]
+    return picks
+
+
+def _powers_vanish(rows, picks, dim, p):
+    """Is I nilpotent, for I = A*W a two-sided ideal of dimension dim
+    and W = picks (`_left_generators`)?  I^(m-1)*A = I^(m-1) in the
+    unital A, so I^m = I^(m-1)*A*W = I^(m-1)*W, by induction A*W^(m),
+    W^(m) the span of the m-fold products of W: I^m = 0 exactly when
+    W^(m) = 0.  Square, W^(2m) = W^(m)*W^(m), until zero, or until
+    m > dim with W^(m) nonzero: the powers of a nilpotent I fall in
+    dimension until zero, so I^(dim+1) = 0.  At most ceil(log2(dim+1))
+    eliminations, of |W^(m)|^2 products each, |W^(m)| <= dim I^m."""
+    linalg, current, m = _linalg(), picks, 1
+    while current and m <= dim:
+        current = linalg.echelon([w for u in current for v in current if (w := _mul(rows, u, v, p))], p)[0]
+        m *= 2
+    return not current
 
 
 def _ideal_certified_nilpotent(rows, basis, gens, p):
-    """basis (sparse vectors) spans a subspace V; certify V is a
-    two-sided ideal and nilpotent.  gens generate the algebra (every
-    basis element is a product of them), so V*s and s*V inside V for
-    each s in gens give V*A and A*V inside V.  Used to vouch for every
-    nonzero radical answer."""
+    """basis (sparse vectors) spans a subspace I; certify I is a
+    two-sided ideal and nilpotent, for every nonzero radical answer.
+    gens generate the algebra (every basis element is a product of
+    them), so I*s and s*I inside I for each s in gens give I*A and A*I
+    inside I.  Then I = A*W (`_left_generators`), I^m = A*W^(m), and I
+    is nilpotent exactly when W^(2^j) = 0 at the first 2^j > dim I
+    (`_powers_vanish`)."""
     linalg = _linalg()
     reduced, piv = linalg.echelon(basis, p)
     pivot_rows = dict(zip(piv, reduced))  # a full rref: see rref_residue
@@ -120,7 +140,7 @@ def _ideal_certified_nilpotent(rows, basis, gens, p):
             for vec in (_mul(rows, {e: 1}, u, p), _mul(rows, u, {e: 1}, p)):
                 if vec and linalg.rref_residue(vec, pivot_rows, p):
                     return False
-    return _powers_vanish(rows, reduced, p)
+    return _powers_vanish(rows, _left_generators(rows, reduced, gens, p), len(reduced), p)
 
 
 def _trace_form(rows):

@@ -1,4 +1,5 @@
 """Chain-condition verdicts against the brute-force radical oracle."""
+import math
 import os
 import pathlib
 import random
@@ -44,18 +45,22 @@ from gpdalg.constructions import (
     cyclic_table,
     disjoint_union,
     group_groupoid,
+    klein_table,
     pair_groupoid,
     product_with_group,
     symmetric_table,
 )
+from gpdalg.group_algebra import FiniteGroupTable
 from gpdalg.linalg import echelon, sparse_reduce
 from gpdalg.oracle import (
     ORACLE_DIMENSION_LIMIT_CHAR0,
     ORACLE_DIMENSION_LIMIT_CHARP,
     _EXHAUSTIVE_LIMIT,
+    RadicalReport,
     _blocks,
     _filtration_radical_modp,
     _ideal_certified_nilpotent,
+    _left_generators,
     _powers_vanish,
     _radical_charp,
     _radical_modp,
@@ -462,11 +467,15 @@ def test_certificate_on_generators_is_the_certificate_on_every_arrow():
 
 
 def test_powers_vanish_squares_its_way_to_zero(monkeypatch):
-    """The radical of GF(7)[Z/7] has nilpotency index 7: squaring
-    reaches zero in ceil(log2 7) = 3 eliminations, where one factor of
-    the radical per step would take 6."""
+    """The radical of GF(7)[Z/7] has nilpotency index 7 and is
+    principal: one vector W generates it as a left ideal, and squaring
+    W reaches zero in ceil(log2 7) = 3 eliminations of one product
+    each, where one factor of the radical per step would take 6."""
+    rows = Z7_GROUPOID.rows
     radical = _radical_modp(Z7_GROUPOID, 7)
     assert len(radical) == 6
+    picks = _left_generators(rows, radical, generators(Z7_GROUPOID), 7)
+    assert len(picks) == 1
     rounds = []
 
     def counting_echelon(rows, p):
@@ -474,8 +483,67 @@ def test_powers_vanish_squares_its_way_to_zero(monkeypatch):
         return echelon(rows, p)
 
     monkeypatch.setattr(gpdalg.linalg, "echelon", counting_echelon)
-    assert _powers_vanish(Z7_GROUPOID.rows, radical, 7)
-    assert len(rounds) == 3
+    products = _count_calls(monkeypatch, "_mul")
+    assert _powers_vanish(rows, picks, len(radical), 7)
+    assert len(rounds) == 3 and len(products) == 3
+
+
+def test_certificate_on_radicals_that_need_two_left_generators():
+    """GF(2)[V4], pair(2) x V4 over GF(2) and GF(3)[Z3 x Z3] have radicals
+    no one vector generates as a left ideal (J/J^2 has dimension 2 in
+    each group algebra), so W has two vectors or more.  On the true
+    radical, a row dropped, the identity added and the whole algebra (an
+    ideal, not nilpotent), the certificate on W gives the answer of the
+    test against every arrow with one factor of I per power step."""
+    z3xz3 = FiniteGroupTable.from_table(
+        [[3 * ((i // 3 + j // 3) % 3) + (i + j) % 3 for j in range(9)] for i in range(9)])
+    cases = [
+        ("V4", group_groupoid(klein_table()), 2),
+        ("pair2_V4", product_with_group(pair_groupoid(["x", "y"]), klein_table()), 2),
+        ("Z3xZ3", group_groupoid(z3xz3), 3),
+    ]
+    picks, answers = [], []
+    for name, g, p in cases:
+        bp, d, gens = _basis_products(g.rows), g.arrow_count, generators(g)
+        candidates = _certificate_candidates(g, p) + [[{a: 1} for a in range(d)]]
+        picks.append(len(_left_generators(g.rows, candidates[0], gens, p)))
+        for basis in candidates:
+            got = _ideal_certified_nilpotent(g.rows, basis, gens, p)
+            assert got == reference_ideal_certified_nilpotent(bp, _dense_rows(basis, d), d, p), (
+                name, basis)
+            answers.append(got)
+    assert picks == [2, 4, 2]
+    # pair(2) x V4 has a fifth candidate, one non-loop arrow
+    assert answers == [True] + [False] * 3 + [True] + [False] * 4 + [True] + [False] * 3
+
+
+@pytest.mark.parametrize("n, ring, witness", [
+    (25, GF5, "1*g0 + 4*g24"),
+    (16, GF2, "1*g0 + 1*g15"),
+])
+def test_the_certificate_past_the_ideal_check_is_linear_in_the_radical(
+        monkeypatch, n, ring, witness):
+    """GF(p)[Z/p^k] has a radical of dimension p^k - 1 and nilpotency
+    index p^k, principal as a left ideal.  Past the ideal check's
+    2 * dim I * |gens| products, finding W and squaring it take at most
+    dim I * |gens| + ceil(log2(dim I + 1)) products, where squaring I^m
+    took |I^m|^2 each; the report is the one squaring I^m gave."""
+    real = gpdalg.oracle._ideal_certified_nilpotent
+    seen = []
+
+    def counting(rows, basis, gens, p):
+        with monkeypatch.context() as m:
+            calls = _count_calls(m, "_mul")
+            answer = real(rows, basis, gens, p)
+        seen.append((len(basis), len(gens), len(calls)))
+        return answer
+
+    monkeypatch.setattr(gpdalg.oracle, "_ideal_certified_nilpotent", counting)
+    report = radical_oracle(group_groupoid(cyclic_table(n)), ring)
+    assert report == RadicalReport(False, witness, "filtration", n, n - 1)
+    [(dim, k, calls)] = seen
+    assert dim == n - 1
+    assert calls - 2 * dim * k <= dim * k + math.ceil(math.log2(dim + 1))
 
 
 def _dense_rows(rows, d):
