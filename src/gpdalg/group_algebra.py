@@ -9,9 +9,11 @@ key), key a group element index, or a Laurent exponent on an infinite
 cyclic block: the isomorphism and relation checks compare those index
 tuples and never multiply ring elements.
 
-The finite groups' tables are verified on construction, associativity
-by Light's test on a generating set (certify_associativity), which the
-groupoid and inverse semigroup validators share.
+A raw table is verified as a group by FiniteGroupTable.from_table,
+associativity by Light's test on a generating set
+(certify_associativity), which the groupoid and inverse semigroup
+validators share; an isotropy group of a validated groupoid is read off
+validate's proof instead (groupoid.orbit_layout).
 """
 from __future__ import annotations
 

@@ -40,6 +40,7 @@ from .errors import Names, ParseError, lines, read_span
 from .group_algebra import (
     BlockShape,
     FiniteGroupTable,
+    _classify_group,
     associativity_generators,
     certify_associativity,
 )
@@ -493,7 +494,7 @@ def orbits(g: FiniteGroupoid) -> list:
 
 
 class IsotropyGroup(Value):
-    """Loops at one object, packaged as a verified group table."""
+    """Loops at one object, packaged as a group table."""
 
     __slots__ = (
         "arrows",  # loop arrow indices, sorted by arrow name
@@ -502,18 +503,27 @@ class IsotropyGroup(Value):
 
 
 def isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:
+    """The isotropy group at object x of a groupoid that passed
+    validate(), read off validate's proof as `orbit_layout` reads it."""
     return _isotropy(g, x, range(g.arrow_count))
 
 
 def _isotropy(g: FiniteGroupoid, x: int, arrows) -> IsotropyGroup:
-    """isotropy(g, x), with the loops at x looked for among arrows."""
+    """isotropy(g, x), with the loops at x looked for among arrows.
+    The table is g.rows on the loops, the identity 1_x and each inverse
+    g.inv's: validate proved the identity and inverse laws, composition
+    coherent and total on the loops, and associativity, so nothing is
+    re-proved here (FiniteGroupTable.from_table verifies raw tables)."""
     loops = sorted((a for a in arrows if g.dom[a] == x == g.cod[a]), key=g.arrows.__getitem__)
     pos = {a: i for i, a in enumerate(loops)}
     try:  # a missing composite, or one that is not a loop at x
-        rows = [[pos[g.rows[a][b]] for b in loops] for a in loops]
+        table = tuple(tuple(pos[g.rows[a][b]] for b in loops) for a in loops)
     except KeyError:
         raise ValueError(f"loops at '{g.objects[x]}' are not closed under composition") from None
-    return IsotropyGroup(tuple(loops), FiniteGroupTable.from_table(rows))
+    identity = pos[g.identity_of[x]]
+    inverse = tuple(pos[g.inv[a]] for a in loops)
+    return IsotropyGroup(tuple(loops), FiniteGroupTable(
+        len(loops), table, identity, inverse, _classify_group(table, identity)))
 
 
 def orbit_layout(g: FiniteGroupoid, ring: RingDescriptor) -> tuple:
@@ -521,7 +531,8 @@ def orbit_layout(g: FiniteGroupoid, ring: RingDescriptor) -> tuple:
     group at its basepoint; the BlockShape of g's algebra over ring) of
     a groupoid that passed validate().  The loops at a basepoint are
     looked for among its orbit's arrows only, so the cost is linear in
-    the arrows, not orbits x arrows."""
+    the arrows, not orbits x arrows, and each isotropy group is read off
+    validate's proof (`_isotropy`), not verified again."""
     frames = orbits(g)
     orbit_of = {m: bi for bi, orb in enumerate(frames) for m in orb.members}
     groups: list = [[] for _ in frames]

@@ -18,7 +18,12 @@ e rad(A) e (Lam, A First Course in Noncommutative Rings, Thm 21.10).
 Its radical N is the end of the iterated trace-lift filtration, the
 classical radical algorithm over prime fields (Ronyai 1990; Cohen,
 Ivanyos and Wales 1997), which reads Tr(L_z^q) = <tr, z^q> off algebra
-powers, tr[c] the trace of left multiplication by arrow c.  Transport
+powers, tr[c] the trace of left multiplication by arrow c.  In Cohen,
+Ivanyos and Wales's form, stage j keeps the x of the ideal I_(j-1)
+with g_j(x a) = 0 for every arrow a, g_j(z) = Tr(L_z^(p^j))/p^j mod p;
+g_j is additive on I_(j-1), and Tr((X + pY)^(p^j)) = Tr(X^(p^j)) mod
+p^(j+1), so g_j is read on a basis of I_(j-1), one power per basis
+vector, on any integer lift, and extended linearly.  Transport
 arrows h_y: e -> 1_y and their inverses carry N over the block:
 J = sum of h_y N h_z^-1 = A N A.  Over GF(p) with p^dim at most 4096
 the answer is labelled "exhaustive" and reports the element an
@@ -209,55 +214,57 @@ def _blocks(rows):
 
 def _filtration_radical_modp(rows, p):
     """Iterated trace-lift filtration on sparse vectors over the table
-    rows of one unital algebra (the oracle passes a corner GF(p)[G_x]).
-    Stage 0 is the trace form mod p; stage j reads Tr(L_z^q) = <tr, z^q>
-    for q = p^j mod p^(j+1), z the product of two basis vectors, divides
-    it by q and reads it mod p, on the upper triangle only, as
-    Tr(L_(by)^q) = Tr(L_(yb)^q) over Z.  It reaches the radical once
-    p^stages covers the dimension.  Products are taken mod
-    p^(stages+1), each distinct one's power once a stage; while a stage
-    keeps the whole basis, the next raises each power to the p-th.
+    rows of one unital algebra A (the oracle passes a corner GF(p)[G_x]),
+    in the form of Cohen, Ivanyos and Wales.  I_0 is the kernel of the
+    trace form mod p; stage j, q = p^j, has g_j(x) = Tr(L_x^q)/q mod p,
+    read as <tr, x^q>/q on an integer lift of x: Tr((X + pY)^q) =
+    Tr(X^q) mod pq, so any lift gives the same g_j, and g_j is additive
+    on the ideal I_(j-1).  So g_j is read on the rref rows b_k of
+    I_(j-1) alone, one power each, taken mod p^(stages+1), and extended
+    linearly, psi(v) = sum of v[pivot_k] g_j(b_k); then I_j = {x in
+    I_(j-1) : psi(x a) = 0 for every arrow a}, each equation read off the
+    table, psi(x a) = sum of x[i] psi[rows[i][a]].  It reaches the
+    radical once p^stages covers the dimension.  While a stage keeps the
+    whole basis (psi = 0), the next raises each power to the p-th.
     Returns the radical's rref rows."""
     linalg = _linalg()
     d = len(rows)
     tr, gram = _trace_form(rows)
-    basis = linalg.echelon(linalg.sparse_kernel(gram, d, p), p)[0]
+    basis, pivots = linalg.echelon(linalg.sparse_kernel(gram, d, p), p)
     stages = next(s for s in range(1, d + 1) if p ** s >= d)
     mod = p ** (stages + 1)
-    powers = None  # product (as a frozenset of items) -> z^q mod `mod`
+    powers = None  # b_k^q mod `mod`, one per basis row
     for j in range(1, stages + 1):
         if not basis:
             break
-        q, n = p ** j, len(basis)
+        q = p ** j
         if powers is None:
-            where, powers = {}, {}  # where: product -> its (row, column) pairs
-            for r, y in enumerate(basis):
-                for c in range(r, n):
-                    z = _mul(rows, basis[c], y, mod)
-                    key = frozenset(z.items())
-                    if key not in powers:
-                        powers[key] = _power(rows, z, q, mod)
-                    where.setdefault(key, []).append((r, c))
+            powers = [_power(rows, b, q, mod) for b in basis]
         else:
-            powers = {key: _power(rows, z, p, mod) for key, z in powers.items()}
-        form = [{} for _ in range(n)]
-        for key, z in powers.items():
+            powers = [_power(rows, z, p, mod) for z in powers]
+        psi = {}  # pivot column -> g_j of its row, where nonzero
+        for c, z in zip(pivots, powers):
             t = sum(tr[k] * x for k, x in z.items()) % (q * p)
             if t % q:
                 raise InternalCheckError("trace filtration divisibility failed")
             if x := t // q % p:
-                for r, c in where[key]:
-                    form[r][c] = form[c][r] = x
-        if not any(form):
-            continue  # the kernel is the whole basis: keep it and the powers
+                psi[c] = x
+        if not psi:
+            continue  # I_j = I_(j-1): keep the basis and the powers
+        equations = [{} for _ in range(d)]  # arrow a -> {k: psi(b_k a)}
+        for k, b in enumerate(basis):
+            for i, x in b.items():
+                for a, c in rows[i].items():
+                    if y := psi.get(c):
+                        equations[a][k] = equations[a].get(k, 0) + x * y
         new_basis = []
-        for coeffs in linalg.sparse_kernel(form, n, p):
+        for coeffs in linalg.sparse_kernel(equations, len(basis), p):
             vec = {}
             for i, cf in coeffs.items():
                 for idx, x in basis[i].items():
                     vec[idx] = vec.get(idx, 0) + cf * x
             new_basis.append(vec)
-        basis, powers = linalg.echelon(new_basis, p)[0], None
+        (basis, pivots), powers = linalg.echelon(new_basis, p), None
     return basis
 
 

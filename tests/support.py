@@ -13,7 +13,7 @@ from gpdalg import FiniteGroupoid, InverseSemigroup, VerificationReport, render_
 from gpdalg.algebra import _pull
 from gpdalg.errors import InternalCheckError, OracleBudgetError, ParseError
 from gpdalg.group_algebra import BlockShape, FiniteGroupTable, IntegerGroup, _classify_group
-from gpdalg.groupoid import Violation, generators, isotropy, orbits
+from gpdalg.groupoid import IsotropyGroup, Violation, generators, orbits
 from gpdalg.leavitt import (
     ExitWitness,
     GeneratorImages,
@@ -1039,14 +1039,23 @@ def reference_path_unit_count(images: GeneratorImages) -> int:
     return attained
 
 
+def reference_isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:
+    """The isotropy group at x with every arrow scanned for its loops
+    and the loop table verified as a group by FiniteGroupTable.from_table,
+    where the package reads it off validate's proof."""
+    loops = sorted((a for a in range(g.arrow_count) if g.dom[a] == x == g.cod[a]),
+                   key=g.arrows.__getitem__)
+    table = [[loops.index(g.compose(a, b)) for b in loops] for a in loops]
+    return IsotropyGroup(tuple(loops), FiniteGroupTable.from_table(table))
+
+
 def reference_orbit_layout(g: FiniteGroupoid):
     """(isotropies, arrow positions) of decompose, with every orbit
     scanning every arrow: the isotropy group at each basepoint from
-    groupoid.isotropy, which scans all arrows for its loops, and each
-    arrow's (block, row, col, isotropy key) from the orbit that holds
-    both of its ends."""
+    `reference_isotropy`, and each arrow's (block, row, col, isotropy
+    key) from the orbit that holds both of its ends."""
     frames = orbits(g)
-    isotropies = tuple(isotropy(g, orb.members[0]) for orb in frames)
+    isotropies = tuple(reference_isotropy(g, orb.members[0]) for orb in frames)
     position = [None] * g.arrow_count
     for bi, (orb, iso) in enumerate(zip(frames, isotropies)):
         member_pos = {m: i for i, m in enumerate(orb.members)}

@@ -34,11 +34,14 @@ from gpdalg.algebra import _pull
 from gpdalg.rings import int_payload
 from gpdalg.constructions import (
     cyclic_table,
+    disjoint_union,
+    group_groupoid,
     pair_groupoid,
     product_with_group,
     symmetric_table,
 )
-from gpdalg.groupoid import generators
+from gpdalg.groupoid import generators, isotropy
+from gpdalg.isg import underlying_groupoid
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -438,9 +441,31 @@ def _discrete(n):
 
 
 def test_decompose_lays_out_every_orbit_as_the_all_arrow_scan():
-    """Grouping the arrows by orbit once gives the isotropy tables and
-    arrow positions of scanning every arrow for every orbit."""
-    cases = groupoid_corpus() + [("discrete40", _discrete(40))]
+    """Grouping the arrows by orbit once gives the arrow positions of
+    scanning every arrow for every orbit, and reading each isotropy
+    group off validate's proof (table, identity 1_x, inverses from
+    g.inv) gives FiniteGroupTable.from_table's group on the same loop
+    table, at every object: over the corpus, the constructions and the
+    groupoids underlying the inverse-semigroup corpus."""
+    pair2 = pair_groupoid(["x", "y"])
+    pair2_z3 = product_with_group(pair2, cyclic_table(3))
+    # arrow names in reverse, so that no identity is its object's first loop
+    reversed_names = FiniteGroupoid.make(
+        pair2_z3.objects, [f"a{pair2_z3.arrow_count - i:02d}" for i in range(pair2_z3.arrow_count)],
+        pair2_z3.dom, pair2_z3.cod, pair2_z3.identity_of, pair2_z3.comp, pair2_z3.inv)
+    cases = groupoid_corpus() + corpus.disconnected_ladder() + [
+        ("discrete40", _discrete(40)),
+        ("Z7", group_groupoid(cyclic_table(7))),
+        ("Z12", group_groupoid(cyclic_table(12))),
+        ("S4", group_groupoid(symmetric_table(4))),
+        ("pair2_u_Z5", disjoint_union(pair2, group_groupoid(cyclic_table(5)))),
+        ("pair2_Z3 names reversed", reversed_names),
+    ] + [(name, underlying_groupoid(s)) for name, s in corpus.isg_corpus()]
+    names = set()
     for name, g in cases:
         d = decompose(g, Q)
         assert (d.isotropies, d.arrow_position) == support.reference_orbit_layout(g), name
+        for x in range(len(g.objects)):
+            assert isotropy(g, x) == support.reference_isotropy(g, x), (name, x)
+        names.update(iso.table.name for iso in d.isotropies)
+    assert names >= {"1", "Z/2", "Z/7", "Z/2xZ/2", "S3", "G24"}

@@ -213,9 +213,23 @@ def test_exhaustive_and_filtration_methods_agree():
     assert checked >= 15
 
 
+def _filtration_ladder():
+    """The oracle's larger corners: (name, groupoid, p)."""
+    s4 = group_groupoid(symmetric_table(4))
+    return [
+        ("S4", s4, 2),
+        ("S4", s4, 3),
+        ("Z25", group_groupoid(cyclic_table(25)), 5),
+        ("Z16", group_groupoid(cyclic_table(16)), 2),
+        ("pair2_V4", product_with_group(pair_groupoid(["x", "y"]), klein_table()), 2),
+    ]
+
+
 def test_filtration_matches_the_matrix_power_reference():
-    """Traces read as <tr, z^q> give the very basis, in the same order,
-    that powering each d x d left-multiplication matrix gives."""
+    """Traces read as <tr, b^q> on the basis rows alone, extended
+    linearly, give the very basis, in the same order, that powering the
+    d x d left-multiplication matrix of every product of two basis
+    vectors gives, the oracle's larger corners included."""
     pair2_s3 = product_with_group(pair_groupoid(["x", "y"]), symmetric_table(3))
     cases = [
         (name, g, p)
@@ -224,7 +238,7 @@ def test_filtration_matches_the_matrix_power_reference():
         for p in (2, 3, 5, 7)
     ]
     cases += [("pair2_S3", pair2_s3, 2), ("pair2_S3", pair2_s3, 3)]
-    cases += [("Z7", Z7_GROUPOID, 7), ("pair2_u_Z7", PAIR2_U_Z7, 7)]
+    cases += [("Z7", Z7_GROUPOID, 7), ("pair2_u_Z7", PAIR2_U_Z7, 7)] + _filtration_ladder()
     nonzero = 0
     for name, g, p in cases:
         bp, d = _basis_products(g.rows), g.arrow_count
@@ -824,6 +838,56 @@ def test_each_block_takes_its_own_stage_count_and_one_squaring_chain(monkeypatch
     assert not report.semisimple and report.radical_dimension == 6
     assert {q for _, _, q, _ in powers} == {7}
     assert len(squarings) == 1
+
+
+def test_each_filtration_stage_raises_one_power_per_basis_row(monkeypatch):
+    """g_j is additive on I_(j-1), so a stage raises only the basis rows
+    of I_(j-1) to the power p^j (a stage that kept the basis raises the
+    last stage's powers to the p-th), where one power per distinct
+    product of two rows took up to n(n + 1)/2.  The log interleaves each
+    corner, each elimination (the last before a run of stages is its
+    basis) and the `_power` calls; a run starting at stage j ends where
+    the next starts, or after the corner's last stage.  pair(4) x Z8
+    has 128 arrows, past the budget, which is patched."""
+    monkeypatch.setattr(gpdalg.oracle, "ORACLE_DIMENSION_LIMIT_CHARP", 128)
+    log = _count_calls(monkeypatch, "_power")
+    real_echelon = gpdalg.linalg.echelon
+    real_filtration = gpdalg.oracle._filtration_radical_modp
+
+    def logged_echelon(rows, p):
+        reduced, pivots = real_echelon(rows, p)
+        log.append(("echelon", len(reduced)))
+        return reduced, pivots
+
+    def logged_filtration(rows, p):
+        log.append(("corner", next(s for s in range(1, len(rows) + 1) if p ** s >= len(rows))))
+        return real_filtration(rows, p)
+
+    monkeypatch.setattr(gpdalg.linalg, "echelon", logged_echelon)
+    monkeypatch.setattr(gpdalg.oracle, "_filtration_radical_modp", logged_filtration)
+    totals = []
+    cases = _filtration_ladder() + [("pair4_Z8", product_with_group(PAIR4, cyclic_table(8)), 2)]
+    for name, g, p in cases:
+        log.clear()
+        assert not radical_oracle(g, parse_ring_descriptor(f"GF({p})")).semisimple, (name, p)
+        runs, kind, corner = [], None, 0  # runs: [corner, stages, basis rows, first stage, calls]
+        for event in log:
+            if event[0] == "corner":
+                corner, stages = corner + 1, event[1]
+            elif event[0] == "echelon":
+                rows = event[1]
+            elif kind == "power":
+                runs[-1][-1] += 1
+            else:
+                q = event[2]
+                runs.append([corner, stages, rows, next(j for j in range(1, stages + 1) if p ** j == q), 1])
+            kind = event[0] if isinstance(event[0], str) else "power"
+        for run, after in zip(runs, runs[1:] + [None]):
+            corner, stages, rows, first, calls = run
+            end = after[3] if after and after[0] == corner else stages + 1
+            assert 0 < calls <= rows * (end - first), (name, p, run)
+        totals.append(sum(run[-1] for run in runs))
+    assert totals == [110, 32, 50, 64, 8, 24]
 
 
 @pytest.mark.parametrize("tamper", ["drop", "add"])
