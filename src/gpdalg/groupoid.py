@@ -61,7 +61,6 @@ class FiniteGroupoid(Value):
         "inv",          # arrow index -> arrow index or None
         "_violations",  # validate() memo
         "_generators",  # generators() memo
-        "_arrow_index",
     )
 
     def __init__(self, objects, arrows, dom, cod, identity_of, rows, inv):
@@ -74,7 +73,6 @@ class FiniteGroupoid(Value):
         self.inv = inv
         self._violations = None
         self._generators = None
-        self._arrow_index = {a: i for i, a in enumerate(arrows)}
 
     def __hash__(self):
         return hash((self.objects, self.arrows, self.dom, self.cod, self.identity_of, self.inv))
@@ -95,15 +93,9 @@ class FiniteGroupoid(Value):
         """The sorted tuple of ((f, g), f after g), built from rows."""
         return tuple(((f, h), row[h]) for f, row in enumerate(self.rows) for h in sorted(row))
 
-    def arrow_index(self, name: str) -> int:
-        return self._arrow_index[name]
-
     def compose(self, f: int, g: int):
         """Index of f after g, or None when no entry is recorded."""
         return self.rows[f].get(g)
-
-    def composable(self, f: int, g: int) -> bool:
-        return self.dom[f] == self.cod[g]
 
     def identity_arrows(self):
         return tuple(a for a in self.identity_of if a is not None)

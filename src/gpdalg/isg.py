@@ -43,7 +43,6 @@ class InverseSemigroup(Value):
         "elements",   # names, declaration order
         "table",      # table[i][j] = index of elements[i] . elements[j]
         "star",       # index -> index of the unique pseudo-inverse
-        "_index",
         "_groupoid",  # underlying_groupoid() memo
     )
 
@@ -51,7 +50,6 @@ class InverseSemigroup(Value):
         self.elements = elements
         self.table = table
         self.star = star
-        self._index = {name: i for i, name in enumerate(elements)}
         self._groupoid = None
 
     @staticmethod
@@ -91,9 +89,6 @@ class InverseSemigroup(Value):
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def element_index(self, name: str) -> int:
-        return self._index[name]
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]

@@ -52,7 +52,7 @@ from .verdicts import (
     verdicts,
 )
 
-_TRIVIAL = FiniteGroupTable.from_table([[0]])
+_TRIVIAL = FiniteGroupTable(1, ((0,),), 0, (0,), "1")  # the one-element group
 
 # largest boundary-path count verify_leavitt_relations takes; every
 # vertex and every edge starts some boundary path, so this also bounds
@@ -65,15 +65,13 @@ LEAVITT_VERIFY_LIMIT = 1440
 
 class Graph(Value):
     __slots__ = ("vertices", "edge_names", "src", "dst",
-                 "_vindex", "_eindex", "_out", "_in", "_groupoid")
+                 "_out", "_in", "_groupoid")
 
     def __init__(self, vertices: tuple, edge_names: tuple, src: tuple, dst: tuple):
         self.vertices = vertices
         self.edge_names = edge_names
         self.src = src
         self.dst = dst
-        self._vindex = {v: i for i, v in enumerate(vertices)}
-        self._eindex = {e: i for i, e in enumerate(edge_names)}
         out: list = [[] for _ in vertices]  # vertex -> its out-edges, ascending
         for e, v in enumerate(src):
             out[v].append(e)
@@ -95,12 +93,6 @@ class Graph(Value):
             src.append(vindex[s])
             dst.append(vindex[t])
         return Graph(vertices, tuple(names), tuple(src), tuple(dst))
-
-    def vertex_index(self, name: str) -> int:
-        return self._vindex[name]
-
-    def edge_index(self, name: str) -> int:
-        return self._eindex[name]
 
     def out_edges(self, v: int) -> tuple:
         return self._out[v]
@@ -561,7 +553,14 @@ def generator_images(g: Graph):
     deg(row) + deg(parent)) / |cycle|, and the ghost e* the transpose
     with the inverse key.  The links list every such pair once, so an
     image is its sorted tuple of distinct units.  Every coefficient is
-    one, so the images are the same over every coefficient ring."""
+    one, so the images are the same over every coefficient ring.
+
+    Every image comes out in order as built, and none is sorted: blocks
+    are walked in order and a block's rows ascending, so a vertex image
+    is in order; the links come in row order, one per row, so an edge
+    image is; and one edge's links come by ascending parent row (a level
+    lists them by parent row, after every link into an earlier level),
+    so a ghost image, whose rows are those parents, is too."""
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         return gd
@@ -580,11 +579,9 @@ def generator_images(g: Graph):
             key = net // n  # 0, the identity, on a sink block
             edge[e].append((bi, row, col, key))
             ghost[e].append((bi, col, row, -key))
-    vertex, edge, ghost = (
-        {name: tuple(sorted(units)) for name, units in zip(names, terms)}
-        for names, terms in ((g.vertices, vertex), (g.edge_names, edge), (g.edge_names, ghost))
-    )
-    return GeneratorImages(g, gd, vertex, edge, ghost)
+    edges = g.edge_names
+    return GeneratorImages(g, gd, dict(zip(g.vertices, map(tuple, vertex))),
+                           dict(zip(edges, map(tuple, edge))), dict(zip(edges, map(tuple, ghost))))
 
 
 def _compose(left: tuple, right: tuple) -> tuple:
@@ -593,7 +590,16 @@ def _compose(left: tuple, right: tuple) -> tuple:
     k + k'), the keys adding on a lasso block (x^k x^k' = x^(k+k')) and
     staying 0 on a sink block.  Every pair of units that meets gives one
     unit, so a unit met twice is listed twice, as its coefficient 2 is
-    over the integers."""
+    over the integers.
+
+    Both factors must be sorted unit tuples, as every image and every
+    product is.  A one-unit right factor (b0, r0, c0, k0) meets the
+    units (b0, r, r0, k) of left alone; those are in left's order, by
+    (r, k), and adding k0 to every key keeps it, so that product is one
+    filtering pass with no index and no sort."""
+    if len(right) == 1:
+        [(b0, r0, c0, k0)] = right
+        return tuple([(b, r, c0, k + k0) for b, r, m, k in left if m == r0 and b == b0])
     rows: dict = {}  # (block, row) -> (col, key) of the units of right there
     for b, r, c, k in right:
         rows.setdefault((b, r), []).append((c, k))

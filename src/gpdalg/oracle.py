@@ -33,9 +33,12 @@ that it is labelled "filtration" and reports J's dimension.  Only the
 GF(p) path eliminates, so only it loads `linalg`, once, through _linalg.
 
 Every nonzero answer is certified, so a wrong "not semisimple" cannot
-escape.  N in eAe must be a nilpotent two-sided ideal: closed under
-the corner's own generating arrows, and nilpotent: a few of its vectors
-W with N = eAe W give N^m = eAe W^(m), W^(m) the span of the m-fold
+escape.  N in eAe must be a nilpotent two-sided ideal.  It must be
+closed on the right under the corner's own generating arrows.  A few
+of its vectors W are picked so that the closure of their span under
+left multiplication by those arrows, run to the end, holds N; that
+closure is eAe W, and its rank is dim N only when N = eAe W, a left
+ideal.  Then N^m = eAe W^(m), W^(m) the span of the m-fold
 products of W, squared W -> W^(2) -> W^(4) -> ... until zero, or until
 m > dim N, past the nilpotency index of any ideal of that dimension.
 J = A N A is an ideal by construction, and J^k lies in A N^k A = 0, as
@@ -95,20 +98,24 @@ def _mul(rows, u, v, p):
 
 
 def _left_generators(rows, basis, gens, p):
-    """W, rows of basis with A*W = I, for I the span of basis, a
-    two-sided ideal of the unital algebra A that gens generate: a row
-    outside the span C so far joins W, and C is closed under left
-    multiplication by gens.  C lies in A*W, inside I, and holds every
-    row of basis, so its rank reaches dim I; that rank proves A*W = I."""
+    """W, rows of basis with A*W = I, for I the span of basis (independent
+    rows) in the unital algebra A that gens generate, or None when I is
+    not a left ideal.  A row outside the span C so far joins W, and C is
+    closed under left multiplication by gens, to the end: then C = A*W,
+    and C holds every row of basis, so C contains I.  Rank dim I makes
+    C = I, so A*I = A*A*W = I: the closure proves I a left ideal.  A
+    rank past dim I puts A*W, inside A*I, outside I."""
     insert, span, picks = _linalg().insert_reduced, {}, []
     for u in basis:
-        if len(span) == len(basis) or (v := insert(dict(u), span, p)) is None:
+        if (v := insert(dict(u), span, p)) is None:
             continue
         picks.append(u)
         queue = [v]
-        while queue and len(span) < len(basis):
+        while queue and len(span) <= len(basis):
             v = queue.pop()
             queue += [w for e in gens if (w := _mul(rows, {e: 1}, v, p)) and (w := insert(w, span, p))]
+        if len(span) > len(basis):
+            return None
     return picks
 
 
@@ -132,20 +139,20 @@ def _ideal_certified_nilpotent(rows, basis, gens, p):
     """basis (sparse vectors) spans a subspace I; certify I is a
     two-sided ideal and nilpotent, for every nonzero radical answer.
     gens generate the algebra (every basis element is a product of
-    them), so I*s and s*I inside I for each s in gens give I*A and A*I
-    inside I.  Then I = A*W (`_left_generators`), I^m = A*W^(m), and I
-    is nilpotent exactly when W^(2^j) = 0 at the first 2^j > dim I
-    (`_powers_vanish`)."""
+    them), so I*s inside I for each s in gens gives I*A inside I.  The
+    closure that finds W with I = A*W (`_left_generators`) proves A*I
+    inside I.  Then I^m = A*W^(m), and I is nilpotent exactly when
+    W^(2^j) = 0 at the first 2^j > dim I (`_powers_vanish`)."""
     linalg = _linalg()
     reduced, piv = linalg.echelon(basis, p)
     pivot_rows = dict(zip(piv, reduced))  # a full rref: see rref_residue
     for u in reduced:
         for e in gens:
-            # e*u reads row e; u*e reads entry e of each row u touches
-            for vec in (_mul(rows, {e: 1}, u, p), _mul(rows, u, {e: 1}, p)):
-                if vec and linalg.rref_residue(vec, pivot_rows, p):
-                    return False
-    return _powers_vanish(rows, _left_generators(rows, reduced, gens, p), len(reduced), p)
+            # u*e reads entry e of each row u touches
+            if (vec := _mul(rows, u, {e: 1}, p)) and linalg.rref_residue(vec, pivot_rows, p):
+                return False
+    picks = _left_generators(rows, reduced, gens, p)
+    return picks is not None and _powers_vanish(rows, picks, len(reduced), p)
 
 
 def _trace_form(rows):

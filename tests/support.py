@@ -125,7 +125,7 @@ def reference_axiom_violations(g: FiniteGroupoid) -> list:
             ))
 
     for (f, h), k in g.comp:
-        if not g.composable(f, h):
+        if g.dom[f] != g.cod[h]:
             out.append(Violation(
                 "composition-domain", (name(f), name(h)),
                 f"composition recorded for non-composable pair ({name(f)}, {name(h)})",

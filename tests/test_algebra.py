@@ -186,7 +186,7 @@ def _swap_arrows(d):
     # exchange the images of f and g, or of the first two arrows when
     # the groupoid has no arrows of those names
     g = d.groupoid
-    f, h = (g.arrow_index("f"), g.arrow_index("g")) if {"f", "g"} <= set(g.arrows) else (0, 1)
+    f, h = (g.arrows.index("f"), g.arrows.index("g")) if {"f", "g"} <= set(g.arrows) else (0, 1)
     swapped = list(d.arrow_position)
     swapped[f], swapped[h] = swapped[h], swapped[f]
     return d._replace(arrow_position=tuple(swapped))

@@ -432,7 +432,7 @@ def test_identity_composition_lost_after_validation_fails_the_q_trace_check(monk
     # p_y_y@0 after p_y_y@1 is no generator pair and on no pull path,
     # and its Gram row keeps one entry; only tr(1_y) drops from 4 to 3
     code, out, err = _verify_after_dropping_a_composition(
-        monkeypatch, capsys, lambda g: (g.arrow_index("p_y_y@0"), g.arrow_index("p_y_y@1")))
+        monkeypatch, capsys, lambda g: (g.arrows.index("p_y_y@0"), g.arrows.index("p_y_y@1")))
     assert code == 2
     assert not out
     assert err == "internal error: trace over Q of p_y_y@0 is 3, not 4\n"
@@ -454,7 +454,7 @@ def test_composition_lost_on_a_pull_path_fails_a_round_trip(monkeypatch, capsys)
     # p_x_y@1 is no generator, so the pair check does not visit the lost
     # composition; pulling p_x_y@1's unit back along the frame needs it
     def pull_path_pair(g):
-        return g.arrow_index("p_x_x@0"), g.arrow_index("p_x_y@1")
+        return g.arrows.index("p_x_x@0"), g.arrows.index("p_x_y@1")
 
     code, out, err = _verify_after_dropping_a_composition(monkeypatch, capsys, pull_path_pair)
     assert code == 2
@@ -475,7 +475,7 @@ def test_transport_composition_lost_before_the_oracle_is_an_internal_error(
     real_oracle = gpdalg.cli.radical_oracle
 
     def drop_then_run(g, ring):
-        f, h = (g.arrow_index(name) for name in lost)
+        f, h = (g.arrows.index(name) for name in lost)
         monkeypatch.delitem(g.rows[f], h)
         return real_oracle(g, ring)
 
@@ -509,9 +509,9 @@ def test_a_decomposition_outside_its_shape_is_an_internal_error(
     def decompose_then_move_an_arrow(g, ring):
         d = real_decompose(g, ring)
         position = list(d.arrow_position)
-        unit = list(position[g.arrow_index(arrow)])
+        unit = list(position[g.arrows.index(arrow)])
         unit[field] = value
-        position[g.arrow_index(arrow)] = tuple(unit)
+        position[g.arrows.index(arrow)] = tuple(unit)
         return d._replace(arrow_position=tuple(position))
 
     monkeypatch.setattr(gpdalg.cli, "decompose", decompose_then_move_an_arrow)

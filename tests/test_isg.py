@@ -65,7 +65,7 @@ def test_render_round_trip():
 
 def test_stars_idempotents_identity():
     s = _i2_fixture()
-    ix = s.element_index
+    ix = s.elements.index
     assert s.star[ix("swap")] == ix("swap")
     assert s.star[ix("m12")] == ix("m21")
     assert s.star[ix("m21")] == ix("m12")
@@ -76,7 +76,7 @@ def test_stars_idempotents_identity():
 def test_natural_partial_order_on_the_fixture():
     s = _i2_fixture()
     below = natural_partial_order(s)
-    ix = s.element_index
+    ix = s.elements.index
 
     def under(name):
         return {s.elements[t] for t in range(s.size) if below[t][ix(name)]}
@@ -125,7 +125,7 @@ def test_underlying_groupoid_structure():
     g = underlying_groupoid(s)
     assert g.objects == ("zero", "e1", "e2", "one")
     assert g.arrow_count == 7
-    m12 = g.arrow_index("m12")
+    m12 = g.arrows.index("m12")
     assert g.objects[g.dom[m12]] == "e1" and g.objects[g.cod[m12]] == "e2"
     assert sorted(len(o.members) for o in orbits(g)) == [1, 1, 2]
 
@@ -139,7 +139,7 @@ def test_maximal_subgroups():
     assert {g.arrows[a] for a in group.arrows} == {"one", "swap"}
     assert group.table.name == "Z/2"
     group = isotropy(g, g.objects.index("e1"))
-    assert group.arrows == (g.arrow_index("e1"),) and group.table.is_trivial
+    assert group.arrows == (g.arrows.index("e1"),) and group.table.is_trivial
     with pytest.raises(ValueError):
         g.objects.index("m12")
 
@@ -151,10 +151,10 @@ def test_base_change_isomorphism_over_two_rings():
         assert iso.report.ok
         assert iso.report.total == s.size ** 2 + 1
     assert order_det(natural_partial_order(s)) == 1
-    ix = s.element_index
+    ix = s.elements.index
     image = reference_semigroup_algebra_iso(s, Q)[0][ix("swap")]
     g = underlying_groupoid(s)
-    assert image == tuple(sorted((g.arrow_index(a), 1) for a in ("zero", "m12", "m21", "swap")))
+    assert image == tuple(sorted((g.arrows.index(a), 1) for a in ("zero", "m12", "m21", "swap")))
 
 
 def test_verdicts_and_oracle_on_the_fixture():
@@ -178,7 +178,7 @@ def test_verdicts_and_oracle_on_the_fixture():
 
 def test_semilattice_gives_a_product_of_base_rings():
     s = parse_isg((FIXTURES / "semilattice2.isg").read_text())
-    assert natural_partial_order(s)[s.element_index("bot")][s.element_index("top")]
+    assert natural_partial_order(s)[s.elements.index("bot")][s.elements.index("top")]
     v = isg_verdicts(s, Q)
     assert v.shape_string == "M_1(Q) x M_1(Q)"
     assert v.semisimple
@@ -311,12 +311,12 @@ def _patched_order(change):
 
 
 def _no_diagonal(s, below):
-    below[s.element_index("e1")][s.element_index("e1")] = False
+    below[s.elements.index("e1")][s.elements.index("e1")] = False
 
 
 def _two_cycle(s, below):
     # zero <= e1 already; e1 <= zero closes a 2-cycle
-    below[s.element_index("e1")][s.element_index("zero")] = True
+    below[s.elements.index("e1")][s.elements.index("zero")] = True
 
 
 @pytest.mark.parametrize("change, message", [
@@ -363,7 +363,7 @@ def _base_change_cases():
         for t, x in pairs if len(pairs) <= 64 else rng.sample(pairs, 8):
             yield f"{name} flip {s.elements[t]} <= {s.elements[x]}", s, _flip((t, x))
     i2 = _i2_fixture()
-    ix = i2.element_index
+    ix = i2.elements.index
     yield "i2 flip e1 <= m12, e2 <= swap", i2, _flip((ix("e1"), ix("m12")), (ix("e2"), ix("swap")))
 
 

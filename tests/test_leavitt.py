@@ -51,6 +51,7 @@ from gpdalg import (
     verdicts,
     verify_leavitt_relations,
 )
+from gpdalg.group_algebra import FiniteGroupTable
 from gpdalg.leavitt import _attained_matrix_units, block_shape
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -156,7 +157,7 @@ def test_is_arrow_matches_truncation_oracle():
 
 def test_is_arrow_accepts_non_canonical_cycle_rotations():
     g = GRAPHS["c3"]
-    x, y, z = (g.edge_index(n) for n in ("x", "y", "z"))
+    x, y, z = (g.edge_names.index(n) for n in ("x", "y", "z"))
     at_b = Lasso((), Cycle((y, z, x)), 0)
     same_path = Lasso((), Cycle((x, y, z)), 1)
     assert is_arrow(g, at_b, 0, same_path)
@@ -205,7 +206,7 @@ def test_relations_hold_for_every_no_exit_graph():
 
 def test_prepend_edge_walks_around_the_cycle():
     g = GRAPHS["c3"]
-    x, y, z = (g.edge_index(n) for n in ("x", "y", "z"))
+    x, y, z = (g.edge_names.index(n) for n in ("x", "y", "z"))
     base = Lasso((), Cycle((x, y, z)), 0)
     at_c = prepend_edge(g, z, base)
     assert at_c == Lasso((), Cycle((x, y, z)), 2)
@@ -216,10 +217,10 @@ def test_prepend_edge_walks_around_the_cycle():
         prepend_edge(g, x, base)
 
     spoked = GRAPHS["c3_spoke"]
-    s = spoked.edge_index("s")
-    x2 = spoked.edge_index("x")
-    y2 = spoked.edge_index("y")
-    z2 = spoked.edge_index("z")
+    s = spoked.edge_names.index("s")
+    x2 = spoked.edge_names.index("x")
+    y2 = spoked.edge_names.index("y")
+    z2 = spoked.edge_names.index("z")
     lasso = Lasso((), Cycle((x2, y2, z2)), 0)
     assert prepend_edge(spoked, s, lasso) == Lasso((s,), Cycle((x2, y2, z2)), 0)
 
@@ -459,6 +460,72 @@ def test_generator_images_match_the_arrow_by_arrow_reference():
         assert generator_images(g) == reference_generator_images(g), name
 
 
+def test_generator_images_are_built_in_order():
+    """generator_images sorts no image: the vertex, edge and ghost
+    images it takes as built are their sorted form, on every image
+    graph (every finite graph of the corpus, chains, trees, spoked
+    cycles and diamond chains) and on seeded random graphs of sink
+    trees and spoked cycles with shuffled names."""
+    rng = random.Random(41)
+    cases = list(IMAGE_GRAPHS)
+    for t in range(200):
+        # edges run from a higher to a lower v, so only the c cycle cycles
+        n, k = rng.randrange(2, 8), rng.randrange(4)
+        ends = []
+        for _ in range(rng.randrange(12)):
+            i, j = sorted(rng.sample(range(n), 2))
+            ends.append((f"v{j}", f"v{i}"))
+        ends += [(f"c{i}", f"c{(i + 1) % k}") for i in range(k)]
+        ends += [(f"v{rng.randrange(n)}", f"c{rng.randrange(k)}") for _ in range(rng.randrange(3)) if k]
+        names = rng.sample([f"e{i}" for i in range(len(ends))], len(ends))
+        vs = rng.sample([f"v{i}" for i in range(n)] + [f"c{i}" for i in range(k)], n + k)
+        cases.append((f"random{t}", Graph.make(vs, [(name, s, d) for name, (s, d) in zip(names, ends)])))
+    for name, g in cases:
+        images = generator_images(g)
+        for image in (*images.vertex.values(), *images.edge.values(), *images.ghost.values()):
+            assert image == tuple(sorted(image)), name
+
+
+def _reference_compose(left, right):
+    """The product as _compose made it for every pair of factors: index
+    the right factor by (block, row), compose, sort."""
+    rows: dict = {}
+    for b, r, c, k in right:
+        rows.setdefault((b, r), []).append((c, k))
+    return tuple(sorted([(b, r, c, k + k2) for b, r, m, k in left for c, k2 in rows.get((b, m), ())]))
+
+
+def test_compose_is_the_index_and_sort_product_on_sorted_unit_tuples():
+    """On seeded sorted unit tuples, with lasso keys, units in three
+    blocks and repeated units, _compose, which takes a one-unit right
+    factor in one pass with no sort, gives the index-and-sort product."""
+    rng = random.Random(41)
+
+    def units(n):
+        return tuple(sorted((rng.randrange(3), rng.randrange(4), rng.randrange(4), rng.randrange(-2, 3))
+                            for _ in range(n)))
+
+    one_unit = repeated = 0
+    for _ in range(3000):
+        left, right = units(rng.randrange(9)), units(rng.choice((0, 1, 1, 1, 2, 3, 6)))
+        if left and rng.random() < 0.3:
+            left = tuple(sorted(left + (rng.choice(left),)))
+        got = gpdalg.leavitt._compose(left, right)
+        assert got == _reference_compose(left, right), (left, right)
+        one_unit += len(right) == 1 and bool(got)
+        repeated += len(set(got)) < len(got)
+    assert one_unit >= 300 and repeated >= 30
+    # a one-unit right factor keeps the units of its block ending at its
+    # row, keys added, and meets nothing in another block
+    left = ((0, 0, 1, 0), (1, 0, 1, -1), (1, 2, 1, 1), (1, 2, 1, 1), (1, 3, 0, 0))
+    assert gpdalg.leavitt._compose(left, ((1, 1, 4, 2),)) == ((1, 0, 4, 1), (1, 2, 4, 3), (1, 2, 4, 3))
+    assert gpdalg.leavitt._compose(left, ((2, 1, 0, 0),)) == ()
+
+
+def test_trivial_isotropy_is_the_one_element_group_table():
+    assert gpdalg.leavitt._TRIVIAL == FiniteGroupTable.from_table([[0]])
+
+
 def test_matrix_unit_count_equals_the_closure_rank():
     for name, g in SPAN_GRAPHS:
         images = generator_images(g)
@@ -476,7 +543,7 @@ def test_tampered_images_never_pass_where_the_closure_fails(monkeypatch):
         images = generator_images(g)
         full = sum(c * c for c in paths_to_sinks(g).values())
         e, f = g.edge_names[:2]
-        sink = next(v for v in g.vertices if g.is_sink(g.vertex_index(v)))
+        sink = next(v for i, v in enumerate(g.vertices) if g.is_sink(i))
         other = next(v for v in g.vertices if v != sink)
         tampered = {
             "swapped edges": _replaced(
@@ -567,7 +634,7 @@ def _tampered_images(g, images):
     first = images.vertex[g.vertices[0]]
     out["repeated vertex unit"] = _replaced(
         images, "vertex", {g.vertices[0]: tuple(sorted(first + first[:1]))})
-    sinks = [v for v in g.vertices if g.is_sink(g.vertex_index(v))]
+    sinks = [v for i, v in enumerate(g.vertices) if g.is_sink(i)]
     others = [v for v in g.vertices if v not in sinks[:1]]
     if sinks and others:
         s, o = sinks[0], others[0]

@@ -184,7 +184,7 @@ def _vector(witness, g):
     w = [0] * g.arrow_count
     for term in witness.split(" + "):
         c, name = term.split("*")
-        w[g.arrow_index(name)] = int(c)
+        w[g.arrows.index(name)] = int(c)
     return w
 
 
@@ -538,10 +538,11 @@ def test_certificate_on_radicals_that_need_two_left_generators():
 def test_the_certificate_past_the_ideal_check_is_linear_in_the_radical(
         monkeypatch, n, ring, witness):
     """GF(p)[Z/p^k] has a radical of dimension p^k - 1 and nilpotency
-    index p^k, principal as a left ideal.  Past the ideal check's
-    2 * dim I * |gens| products, finding W and squaring it take at most
-    dim I * |gens| + ceil(log2(dim I + 1)) products, where squaring I^m
-    took |I^m|^2 each; the report is the one squaring I^m gave."""
+    index p^k, principal as a left ideal.  The right half of the ideal
+    check takes dim I * |gens| products, the closure that finds W and
+    proves the left half dim I * |gens| more, and squaring W at most
+    ceil(log2(dim I + 1)), where squaring I^m took |I^m|^2 each; the
+    report is the one squaring I^m gave."""
     real = gpdalg.oracle._ideal_certified_nilpotent
     seen = []
 
@@ -557,7 +558,28 @@ def test_the_certificate_past_the_ideal_check_is_linear_in_the_radical(
     assert report == RadicalReport(False, witness, "filtration", n, n - 1)
     [(dim, k, calls)] = seen
     assert dim == n - 1
-    assert calls - 2 * dim * k <= dim * k + math.ceil(math.log2(dim + 1))
+    assert calls <= 2 * dim * k + math.ceil(math.log2(dim + 1))
+
+
+def test_the_certificate_refuses_a_right_ideal_that_is_not_a_left_ideal():
+    """(1 + s) GF(2)[S3], s a transposition, is a right ideal of
+    dimension 3, so it passes the right half of the ideal check; it is
+    not a left ideal and not nilpotent.  A closure that stopped at rank
+    3 would certify it: the closure run to the end passes rank 3, and
+    the certificate refuses it, as the reference does."""
+    g = group_groupoid(symmetric_table(3))
+    rows, d, gens = g.rows, g.arrow_count, generators(g)
+    e = g.identity_of[0]
+    s = next(a for a in range(d) if a != e and rows[a][a] == e)
+    basis = echelon([{a: 1, rows[s][a]: 1} for a in range(d)], 2)[0]
+    assert len(basis) == 3
+    right = [gpdalg.oracle._mul(rows, u, {a: 1}, 2) for u in basis for a in range(d)]
+    assert len(echelon(basis + right, 2)[0]) == 3
+    left = [gpdalg.oracle._mul(rows, {a: 1}, u, 2) for u in basis for a in range(d)]
+    assert len(echelon(basis + left, 2)[0]) > 3
+    assert _left_generators(rows, basis, gens, 2) is None
+    assert not _ideal_certified_nilpotent(rows, basis, gens, 2)
+    assert not reference_ideal_certified_nilpotent(_basis_products(rows), _dense_rows(basis, d), d, 2)
 
 
 def _dense_rows(rows, d):
