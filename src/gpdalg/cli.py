@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     command, file, ring, verify, fmt = args
     try:
         ring = parse_ring_descriptor(ring)
-        with open(file, encoding="utf-8") as fh:
+        with open(file, encoding="utf-8-sig") as fh:
             report = _COMMANDS[command](fh.read(), ring, verify)
         if report is None:
             return 1

@@ -11,12 +11,11 @@ Conventions used throughout the package:
     constructions.  compose, validate, isotropy, the oracle and
     verify_isomorphism all read it; comp, the sorted tuple of
     ((f, g), f after g), is a view computed from it on each call.
-  * parse_groupoid reads the compose lines of a text in render_groupoid's
-    order and form (last, each exactly "compose F G = H\\n") as one
-    block, by string and itemgetter passes that run in C, and any other
-    text line by line.  The block only decides whether it is accepted,
-    and the line loop reads every text it refuses, so every groupoid,
-    error message and error line is the line loop's.
+  * parse_groupoid reads a text in render_groupoid's form (every
+    identity and inverse declared, the table total) whole, each section
+    a word table checked by string and itemgetter passes that run in C,
+    and any other text line by line, so every groupoid, error message
+    and error line is the line loop's.
   * parse accepts structurally well-formed input (every referenced name
     declared, composition lines only for composable pairs) and defers
     all axioms to validate(), which checks them exhaustively and
@@ -117,78 +116,96 @@ def parse_groupoid(text: str) -> FiniteGroupoid:
     in the line grammar of errors.  Each compose line goes straight
     into its arrow's row of the groupoid's table.
 
-    When every line from the first one that starts "compose " to the
-    end of the text is exactly "compose F G = H\\n", single spaces
-    and all (the order and form render_groupoid writes), those lines
-    are read as one block by string and itemgetter passes that run in
-    C, and only the lines before them go through the line loop.  The
-    block only decides whether it is accepted.  Otherwise, and when a
-    name in it is not declared, a pair is not composable or a pair is
-    declared twice, the line loop reads the whole text again, and
-    reports the first bad line as it would have.  An error before the
-    block is the line loop's own, raised at the same line, as that loop
-    has read only the lines before it.  "no objects declared", which it
-    raises only at the end of the text, cannot follow an accepted
-    block, whose names are declared arrows.  So every groupoid, error
-    message and error line is the line loop's.
+    A text in render_groupoid's form with every identity and inverse
+    and a total table is read whole (_read_rendered).  The line loop
+    reads the whole of any other text, so every groupoid, error message
+    and error line is the line loop's.
     """
-    start = text.find("\ncompose ") + 1
-    if start:
-        tables = _read_lines(text[:start])
-        if _read_compose_block(tables, text, start):
-            return _groupoid(*tables)
+    try:
+        return _read_rendered(text)
+    except (KeyError, ValueError):
+        pass
     return _groupoid(*_read_lines(text))
 
 
-# the compose block is split into words a chunk of about this many
-# characters at a time, so the memory its words take is bounded
-# whatever the size of the block
+# the compose lines are split into words a chunk of about this many
+# characters at a time, which bounds the memory their words take
 _CHUNK_CHARS = 4096
 
 
-def _read_compose_block(tables: tuple, text: str, start: int) -> bool:
-    """Enter the lines "compose F G = H" of text from start on into the
-    tables _read_lines returned for the lines before them, and say
-    whether the line loop would have read them the same: every line of
-    that form, every name declared, every pair composable and none
-    declared twice, in the block or before it.  On False the tables are
-    spoilt."""
-    _, arrows, dom, cod, rows, _, _ = tables
-    entries = sum(map(len, rows))
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        names = _compose_names(text[start:end])
-        if names is None:
-            return False
-        n = len(names) // 3
-        try:
-            found = itemgetter(*names)(arrows.index)
-        except KeyError:
-            return False
-        f, g, h = found[:n], found[n:2 * n], found[2 * n:]
-        # one pair gives two ints, more give two tuples
-        if itemgetter(*f)(dom) != itemgetter(*g)(cod):
-            return False
-        for a, b, c in zip(f, g, h):
-            rows[a][b] = c
-        entries += n
-        start = end
-    return sum(map(len, rows)) == entries
+def _read_rendered(text: str) -> FiniteGroupoid:
+    """The groupoid of text in render_groupoid's form, with every
+    identity and inverse and a total table; else KeyError or ValueError.
+    Each section is read as a word table.  The head, before the compose
+    lines, is printable, with no '#', no ':' or '->' but the separators
+    and no name empty or declared twice, so the line loop would read the
+    same words.  The compose rows come in arrow order, row f's G the
+    arrows into dom f, ascending, so only H is looked up."""
+    c = text.find("\ncompose ") + 1
+    head = text[:c]
+    if "#" in head or not head.replace("\n", " ").isprintable():
+        raise ValueError
+    words = head.replace("\n", " \n ").split(" ")
+    p = words.index("\n")
+    objects = words[1:p]
+    k = len(objects)
+    # n arrow lines of 7 words, k identity and n inverse lines of 5
+    n = (len(words) - p - 2 - 5 * k) // 12
+    q = p + 1 + 7 * n
+    arrows, src, dst = _table(words[p + 1:q], "arrow", None, ":", None, "->", None, "\n")
+    ids, id_arrows = _table(words[q:q + 5 * k], "identity", None, "=", None, "\n")
+    invs, inv_arrows = _table(words[q + 5 * k:-1], "inverse", None, "=", None, "\n")
+    oindex = dict(zip(objects, range(k)))
+    index = dict(zip(arrows, range(n)))
+    if (words[0] != "objects:" or not arrows or "" in oindex or "" in index
+            or len(oindex) != k or len(index) != n or ids != objects or invs != arrows
+            or head.count(":") != n + 1 or head.count("->") != n):
+        raise ValueError
+    ends = itemgetter(*src, *dst)(oindex)
+    dom, cod = ends[:n], ends[n:]
+    targets = itemgetter(*id_arrows, *inv_arrows)(index)
+    into: list = [[] for _ in objects]  # object -> arrows into it, ascending
+    for f, y in enumerate(cod):
+        into[y].append(f)
+    named = [[arrows[h] for h in hs] for hs in into]
+    fcol: list = []  # the F and G columns of a total table
+    gcol: list = []
+    for name, x in zip(arrows, dom):
+        fcol += [name] * len(into[x])
+        gcol += named[x]
+    key = {name + "\ncompose": f for f, name in enumerate(arrows)}
+    found: list = []  # the H column, as arrow indices
+    while c < len(text):
+        end = text.find("\n", c + _CHUNK_CHARS) + 1 or len(text)
+        # past "compose " and with "compose" appended, each line is the
+        # words F G = H\ncompose: H's key keeps every line at four words
+        f, g, h = _table((text[c + 8:end] + "compose").split(" "), None, None, "=", None)
+        m = len(found)
+        if not text.startswith("compose ", c) or f != fcol[m:m + len(f)] or g != gcol[m:m + len(g)]:
+            raise ValueError
+        found += map(key.__getitem__, h)
+        c = end
+    if len(found) != len(fcol):
+        raise ValueError
+    run = iter(found)
+    rows = tuple(dict(zip(into[x], run)) for x in dom)
+    return FiniteGroupoid(tuple(objects), tuple(arrows), dom, cod, targets[:k], rows, targets[k:])
 
 
-def _compose_names(chunk: str):
-    """The names F of each line of chunk, then its names G, then its
-    names H, when each of its lines is the six words "compose F G = H
-    \\n" of chunk.replace("\\n", " \\n ").split(" "); otherwise None.
-    Checking the "\\n" column keeps every line at six words: a stride
-    alone would pass a four-word line followed by a six-word one when
-    arrows are named "compose" or "="."""
-    words = chunk.replace("\n", " \n ").split(" ")
-    n = chunk.count("\n")
-    if (len(words) != 6 * n + 1 or words[-1] or words[5::6].count("\n") != n
-            or words[0::6].count("compose") != n or words[3::6].count("=") != n):
-        return None
-    return words[1::6] + words[2::6] + words[4::6]
+def _table(words: list, *form) -> list:
+    """The columns of words that form has a None at, when words are
+    lines of form's words with a name at each None; else ValueError."""
+    width = len(form)
+    if len(words) % width:
+        raise ValueError
+    names = []
+    for i, w in enumerate(form):
+        column = words[i::width]
+        if w is None:
+            names.append(column)
+        elif column.count(w) != len(column):
+            raise ValueError
+    return names
 
 
 def _read_lines(text: str) -> tuple:

@@ -82,6 +82,21 @@ def test_a_declared_name_with_whitespace_exits_one(tmp_path, sub, text, fragment
     assert not r.stdout
 
 
+@pytest.mark.parametrize("sub, name", [
+    ("groupoid", "pair2.gpd"),
+    ("graph", "a3.quiv"),
+    ("isg", "i2.isg"),
+])
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, sub, name):
+    """A fixture saved with a UTF-8 BOM reads as the fixture itself."""
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+    want = run_cli(sub, str(FIXTURES / name), "--verify")
+    got = run_cli(sub, str(path), "--verify")
+    assert want.returncode == 0 and want.stdout, want.stderr
+    assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, "")
+
+
 def test_usage_and_input_errors_exit_one():
     bad_calls = [
         (),
