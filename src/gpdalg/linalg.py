@@ -13,9 +13,7 @@ rows to its left.  Work is done only on nonzero entries.  The reduced
 row echelon form of a matrix is determined by its row space, so this
 order of elimination gives exactly the rows and pivots of a textbook
 Gauss-Jordan.  `sparse_kernel` reads the kernel off that echelon (or,
-on rows of at most one nonzero entry, off the rows alone) and
-`sparse_reduce` reduces a vector against echelon rows (`rref_residue`
-reads only the rows a vector needs from a full rref).
+on rows of at most one nonzero entry, off the rows alone).
 
 The field is GF(p) for a prime p: any integer input is reduced mod p,
 and results carry `int` entries in range(p).
@@ -104,29 +102,3 @@ def sparse_kernel(rows, ncols, p):
             if f != c:
                 basis[f][c] = -v % p
     return list(basis.values())
-
-
-def sparse_reduce(vec, rows, pivots, p):
-    """Residue of the sparse vector vec against echelon rows: each row
-    has entry 1 at its pivot and 0 at the pivots of the rows before it
-    (any rref qualifies).  The residue is empty exactly when vec lies in
-    the span of the rows.  vec is not mutated."""
-    v = {c: x for c, y in vec.items() if (x := y % p)}
-    for r, c in zip(rows, pivots):
-        f = v.get(c)
-        if f:
-            for k, x in r.items():
-                y = (v.get(k, 0) - f * x) % p
-                if y:
-                    v[k] = y
-                else:
-                    v.pop(k, None)
-    return v
-
-
-def rref_residue(vec, pivot_rows, p):
-    """sparse_reduce against a full rref, given as pivot column -> row: a
-    row changes no other pivot entry of vec, so only the rows at the
-    pivots vec has are read.  vec is not mutated."""
-    present = sorted(c for c in vec if c in pivot_rows)
-    return sparse_reduce(vec, [pivot_rows[c] for c in present], present, p)

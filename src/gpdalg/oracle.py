@@ -57,7 +57,7 @@ from importlib import import_module
 
 from .errors import InternalCheckError, OracleBudgetError
 from .group_algebra import associativity_generators
-from .rings import GaloisField, Rationals, RingDescriptor, render_payload, render_ring_descriptor
+from .rings import GaloisField, Rationals, RingDescriptor, render_ring_descriptor
 from .value import Value
 
 # FiniteGroupoid in the annotations is groupoid's, not imported: the
@@ -145,11 +145,11 @@ def _ideal_certified_nilpotent(rows, basis, gens, p):
     W^(2^j) = 0 at the first 2^j > dim I (`_powers_vanish`)."""
     linalg = _linalg()
     reduced, piv = linalg.echelon(basis, p)
-    pivot_rows = dict(zip(piv, reduced))  # a full rref: see rref_residue
+    span = dict(zip(piv, reduced))  # I; a u*e outside it joins it and fails the check
     for u in reduced:
         for e in gens:
             # u*e reads entry e of each row u touches
-            if (vec := _mul(rows, u, {e: 1}, p)) and linalg.rref_residue(vec, pivot_rows, p):
+            if linalg.insert_reduced(_mul(rows, u, {e: 1}, p), span, p) is not None:
                 return False
     picks = _left_generators(rows, reduced, gens, p)
     return picks is not None and _powers_vanish(rows, picks, len(reduced), p)
@@ -375,6 +375,5 @@ def radical_oracle(g: FiniteGroupoid, ring: RingDescriptor) -> RadicalReport:
         semisimple, witness_vec, rad_dim = _radical_char0(g)
     witness = None
     if witness_vec is not None:
-        witness = " + ".join(f"{render_payload(ring, witness_vec[a])}*{g.arrows[a]}"
-                             for a in sorted(witness_vec))
+        witness = " + ".join(f"{witness_vec[a]}*{g.arrows[a]}" for a in sorted(witness_vec))
     return RadicalReport(semisimple, witness, method, d, rad_dim)

@@ -4,23 +4,17 @@ A ring descriptor is an immutable value naming one of:
 
     Z, Q, GF(p), Z/n, Laurent(base), Product(r1, ..., rk)
 
-The package computes over a ring only through its descriptor: the
-block shape names it, ring_predicates decides the chain conditions
-from it, and int_payload gives the image of an integer in it, as a
-canonical payload:
-
-    Z          int
-    Q          Fraction (always reduced, positive denominator)
-    GF(p)      int residue in [0, p)
-    Z/n        int residue in [0, n)
-    Laurent    sorted tuple of (exponent, base payload), no zero terms
-    Product    tuple of factor payloads
-
-render_payload prints one.  No element of a ring is ever multiplied:
-every structure map the reports check has coefficients one, so the
-checks read indices and integer counts.  Nothing here touches a float.
+The package reads a ring only through its descriptor, its predicates
+and its characteristic: the block shape names it, ring_predicates
+decides the chain conditions from it, and characteristic gives the n
+whose multiples are the integers that vanish in it.  No element of a
+ring is ever built or multiplied: every structure map the reports
+check has coefficients one, so the checks read indices and integer
+counts.  Nothing here touches a float.
 """
 from __future__ import annotations
+
+from math import lcm
 
 from .errors import ParseError
 from .value import Value
@@ -36,15 +30,18 @@ _MODULUS_LIMIT = 2 ** 31 - 1
 _NESTING_LIMIT = 32
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _factor(n: int) -> dict:
+    """{prime: exponent} of n by trial division; {} for n < 2."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 class Integers(Value):
@@ -67,7 +64,7 @@ class GaloisField(Value):
     def __init__(self, p: int):
         if p > _MODULUS_LIMIT:
             raise ValueError(f"GF({p}): modulus above the limit {_MODULUS_LIMIT}")
-        if not _is_prime(p):
+        if _factor(p) != {p: 1}:
             raise ValueError(f"GF({p}): {p} is not prime")
         self.p = p
 
@@ -241,58 +238,21 @@ def parse_ring_descriptor(text: str) -> RingDescriptor:
     return ring
 
 
-# ---------------------------------------------------------------------------
-# payloads
-
-
-def int_payload(ring: RingDescriptor, k: int):
-    """Image of the integer k under the unique map Z -> ring."""
-    if isinstance(ring, Integers):
-        return k
-    if isinstance(ring, Rationals):
-        from fractions import Fraction  # read only where semigroup pair counts differ
-
-        return Fraction(k)
+def characteristic(ring: RingDescriptor) -> int:
+    """The n >= 0 whose multiples are the integers that vanish in ring:
+    0 for Z and Q, p for GF(p), n for Z/n, the base ring's for a Laurent
+    ring, and the lcm of the factors' for a Product, which is 0 when a
+    factor's is."""
+    if isinstance(ring, (Integers, Rationals)):
+        return 0
     if isinstance(ring, GaloisField):
-        return k % ring.p
+        return ring.p
     if isinstance(ring, ModularIntegers):
-        return k % ring.n
+        return ring.n
     if isinstance(ring, Laurent):
-        c = int_payload(ring.base, k)
-        return () if _payload_is_zero(ring.base, c) else ((0, c),)
+        return characteristic(ring.base)
     if isinstance(ring, Product):
-        return tuple(int_payload(f, k) for f in ring.factors)
-    raise TypeError(f"not a ring descriptor: {ring!r}")
-
-
-def _payload_is_zero(ring: RingDescriptor, a) -> bool:
-    # payloads are canonical, so zero is the falsy one; a Product's
-    # tuple of factor zeros is truthy, so its factors are tested apart
-    if isinstance(ring, Product):
-        return all(_payload_is_zero(f, x) for f, x in zip(ring.factors, a))
-    return not a
-
-
-def render_payload(ring: RingDescriptor, a) -> str:
-    if isinstance(ring, (Integers, Rationals, GaloisField, ModularIntegers)):
-        return str(a)
-    if isinstance(ring, Laurent):
-        if not a:
-            return "0"
-        parts = []
-        for e, c in a:
-            cs = render_payload(ring.base, c)
-            if "," in cs or " " in cs:
-                cs = f"({cs})"
-            if e == 0:
-                parts.append(cs)
-            elif e == 1:
-                parts.append(f"{cs}*x" if cs != "1" else "x")
-            else:
-                parts.append(f"{cs}*x^{e}" if cs != "1" else f"x^{e}")
-        return " + ".join(parts)
-    if isinstance(ring, Product):
-        return "(" + ",".join(render_payload(f, x) for f, x in zip(ring.factors, a)) + ")"
+        return lcm(*(characteristic(f) for f in ring.factors))
     raise TypeError(f"not a ring descriptor: {ring!r}")
 
 
@@ -302,28 +262,6 @@ def render_payload(ring: RingDescriptor, a) -> str:
 
 class RingPredicates(Value):
     __slots__ = ("noetherian", "artinian", "field_product", "characteristics")
-
-
-def _squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_divisors(n: int) -> frozenset:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return frozenset(out)
 
 
 def ring_predicates(ring: RingDescriptor) -> RingPredicates:
@@ -343,7 +281,8 @@ def ring_predicates(ring: RingDescriptor) -> RingPredicates:
     if isinstance(ring, GaloisField):
         return RingPredicates(True, True, True, frozenset([ring.p]))
     if isinstance(ring, ModularIntegers):
-        return RingPredicates(True, True, _squarefree(ring.n), _prime_divisors(ring.n))
+        factors = _factor(ring.n)
+        return RingPredicates(True, True, all(e == 1 for e in factors.values()), frozenset(factors))
     if isinstance(ring, Laurent):
         base = ring_predicates(ring.base)
         return RingPredicates(base.noetherian, False, False, base.characteristics)

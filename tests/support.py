@@ -6,6 +6,7 @@ echo."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iter_product
 
 import gpdalg.isg
@@ -27,16 +28,16 @@ from gpdalg.leavitt import (
     graph_groupoid,
     render_path,
 )
-from gpdalg.linalg import echelon, sparse_kernel, sparse_reduce
+from gpdalg.linalg import echelon, sparse_kernel
 from gpdalg.rings import (
     Q,
     GaloisField,
+    Integers,
     Laurent,
     ModularIntegers,
     Product,
     Rationals,
-    _payload_is_zero,
-    int_payload,
+    RingDescriptor,
 )
 from gpdalg.oracle import (
     _ideal_certified_nilpotent,
@@ -295,9 +296,68 @@ def reference_underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
 
 # ---------------------------------------------------------------------------
 # ring-level arithmetic for the references (the package has none):
-# coefficients are the payloads gpdalg.rings.int_payload makes, and an
-# element of a groupoid algebra, or a cell of a block, is the sorted
-# tuple of its (basis key, nonzero coefficient) terms
+# coefficients are canonical payloads, and an element of a groupoid
+# algebra, or a cell of a block, is the sorted tuple of its (basis key,
+# nonzero coefficient) terms.  int_payload gives the image of an
+# integer in a ring as its canonical payload:
+#
+#     Z          int
+#     Q          Fraction (always reduced, positive denominator)
+#     GF(p)      int residue in [0, p)
+#     Z/n        int residue in [0, n)
+#     Laurent    sorted tuple of (exponent, base payload), no zero terms
+#     Product    tuple of factor payloads
+#
+# render_payload prints one.
+
+
+def int_payload(ring: RingDescriptor, k: int):
+    """Image of the integer k under the unique map Z -> ring."""
+    if isinstance(ring, Integers):
+        return k
+    if isinstance(ring, Rationals):
+        return Fraction(k)
+    if isinstance(ring, GaloisField):
+        return k % ring.p
+    if isinstance(ring, ModularIntegers):
+        return k % ring.n
+    if isinstance(ring, Laurent):
+        c = int_payload(ring.base, k)
+        return () if _payload_is_zero(ring.base, c) else ((0, c),)
+    if isinstance(ring, Product):
+        return tuple(int_payload(f, k) for f in ring.factors)
+    raise TypeError(f"not a ring descriptor: {ring!r}")
+
+
+def _payload_is_zero(ring: RingDescriptor, a) -> bool:
+    # payloads are canonical, so zero is the falsy one; a Product's
+    # tuple of factor zeros is truthy, so its factors are tested apart
+    if isinstance(ring, Product):
+        return all(_payload_is_zero(f, x) for f, x in zip(ring.factors, a))
+    return not a
+
+
+def render_payload(ring: RingDescriptor, a) -> str:
+    if isinstance(ring, (Integers, Rationals, GaloisField, ModularIntegers)):
+        return str(a)
+    if isinstance(ring, Laurent):
+        if not a:
+            return "0"
+        parts = []
+        for e, c in a:
+            cs = render_payload(ring.base, c)
+            if "," in cs or " " in cs:
+                cs = f"({cs})"
+            if e == 0:
+                parts.append(cs)
+            elif e == 1:
+                parts.append(f"{cs}*x" if cs != "1" else "x")
+            else:
+                parts.append(f"{cs}*x^{e}" if cs != "1" else f"x^{e}")
+        return " + ".join(parts)
+    if isinstance(ring, Product):
+        return "(" + ",".join(render_payload(f, x) for f, x in zip(ring.factors, a)) + ")"
+    raise TypeError(f"not a ring descriptor: {ring!r}")
 
 
 def coeff_add(ring, a, b):
@@ -1410,6 +1470,24 @@ def reference_kernel(rows, p):
             v[c] = -r[f] % p
         basis.append(v)
     return basis
+
+
+def sparse_reduce(vec, rows, pivots, p):
+    """Residue of the sparse vector vec against echelon rows: each row
+    has entry 1 at its pivot and 0 at the pivots of the rows before it
+    (any rref qualifies).  The residue is empty exactly when vec lies in
+    the span of the rows.  vec is not mutated."""
+    v = {c: x for c, y in vec.items() if (x := y % p)}
+    for r, c in zip(rows, pivots):
+        f = v.get(c)
+        if f:
+            for k, x in r.items():
+                y = (v.get(k, 0) - f * x) % p
+                if y:
+                    v[k] = y
+                else:
+                    v.pop(k, None)
+    return v
 
 
 def _reference_one_word(name: str, keyword: str, ln: int) -> None:

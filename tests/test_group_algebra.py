@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from support import DenseBlockMatrix, coeff_mul, reference_group_table
+from support import DenseBlockMatrix, coeff_mul, int_payload, reference_group_table
 
 from gpdalg import BlockShape, FiniteGroupTable, GaloisField, IntegerGroup, Q, Z
 from gpdalg.constructions import cyclic_table, klein_table, symmetric_table
 from gpdalg.group_algebra import entry_ring_rendering
 from gpdalg.leavitt import _compose
-from gpdalg.rings import Laurent, ModularIntegers, Product, int_payload
+from gpdalg.rings import Laurent, ModularIntegers, Product
 
 
 def test_group_table_verifies_axioms():

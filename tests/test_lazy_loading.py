@@ -23,7 +23,7 @@ UNUSED_STDLIB = ("dataclasses", "inspect")
 # standard modules only help and usage errors load: a report reads its
 # argv directly
 USAGE_ONLY = ("argparse", "gettext")
-# standard modules a Q payload (a Fraction) needs; no report builds one
+# standard modules a Fraction needs; no module of the package imports them
 FRACTION_STDLIB = ("fractions", "decimal", "numbers")
 # the gpdalg modules every report loads: the CLI, the chain-condition
 # verdicts, the report and what they build on

@@ -8,9 +8,9 @@ from itertools import combinations
 
 import pytest
 
-from support import int_det, reference_kernel, reference_rref
+from support import int_det, reference_kernel, reference_rref, sparse_reduce
 
-from gpdalg.linalg import echelon, rref_residue, sparse_kernel, sparse_reduce
+from gpdalg.linalg import echelon, insert_reduced, sparse_kernel
 
 FIELDS = [2, 3, 5, 7]
 SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (2, 6), (6, 2), (4, 5), (6, 6)]
@@ -168,28 +168,28 @@ def test_sparse_elimination_matches_the_dense_functions(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_residue_against_present_pivots_is_sparse_reduce(p):
-    # rref_residue reads only the rows whose pivots a vector has; on a
-    # full rref that is the residue sparse_reduce finds walking them all
-    rng = random.Random(3000 + p)
-    inputs = _matrices(p, 2) + _matrices(p, 3) + _edge_cases(p)
-    checked = 0
-    for rows in inputs:
+def test_insert_reduced_against_an_rref_decides_the_span(p):
+    # the GF(p) certificate tests each u*e against its ideal's rref this
+    # way: a vector in the span returns None and leaves the map as it
+    # was, one outside it returns the row it adds
+    rng = random.Random(4000 + p)
+    outside = 0
+    for rows in _matrices(p, 2) + _matrices(p, 3) + _edge_cases(p):
         n = len(rows[0])
         reduced, pivots = echelon(_sparse_rows(rows), p)
-        pivot_rows = dict(zip(pivots, reduced))
-        before = copy.deepcopy(pivot_rows)
-        vectors = [dict(enumerate(r)) for r in rows] + [
-            {c: _entry(rng, p) for c in rng.sample(range(n), rng.randint(0, n))}
-            for _ in range(20)
-        ]
+        before = copy.deepcopy(reduced)
+        vectors = rows + [_combination(rng, rows, n, p) for _ in range(5)] + [
+            [_entry(rng, p) for _ in range(n)] for _ in range(20)]
         for vec in vectors:
-            want = sparse_reduce(vec, reduced, pivots, p)
-            assert rref_residue(vec, pivot_rows, p) == want
-            checked += bool(want)
-        assert pivot_rows == before
-    assert checked  # some vectors lie outside the span
-    assert rref_residue({1: p + 1, 2: p}, {}, p) == {1: 1}
+            span = dict(zip(pivots, reduced))
+            added = insert_reduced({c: v % p for c, v in enumerate(vec) if v % p}, span, p)
+            if sparse_reduce(dict(enumerate(vec)), reduced, pivots, p):
+                outside += 1
+                assert added is not None and len(span) == len(pivots) + 1
+            else:
+                assert added is None and span == dict(zip(pivots, reduced))
+        assert reduced == before
+    assert outside  # some vectors lie outside the span
 
 
 def _monomial_cases(p):

@@ -1,11 +1,13 @@
 """Coefficient ring descriptors and predicates, and the exact ring-level
 arithmetic the test references compute with."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from support import coeff_add, coeff_mul, combine
+from corpus import PARITY_RINGS
+from support import _payload_is_zero, coeff_add, coeff_mul, combine, int_payload
 
 from gpdalg import (
     GaloisField,
@@ -20,7 +22,7 @@ from gpdalg import (
     render_ring_descriptor,
     ring_predicates,
 )
-from gpdalg.rings import _payload_is_zero, int_payload
+from gpdalg.rings import _factor, characteristic
 
 ROUND_TRIP = [
     "Z",
@@ -118,6 +120,20 @@ def test_product_ring_axioms_exhaustive():
                 assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
+def test_factor_matches_brute_force():
+    # a factorization is primes, each with exponent at least one, whose
+    # product is n; primes are found by testing every smaller divisor
+    primes = {q for q in range(2, 3001) if all(q % d for d in range(2, q))}
+    for n in range(1, 3001):
+        factors = _factor(n)
+        assert set(factors) <= primes and all(e >= 1 for e in factors.values()), n
+        assert math.prod(q ** e for q, e in factors.items()) == n, n
+    for n in (-2, -1, 0, 1):
+        assert _factor(n) == {}
+    assert _factor(2 ** 31 - 1) == {2 ** 31 - 1: 1}  # a Mersenne prime
+    assert _factor(2 ** 31 - 2) == {2: 1, 3: 2, 7: 1, 11: 1, 31: 1, 151: 1, 331: 1}
+
+
 def _squarefree(n):
     return all(n % (p * p) for p in range(2, n) if p * p <= n)
 
@@ -164,6 +180,20 @@ def test_product_predicates_match_componentwise():
             assert got.artinian == (pa.artinian and pb.artinian)
             assert got.field_product == (pa.field_product and pb.field_product)
             assert set(got.characteristics) == set(pa.characteristics) | set(pb.characteristics)
+
+
+CHARACTERISTIC_RINGS = PARITY_RINGS + (
+    "Z/2", "Z/4", "Laurent(GF(2))", "Product(GF(2),Z/2)", "Product(Z/4,Z/6)",
+    "Product(Q,GF(2))", "Laurent(Product(GF(3),Z/9))",
+)
+
+
+@pytest.mark.parametrize("text", CHARACTERISTIC_RINGS)
+def test_characteristic_divides_exactly_the_integers_that_vanish(text):
+    ring = parse_ring_descriptor(text)
+    n = characteristic(ring)
+    for k in range(-40, 41):
+        assert _payload_is_zero(ring, int_payload(ring, k)) == (k % n == 0 if n else k == 0), k
 
 
 def test_galois_field_requires_prime():

@@ -17,6 +17,7 @@ from support import (
     reference_ideal_certified_nilpotent,
     reference_trace_form,
     single_chain_radical_charp,
+    sparse_reduce,
 )
 
 import gpdalg.cli
@@ -51,7 +52,7 @@ from gpdalg.constructions import (
     symmetric_table,
 )
 from gpdalg.group_algebra import FiniteGroupTable
-from gpdalg.linalg import echelon, sparse_reduce
+from gpdalg.linalg import echelon
 from gpdalg.oracle import (
     ORACLE_DIMENSION_LIMIT_CHAR0,
     ORACLE_DIMENSION_LIMIT_CHARP,
@@ -633,8 +634,8 @@ def test_q_oracle_builds_no_products_table_on_the_corpus(monkeypatch):
 
 
 def test_q_oracle_builds_no_fraction_on_a_semisimple_algebra():
-    """rings imports fractions only to build a Q payload, and the Q
-    oracle builds none: in a fresh interpreter, fractions is still not
+    """No module of the package imports fractions, and the Q oracle
+    builds no Fraction: in a fresh interpreter, fractions is still not
     loaded after the oracle answers on pair(4) x Z4."""
     code = (
         "import sys\n"
