@@ -1,8 +1,20 @@
-"""Independent oracles used across the test suite.
+"""Independent references for the test suite.
 
-Everything here recomputes a claim from its definition, by a different
-route than the package takes, so agreement is evidence and not an
-echo."""
+Each reference recomputes one claim the package makes, and the first
+sentence of its docstring names that claim and the route it takes.
+What stays here follows one rule:
+
+- a reference stays when its route differs from the package's: a
+  sweep, a full scan, a ring-level product, a matrix power, a dense
+  elimination;
+- where two references check one claim by one route, only one stays;
+- a replay of code the package no longer runs (an old parser, the
+  enumerating boundary-path route) stays only while no other test
+  would catch what it catches, and its docstring says it is a replay.
+
+The helpers without a `reference_` name (ring arithmetic, products
+tables, path edits) serve the references and check no claim of their
+own."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,7 +26,7 @@ from gpdalg import FiniteGroupoid, InverseSemigroup, VerificationReport, render_
 from gpdalg.algebra import _pull
 from gpdalg.errors import InternalCheckError, OracleBudgetError, ParseError
 from gpdalg.group_algebra import BlockShape, FiniteGroupTable, IntegerGroup, _classify_group
-from gpdalg.groupoid import IsotropyGroup, Violation, generators, orbits
+from gpdalg.groupoid import IsotropyGroup, Violation, orbits
 from gpdalg.leavitt import (
     ExitWitness,
     GeneratorImages,
@@ -26,9 +38,7 @@ from gpdalg.leavitt import (
     enumerate_cycles,
     generator_images,
     graph_groupoid,
-    render_path,
 )
-from gpdalg.linalg import echelon, sparse_kernel
 from gpdalg.rings import (
     Q,
     GaloisField,
@@ -39,72 +49,13 @@ from gpdalg.rings import (
     Rationals,
     RingDescriptor,
 )
-from gpdalg.oracle import (
-    _ideal_certified_nilpotent,
-    _mul,
-    _trace_form,
-)
-
-
-def groupoid_axiom_problems(g: FiniteGroupoid) -> list:
-    """Check every groupoid axiom directly on the raw tables; returns a
-    list of short problem strings, empty when g is a groupoid."""
-    problems = []
-    n = g.arrow_count
-    comp = dict(g.comp)
-
-    for x in range(len(g.objects)):
-        e = g.identity_of[x]
-        if e is None:
-            problems.append(f"no identity at object {x}")
-        elif not (g.dom[e] == x == g.cod[e]):
-            problems.append(f"identity at object {x} is not a loop there")
-    for f in range(n):
-        ex = g.identity_of[g.cod[f]]
-        ey = g.identity_of[g.dom[f]]
-        if ex is not None and comp.get((ex, f)) != f:
-            problems.append(f"left identity law fails at arrow {f}")
-        if ey is not None and comp.get((f, ey)) != f:
-            problems.append(f"right identity law fails at arrow {f}")
-
-    for f in range(n):
-        for h in range(n):
-            defined = (f, h) in comp
-            if defined != (g.dom[f] == g.cod[h]):
-                problems.append(f"composability mismatch on ({f}, {h})")
-            if defined:
-                k = comp[(f, h)]
-                if g.dom[k] != g.dom[h] or g.cod[k] != g.cod[f]:
-                    problems.append(f"composite of ({f}, {h}) has the wrong span")
-
-    for f in range(n):
-        for h in range(n):
-            for j in range(n):
-                if (h, j) in comp and (f, h) in comp:
-                    left = comp.get((comp[(f, h)], j))
-                    right = comp.get((f, comp[(h, j)]))
-                    if left != right or left is None:
-                        problems.append(f"associativity fails on ({f}, {h}, {j})")
-
-    for f in range(n):
-        finv = g.inv[f]
-        if finv is None:
-            problems.append(f"arrow {f} has no inverse")
-            continue
-        if g.dom[finv] != g.cod[f] or g.cod[finv] != g.dom[f]:
-            problems.append(f"inverse of {f} has the wrong span")
-            continue
-        if comp.get((f, finv)) != g.identity_of[g.cod[f]]:
-            problems.append(f"f . f^-1 is not the identity for {f}")
-        if comp.get((finv, f)) != g.identity_of[g.dom[f]]:
-            problems.append(f"f^-1 . f is not the identity for {f}")
-    return problems
 
 
 def reference_axiom_violations(g: FiniteGroupoid) -> list:
-    """groupoid.validate as a full scan: the same checks, violations
-    and order, with associativity checked on every composable triple
-    instead of certified on a generating set."""
+    """validate's violation list, by a full scan: the same checks,
+    violations and order, with associativity checked on every composable
+    triple where validate certifies it on a generating set (the other
+    passes replay validate's)."""
     out: list = []
     arrows = range(g.arrow_count)
     into: list = [[] for _ in g.objects]  # object -> arrows with that cod, ascending
@@ -212,8 +163,9 @@ def reference_axiom_violations(g: FiniteGroupoid) -> list:
 
 
 def reference_inverse_semigroup(elements, rows) -> InverseSemigroup:
-    """InverseSemigroup.from_table with associativity scanned over every
-    triple in order: the same checks, the same first failure.
+    """InverseSemigroup.from_table's checks, by scanning every triple
+    for associativity in order where the package certifies it on
+    generators: the same checks, the same first failure.
 
     rows[i][j] is the index of the product elements[i] . elements[j].
     Raises ValueError naming a witness when associativity fails or
@@ -257,10 +209,11 @@ def reference_inverse_semigroup(elements, rows) -> InverseSemigroup:
 
 
 def reference_check_unitriangular(s: InverseSemigroup, below) -> None:
-    """isg._check_unitriangular on the n x n order matrix below[t][x]:
-    the diagonal scanned first, then every pair (t, x) with x in element
-    order and then t, each down-set counted along a column of below.
-    Same failures, same InternalCheckError text."""
+    """isg._check_unitriangular replayed on the n x n order matrix
+    below[t][x], so that reference_semigroup_algebra_iso raises what the
+    package raises: the diagonal scanned first, then every pair (t, x)
+    with x in element order and then t, each down-set counted along a
+    column of below."""
     n = s.size
     names = s.elements
     for x in range(n):
@@ -277,23 +230,6 @@ def reference_check_unitriangular(s: InverseSemigroup, below) -> None:
                     f">= #down({names[x]}) = {down[x]}")
 
 
-def reference_underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
-    """isg.underlying_groupoid as a filter over all n^2 pairs: a
-    composition dict {(i, j): i.j} over the pairs with dom i = cod j,
-    handed to FiniteGroupoid.make.  Not validated, not memoised."""
-    idem = s.idempotents()
-    obj_of = {e: k for k, e in enumerate(idem)}
-    dom = [obj_of[s.mul(s.star[i], i)] for i in range(s.size)]
-    cod = [obj_of[s.mul(i, s.star[i])] for i in range(s.size)]
-    comp = {}
-    for i in range(s.size):
-        for j in range(s.size):
-            if dom[i] == cod[j]:
-                comp[(i, j)] = s.mul(i, j)
-    return FiniteGroupoid.make(
-        [s.elements[e] for e in idem], list(s.elements), dom, cod, list(idem), comp, list(s.star))
-
-
 # ---------------------------------------------------------------------------
 # ring-level arithmetic for the references (the package has none):
 # coefficients are canonical payloads, and an element of a groupoid
@@ -307,8 +243,6 @@ def reference_underlying_groupoid(s: InverseSemigroup) -> FiniteGroupoid:
 #     Z/n        int residue in [0, n)
 #     Laurent    sorted tuple of (exponent, base payload), no zero terms
 #     Product    tuple of factor payloads
-#
-# render_payload prints one.
 
 
 def int_payload(ring: RingDescriptor, k: int):
@@ -335,29 +269,6 @@ def _payload_is_zero(ring: RingDescriptor, a) -> bool:
     if isinstance(ring, Product):
         return all(_payload_is_zero(f, x) for f, x in zip(ring.factors, a))
     return not a
-
-
-def render_payload(ring: RingDescriptor, a) -> str:
-    if isinstance(ring, (Integers, Rationals, GaloisField, ModularIntegers)):
-        return str(a)
-    if isinstance(ring, Laurent):
-        if not a:
-            return "0"
-        parts = []
-        for e, c in a:
-            cs = render_payload(ring.base, c)
-            if "," in cs or " " in cs:
-                cs = f"({cs})"
-            if e == 0:
-                parts.append(cs)
-            elif e == 1:
-                parts.append(f"{cs}*x" if cs != "1" else "x")
-            else:
-                parts.append(f"{cs}*x^{e}" if cs != "1" else f"x^{e}")
-        return " + ".join(parts)
-    if isinstance(ring, Product):
-        return "(" + ",".join(render_payload(f, x) for f, x in zip(ring.factors, a)) + ")"
-    raise TypeError(f"not a ring descriptor: {ring!r}")
 
 
 def coeff_add(ring, a, b):
@@ -396,12 +307,12 @@ def combine(ring, terms) -> tuple:
 
 @dataclass(frozen=True)
 class DenseBlockMatrix:
-    """A block matrix at ring level: blocks[i] is the sorted tuple of
-    ((row, col), cell) for the nonzero cells of block i, one tuple per
-    block of the shape, empty or not, a cell being a group algebra
-    element (see combine); every operation walks every block, and cells
-    multiply by convolution over the block's group, exponents adding on
-    an infinite cyclic block."""
+    """A block matrix at ring level, multiplied by convolution in
+    every cell where the package composes matrix-unit indices:
+    blocks[i] is the sorted tuple of ((row, col), cell) for the nonzero
+    cells of block i, one tuple per block of the shape, empty or not, a
+    cell being a group algebra element (see combine); every operation
+    walks every block, and exponents add on an infinite cyclic block."""
 
     shape: BlockShape
     blocks: tuple
@@ -455,12 +366,11 @@ class DenseBlockMatrix:
 
 
 def naive_convolution(g: FiniteGroupoid, ring, f1, f2) -> tuple:
-    """Convolution directly from the displayed formula
+    """The groupoid algebra's product, by the displayed formula
 
         (f1 * f2)(g) = sum over h with dom(h) = dom(g) of f1(g h^-1) f2(h)
 
-    iterating over every arrow g of the groupoid, not over support
-    pairs."""
+    summed over every arrow g of the groupoid, not over support pairs."""
     c1 = dict(f1)
     items = []
     for a in range(g.arrow_count):
@@ -491,11 +401,11 @@ def reference_phi_inv(d, m: DenseBlockMatrix) -> tuple:
 
 
 def reference_semigroup_algebra_iso(s: InverseSemigroup, ring):
-    """semigroup_algebra_iso on algebra elements: (images, report), with
-    image(x) the sum of [t] over t <= x (see combine), every pair
-    multiplied through naive_convolution and the unit compared with the
-    sum of the identity arrows.  Same budget, order checks, count and
-    failure strings as the package's arrow-count check."""
+    """semigroup_algebra_iso's images and report, by multiplying
+    the images as algebra elements through naive_convolution where the
+    package counts arrows: image(x) is the sum of [t] over t <= x (see
+    combine), and the unit is compared with the sum of the identity
+    arrows.  Same budget, order checks, count and failure strings."""
     if s.size > gpdalg.isg.ISG_SIZE_LIMIT:
         raise OracleBudgetError(
             f"inverse semigroup has {s.size} elements; "
@@ -527,11 +437,11 @@ def reference_semigroup_algebra_iso(s: InverseSemigroup, ring):
 
 
 def reference_verify_isomorphism(d) -> VerificationReport:
-    """verify_isomorphism at ring level: every arrow pair is multiplied
-    as algebra elements through naive_convolution, reference_phi and the
-    DenseBlockMatrix product, with phi recomputed for every operand.
-    Same checks, same counts and same failure strings as the package's
-    index-based check."""
+    """verify_isomorphism's report, by multiplying every arrow pair
+    at ring level (naive_convolution, reference_phi and the
+    DenseBlockMatrix product, phi recomputed for every operand) where
+    the package compares matrix-unit indices on generator pairs.  Same
+    checks, same counts and same failure strings."""
     g, ring, shape = d.groupoid, d.ring, d.shape
     one = int_payload(ring, 1)
     failures = []
@@ -609,10 +519,11 @@ def _fraction_residue(vec, rows, pivots):
 
 
 def reference_generated_dimension(images: GeneratorImages) -> int:
-    """Rank over Q of the span of all products of generators, by closing
-    the generator images under multiplication one sparse Fraction vector
-    at a time.  Only meaningful for acyclic graphs (trivial isotropy
-    everywhere)."""
+    """The dimension of the subalgebra the Leavitt generators'
+    images generate, by closing the images under products and taking
+    the rank over Q one sparse Fraction vector at a time, where the
+    package counts attained matrix units.  Only meaningful for acyclic
+    graphs (trivial isotropy everywhere)."""
     shape, vertex, edge, ghost = _dense_images(images, Q)
     layout: dict = {}
     for bi, (size, group) in enumerate(shape.blocks):
@@ -649,8 +560,9 @@ def reference_generated_dimension(images: GeneratorImages) -> int:
 
 
 def paths_to_sinks(g: Graph) -> dict:
-    """sink vertex index -> number of finite paths ending there
-    (including the empty path), by depth-first enumeration backward."""
+    """The size of each sink orbit, by counting the finite paths into
+    each sink depth first backward, the empty path included: sink vertex
+    index -> count."""
     in_edges = [[] for _ in g.vertices]
     for e in range(g.edge_count):
         in_edges[g.dst[e]].append(e)
@@ -679,10 +591,10 @@ def _path_sort_key(g: Graph, bp):
 
 
 def reference_boundary_paths(g: Graph):
-    """All boundary paths when (NE) holds, else an ExitWitness, as
-    leavitt.boundary_paths listed them before the topological peel:
-    every simple cycle enumerated, every vertex-simple backward walk
-    listed depth first, one global sort.
+    """boundary_paths, by enumerating every simple cycle and every
+    vertex-simple backward walk with one global sort (a replay of the
+    route before the topological peel): all boundary paths when (NE)
+    holds, else an ExitWitness.
 
     Sink paths are enumerated backward from each sink; spokes backward
     from each cycle vertex over non-cycle edges.  Both walks are
@@ -754,10 +666,10 @@ def reference_boundary_paths(g: Graph):
 
 
 def reference_graph_orbits(g: Graph):
-    """reference_boundary_paths regrouped into orbits as the package
-    grouped them before the peel: a list of (kind, anchor, members,
-    degrees), sinks by vertex name and then cycles by edge names, or
-    the ExitWitness."""
+    """graph_groupoid's orbits, by regrouping reference_boundary_paths
+    as the package grouped them before the peel (a replay): a list of
+    (kind, anchor, members, degrees), sinks by vertex name and then
+    cycles by edge names, or the ExitWitness."""
     paths = reference_boundary_paths(g)
     if isinstance(paths, ExitWitness):
         return paths
@@ -780,24 +692,6 @@ def reference_graph_orbits(g: Graph):
         degrees = tuple((_offset(bp) - _offset(base)) % n for bp in members)
         orbits.append(("cycle", c, members, degrees))
     return orbits
-
-
-def _unrolled(g: Graph, bp, length: int) -> tuple:
-    """First `length` edges of the boundary path as a tuple; sink paths
-    are padded with ("stop", sink) markers."""
-    out = []
-    if isinstance(bp, SinkPath):
-        out.extend(bp.edges)
-        while len(out) < length:
-            out.append(("stop", bp.sink))
-        return tuple(out[:length])
-    out.extend(bp.spoke)
-    n = bp.cycle.length()
-    i = bp.entry_pos
-    while len(out) < length:
-        out.append(bp.cycle.edges[i % n])
-        i += 1
-    return tuple(out[:length])
 
 
 def _check_path_in_graph(g: Graph, bp):
@@ -840,11 +734,11 @@ def _normalize_lasso(g: Graph, bp: Lasso) -> Lasso:
 
 
 def is_arrow(g: Graph, eta, k: int, gamma) -> bool:
-    """Is (eta, k, gamma) an arrow of the boundary-path groupoid, i.e.
-    eta = alpha delta, gamma = beta delta with k = |alpha| - |beta|?
-    Decided from the tails alone (same sink, or same cycle with the
-    degree matching the lasso offsets mod the cycle length), a model
-    of the groupoid independent of the package's orbit frames."""
+    """Which triples (eta, k, gamma) are arrows of the boundary-path
+    groupoid, by comparing tails alone where the package reads its orbit
+    frames: eta = alpha delta and gamma = beta delta with k = |alpha| -
+    |beta| means the same sink, or the same cycle with the degree
+    matching the lasso offsets mod the cycle length."""
     _check_path_in_graph(g, eta)
     _check_path_in_graph(g, gamma)
     if isinstance(eta, SinkPath) and isinstance(gamma, SinkPath):
@@ -855,36 +749,6 @@ def is_arrow(g: Graph, eta, k: int, gamma) -> bool:
         if eta.cycle != gamma.cycle:
             return False
         return (k - (_offset(eta) - _offset(gamma))) % eta.cycle.length() == 0
-    return False
-
-
-def truncation_is_arrow(g: Graph, eta, k: int, gamma) -> bool:
-    """Decide tail equivalence with shift k by brute truncation: look
-    for drop counts a, b with a - b = k whose dropped words agree on a
-    long window."""
-    def prefix_len(bp):
-        if isinstance(bp, SinkPath):
-            return len(bp.edges)
-        return len(bp.spoke)
-
-    def period(bp):
-        return 1 if isinstance(bp, SinkPath) else bp.cycle.length()
-
-    bound = abs(k) + prefix_len(eta) + prefix_len(gamma) + 2 * (period(eta) + period(gamma)) + 2
-    window = prefix_len(eta) + prefix_len(gamma) + 2 * period(eta) * period(gamma) + 2
-    word_eta = _unrolled(g, eta, bound + window)
-    word_gamma = _unrolled(g, gamma, bound + window)
-
-    def max_drop(bp):
-        # a finite path only factors as alpha.delta with |alpha| <= |path|
-        return len(bp.edges) if isinstance(bp, SinkPath) else bound
-
-    for a in range(min(bound, max_drop(eta)) + 1):
-        b = a - k
-        if b < 0 or b > min(bound, max_drop(gamma)):
-            continue
-        if word_eta[a:a + window] == word_gamma[b:b + window]:
-            return True
     return False
 
 
@@ -939,10 +803,12 @@ def _reference_arrow_unit(gd, eta, k: int, gamma) -> tuple:
 
 
 def reference_generator_images(g: Graph) -> GeneratorImages:
-    """generator_images arrow by arrow: v is the sum of the identity
-    arrows (x, 0, x) at paths x starting at v, e the sum of the arrows
-    (e.x, 1, x) over paths x starting at r(e), e* the sum of their
-    inverses (x, -1, e.x), each term one matrix unit."""
+    """generator_images, by placing every term arrow by arrow
+    (is_arrow and a scan of the orbit members) where the package reads
+    its orbit listing: v is the sum of the identity arrows (x, 0, x) at
+    paths x starting at v, e the sum of the arrows (e.x, 1, x) over
+    paths x starting at r(e), e* the sum of their inverses (x, -1, e.x),
+    each term one matrix unit."""
     gd = graph_groupoid(g)
     paths = [bp for o in gd.orbits for bp in o.members]
     vertex, edge, ghost = {}, {}, {}
@@ -967,42 +833,12 @@ def _dense_images(images: GeneratorImages, ring):
         for kind in (images.vertex, images.edge, images.ghost))
 
 
-def reference_attained_matrix_units(images: GeneratorImages) -> int:
-    """Number of pairs (eta, gamma) of paths into one sink with
-    img(eta) . ghost(gamma) equal to a freshly built E_{eta,gamma}: all
-    P^2 products over Q, each path's image built from its suffix.  Only
-    meaningful for acyclic graphs."""
-    g = images.graph
-    shape, vertex, edge, ghost_of = _dense_images(images, Q)
-    img: dict = {}
-    ghost: dict = {}
-    attained = 0
-    for bi, orbit in enumerate(images.decomposition.orbits):
-        members = orbit.members
-        for bp in members:
-            key = (bp.edges, bp.sink)
-            if not bp.edges:
-                img[key] = ghost[key] = vertex[g.vertices[bp.sink]]
-                continue
-            first = g.edge_names[bp.edges[0]]
-            rest = (bp.edges[1:], bp.sink)
-            img[key] = edge[first] * img[rest]
-            ghost[key] = ghost[rest] * ghost_of[first]
-        for r, eta in enumerate(members):
-            left = img[(eta.edges, eta.sink)]
-            for c, gamma in enumerate(members):
-                unit = DenseBlockMatrix.from_units(shape, [(bi, r, c, 0)])
-                if left * ghost[(gamma.edges, gamma.sink)] == unit:
-                    attained += 1
-    return attained
-
-
 def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages | None = None) -> VerificationReport:
-    """verify_leavitt_relations at ring level: every image becomes a
-    DenseBlockMatrix over ring, each unit a coefficient one, every
-    relation is multiplied out with its products and sums, and the span
-    check counts attained units with reference_path_unit_count.  Same
-    checks, same labels, same order; no budget."""
+    """verify_leavitt_relations' report, by multiplying out every
+    relation at ring level on DenseBlockMatrix images, each unit a
+    coefficient one, where the package composes matrix-unit indices; the
+    span check counts attained units with reference_path_unit_count.
+    Same checks, same labels, same order; no budget."""
     if images is None:
         images = generator_images(g)
     shape, vertex, edge, ghost = _dense_images(images, ring)
@@ -1073,10 +909,11 @@ def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages |
 
 
 def reference_path_unit_count(images: GeneratorImages) -> int:
-    """_attained_matrix_units at ring level: each path's image and ghost
-    is the DenseBlockMatrix product over Q of its first edge's image
-    with its suffix's, compared with a freshly built matrix unit, 2P
-    products for P paths.  Only meaningful for acyclic graphs."""
+    """_attained_matrix_units' count, by ring-level products: each
+    path's image and ghost is the DenseBlockMatrix product over Q of its
+    first edge's image with its suffix's, compared with a freshly built
+    matrix unit, 2P products for P paths.  Only meaningful for acyclic
+    graphs."""
     g = images.graph
     shape, vertex, edge, ghost_of = _dense_images(images, Q)
     img: dict = {}
@@ -1100,8 +937,8 @@ def reference_path_unit_count(images: GeneratorImages) -> int:
 
 
 def reference_isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:
-    """The isotropy group at x with every arrow scanned for its loops
-    and the loop table verified as a group by FiniteGroupTable.from_table,
+    """isotropy, by scanning every arrow for the loops at x and
+    verifying the loop table as a group with FiniteGroupTable.from_table,
     where the package reads it off validate's proof."""
     loops = sorted((a for a in range(g.arrow_count) if g.dom[a] == x == g.cod[a]),
                    key=g.arrows.__getitem__)
@@ -1110,8 +947,8 @@ def reference_isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:
 
 
 def reference_orbit_layout(g: FiniteGroupoid):
-    """(isotropies, arrow positions) of decompose, with every orbit
-    scanning every arrow: the isotropy group at each basepoint from
+    """decompose's isotropies and arrow positions, by letting every
+    orbit scan every arrow: the isotropy group at each basepoint from
     `reference_isotropy`, and each arrow's (block, row, col, isotropy
     key) from the orbit that holds both of its ends."""
     frames = orbits(g)
@@ -1130,39 +967,6 @@ def reference_orbit_layout(g: FiniteGroupoid):
     return isotropies, tuple(position)
 
 
-def reference_as_finite_groupoid(g: Graph) -> FiniteGroupoid:
-    """leavitt.as_finite_groupoid as a filter over all pairs: every pair
-    (i, j) of boundary paths is tested for a shared orbit, and so is
-    every third path k of each composite."""
-    gd = graph_groupoid(g)
-    if isinstance(gd, ExitWitness) or gd.has_cycle():
-        raise ValueError("graph has a cycle; its boundary-path groupoid is not finite")
-    names = []
-    orbit_of = []
-    for oi, orbit in enumerate(gd.orbits):
-        for bp in orbit.members:
-            names.append(render_path(g, bp))
-            orbit_of.append(oi)
-    pairs = [
-        (i, j)
-        for i in range(len(names))
-        for j in range(len(names))
-        if orbit_of[i] == orbit_of[j]
-    ]
-    aindex = {p: a for a, p in enumerate(pairs)}
-    arrows = [f"w{i}_{j}" for i, j in pairs]
-    dom = [j for _, j in pairs]
-    cod = [i for i, _ in pairs]
-    identity_of = [aindex[(i, i)] for i in range(len(names))]
-    inv = [aindex[(j, i)] for i, j in pairs]
-    comp = {}
-    for (i, j), a in aindex.items():
-        for k in range(len(names)):
-            if orbit_of[k] == orbit_of[j]:
-                comp[(a, aindex[(j, k)])] = aindex[(i, k)]
-    return FiniteGroupoid.make(names, arrows, dom, cod, identity_of, comp, inv)
-
-
 def _basis_products(rows):
     """The dense d x d products table of a composition table (rows[i] =
     {j: k}, k = arrow i after arrow j, as in `g.rows`): bp[i][j] = k, or
@@ -1176,26 +980,25 @@ def _basis_products(rows):
 
 
 def reference_trace_form(bp, d):
-    """The integer Gram matrix of the trace form as d dense rows, from a
-    d x d products table (bp[i][j] = index of arrow i after arrow j, or
-    -1): tr[c] counts the k with c k = k along row c of the table, and
-    entry (i, j) is tr of the product of i and j, or 0."""
+    """The trace form's Gram matrix, by counting fixed points along the
+    dense rows of a products table: tr[c] counts the k with c k = k,
+    and entry (i, j) is tr of the product of i and j, or 0."""
     tr = [sum(1 for k in range(d) if bp[c][k] == k) for c in range(d)]
     return [[tr[k] if k >= 0 else 0 for k in row] for row in bp]
 
 
 def _vec_mul(bp, u, v, d, p=0):
     """u * v on the arrow basis for dense vectors, reduced mod p when
-    p > 0 (exact when p = 0): every pair of entries is visited."""
+    p > 0 (exact when p = 0): every pair of nonzero entries is visited."""
     out = [0] * d
+    nonzero_v = [(j, vj) for j, vj in enumerate(v) if vj]
     for i, ui in enumerate(u):
         if ui:
             row = bp[i]
-            for j, vj in enumerate(v):
-                if vj:
-                    k = row[j]
-                    if k >= 0:
-                        out[k] += ui * vj
+            for j, vj in nonzero_v:
+                k = row[j]
+                if k >= 0:
+                    out[k] += ui * vj
     return [x % p for x in out] if p else out
 
 
@@ -1230,18 +1033,15 @@ def _right_ideal_nilpotent(bp, w, d, p):
 
 
 def reference_ideal_certified_nilpotent(bp, basis, d, p):
-    """The nilpotent-ideal certificate without shortcuts, over GF(p):
-    basis (dense rows) must span a two-sided ideal, tested
-    against every arrow on both sides, and its powers I, I^2, I^3, ...,
-    one factor of I per step, must reach zero.  The package tests the
-    ideal property on generators only and powers by squaring; its
-    answer must be this one."""
+    """The nilpotent-ideal certificate over GF(p), by testing the ideal
+    property against every arrow on both sides and taking the powers I,
+    I^2, I^3, ... one factor of I per step, where the package tests
+    generators only and squares.  basis is dense rows."""
     rows, pivots = reference_rref(basis, p)
-    sparse_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
     for u in rows:
         for e in _unit_vectors(d):
             for vec in (_vec_mul(bp, e, u, d, p), _vec_mul(bp, u, e, d, p)):
-                if sparse_reduce(dict(enumerate(vec)), sparse_rows, pivots, p):
+                if any(reference_residue(vec, rows, pivots, p)):
                     return False
     return _powers_vanish(bp, rows, d, p)
 
@@ -1262,12 +1062,10 @@ def _nilpotent_element_modp(bp, w, d, p):
 
 
 def reference_exhaustive_radical(bp, d, p):
-    """The element sweep over GF(p)^d: walk every vector w in
-    `itertools.product` order (coordinate 0 most significant) and return
-    (False, w, None) for the first nonzero w whose right ideal wA is
-    nilpotent, or (True, None, 0) when there is none.  Costs p^d
-    candidates on a semisimple algebra; the package's "exhaustive"
-    method must give the same answer without the walk."""
+    """The "exhaustive" oracle's answer, by sweeping GF(p)^d in
+    `itertools.product` order (coordinate 0 most significant): (False,
+    w, None) for the first nonzero w whose right ideal wA is nilpotent,
+    or (True, None, 0) when there is none, at p^d candidates."""
     for w in iter_product(range(p), repeat=d):
         if not any(w):
             continue
@@ -1279,9 +1077,8 @@ def reference_exhaustive_radical(bp, d, p):
 
 
 def _matrix_power_trace_mod(m, q, mod, d):
-    """Tr(m^q) mod `mod` for the dense d x d integer matrix m, by
-    repeated squaring on its rows held as dicts of nonzero entries
-    (left-multiplication matrices of a groupoid are mostly zero)."""
+    """Tr(m^q) mod `mod` for the d x d integer matrix m, held as rows of
+    nonzero entries, by repeated squaring."""
     def matmul(a, b):
         out = []
         for ar in a:
@@ -1292,7 +1089,7 @@ def _matrix_power_trace_mod(m, q, mod, d):
             out.append({c: v for c, v in outr.items() if v})
         return out
     result = None
-    base = [{c: v % mod for c, v in enumerate(row) if v % mod} for row in m]
+    base = [{c: v % mod for c, v in row.items() if v % mod} for row in m]
     e = q
     while e:
         if e & 1:
@@ -1304,25 +1101,24 @@ def _matrix_power_trace_mod(m, q, mod, d):
 
 
 def _left_mult_matrix_int(bp, z, d):
-    m = [[0] * d for _ in range(d)]
+    """The d x d integer matrix of left multiplication by z, as rows of
+    nonzero entries."""
+    m = [{} for _ in range(d)]
     for i, zi in enumerate(z):
         if zi:
-            row = bp[i]
-            for c in range(d):
-                k = row[c]
+            for c, k in enumerate(bp[i]):
                 if k >= 0:
-                    m[k][c] += zi
+                    m[k][c] = m[k].get(c, 0) + zi
     return m
 
 
 def reference_filtration_radical(bp, d, p):
-    """The trace-lift filtration with every trace read off a matrix:
-    build the d x d integer left-multiplication matrix L_z of each basis
-    product z, raise it to the power q = p^j mod p^(j+1), and sum its
-    diagonal.  One chain over the whole algebra, with the stages,
-    kernels and echelon steps of `single_chain_radical_charp`; the
-    package's `_filtration_radical_modp` runs it on one corner per block
-    and reads the trace as <tr, z^q>."""
+    """The char-p radical's rref basis, by one trace-lift filtration over
+    the whole algebra with every trace read off a matrix power: the d x d
+    integer left-multiplication matrix L_z of each product z of two basis
+    vectors is raised to q = p^j mod p^(j+1) and its diagonal summed,
+    where the package runs one corner per block and reads the trace as
+    <tr, z^q>."""
     stages = 1
     while p ** stages < d:
         stages += 1
@@ -1358,80 +1154,11 @@ def reference_filtration_radical(bp, d, p):
     return basis
 
 
-def _trace_of_power(table, tr, z, q, mod):
-    """Tr(L_z^q) mod `mod` as <tr, z^q>, with z (sparse) raised to the
-    power q by repeated squaring; a power that vanishes ends it early."""
-    result = None
-    base = z
-    while q:
-        if not base:
-            return 0
-        if q & 1:
-            result = base if result is None else _mul(table, result, base, mod)
-        q >>= 1
-        if q:
-            base = _mul(table, base, base, mod)
-    return sum(tr[k] * x for k, x in result.items()) % mod
-
-
-def _single_chain_filtration(g: FiniteGroupoid, p):
-    """The sparse trace-lift filtration as one chain over the whole
-    algebra: ceil(log_p d) stages, every basis product formed and raised
-    to p^j afresh at each stage j, mod p^(j+1)."""
-    d, table = g.arrow_count, g.rows
-    tr, gram = _trace_form(table)
-    stages = 1
-    while p ** stages < d:
-        stages += 1
-    basis, _ = echelon(sparse_kernel(gram, d, p), p)
-    for j in range(1, stages + 1):
-        if not basis:
-            break
-        q = p ** j
-        mod = q * p
-        n = len(basis)
-        rows = [{} for _ in range(n)]
-        traces = {}
-        for r, y in enumerate(basis):
-            for c in range(r, n):
-                z = _mul(table, basis[c], y, mod)
-                key = frozenset(z.items())
-                t = traces.get(key)
-                if t is None:
-                    t = traces[key] = _trace_of_power(table, tr, z, q, mod)
-                if t % q:
-                    raise InternalCheckError("trace filtration divisibility failed")
-                if x := (t // q) % p:
-                    rows[r][c] = rows[c][r] = x
-        new_basis = []
-        for coeffs in sparse_kernel(rows, n, p):
-            vec = {}
-            for b, cf in coeffs.items():
-                for idx, x in basis[b].items():
-                    vec[idx] = vec.get(idx, 0) + cf * x
-            new_basis.append(vec)
-        basis, _ = echelon(new_basis, p)
-    return basis
-
-
-def single_chain_radical_charp(g: FiniteGroupoid, p: int, exhaustive: bool):
-    """`verdicts._radical_charp` on one filtration chain over the whole
-    arrow basis, certified on the whole algebra, instead of one corner
-    per block: the same tuple must come out."""
-    radical = _single_chain_filtration(g, p)
-    if not radical:
-        return True, None, 0
-    if not _ideal_certified_nilpotent(g.rows, radical, generators(g), p):
-        raise InternalCheckError("filtration result is not a nilpotent ideal")
-    return False, radical[-1 if exhaustive else 0], None if exhaustive else len(radical)
-
-
 def reference_rref(rows, p):
-    """Gauss-Jordan on dense rows over GF(p): each pivot row is scaled
-    to pivot 1 and subtracted from every other row with a nonzero entry
-    in its column.  Returns (rref rows, pivot cols), the entries int in
-    range(p).  `linalg.echelon` eliminates on sparse rows instead and
-    must return exactly this."""
+    """`linalg.echelon`'s rref and pivots, by dense Gauss-Jordan over
+    GF(p): each pivot row is scaled to pivot 1 and subtracted from every
+    other row with a nonzero entry in its column, where the package
+    eliminates forward on sparse rows.  Entries are ints in range(p)."""
     m = [[v % p for v in r] for r in rows]
     pivots = []
     row = 0
@@ -1455,9 +1182,9 @@ def reference_rref(rows, p):
 
 
 def reference_kernel(rows, p):
-    """Kernel basis read off `reference_rref`, one vector per free
-    column, as `linalg.sparse_kernel` must give it densely: entry 1 at
-    the free column f and -rref[i][f] at the pivot of each row i."""
+    """`linalg.sparse_kernel`'s basis, densely, read off `reference_rref`:
+    one vector per free column f, with entry 1 at f and -rref[i][f] at
+    the pivot of each row i."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -1472,22 +1199,15 @@ def reference_kernel(rows, p):
     return basis
 
 
-def sparse_reduce(vec, rows, pivots, p):
-    """Residue of the sparse vector vec against echelon rows: each row
-    has entry 1 at its pivot and 0 at the pivots of the rows before it
-    (any rref qualifies).  The residue is empty exactly when vec lies in
-    the span of the rows.  vec is not mutated."""
-    v = {c: x for c, y in vec.items() if (x := y % p)}
-    for r, c in zip(rows, pivots):
-        f = v.get(c)
-        if f:
-            for k, x in r.items():
-                y = (v.get(k, 0) - f * x) % p
-                if y:
-                    v[k] = y
-                else:
-                    v.pop(k, None)
-    return v
+def reference_residue(vec, reduced, pivots, p):
+    """Span membership against a full rref, densely: vec less vec[c]
+    times the rref row at each pivot c, all zero exactly when vec lies
+    in the span, where the package reduces a sparse row step by step."""
+    out = list(vec)
+    for row, c in zip(reduced, pivots):
+        if f := vec[c] % p:
+            out = [a - f * b for a, b in zip(out, row)]
+    return [x % p for x in out]
 
 
 def _reference_one_word(name: str, keyword: str, ln: int) -> None:
@@ -1497,11 +1217,11 @@ def _reference_one_word(name: str, keyword: str, ln: int) -> None:
 
 
 def reference_parse_groupoid(text: str) -> FiniteGroupoid:
-    """groupoid.parse_groupoid as it was before the one-pass parser:
-    every line comment-stripped and split, compose entries collected in
-    a dict keyed by (f, g) pairs, and FiniteGroupoid.make sorting them.
-    The parser must return an equal groupoid, or raise a ParseError with
-    the same message and line, on every input."""
+    """parse_groupoid's groupoid or error, by the line parser from
+    before the one-pass parser (a replay: only the mutation parity tests
+    pin error messages and lines on arbitrary text): every line
+    comment-stripped and split, compose entries collected in a dict
+    keyed by (f, g) pairs, and FiniteGroupoid.make sorting them."""
     objects: list = []
     obj_set: dict = {}
     arrows: list = []
@@ -1596,8 +1316,10 @@ def reference_parse_groupoid(text: str) -> FiniteGroupoid:
 
 
 def reference_parse_graph(text: str) -> Graph:
-    """parse_graph as it was before the line grammar was shared: the
-    same graph, or a ParseError with the same message and line."""
+    """parse_graph's graph or error, by the line parser from before
+    the line grammar was shared (a replay, kept for the mutation parity
+    tests): the same graph, or a ParseError with the same message and
+    line."""
     vertices: list = []
     vset: dict = {}
     edges: list = []
@@ -1639,9 +1361,11 @@ def reference_parse_graph(text: str) -> Graph:
 
 
 def reference_parse_isg(text: str) -> InverseSemigroup:
-    """parse_isg as it was before the line grammar was shared: the same
-    semigroup, or a ParseError (or the table check's ValueError) with
-    the same message.  It reads 'row' only when a space follows."""
+    """parse_isg's semigroup or error, by the line parser from before
+    the line grammar was shared (a replay, kept for the mutation parity
+    tests): the same semigroup, or a ParseError (or the table check's
+    ValueError) with the same message.  It reads 'row' only when a
+    space follows."""
     elements: list = []
     eset: dict = {}
     rows: dict = {}
@@ -1694,9 +1418,9 @@ def reference_parse_isg(text: str) -> InverseSemigroup:
 
 
 def reference_group_table(rows) -> FiniteGroupTable:
-    """FiniteGroupTable.from_table with associativity scanned on all n^3
-    triples in order, as it was before the certificate: the same table,
-    or a ValueError with the same message."""
+    """FiniteGroupTable.from_table, by scanning all n^3 triples in
+    order where the package certifies associativity on generators: the
+    same table, or a ValueError with the same message."""
     n = len(rows)
     table = tuple(tuple(r) for r in rows)
     if any(len(r) != n for r in table):
@@ -1727,7 +1451,7 @@ def reference_group_table(rows) -> FiniteGroupTable:
 
 
 def int_det(rows) -> int:
-    """Determinant of a square integer matrix, Bareiss elimination
+    """Determinant of a square integer matrix, by Bareiss elimination
     (fraction free, exact)."""
     n = len(rows)
     if n == 0:
@@ -1751,6 +1475,7 @@ def int_det(rows) -> int:
 
 
 def order_det(below) -> int:
-    """int_det of the transition matrix [t <= s] of a natural partial
-    order, read from below[t][s] as natural_partial_order gives it."""
+    """The determinant of the transition matrix [t <= s] of a natural
+    partial order, which is 1 when the package's unitriangularity proof
+    holds, by int_det on below[t][s] as natural_partial_order gives it."""
     return int_det([[1 if row[s] else 0 for row in below] for s in range(len(below))])

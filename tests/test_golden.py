@@ -25,11 +25,6 @@ up as a named key.  It pins as well every groupoid of
 tests/corpus.groupoid_corpus() and disconnected_ladder() over GF(2),
 GF(3), GF(5) and GF(7) under --verify in machine format, so a moved
 radical witness shows up as a named key too.
-
-The char-p sweep runs every groupoid fixture and the disconnected
-ladder over four prime fields: every report must be the one the
-single-chain filtration gives, and where golden.json has a copy, that
-copy as well.
 """
 import contextlib
 import io
@@ -41,10 +36,8 @@ import tempfile
 import pytest
 
 from corpus import PARITY_RINGS, disconnected_ladder, graph_corpus, groupoid_corpus, isg_corpus
-from support import single_chain_radical_charp
 
 import gpdalg.cli
-import gpdalg.oracle
 from gpdalg import render_graph, render_groupoid, render_isg
 
 HERE = pathlib.Path(__file__).parent
@@ -104,8 +97,7 @@ ORACLE_RINGS = ("GF(2)", "GF(3)", "GF(5)", "GF(7)")
 # under --verify in machine format: the graph and isg corpora over the
 # parity rings, and the groupoid corpus and the disconnected ladder over the
 # prime fields.  The corpus_ prefix keeps the names apart from the
-# fixtures and from the ladder names of the char-p sweep, so each stored
-# key has one test.
+# fixtures, so each stored key has one test.
 CORPUS_INPUTS = (
     [("graph", f"corpus_{name}.quiv", render_graph(g), PARITY_RINGS) for name, g, _ in graph_corpus()]
     + [("isg", f"corpus_{name}.isg", render_isg(s), PARITY_RINGS) for name, s in isg_corpus()]
@@ -176,29 +168,6 @@ def test_parity_corpus_matches_the_stored_copy(tmp_path):
         if got != (stored[key]["exit"], stored[key]["stdout"], stored[key]["stderr"])
     ]
     assert moved == []
-
-
-def test_char_p_reports_are_the_single_chain_reports(tmp_path, monkeypatch):
-    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    inputs = [(FIXTURES, path.name) for path in sorted(FIXTURES.glob("*.gpd"))]
-    for name, g in disconnected_ladder():
-        (tmp_path / f"{name}.gpd").write_text(render_groupoid(g))
-        inputs.append((tmp_path, f"{name}.gpd"))
-    golden = witnesses = 0
-    for ring in ORACLE_RINGS:
-        for folder, name in inputs:
-            for fmt in ("text", "machine"):
-                got = _run("groupoid", name, fmt, True, ring, folder)
-                key = _key("groupoid", name, fmt, True, ring)
-                if key in stored:
-                    assert got == (stored[key]["exit"], stored[key]["stdout"], stored[key]["stderr"]), key
-                    golden += 1
-                with monkeypatch.context() as m:
-                    m.setattr(gpdalg.oracle, "_radical_charp", single_chain_radical_charp)
-                    assert got == _run("groupoid", name, fmt, True, ring, folder), key
-                witnesses += "witness" in got[1]
-    assert len(inputs) == 11 and golden == 28
-    assert witnesses == 16
 
 
 def _record() -> dict:

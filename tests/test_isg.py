@@ -128,6 +128,13 @@ def test_underlying_groupoid_structure():
     m12 = g.arrows.index("m12")
     assert g.objects[g.dom[m12]] == "e1" and g.objects[g.cod[m12]] == "e2"
     assert sorted(len(o.members) for o in orbits(g)) == [1, 1, 2]
+    # on every semigroup, the arrows are the elements and a composable
+    # pair composes to its product
+    for name, s in _semigroup_corpus():
+        g = underlying_groupoid(s)
+        assert g.arrows == s.elements, name
+        assert all(g.compose(i, j) == s.mul(i, j) for i in range(s.size) for j in range(s.size)
+                   if g.dom[i] == g.cod[j]), name
 
 
 def test_maximal_subgroups():

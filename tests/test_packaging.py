@@ -5,12 +5,15 @@ fractions, since the package builds no ring element.  Every top-level
 definition in it is used by the package or exported, and no class in
 it does arithmetic: the checks compare matrix-unit indices and integer
 counts, so the package adds, negates and multiplies no ring or algebra
-element."""
+element.  The same rule holds for the modules the tests share, and
+no test imports the benchmark's modules."""
 import ast
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gpdalg"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gpdalg"
+TESTS = ROOT / "tests"
 
 
 def _absolute_imports(path, on_load_only=False):
@@ -86,21 +89,52 @@ def _names_read(node):
             yield sub.value
 
 
-def test_every_definition_is_used_or_public():
-    # a top-level function or class that nothing else in src/ reads and
-    # that gpdalg does not export is code only the tests reach.  An
-    # export is a read: gpdalg/__init__.py imports the eager names and
-    # lists the lazy ones as _LAZY strings.  A definition's own body (a
-    # recursive call) does not count, and dunders are the interpreter's.
+def _unread_definitions(paths, checked):
+    """(statement count, names): the top-level functions and classes of
+    the modules named in checked that no top-level statement of the
+    modules at paths reads.  A definition's own body (a recursive call)
+    does not count, and dunders are the interpreter's."""
     statements = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             statements.append((path.name, node, set(_names_read(node))))
     unused = []
     for module, node, _ in statements:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+        if module not in checked or not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("__"):
             continue
         if not any(node.name in names for _, other, names in statements if other is not node):
             unused.append(f"{module}:{node.name}")
-    assert len(statements) > 200
+    return len(statements), unused
+
+
+def test_every_definition_is_used_or_public():
+    # a top-level function or class that nothing else in src/ reads and
+    # that gpdalg does not export is code only the tests reach.  An
+    # export is a read: gpdalg/__init__.py imports the eager names and
+    # lists the lazy ones as _LAZY strings.
+    paths = sorted(SRC.glob("*.py"))
+    count, unused = _unread_definitions(paths, {path.name for path in paths})
+    assert count > 200
     assert unused == []
+
+
+def test_every_shared_test_definition_is_read():
+    # a reference or corpus builder that no test module and no other
+    # definition reads checks nothing
+    count, unused = _unread_definitions(sorted(TESTS.glob("*.py")), {"support.py", "corpus.py"})
+    assert count > 500
+    assert unused == []
+
+
+def test_no_test_imports_the_benchmark():
+    # the benchmark measures the package; a test that leaned on its
+    # modules would tie tier-1 to the bench's own code
+    bench = {path.stem for path in (ROOT / "bench").glob("*.py")} | {"bench"}
+    assert {"workloads", "gate", "spans", "run", "traced_cli"} <= bench
+    modules = sorted(TESTS.glob("*.py"))
+    assert len(modules) >= 15
+    for path in modules:
+        for name in _absolute_imports(path):
+            assert name.split(".")[0] not in bench, (path.name, name)

@@ -15,9 +15,8 @@ from support import (
     reference_exhaustive_radical,
     reference_filtration_radical,
     reference_ideal_certified_nilpotent,
+    reference_residue,
     reference_trace_form,
-    single_chain_radical_charp,
-    sparse_reduce,
 )
 
 import gpdalg.cli
@@ -199,17 +198,13 @@ def test_exhaustive_and_filtration_methods_agree():
                 continue
             p = ring.p
             assert radical_oracle(g, ring).method == "exhaustive", (name, ring)
-            ex_semisimple, w, ex_dim = _radical_charp(g, p, exhaustive=True)
+            ex_semisimple, _, ex_dim = _radical_charp(g, p, exhaustive=True)
             fi_semisimple, _, fi_dim = _radical_charp(g, p, exhaustive=False)
             assert ex_semisimple == fi_semisimple, (name, ring)
             if ex_semisimple:
                 assert ex_dim == 0 == fi_dim
             else:
                 assert ex_dim is None and fi_dim >= 1
-                # the exhaustive witness lies in the radical, and so
-                # inside the filtration result
-                basis, pivots = echelon(_radical_modp(g, p), p)
-                assert not sparse_reduce(w, basis, pivots, p), (name, ring)
             checked += 1
     assert checked >= 15
 
@@ -226,27 +221,74 @@ def _filtration_ladder():
     ]
 
 
+def _assert_matches_the_matrix_power_reference(name, g, p):
+    """The radical basis is the matrix-power reference's, in the same
+    order, and both witness picks of `_radical_charp` are read off it:
+    the first row with the dimension, or the last row (what the element
+    sweep finds first) with none.  Returns the radical dimension."""
+    d = g.arrow_count
+    basis = _dense_rows(_radical_modp(g, p), d)
+    assert basis == reference_filtration_radical(_basis_products(g.rows), d, p), (name, p)
+    for exhaustive in (True, False):
+        semisimple, witness, dimension = _radical_charp(g, p, exhaustive)
+        assert semisimple == (not basis), (name, p)
+        if basis:
+            assert _dense_rows([witness], d)[0] == basis[-1 if exhaustive else 0], (name, p)
+            assert dimension == (None if exhaustive else len(basis)), (name, p)
+        else:
+            assert (witness, dimension) == (None, 0), (name, p)
+    return len(basis)
+
+
 def test_filtration_matches_the_matrix_power_reference():
     """Traces read as <tr, b^q> on the basis rows alone, extended
-    linearly, give the very basis, in the same order, that powering the
-    d x d left-multiplication matrix of every product of two basis
-    vectors gives, the oracle's larger corners included."""
-    pair2_s3 = product_with_group(pair_groupoid(["x", "y"]), symmetric_table(3))
-    cases = [
-        (name, g, p)
-        for name, g in groupoid_corpus()
-        if g.arrow_count <= 18
-        for p in (2, 3, 5, 7)
-    ]
-    cases += [("pair2_S3", pair2_s3, 2), ("pair2_S3", pair2_s3, 3)]
-    cases += [("Z7", Z7_GROUPOID, 7), ("pair2_u_Z7", PAIR2_U_Z7, 7)] + _filtration_ladder()
-    nonzero = 0
-    for name, g, p in cases:
-        bp, d = _basis_products(g.rows), g.arrow_count
-        basis = _radical_modp(g, p)
-        assert _dense_rows(basis, d) == reference_filtration_radical(bp, d, p), (name, p)
-        nonzero += bool(basis)
-    assert nonzero >= 10
+    linearly, one corner per block, give the very basis, in the same
+    order, that powering the d x d left-multiplication matrix of every
+    product of two basis vectors over the whole algebra gives: on the
+    corpus, the oracle's larger corners, the groupoids of the
+    inverse-semigroup corpus, and two relabeled inputs (one whose blocks
+    do not start at their least idempotent arrow)."""
+    sigma = list(range(PAIR2_U_Z7.arrow_count))
+    random.Random(7).shuffle(sigma)
+    pair2_z3 = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(3))
+    tau = list(range(pair2_z3.arrow_count))
+    random.Random(3).shuffle(tau)
+    shuffled = _relabel_arrows(pair2_z3, tau)
+    idempotents = [a for a in range(shuffled.arrow_count) if shuffled.rows[a].get(a) == a]
+    assert min(idempotents) != 0
+    pair3_z4 = product_with_group(pair_groupoid(["x", "y", "z"]), cyclic_table(4))
+    inputs = groupoid_corpus() + [(name, underlying_groupoid(s)) for name, s in isg_corpus()] + [
+        ("Z7", Z7_GROUPOID), ("pair2_u_Z7", PAIR2_U_Z7),
+        ("pair2_u_Z7 relabeled", _relabel_arrows(PAIR2_U_Z7, sigma)),
+        ("pair2_Z3 relabeled", shuffled), ("pair3_Z4", pair3_z4)]
+    cases = [(name, g, p) for name, g in inputs for p in (2, 3, 5, 7)] + _filtration_ladder()
+    nonzero = sum(bool(_assert_matches_the_matrix_power_reference(*case)) for case in cases)
+    assert nonzero >= 30
+
+
+@pytest.mark.parametrize("table, p, group_radical", [
+    (cyclic_table(8), 2, 7),
+    (symmetric_table(3), 3, 4),
+], ids=["pair4_Z8-GF2", "pair4_S3-GF3"])
+def test_radical_of_a_matrix_algebra_is_the_matrices_over_the_radical(table, p, group_radical):
+    """pair(4) x G has the algebra M_4(k[G]), whose radical is
+    M_4(rad k[G]): every radical vector, cut into the 16 slices of |G|
+    arrows that one arrow of pair(4) carries, has each slice in the
+    radical of k[G] (from the matrix-power reference on G alone), and
+    the radical has 16 times its dimension.  On pair(4) x Z8 (128
+    arrows) and pair(4) x S3 (96) the reference on the whole algebra
+    would take seconds."""
+    g = product_with_group(PAIR4, table)
+    m = table.size
+    group = group_groupoid(table)
+    reduced = reference_filtration_radical(_basis_products(group.rows), m, p)
+    assert len(reduced) == group_radical
+    pivots = [row.index(1) for row in reduced]
+    radical = _dense_rows(_radical_modp(g, p), g.arrow_count)
+    assert len(radical) == 16 * group_radical
+    for row in radical:
+        for start in range(0, g.arrow_count, m):
+            assert not any(reference_residue(row[start:start + m], reduced, pivots, p))
 
 
 def _assert_matches_the_sweep(name, g, p):
@@ -773,49 +815,10 @@ def test_blocks_are_the_orbits_of_a_groupoid():
 @pytest.mark.parametrize("p, dims", [(2, [0, 0, 49, 0]), (3, [0, 8, 4, 0]), (7, [6, 12, 0, 0])])
 def test_block_filtration_is_the_matrix_power_reference_on_disconnected_inputs(p, dims):
     """One corner per block gives the basis one chain over the whole
-    algebra gives, with every trace read off a power of a d x d matrix."""
-    got = []
-    for name, g in disconnected_ladder():
-        bp, d = _basis_products(g.rows), g.arrow_count
-        basis = _radical_modp(g, p)
-        assert _dense_rows(basis, d) == reference_filtration_radical(bp, d, p), (name, p)
-        got.append(len(basis))
+    algebra gives, with every trace read off a power of a d x d matrix,
+    and both witness picks are read off it."""
+    got = [_assert_matches_the_matrix_power_reference(name, g, p) for name, g in disconnected_ladder()]
     assert got == dims
-
-
-def test_block_filtration_gives_the_single_chain_answer():
-    """`_radical_charp` returns the tuple the single-chain filtration
-    returns, witness included, on the corpus, the disconnected ladder,
-    the groupoids of the inverse-semigroup corpus, two relabeled inputs
-    (one whose blocks do not start at their least idempotent arrow), and
-    inputs with large radicals."""
-    sigma = list(range(PAIR2_U_Z7.arrow_count))
-    random.Random(7).shuffle(sigma)
-    pair2_z3 = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(3))
-    tau = list(range(pair2_z3.arrow_count))
-    random.Random(3).shuffle(tau)
-    shuffled = _relabel_arrows(pair2_z3, tau)
-    idempotents = [a for a in range(shuffled.arrow_count) if shuffled.rows[a].get(a) == a]
-    assert min(idempotents) != 0
-    pair3_z4 = product_with_group(pair_groupoid(["x", "y", "z"]), cyclic_table(4))
-    pair2_s3 = product_with_group(pair_groupoid(["x", "y"]), symmetric_table(3))
-    cases = [
-        (name, g, p, exhaustive)
-        for name, g in groupoid_corpus() + disconnected_ladder()
-        + [(name, underlying_groupoid(s)) for name, s in isg_corpus()]
-        + [("pair2_u_Z7 relabeled", _relabel_arrows(PAIR2_U_Z7, sigma)),
-           ("pair2_Z3 relabeled", shuffled), ("pair3_Z4", pair3_z4), ("pair2_S3", pair2_s3)]
-        for p in (2, 3, 5, 7)
-        for exhaustive in (True, False)
-    ]
-    cases.append(("pair4_Z8", product_with_group(PAIR4, cyclic_table(8)), 2, False))
-    cases.append(("pair4_S3", product_with_group(PAIR4, symmetric_table(3)), 3, False))
-    nonzero = 0
-    for name, g, p, exhaustive in cases:
-        answer = _radical_charp(g, p, exhaustive)
-        assert answer == single_chain_radical_charp(g, p, exhaustive), (name, p, exhaustive)
-        nonzero += not answer[0]
-    assert nonzero >= 70
 
 
 def _count_calls(monkeypatch, name):
