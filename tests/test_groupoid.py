@@ -70,33 +70,62 @@ def test_parse_rejects(bad, fragment):
     assert exc.value.line is not None
 
 
-def _rows_built_groupoids():
-    """(name, groupoid) for the builders that write rows directly: the
-    materialized groupoids of the acyclic graphs of the corpus, a chain
-    and an in-tree, and the underlying groupoids of the inverse
-    semigroups."""
-    graphs = [(name, g) for name, g, _ in graph_corpus()]
+def _rows_built_groupoids(graphs=()):
+    """(name, groupoid, semigroup or None) for the builders that write
+    rows directly: the materialized groupoids of the acyclic graphs of
+    the corpus, a chain, an in-tree and `graphs`, and the underlying
+    groupoids of the inverse semigroups."""
+    graphs = [(name, g) for name, g, _ in graph_corpus()] + list(graphs)
     graphs += [("chain5", chain_graph(5)), ("in_tree7", in_tree_graph(7))]
     for name, graph in graphs:
         try:
             g = as_finite_groupoid(graph)
         except ValueError:  # a cycle: no finite groupoid
             continue
-        yield name, g
+        yield name, g, None
     semigroups = isg_corpus()
     semigroups += [(name, parse_isg((FIXTURES / f"{name}.isg").read_text()))
                    for name in ("i2", "semilattice2")]
     for name, s in semigroups:
-        yield name, underlying_groupoid(s)
+        yield name, underlying_groupoid(s), s
 
 
 def test_validate_agrees_with_independent_checker_on_good_inputs():
     """validate and the full scan find nothing on the corpus and on
     every groupoid built by writing rows directly."""
-    rows_built = list(_rows_built_groupoids())
+    rows_built = [(name, g) for name, g, _ in _rows_built_groupoids()]
     assert len(rows_built) == 17 and [name for name, _ in rows_built[-2:]] == ["i2", "semilattice2"]
     for name, g in groupoid_corpus() + rows_built:
         assert validate(g) == reference_axiom_violations(g) == [], name
+
+
+def test_rows_built_groupoids_are_the_comp_dict_references():
+    """as_finite_groupoid and underlying_groupoid write rows directly;
+    the groupoid is the one FiniteGroupoid.make builds from the full
+    composition dict, field for field and row order included.  The dict
+    is read off each construction's own rule: a graph's groupoid is a
+    pair groupoid, so f after h is the one arrow from dom h to cod f; a
+    semigroup's is its product on the pairs with cod h = dom f."""
+    fields = ("objects", "arrows", "dom", "cod", "identity_of", "rows", "inv")
+    names = []
+    for name, g, s in _rows_built_groupoids([("chain40", chain_graph(40))]):
+        between = {(g.dom[a], g.cod[a]): a for a in range(g.arrow_count)}
+        into = [[] for _ in g.objects]
+        for h in range(g.arrow_count):
+            into[g.cod[h]].append(h)
+        comp = {(f, h): between[(g.dom[h], g.cod[f])] if s is None else s.mul(f, h)
+                for f in range(g.arrow_count) for h in into[g.dom[f]]}
+        expected = FiniteGroupoid.make(list(g.objects), list(g.arrows), list(g.dom), list(g.cod),
+                                       list(g.identity_of), comp, list(g.inv))
+        assert g == expected, name
+        for field in fields:
+            got, want = getattr(g, field), getattr(expected, field)
+            assert type(got) is type(want) and got == want, (name, field)
+        assert g.comp == expected.comp, name
+        assert [list(row.items()) for row in g.rows] == [
+            list(row.items()) for row in expected.rows], name
+        names.append(name)
+    assert len(names) == 18 and names[-2:] == ["i2", "semilattice2"]
 
 
 def _corrupt(g: FiniteGroupoid, **changes) -> FiniteGroupoid:

@@ -242,12 +242,23 @@ def _assert_matches_the_matrix_power_reference(name, g, p):
 
 def test_filtration_matches_the_matrix_power_reference():
     """Traces read as <tr, b^q> on the basis rows alone, extended
-    linearly, one corner per block, give the very basis, in the same
-    order, that powering the d x d left-multiplication matrix of every
-    product of two basis vectors over the whole algebra gives: on the
-    corpus, the oracle's larger corners, the groupoids of the
-    inverse-semigroup corpus, and two relabeled inputs (one whose blocks
-    do not start at their least idempotent arrow)."""
+    linearly, give the very basis, in the same order, that powering the
+    d x d left-multiplication matrix of every product of two basis
+    vectors gives, the oracle's larger corners included."""
+    pair2_s3 = product_with_group(pair_groupoid(["x", "y"]), symmetric_table(3))
+    cases = [(name, g, p) for name, g in groupoid_corpus() if g.arrow_count <= 18 for p in (2, 3, 5, 7)]
+    cases += [("pair2_S3", pair2_s3, 2), ("pair2_S3", pair2_s3, 3)]
+    cases += [("Z7", Z7_GROUPOID, 7), ("pair2_u_Z7", PAIR2_U_Z7, 7)] + _filtration_ladder()
+    nonzero = sum(bool(_assert_matches_the_matrix_power_reference(*case)) for case in cases)
+    assert nonzero >= 10
+
+
+def test_block_filtration_gives_the_single_chain_answer():
+    """`_radical_charp`, one corner per block, returns the radical and
+    both witness picks that one matrix-power chain over the whole
+    algebra gives, on the whole corpus, the groupoids of the
+    inverse-semigroup corpus, two relabeled inputs (one whose blocks do
+    not start at their least idempotent arrow), and a larger radical."""
     sigma = list(range(PAIR2_U_Z7.arrow_count))
     random.Random(7).shuffle(sigma)
     pair2_z3 = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(3))
@@ -258,12 +269,11 @@ def test_filtration_matches_the_matrix_power_reference():
     assert min(idempotents) != 0
     pair3_z4 = product_with_group(pair_groupoid(["x", "y", "z"]), cyclic_table(4))
     inputs = groupoid_corpus() + [(name, underlying_groupoid(s)) for name, s in isg_corpus()] + [
-        ("Z7", Z7_GROUPOID), ("pair2_u_Z7", PAIR2_U_Z7),
         ("pair2_u_Z7 relabeled", _relabel_arrows(PAIR2_U_Z7, sigma)),
         ("pair2_Z3 relabeled", shuffled), ("pair3_Z4", pair3_z4)]
-    cases = [(name, g, p) for name, g in inputs for p in (2, 3, 5, 7)] + _filtration_ladder()
+    cases = [(name, g, p) for name, g in inputs for p in (2, 3, 5, 7)]
     nonzero = sum(bool(_assert_matches_the_matrix_power_reference(*case)) for case in cases)
-    assert nonzero >= 30
+    assert nonzero >= 25
 
 
 @pytest.mark.parametrize("table, p, group_radical", [
