@@ -60,10 +60,9 @@ _LAZY = {
         "klein_table", "pair_groupoid", "product_with_group", "symmetric_table",
     ),
     "leavitt": (
-        "Cycle", "ExitWitness", "Graph", "GraphDecomposition", "Lasso", "SinkPath",
-        "as_finite_groupoid", "boundary_paths", "condition_ne", "enumerate_cycles",
-        "generator_images", "graph_groupoid", "leavitt_verdicts",
-        "parse_graph", "render_graph", "render_path", "verify_leavitt_relations",
+        "Cycle", "ExitWitness", "Graph", "GraphDecomposition", "as_finite_groupoid",
+        "condition_ne", "enumerate_cycles", "generator_images", "graph_groupoid",
+        "leavitt_verdicts", "parse_graph", "render_graph", "verify_leavitt_relations",
     ),
     "isg": (
         "InverseSemigroup", "isg_verdicts", "natural_partial_order", "parse_isg",

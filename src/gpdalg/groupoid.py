@@ -8,7 +8,7 @@ Conventions used throughout the package:
     g} of each arrow f.  parse_groupoid fills it as it reads, and
     leavitt.as_finite_groupoid and isg.underlying_groupoid build it
     row by row; make fills it from a composition dict, for
-    constructions.  compose, validate, isotropy, the oracle and
+    constructions.  compose, validate, _isotropy, the oracle and
     verify_isomorphism all read it; comp, the sorted tuple of
     ((f, g), f after g), is a view computed from it on each call.
   * parse_groupoid reads a text in render_groupoid's form (every
@@ -511,18 +511,13 @@ class IsotropyGroup(Value):
     )
 
 
-def isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:
-    """The isotropy group at object x of a groupoid that passed
-    validate(), read off validate's proof as `orbit_layout` reads it."""
-    return _isotropy(g, x, range(g.arrow_count))
-
-
 def _isotropy(g: FiniteGroupoid, x: int, arrows) -> IsotropyGroup:
-    """isotropy(g, x), with the loops at x looked for among arrows.
-    The table is g.rows on the loops, the identity 1_x and each inverse
-    g.inv's: validate proved the identity and inverse laws, composition
-    coherent and total on the loops, and associativity, so nothing is
-    re-proved here (FiniteGroupTable.from_table verifies raw tables)."""
+    """The isotropy group at object x of a groupoid that passed
+    validate(), with the loops at x looked for among arrows.  The table
+    is g.rows on the loops, the identity 1_x and each inverse g.inv's:
+    validate proved the identity and inverse laws, composition coherent
+    and total on the loops, and associativity, so nothing is re-proved
+    here (FiniteGroupTable.from_table verifies raw tables)."""
     loops = sorted((a for a in arrows if g.dom[a] == x == g.cod[a]), key=g.arrows.__getitem__)
     pos = {a: i for i, a in enumerate(loops)}
     try:  # a missing composite, or one that is not a loop at x

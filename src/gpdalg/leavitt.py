@@ -15,7 +15,9 @@ no cycle has an exit, condition (NE).  One topological peel (Kahn)
 decides (NE) and counts the paths of every orbit; when (NE) fails, the
 least cycle with an exit, which names the infinite witness family, is
 found by one depth-first search inside the strongly connected
-components, and an orbit lists its paths only when they are read.
+components.  No boundary path is built as a value: an orbit knows its
+paths by row, through one listing of (edge, row, parent) links made
+when it is first read, and every report reads the orbit through it.
 
 Arrows of the boundary-path groupoid are triples (eta, k, gamma) of
 boundary paths with a common tail, k counting the length difference of
@@ -24,9 +26,9 @@ cycle) are the orbits; sink orbits have trivial isotropy and lasso
 orbits have infinite cyclic isotropy generated by the degree-|cycle|
 loop, which the block layout writes as the Laurent variable x.
 
-Frames are deterministic: members of an orbit sort by (spoke length,
-edge names, entry position) with the empty sink path respectively the
-pure lasso at the cycle's canonical rotation coming first, and
+Frames are deterministic: the rows of an orbit are its paths by
+(spoke length, edge names, entry position), row 0 the empty sink path
+respectively the pure lasso at the cycle's canonical rotation, and
 connecting arrows take the least admissible nonnegative degree.
 
 Every generator maps to a sum of coefficient-one matrix units of the
@@ -81,18 +83,6 @@ class Graph(Value):
             into[dst[e]].append(e)
         self._in = tuple(map(tuple, into))
         self._groupoid = None  # graph_groupoid() memo
-
-    @staticmethod
-    def make(vertices, edges) -> "Graph":
-        """edges: iterable of (name, src name, dst name)."""
-        vertices = tuple(vertices)
-        vindex = {v: i for i, v in enumerate(vertices)}
-        names, src, dst = [], [], []
-        for name, s, t in edges:
-            names.append(name)
-            src.append(vindex[s])
-            dst.append(vindex[t])
-        return Graph(vertices, tuple(names), tuple(src), tuple(dst))
 
     def out_edges(self, v: int) -> tuple:
         return self._out[v]
@@ -355,50 +345,13 @@ def _peel(g: Graph):
     return counts, [v for v, d in enumerate(indegree) if d]
 
 
-class SinkPath(Value):
-    """Finite path ending at a sink; empty edges means the sink alone."""
-
-    __slots__ = (
-        "edges",  # edge indices, in walking order
-        "sink",   # vertex index
-    )
-
-
-class Lasso(Value):
-    """spoke (no cycle edges) followed by the cycle repeated forever,
-    entering at position entry_pos of the canonical rotation."""
-
-    __slots__ = ("spoke", "cycle", "entry_pos")
-
-
-def render_path(g: Graph, bp) -> str:
-    if isinstance(bp, SinkPath):
-        if not bp.edges:
-            return f"({g.vertices[bp.sink]})"
-        return ".".join(g.edge_names[e] for e in bp.edges)
-    spoke = ".".join(g.edge_names[e] for e in bp.spoke)
-    n = bp.cycle.length()
-    rot = [bp.cycle.edges[(bp.entry_pos + i) % n] for i in range(n)]
-    cyc = ".".join(g.edge_names[e] for e in rot)
-    return (spoke + "." if spoke else "") + f"({cyc})^inf"
-
-
-def boundary_paths(g: Graph):
-    """All boundary paths when (NE) holds, else an ExitWitness: orbit by
-    orbit in graph_groupoid's order (sinks by vertex name, then cycles by
-    edge names), each orbit by length, edge names and entry position."""
-    gd = graph_groupoid(g)
-    if isinstance(gd, ExitWitness):
-        return gd
-    return [bp for o in gd.orbits for bp in o.members]
-
-
 class GraphOrbit(Value):
-    """One tail-equivalence class of boundary paths.  Its listing (the
-    connecting degrees from the basepoint, the start vertices, and the
-    links that prepend an edge to a member) is made once, on first
-    read; its members (members[0] is the basepoint) are built from the
-    links only when they are read."""
+    """One tail-equivalence class of boundary paths, whose members are
+    known by row alone (row 0 is the basepoint).  Its listing, the
+    package's one index of boundary paths, is made once, on first read:
+    the connecting degree of each row from the basepoint, the start
+    vertex of each row, and the links that build each row by prepending
+    an edge to an earlier one."""
 
     __slots__ = (
         "kind",      # "sink" or "cycle"
@@ -407,29 +360,12 @@ class GraphOrbit(Value):
         "isotropy",  # FiniteGroupTable (trivial) or IntegerGroup
         "_graph",    # the Graph the listing walks
         "_listed",   # (degrees, starts, links) memo
-        "_members",  # members memo
     )
 
     def __init__(self, kind, anchor, size, isotropy, graph):
         super().__init__(kind, anchor, size, isotropy)
         self._graph = graph
-        self._listed = self._members = None
-
-    @property
-    def members(self) -> tuple:
-        if self._members is None:
-            links = self._listing()[2]
-            c = self.anchor if self.kind == "cycle" else None
-            paths = [((), pos) for pos in range(c.length())] if c else [((), 0)]  # (edges, entry)
-            for e, _, parent in links[len(paths) if c else 0:]:  # past the cycle links
-                paths.append(((e,) + paths[parent][0], paths[parent][1]))
-            self._members = tuple(Lasso(edges, c, pos) if c else SinkPath(edges, self.anchor)
-                                  for edges, pos in paths)
-        return self._members
-
-    @property
-    def degrees(self) -> tuple:
-        return self._listing()[0]
+        self._listed = None
 
     def _listing(self):
         """One backward walk, the orbit's one index of its paths:
@@ -607,7 +543,7 @@ def _compose(left: tuple, right: tuple) -> tuple:
                          for b, r, m, k in left for c, k2 in rows.get((b, m), ())]))
 
 
-def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorImages | None = None) -> VerificationReport:
+def verify_leavitt_relations(g: Graph, ring: RingDescriptor) -> VerificationReport:
     """Exhaustively check the defining relations on the generator
     images: vertex idempotents orthogonal and summing to the identity,
     unit path relations, CK1 on all edge pairs, CK2 at every non-sink.
@@ -633,7 +569,7 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
     2(P - S) for P boundary paths into S sinks.  A check carries its
     failure text as a format and its arguments, and the text is built
     only when the check fails."""
-    gd = images.decomposition if images is not None else graph_groupoid(g)
+    gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness):
         raise ValueError("boundary-path space is infinite; no finite block algebra")
     if gd.boundary_count() > LEAVITT_VERIFY_LIMIT:
@@ -641,8 +577,7 @@ def verify_leavitt_relations(g: Graph, ring: RingDescriptor, images: GeneratorIm
             f"graph has {gd.boundary_count()} boundary paths; "
             f"the relation verification budget stops at {LEAVITT_VERIFY_LIMIT}"
         )
-    if images is None:
-        images = generator_images(g)
+    images = generator_images(g)
     vertex, edge, ghost = images.vertex, images.edge, images.ghost
     total = 0
     failures = []
@@ -751,7 +686,7 @@ def as_finite_groupoid(g: Graph):
     gd = graph_groupoid(g)
     if isinstance(gd, ExitWitness) or gd.has_cycle():
         raise ValueError("graph has a cycle; its boundary-path groupoid is not finite")
-    names = []  # render_path of each member, read off the listing's links
+    names = []  # each row's path: "(sink)", or its edge names joined by "."
     for orbit in gd.orbits:
         first = len(names)
         names.append(f"({g.vertices[orbit.anchor]})")

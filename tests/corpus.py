@@ -88,19 +88,28 @@ def disconnected_ladder():
 
 
 def _graph(vertices, edges):
-    return Graph.make(vertices, edges)
+    """The Graph on the named vertices with edges, an iterable of (name,
+    src name, dst name)."""
+    vertices = tuple(vertices)
+    vindex = {v: i for i, v in enumerate(vertices)}
+    names, src, dst = [], [], []
+    for name, s, t in edges:
+        names.append(name)
+        src.append(vindex[s])
+        dst.append(vindex[t])
+    return Graph(vertices, tuple(names), tuple(src), tuple(dst))
 
 
 def chain_graph(n):
     """v0 -> v1 -> ... -> v(n-1): one sink with n paths into it."""
     vs = [f"v{i}" for i in range(n)]
-    return Graph.make(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+    return _graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
 
 
 def in_tree_graph(n):
     """Binary tree on n vertices, every edge pointing to the root."""
     vs = [f"v{i}" for i in range(n)]
-    return Graph.make(vs, [(f"e{i}", vs[i], vs[(i - 1) // 2]) for i in range(1, n)])
+    return _graph(vs, [(f"e{i}", vs[i], vs[(i - 1) // 2]) for i in range(1, n)])
 
 
 def _diamonds(k):
@@ -117,7 +126,7 @@ def _diamonds(k):
 
 def diamond_chain_graph(k):
     """k diamonds in a row: one sink with 2^(k+2) - 3 paths into it."""
-    return Graph.make(*_diamonds(k))
+    return _graph(*_diamonds(k))
 
 
 def complete_digraph(n):
@@ -125,8 +134,8 @@ def complete_digraph(n):
     zero-padded and listed in reverse name order, so out-edge order is
     not name order."""
     vs = [f"v{i:02d}" for i in range(n)]
-    return Graph.make(vs, [(f"e{i:02d}_{j:02d}", vs[i], vs[j])
-                           for i in reversed(range(n)) for j in reversed(range(n)) if i != j])
+    return _graph(vs, [(f"e{i:02d}_{j:02d}", vs[i], vs[j])
+                       for i in reversed(range(n)) for j in reversed(range(n)) if i != j])
 
 
 def graph_corpus():

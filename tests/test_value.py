@@ -31,7 +31,7 @@ from gpdalg import (
     verify_isomorphism,
 )
 from gpdalg.constructions import cyclic_table, pair_groupoid
-from gpdalg.leavitt import Cycle, Lasso, SinkPath, graph_groupoid
+from gpdalg.leavitt import Cycle, graph_groupoid
 
 PAIR2 = render_groupoid(pair_groupoid(["a", "b"]))
 ISG = "elements: top bot\nrow top: top bot\nrow bot: bot bot\n"
@@ -57,8 +57,6 @@ MAKERS = {
     "RadicalReport": lambda: radical_oracle(parse_groupoid(PAIR2), Q),
     "InverseSemigroup": lambda: parse_isg(ISG),
     "Cycle": lambda: Cycle((0, 1)),
-    "SinkPath": lambda: SinkPath((2, 3), 0),
-    "Lasso": lambda: Lasso((4,), Cycle((0, 1)), 1),
     "GraphDecomposition": lambda: graph_groupoid(chain_graph(3)),
 }
 
@@ -79,7 +77,7 @@ def test_the_class_takes_part_in_equality():
     assert Laurent(GaloisField(2)) != Laurent(ModularIntegers(2))
     assert {GaloisField(2): "f", ModularIntegers(2): "m"}[ModularIntegers(2)] == "m"
     # a value is not the tuple of its fields
-    assert Cycle((0, 1)) != ((0, 1),) and SinkPath((), 0) != ((), 0)
+    assert Cycle((0, 1)) != ((0, 1),) and Violation("k", (), "m") != ("k", (), "m")
 
 
 def test_memo_slots_take_no_part():

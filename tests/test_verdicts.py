@@ -58,7 +58,6 @@ from gpdalg.oracle import (
     _EXHAUSTIVE_LIMIT,
     RadicalReport,
     _blocks,
-    _filtration_radical_modp,
     _ideal_certified_nilpotent,
     _left_generators,
     _powers_vanish,
