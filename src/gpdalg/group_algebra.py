@@ -17,6 +17,7 @@ validate's proof instead (groupoid.orbit_layout).
 """
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 
 from .errors import InternalCheckError
@@ -70,15 +71,17 @@ def certify_associativity(dom, cod, rows, object_count: int, gens=None) -> bool:
 
     using the law for a, b, a and b in turn.  So associativity holds on
     every composable triple once it holds on the triples whose middle
-    arrow is a generator.  Generators are picked greedily in arrow
-    order: an arrow becomes one when the left-nested composites of the
-    generators before it do not reach it.  With generators indexed by
-    codomain, the closure composes each composable (arrow, generator)
-    pair at most once, and the check reads a subset of the composable
-    triples, comparing for each generator a and each x the row of x a
-    at every y with the row of x at every a y.  gens, when given, must
-    be associativity_generators of the same table.  True proves
-    associativity; False means some triple through a generator fails."""
+    arrow is a generator.  Generators are picked greedily, a cycle
+    through each orbit first and then every arrow in arrow order
+    (associativity_generators): an arrow becomes one when the
+    left-nested composites of the generators before it do not reach
+    it.  With generators indexed by codomain, the closure composes each
+    composable (arrow, generator) pair at most once, and the check
+    reads a subset of the composable triples, comparing for each
+    generator a and each x the row of x a at every y with the row of x
+    at every a y.  gens, when given, must be associativity_generators
+    of the same table.  True proves associativity; False means some
+    triple through a generator fails."""
     if gens is None:
         gens = associativity_generators(dom, cod, rows, object_count)
     outof: list = [[] for _ in range(object_count)]  # object -> arrows with that dom
@@ -102,12 +105,32 @@ def certify_associativity(dom, cod, rows, object_count: int, gens=None) -> bool:
 
 def associativity_generators(dom, cod, rows, object_count: int) -> list:
     """The generators certify_associativity checks, in arrow order:
-    every arrow is a left-nested composite g1 g2 ... gk of them."""
+    every arrow is a left-nested composite g1 g2 ... gk of them.
+
+    An arrow becomes a generator when the left-nested composites of the
+    generators picked before it do not reach it.  A cycle through each
+    orbit is offered first: from each object its first arrow to the
+    least larger object it reaches, and from the largest object its
+    first arrow back to the least.  Then every arrow is offered in arrow
+    order.  On a groupoid the closure of an orbit's first generators is
+    a subgroupoid on the whole orbit, and each later generator strictly
+    enlarges its isotropy, so an orbit of n objects with isotropy G
+    holds at most n + Omega(|G|) generators, Omega counting prime
+    factors with multiplicity.  Arrows of different orbits never
+    compose, and the cycle of a one-object orbit is its first arrow, so
+    a table with one object, or a discrete one, keeps the generators of
+    arrow order."""
+    step: list = [None] * object_count  # object -> its cycle arrow
+    rank = [2 * object_count] * object_count  # object -> rank of its cycle arrow's cod
+    for a, (x, y) in enumerate(zip(dom, cod)):
+        k = y if y > x else y + object_count  # larger objects first, then the least
+        if k < rank[x]:
+            step[x], rank[x] = a, k
     gens: list = []
     gens_into: list = [[] for _ in range(object_count)]  # object -> generators with that cod
     done: list = [[] for _ in range(object_count)]       # object -> closed arrows with that dom
     reached = [False] * len(dom)
-    for a in range(len(dom)):
+    for a in chain([a for a in step if a is not None], range(len(dom))):
         if reached[a]:
             continue
         gens.append(a)
@@ -129,6 +152,7 @@ def associativity_generators(dom, cod, rows, object_count: int) -> list:
                 if not reached[c]:
                     reached[c] = True
                     fresh.append(c)
+    gens.sort()
     return gens
 
 

@@ -288,8 +288,9 @@ def render_groupoid(g: FiniteGroupoid) -> str:
     for a, b in enumerate(g.inv):
         if b is not None:
             lines.append(f"inverse {g.arrows[a]} = {g.arrows[b]}")
-    for (f, h), k in g.comp:
-        lines.append(f"compose {g.arrows[f]} {g.arrows[h]} = {g.arrows[k]}")
+    for f, row in enumerate(g.rows):
+        for h in sorted(row):
+            lines.append(f"compose {g.arrows[f]} {g.arrows[h]} = {g.arrows[row[h]]}")
     return "\n".join(lines) + "\n"
 
 
@@ -320,11 +321,14 @@ def validate(g: FiniteGroupoid) -> list:
 
 def generators(g: FiniteGroupoid) -> tuple:
     """The generators validate certifies associativity on
-    (associativity_generators), computed once per groupoid: every arrow
-    is a left-nested composite of them.  Composition must be total on
-    composable pairs: validate calls this only once its earlier checks
-    passed, and verify_isomorphism's pair certificate and the radical
-    oracle's ideal certificate only on a groupoid that passed validate."""
+    (associativity_generators), computed once per groupoid: a cycle
+    through each orbit, then, in arrow order, each arrow that the
+    left-nested composites of the generators before it miss, so every
+    arrow is a left-nested composite of them.  Composition must be
+    total on composable pairs: validate calls this only once its
+    earlier checks passed, and verify_isomorphism's pair certificate
+    and the radical oracle's ideal certificate only on a groupoid that
+    passed validate."""
     if g._generators is None:
         g._generators = tuple(associativity_generators(g.dom, g.cod, g.rows, len(g.objects)))
     return g._generators

@@ -163,8 +163,19 @@ def _trace_form(rows):
     Gram matrix as sparse rows, holds the trace of left multiplication
     by the product of arrows i and j, tr[k], at row i and column j.
     Only the entries of the table are read; no d x d table is built."""
-    tr = [len([j for j, k in row.items() if k == j]) for row in rows]
-    gram = [{j: tr[k] for j, k in row.items() if tr[k]} for row in rows]
+    tr, gram = [], []
+    for row in rows:
+        t = 0
+        for j, k in row.items():
+            if k == j:
+                t += 1
+        tr.append(t)
+    for row in rows:
+        entries = {}
+        for j, k in row.items():
+            if t := tr[k]:
+                entries[j] = t
+        gram.append(entries)
     return tr, gram
 
 

@@ -390,7 +390,7 @@ def test_pair_phase_visits_only_composable_pairs(monkeypatch, reorder):
     assert report.ok and report.total == (n + 1) ** 2
     # the generator pairs alone, every one composable
     assert visits == _generator_pairs(g)
-    assert len(visits) == 64 * 2
+    assert len(visits) == 80
     composable = [(a, b) for a in range(n) for b in range(n) if g.dom[a] == g.cod[b]]
     assert len(composable) == 1024
     # a failing generator pair: the generator pairs, then the full scan

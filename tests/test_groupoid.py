@@ -22,6 +22,7 @@ from gpdalg import (
 from gpdalg.constructions import (
     cyclic_table,
     group_groupoid,
+    klein_table,
     pair_groupoid,
     product_with_group,
     symmetric_table,
@@ -52,6 +53,20 @@ def test_parse_pair2_fixture():
 def test_render_parse_round_trip():
     for name, g in groupoid_corpus():
         assert parse_groupoid(render_groupoid(g)) == g, name
+
+
+def test_render_writes_compose_lines_in_arrow_order():
+    """Relabelled, a groupoid's rows are filled out of (f, h) order;
+    its compose lines still come sorted by (f, h), the form the
+    whole-text reader takes, and read back to the same groupoid."""
+    rng = random.Random(42)
+    for name, g in groupoid_corpus():
+        h = _relabelled(g, rng)
+        text = render_groupoid(h)
+        entries = sorted((f, x, k) for f, row in enumerate(h.rows) for x, k in row.items())
+        assert [ln for ln in text.splitlines() if ln.startswith("compose ")] == [
+            f"compose {h.arrows[f]} {h.arrows[x]} = {h.arrows[k]}" for f, x, k in entries], name
+        assert parse_groupoid(text) == h, name
 
 
 @pytest.mark.parametrize("bad, fragment", [
@@ -353,7 +368,7 @@ def test_certificate_skips_the_triple_scan_on_pair4_s3(monkeypatch):
     rows, lookups = _counting_rows(g.arrow_count, g.comp)
     gens = associativity_generators(g.dom, g.cod, rows, 4)
     closure = lookups[0]
-    assert len(gens) == 9 and closure <= pairs
+    assert len(gens) == 6 and closure <= pairs
     rows, lookups = _counting_rows(g.arrow_count, g.comp)
     assert certify_associativity(g.dom, g.cod, rows, 4)
     # the closure, then a y per (a, y), x a per (x, a) and two per triple
@@ -370,16 +385,78 @@ def test_generators_reach_every_arrow_by_left_nested_composites():
         gens = associativity_generators(g.dom, g.cod, rows, objects)
         assert lookups[0] <= pairs, name
         assert gens == sorted(gens), name
-        reached, fresh = set(gens), list(gens)
-        while fresh:  # left-nested composites r s, s a generator
-            r = fresh.pop()
-            for s in gens:
-                c = g.compose(r, s) if g.dom[r] == g.cod[s] else None
-                if c is not None and c not in reached:
-                    reached.add(c)
-                    fresh.append(c)
-        assert reached == set(range(g.arrow_count)), name
+        assert _left_nested_closure(g, gens) == set(range(g.arrow_count)), name
         assert certify_associativity(g.dom, g.cod, rows, objects), name
+
+
+def _left_nested_closure(g, gens) -> set:
+    """The arrows g1 g2 ... gk, every gi in gens."""
+    reached, fresh = set(gens), list(gens)
+    while fresh:  # left-nested composites r s, s a generator
+        r = fresh.pop()
+        for s in gens:
+            c = g.compose(r, s) if g.dom[r] == g.cod[s] else None
+            if c is not None and c not in reached:
+                reached.add(c)
+                fresh.append(c)
+    return reached
+
+
+def _relabelled(g, rng):
+    """g with its objects and its arrows renumbered by seeded
+    permutations."""
+    op = rng.sample(range(len(g.objects)), len(g.objects))
+    ap = rng.sample(range(g.arrow_count), g.arrow_count)
+    onew = {old: new for new, old in enumerate(op)}
+    anew = {old: new for new, old in enumerate(ap)}
+    return FiniteGroupoid.make(
+        [g.objects[x] for x in op],
+        [g.arrows[a] for a in ap],
+        [onew[g.dom[a]] for a in ap],
+        [onew[g.cod[a]] for a in ap],
+        [anew[g.identity_of[x]] for x in op],
+        {(anew[f], anew[h]): anew[k] for (f, h), k in g.comp},
+        [anew[g.inv[a]] for a in ap],
+    )
+
+
+def _prime_factor_count(n):
+    """Omega(n): the prime factors of n, counted with multiplicity."""
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count
+
+
+def test_an_orbit_holds_at_most_its_size_plus_omega_of_its_isotropy_generators():
+    """Under 20 seeded relabellings of each groupoid, an orbit of n
+    objects with isotropy G holds at most n + Omega(|G|) generators: a
+    cycle through the orbit, then one per strict enlargement of the
+    isotropy its closure reaches.  The left-nested composites still
+    reach every arrow, and the certificate passes on them."""
+    products = [
+        (f"pair{k}_{t.name}", product_with_group(pair_groupoid([f"x{i}" for i in range(k)]), t))
+        for k in (2, 3, 4, 5)
+        for t in (cyclic_table(2), cyclic_table(4), klein_table(), symmetric_table(3))
+    ]
+    rng = random.Random(46)
+    for name, g in products + groupoid_corpus():
+        for _ in range(20):
+            h = _relabelled(g, rng)
+            gens = associativity_generators(h.dom, h.cod, h.rows, len(h.objects))
+            assert gens == sorted(gens), name
+            for x in range(len(h.objects)):
+                orbit = {h.cod[a] for a in range(h.arrow_count) if h.dom[a] == x}
+                if x != min(orbit):
+                    continue
+                loops = sum(1 for a in range(h.arrow_count) if h.dom[a] == h.cod[a] == x)
+                held = sum(1 for s in gens if h.dom[s] in orbit)
+                assert held <= len(orbit) + _prime_factor_count(loops), (name, h.objects[x])
+            assert _left_nested_closure(h, gens) == set(range(h.arrow_count)), name
+            assert certify_associativity(h.dom, h.cod, h.rows, len(h.objects), gens), name
 
 
 def test_generator_closure_composes_each_pair_at_most_once():

@@ -634,6 +634,33 @@ def test_the_certificate_refuses_a_right_ideal_that_is_not_a_left_ideal():
     assert not reference_ideal_certified_nilpotent(_basis_products(rows), _dense_rows(basis, d), d, 2)
 
 
+def test_the_certificate_refuses_a_left_ideal_that_is_not_a_right_ideal():
+    """Two left ideals over GF(2) that are not right ideals: the span of
+    p_x_y and p_y_y, the arrows out of y in the pair groupoid on {x, y},
+    which holds the idempotent p_y_y; and GF(2)[S3] (1 + s), the image
+    of the right ideal above under a -> a^-1.  Neither is nilpotent.
+    Each closure needs one vector whose square is 0 (p_x_y, 1 + s), so
+    the left half and the powers pass both: only the right half of the
+    ideal check refuses them, as the reference does."""
+    pair, s3 = pair_groupoid(["x", "y"]), group_groupoid(symmetric_table(3))
+    e = s3.identity_of[0]
+    s = next(a for a in range(s3.arrow_count) if a != e and s3.rows[a][a] == e)
+    cases = [
+        (pair, [{pair.arrows.index("p_x_y"): 1}, {pair.arrows.index("p_y_y"): 1}]),
+        (s3, echelon([{a: 1, s3.rows[a][s]: 1} for a in range(s3.arrow_count)], 2)[0]),
+    ]
+    for g, basis in cases:
+        rows, d, gens, n = g.rows, g.arrow_count, generators(g), len(basis)
+        left = [gpdalg.oracle._mul(rows, {a: 1}, u, 2) for u in basis for a in range(d)]
+        assert len(echelon(basis + left, 2)[0]) == n
+        right = [gpdalg.oracle._mul(rows, u, {a: 1}, 2) for u in basis for a in range(d)]
+        assert len(echelon(basis + right, 2)[0]) > n
+        picks = _left_generators(rows, basis, gens, 2)
+        assert len(picks) == 1 and _powers_vanish(rows, picks, n, 2)
+        assert not _ideal_certified_nilpotent(rows, basis, gens, 2)
+        assert not reference_ideal_certified_nilpotent(_basis_products(rows), _dense_rows(basis, d), d, 2)
+
+
 def _dense_rows(rows, d):
     return [[row.get(j, 0) for j in range(d)] for row in rows]
 
