@@ -36,13 +36,13 @@ associativity on suffice: every arrow is a left-nested composite of
 them and phi is linear, so multiplicativity on them gives it on every
 pair by induction, as Light's test gives associativity (Clifford and
 Preston, The Algebraic Theory of Semigroups I, 1.2).  When a generator
-pair fails the pair loop visits every composable pair, and without the
-slot map every pair, so failures are listed as by the full scan; the
-report still counts all d^2.  phi sends the unit to the identity when
-the identity arrows' units are the diagonal units, each once.  The
-round trips compare indices too: each unit is pulled back once, so
-phi_inv(phi([a])) == [a] when that arrow is a, and phi(phi_inv(E)) ==
-E when the unit of that arrow is E.
+pair fails, or without the slot map, the pair loop visits every pair;
+under the slot map a non-composable pair still passes, so failures are
+listed as by the full scan, and the report counts all d^2.  phi sends
+the unit to the identity when the identity arrows' units are the
+diagonal units, each once.  The round trips compare indices too: each
+unit is pulled back once, so phi_inv(phi([a])) == [a] when that arrow
+is a, and phi(phi_inv(E)) == E when the unit of that arrow is E.
 """
 from __future__ import annotations
 
@@ -125,16 +125,15 @@ def _slot_certificate(g: FiniteGroupoid, units) -> bool:
     return len(set(slot)) == len(slot)
 
 
-def _pair_partners(g: FiniteGroupoid, slots_ok: bool, gens=None) -> list:
+def _pair_partners(g: FiniteGroupoid, gens) -> list:
     """The b that the pair loop visits for each arrow a, in the order of
-    the full scan.  When the arrow units pass _slot_certificate
-    (slots_ok) these are the arrows composable with a, or only those in
-    gens when given; otherwise every arrow."""
+    the full scan: the generators in gens composable with a, or every
+    arrow when gens is None."""
     n = g.arrow_count
-    if not slots_ok:
+    if gens is None:
         return [range(n)] * n
     into = [[] for _ in g.objects]
-    for b in range(n) if gens is None else gens:
+    for b in gens:
         into[g.cod[b]].append(b)
     return [into[g.dom[a]] for a in range(n)]
 
@@ -157,16 +156,15 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
     generator, so by induction on t and the associativity validate
     certified, phi([a][t]) = phi([a][t'][s]) = phi([a][t']) phi(s) =
     phi(a) phi(t') phi(s) = phi(a) phi(t), and phi is linear.  When a
-    visited pair fails, or g did not pass, the loop visits every
-    composable pair; without the slot certificate, every pair.  Either
-    way the failures are those of the full scan, and the report counts
-    all d^2.  Each arrow's unit is tested against the shape once: a pair
-    whose units chain fails when either is not a unit of the shape.  The
-    unit passes when the identity arrows' units are the diagonal units
-    of the identity matrix, each once.  Each matrix unit
-    E is pulled back once: phi_inv(phi([a])) == [a] when the pull of a's
-    unit is a, and phi(phi_inv(E)) == E when the unit of E's pull is
-    E."""
+    visited pair fails, g did not pass or the slot certificate fails,
+    the loop visits every pair, so the failures are those of the full
+    scan, and the report counts all d^2.  Each arrow's unit is tested
+    against the shape once: a pair whose units chain fails when either
+    is not a unit of the shape.  The unit passes when the identity
+    arrows' units are the diagonal units of the identity matrix, each
+    once.  Each matrix unit E is pulled back once: phi_inv(phi([a])) ==
+    [a] when the pull of a's unit is a, and phi(phi_inv(E)) == E when
+    the unit of E's pull is E."""
     g = d.groupoid
     n = g.arrow_count
     units = d.arrow_position
@@ -202,11 +200,10 @@ def verify_isomorphism(d: Decomposition) -> VerificationReport:
                     out.append(f"phi not multiplicative on ({g.arrows[a]}, {g.arrows[b]})")
         return out
 
-    slots_ok = _slot_certificate(g, units)
-    gens = generators(g) if slots_ok and not validate(g) else None
-    failures = pair_failures(_pair_partners(g, slots_ok, gens))
+    gens = generators(g) if _slot_certificate(g, units) and not validate(g) else None
+    failures = pair_failures(_pair_partners(g, gens))
     if failures and gens is not None:
-        failures = pair_failures(_pair_partners(g, slots_ok))
+        failures = pair_failures(_pair_partners(g, None))
     diagonal = [(bi, i, i, group.identity)
                 for bi, (size, group) in enumerate(blocks) for i in range(size)]
     if sorted(units[a] for a in g.identity_arrows()) != diagonal:

@@ -6,29 +6,38 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .group_algebra import FiniteGroupTable
+from .group_algebra import FiniteGroupTable, _classify_group
 from .groupoid import FiniteGroupoid
+
+
+def _group(rows, inverse) -> FiniteGroupTable:
+    """The group of a multiplication table whose identity is element 0,
+    inverse[i] the inverse of element i."""
+    table = tuple(tuple(r) for r in rows)
+    return FiniteGroupTable(len(table), table, 0, tuple(inverse), _classify_group(table, 0))
 
 
 def cyclic_table(n: int) -> FiniteGroupTable:
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroupTable.from_table(rows)
+    return _group(rows, [-i % n for i in range(n)])
 
 
 def symmetric_table(n: int) -> FiniteGroupTable:
-    """Symmetric group on n letters via explicit permutation tuples."""
+    """Symmetric group on n letters via explicit permutation tuples; the
+    identity permutation sorts first, so it is element 0."""
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     rows = []
     for p in elems:
         # (p*q)(x) = p(q(x))
         rows.append([index[tuple(p[q[x]] for x in range(n))] for q in elems])
-    return FiniteGroupTable.from_table(rows)
+    inverse = [index[tuple(sorted(range(n), key=p.__getitem__))] for p in elems]
+    return _group(rows, inverse)
 
 
 def klein_table() -> FiniteGroupTable:
     rows = [[i ^ j for j in range(4)] for i in range(4)]
-    return FiniteGroupTable.from_table(rows)
+    return _group(rows, range(4))
 
 
 def group_groupoid(table: FiniteGroupTable, object_name: str = "pt") -> FiniteGroupoid:

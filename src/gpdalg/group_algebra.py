@@ -9,48 +9,27 @@ key), key a group element index, or a Laurent exponent on an infinite
 cyclic block: the isomorphism and relation checks compare those index
 tuples and never multiply ring elements.
 
-A raw table is verified as a group by FiniteGroupTable.from_table,
-associativity by Light's test on a generating set
+Associativity is proved by Light's test on a generating set
 (certify_associativity), which the groupoid and inverse semigroup
-validators share; an isotropy group of a validated groupoid is read off
-validate's proof instead (groupoid.orbit_layout).
+validators share.  No group table is verified here: an isotropy group
+of a validated groupoid is read off validate's proof
+(groupoid.orbit_layout), and the standard groups of constructions are
+built with their identity and inverses known.
 """
 from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
 
-from .errors import InternalCheckError
 from .rings import RingDescriptor, render_ring_descriptor
 from .value import Value
 
 
 class FiniteGroupTable(Value):
-    """A finite group on indices 0..size-1 with a verified table."""
+    """A finite group on indices 0..size-1, its identity, inverses and
+    name given with its table; the builders guarantee the axioms."""
 
     __slots__ = ("size", "table", "identity", "inverse", "name")  # table[i][j] = index of i*j
-
-    @staticmethod
-    def from_table(rows) -> "FiniteGroupTable":
-        """Build from a full multiplication table, verifying the group
-        axioms rather than assuming them (associativity by
-        associativity_failure); _classify_group names the group."""
-        n = len(rows)
-        table = square_table(rows, n)
-        identity = next(
-            (e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))), None)
-        if identity is None:
-            raise ValueError("no identity element")
-        inverse = []
-        for x in range(n):
-            invs = [y for y in range(n) if table[x][y] == identity and table[y][x] == identity]
-            if len(invs) != 1:
-                raise ValueError(f"element {x} lacks a unique inverse")
-            inverse.append(invs[0])
-        bad = associativity_failure(table)
-        if bad is not None:
-            raise ValueError("associativity fails at (%d,%d,%d)" % bad)
-        return FiniteGroupTable(n, table, identity, tuple(inverse), _classify_group(table, identity))
 
     @property
     def is_trivial(self) -> bool:
@@ -154,34 +133,6 @@ def associativity_generators(dom, cod, rows, object_count: int) -> list:
                     fresh.append(c)
     gens.sort()
     return gens
-
-
-def square_table(rows, n: int) -> tuple:
-    """rows as a tuple of n tuples of entries in range(n), or ValueError."""
-    table = tuple(tuple(r) for r in rows)
-    if len(table) != n or any(len(r) != n for r in table):
-        raise ValueError("multiplication table is not square")
-    for r in table:
-        for v in r:
-            if not 0 <= v < n:
-                raise ValueError(f"table entry {v} out of range")
-    return table
-
-
-def associativity_failure(table):
-    """The first triple (a, b, c) in lexicographic order with (a b) c !=
-    a (b c) in the total table, or None.  The ordered scan runs only when
-    the certificate, on the table as one object, fails."""
-    n = len(table)
-    one_object = (0,) * n
-    if certify_associativity(one_object, one_object, table, 1):
-        return None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    return a, b, c
-    raise InternalCheckError("the associativity certificate failed on an associative table")
 
 
 def _element_order(table, identity, x) -> int:

@@ -24,9 +24,9 @@ Conventions used throughout the package:
     when that fails, or another axiom already failed, does the scan of
     every composable triple run to list the violations.
   * orbits and frames are deterministic: the basepoint of an orbit is
-    its lexicographically least object, connecting arrows come from a
-    breadth-first search that scans arrows in lexicographic id order,
-    and matrix positions follow the sorted member list.  orbit_layout
+    its least-named object, the connecting arrow to each other member
+    is the least-named arrow from the basepoint to it, and matrix
+    positions follow the members in name order.  orbit_layout
     walks them once and reads the block layout (a BlockShape: per orbit
     its size and basepoint isotropy) off them, for decompose and
     structured_from_finite alike.
@@ -468,8 +468,8 @@ def _associativity_scan(g: FiniteGroupoid, rows: list, into: list) -> list:
 class Orbit(Value):
     """One connected component with its frame.
 
-    members are sorted object indices (matrix order); basepoint is
-    members[0]; connecting[k] is an arrow basepoint -> members[k], with
+    members are object indices in name order (matrix order); basepoint
+    is members[0]; connecting[k] is an arrow basepoint -> members[k], with
     the identity at the basepoint in position 0.
     """
 
@@ -477,31 +477,25 @@ class Orbit(Value):
 
 
 def orbits(g: FiniteGroupoid) -> list:
-    """Connected components with deterministic frames.  Requires a
-    groupoid that passed validate()."""
-    n_obj = len(g.objects)
-    # arrows scanned in lexicographic name order makes the BFS canonical
-    out_arrows: list = [[] for _ in range(n_obj)]
+    """Connected components with deterministic frames, in the name order
+    of their basepoints.  Requires a groupoid that passed validate():
+    composition is then total and every arrow has an inverse, so every
+    member of an orbit is the codomain of an arrow out of its
+    basepoint, and one pass over those arrows, in name order, gives
+    each member its least-named one."""
+    out_arrows: list = [[] for _ in g.objects]  # object -> arrows out of it, in name order
     for a in sorted(range(g.arrow_count), key=g.arrows.__getitem__):
         out_arrows[g.dom[a]].append(a)
-
-    seen = [False] * n_obj
+    done: set = set()  # objects of the orbits found
     result = []
-    for base in sorted(range(n_obj), key=g.objects.__getitem__):
-        if seen[base]:
+    for base in sorted(range(len(g.objects)), key=g.objects.__getitem__):
+        if base in done:
             continue
         connecting = {base: g.identity_of[base]}
-        seen[base] = True
-        queue = [base]
-        while queue:
-            y = queue.pop(0)
-            for a in out_arrows[y]:
-                z = g.cod[a]
-                if not seen[z]:
-                    seen[z] = True
-                    connecting[z] = g.compose(a, connecting[y])
-                    queue.append(z)
-        members = tuple(sorted(connecting, key=lambda x: g.objects[x]))
+        for a in out_arrows[base]:
+            connecting.setdefault(g.cod[a], a)
+        members = tuple(sorted(connecting, key=g.objects.__getitem__))
+        done.update(members)
         result.append(Orbit(members, tuple(connecting[m] for m in members)))
     return result
 
@@ -520,8 +514,7 @@ def _isotropy(g: FiniteGroupoid, x: int, arrows) -> IsotropyGroup:
     validate(), with the loops at x looked for among arrows.  The table
     is g.rows on the loops, the identity 1_x and each inverse g.inv's:
     validate proved the identity and inverse laws, composition coherent
-    and total on the loops, and associativity, so nothing is re-proved
-    here (FiniteGroupTable.from_table verifies raw tables)."""
+    and total on the loops, and associativity, so nothing is re-proved here."""
     loops = sorted((a for a in arrows if g.dom[a] == x == g.cod[a]), key=g.arrows.__getitem__)
     pos = {a: i for i, a in enumerate(loops)}
     try:  # a missing composite, or one that is not a loop at x

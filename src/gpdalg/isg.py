@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import InternalCheckError, Names, OracleBudgetError, ParseError, lines, split_declaration
-from .group_algebra import associativity_failure, square_table
+from .group_algebra import certify_associativity
 from .groupoid import FiniteGroupoid, structured_from_finite, validate
 from .report import VerificationReport
 from .rings import RingDescriptor, characteristic, render_ring_descriptor
@@ -54,7 +54,7 @@ class InverseSemigroup(Value):
     @staticmethod
     def from_table(elements, rows) -> "InverseSemigroup":
         """Verify the semigroup and inverse axioms exhaustively
-        (associativity by group_algebra.associativity_failure, exact).
+        (associativity by associativity_failure, exact).
 
         rows[i][j] is the index of the product elements[i] . elements[j].
         Raises ValueError naming a witness when associativity fails or
@@ -104,6 +104,34 @@ class InverseSemigroup(Value):
             ):
                 return i
         return None
+
+
+def square_table(rows, n: int) -> tuple:
+    """rows as a tuple of n tuples of entries in range(n), or ValueError."""
+    table = tuple(tuple(r) for r in rows)
+    if len(table) != n or any(len(r) != n for r in table):
+        raise ValueError("multiplication table is not square")
+    for r in table:
+        for v in r:
+            if not 0 <= v < n:
+                raise ValueError(f"table entry {v} out of range")
+    return table
+
+
+def associativity_failure(table):
+    """The first triple (a, b, c) in lexicographic order with (a b) c !=
+    a (b c) in the total table, or None.  The ordered scan runs only when
+    the certificate, on the table as one object, fails."""
+    n = len(table)
+    one_object = (0,) * n
+    if certify_associativity(one_object, one_object, table, 1):
+        return None
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    raise InternalCheckError("the associativity certificate failed on an associative table")
 
 
 def parse_isg(text: str) -> InverseSemigroup:

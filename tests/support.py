@@ -28,7 +28,7 @@ from gpdalg import FiniteGroupoid, InverseSemigroup, VerificationReport, render_
 from gpdalg.algebra import _pull
 from gpdalg.errors import InternalCheckError, OracleBudgetError, ParseError
 from gpdalg.group_algebra import BlockShape, FiniteGroupTable, IntegerGroup, _classify_group
-from gpdalg.groupoid import IsotropyGroup, Violation, orbits
+from gpdalg.groupoid import IsotropyGroup, Orbit, Violation
 from gpdalg.leavitt import (
     Cycle,
     ExitWitness,
@@ -628,6 +628,9 @@ def reference_boundary_paths(g: Graph):
     from each cycle vertex over non-cycle edges.  Both walks are
     vertex-simple, which (NE) guarantees is exhaustive: a repeated
     vertex would put a cycle with an exit inside the path.
+
+    It runs on small graphs only: enumerate_cycles walks forward from
+    every start, so a long chain or cycle costs quadratic time here.
     """
     cycles = enumerate_cycles(g)
     for c in cycles:
@@ -832,7 +835,7 @@ def _reference_arrow_unit(g: Graph, orbits, eta, k: int, gamma) -> tuple:
 def _reference_blocks(orbits, ring) -> BlockShape:
     """The block layout of reference_graph_orbits: per orbit its member
     count, with infinite cyclic isotropy on a lasso orbit."""
-    trivial = FiniteGroupTable.from_table([[0]])
+    trivial = reference_group_table([[0]])
     return BlockShape(ring, tuple((len(members), IntegerGroup() if kind == "cycle" else trivial)
                                   for kind, _, members, _ in orbits))
 
@@ -980,20 +983,51 @@ def reference_path_unit_count(images: GeneratorImages) -> int:
 
 def reference_isotropy(g: FiniteGroupoid, x: int) -> IsotropyGroup:
     """isotropy, by scanning every arrow for the loops at x and
-    verifying the loop table as a group with FiniteGroupTable.from_table,
+    verifying the loop table as a group with reference_group_table,
     where the package reads it off validate's proof."""
     loops = sorted((a for a in range(g.arrow_count) if g.dom[a] == x == g.cod[a]),
                    key=g.arrows.__getitem__)
     table = [[loops.index(g.compose(a, b)) for b in loops] for a in loops]
-    return IsotropyGroup(tuple(loops), FiniteGroupTable.from_table(table))
+    return IsotropyGroup(tuple(loops), reference_group_table(table))
+
+
+def reference_orbits(g: FiniteGroupoid) -> list:
+    """orbits, by a breadth-first search from each basepoint that scans
+    the arrows out of every object reached, in name order, and composes
+    each new connecting arrow onto the one before it, where the package
+    reads the whole frame off the arrows out of the basepoint (a replay
+    of the route before that one-pass frame)."""
+    n_obj = len(g.objects)
+    out_arrows: list = [[] for _ in range(n_obj)]
+    for a in sorted(range(g.arrow_count), key=g.arrows.__getitem__):
+        out_arrows[g.dom[a]].append(a)
+    seen = [False] * n_obj
+    result = []
+    for base in sorted(range(n_obj), key=g.objects.__getitem__):
+        if seen[base]:
+            continue
+        connecting = {base: g.identity_of[base]}
+        seen[base] = True
+        queue = [base]
+        while queue:
+            y = queue.pop(0)
+            for a in out_arrows[y]:
+                z = g.cod[a]
+                if not seen[z]:
+                    seen[z] = True
+                    connecting[z] = g.compose(a, connecting[y])
+                    queue.append(z)
+        members = tuple(sorted(connecting, key=lambda x: g.objects[x]))
+        result.append(Orbit(members, tuple(connecting[m] for m in members)))
+    return result
 
 
 def reference_orbit_layout(g: FiniteGroupoid):
     """decompose's isotropies and arrow positions, by letting every
-    orbit scan every arrow: the isotropy group at each basepoint from
-    `reference_isotropy`, and each arrow's (block, row, col, isotropy
-    key) from the orbit that holds both of its ends."""
-    frames = orbits(g)
+    orbit of `reference_orbits` scan every arrow: the isotropy group at
+    each basepoint from `reference_isotropy`, and each arrow's (block,
+    row, col, isotropy key) from the orbit that holds both of its ends."""
+    frames = reference_orbits(g)
     isotropies = tuple(reference_isotropy(g, orb.members[0]) for orb in frames)
     position = [None] * g.arrow_count
     for bi, (orb, iso) in enumerate(zip(frames, isotropies)):
@@ -1460,9 +1494,11 @@ def reference_parse_isg(text: str) -> InverseSemigroup:
 
 
 def reference_group_table(rows) -> FiniteGroupTable:
-    """FiniteGroupTable.from_table, by scanning all n^3 triples in
-    order where the package certifies associativity on generators: the
-    same table, or a ValueError with the same message."""
+    """A multiplication table as a group, by scanning for its identity,
+    each inverse and all n^3 triples, where constructions builds its
+    tables with these known and orbit_layout reads each isotropy table
+    off validate's proof: the table, or a ValueError naming the first
+    axiom that fails."""
     n = len(rows)
     table = tuple(tuple(r) for r in rows)
     if any(len(r) != n for r in table):

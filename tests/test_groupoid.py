@@ -4,8 +4,20 @@ import random
 
 import pytest
 
-from corpus import chain_graph, graph_corpus, groupoid_corpus, in_tree_graph, isg_corpus
-from support import reference_axiom_violations, reference_isotropy, reference_parse_groupoid
+from corpus import (
+    chain_graph,
+    disconnected_ladder,
+    graph_corpus,
+    groupoid_corpus,
+    in_tree_graph,
+    isg_corpus,
+)
+from support import (
+    reference_axiom_violations,
+    reference_isotropy,
+    reference_orbits,
+    reference_parse_groupoid,
+)
 
 from gpdalg import (
     FiniteGroupoid,
@@ -189,20 +201,31 @@ def test_corrupted_fixtures_fail_validation():
 
 
 def test_orbit_frames_are_deterministic_and_well_formed():
-    for name, g in groupoid_corpus():
-        obs = orbits(g)
-        assert obs == orbits(g), name
-        seen = set()
-        for orb in obs:
-            base = orb.members[0]
-            assert list(orb.members) == sorted(orb.members)
-            assert base == min(orb.members)
-            for k, member in enumerate(orb.members):
-                conn = orb.connecting[k]
-                assert g.dom[conn] == base and g.cod[conn] == member
-            assert orb.connecting[0] == g.identity_of[base]
-            seen.update(orb.members)
-        assert seen == set(range(len(g.objects)))
+    """Orbits come in the name order of their basepoints, each with its
+    members in name order, its least-named object as basepoint, the
+    identity there and the least-named arrow from the basepoint to each
+    other member; and they are the breadth-first search's frames, on
+    the corpus, the ladder and 20 relabellings of each, where index
+    order is not name order."""
+    rng = random.Random(47)
+    for name, g in groupoid_corpus() + disconnected_ladder():
+        for h in [g] + [_relabelled(g, rng) for _ in range(20)]:
+            obs = orbits(h)
+            assert obs == orbits(h) == reference_orbits(h), name
+            seen = set()
+            for orb in obs:
+                base = orb.members[0]
+                named = [h.objects[m] for m in orb.members]
+                assert named == sorted(named), name
+                assert orb.connecting[0] == h.identity_of[base], name
+                for member, conn in zip(orb.members[1:], orb.connecting[1:]):
+                    assert conn == min((a for a in range(h.arrow_count)
+                                        if h.dom[a] == base and h.cod[a] == member),
+                                       key=h.arrows.__getitem__), name
+                seen.update(orb.members)
+            bases = [h.objects[orb.members[0]] for orb in obs]
+            assert bases == sorted(bases), name
+            assert seen == set(range(len(h.objects))), name
 
 
 def test_isotropy_groups_verify_as_groups():

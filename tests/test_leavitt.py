@@ -1,6 +1,7 @@
 """Leavitt path algebras through the boundary-path groupoid."""
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from support import (
     reference_generated_dimension,
     reference_generator_images,
     reference_graph_orbits,
+    reference_group_table,
     reference_path_unit_count,
     reference_verify_leavitt_relations,
     render_path,
@@ -47,7 +49,6 @@ from gpdalg import (
     verdicts,
     verify_leavitt_relations,
 )
-from gpdalg.group_algebra import FiniteGroupTable
 from gpdalg.groupoid import orbits
 from gpdalg.leavitt import _attained_matrix_units, block_shape
 
@@ -194,6 +195,9 @@ def test_relations_hold_for_every_no_exit_graph():
 
 
 def test_prepend_edge_walks_around_the_cycle():
+    """prepend_edge is a helper of the references, not package code;
+    the test stays because _listing_agrees and
+    reference_generator_images build boundary paths with it."""
     g = GRAPHS["c3"]
     x, y, z = (g.edge_names.index(n) for n in ("x", "y", "z"))
     base = Lasso((), Cycle((x, y, z)), 0)
@@ -285,6 +289,18 @@ def test_long_chains_and_cycles_do_not_recurse():
     [orbit] = graph_groupoid(ring).orbits
     assert orbit._listing() == (tuple(-pos % n for pos in range(n)), list(range(n)),
                                 [(pos, pos, (pos + 1) % n) for pos in range(n)])
+
+
+def test_enumerate_cycles_walks_a_long_cycle_without_recursion():
+    # names fall along the edges, so only the least vertex's start walks
+    # on, around the whole cycle: linear time, at a depth past the
+    # default recursion limit
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    vs = [f"v{n - 1 - i:04d}" for i in range(n)]
+    ring = _graph(vs, [(f"e{i:04d}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+    [cycle] = enumerate_cycles(ring)
+    assert cycle.length() == n and sorted(cycle.edges) == list(range(n))
 
 
 def _fed_cycles(rng):
@@ -570,7 +586,7 @@ def test_compose_is_the_index_and_sort_product_on_sorted_unit_tuples():
 
 
 def test_trivial_isotropy_is_the_one_element_group_table():
-    assert gpdalg.leavitt._TRIVIAL == FiniteGroupTable.from_table([[0]])
+    assert gpdalg.leavitt._TRIVIAL == reference_group_table([[0]])
 
 
 def test_matrix_unit_count_equals_the_closure_rank():

@@ -14,6 +14,7 @@ from support import (
     _right_ideal_nilpotent,
     reference_exhaustive_radical,
     reference_filtration_radical,
+    reference_group_table,
     reference_ideal_certified_nilpotent,
     reference_residue,
     reference_trace_form,
@@ -50,7 +51,6 @@ from gpdalg.constructions import (
     product_with_group,
     symmetric_table,
 )
-from gpdalg.group_algebra import FiniteGroupTable
 from gpdalg.linalg import echelon
 from gpdalg.oracle import (
     ORACLE_DIMENSION_LIMIT_CHAR0,
@@ -561,7 +561,7 @@ def test_certificate_on_radicals_that_need_two_left_generators():
     radical, a row dropped, the identity added and the whole algebra (an
     ideal, not nilpotent), the certificate on W gives the answer of the
     test against every arrow with one factor of I per power step."""
-    z3xz3 = FiniteGroupTable.from_table(
+    z3xz3 = reference_group_table(
         [[3 * ((i // 3 + j // 3) % 3) + (i + j) % 3 for j in range(9)] for i in range(9)])
     cases = [
         ("V4", group_groupoid(klein_table()), 2),
